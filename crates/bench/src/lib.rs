@@ -20,7 +20,6 @@
 //! | `residuals`| per-round measured-vs-model deltas from recorded timelines  |
 //! | `backends` | thread vs tcp transport latency for allreduce recmult       |
 //! | `opt_passes` | modeled cost deltas of the verified optimizer passes      |
-//! | `hotpath`  | per-call dispatch overhead: cold vs interpreter vs cached   |
 //! | `micro`    | criterion micro-benchmarks of the library itself            |
 
 pub mod ablation;
@@ -31,7 +30,6 @@ pub mod fig08;
 pub mod fig09;
 pub mod fig10;
 pub mod fig11;
-pub mod hotpath;
 pub mod modelcmp;
 pub mod opt_passes;
 pub mod residuals;

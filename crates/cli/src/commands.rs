@@ -5,6 +5,7 @@ use exacoll_core::reference::{expected_outputs, expected_outputs_v};
 use exacoll_core::registry::{
     candidates, lower, lower_v, supports_v, table_i, unique_candidates, unique_candidates_v,
 };
+use exacoll_core::schedule::eval::{evaluate, probe_inputs};
 use exacoll_core::schedule::verify::{verify, verify_tenants, TenantPlans};
 use exacoll_core::spec::{
     parse_opt_spec, variant_to_spec, CountsSpec, OptSpec, Variant, OPT_AGGREGATE_MAX_FUSE_BYTES,
@@ -862,8 +863,8 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
                         stats.beta_bytes.to_string(),
                         stats.gamma_bytes.to_string(),
                     ]);
-                    let inputs = exacoll_opt::probe_inputs(&plans);
-                    let reference = match exacoll_opt::evaluate(&plans, &inputs) {
+                    let inputs = probe_inputs(&plans);
+                    let reference = match evaluate(&plans, &inputs) {
                         Ok(r) => Some(r),
                         Err(e) => {
                             failures.push(format!("{op} / {alg}: baseline evaluation: {e}"));
@@ -888,7 +889,7 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
                             continue;
                         }
                         if let Some(reference) = &reference {
-                            match exacoll_opt::evaluate(&rewritten, &inputs) {
+                            match evaluate(&rewritten, &inputs) {
                                 Ok(out) if &out == reference => {}
                                 Ok(_) => failures.push(format!(
                                     "{op} / {alg} after {pass}: outputs differ from reference"
@@ -950,11 +951,11 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
                             stats.beta_bytes.to_string(),
                             stats.gamma_bytes.to_string(),
                         ]);
-                        let inputs = exacoll_opt::probe_inputs(&plans);
+                        let inputs = probe_inputs(&plans);
                         let expect =
                             expected_outputs_v(op, cargs.dtype, cargs.rop, counts, &inputs)
                                 .map_err(|e| e.to_string());
-                        match (exacoll_opt::evaluate(&plans, &inputs), expect) {
+                        match (evaluate(&plans, &inputs), expect) {
                             (Ok(out), Ok(expect)) if out == expect => {}
                             (Ok(_), Ok(_)) => failures
                                 .push(format!("{label} / {alg}: outputs differ from v-reference")),
@@ -990,11 +991,11 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
                     stats.beta_bytes.to_string(),
                     stats.gamma_bytes.to_string(),
                 ]);
-                let inputs = exacoll_opt::probe_inputs(&plans);
+                let inputs = probe_inputs(&plans);
                 let expect =
                     expected_outputs(cargs.op, cargs.root, cargs.dtype, cargs.rop, &inputs)
                         .map_err(|e| e.to_string());
-                match (exacoll_opt::evaluate(&plans, &inputs), expect) {
+                match (evaluate(&plans, &inputs), expect) {
                     (Ok(out), Ok(expect)) if out == expect => {}
                     (Ok(_), Ok(_)) => {
                         failures.push(format!("{label} / {alg}: outputs differ from reference"))

@@ -6,38 +6,39 @@
 //! remainders). Output is always the concatenation of all blocks in rank
 //! order.
 //!
-//! * [`allgather_ring`] — classic neighbor ring (§V-A): `p-1` rounds, each
-//!   rank forwarding the block it received in the previous round.
-//! * [`allgather_kring`] — the generalized k-ring (§V-C, Fig. 6): `p/k`
-//!   groups of `k`; `g(k-1)` intra-group rounds interleaved with `g-1`
+//! * [`AllgatherKernel::Ring`] — classic neighbor ring (§V-A): `p-1`
+//!   rounds, each rank forwarding the block it received in the previous
+//!   round.
+//! * [`AllgatherKernel::KRing`] — the generalized k-ring (§V-C, Fig. 6):
+//!   `p/k` groups of `k`; `g(k-1)` intra-group rounds interleaved with `g-1`
 //!   inter-group rounds, so most traffic stays on the fast intranode fabric
-//!   when `k` equals the processes-per-node.
-//! * [`allgather_kring_general`] — the k-ring for **non-uniform group
-//!   sizes** (`k ∤ p`), the corner case §VI-A singles out as the largest
-//!   implementation burden. Blocks travel in residue-class bundles (see
-//!   [`build_allgather_kring_general`]).
-//! * [`allgather_recmult`] — recursive multiplying (§IV): one exchange round
-//!   per factor of `p` (each factor ≤ `k`); `k = 2` is recursive doubling
-//!   (Fig. 3), Fig. 4 is `p = 9, k = 3`. Non-`k`-smooth process counts fold
-//!   remainder ranks onto partners before the rounds and unfold after.
-//! * [`allgather_bruck`] — Bruck's algorithm (cited baseline), uniform
-//!   blocks only.
-//! * Gather + broadcast over k-nomial trees (Table I's k-nomial allgather)
-//!   via [`allgather_kernel`] with [`AllgatherKernel::GatherBcast`].
+//!   when `k` equals the processes-per-node. **Non-uniform group sizes**
+//!   (`k ∤ p`), the corner case §VI-A singles out as the largest
+//!   implementation burden, run a variant whose blocks travel in
+//!   residue-class bundles (`build_allgather_kring_general`).
+//! * [`AllgatherKernel::RecursiveMultiplying`] — recursive multiplying
+//!   (§IV): one exchange round per factor of `p` (each factor ≤ `k`);
+//!   `k = 2` is recursive doubling (Fig. 3), Fig. 4 is `p = 9, k = 3`.
+//!   Non-`k`-smooth process counts fold remainder ranks onto partners before
+//!   the rounds and unfold after.
+//! * [`AllgatherKernel::Bruck`] — Bruck's algorithm (cited baseline),
+//!   uniform blocks only.
+//! * [`AllgatherKernel::GatherBcast`] — gather + broadcast over k-nomial
+//!   trees (Table I's k-nomial allgather).
 //!
-//! Every kernel is a schedule *builder* returning the `p` per-block buffer
-//! views in rank order; received blocks are *rebound* to freshly allocated
+//! Every kernel is a schedule *builder* (`registry::lower` and
+//! `registry::lower_v` are the entry points) returning the `p` per-block
+//! buffer views in rank order; received blocks are *rebound* to freshly allocated
 //! regions, so Bruck rotations, v-rank unshuffles, and the interleaved
 //! recursive-multiplying layout cost no copies — the output
 //! [`SgList`] absorbs the permutation.
 
 use crate::bcast::build_bcast_knomial;
 use crate::gather::build_gather_knomial;
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::{factorize, largest_smooth_leq};
 use crate::util::{block_range, pmod, prefix_offsets};
-use exacoll_comm::{Comm, CommResult};
 
 /// Which allgather kernel to run (also selects the second phase of
 /// scatter-allgather broadcast).
@@ -95,66 +96,15 @@ pub(crate) fn build_allgather_kernel(
     }
 }
 
-/// Run the chosen allgather kernel. `input` is this rank's block
-/// (`sizes[rank]` bytes); returns all blocks concatenated in rank order.
-pub fn allgather_kernel<C: Comm>(
-    c: &mut C,
-    kernel: AllgatherKernel,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    debug_assert_eq!(sizes.len(), c.size());
-    debug_assert_eq!(input.len(), sizes[c.rank()]);
-    run_blocks(c, c.rank(), input, sizes, |b, own| {
-        build_allgather_kernel(b, kernel, own, sizes)
-    })
-}
-
 fn uniform_size(sizes: &[usize]) -> Option<usize> {
     let n = sizes[0];
     sizes.iter().all(|&s| s == n).then_some(n)
 }
 
-/// Shared wrapper: alloc this rank's block (`sizes[own_idx]` bytes), lower
-/// with `build`, and execute. `input` fills a prefix of the block, matching
-/// the zero-padded buffers the hand-written loops used.
-fn run_blocks<C: Comm>(
-    c: &mut C,
-    own_idx: usize,
-    input: &[u8],
-    sizes: &[usize],
-    build: impl FnOnce(&mut ScheduleBuilder, SgList) -> Vec<SgList>,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(sizes[own_idx]);
-    let blocks = build(&mut b, own.clone());
-    let out = SgList::concat(&blocks);
-    let schedule = b.finish(own.slice(0, input.len()), out);
-    execute_schedule(c, &schedule, input)
-}
-
-/// Classic ring allgather, with this rank contributing block `rank`.
-pub fn allgather_ring<C: Comm>(c: &mut C, input: &[u8], sizes: &[usize]) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    allgather_ring_from(c, me, input, sizes)
-}
-
-/// Ring allgather where this rank *starts* owning block `own_idx` (a cyclic
-/// shift of the identity assignment). The allreduce path uses this with the
-/// block ownership the ring reduce-scatter leaves behind.
-pub fn allgather_ring_from<C: Comm>(
-    c: &mut C,
-    own_idx: usize,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    run_blocks(c, own_idx, input, sizes, |b, own| {
-        build_allgather_ring_from(b, own_idx, own, sizes)
-    })
-}
-
-/// Lower the ring allgather into `b`, starting from ownership of block
-/// `own_idx`.
+/// Lower the ring allgather into `b`, with this rank *starting* as owner of
+/// block `own_idx` (a cyclic shift of the identity assignment). The
+/// allreduce path uses this with the block ownership the ring reduce-scatter
+/// leaves behind.
 pub(crate) fn build_allgather_ring_from(
     b: &mut ScheduleBuilder,
     own_idx: usize,
@@ -188,24 +138,12 @@ pub(crate) fn build_allgather_ring_from(
     blocks
 }
 
-/// Generalized k-ring allgather (Fig. 6). Requires `k >= 1` and `k | p`.
+/// Lower the uniform-group k-ring (Fig. 6) into `b`. Requires `k >= 1` and
+/// `k | p`.
 ///
 /// Ranks are grouped contiguously (`group = rank / k`), matching the
 /// node-contiguous rank placement of `Machine`, so with `k` equal to the
 /// processes-per-node the intra rounds ride the intranode fabric.
-pub fn allgather_kring<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    run_blocks(c, me, input, sizes, |b, own| {
-        build_allgather_kring(b, k, own, sizes)
-    })
-}
-
-/// Lower the uniform-group k-ring into `b`.
 pub(crate) fn build_allgather_kring(
     b: &mut ScheduleBuilder,
     k: usize,
@@ -293,20 +231,7 @@ fn group_of(p: usize, g: usize, rank: usize) -> usize {
     }
 }
 
-/// The k-ring allgather generalized to arbitrary `p` and `1 <= k <= p`.
-pub fn allgather_kring_general<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    run_blocks(c, me, input, sizes, |b, own| {
-        build_allgather_kring_general(b, k, own, sizes)
-    })
-}
-
-/// Lower the non-uniform-group k-ring into `b`.
+/// Lower the k-ring generalized to arbitrary `p` and `1 <= k <= p` into `b`.
 ///
 /// Ranks are split into `g = ceil(p / k)` contiguous near-equal groups
 /// (sizes differ by at most one, [`block_range`] on rank space). The round
@@ -427,22 +352,10 @@ pub(crate) fn build_allgather_kring_general(
     blocks
 }
 
-/// Recursive multiplying allgather (radix `k`). Any process count: `k`-smooth
-/// counts run the pure mixed-radix rounds; others fold the trailing
-/// `p - q` ranks onto partners first (`q` = largest `k`-smooth ≤ `p`).
-pub fn allgather_recmult<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    run_blocks(c, me, input, sizes, |b, own| {
-        build_allgather_recmult(b, k, own, sizes)
-    })
-}
-
-/// Lower recursive multiplying into `b`.
+/// Lower recursive multiplying (radix `k`) into `b`. Any process count:
+/// `k`-smooth counts run the pure mixed-radix rounds; others fold the
+/// trailing `p - q` ranks onto partners first (`q` = largest `k`-smooth ≤
+/// `p`).
 pub(crate) fn build_allgather_recmult(
     b: &mut ScheduleBuilder,
     k: usize,
@@ -543,16 +456,8 @@ fn build_recmult_core(
     blocks
 }
 
-/// Bruck's allgather: `ceil(log2 p)` rounds with rotated block indexing.
-/// Uniform block sizes only (as in MPICH).
-pub fn allgather_bruck<C: Comm>(c: &mut C, input: &[u8], sizes: &[usize]) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    run_blocks(c, me, input, sizes, |b, own| {
-        build_allgather_bruck(b, own, sizes)
-    })
-}
-
-/// Lower Bruck's allgather into `b`.
+/// Lower Bruck's allgather into `b`: `ceil(log2 p)` rounds with rotated
+/// block indexing. Uniform block sizes only (as in MPICH).
 pub(crate) fn build_allgather_bruck(
     b: &mut ScheduleBuilder,
     own: SgList,
@@ -601,10 +506,42 @@ pub(crate) fn build_allgather_bruck(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::schedule::run_built;
+    use exacoll_comm::{run_ranks, Comm, CommResult};
 
     fn rank_block(rank: usize, n: usize) -> Vec<u8> {
         (0..n).map(|i| (rank * 41 + i * 3 + 1) as u8).collect()
+    }
+
+    /// Run one rank: contribute `mine` as the block `build` is handed and
+    /// return the concatenation of the block views it lowers to.
+    fn run_blocks<C: Comm>(
+        c: &mut C,
+        mine: &[u8],
+        build: impl FnOnce(&mut ScheduleBuilder, SgList) -> Vec<SgList>,
+    ) -> CommResult<Vec<u8>> {
+        run_built(c, mine, |b| {
+            let own = b.alloc(mine.len());
+            let blocks = build(b, own.clone());
+            (own, SgList::concat(&blocks))
+        })
+    }
+
+    /// Every rank contributes `rank_block(rank, sizes[rank])` through
+    /// `build`; all must end with the blocks concatenated in rank order.
+    fn check_build(
+        sizes: &[usize],
+        label: &str,
+        build: impl Fn(&mut ScheduleBuilder, SgList) -> Vec<SgList> + Sync,
+    ) {
+        let p = sizes.len();
+        let expect: Vec<u8> = (0..p).flat_map(|r| rank_block(r, sizes[r])).collect();
+        let out = run_ranks(p, |c| {
+            run_blocks(c, &rank_block(c.rank(), sizes[c.rank()]), &build)
+        });
+        for (r, o) in out.iter().enumerate() {
+            assert_eq!(o, &expect, "{label} sizes={sizes:?} rank={r}");
+        }
     }
 
     fn uniform_expect(p: usize, n: usize) -> Vec<u8> {
@@ -612,28 +549,22 @@ mod tests {
     }
 
     fn check_uniform(kernel: AllgatherKernel, p: usize, n: usize) {
-        let sizes = vec![n; p];
-        let expect = uniform_expect(p, n);
-        let out = run_ranks(p, |c| {
-            let mine = rank_block(c.rank(), n);
-            allgather_kernel(c, kernel, &mine, &sizes)
-        });
-        for (r, o) in out.iter().enumerate() {
-            assert_eq!(o, &expect, "{kernel:?} p={p} n={n} rank={r}");
-        }
+        check_ragged(kernel, &vec![n; p]);
     }
 
     fn check_ragged(kernel: AllgatherKernel, sizes: &[usize]) {
-        let p = sizes.len();
-        let expect: Vec<u8> = (0..p).flat_map(|r| rank_block(r, sizes[r])).collect();
-        let sizes_owned = sizes.to_vec();
-        let out = run_ranks(p, |c| {
-            let mine = rank_block(c.rank(), sizes_owned[c.rank()]);
-            allgather_kernel(c, kernel, &mine, &sizes_owned)
+        check_build(sizes, &format!("{kernel:?}"), |b, own| {
+            build_allgather_kernel(b, kernel, own, sizes)
         });
-        for (r, o) in out.iter().enumerate() {
-            assert_eq!(o, &expect, "{kernel:?} sizes={sizes:?} rank={r}");
-        }
+    }
+
+    /// The non-uniform-group k-ring itself, below the dispatcher (which
+    /// only routes `k ∤ p` to it).
+    fn check_general(p: usize, k: usize, sizes: &[usize]) {
+        assert_eq!(sizes.len(), p);
+        check_build(sizes, &format!("kring-general k={k}"), |b, own| {
+            build_allgather_kring_general(b, k, own, sizes)
+        });
     }
 
     #[test]
@@ -657,9 +588,10 @@ mod tests {
         let sizes = vec![n; p];
         let expect = uniform_expect(p, n);
         let out = run_ranks(p, |c| {
-            let own = (c.rank() + 1) % p;
-            let mine = rank_block(own, n);
-            allgather_ring_from(c, own, &mine, &sizes)
+            let own_idx = (c.rank() + 1) % p;
+            run_blocks(c, &rank_block(own_idx, n), |b, own| {
+                build_allgather_ring_from(b, own_idx, own, &sizes)
+            })
         });
         assert!(out.iter().all(|o| o == &expect));
     }
@@ -704,8 +636,10 @@ mod tests {
         // The uniform fast path insists on k | p; the dispatcher routes
         // non-divisible configurations to the general variant instead.
         exacoll_comm::record_traces(8, |c| {
-            let mine = rank_block(c.rank(), 4);
-            allgather_kring(c, 3, &mine, &[4; 8]).map(|_| ())
+            run_blocks(c, &rank_block(c.rank(), 4), |b, own| {
+                build_allgather_kring(b, 3, own, &[4; 8])
+            })
+            .map(|_| ())
         });
     }
 
@@ -785,28 +719,6 @@ mod tests {
             check_uniform(kernel, 4, 0);
         }
     }
-}
-
-#[cfg(test)]
-mod kring_general_tests {
-    use super::*;
-    use exacoll_comm::run_ranks;
-
-    fn rank_block(rank: usize, n: usize) -> Vec<u8> {
-        (0..n).map(|i| (rank * 37 + i + 1) as u8).collect()
-    }
-
-    fn check(p: usize, k: usize, sizes: &[usize]) {
-        let expect: Vec<u8> = (0..p).flat_map(|r| rank_block(r, sizes[r])).collect();
-        let sizes_owned = sizes.to_vec();
-        let out = run_ranks(p, |c| {
-            let mine = rank_block(c.rank(), sizes_owned[c.rank()]);
-            allgather_kring_general(c, k, &mine, &sizes_owned)
-        });
-        for (r, o) in out.iter().enumerate() {
-            assert_eq!(o, &expect, "p={p} k={k} rank={r}");
-        }
-    }
 
     #[test]
     fn group_of_is_blockrange_inverse() {
@@ -824,7 +736,7 @@ mod kring_general_tests {
     #[test]
     fn uniform_groups_still_work() {
         for (p, k) in [(6usize, 3usize), (8, 4), (12, 2), (9, 3)] {
-            check(p, k, &vec![5; p]);
+            check_general(p, k, &vec![5; p]);
         }
     }
 
@@ -841,28 +753,28 @@ mod kring_general_tests {
             (17, 8),
             (5, 4),
         ] {
-            check(p, k, &vec![4; p]);
+            check_general(p, k, &vec![4; p]);
         }
     }
 
     #[test]
     fn extreme_group_sizes() {
-        check(7, 1, &[3; 7]); // all singleton groups = ring
-        check(7, 7, &[3; 7]); // one group = pure intra ring
-        check(7, 6, &[3; 7]); // group sizes 4 and 3
+        check_general(7, 1, &[3; 7]); // all singleton groups = ring
+        check_general(7, 7, &[3; 7]); // one group = pure intra ring
+        check_general(7, 6, &[3; 7]); // group sizes 4 and 3
     }
 
     #[test]
     fn ragged_block_sizes_with_ragged_groups() {
-        check(7, 3, &[3, 0, 5, 1, 4, 2, 6]);
-        check(10, 4, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        check_general(7, 3, &[3, 0, 5, 1, 4, 2, 6]);
+        check_general(10, 4, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
     }
 
     #[test]
     fn proptest_style_sweep() {
         for p in 2..=14usize {
             for k in 1..=p {
-                check(p, k, &vec![2; p]);
+                check_general(p, k, &vec![2; p]);
             }
         }
     }

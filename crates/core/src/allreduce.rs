@@ -1,32 +1,35 @@
 //! Allreduce algorithms.
 //!
-//! * [`allreduce_recmult`] — recursive multiplying (§IV): `log_k p` rounds;
-//!   each round every rank exchanges its running vector with `k-1` partners
-//!   and folds. The paper's headline recursive-multiplying collective
-//!   (Fig. 8b, Fig. 9d, Fig. 10c); `k = 2` is MPICH's recursive doubling.
-//!   Non-`k`-smooth process counts fold remainder ranks first (the
-//!   "non-uniform group" corner case of §VI-A).
-//! * [`allreduce_rsag`] — ring reduce-scatter followed by an allgather
+//! * `build_allreduce_recmult_mapped` — recursive multiplying (§IV):
+//!   `log_k p` rounds; each round every rank exchanges its running vector
+//!   with `k-1` partners and folds. The paper's headline
+//!   recursive-multiplying collective (Fig. 8b, Fig. 9d, Fig. 10c); `k = 2`
+//!   is MPICH's recursive doubling. Non-`k`-smooth process counts fold
+//!   remainder ranks first (the "non-uniform group" corner case of §VI-A).
+//! * `build_allreduce_rsag` — ring reduce-scatter followed by an allgather
 //!   kernel. With [`AllgatherKernel::Ring`] this is the classic bandwidth-
 //!   optimal ring allreduce; with [`AllgatherKernel::KRing`] it is the
 //!   paper's k-ring allreduce ("the reduce-scatter-allgather algorithm,
-//!   which can also leverage the MPI_Allgather k-ring algorithm", §VI-C).
-//! * [`allreduce_reduce_bcast`] — k-nomial reduce + k-nomial bcast, the
+//!   which can also leverage the MPI_Allgather k-ring algorithm", §VI-C);
+//!   with recursive multiplying, a Rabenseifner-style composite.
+//! * `build_allreduce_reduce_bcast` — k-nomial reduce + k-nomial bcast, the
 //!   composite of Eq. (2)/(3).
+//! * `build_allreduce_general` and `build_allreduce_hierarchical` — the
+//!   any-`p` and SMP-aware variants.
 //!
 //! Composites are composed at the *schedule* level: each phase's builder
-//! appends its steps to the same plan, and the engine's round-mark flushes
-//! sequence the phases exactly as the blocking calls used to.
+//! appends its steps to the same plan, and the flushes round marks imply
+//! sequence the phases exactly as blocking calls would.
 
 use crate::allgather::{build_allgather_kernel, AllgatherKernel};
 use crate::bcast::build_bcast_knomial;
 use crate::reduce::build_reduce_knomial;
 use crate::reduce_scatter::{build_reduce_scatter_ring, elem_block_sizes};
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::{factorize, largest_smooth_leq};
 use crate::util::block_range;
-use exacoll_comm::{Comm, CommResult, DType, ReduceOp};
+use exacoll_comm::{DType, ReduceOp};
 
 /// Lower the recursive multiplying allreduce over a subgroup into `b`:
 /// `gsize` participants with group indices `0..gsize`, mapped to global
@@ -225,8 +228,11 @@ fn build_general_level(
     acc
 }
 
-/// Lower the hierarchical (SMP-aware) allreduce into `b` (see
-/// [`allreduce_hierarchical`]).
+/// Lower the hierarchical (SMP-aware) allreduce into `b`, the Hasanov-style
+/// structure the paper cites as k-ring's inspiration [17]: a flat intranode
+/// reduce to each node leader, recursive multiplying with radix `k` among
+/// leaders, then a flat intranode broadcast. Requires `ppn | p`; ranks are
+/// grouped contiguously per node as in `exacoll_sim::Machine`.
 pub(crate) fn build_allreduce_hierarchical(
     b: &mut ScheduleBuilder,
     ppn: usize,
@@ -309,117 +315,29 @@ pub(crate) fn build_allreduce_reduce_bcast(
     build_bcast_knomial(b, k, 0, reduced, n)
 }
 
-fn run<C: Comm>(
-    c: &mut C,
-    input: &[u8],
-    build: impl FnOnce(&mut ScheduleBuilder, SgList) -> SgList,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(input.len());
-    let out = build(&mut b, own.clone());
-    let schedule = b.finish(own, out);
-    execute_schedule(c, &schedule, input)
-}
-
-/// Recursive multiplying allreduce with radix `k`. Every rank contributes
-/// `input` and receives the full elementwise reduction.
-pub fn allreduce_recmult<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    let p = c.size();
-    let me = c.rank();
-    allreduce_recmult_mapped(c, k, p, me, |g| g, input, dtype, op)
-}
-
-/// Recursive multiplying allreduce over a *subgroup*: `gsize` participants
-/// with group indices `0..gsize`, mapped to global ranks by `map`. The
-/// hierarchical allreduce runs this among node leaders.
-#[allow(clippy::too_many_arguments)]
-pub fn allreduce_recmult_mapped<C: Comm>(
-    c: &mut C,
-    k: usize,
-    gsize: usize,
-    gidx: usize,
-    map: impl Fn(usize) -> usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_recmult_mapped(b, k, gsize, gidx, map, own, dtype, op)
-    })
-}
-
-/// Generalized recursive multiplying allreduce (Kolmakov & Zhang) with
-/// radix `k`: block-recursive cross exchanges valid for any process count,
-/// power of `k` or not.
-pub fn allreduce_general<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_general(b, k, own, dtype, op)
-    })
-}
-
-/// Hierarchical (SMP-aware) allreduce, the Hasanov-style structure the
-/// paper cites as k-ring's inspiration [17]: a flat intranode reduce to
-/// each node leader, recursive multiplying with radix `k` among leaders,
-/// then a flat intranode broadcast. Requires `ppn | p`; ranks are grouped
-/// contiguously per node as in `exacoll_sim::Machine`.
-pub fn allreduce_hierarchical<C: Comm>(
-    c: &mut C,
-    ppn: usize,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_hierarchical(b, ppn, k, own, dtype, op)
-    })
-}
-
-/// Reduce-scatter + allgather allreduce. The reduce-scatter is the ring
-/// variant; `kernel` picks the allgather phase (ring = classic ring
-/// allreduce, k-ring = the paper's k-ring allreduce, recursive multiplying
-/// = a Rabenseifner-style composite).
-pub fn allreduce_rsag<C: Comm>(
-    c: &mut C,
-    kernel: AllgatherKernel,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_rsag(b, kernel, own, dtype, op)
-    })
-}
-
-/// K-nomial reduce to rank 0 followed by k-nomial broadcast.
-pub fn allreduce_reduce_bcast<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_reduce_bcast(b, k, own, dtype, op)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{reduce_ops::reduce_all, run_ranks, TypedBuf};
+    use crate::registry::{execute, Algorithm, CollArgs, CollectiveOp};
+    use exacoll_comm::{reduce_ops::reduce_all, run_ranks, Comm, CommResult, ThreadComm, TypedBuf};
+
+    /// Run the registry's allreduce `alg` on this rank's `input`.
+    fn allreduce<C: Comm>(
+        c: &mut C,
+        alg: Algorithm,
+        input: &[u8],
+        dtype: DType,
+        rop: ReduceOp,
+    ) -> CommResult<Vec<u8>> {
+        let args = CollArgs {
+            op: CollectiveOp::Allreduce,
+            alg,
+            root: 0,
+            dtype,
+            rop,
+        };
+        execute(c, &args, input)
+    }
 
     fn rank_input(rank: usize, count: usize, dtype: DType) -> Vec<u8> {
         let vals: Vec<f64> = (0..count)
@@ -428,15 +346,51 @@ mod tests {
         TypedBuf::from_f64s(dtype, &vals).bytes
     }
 
-    fn check<F>(p: usize, count: usize, dtype: DType, op: ReduceOp, f: F, label: &str)
-    where
-        F: Fn(&mut exacoll_comm::ThreadComm, &[u8]) -> CommResult<Vec<u8>> + Send + Sync,
-    {
+    /// Every rank of a `p`-world running `run` must end with the reference
+    /// reduction of all inputs.
+    fn check_run(
+        p: usize,
+        count: usize,
+        dtype: DType,
+        op: ReduceOp,
+        label: &str,
+        run: impl Fn(&mut ThreadComm, &[u8]) -> CommResult<Vec<u8>> + Send + Sync,
+    ) {
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, count, dtype)).collect();
         let expect = reduce_all(dtype, op, &inputs).unwrap();
-        let out = run_ranks(p, |c| f(c, &inputs[c.rank()]));
+        let out = run_ranks(p, |c| run(c, &inputs[c.rank()]));
         for (r, o) in out.iter().enumerate() {
             assert_eq!(o, &expect, "{label} p={p} rank={r} {dtype} {op}");
+        }
+    }
+
+    fn check(p: usize, count: usize, dtype: DType, op: ReduceOp, alg: Algorithm) {
+        check_run(p, count, dtype, op, &alg.to_string(), |c, x| {
+            allreduce(c, alg, x, dtype, op)
+        });
+    }
+
+    /// Inputs whose f64 sum depends on association order.
+    fn harmonic_inputs(p: usize, count: usize) -> Vec<Vec<u8>> {
+        (0..p)
+            .map(|r| {
+                let vals: Vec<f64> = (0..count)
+                    .map(|i| 1.0 / ((r * count + i + 1) as f64))
+                    .collect();
+                TypedBuf::from_f64s(DType::F64, &vals).bytes
+            })
+            .collect()
+    }
+
+    /// All ranks must produce the *same* bits even where the value depends
+    /// on association order.
+    fn check_bitwise_identical(p: usize, count: usize, alg: Algorithm) {
+        let inputs = harmonic_inputs(p, count);
+        let out = run_ranks(p, |c| {
+            allreduce(c, alg, &inputs[c.rank()], DType::F64, ReduceOp::Sum)
+        });
+        for o in &out[1..] {
+            assert_eq!(o, &out[0], "{alg} results diverge across ranks at p={p}");
         }
     }
 
@@ -452,47 +406,38 @@ mod tests {
             (27, 3),
             (6, 6),
         ] {
-            check(
-                p,
-                8,
-                DType::I64,
-                ReduceOp::Sum,
-                |c, x| allreduce_recmult(c, k, x, DType::I64, ReduceOp::Sum),
-                "recmult",
-            );
+            let alg = Algorithm::RecursiveMultiplying { k };
+            check(p, 8, DType::I64, ReduceOp::Sum, alg);
         }
     }
 
     #[test]
     fn recmult_fold_path() {
         for (p, k) in [(3usize, 2usize), (7, 2), (7, 4), (11, 4), (13, 3), (15, 2)] {
-            check(
-                p,
-                6,
-                DType::I32,
-                ReduceOp::Sum,
-                |c, x| allreduce_recmult(c, k, x, DType::I32, ReduceOp::Sum),
-                "recmult-fold",
-            );
+            let alg = Algorithm::RecursiveMultiplying { k };
+            check(p, 6, DType::I32, ReduceOp::Sum, alg);
+        }
+    }
+
+    /// `alg` under every operator × {u8, i32, f64} the operator supports.
+    fn check_ops_dtypes(p: usize, alg: Algorithm) {
+        for op in ReduceOp::ALL {
+            for dtype in [DType::U8, DType::I32, DType::F64] {
+                if op.supports(dtype) {
+                    check(p, 5, dtype, op, alg);
+                }
+            }
         }
     }
 
     #[test]
     fn recmult_ops_dtypes() {
-        for op in ReduceOp::ALL {
-            for dtype in [DType::U8, DType::I32, DType::F64] {
-                if op.supports(dtype) {
-                    check(
-                        9,
-                        5,
-                        dtype,
-                        op,
-                        move |c, x| allreduce_recmult(c, 3, x, dtype, op),
-                        "recmult-opmat",
-                    );
-                }
-            }
-        }
+        check_ops_dtypes(9, Algorithm::RecursiveMultiplying { k: 3 });
+    }
+
+    #[test]
+    fn general_ops_dtypes() {
+        check_ops_dtypes(7, Algorithm::GeneralizedMultiplying { k: 3 });
     }
 
     #[test]
@@ -516,32 +461,15 @@ mod tests {
             (8, 2),
             (16, 4),
         ] {
-            check(
-                p,
-                8,
-                DType::I64,
-                ReduceOp::Sum,
-                move |c, x| allreduce_general(c, k, x, DType::I64, ReduceOp::Sum),
-                "general",
-            );
+            let alg = Algorithm::GeneralizedMultiplying { k };
+            check(p, 8, DType::I64, ReduceOp::Sum, alg);
         }
     }
 
     #[test]
-    fn general_ops_dtypes() {
-        for op in ReduceOp::ALL {
-            for dtype in [DType::U8, DType::I32, DType::F64] {
-                if op.supports(dtype) {
-                    check(
-                        7,
-                        5,
-                        dtype,
-                        op,
-                        move |c, x| allreduce_general(c, 3, x, dtype, op),
-                        "general-opmat",
-                    );
-                }
-            }
+    fn float_sums_bitwise_identical_across_ranks() {
+        for k in [2usize, 3, 4] {
+            check_bitwise_identical(12, 16, Algorithm::RecursiveMultiplying { k });
         }
     }
 
@@ -550,19 +478,13 @@ mod tests {
         // Cross folds run in ascending block order on every participant,
         // so non-associative float sums still agree bit for bit.
         for (p, k) in [(7usize, 2usize), (11, 3), (13, 4)] {
-            let inputs: Vec<Vec<u8>> = (0..p)
-                .map(|r| {
-                    let vals: Vec<f64> = (0..12).map(|i| 1.0 / ((r * 12 + i + 1) as f64)).collect();
-                    TypedBuf::from_f64s(DType::F64, &vals).bytes
-                })
-                .collect();
-            let out = run_ranks(p, |c| {
-                allreduce_general(c, k, &inputs[c.rank()], DType::F64, ReduceOp::Sum)
-            });
-            for o in &out[1..] {
-                assert_eq!(o, &out[0], "general results diverge p={p} k={k}");
-            }
+            check_bitwise_identical(p, 12, Algorithm::GeneralizedMultiplying { k });
         }
+    }
+
+    #[test]
+    fn hierarchical_float_bitwise_identical() {
+        check_bitwise_identical(16, 8, Algorithm::Hierarchical { ppn: 4, k: 4 });
     }
 
     #[test]
@@ -585,58 +507,30 @@ mod tests {
     #[test]
     fn ring_allreduce() {
         for p in [1usize, 2, 3, 5, 8, 12] {
-            check(
-                p,
-                10,
-                DType::I64,
-                ReduceOp::Sum,
-                |c, x| allreduce_rsag(c, AllgatherKernel::Ring, x, DType::I64, ReduceOp::Sum),
-                "ring",
-            );
+            check(p, 10, DType::I64, ReduceOp::Sum, Algorithm::Ring);
         }
     }
 
     #[test]
     fn kring_allreduce() {
         for (p, k) in [(6usize, 3usize), (8, 4), (8, 2), (12, 4), (12, 6), (9, 3)] {
-            check(
-                p,
-                11,
-                DType::I64,
-                ReduceOp::Sum,
-                move |c, x| {
-                    allreduce_rsag(
-                        c,
-                        AllgatherKernel::KRing { k },
-                        x,
-                        DType::I64,
-                        ReduceOp::Sum,
-                    )
-                },
-                "kring",
-            );
+            check(p, 11, DType::I64, ReduceOp::Sum, Algorithm::KRing { k });
         }
     }
 
     #[test]
     fn rsag_recmult_composite() {
+        // Not a registry algorithm: drive the builder directly.
         for (p, k) in [(8usize, 4usize), (7, 2), (12, 3)] {
-            check(
-                p,
-                9,
-                DType::I32,
-                ReduceOp::Sum,
-                move |c, x| {
-                    allreduce_rsag(
-                        c,
-                        AllgatherKernel::RecursiveMultiplying { k },
-                        x,
-                        DType::I32,
-                        ReduceOp::Sum,
-                    )
-                },
-                "rsag-recmult",
-            );
+            let kernel = AllgatherKernel::RecursiveMultiplying { k };
+            check_run(p, 9, DType::I32, ReduceOp::Sum, "rsag-recmult", |c, x| {
+                crate::schedule::run_built(c, x, |b| {
+                    let own = b.alloc(x.len());
+                    let out =
+                        build_allreduce_rsag(b, kernel, own.clone(), DType::I32, ReduceOp::Sum);
+                    (own, out)
+                })
+            });
         }
     }
 
@@ -648,33 +542,8 @@ mod tests {
                 7,
                 DType::U64,
                 ReduceOp::Max,
-                move |c, x| allreduce_reduce_bcast(c, k, x, DType::U64, ReduceOp::Max),
-                "reduce-bcast",
+                Algorithm::ReduceBcast { k },
             );
-        }
-    }
-
-    #[test]
-    fn float_sums_bitwise_identical_across_ranks() {
-        // Random-ish f64s: all ranks must produce the *same* bits even if
-        // the value depends on association order.
-        let p = 12;
-        let count = 16;
-        let inputs: Vec<Vec<u8>> = (0..p)
-            .map(|r| {
-                let vals: Vec<f64> = (0..count)
-                    .map(|i| 1.0 / ((r * count + i + 1) as f64))
-                    .collect();
-                TypedBuf::from_f64s(DType::F64, &vals).bytes
-            })
-            .collect();
-        for k in [2usize, 3, 4] {
-            let out = run_ranks(p, |c| {
-                allreduce_recmult(c, k, &inputs[c.rank()], DType::F64, ReduceOp::Sum)
-            });
-            for o in &out[1..] {
-                assert_eq!(o, &out[0], "rank results diverge for k={k}");
-            }
         }
     }
 
@@ -690,51 +559,15 @@ mod tests {
             (6, 1, 3),  // degenerate: every rank its own leader
             (20, 4, 4), // 5 leaders: non-smooth leader count, fold path
         ] {
-            check(
-                p,
-                9,
-                DType::I64,
-                ReduceOp::Sum,
-                move |c, x| allreduce_hierarchical(c, ppn, k, x, DType::I64, ReduceOp::Sum),
-                "hierarchical",
-            );
-        }
-    }
-
-    #[test]
-    fn hierarchical_float_bitwise_identical() {
-        let p = 16;
-        let inputs: Vec<Vec<u8>> = (0..p)
-            .map(|r| {
-                let vals: Vec<f64> = (0..8).map(|i| 1.0 / ((r * 8 + i + 1) as f64)).collect();
-                TypedBuf::from_f64s(DType::F64, &vals).bytes
-            })
-            .collect();
-        let out = run_ranks(p, |c| {
-            allreduce_hierarchical(c, 4, 4, &inputs[c.rank()], DType::F64, ReduceOp::Sum)
-        });
-        for o in &out[1..] {
-            assert_eq!(o, &out[0], "hierarchical results diverge across ranks");
+            let alg = Algorithm::Hierarchical { ppn, k };
+            check(p, 9, DType::I64, ReduceOp::Sum, alg);
         }
     }
 
     #[test]
     fn tiny_and_empty_vectors() {
-        check(
-            5,
-            0,
-            DType::F64,
-            ReduceOp::Sum,
-            |c, x| allreduce_recmult(c, 2, x, DType::F64, ReduceOp::Sum),
-            "empty",
-        );
-        check(
-            8,
-            1,
-            DType::U8,
-            ReduceOp::BOr,
-            |c, x| allreduce_rsag(c, AllgatherKernel::Ring, x, DType::U8, ReduceOp::BOr),
-            "one-elem",
-        );
+        let recdoubling = Algorithm::RecursiveMultiplying { k: 2 };
+        check(5, 0, DType::F64, ReduceOp::Sum, recdoubling);
+        check(8, 1, DType::U8, ReduceOp::BOr, Algorithm::Ring);
     }
 }

@@ -4,13 +4,13 @@
 //! §VII cites Fan et al.'s generalization of Bruck's algorithm for
 //! all-to-all communication; this module implements that family:
 //!
-//! * [`alltoall_pairwise`] — `p-1` rounds, round `i` exchanging directly
+//! * pairwise (`build_alltoall_pairwise`) — `p-1` rounds, round `i` exchanging directly
 //!   with ranks `±i`: bandwidth-optimal (every block moves once), linear
 //!   latency. MPICH's large-message choice.
-//! * [`alltoall_spread`] — post all `p-1` sends and receives at once and
+//! * spread-out (`build_alltoall_spread`) — post all `p-1` sends and receives at once and
 //!   wait: one "round", maximal concurrency, at the mercy of NIC ports and
 //!   buffering (MPICH's `isend_irecv` small/medium algorithm).
-//! * [`alltoall_bruck`] — **radix-`r` Bruck**: blocks travel via
+//! * **radix-`r` Bruck** (`build_alltoall_bruck`): blocks travel via
 //!   intermediate ranks in `(r-1)·ceil(log_r p)` bundled rounds. `r = 2` is
 //!   Bruck's classic algorithm (log₂ p rounds, each moving ~half the
 //!   data); larger radixes trade rounds for volume exactly like the
@@ -24,22 +24,13 @@
 //! permutations in the lowered plan: no copy steps, only scatter-gather
 //! lists that index the right blocks.
 
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::util::pmod;
-use exacoll_comm::{Comm, CommResult};
-
-fn block_count(c: &impl Comm, input: &[u8]) -> usize {
-    let p = c.size();
-    assert!(
-        input.len().is_multiple_of(p),
-        "alltoall input must be p blocks of equal size"
-    );
-    input.len() / p
-}
 
 /// Lower a pairwise-exchange alltoall into `b`: `own` is `p` blocks of `n`
-/// bytes. Returns the output view in source-rank order.
+/// bytes; round `i` sends block `(me+i) mod p` to that rank and receives
+/// from `(me-i) mod p`. Returns the output view in source-rank order.
 pub(crate) fn build_alltoall_pairwise(b: &mut ScheduleBuilder, own: SgList, n: usize) -> SgList {
     let p = b.p();
     let me = b.rank();
@@ -63,7 +54,7 @@ pub(crate) fn build_alltoall_pairwise(b: &mut ScheduleBuilder, own: SgList, n: u
 }
 
 /// Lower a spread-out alltoall into `b`: everything posts up front and the
-/// engine's single final flush waits for it all.
+/// single end-of-plan flush waits for it all.
 pub(crate) fn build_alltoall_spread(b: &mut ScheduleBuilder, own: SgList, n: usize) -> SgList {
     let p = b.p();
     let me = b.rank();
@@ -143,36 +134,6 @@ pub(crate) fn build_alltoall_bruck(
     SgList::concat(&out)
 }
 
-fn run<C: Comm>(
-    c: &mut C,
-    input: &[u8],
-    build: impl FnOnce(&mut ScheduleBuilder, SgList, usize) -> SgList,
-) -> CommResult<Vec<u8>> {
-    let n = block_count(c, input);
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(input.len());
-    let out = build(&mut b, own.clone(), n);
-    let schedule = b.finish(own, out);
-    execute_schedule(c, &schedule, input)
-}
-
-/// Pairwise-exchange alltoall: round `i` sends block `(me+i) mod p` to that
-/// rank and receives from `(me-i) mod p`.
-pub fn alltoall_pairwise<C: Comm>(c: &mut C, input: &[u8]) -> CommResult<Vec<u8>> {
-    run(c, input, build_alltoall_pairwise)
-}
-
-/// Spread-out alltoall: post everything non-blocking, wait once.
-pub fn alltoall_spread<C: Comm>(c: &mut C, input: &[u8]) -> CommResult<Vec<u8>> {
-    run(c, input, build_alltoall_spread)
-}
-
-/// Radix-`r` Bruck alltoall; see [`build_alltoall_bruck`] for the phase
-/// structure. `r = 2` is Bruck's classic algorithm.
-pub fn alltoall_bruck<C: Comm>(c: &mut C, r: usize, input: &[u8]) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own, n| build_alltoall_bruck(b, r, own, n))
-}
-
 /// Number of communication rounds radix-`r` Bruck uses for `p` ranks.
 pub fn bruck_rounds(p: usize, r: usize) -> usize {
     let mut rounds = 0;
@@ -191,7 +152,13 @@ pub fn bruck_rounds(p: usize, r: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::registry::{execute, Algorithm, CollArgs, CollectiveOp};
+    use exacoll_comm::{run_ranks, Comm, CommResult};
+
+    /// Run the registry's alltoall `alg` on this rank's `p` blocks.
+    fn alltoall<C: Comm>(c: &mut C, alg: Algorithm, input: &[u8]) -> CommResult<Vec<u8>> {
+        execute(c, &CollArgs::new(CollectiveOp::Alltoall, alg), input)
+    }
 
     fn rank_input(rank: usize, p: usize, n: usize) -> Vec<u8> {
         // Block j of rank `rank` is tagged with (rank, j).
@@ -210,32 +177,24 @@ mod tests {
             .collect()
     }
 
-    fn check(
-        p: usize,
-        n: usize,
-        f: impl Fn(&mut exacoll_comm::ThreadComm, &[u8]) -> CommResult<Vec<u8>> + Send + Sync,
-        label: &str,
-    ) {
-        let out = run_ranks(p, |c| {
-            let input = rank_input(c.rank(), p, n);
-            f(c, &input)
-        });
+    fn check(p: usize, n: usize, alg: Algorithm) {
+        let out = run_ranks(p, |c| alltoall(c, alg, &rank_input(c.rank(), p, n)));
         for (r, o) in out.iter().enumerate() {
-            assert_eq!(o, &expected(r, p, n), "{label} p={p} n={n} rank={r}");
+            assert_eq!(o, &expected(r, p, n), "{alg} p={p} n={n} rank={r}");
         }
     }
 
     #[test]
     fn pairwise_counts() {
         for p in [1usize, 2, 3, 5, 8, 12] {
-            check(p, 4, alltoall_pairwise, "pairwise");
+            check(p, 4, Algorithm::Pairwise);
         }
     }
 
     #[test]
     fn spread_counts() {
         for p in [1usize, 2, 4, 7, 9] {
-            check(p, 5, alltoall_spread, "spread");
+            check(p, 5, Algorithm::Linear);
         }
     }
 
@@ -243,7 +202,7 @@ mod tests {
     fn bruck_all_radixes_and_counts() {
         for p in [1usize, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17] {
             for r in [2usize, 3, 4, 8] {
-                check(p, 3, move |c, x| alltoall_bruck(c, r, x), "bruck");
+                check(p, 3, Algorithm::GeneralizedBruck { r });
             }
         }
     }
@@ -251,7 +210,7 @@ mod tests {
     #[test]
     fn bruck_radix_p_is_one_shot() {
         // r >= p degenerates to direct exchange in one digit position.
-        check(6, 4, |c, x| alltoall_bruck(c, 6, x), "bruck-direct");
+        check(6, 4, Algorithm::GeneralizedBruck { r: 6 });
         assert_eq!(bruck_rounds(6, 6), 5);
     }
 
@@ -267,13 +226,15 @@ mod tests {
 
     #[test]
     fn zero_byte_blocks() {
-        check(6, 0, |c, x| alltoall_bruck(c, 3, x), "bruck-empty");
-        check(6, 0, alltoall_pairwise, "pairwise-empty");
+        check(6, 0, Algorithm::GeneralizedBruck { r: 3 });
+        check(6, 0, Algorithm::Pairwise);
     }
 
     #[test]
     #[should_panic(expected = "equal size")]
     fn ragged_input_rejected() {
-        exacoll_comm::record_traces(4, |c| alltoall_pairwise(c, &[0u8; 7]).map(|_| ()));
+        exacoll_comm::record_traces(4, |c| {
+            alltoall(c, Algorithm::Pairwise, &[0u8; 7]).map(|_| ())
+        });
     }
 }

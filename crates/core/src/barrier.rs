@@ -8,14 +8,15 @@
 //! `ceil(log_k p)` rounds instead of `ceil(log_2 p)`.
 //!
 //! Barrier messages are empty; only the synchronization structure matters.
-//! The lowering emits zero-byte sends and receives, and the engine's
-//! round-mark flush yields exactly one wait per round.
+//! The lowering emits zero-byte sends and receives, and the flush each
+//! round mark implies yields exactly one wait per round.
 
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
-use exacoll_comm::{Comm, CommResult};
 
-/// Lower a radix-`k` dissemination barrier into `b`.
+/// Lower a radix-`k` dissemination barrier into `b`: a rank's plan ends
+/// only after every rank has entered. `k = 2` is the classic dissemination
+/// barrier.
 pub(crate) fn build_barrier_dissemination(b: &mut ScheduleBuilder, k: usize) {
     assert!(k >= 2, "dissemination radix must be at least 2");
     let p = b.p();
@@ -43,16 +44,6 @@ pub(crate) fn build_barrier_dissemination(b: &mut ScheduleBuilder, k: usize) {
     }
 }
 
-/// K-dissemination barrier: returns only after every rank has entered.
-/// `k = 2` is the classic dissemination barrier.
-pub fn barrier_dissemination<C: Comm>(c: &mut C, k: usize) -> CommResult<()> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    build_barrier_dissemination(&mut b, k);
-    let schedule = b.finish(SgList::empty(), SgList::empty());
-    execute_schedule(c, &schedule, &[])?;
-    Ok(())
-}
-
 /// Number of rounds the k-dissemination barrier takes: `ceil(log_k p)`.
 pub fn dissemination_rounds(p: usize, k: usize) -> usize {
     let mut rounds = 0;
@@ -67,8 +58,14 @@ pub fn dissemination_rounds(p: usize, k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::registry::{execute, Algorithm, CollArgs, CollectiveOp};
+    use exacoll_comm::{run_ranks, Comm, CommResult};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn barrier_dissemination<C: Comm>(c: &mut C, k: usize) -> CommResult<()> {
+        let args = CollArgs::new(CollectiveOp::Barrier, Algorithm::Dissemination { k });
+        execute(c, &args, &[]).map(|_| ())
+    }
 
     #[test]
     fn rounds_formula() {

@@ -1,26 +1,25 @@
 //! Broadcast algorithms.
 //!
-//! * [`bcast_knomial`] — k-nomial tree (§III); `k = 2` is MPICH's binomial.
-//!   Best for small, latency-bound messages.
-//! * [`bcast_linear`] — root sends to every rank sequentially; the naïve
+//! * `build_bcast_knomial` — k-nomial tree (§III); `k = 2` is MPICH's
+//!   binomial. Best for small, latency-bound messages.
+//! * `build_bcast_linear` — root sends to every rank sequentially; the naïve
 //!   `p(α + βn)` baseline from §III-B.
-//! * [`bcast_scatter_allgather`] — the large-message path (§V-C): a binomial
-//!   scatter of `n/p` blocks followed by any allgather kernel (ring, k-ring,
-//!   or recursive multiplying), exactly how MPICH composes its large
-//!   broadcast and how the paper's k-ring and recursive-multiplying
-//!   broadcasts are built.
+//! * `build_bcast_scatter_allgather` — the large-message path (§V-C): a
+//!   binomial scatter of `n/p` blocks followed by any allgather kernel
+//!   (ring, k-ring, or recursive multiplying), exactly how MPICH composes
+//!   its large broadcast and how the paper's k-ring and
+//!   recursive-multiplying broadcasts are built.
 //!
 //! Each variant is a schedule *builder*: lowering appends [`crate::schedule`]
-//! steps, and the thin public wrappers run the result through the generic
-//! engine.
+//! steps, and `registry::lower` seals them into a plan.
 
 use crate::allgather::{build_allgather_kernel, AllgatherKernel};
 use crate::scatter::build_scatter_knomial;
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::KnomialTree;
 use crate::util::block_len;
-use exacoll_comm::{Comm, CommResult, Rank};
+use exacoll_comm::Rank;
 
 /// Lower a k-nomial broadcast into `b`. `data` must be `Some` at the root;
 /// returns the full-payload view every rank ends up holding.
@@ -98,61 +97,27 @@ pub(crate) fn build_bcast_scatter_allgather(
     SgList::concat(&blocks)
 }
 
-fn run<C: Comm>(
-    c: &mut C,
-    input: Option<&[u8]>,
-    build: impl FnOnce(&mut ScheduleBuilder, Option<SgList>) -> SgList,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let data = input.map(|d| b.alloc(d.len()));
-    let out = build(&mut b, data.clone());
-    let schedule = b.finish(data.unwrap_or_default(), out);
-    execute_schedule(c, &schedule, input.unwrap_or(&[]))
-}
-
-/// K-nomial tree broadcast. `input` must be `Some` at the root; every rank
-/// receives the full payload of `n` bytes.
-pub fn bcast_knomial<C: Comm>(
-    c: &mut C,
-    k: usize,
-    root: Rank,
-    input: Option<&[u8]>,
-    n: usize,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, data| build_bcast_knomial(b, k, root, data, n))
-}
-
-/// Naïve linear broadcast: the root sends the payload to every other rank.
-pub fn bcast_linear<C: Comm>(
-    c: &mut C,
-    root: Rank,
-    input: Option<&[u8]>,
-    n: usize,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, data| build_bcast_linear(b, root, data, n))
-}
-
-/// Scatter-allgather broadcast: binomial scatter of near-equal blocks, then
-/// the chosen allgather kernel reassembles the payload everywhere.
-pub fn bcast_scatter_allgather<C: Comm>(
-    c: &mut C,
-    kernel: AllgatherKernel,
-    root: Rank,
-    input: Option<&[u8]>,
-    n: usize,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, data| {
-        build_bcast_scatter_allgather(b, kernel, root, data, n)
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::registry::{execute, Algorithm, CollArgs, CollectiveOp};
+    use exacoll_comm::{run_ranks, Comm, CommResult};
 
     fn payload(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    /// Broadcast `data` from `root` with the registry's `alg`; the other
+    /// ranks hand in zeros of the same length, which their plans ignore.
+    fn bcast<C: Comm>(c: &mut C, alg: Algorithm, root: usize, data: &[u8]) -> CommResult<Vec<u8>> {
+        let args = CollArgs {
+            root,
+            ..CollArgs::new(CollectiveOp::Bcast, alg)
+        };
+        if c.rank() == root {
+            execute(c, &args, data)
+        } else {
+            execute(c, &args, &vec![0; data.len()])
+        }
     }
 
     #[test]
@@ -160,15 +125,10 @@ mod tests {
         for p in [1usize, 2, 3, 4, 6, 9, 16, 17] {
             for k in [2usize, 3, 4, 8] {
                 for root in [0, p / 2, p - 1] {
-                    let n = 33;
-                    let data = payload(n);
-                    let expect = data.clone();
-                    let out = run_ranks(p, |c| {
-                        let input = (c.rank() == root).then_some(&data[..]);
-                        bcast_knomial(c, k, root, input, n)
-                    });
+                    let data = payload(33);
+                    let out = run_ranks(p, |c| bcast(c, Algorithm::KnomialTree { k }, root, &data));
                     for (r, o) in out.iter().enumerate() {
-                        assert_eq!(o, &expect, "p={p} k={k} root={root} rank={r}");
+                        assert_eq!(o, &data, "p={p} k={k} root={root} rank={r}");
                     }
                 }
             }
@@ -180,10 +140,7 @@ mod tests {
         for p in [1usize, 2, 5, 8] {
             for root in [0, p - 1] {
                 let data = payload(17);
-                let out = run_ranks(p, |c| {
-                    let input = (c.rank() == root).then_some(&data[..]);
-                    bcast_linear(c, root, input, 17)
-                });
+                let out = run_ranks(p, |c| bcast(c, Algorithm::Linear, root, &data));
                 assert!(out.iter().all(|o| o == &data));
             }
         }
@@ -195,10 +152,7 @@ mod tests {
             for root in [0, p - 1] {
                 for n in [0usize, 5, 64, 129] {
                     let data = payload(n);
-                    let out = run_ranks(p, |c| {
-                        let input = (c.rank() == root).then_some(&data[..]);
-                        bcast_scatter_allgather(c, AllgatherKernel::Ring, root, input, n)
-                    });
+                    let out = run_ranks(p, |c| bcast(c, Algorithm::Ring, root, &data));
                     for o in &out {
                         assert_eq!(o, &data, "p={p} root={root} n={n}");
                     }
@@ -210,12 +164,8 @@ mod tests {
     #[test]
     fn scatter_allgather_kring() {
         for (p, k) in [(6usize, 3usize), (8, 4), (8, 2), (12, 4), (9, 3)] {
-            let n = 97;
-            let data = payload(n);
-            let out = run_ranks(p, |c| {
-                let input = (c.rank() == 1).then_some(&data[..]);
-                bcast_scatter_allgather(c, AllgatherKernel::KRing { k }, 1, input, n)
-            });
+            let data = payload(97);
+            let out = run_ranks(p, |c| bcast(c, Algorithm::KRing { k }, 1, &data));
             for o in &out {
                 assert_eq!(o, &data, "p={p} k={k}");
             }
@@ -225,11 +175,9 @@ mod tests {
     #[test]
     fn scatter_allgather_recmult() {
         for (p, k) in [(8usize, 2usize), (9, 3), (12, 4), (7, 4), (10, 5)] {
-            let n = 64;
-            let data = payload(n);
+            let data = payload(64);
             let out = run_ranks(p, |c| {
-                let input = (c.rank() == 0).then_some(&data[..]);
-                bcast_scatter_allgather(c, AllgatherKernel::RecursiveMultiplying { k }, 0, input, n)
+                bcast(c, Algorithm::RecursiveMultiplying { k }, 0, &data)
             });
             for o in &out {
                 assert_eq!(o, &data, "p={p} k={k}");
@@ -239,10 +187,7 @@ mod tests {
 
     #[test]
     fn zero_byte_bcast() {
-        let out = run_ranks(5, |c| {
-            let input = (c.rank() == 0).then_some(&[][..]);
-            bcast_knomial(c, 3, 0, input, 0)
-        });
+        let out = run_ranks(5, |c| bcast(c, Algorithm::KnomialTree { k: 3 }, 0, &[]));
         assert!(out.iter().all(|o| o.is_empty()));
     }
 }

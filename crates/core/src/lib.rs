@@ -16,16 +16,20 @@
 //!
 //! Every algorithm *lowers* to a per-rank [`schedule::Schedule`] — a
 //! verifiable list of send/recv/compute steps over abstract buffer views —
-//! and one generic engine, [`schedule::engine::execute_schedule`], runs any
-//! schedule against any [`exacoll_comm::Comm`] backend. The same plan is
-//! executed with real data on the threaded and socket runtimes (correctness
-//! tests), replayed on the machine simulator (performance), statically
-//! verified for deadlock-freedom and data-flow coverage
-//! ([`schedule::verify`]), and counted term-by-term against the α-β-γ cost
-//! models.
+//! and one engine, [`schedule::compile`] + [`schedule::Executor`], runs any
+//! schedule against any [`exacoll_comm::Comm`] backend. The same compiled
+//! plan is executed with real data on the threaded and socket runtimes
+//! (correctness tests), replayed on the machine simulator (performance),
+//! evaluated a whole world at a time in one thread ([`schedule::eval`]: the
+//! optimizer gate and replay), statically verified for deadlock-freedom and
+//! data-flow coverage ([`schedule::verify`]), and counted term-by-term
+//! against the α-β-γ cost models.
 //!
-//! The uniform entry point is [`registry::execute`] (lowering lives in
-//! [`registry::lower`]); see [`registry`] for the algorithm/operation
+//! Five functions run a plan on a `Comm`, and nothing else does:
+//! [`execute`] / [`execute_v`] (registry dispatch through the plan cache;
+//! lowering lives in [`registry::lower`] / [`registry::lower_v`]),
+//! [`execute_compiled`] / [`Executor::run`] for a plan already in hand, and
+//! [`run_tenants`]. See [`registry`] for the algorithm/operation
 //! compatibility matrix.
 
 pub mod allgather;
@@ -48,6 +52,6 @@ pub mod topo;
 pub mod util;
 
 pub use plan_cache::{CacheMetrics, PlanCache, PlanKey};
-pub use registry::{execute, Algorithm, CollArgs, CollectiveOp};
+pub use registry::{execute, execute_v, Algorithm, CollArgs, CollectiveOp};
 pub use schedule::{compile, execute_compiled, CompiledSchedule, Executor};
 pub use tenant::{merge_tenants, run_tenants, Tenant, TENANT_TAG_STRIDE};

@@ -1,12 +1,12 @@
 //! Reduction-to-root algorithms.
 //!
-//! * [`reduce_knomial`] — k-nomial tree reduce (§III); the paper's headline
+//! * `build_reduce_knomial` — k-nomial tree reduce (§III); the paper's headline
 //!   k-nomial collective (Fig. 8a, Fig. 9a, Fig. 10a). `k = 2` is MPICH's
 //!   binomial reduce. The tree is *receive-heavy at parents*: each parent
 //!   absorbs `k-1` concurrent child messages per level, which multi-port
 //!   NICs and message buffering overlap cheaply — the reason the optimal
 //!   radix for tiny messages sits near `p`.
-//! * [`reduce_linear`] — every rank sends its vector to the root, which
+//! * `build_reduce_linear` — every rank sends its vector to the root, which
 //!   combines them sequentially.
 //!
 //! Reductions assume a commutative operator (all [`ReduceOp`]s are); partial
@@ -14,10 +14,10 @@
 //! bitwise deterministic for a given tree shape. In the lowered plan that
 //! order is the order of the [`Step::Compute`](crate::schedule::Step) steps.
 
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::KnomialTree;
-use exacoll_comm::{Comm, CommResult, DType, Rank, ReduceOp};
+use exacoll_comm::{DType, Rank, ReduceOp};
 
 /// Lower a k-nomial reduce into `b`, accumulating in place into `own`.
 /// Returns the result view at the root, `None` elsewhere.
@@ -92,52 +92,11 @@ pub(crate) fn build_reduce_linear(
     }
 }
 
-fn run<C: Comm>(
-    c: &mut C,
-    input: &[u8],
-    build: impl FnOnce(&mut ScheduleBuilder, SgList) -> Option<SgList>,
-) -> CommResult<Option<Vec<u8>>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(input.len());
-    let out = build(&mut b, own.clone());
-    let is_root = out.is_some();
-    let schedule = b.finish(own, out.unwrap_or_default());
-    let bytes = execute_schedule(c, &schedule, input)?;
-    Ok(is_root.then_some(bytes))
-}
-
-/// K-nomial tree reduce. Every rank contributes `input`; the root returns
-/// the elementwise combination, other ranks return `None`.
-pub fn reduce_knomial<C: Comm>(
-    c: &mut C,
-    k: usize,
-    root: Rank,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Option<Vec<u8>>> {
-    run(c, input, |b, own| {
-        build_reduce_knomial(b, k, root, own, dtype, op)
-    })
-}
-
-/// Linear reduce: all ranks send to the root, which folds in rank order.
-pub fn reduce_linear<C: Comm>(
-    c: &mut C,
-    root: Rank,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Option<Vec<u8>>> {
-    run(c, input, |b, own| {
-        build_reduce_linear(b, root, own, dtype, op)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{reduce_ops::reduce_all, run_ranks, TypedBuf};
+    use crate::registry::{execute, Algorithm, CollArgs, CollectiveOp};
+    use exacoll_comm::{reduce_ops::reduce_all, run_ranks, Comm, TypedBuf};
 
     fn rank_input(rank: usize, count: usize, dtype: DType) -> Vec<u8> {
         let vals: Vec<f64> = (0..count)
@@ -146,23 +105,30 @@ mod tests {
         TypedBuf::from_f64s(dtype, &vals).bytes
     }
 
-    fn check(p: usize, k: usize, root: usize, count: usize, dtype: DType, op: ReduceOp) {
+    /// The registry's reduce `alg` toward `root`: the root must hold the
+    /// reference reduction, every other rank nothing.
+    fn check_alg(alg: Algorithm, p: usize, root: usize, count: usize, dtype: DType, rop: ReduceOp) {
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, count, dtype)).collect();
-        let expect = reduce_all(dtype, op, &inputs).unwrap();
-        let out = run_ranks(p, |c| {
-            reduce_knomial(c, k, root, &inputs[c.rank()], dtype, op)
-        });
+        let expect = reduce_all(dtype, rop, &inputs).unwrap();
+        let args = CollArgs {
+            op: CollectiveOp::Reduce,
+            alg,
+            root,
+            dtype,
+            rop,
+        };
+        let out = run_ranks(p, |c| execute(c, &args, &inputs[c.rank()]));
         for (r, o) in out.iter().enumerate() {
             if r == root {
-                assert_eq!(
-                    o.as_ref().unwrap(),
-                    &expect,
-                    "p={p} k={k} root={root} {dtype} {op}"
-                );
+                assert_eq!(o, &expect, "{alg} p={p} root={root} {dtype} {rop}");
             } else {
-                assert!(o.is_none());
+                assert!(o.is_empty(), "non-root rank {r} must output nothing");
             }
         }
+    }
+
+    fn check(p: usize, k: usize, root: usize, count: usize, dtype: DType, op: ReduceOp) {
+        check_alg(Algorithm::KnomialTree { k }, p, root, count, dtype, op);
     }
 
     #[test]
@@ -201,12 +167,7 @@ mod tests {
     #[test]
     fn linear_matches_reference() {
         for p in [1usize, 2, 5, 9] {
-            let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, 4, DType::U64)).collect();
-            let expect = reduce_all(DType::U64, ReduceOp::Prod, &inputs).unwrap();
-            let out = run_ranks(p, |c| {
-                reduce_linear(c, 0, &inputs[c.rank()], DType::U64, ReduceOp::Prod)
-            });
-            assert_eq!(out[0].as_ref().unwrap(), &expect);
+            check_alg(Algorithm::Linear, p, 0, 4, DType::U64, ReduceOp::Prod);
         }
     }
 
@@ -218,9 +179,6 @@ mod tests {
 
     #[test]
     fn zero_length_reduce() {
-        let out = run_ranks(4, |c| {
-            reduce_knomial(c, 2, 0, &[], DType::F64, ReduceOp::Sum)
-        });
-        assert_eq!(out[0].as_ref().unwrap().len(), 0);
+        check(4, 2, 0, 0, DType::F64, ReduceOp::Sum);
     }
 }

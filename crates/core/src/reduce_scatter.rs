@@ -1,10 +1,10 @@
 //! Reduce-scatter algorithms.
 //!
-//! * [`reduce_scatter_ring`] — runs the ring "leftward" so that after `p-1`
+//! * `build_reduce_scatter_ring` — runs the ring "leftward" so that after `p-1`
 //!   rounds rank `r` owns the fully reduced block `r` — the one-block
 //!   ownership offset the paper notes distinguishes the allreduce k-ring
 //!   from the allgather k-ring (§V-D).
-//! * [`reduce_scatter_recmult`] — **radix-`k` recursive vector splitting**:
+//! * `build_reduce_scatter_recmult` — **radix-`k` recursive vector splitting**:
 //!   MPICH's recursive *halving* is the `k = 2` case; each round splits the
 //!   active segment into `f ≤ k` parts exchanged within a group of `f`
 //!   ranks, shrinking the segment by the round's factor. Requires a
@@ -15,11 +15,11 @@
 //! the order of the `Compute` steps, kept identical to the original loops so
 //! results stay bitwise deterministic.
 
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::factorize;
 use crate::util::{pmod, prefix_offsets};
-use exacoll_comm::{Comm, CommResult, DType, ReduceOp};
+use exacoll_comm::{DType, ReduceOp};
 
 /// Element-aligned byte range of block `i` when `n` bytes of `esize`-byte
 /// elements are split into `p` near-equal blocks.
@@ -219,78 +219,50 @@ pub(crate) fn build_reduce_scatter_recmult(
     cur
 }
 
-fn run<C: Comm>(
-    c: &mut C,
-    input: &[u8],
-    build: impl FnOnce(&mut ScheduleBuilder, SgList) -> SgList,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(input.len());
-    let out = build(&mut b, own.clone());
-    let schedule = b.finish(own, out);
-    execute_schedule(c, &schedule, input)
-}
-
-/// Ring reduce-scatter. Every rank contributes `input` (`n` bytes); rank `r`
-/// returns the fully reduced block `r` (element-aligned near-equal split).
-pub fn reduce_scatter_ring<C: Comm>(
-    c: &mut C,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_reduce_scatter_ring(b, own, dtype, op)
-    })
-}
-
-/// Irregular ("v") ring reduce-scatter: rank `r` contributes `input`
-/// (`sum(counts)` bytes) and returns the fully reduced `counts[r]`-byte
-/// block — zero-count ranks return an empty vector.
-pub fn reduce_scatter_v<C: Comm>(
-    c: &mut C,
-    counts: &[usize],
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_reduce_scatter_v(b, counts, own, dtype, op)
-    })
-}
-
-/// Radix-`k` recursive-splitting reduce-scatter. Requires `p` to be
-/// `k`-smooth; rank `r` returns the fully reduced element-aligned block `r`.
-pub fn reduce_scatter_recmult<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_reduce_scatter_recmult(b, k, own, dtype, op)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{reduce_ops::reduce_all, run_ranks, TypedBuf};
+    use crate::registry::{execute, execute_v, Algorithm, CollArgs, CollectiveOp};
+    use crate::schedule::run_built;
+    use exacoll_comm::{reduce_ops::reduce_all, run_ranks, Comm, TypedBuf};
+
+    fn args(alg: Algorithm, dtype: DType, rop: ReduceOp) -> CollArgs {
+        CollArgs {
+            op: CollectiveOp::ReduceScatter,
+            alg,
+            root: 0,
+            dtype,
+            rop,
+        }
+    }
 
     fn rank_input(rank: usize, count: usize, dtype: DType) -> Vec<u8> {
         let vals: Vec<f64> = (0..count).map(|i| ((rank * 5 + i) % 11) as f64).collect();
         TypedBuf::from_f64s(dtype, &vals).bytes
     }
 
-    fn check(p: usize, count: usize, dtype: DType, op: ReduceOp) {
+    /// Every rank's output of the registry's `alg`, near-equal split.
+    fn run(alg: Algorithm, dtype: DType, op: ReduceOp, inputs: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        run_ranks(inputs.len(), |c| {
+            execute(c, &args(alg, dtype, op), &inputs[c.rank()])
+        })
+    }
+
+    fn check_alg(alg: Algorithm, p: usize, count: usize, dtype: DType, op: ReduceOp) {
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, count, dtype)).collect();
         let full = reduce_all(dtype, op, &inputs).unwrap();
-        let out = run_ranks(p, |c| reduce_scatter_ring(c, &inputs[c.rank()], dtype, op));
-        for (r, o) in out.iter().enumerate() {
+        for (r, o) in run(alg, dtype, op, &inputs).iter().enumerate() {
             let (s, e) = elem_block_range(count * dtype.size(), dtype.size(), p, r);
-            assert_eq!(o, &full[s..e], "p={p} rank={r} {dtype} {op}");
+            assert_eq!(o, &full[s..e], "{alg} p={p} rank={r} {dtype} {op}");
         }
+    }
+
+    fn check(p: usize, count: usize, dtype: DType, op: ReduceOp) {
+        check_alg(Algorithm::Ring, p, count, dtype, op);
+    }
+
+    fn check_recmult(p: usize, k: usize, count: usize, dtype: DType, op: ReduceOp) {
+        check_alg(Algorithm::RecursiveMultiplying { k }, p, count, dtype, op);
     }
 
     #[test]
@@ -327,18 +299,6 @@ mod tests {
     #[test]
     fn zero_elements() {
         check(4, 0, DType::F32, ReduceOp::Sum);
-    }
-
-    fn check_recmult(p: usize, k: usize, count: usize, dtype: DType, op: ReduceOp) {
-        let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, count, dtype)).collect();
-        let full = reduce_all(dtype, op, &inputs).unwrap();
-        let out = run_ranks(p, |c| {
-            reduce_scatter_recmult(c, k, &inputs[c.rank()], dtype, op)
-        });
-        for (r, o) in out.iter().enumerate() {
-            let (s, e) = elem_block_range(count * dtype.size(), dtype.size(), p, r);
-            assert_eq!(o, &full[s..e], "recmult p={p} k={k} rank={r} {dtype} {op}");
-        }
     }
 
     #[test]
@@ -382,7 +342,12 @@ mod tests {
         let full = reduce_all(dtype, op, &inputs).unwrap();
         let offsets = crate::util::prefix_offsets(&counts);
         let out = run_ranks(p, |c| {
-            reduce_scatter_v(c, &counts, &inputs[c.rank()], dtype, op)
+            execute_v(
+                c,
+                &args(Algorithm::Ring, dtype, op),
+                &counts,
+                &inputs[c.rank()],
+            )
         });
         for (r, o) in out.iter().enumerate() {
             assert_eq!(
@@ -411,13 +376,9 @@ mod tests {
         let elems = 12;
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, elems, DType::I64)).collect();
         let counts = vec![elems / p * 8; p];
-        let ring = run_ranks(p, |c| {
-            reduce_scatter_ring(c, &inputs[c.rank()], DType::I64, ReduceOp::Sum)
-        });
-        let v = run_ranks(p, |c| {
-            reduce_scatter_v(c, &counts, &inputs[c.rank()], DType::I64, ReduceOp::Sum)
-        });
-        assert_eq!(ring, v);
+        let ring_args = args(Algorithm::Ring, DType::I64, ReduceOp::Sum);
+        let v = run_ranks(p, |c| execute_v(c, &ring_args, &counts, &inputs[c.rank()]));
+        assert_eq!(run(Algorithm::Ring, DType::I64, ReduceOp::Sum, &inputs), v);
     }
 
     #[test]
@@ -441,16 +402,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "element-aligned")]
     fn v_variant_rejects_misaligned_counts() {
+        let ring_args = args(Algorithm::Ring, DType::I64, ReduceOp::Sum);
         exacoll_comm::record_traces(2, |c| {
-            reduce_scatter_v(c, &[3, 5], &[0u8; 8], DType::I64, ReduceOp::Sum).map(|_| ())
+            execute_v(c, &ring_args, &[3, 5], &[0u8; 8]).map(|_| ())
         });
     }
 
     #[test]
     #[should_panic(expected = "smooth")]
     fn recursive_splitting_rejects_nonsmooth() {
+        // The builder's own precondition, below the registry's `supports`.
         exacoll_comm::record_traces(7, |c| {
-            reduce_scatter_recmult(c, 2, &[0u8; 56], DType::F64, ReduceOp::Sum).map(|_| ())
+            run_built(c, &[0u8; 56], |b| {
+                let own = b.alloc(56);
+                let out =
+                    build_reduce_scatter_recmult(b, 2, own.clone(), DType::F64, ReduceOp::Sum);
+                (own, out)
+            })
+            .map(|_| ())
         });
     }
 
@@ -458,12 +427,10 @@ mod tests {
     fn ring_and_recursive_agree() {
         let p = 12;
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, 24, DType::I64)).collect();
-        let ring = run_ranks(p, |c| {
-            reduce_scatter_ring(c, &inputs[c.rank()], DType::I64, ReduceOp::Sum)
-        });
-        let rec = run_ranks(p, |c| {
-            reduce_scatter_recmult(c, 3, &inputs[c.rank()], DType::I64, ReduceOp::Sum)
-        });
-        assert_eq!(ring, rec);
+        let rec = Algorithm::RecursiveMultiplying { k: 3 };
+        assert_eq!(
+            run(Algorithm::Ring, DType::I64, ReduceOp::Sum, &inputs),
+            run(rec, DType::I64, ReduceOp::Sum, &inputs)
+        );
     }
 }

@@ -2,9 +2,10 @@
 //! (Table I), uniform dispatch, and sweep enumeration.
 //!
 //! Dispatch is two-staged: [`lower`] turns a [`CollArgs`] into the per-rank
-//! [`Schedule`] IR, and [`execute`] runs that plan through the one generic
-//! engine. Everything downstream — correctness runs, trace simulation,
-//! static verification, model term counting — consumes the same lowering.
+//! [`Schedule`] IR, and [`execute`] compiles that plan (once — the
+//! [`PlanCache`] keeps it) and runs it on the [`Executor`]. Everything
+//! downstream — correctness runs, trace simulation, static verification,
+//! model term counting — consumes the same lowering.
 
 use crate::allgather::{build_allgather_kernel, AllgatherKernel};
 use crate::allreduce::{
@@ -361,9 +362,9 @@ pub fn execute<C: Comm>(c: &mut C, args: &CollArgs, input: &[u8]) -> CommResult<
 /// Lower one collective invocation to `rank`'s communication plan, for a
 /// size-`p` communicator with `n` input bytes per rank.
 ///
-/// This is the *whole* registry dispatch: [`execute`] is nothing but
-/// `lower` + [`execute_schedule`], and the simulator, verifier, and model
-/// term counter consume the identical plans.
+/// This is the *whole* registry dispatch: [`execute`] is nothing but a
+/// cached `compile(&lower(..))` handed to the [`Executor`], and the
+/// simulator, verifier, and model term counter consume the identical plans.
 ///
 /// # Panics
 ///

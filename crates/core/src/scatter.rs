@@ -8,11 +8,11 @@
 //! contiguous vrank subtree span. Lowering never materializes that vrank
 //! reorder: the root's buffer is a scatter/gather view over its input.
 
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::KnomialTree;
 use crate::util::{block_len, block_range};
-use exacoll_comm::{Comm, CommResult, Rank};
+use exacoll_comm::Rank;
 
 /// Lower a k-nomial scatter into `b`. `data` must be `Some` at the root (the
 /// full `n`-byte payload in rank order); returns this rank's block view
@@ -66,32 +66,23 @@ pub(crate) fn build_scatter_knomial(
     buf.slice(0, vsize(v))
 }
 
-/// K-nomial scatter of `n` bytes. `input` must be `Some` at the root; every
-/// rank returns its own block (`block_range(n, p, rank)`).
-pub fn scatter_knomial<C: Comm>(
-    c: &mut C,
-    k: usize,
-    root: Rank,
-    input: Option<&[u8]>,
-    n: usize,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let data = input.map(|d| b.alloc(d.len()));
-    let out = build_scatter_knomial(&mut b, k, root, data.clone(), n);
-    let schedule = b.finish(data.unwrap_or_default(), out);
-    execute_schedule(c, &schedule, input.unwrap_or(&[]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::schedule::run_built;
+    use exacoll_comm::{run_ranks, Comm};
 
     fn check(p: usize, k: usize, root: usize, n: usize) {
         let data: Vec<u8> = (0..n).map(|i| (i * 13 + 1) as u8).collect();
+        // Scatter is a building block, not a registry collective: drive the
+        // builder directly. Only the root's plan has an input view.
         let out = run_ranks(p, |c| {
-            let input = (c.rank() == root).then_some(&data[..]);
-            scatter_knomial(c, k, root, input, n)
+            let input = if c.rank() == root { &data[..] } else { &[] };
+            run_built(c, input, |b| {
+                let held = (b.rank() == root).then(|| b.alloc(n));
+                let mine = build_scatter_knomial(b, k, root, held.clone(), n);
+                (held.unwrap_or_default(), mine)
+            })
         });
         for (r, o) in out.iter().enumerate() {
             let (s, e) = block_range(n, p, r);

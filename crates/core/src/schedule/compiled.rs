@@ -1,32 +1,39 @@
-//! Compiled, arena-backed execution plans and the zero-copy executor.
+//! The execution engine: [`compile`] + [`Executor`].
 //!
 //! [`compile`] lowers a [`Schedule`] — a straight-line `Vec<Step>` of
 //! heap-allocated [`SgList`]s — into an immutable [`CompiledSchedule`]:
 //! every scatter/gather list is flattened into one contiguous range arena,
-//! every instruction into one flat [`CStep`] array, and — because the plan
-//! is straight-line — the interpreter's *dynamic* flush decisions are
-//! resolved statically:
+//! every instruction into one flat [`CStep`] array, and every *flush* — the
+//! single `waitall`, in posting order, that completes all outstanding
+//! requests and lands received payloads in their scatter lists — becomes an
+//! explicit [`CStep::Flush`]. This is the one place the flush rule is
+//! decided (the verifier keeps an independent copy as the proof tool). A
+//! flush is emitted, only when requests are actually outstanding, at exactly
+//! four points:
 //!
-//! * the engine flushes at a `RoundMark`, before a `Compute`, before a send
-//!   whose source overlaps a pending receive's destination, and at plan
-//!   end, but only when requests are actually outstanding;
-//! * which requests are outstanding at each step is a pure function of the
-//!   step sequence, so compilation emits an explicit [`CStep::Flush`]
-//!   exactly where the interpreter would have performed a non-empty flush.
+//! 1. at a [`Step::RoundMark`], *before* the mark — one `waitall` per round;
+//! 2. before a [`Step::Compute`], so reductions see delivered data;
+//! 3. before a send whose source overlaps a pending receive's destination
+//!    (read-after-write hazard: forwarding data still in flight);
+//! 4. at the end of the plan.
 //!
-//! [`Executor::run`] therefore does no overlap scans, no per-flush unzip
-//! into parallel `Vec`s (the receive-destination arena is persistent and
-//! reused), and no payload gathering on sends — payloads go out as borrowed
-//! [`SgView`]s via [`Comm::send_sg`]. The op stream it issues is identical,
-//! call for call, to [`super::engine::execute_schedule`] on the same plan:
-//! that identity is what keeps traces, timelines, and replay digests stable
-//! across the interpreted and compiled paths.
+//! Which requests are outstanding at each step is a pure function of the
+//! straight-line step sequence, so the rule resolves statically and
+//! everything that runs a plan — [`Executor::run`] on a live backend,
+//! [`CompiledSchedule::to_trace`] for the simulator, the world evaluator
+//! ([`super::eval`]) for the optimizer gate and replay — walks the same
+//! `CStep` stream and cannot disagree about where a wait happens.
+//!
+//! [`Executor::run`] does no overlap scans, keeps its request and
+//! receive-destination arenas across runs, and never gathers a send payload:
+//! payloads go out as borrowed [`SgView`]s via [`Comm::send_sg`].
 
-use super::{ComputeKind, Schedule, Step};
+use super::{ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{
     reduce_into, Comm, CommError, CommResult, DType, Rank, RankTrace, ReduceOp, Req, SgView, Tag,
     TraceComm,
 };
+use std::fmt;
 use std::ops::Range;
 
 /// A slice of the compiled plan's range arena.
@@ -48,15 +55,14 @@ impl Span {
 }
 
 /// One compiled instruction. `SendRecv` is decomposed into `Send` + `Recv`
-/// (the interpreter posts them in that order anyway), and flushes are
-/// explicit instructions rather than runtime decisions.
+/// (posted in that order), and flushes are explicit instructions rather
+/// than runtime decisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CStep {
     /// Complete every outstanding request with one `waitall`, scattering
-    /// received payloads. Emitted only where the interpreter's flush would
-    /// have had a non-empty pending set.
+    /// received payloads. Emitted only where requests are outstanding.
     Flush,
-    /// Timeline annotation (the flush the engine does first is a separate
+    /// Timeline annotation (the flush a round mark implies is a separate
     /// preceding [`CStep::Flush`] when one is due).
     Mark {
         /// Phase label.
@@ -125,11 +131,6 @@ impl CompiledSchedule {
         self.input.bytes()
     }
 
-    /// Bytes of output the plan produces.
-    pub fn output_bytes(&self) -> usize {
-        self.output.bytes()
-    }
-
     /// The compiled instruction sequence.
     pub fn steps(&self) -> &[CStep] {
         &self.steps
@@ -140,9 +141,10 @@ impl CompiledSchedule {
         &self.ranges[span.start as usize..(span.start + span.count) as usize]
     }
 
-    /// Replay the compiled plan on the trace recorder. Records the same op
-    /// stream as [`Schedule::to_trace`] on the source plan — the identity
-    /// the compiled-path tests pin down.
+    /// Replay the plan on the trace recorder, yielding the rank's
+    /// [`RankTrace`] for discrete-event simulation. This runs the
+    /// [`Executor`] itself over a [`TraceComm`], so the op sequence priced
+    /// is the op sequence a live backend is driven with.
     pub fn to_trace(&self) -> RankTrace {
         let mut c = TraceComm::new(self.rank, self.p);
         let zeros = vec![0u8; self.input_bytes()];
@@ -153,49 +155,94 @@ impl CompiledSchedule {
     }
 }
 
-/// Flatten `schedule` into a [`CompiledSchedule`], resolving every flush
-/// decision statically (see the module docs for the rules).
-pub fn compile(schedule: &Schedule) -> CompiledSchedule {
-    let mut ranges: Vec<Range<usize>> = Vec::new();
-    let mut steps: Vec<CStep> = Vec::new();
-    let intern = |ranges: &mut Vec<Range<usize>>, rs: &[Range<usize>]| -> Span {
-        let start = ranges.len() as u32;
-        ranges.extend_from_slice(rs);
+/// Narrow an arena index or byte total to the `u32` a [`Span`] stores.
+///
+/// # Panics
+///
+/// Names `region` when `n` does not fit: a plan addressing 4 GiB or more
+/// through one region must fail here, not wrap into a short message.
+fn span_u32(n: usize, what: &str, region: fmt::Arguments) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| {
+        panic!("cannot compile {region}: {what} {n} exceeds the u32 a compiled span holds")
+    })
+}
+
+/// [`compile`]'s working state: the arenas being filled plus the static
+/// picture of what is outstanding since the last flush.
+#[derive(Default)]
+struct Compiler<'a> {
+    ranges: Vec<Range<usize>>,
+    steps: Vec<CStep>,
+    /// Requests posted since the last flush.
+    outstanding: usize,
+    /// Destination lists of the receives among them.
+    pending_dsts: Vec<&'a SgList>,
+}
+
+impl<'a> Compiler<'a> {
+    /// Append `sg`'s ranges to the arena and return the span naming them.
+    fn intern(&mut self, sg: &SgList, region: fmt::Arguments) -> Span {
+        let start = span_u32(self.ranges.len(), "range index", region);
+        self.ranges.extend_from_slice(sg.ranges());
         Span {
             start,
-            count: rs.len() as u32,
-            bytes: rs.iter().map(|r| r.len()).sum::<usize>() as u32,
+            count: span_u32(sg.ranges().len(), "range count", region),
+            bytes: span_u32(sg.len(), "byte total", region),
         }
-    };
-    // Static mirror of the interpreter's pending set: how many requests are
-    // outstanding, and the destination lists of the outstanding receives.
-    let mut outstanding = 0usize;
-    let mut pending_dsts: Vec<&super::SgList> = Vec::new();
-    macro_rules! flush {
-        () => {
-            if outstanding > 0 {
-                steps.push(CStep::Flush);
-                outstanding = 0;
-                pending_dsts.clear();
-            }
-        };
     }
-    for step in &schedule.steps {
+
+    fn flush(&mut self) {
+        if self.outstanding > 0 {
+            self.steps.push(CStep::Flush);
+            self.outstanding = 0;
+            self.pending_dsts.clear();
+        }
+    }
+
+    fn send(&mut self, i: usize, to: Rank, tag: Tag, src: &SgList) {
+        if self.pending_dsts.iter().any(|d| src.overlaps(d)) {
+            self.flush();
+        }
+        let src = self.intern(src, format_args!("step {i} send source"));
+        self.steps.push(CStep::Send { to, tag, src });
+        self.outstanding += 1;
+    }
+
+    fn recv(&mut self, i: usize, from: Rank, tag: Tag, dst: &'a SgList) {
+        let span = self.intern(dst, format_args!("step {i} receive destination"));
+        self.steps.push(CStep::Recv {
+            from,
+            tag,
+            dst: span,
+        });
+        self.outstanding += 1;
+        self.pending_dsts.push(dst);
+    }
+}
+
+/// Flatten `schedule` into a [`CompiledSchedule`], placing every flush
+/// statically (see the module docs for the rule).
+///
+/// # Panics
+///
+/// If any region of the plan denotes 4 GiB or more (a [`Span`] stores
+/// `u32` totals); the message names the region.
+pub fn compile(schedule: &Schedule) -> CompiledSchedule {
+    let mut c = Compiler::default();
+    for (i, step) in schedule.steps.iter().enumerate() {
         match step {
             Step::RoundMark { label, round } => {
-                flush!();
-                steps.push(CStep::Mark {
+                c.flush();
+                c.steps.push(CStep::Mark {
                     label,
                     round: *round,
                 });
             }
             Step::Compute { kind, src, dst } => {
-                flush!();
-                let (src, dst) = (
-                    intern(&mut ranges, src.ranges()),
-                    intern(&mut ranges, dst.ranges()),
-                );
-                steps.push(match kind {
+                c.flush();
+                let src = c.intern(src, format_args!("step {i} compute source"));
+                let dst = c.intern(dst, format_args!("step {i} compute destination"));
+                c.steps.push(match kind {
                     ComputeKind::Copy => CStep::Copy { src, dst },
                     ComputeKind::Reduce { dtype, op } => CStep::Reduce {
                         dtype: *dtype,
@@ -205,28 +252,8 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
                     },
                 });
             }
-            Step::Send { to, tag, src } => {
-                if pending_dsts.iter().any(|d| src.overlaps(d)) {
-                    flush!();
-                }
-                let src = intern(&mut ranges, src.ranges());
-                steps.push(CStep::Send {
-                    to: *to,
-                    tag: *tag,
-                    src,
-                });
-                outstanding += 1;
-            }
-            Step::Recv { from, tag, dst } => {
-                let span = intern(&mut ranges, dst.ranges());
-                steps.push(CStep::Recv {
-                    from: *from,
-                    tag: *tag,
-                    dst: span,
-                });
-                outstanding += 1;
-                pending_dsts.push(dst);
-            }
+            Step::Send { to, tag, src } => c.send(i, *to, *tag, src),
+            Step::Recv { from, tag, dst } => c.recv(i, *from, *tag, dst),
             Step::SendRecv {
                 to,
                 send_tag,
@@ -235,45 +262,123 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
                 recv_tag,
                 dst,
             } => {
-                if pending_dsts.iter().any(|d| src.overlaps(d)) {
-                    flush!();
-                }
-                let sspan = intern(&mut ranges, src.ranges());
-                steps.push(CStep::Send {
-                    to: *to,
-                    tag: *send_tag,
-                    src: sspan,
-                });
-                outstanding += 1;
-                let rspan = intern(&mut ranges, dst.ranges());
-                steps.push(CStep::Recv {
-                    from: *from,
-                    tag: *recv_tag,
-                    dst: rspan,
-                });
-                outstanding += 1;
-                pending_dsts.push(dst);
+                c.send(i, *to, *send_tag, src);
+                c.recv(i, *from, *recv_tag, dst);
             }
         }
     }
-    if outstanding > 0 {
-        steps.push(CStep::Flush);
-    }
-    let input = intern(&mut ranges, schedule.input.ranges());
-    let output = intern(&mut ranges, schedule.output.ranges());
+    c.flush();
+    let input = c.intern(&schedule.input, format_args!("input view"));
+    let output = c.intern(&schedule.output, format_args!("output view"));
     CompiledSchedule {
         p: schedule.p,
         rank: schedule.rank,
         buf_len: schedule.buf_len,
         input,
         output,
-        ranges: ranges.into_boxed_slice(),
-        steps: steps.into_boxed_slice(),
+        ranges: c.ranges.into_boxed_slice(),
+        steps: c.steps.into_boxed_slice(),
     }
 }
 
-/// Scatter `data` into `ranges` of `buf` in order, prefix-filling on short
-/// payloads exactly like [`super::SgList::scatter_to`].
+/// One rank's scratch buffer plus the gather scratch its non-contiguous
+/// copy/reduce paths need. The [`Executor`] and the world evaluator
+/// ([`super::eval`]) move bytes only through this type, so what `Copy`,
+/// `Reduce`, and a landing receive do to the buffer is written once.
+#[derive(Default)]
+pub(super) struct RankMem {
+    buf: Vec<u8>,
+    scratch_src: Vec<u8>,
+    scratch_dst: Vec<u8>,
+}
+
+impl RankMem {
+    /// Reset to `plan`'s zeroed scratch buffer with `input` in its input
+    /// view. The caller has checked `input` fills the view; extra bytes are
+    /// ignored.
+    pub(super) fn load(&mut self, plan: &CompiledSchedule, input: &[u8]) {
+        debug_assert!(input.len() >= plan.input_bytes());
+        self.buf.clear();
+        self.buf.resize(plan.buf_len, 0);
+        self.land(plan, plan.input, input);
+    }
+
+    /// The bytes `span` denotes, borrowed in payload order.
+    pub(super) fn view<'a>(&'a self, plan: &'a CompiledSchedule, span: Span) -> SgView<'a> {
+        SgView::new(&self.buf, plan.ranges_of(span))
+    }
+
+    /// Write `data` into `dst`'s ranges in order. A short payload (truncated
+    /// receive) fills a prefix.
+    pub(super) fn land(&mut self, plan: &CompiledSchedule, dst: Span, data: &[u8]) {
+        scatter(&mut self.buf, plan.ranges_of(dst), data);
+    }
+
+    /// The plan's output bytes.
+    pub(super) fn output(&self, plan: &CompiledSchedule) -> Vec<u8> {
+        self.view(plan, plan.output).to_vec()
+    }
+
+    /// `dst = src`.
+    pub(super) fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) {
+        let (s, d) = (plan.ranges_of(src), plan.ranges_of(dst));
+        if let ([s], [d]) = (s, d) {
+            // Contiguous fast path; `copy_within` is memmove, so overlap
+            // behaves like the gather-then-scatter below.
+            self.buf.copy_within(s.clone(), d.start);
+        } else {
+            gather(&mut self.scratch_src, &self.buf, s);
+            scatter(&mut self.buf, d, &self.scratch_src);
+        }
+    }
+
+    /// `dst = dst ⊕ src` elementwise.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`reduce_into`] rejects (operator/dtype mismatch, ragged
+    /// operand lengths).
+    pub(super) fn reduce(
+        &mut self,
+        plan: &CompiledSchedule,
+        dtype: DType,
+        op: ReduceOp,
+        src: Span,
+        dst: Span,
+    ) -> CommResult<()> {
+        let (s, d) = (plan.ranges_of(src), plan.ranges_of(dst));
+        match (s, d) {
+            // Contiguous disjoint operands reduce in place via a split
+            // borrow — no gather, no scatter.
+            ([s], [d]) if s.end <= d.start => {
+                let (lo, hi) = self.buf.split_at_mut(d.start);
+                reduce_into(dtype, op, &mut hi[..d.len()], &lo[s.clone()])
+            }
+            ([s], [d]) if d.end <= s.start => {
+                let (lo, hi) = self.buf.split_at_mut(s.start);
+                reduce_into(dtype, op, &mut lo[d.clone()], &hi[..s.len()])
+            }
+            _ => {
+                gather(&mut self.scratch_src, &self.buf, s);
+                gather(&mut self.scratch_dst, &self.buf, d);
+                reduce_into(dtype, op, &mut self.scratch_dst, &self.scratch_src)?;
+                scatter(&mut self.buf, d, &self.scratch_dst);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Replace `out` with the bytes of `buf` that `ranges` denote, in order.
+fn gather(out: &mut Vec<u8>, buf: &[u8], ranges: &[Range<usize>]) {
+    out.clear();
+    for r in ranges {
+        out.extend_from_slice(&buf[r.clone()]);
+    }
+}
+
+/// Write `data` into `ranges` of `buf` in order, stopping when `data` runs
+/// out.
 fn scatter(buf: &mut [u8], ranges: &[Range<usize>], data: &[u8]) {
     let mut pos = 0;
     for r in ranges {
@@ -294,11 +399,9 @@ fn scatter(buf: &mut [u8], ranges: &[Range<usize>], data: &[u8]) {
 /// forces (the request vector itself).
 #[derive(Default)]
 pub struct Executor {
-    buf: Vec<u8>,
+    mem: RankMem,
     reqs: Vec<Req>,
     dsts: Vec<Option<Span>>,
-    scratch_src: Vec<u8>,
-    scratch_dst: Vec<u8>,
 }
 
 impl Executor {
@@ -314,8 +417,10 @@ impl Executor {
     ///
     /// [`CommError::PlanMismatch`] when `c`'s rank/size disagree with the
     /// plan's, [`CommError::ShortInput`] when `input` is shorter than the
-    /// plan's input region, and any backend error exactly where the
-    /// interpreter would have surfaced it.
+    /// plan's input region — errors, not panics, so a mis-routed plan cannot
+    /// take down a worker process mid-launch — and any backend error
+    /// (truncation, unsupported reduction, peer failure) at the step that
+    /// met it.
     pub fn run<C: Comm>(
         &mut self,
         c: &mut C,
@@ -336,11 +441,9 @@ impl Executor {
                 got: input.len(),
             });
         }
-        self.buf.clear();
-        self.buf.resize(plan.buf_len, 0);
+        self.mem.load(plan, input);
         self.reqs.clear();
         self.dsts.clear();
-        scatter(&mut self.buf, plan.ranges_of(plan.input), input);
 
         for step in plan.steps() {
             match step {
@@ -349,14 +452,13 @@ impl Executor {
                     let results = c.waitall(reqs)?;
                     for (res, dst) in results.into_iter().zip(self.dsts.drain(..)) {
                         if let (Some(payload), Some(span)) = (res, dst) {
-                            scatter(&mut self.buf, plan.ranges_of(span), &payload);
+                            self.mem.land(plan, span, &payload);
                         }
                     }
                 }
                 CStep::Mark { label, round } => c.mark(label, *round),
                 CStep::Send { to, tag, src } => {
-                    let view = SgView::new(&self.buf, plan.ranges_of(*src));
-                    let req = c.send_sg(*to, *tag, view)?;
+                    let req = c.send_sg(*to, *tag, self.mem.view(plan, *src))?;
                     self.reqs.push(req);
                     self.dsts.push(None);
                 }
@@ -365,66 +467,24 @@ impl Executor {
                     self.reqs.push(req);
                     self.dsts.push(Some(*dst));
                 }
-                CStep::Copy { src, dst } => {
-                    let (s, d) = (plan.ranges_of(*src), plan.ranges_of(*dst));
-                    if let ([s], [d]) = (s, d) {
-                        // Contiguous fast path; `copy_within` is memmove, so
-                        // overlap behaves like the gather-then-scatter it
-                        // replaces.
-                        self.buf.copy_within(s.clone(), d.start);
-                    } else {
-                        self.scratch_src.clear();
-                        for r in s {
-                            self.scratch_src.extend_from_slice(&self.buf[r.clone()]);
-                        }
-                        scatter(&mut self.buf, d, &self.scratch_src);
-                    }
-                }
+                CStep::Copy { src, dst } => self.mem.copy(plan, *src, *dst),
                 CStep::Reduce {
                     dtype,
                     op,
                     src,
                     dst,
                 } => {
-                    let (s, d) = (plan.ranges_of(*src), plan.ranges_of(*dst));
-                    match (s, d) {
-                        // Contiguous disjoint operands reduce in place via a
-                        // split borrow — no gather, no scatter.
-                        ([s], [d]) if s.end <= d.start => {
-                            let (lo, hi) = self.buf.split_at_mut(d.start);
-                            reduce_into(*dtype, *op, &mut hi[..d.len()], &lo[s.clone()])?;
-                        }
-                        ([s], [d]) if d.end <= s.start => {
-                            let (lo, hi) = self.buf.split_at_mut(s.start);
-                            reduce_into(*dtype, *op, &mut lo[d.clone()], &hi[..s.len()])?;
-                        }
-                        _ => {
-                            self.scratch_src.clear();
-                            for r in s {
-                                self.scratch_src.extend_from_slice(&self.buf[r.clone()]);
-                            }
-                            self.scratch_dst.clear();
-                            for r in d {
-                                self.scratch_dst.extend_from_slice(&self.buf[r.clone()]);
-                            }
-                            reduce_into(*dtype, *op, &mut self.scratch_dst, &self.scratch_src)?;
-                            scatter(&mut self.buf, d, &self.scratch_dst);
-                        }
-                    }
+                    self.mem.reduce(plan, *dtype, *op, *src, *dst)?;
                     c.compute(dst.bytes());
                 }
             }
         }
-        let mut out = Vec::with_capacity(plan.output_bytes());
-        for r in plan.ranges_of(plan.output) {
-            out.extend_from_slice(&self.buf[r.clone()]);
-        }
-        Ok(out)
+        Ok(self.mem.output(plan))
     }
 }
 
-/// One-shot convenience: compile-free execution of an already-compiled plan
-/// with a throwaway [`Executor`].
+/// One-shot convenience: run an already-compiled plan with a throwaway
+/// [`Executor`].
 pub fn execute_compiled<C: Comm>(
     c: &mut C,
     plan: &CompiledSchedule,
@@ -435,10 +495,11 @@ pub fn execute_compiled<C: Comm>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{engine::execute_schedule, ScheduleBuilder, SgList};
+    use super::super::ScheduleBuilder;
     use super::*;
-    use exacoll_comm::{run_ranks, ReduceOp};
+    use exacoll_comm::{run_ranks, TraceOp};
 
+    /// A two-rank swap written directly in the IR.
     fn swap_schedule(p: usize, rank: usize, n: usize) -> Schedule {
         let mut b = ScheduleBuilder::new(p, rank);
         let mine = b.alloc(n);
@@ -450,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_swap_matches_interpreter() {
+    fn executes_a_two_rank_swap() {
         let out = run_ranks(2, |c| {
             let s = swap_schedule(2, c.rank(), 4);
             execute_compiled(c, &compile(&s), &[c.rank() as u8; 4])
@@ -460,9 +521,28 @@ mod tests {
     }
 
     #[test]
-    fn compiled_trace_equals_interpreted_trace() {
-        let s = swap_schedule(2, 0, 4);
-        assert_eq!(compile(&s).to_trace(), s.to_trace());
+    fn trace_is_the_executor_op_stream() {
+        let t = swap_schedule(2, 0, 4).to_trace();
+        assert_eq!(
+            t.ops,
+            vec![
+                TraceOp::Mark {
+                    label: "swap",
+                    round: 0
+                },
+                TraceOp::Send {
+                    to: 1,
+                    tag: 7,
+                    bytes: 4
+                },
+                TraceOp::Recv {
+                    from: 1,
+                    tag: 7,
+                    bytes: 4
+                },
+                TraceOp::WaitAll { reqs: vec![1, 2] },
+            ]
+        );
     }
 
     #[test]
@@ -487,9 +567,35 @@ mod tests {
     }
 
     #[test]
+    fn forwarding_hazard_relays_delivered_bytes() {
+        // Rank 1 relays rank 0's message to rank 2: the relay send reads the
+        // pending receive's destination, so the engine must wait first.
+        let out = run_ranks(3, |c| {
+            let mut b = ScheduleBuilder::new(3, c.rank());
+            let slot = b.alloc(2);
+            let (plan, input): (Schedule, &[u8]) = match c.rank() {
+                0 => {
+                    b.send(1, 5, slot.clone());
+                    (b.finish(slot, SgList::empty()), &[3, 9])
+                }
+                1 => {
+                    b.recv(0, 5, slot.clone());
+                    b.send(2, 5, slot.clone());
+                    (b.finish(SgList::empty(), SgList::empty()), &[])
+                }
+                _ => {
+                    b.recv(1, 5, slot.clone());
+                    (b.finish(SgList::empty(), slot), &[])
+                }
+            };
+            execute_compiled(c, &compile(&plan), input)
+        });
+        assert_eq!(out[2], vec![3, 9]);
+    }
+
+    #[test]
     fn no_flush_emitted_for_empty_pending() {
-        // A mark with nothing outstanding must not emit a waitall — the
-        // interpreter's flush is a no-op there.
+        // A mark with nothing outstanding must not emit a waitall.
         let mut b = ScheduleBuilder::new(1, 0);
         let x = b.alloc(2);
         b.mark("phase", 0);
@@ -499,10 +605,26 @@ mod tests {
     }
 
     #[test]
-    fn reduce_fast_path_matches_gathered_path() {
-        use exacoll_comm::{DType, TraceComm};
-        // acc and src contiguous and disjoint, in both orders.
-        for (first_is_dst, n) in [(true, 8), (false, 8), (true, 5), (false, 5)] {
+    fn reduce_step_accumulates_in_place() {
+        // Single-rank plan: input holds [acc | src]; one reduce folds src in.
+        let mut b = ScheduleBuilder::new(1, 0);
+        let acc = b.alloc(2);
+        let src = b.alloc(2);
+        b.reduce(DType::U8, ReduceOp::Sum, src.clone(), acc.clone());
+        let s = b.finish(SgList::concat([&acc, &src]), acc);
+        let mut c = TraceComm::new(0, 1);
+        let out = execute_compiled(&mut c, &compile(&s), &[10, 20, 1, 2]).unwrap();
+        assert_eq!(out, vec![11, 22]);
+        assert_eq!(c.finish().ops, vec![TraceOp::Compute { bytes: 2 }]);
+    }
+
+    #[test]
+    fn reduce_paths_produce_hand_computed_bytes() {
+        // Input is [dst | src] = 0..2n, so every path must yield
+        // dst[i] + src[i] = 2i + n. The contiguous split-borrow fast paths
+        // take both physical operand orders; a src gathered from two
+        // out-of-order ranges takes the scratch path and permutes the sum.
+        for (first_is_dst, n) in [(true, 8usize), (false, 8), (true, 5), (false, 5)] {
             let mut b = ScheduleBuilder::new(1, 0);
             let a = b.alloc(n);
             let s = b.alloc(n);
@@ -510,10 +632,59 @@ mod tests {
             b.reduce(DType::U8, ReduceOp::Sum, src.clone(), dst.clone());
             let plan = b.finish(SgList::concat([&dst, &src]), dst.clone());
             let input: Vec<u8> = (0..2 * n as u8).collect();
-            let a1 = execute_schedule(&mut TraceComm::new(0, 1), &plan, &input).unwrap();
-            let a2 = execute_compiled(&mut TraceComm::new(0, 1), &compile(&plan), &input).unwrap();
-            assert_eq!(a1, a2);
+            let out = execute_compiled(&mut TraceComm::new(0, 1), &compile(&plan), &input).unwrap();
+            let want: Vec<u8> = (0..n as u8).map(|i| 2 * i + n as u8).collect();
+            assert_eq!(out, want, "first_is_dst={first_is_dst} n={n}");
         }
+        let mut b = ScheduleBuilder::new(1, 0);
+        let dst = b.alloc(4);
+        let src = b.alloc(4);
+        let swapped = SgList::concat([&src.slice(2, 2), &src.slice(0, 2)]);
+        b.reduce(DType::U8, ReduceOp::Sum, swapped, dst.clone());
+        let plan = b.finish(SgList::concat([&dst, &src]), dst);
+        let out = execute_compiled(
+            &mut TraceComm::new(0, 1),
+            &compile(&plan),
+            &[0, 1, 2, 3, 10, 20, 30, 40],
+        )
+        .unwrap();
+        assert_eq!(out, vec![30, 41, 12, 23]);
+    }
+
+    #[test]
+    fn scatter_and_gather_follow_range_order() {
+        let mut buf = vec![0u8; 8];
+        let ranges = [4..8, 0..4];
+        scatter(&mut buf, &ranges, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(buf, vec![5, 6, 7, 8, 1, 2, 3, 4]);
+        let mut out = vec![9];
+        gather(&mut out, &buf, &ranges);
+        assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        // A short payload fills a prefix and leaves the rest alone.
+        let mut buf = vec![9u8; 6];
+        scatter(&mut buf, std::slice::from_ref(&(0..6)), &[1, 2]);
+        assert_eq!(buf, vec![1, 2, 9, 9, 9, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "step 0 send source: byte total 5368709120 exceeds")]
+    fn oversized_region_fails_loudly_instead_of_wrapping() {
+        // Ranges only — compile allocates no buffer, so a 5 GiB region is
+        // cheap to describe.
+        let five_gib = 5usize << 30;
+        let plan = Schedule {
+            p: 2,
+            rank: 0,
+            buf_len: five_gib,
+            input: SgList::empty(),
+            output: SgList::empty(),
+            steps: vec![Step::Send {
+                to: 1,
+                tag: 1,
+                src: SgList::from(0..five_gib),
+            }],
+        };
+        compile(&plan);
     }
 
     #[test]

@@ -9,21 +9,25 @@
 //! gather lists ([`SgList`]) on the schedule's `input`/`output` views and on
 //! individual sends.
 //!
-//! The same IR feeds four consumers:
-//! * [`engine::execute_schedule`] runs it on any `Comm` backend,
-//! * [`Schedule::to_trace`] replays it on the trace recorder for the
+//! A plan means what [`compile`] makes of it: the compiled `CStep` stream,
+//! flushes included, is the only thing ever executed. It has two walkers
+//! and one independent checker:
+//! * [`Executor`] runs it on any `Comm` backend — live threads and sockets,
+//!   and the trace recorder behind [`Schedule::to_trace`] that feeds the
 //!   discrete-event simulator (`exacoll-sim`),
-//! * [`verify`] statically checks matching, tags, and data flow,
-//! * [`verify::ScheduleStats`] counts the α/β/γ terms the analytical
-//!   models (`exacoll-models`) predict.
+//! * [`eval`] runs a whole world of plans in one thread for the optimizer
+//!   gate, `exacoll verify`, and replay,
+//! * [`verify`] statically checks matching, tags, and data flow against its
+//!   own statement of the flush rule, and [`verify::ScheduleStats`] counts
+//!   the α/β/γ terms the analytical models (`exacoll-models`) predict.
 
 pub mod compiled;
-pub mod engine;
+pub mod eval;
 pub mod verify;
 
 pub use compiled::{compile, execute_compiled, CompiledSchedule, Executor};
 
-use exacoll_comm::{DType, Rank, RankTrace, ReduceOp, Tag, TraceComm};
+use exacoll_comm::{DType, Rank, RankTrace, ReduceOp, Tag};
 use std::ops::Range;
 
 /// A scatter/gather list: an ordered sequence of byte ranges into the
@@ -101,30 +105,6 @@ impl SgList {
         }
         assert!(want == 0, "slice {offset}+{len} out of bounds for {self:?}");
         out
-    }
-
-    /// Materialize the denoted byte string from `buf`.
-    pub fn gather_from(&self, buf: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        for r in &self.0 {
-            out.extend_from_slice(&buf[r.clone()]);
-        }
-        out
-    }
-
-    /// Write `data` into the denoted ranges in order. Copies
-    /// `min(data.len(), self.len())` bytes — a short payload (truncated
-    /// receive) fills a prefix, mirroring what the hand-rolled loops did.
-    pub fn scatter_to(&self, buf: &mut [u8], data: &[u8]) {
-        let mut pos = 0;
-        for r in &self.0 {
-            if pos >= data.len() {
-                break;
-            }
-            let take = r.len().min(data.len() - pos);
-            buf[r.start..r.start + take].copy_from_slice(&data[pos..pos + take]);
-            pos += take;
-        }
     }
 
     /// Whether any byte is shared with `other`.
@@ -231,19 +211,11 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Replay the plan on the trace recorder, yielding the rank's
-    /// [`RankTrace`] for discrete-event simulation.
-    ///
-    /// This runs the *real* engine over a [`TraceComm`], so the recorded
-    /// op sequence is — by construction, not by a parallel reimplementation
-    /// — exactly what [`engine::execute_schedule`] performs on a live
-    /// backend.
+    /// The rank's [`RankTrace`] for discrete-event simulation:
+    /// [`CompiledSchedule::to_trace`] of the compiled plan, i.e. the
+    /// [`Executor`]'s own op sequence — the plan priced is the plan run.
     pub fn to_trace(&self) -> RankTrace {
-        let mut c = TraceComm::new(self.rank, self.p);
-        let zeros = vec![0u8; self.input.len()];
-        engine::execute_schedule(&mut c, self, &zeros)
-            .unwrap_or_else(|e| panic!("schedule replay failed on rank {}: {e}", self.rank));
-        c.finish()
+        compile(self).to_trace()
     }
 }
 
@@ -359,6 +331,20 @@ impl ScheduleBuilder {
     }
 }
 
+/// The kernel modules' shared unit-test harness: lower this rank's plan
+/// with `build` (which returns the plan's input and output views), compile
+/// it, and run it on `c`.
+#[cfg(test)]
+pub(crate) fn run_built<C: exacoll_comm::Comm>(
+    c: &mut C,
+    input: &[u8],
+    build: impl FnOnce(&mut ScheduleBuilder) -> (SgList, SgList),
+) -> exacoll_comm::CommResult<Vec<u8>> {
+    let mut b = ScheduleBuilder::new(c.size(), c.rank());
+    let (input_view, output_view) = build(&mut b);
+    execute_compiled(c, &compile(&b.finish(input_view, output_view)), input)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,24 +369,6 @@ mod tests {
         a.push(3..6);
         let b = SgList::from(0..6);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip_permutation() {
-        let mut buf = vec![0u8; 8];
-        let mut dst = SgList::empty();
-        dst.push(4..8);
-        dst.push(0..4);
-        dst.scatter_to(&mut buf, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(buf, vec![5, 6, 7, 8, 1, 2, 3, 4]);
-        assert_eq!(dst.gather_from(&buf), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn short_scatter_fills_a_prefix() {
-        let mut buf = vec![9u8; 6];
-        SgList::from(0..6).scatter_to(&mut buf, &[1, 2]);
-        assert_eq!(buf, vec![1, 2, 9, 9, 9, 9]);
     }
 
     #[test]

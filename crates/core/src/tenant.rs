@@ -13,11 +13,12 @@
 //! [`crate::schedule::verify::verify_tenants`] *proves* it for arbitrary
 //! plans rather than trusting the construction.
 //!
-//! Execution reuses the one engine instead of growing a second interpreter:
+//! Execution reuses the one engine instead of growing a second one:
 //! [`merge_tenants`] splices each rank's per-tenant plans into a single
 //! [`Schedule`] — scratch buffers stacked, step lists spliced back-to-back
 //! in tenant order with **no barrier at the seams** — and [`run_tenants`]
-//! executes that merged plan with [`execute_schedule`]. Because the merged
+//! compiles that merged plan and runs it on the [`Executor`](crate::Executor)
+//! like any other. Because the merged
 //! plan is ordinary IR, the static verifier's deadlock/matching/data-flow
 //! guarantees apply to the *combined* execution, not just to each tenant in
 //! isolation.
@@ -35,8 +36,7 @@
 //! peer hasn't already been sent. Cross-tenant overlap still happens across
 //! ranks, because nothing synchronizes the seam.
 
-use crate::schedule::engine::execute_schedule;
-use crate::schedule::{Schedule, SgList, Step};
+use crate::schedule::{compile, execute_compiled, Schedule, SgList, Step};
 use exacoll_comm::{Comm, CommResult, Tag};
 
 /// Width of each tenant's tag window. Every tag a lowering emits (base +
@@ -195,7 +195,7 @@ fn offset_step(step: &Step, base: usize) -> Step {
 /// The merged plan is ordinary schedule IR, so the whole toolchain applies
 /// to the combined execution: [`crate::schedule::verify::verify`] proves
 /// the merged exchange deadlock-free, `to_trace` prices it, and
-/// [`execute_schedule`] runs it. Every rank of the shared runtime must
+/// [`compile`] + the executor run it. Every rank of the shared runtime must
 /// merge the same tenants in the same order.
 ///
 /// # Panics
@@ -267,7 +267,7 @@ pub fn run_tenants<C: Comm>(
     assert_eq!(plans.len(), inputs.len(), "one input per tenant");
     let merged = merge_tenants(plans);
     let cat: Vec<u8> = inputs.iter().flat_map(|i| i.iter().copied()).collect();
-    let out = execute_schedule(c, &merged, &cat)?;
+    let out = execute_compiled(c, &compile(&merged), &cat)?;
     let mut outs = Vec::with_capacity(plans.len());
     let mut pos = 0;
     for s in plans {

@@ -206,7 +206,7 @@ pub fn naive_block_exchange(p: usize, blocks: usize, bytes: usize) -> Vec<Schedu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, probe_inputs};
+    use exacoll_core::schedule::eval::{evaluate, probe_inputs};
     use exacoll_core::schedule::verify::verify;
 
     #[test]

@@ -5,7 +5,8 @@
 //! deadlock-free, define-once, FIFO-matched, and tag-hygienic. That makes
 //! automated plan *rewriting* safe: a pass may transform plans
 //! aggressively, because an independent checker re-proves every guarantee
-//! afterwards and a pure evaluator re-checks byte-identical results.
+//! afterwards and the core world evaluator (`schedule::eval`) re-checks
+//! byte-identical results on the very `CStep` streams the engine runs.
 //!
 //! Three passes ship today:
 //!
@@ -28,16 +29,15 @@
 
 pub mod aggregate;
 pub mod cached;
-pub mod eval;
 pub mod pipeline;
 pub mod remap;
 
 pub use aggregate::{aggregate, naive_block_exchange};
 pub use cached::{cached_plan, cached_world};
-pub use eval::{evaluate, probe_inputs, EvalError};
 pub use pipeline::pipeline;
 pub use remap::{layout_for, remap, BlockLayout, TopoDesc};
 
+use exacoll_core::schedule::eval::{evaluate, probe_inputs};
 use exacoll_core::schedule::verify::{verify, ScheduleStats};
 use exacoll_core::schedule::Schedule;
 use exacoll_core::spec::OptSpec;

@@ -109,8 +109,8 @@ pub fn pipeline(schedules: &[Schedule], chunk_bytes: usize) -> Result<Vec<Schedu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, probe_inputs};
     use exacoll_core::registry::{lower, Algorithm, CollArgs, CollectiveOp};
+    use exacoll_core::schedule::eval::{evaluate, probe_inputs};
     use exacoll_core::schedule::verify::verify;
 
     fn lowered(op: CollectiveOp, alg: Algorithm, p: usize, n: usize) -> Vec<Schedule> {

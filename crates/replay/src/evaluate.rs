@@ -1,91 +1,39 @@
-//! The deterministic dataflow evaluator: re-derives the fault-free run.
+//! The "expected" side of a replay comparison: the fault-free run.
 //!
-//! [`evaluate`] interprets every rank's lowered
-//! [`Schedule`](exacoll_core::schedule::Schedule) in a single thread,
-//! producing the exact per-rank event sequence — as [`RecordedEvent`]s, the
-//! same type the recorder emits — plus each rank's output bytes. This is
-//! the "expected" side of a replay comparison.
-//!
-//! ## Equivalence to the live engine
-//!
-//! The evaluator scatters each received payload into its destination the
-//! moment the matching send has been posted, instead of modeling the
-//! engine's flush points. The two are dataflow-equivalent:
-//!
-//! * any engine *send* whose source overlaps a pending receive's
-//!   destination triggers a flush first (the hazard rule), so by the time
-//!   the payload is gathered the receive has landed — same bytes either
-//!   way; a non-hazard send never reads a pending destination, so landing
-//!   the receive early cannot change what it gathers;
-//! * *computes* and *round marks* always flush first, so their operands see
-//!   all posted receives — which is exactly the eager-scatter state.
-//!
-//! Event *order* needs no modeling at all: the recorder logs sends and
-//! receives at posting time (receive digests are back-patched later), so
-//! the recorded order is program order, which is the order this evaluator
-//! walks.
-//!
-//! Progress uses a round-robin cursor: each pass advances every rank as far
-//! as it can; a receive blocks until the matching channel holds a payload.
-//! Channels are keyed `(from, to, tag)` in a `BTreeMap` and drained FIFO,
-//! which — together with single-threaded execution — makes the whole
-//! evaluation a pure function of `(args, p, n, inputs)`.
+//! [`evaluate`] re-derives the plans a recorded run executed — lower every
+//! rank, re-apply the recorded optimizer passes — and hands them to the core
+//! world evaluator ([`exacoll_core::schedule::eval`]), which walks the same
+//! compiled step streams the live engine ran and emits each rank's
+//! [`RecordedEvent`](exacoll_comm::RecordedEvent) log the way the recorder
+//! does. Nothing about step semantics or flush placement lives here, so the
+//! expected log cannot drift from what a fault-free live run records. The
+//! whole evaluation is a pure function of `(args, p, n, passes, inputs)`.
 
 use crate::ReplayError;
-use exacoll_comm::{fnv1a, reduce_into, RecordedEvent};
 use exacoll_core::registry::{lower, CollArgs};
-use exacoll_core::schedule::{ComputeKind, Schedule, Step};
+use exacoll_core::schedule::eval::{evaluate_recorded, EvalError, Evaluated};
+use exacoll_core::schedule::Schedule;
 use exacoll_core::spec::OptSpec;
 use exacoll_opt::apply_opt_spec;
-use std::collections::{BTreeMap, VecDeque};
 
-/// The fault-free run: per-rank expected events and output bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Evaluated {
-    /// Expected event log per rank, in program order.
-    pub events: Vec<Vec<RecordedEvent>>,
-    /// Output bytes per rank.
-    pub outputs: Vec<Vec<u8>>,
-}
-
-struct RankState {
-    sched: Schedule,
-    buf: Vec<u8>,
-    /// Next step to execute.
-    pc: usize,
-    /// A `SendRecv` whose send half has been posted but whose receive is
-    /// still waiting for its payload.
-    sent_half: bool,
-    events: Vec<RecordedEvent>,
-}
-
-/// Statically evaluate `args` over `p` ranks with `n` input bytes each.
+/// Evaluate `args` over `p` ranks with `n` input bytes each, after applying
+/// the passes `opt` selects (thresholds `chunk`/`fuse`) to the lowered
+/// plans. Replaying an optimized artifact must compare against the plan
+/// that actually ran — chunked sends post different event sequences than
+/// the stock lowering, even though the output bytes are identical.
 ///
 /// `inputs[r]` is rank `r`'s raw input; it must be at least as long as the
-/// schedule's input view (extra bytes are ignored, matching the engine).
+/// plan's input view (extra bytes are ignored, matching the engine).
 ///
 /// # Errors
 ///
 /// [`ReplayError::Unsupported`] if the registry rejects the combination,
-/// [`ReplayError::Eval`] on reduction errors, and [`ReplayError::Stuck`] if
-/// the schedules deadlock against each other (a lowering bug — lowered
-/// schedules are verified deadlock-free, so this should never fire).
+/// [`ReplayError::Header`] if the passes refuse their thresholds or the
+/// inputs do not fit the plans (wrong count, too short), and
+/// [`ReplayError::Stuck`] / [`ReplayError::Eval`] if the plans themselves
+/// deadlock or fail to reduce (a lowering bug — lowered schedules are
+/// verified, so these should never fire).
 pub fn evaluate(
-    args: &CollArgs,
-    p: usize,
-    n: usize,
-    inputs: &[Vec<u8>],
-) -> Result<Evaluated, ReplayError> {
-    evaluate_opt(args, p, n, &OptSpec::NONE, 1, 1, inputs)
-}
-
-/// [`evaluate`] over the *optimizer-rewritten* plans: lower every rank,
-/// apply the recorded passes (`opt` with thresholds `chunk`/`fuse`), then
-/// interpret the rewritten schedules. Replaying an optimized artifact must
-/// compare against the plan that actually ran — chunked sends post
-/// different event sequences than the stock lowering, even though the
-/// output bytes are identical.
-pub fn evaluate_opt(
     args: &CollArgs,
     p: usize,
     n: usize,
@@ -97,168 +45,24 @@ pub fn evaluate_opt(
     args.alg
         .supports(args.op, p)
         .map_err(ReplayError::Unsupported)?;
-    assert_eq!(inputs.len(), p, "need one input buffer per rank");
     let plans: Vec<Schedule> = (0..p).map(|r| lower(args, p, r, n)).collect();
     let plans = apply_opt_spec(&plans, opt, chunk, fuse)
         .map_err(|e| ReplayError::Header(format!("optimizer passes failed: {e}")))?;
-
-    let mut ranks: Vec<RankState> = plans
-        .into_iter()
-        .enumerate()
-        .map(|(r, sched)| {
-            let mut buf = vec![0u8; sched.buf_len];
-            assert!(
-                inputs[r].len() >= sched.input.len(),
-                "rank {r} input is {} bytes but the schedule consumes {}",
-                inputs[r].len(),
-                sched.input.len()
-            );
-            sched.input.scatter_to(&mut buf, &inputs[r]);
-            RankState {
-                sched,
-                buf,
-                pc: 0,
-                sent_half: false,
-                events: Vec::new(),
-            }
-        })
-        .collect();
-
-    // In-flight payloads: (from, to, tag) → FIFO of message bytes.
-    let mut chans: BTreeMap<(usize, usize, u32), VecDeque<Vec<u8>>> = BTreeMap::new();
-
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for (r, state) in ranks.iter_mut().enumerate() {
-            progressed |= advance(r, state, &mut chans)?;
-            all_done &= state.pc == state.sched.steps.len();
+    evaluate_recorded(&plans, inputs).map_err(|e| match e {
+        EvalError::Shape(why) => {
+            ReplayError::Header(format!("recorded inputs do not fit the plan: {why}"))
         }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let blocked = ranks
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.pc < s.sched.steps.len())
-                .map(|(r, _)| r)
-                .collect();
-            return Err(ReplayError::Stuck { blocked });
-        }
-    }
-
-    let outputs = ranks
-        .iter()
-        .map(|s| s.sched.output.gather_from(&s.buf))
-        .collect();
-    let events = ranks.into_iter().map(|s| s.events).collect();
-    Ok(Evaluated { events, outputs })
-}
-
-/// Run rank `r` forward until it blocks on a receive or finishes.
-/// Returns whether any step (or half-step) executed.
-fn advance(
-    r: usize,
-    st: &mut RankState,
-    chans: &mut BTreeMap<(usize, usize, u32), VecDeque<Vec<u8>>>,
-) -> Result<bool, ReplayError> {
-    let mut progressed = false;
-    while st.pc < st.sched.steps.len() {
-        // Clone the step to release the borrow on `st.sched` while mutating
-        // `st.buf`/`st.events`; steps are small (SgLists of a few ranges).
-        let step = st.sched.steps[st.pc].clone();
-        match step {
-            Step::Send { to, tag, src } => {
-                let payload = src.gather_from(&st.buf);
-                st.events.push(RecordedEvent::Send {
-                    to,
-                    tag,
-                    bytes: payload.len(),
-                    digest: fnv1a(&payload),
-                });
-                chans.entry((r, to, tag)).or_default().push_back(payload);
-            }
-            Step::Recv { from, tag, dst } => {
-                let Some(payload) = chans.entry((from, r, tag)).or_default().pop_front() else {
-                    return Ok(progressed);
-                };
-                st.events.push(RecordedEvent::Recv {
-                    from,
-                    tag,
-                    bytes: payload.len(),
-                    digest: Some(fnv1a(&payload)),
-                });
-                dst.scatter_to(&mut st.buf, &payload);
-            }
-            Step::SendRecv {
-                to,
-                send_tag,
-                src,
-                from,
-                recv_tag,
-                dst,
-            } => {
-                if !st.sent_half {
-                    let payload = src.gather_from(&st.buf);
-                    st.events.push(RecordedEvent::Send {
-                        to,
-                        tag: send_tag,
-                        bytes: payload.len(),
-                        digest: fnv1a(&payload),
-                    });
-                    chans
-                        .entry((r, to, send_tag))
-                        .or_default()
-                        .push_back(payload);
-                    st.sent_half = true;
-                    progressed = true;
-                }
-                let Some(payload) = chans.entry((from, r, recv_tag)).or_default().pop_front()
-                else {
-                    return Ok(progressed);
-                };
-                st.events.push(RecordedEvent::Recv {
-                    from,
-                    tag: recv_tag,
-                    bytes: payload.len(),
-                    digest: Some(fnv1a(&payload)),
-                });
-                dst.scatter_to(&mut st.buf, &payload);
-                st.sent_half = false;
-            }
-            Step::Compute { kind, src, dst } => match kind {
-                ComputeKind::Copy => {
-                    let bytes = src.gather_from(&st.buf);
-                    dst.scatter_to(&mut st.buf, &bytes);
-                }
-                ComputeKind::Reduce { dtype, op } => {
-                    let src_bytes = src.gather_from(&st.buf);
-                    let mut dst_bytes = dst.gather_from(&st.buf);
-                    reduce_into(dtype, op, &mut dst_bytes, &src_bytes)
-                        .map_err(|e| ReplayError::Eval(e.to_string()))?;
-                    dst.scatter_to(&mut st.buf, &dst_bytes);
-                    st.events.push(RecordedEvent::Compute { bytes: dst.len() });
-                }
-            },
-            Step::RoundMark { label, round } => {
-                st.events.push(RecordedEvent::Mark {
-                    label: label.to_string(),
-                    round,
-                });
-            }
-        }
-        st.pc += 1;
-        progressed = true;
-    }
-    Ok(progressed)
+        EvalError::Deadlock { blocked } => ReplayError::Stuck { blocked },
+        EvalError::SizeMismatch { .. } | EvalError::Compute(_) => ReplayError::Eval(e.to_string()),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{run_ranks, Comm, RecordComm, ThreadComm};
-    use exacoll_core::registry::{execute, Algorithm, CollectiveOp};
+    use exacoll_comm::{run_ranks, Comm, RecordComm, RecordedEvent, ThreadComm};
+    use exacoll_core::registry::{Algorithm, CollectiveOp};
+    use exacoll_core::schedule::{compile, execute_compiled};
 
     fn inputs(p: usize, n: usize) -> Vec<Vec<u8>> {
         (0..p)
@@ -268,7 +72,10 @@ mod tests {
 
     /// The evaluator must reproduce, event for event and digest for digest,
     /// what a live recorded run logs — that equivalence is the entire basis
-    /// of replay. Cross-check a representative spread of algorithms.
+    /// of replay. Cross-check a representative spread of algorithms, each as
+    /// lowered and as rewritten by pipeline + aggregate: 12 B messages chunk
+    /// into 4 + 4 + 4 and re-fuse into 8 + 4, so both passes leave a mark
+    /// wherever a message is larger than a chunk.
     #[test]
     fn matches_live_recorded_runs() {
         let cases = [
@@ -279,42 +86,63 @@ mod tests {
                 CollectiveOp::Allreduce,
                 Algorithm::RecursiveMultiplying { k: 2 },
             ),
+            (
+                CollectiveOp::Allreduce,
+                Algorithm::RecursiveMultiplying { k: 3 },
+            ),
             (CollectiveOp::Allreduce, Algorithm::KRing { k: 2 }),
+            (CollectiveOp::ReduceScatter, Algorithm::Ring),
             (CollectiveOp::Reduce, Algorithm::KnomialTree { k: 2 }),
             (CollectiveOp::Alltoall, Algorithm::GeneralizedBruck { r: 2 }),
             (CollectiveOp::Alltoall, Algorithm::Pairwise),
+            (CollectiveOp::Alltoall, Algorithm::Linear),
             (CollectiveOp::Barrier, Algorithm::Dissemination { k: 2 }),
         ];
         let (p, n) = (6, 12);
+        let rewritten = OptSpec {
+            pipeline: true,
+            aggregate: true,
+        };
+        let mut rewrites_that_bit = 0;
         for (op, alg) in cases {
-            let args = CollArgs::new(op, alg);
-            let ins = inputs(p, n);
-            let expected = evaluate(&args, p, n, &ins).unwrap();
-            let live: Vec<(Vec<RecordedEvent>, Vec<u8>)> = run_ranks(p, |c: &mut ThreadComm| {
-                let input = ins[c.rank()].clone();
-                let mut rc = RecordComm::new(&mut *c);
-                let out = execute(&mut rc, &args, &input)?;
-                Ok((rc.finish(), out))
-            });
-            for (r, (events, out)) in live.iter().enumerate() {
-                assert_eq!(
-                    &expected.events[r], events,
-                    "{op} {alg:?} rank {r}: event streams differ"
-                );
-                assert_eq!(
-                    &expected.outputs[r], out,
-                    "{op} {alg:?} rank {r}: outputs differ"
-                );
+            for (opt, chunk, fuse) in [(OptSpec::NONE, 1, 1), (rewritten, 4, 8)] {
+                let args = CollArgs::new(op, alg);
+                let ins = inputs(p, n);
+                let expected = evaluate(&args, p, n, &opt, chunk, fuse, &ins).unwrap();
+                let stock: Vec<Schedule> = (0..p).map(|r| lower(&args, p, r, n)).collect();
+                let plans = apply_opt_spec(&stock, &opt, chunk, fuse).unwrap();
+                rewrites_that_bit += usize::from(plans != stock);
+                let live: Vec<(Vec<RecordedEvent>, Vec<u8>)> =
+                    run_ranks(p, |c: &mut ThreadComm| {
+                        let r = c.rank();
+                        let mut rc = RecordComm::new(&mut *c);
+                        let out = execute_compiled(&mut rc, &compile(&plans[r]), &ins[r])?;
+                        Ok((rc.finish(), out))
+                    });
+                for (r, (events, out)) in live.iter().enumerate() {
+                    assert_eq!(
+                        &expected.events[r], events,
+                        "{op} {alg:?} {opt:?} rank {r}: event streams differ"
+                    );
+                    assert_eq!(
+                        &expected.outputs[r], out,
+                        "{op} {alg:?} {opt:?} rank {r}: outputs differ"
+                    );
+                }
             }
         }
+        assert!(
+            rewrites_that_bit >= 7,
+            "only {rewrites_that_bit} rewritten plan sets differ from stock"
+        );
     }
 
     #[test]
     fn evaluation_is_deterministic() {
         let args = CollArgs::new(CollectiveOp::Allreduce, Algorithm::KRing { k: 3 });
         let ins = inputs(6, 24);
-        let a = evaluate(&args, 6, 24, &ins).unwrap();
-        let b = evaluate(&args, 6, 24, &ins).unwrap();
+        let a = evaluate(&args, 6, 24, &OptSpec::NONE, 1, 1, &ins).unwrap();
+        let b = evaluate(&args, 6, 24, &OptSpec::NONE, 1, 1, &ins).unwrap();
         assert_eq!(a, b);
     }
 
@@ -322,7 +150,7 @@ mod tests {
     fn unsupported_combinations_are_rejected() {
         let args = CollArgs::new(CollectiveOp::Alltoall, Algorithm::Ring);
         assert!(matches!(
-            evaluate(&args, 4, 8, &inputs(4, 8)),
+            evaluate(&args, 4, 8, &OptSpec::NONE, 1, 1, &inputs(4, 8)),
             Err(ReplayError::Unsupported(_))
         ));
     }

@@ -6,10 +6,12 @@
 //! re-executed — on a different machine, with no network and no threads —
 //! against the lowered [`Schedule`](exacoll_core::schedule::Schedule) IR.
 //!
-//! Replay is a *pure function*: [`evaluate::evaluate`] interprets every
-//! rank's schedule in one deterministic single-threaded pass over the
-//! artifact's recorded inputs, deriving the exact per-rank event sequence
-//! and payload digests a fault-free execution produces. [`replay::replay`]
+//! Replay is a *pure function*: [`evaluate::evaluate`] re-lowers the
+//! recorded run's plans and runs them through the core world evaluator —
+//! one deterministic single-threaded pass over the artifact's recorded
+//! inputs, on the same compiled step streams the live engine executes —
+//! deriving the exact per-rank event sequence and payload digests a
+//! fault-free execution produces. [`replay::replay`]
 //! then compares the recorded logs element by element and reports each
 //! [`replay::Divergence`] as a (rank, step) pair with expected-vs-observed
 //! digests and a one-line explanation. Replaying the same artifact twice
@@ -28,7 +30,7 @@ pub mod record;
 pub mod replay;
 
 pub use artifact::{Artifact, RankLog, RankStatus};
-pub use evaluate::{evaluate, evaluate_opt, Evaluated};
+pub use evaluate::evaluate;
 pub use record::{payload, record_thread_run, record_thread_run_opt, RecordOptions};
 pub use replay::{replay, Divergence, ReplayReport};
 
@@ -72,7 +74,7 @@ pub enum ReplayError {
     /// The artifact's (collective, algorithm, p) combination is not
     /// supported by the registry, so no schedule exists to replay against.
     Unsupported(String),
-    /// The dataflow evaluator wedged: some rank's schedule blocks on a
+    /// The world evaluator deadlocked: some rank's schedule blocks on a
     /// message no other rank's schedule ever sends. This indicates a
     /// lowering bug, not a bad artifact.
     Stuck {

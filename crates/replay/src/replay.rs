@@ -9,7 +9,7 @@
 //! renders byte-identical reports.
 
 use crate::artifact::{hex_digest, Artifact, RankStatus};
-use crate::evaluate::evaluate_opt;
+use crate::evaluate::evaluate;
 use crate::ReplayError;
 use exacoll_comm::{fnv1a, RecordedEvent};
 
@@ -85,14 +85,16 @@ impl ReplayReport {
 ///
 /// # Errors
 ///
-/// Any [`ReplayError`] from re-lowering or evaluating; integrity errors
-/// (gaps, truncation) were already rejected at parse time.
+/// Any [`ReplayError`] from re-lowering or evaluating — including
+/// [`ReplayError::Header`] when a rank's recorded input is shorter than the
+/// plan consumes; integrity errors (gaps, truncation) were already rejected
+/// at parse time.
 pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
     let p = artifact.p;
     let inputs: Vec<Vec<u8>> = artifact.ranks.iter().map(|l| l.input.clone()).collect();
     // Re-apply the artifact's optimizer passes so the expected event stream
     // comes from the plan that actually ran.
-    let expected = evaluate_opt(
+    let expected = evaluate(
         &artifact.args,
         p,
         artifact.n,

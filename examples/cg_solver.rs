@@ -13,17 +13,26 @@
 //! cargo run --release --example cg_solver
 //! ```
 
-use exacoll::collectives::allreduce::allreduce_recmult;
+use exacoll::collectives::{execute, Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::{buffer, run_ranks, Comm, CommResult, DType, ReduceOp, ThreadComm};
 
 const RANKS: usize = 8;
 const LOCAL_N: usize = 64; // unknowns per rank
 const RADIX: usize = 4; // recursive-multiplying radix
 
-/// Global dot product via recursive-multiplying allreduce.
+/// Global dot product via recursive-multiplying allreduce. Every
+/// iteration asks for the same shape, so after the first call the plan
+/// comes out of the cache already compiled.
 fn dot<C: Comm>(c: &mut C, a: &[f64], b: &[f64]) -> CommResult<f64> {
     let local: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let out = allreduce_recmult(c, RADIX, &local.to_le_bytes(), DType::F64, ReduceOp::Sum)?;
+    let args = CollArgs {
+        op: CollectiveOp::Allreduce,
+        alg: Algorithm::RecursiveMultiplying { k: RADIX },
+        root: 0,
+        dtype: DType::F64,
+        rop: ReduceOp::Sum,
+    };
+    let out = execute(c, &args, &local.to_le_bytes())?;
     Ok(buffer::bytes_f64(&out)[0])
 }
 

@@ -65,10 +65,10 @@ fn every_candidate_agrees_on_both_backends() {
 #[test]
 fn pre_lowered_schedules_execute_over_real_sockets() {
     // The schedule IR is transport-agnostic: plans lowered once, ahead of
-    // time, must run unmodified through the generic engine on the TCP
-    // runtime and still match the sequential reference.
+    // time, must compile and run unmodified on the TCP runtime and still
+    // match the sequential reference.
     use exacoll::collectives::registry::lower;
-    use exacoll::collectives::schedule::engine::execute_schedule;
+    use exacoll::collectives::schedule::{compile, execute_compiled};
     use exacoll::collectives::Algorithm;
 
     let p = 4;
@@ -89,7 +89,7 @@ fn pre_lowered_schedules_execute_over_real_sockets() {
         let n = inputs[0].len();
         let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
         let out = run_socket_ranks(p, |c| {
-            execute_schedule(c, &plans[c.rank()], &inputs[c.rank()])
+            execute_compiled(c, &compile(&plans[c.rank()]), &inputs[c.rank()])
         });
         for r in 0..p {
             assert_eq!(
@@ -104,10 +104,10 @@ fn pre_lowered_schedules_execute_over_real_sockets() {
 fn pipelined_plans_execute_over_real_sockets() {
     // Optimizer-rewritten plans are as transport-agnostic as stock ones:
     // chunk the big ring blocks well below the payload size, run the
-    // rewritten plans through the generic engine on the TCP runtime, and
-    // the outputs must still match the sequential reference byte for byte.
+    // rewritten plans through the engine on the TCP runtime, and the
+    // outputs must still match the sequential reference byte for byte.
     use exacoll::collectives::registry::lower;
-    use exacoll::collectives::schedule::engine::execute_schedule;
+    use exacoll::collectives::schedule::{compile, execute_compiled};
     use exacoll::collectives::spec::OptSpec;
     use exacoll::collectives::Algorithm;
     use exacoll::opt::apply_opt_spec;
@@ -130,7 +130,7 @@ fn pipelined_plans_execute_over_real_sockets() {
         let piped = apply_opt_spec(&plans, &OptSpec::PIPELINE, chunk, 1).expect("pipelining runs");
         assert_ne!(piped, plans, "{op} {alg}: chunking must bite at {chunk} B");
         let out = run_socket_ranks(p, |c| {
-            execute_schedule(c, &piped[c.rank()], &inputs[c.rank()])
+            execute_compiled(c, &compile(&piped[c.rank()]), &inputs[c.rank()])
         });
         for r in 0..p {
             assert_eq!(

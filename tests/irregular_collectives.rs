@@ -9,6 +9,7 @@
 use exacoll::collectives::reference::{expected_outputs, expected_outputs_v};
 use exacoll::collectives::registry::{execute_v, lower, lower_v, supports_v, unique_candidates_v};
 use exacoll::collectives::schedule::verify::verify;
+use exacoll::collectives::schedule::{compile, execute_compiled};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::{run_ranks, Comm};
 use exacoll::net::run_socket_ranks;
@@ -95,9 +96,7 @@ proptest! {
         verify(&plans).expect("generalized allreduce verifies");
         let got = run_ranks(p, |c| {
             let plan = lower(&args, p, c.rank(), n);
-            exacoll::collectives::schedule::engine::execute_schedule(
-                c, &plan, &inputs[c.rank()],
-            )
+            execute_compiled(c, &compile(&plan), &inputs[c.rank()])
         });
         for r in 0..p {
             prop_assert_eq!(&got[r], &expect[r], "genmult:{} p={} n={} rank {}", k, p, n, r);
@@ -151,7 +150,7 @@ fn generalized_allreduce_matches_reference_on_sockets() {
             .expect("reference computes");
         let got = run_socket_ranks(p, |c| {
             let plan = lower(&args, p, c.rank(), n);
-            exacoll::collectives::schedule::engine::execute_schedule(c, &plan, &inputs[c.rank()])
+            execute_compiled(c, &compile(&plan), &inputs[c.rank()])
         });
         for r in 0..p {
             assert_eq!(got[r], expect[r], "genmult:{k} p={p} rank {r} over sockets");

@@ -7,8 +7,9 @@
 
 use exacoll::collectives::reference::{expected_outputs, expected_outputs_v};
 use exacoll::collectives::registry::{lower, lower_v};
+use exacoll::collectives::schedule::eval::evaluate_recorded;
 use exacoll::collectives::schedule::verify::{verify, verify_tenants, TenantPlans, VerifyError};
-use exacoll::collectives::schedule::{engine::execute_schedule, Schedule};
+use exacoll::collectives::schedule::{compile, execute_compiled, Schedule};
 use exacoll::collectives::{merge_tenants, run_tenants, Algorithm, CollArgs, CollectiveOp, Tenant};
 use exacoll::comm::{run_ranks, Comm, RecordComm, RecordedEvent};
 use exacoll::net::run_socket_ranks;
@@ -293,8 +294,8 @@ proptest! {
 
 /// A multi-tenant execution records cleanly and deterministically: two
 /// recordings of the same merged plan produce identical event logs, and
-/// the pure dataflow evaluator "replays" the merged plans to the same
-/// bytes the live run produced.
+/// the world evaluator "replays" the merged plans to the same events and
+/// the same bytes the live run produced.
 #[test]
 fn tenant_runs_record_and_replay_cleanly() {
     let p = 4;
@@ -321,7 +322,7 @@ fn tenant_runs_record_and_replay_cleanly() {
         run_ranks(p, |c| {
             let r = c.rank();
             let mut rc = RecordComm::new(&mut *c);
-            let out = execute_schedule(&mut rc, &merged[r], &cat[r])?;
+            let out = execute_compiled(&mut rc, &compile(&merged[r]), &cat[r])?;
             Ok((out, rc.finish()))
         })
     };
@@ -335,11 +336,16 @@ fn tenant_runs_record_and_replay_cleanly() {
         );
     }
 
-    // Replay through the pure evaluator: no communicator, same bytes.
-    let replayed = exacoll::opt::evaluate(&merged, &cat).expect("merged plans evaluate");
-    for r in 0..p {
+    // Replay through the world evaluator: no communicator, same event log
+    // (posting order, payload digests) and same bytes.
+    let replayed = evaluate_recorded(&merged, &cat).expect("merged plans evaluate");
+    for (r, (out, events)) in first.iter().enumerate() {
         assert_eq!(
-            replayed[r], first[r].0,
+            &replayed.events[r], events,
+            "rank {r} evaluated events diverged from the RecordComm log"
+        );
+        assert_eq!(
+            &replayed.outputs[r], out,
             "rank {r} replay diverged from live run"
         );
     }

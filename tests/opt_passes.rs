@@ -5,7 +5,7 @@
 
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, lower};
-use exacoll::collectives::schedule::engine::execute_schedule;
+use exacoll::collectives::schedule::{compile, execute_compiled};
 use exacoll::collectives::spec::OptSpec;
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::{run_ranks, Comm};
@@ -59,7 +59,7 @@ proptest! {
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
         let out = run_ranks(p, |c| {
-            execute_schedule(c, &rewritten[c.rank()], &inputs[c.rank()])
+            execute_compiled(c, &compile(&rewritten[c.rank()]), &inputs[c.rank()])
         });
         for r in 0..p {
             prop_assert_eq!(
@@ -104,7 +104,7 @@ fn full_pass_pipeline_survives_the_manager_gate_and_runs() {
     let expect =
         expected_outputs(op, args.root, args.dtype, args.rop, &inputs).expect("reference computes");
     let out = run_ranks(p, |c| {
-        execute_schedule(c, &report.schedules[c.rank()], &inputs[c.rank()])
+        execute_compiled(c, &compile(&report.schedules[c.rank()]), &inputs[c.rank()])
     });
     for r in 0..p {
         assert_eq!(out[r], expect[r], "optimized run diverged at rank {r}");

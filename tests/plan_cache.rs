@@ -1,6 +1,6 @@
 //! Integration tests for the compiled-plan cache hot path: plans served
 //! from the process-wide [`PlanCache`] must be indistinguishable — byte for
-//! byte — from freshly lowered, freshly interpreted plans across the whole
+//! byte — from freshly lowered, freshly compiled plans across the whole
 //! registry grid, and the cache itself must stay coherent under concurrent
 //! readers racing an inserting writer (mirroring the selection service's
 //! reader/writer stress).
@@ -8,7 +8,6 @@
 use exacoll::collectives::plan_cache::{PlanCache, PlanKey};
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, lower};
-use exacoll::collectives::schedule::engine::execute_schedule;
 use exacoll::collectives::schedule::{compile, execute_compiled, Executor};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::{run_ranks, Comm};
@@ -39,11 +38,12 @@ fn input_len(op: CollectiveOp, p: usize, n: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// For a random grid configuration, the cached compiled plan and a
-    /// freshly lowered interpreted plan execute byte-identically on the
-    /// threaded runtime — and both match the sequential reference. The
+    /// For a random grid configuration, the cached compiled plan and an
+    /// uncached `compile` of a fresh lowering execute byte-identically on
+    /// the threaded runtime — and both match the sequential reference. The
     /// second part of the property runs the *same* cache entries again, so
-    /// every case also exercises a genuine hit.
+    /// every case also exercises a genuine hit, and checks the resident
+    /// plan is the plan an uncached `compile` produces.
     #[test]
     fn cached_plans_match_fresh_lowerings(
         (op, alg, p) in arb_config(),
@@ -56,8 +56,8 @@ proptest! {
             .expect("reference computes");
 
         let fresh = run_ranks(p, |c| {
-            let plan = lower(&args, p, c.rank(), len);
-            execute_schedule(c, &plan, &inputs[c.rank()])
+            let plan = compile(&lower(&args, p, c.rank(), len));
+            execute_compiled(c, &plan, &inputs[c.rank()])
         });
         let cached = run_ranks(p, |c| {
             let plan = PlanCache::global().get_or_insert_with(
@@ -70,6 +70,7 @@ proptest! {
         let hit = run_ranks(p, |c| {
             let key = PlanKey::plain(&args, p, c.rank(), len);
             let plan = PlanCache::global().get(&key).expect("resident after round one");
+            assert_eq!(*plan, compile(&lower(&args, p, c.rank(), len)));
             Executor::new().run(c, &plan, &inputs[c.rank()])
         });
         for r in 0..p {

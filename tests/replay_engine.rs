@@ -143,6 +143,27 @@ fn truncated_event_list_is_rejected_not_clean() {
     }
 }
 
+/// A hostile artifact whose header promises more input than a rank's log
+/// holds (`"n": 512`, `"input": ""`) parses — every field is well-formed —
+/// but must come back from `replay` as a typed error, never as a panic in
+/// the evaluator or as a clean verdict.
+#[test]
+fn short_rank_input_is_a_header_error_not_a_panic() {
+    let coll = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+    let mut artifact = record_thread_run(&coll, 4, 16, 3);
+    artifact.n = 512;
+    artifact.ranks[0].input.clear();
+    let text = artifact.to_json();
+    assert!(text.contains("\"n\": 512") && text.contains("\"input\": \"\""));
+    let parsed = Artifact::from_json(&text).expect("well-formed fields still parse");
+    match replay(&parsed) {
+        Err(ReplayError::Header(why)) => {
+            assert!(why.contains("rank 0"), "names the offending rank: {why}")
+        }
+        other => panic!("expected a Header error, got {other:?}"),
+    }
+}
+
 #[test]
 fn corrupt_json_is_rejected_with_a_parse_error() {
     assert!(matches!(
