@@ -617,11 +617,23 @@ mod tests {
             .events
             .iter()
             .all(|e| matches!(e, exacoll_comm::RecordedEvent::Mark { .. })));
+        // The victim's own divergence is where its log ends. Who the
+        // headline names is a race: a survivor that sees the abort before
+        // posting anything stops at the same step and wins the (step, rank)
+        // tie, so only "nobody diverged before the victim" is asserted.
         let report = exacoll_replay::replay(&artifact).unwrap();
-        let h = report.headline().unwrap();
-        assert_eq!(h.rank, 1, "the victim is the first divergent rank");
-        assert_eq!(h.step, artifact.ranks[1].events.len());
-        assert!(h.explanation.contains("rank aborted"), "{h:?}");
+        let victim = report
+            .divergences
+            .iter()
+            .find(|d| d.rank == 1)
+            .expect("the victim diverges");
+        assert_eq!(victim.step, artifact.ranks[1].events.len());
+        assert!(victim.explanation.contains("rank aborted"), "{victim:?}");
+        assert!(
+            report.divergences.iter().all(|d| d.step >= victim.step),
+            "no rank may diverge before the victim: {}",
+            report.render()
+        );
     }
 
     #[test]

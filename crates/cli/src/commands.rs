@@ -955,17 +955,14 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
                         let expect =
                             expected_outputs_v(op, cargs.dtype, cargs.rop, counts, &inputs)
                                 .map_err(|e| e.to_string());
-                        match (evaluate(&plans, &inputs), expect) {
-                            (Ok(out), Ok(expect)) if out == expect => {}
-                            (Ok(_), Ok(_)) => failures
-                                .push(format!("{label} / {alg}: outputs differ from v-reference")),
-                            (Err(e), _) => {
-                                failures.push(format!("{label} / {alg}: evaluation: {e}"))
-                            }
-                            (_, Err(e)) => {
-                                failures.push(format!("{label} / {alg}: v-reference: {e}"))
-                            }
-                        }
+                        check_outputs(
+                            &mut failures,
+                            &format!("{label} / {alg}"),
+                            "v-reference",
+                            &plans,
+                            &inputs,
+                            expect,
+                        );
                     }
                     Err(e) => failures.push(format!("{label} / {alg}: {e}")),
                 }
@@ -995,14 +992,14 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
                 let expect =
                     expected_outputs(cargs.op, cargs.root, cargs.dtype, cargs.rop, &inputs)
                         .map_err(|e| e.to_string());
-                match (evaluate(&plans, &inputs), expect) {
-                    (Ok(out), Ok(expect)) if out == expect => {}
-                    (Ok(_), Ok(_)) => {
-                        failures.push(format!("{label} / {alg}: outputs differ from reference"))
-                    }
-                    (Err(e), _) => failures.push(format!("{label} / {alg}: evaluation: {e}")),
-                    (_, Err(e)) => failures.push(format!("{label} / {alg}: reference: {e}")),
-                }
+                check_outputs(
+                    &mut failures,
+                    &format!("{label} / {alg}"),
+                    "reference",
+                    &plans,
+                    &inputs,
+                    expect,
+                );
             }
             Err(e) => failures.push(format!("{label} / {alg}: {e}")),
         }
@@ -1059,11 +1056,15 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
         checked += 1;
     }
 
+    let (paper, paper_checked) = verify_paper_shapes(&mut failures);
+
     t.print();
+    paper.print();
     if !failures.is_empty() {
         return Err(format!(
-            "{}/{checked} configuration(s) failed verification:\n  {}",
+            "{}/{} configuration(s) failed verification:\n  {}",
             failures.len(),
+            checked + paper_checked,
             failures.join("\n  ")
         ));
     }
@@ -1072,7 +1073,112 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
          {rewrites} optimizer rewrite(s) re-verified byte-identical \
          (including irregular v-plans, generalized allreduce, and tenant tag windows)"
     );
+    println!(
+        "{paper_checked} paper-scale configurations (p = {PAPER_P}) verified at 1 KiB and 1 MiB: \
+         same rounds, beta/gamma scale with n, reference outputs at 1 KiB, priced at 1 MiB"
+    );
     Ok(())
+}
+
+/// Evaluate `plans` on `inputs` and record a failure for `what` unless the
+/// outputs equal `expect`; `reference` names the oracle in the message.
+fn check_outputs(
+    failures: &mut Vec<String>,
+    what: &str,
+    reference: &str,
+    plans: &[exacoll_core::schedule::Schedule],
+    inputs: &[Vec<u8>],
+    expect: Result<Vec<Vec<u8>>, String>,
+) {
+    match (evaluate(plans, inputs), expect) {
+        (Ok(out), Ok(expect)) if out == expect => {}
+        (Ok(_), Ok(_)) => failures.push(format!("{what}: outputs differ from {reference}")),
+        (Err(e), _) => failures.push(format!("{what}: evaluation: {e}")),
+        (_, Err(e)) => failures.push(format!("{what}: {reference}: {e}")),
+    }
+}
+
+/// The paper's evaluation scale (Figs. 8-11): 128 nodes.
+const PAPER_P: usize = 128;
+
+/// The paper's own shapes, pinned independently of `--ranks`: the ten
+/// generalized algorithms of Table I at p = 128, k in {2, 4, 8, 128}. Each
+/// must verify at 1 KiB and at 1 MiB with the same round count and beta/gamma
+/// bytes exactly 1024x apart (verification is size-independent, so the 1 MiB
+/// allgathers' gigabytes of scratch address space cost nothing), evaluate to
+/// the sequential reference at 1 KiB, and price on a 16x8 Frontier at 1 MiB.
+/// Returns the table and the number of configurations checked.
+fn verify_paper_shapes(failures: &mut Vec<String>) -> (Table, usize) {
+    const KIB: usize = 1 << 10;
+    let machine = exacoll_sim::Machine::frontier(16, 8);
+    let mut t = Table::new(
+        format!("paper shapes: p = {PAPER_P}, Table I kernels, 1 KiB -> 1 MiB per rank"),
+        &[
+            "collective",
+            "algorithm",
+            "rounds",
+            "beta (B)",
+            "gamma (B)",
+            "sim @ 1 MiB",
+        ],
+    );
+    // `table_i` rows in order: k-nomial, recursive multiplying, k-ring.
+    let kernels: [fn(usize) -> Algorithm; 3] = [
+        |k| Algorithm::KnomialTree { k },
+        |k| Algorithm::RecursiveMultiplying { k },
+        |k| Algorithm::KRing { k },
+    ];
+    let mut checked = 0;
+    for ((_, _, ops), kernel) in table_i().into_iter().zip(kernels) {
+        for op in ops {
+            for alg in [2, 4, 8, PAPER_P].map(kernel) {
+                if alg.supports(op, PAPER_P).is_err() {
+                    continue;
+                }
+                checked += 1;
+                let what = format!("p={PAPER_P} {op} / {alg}");
+                let cargs = CollArgs::new(op, alg);
+                let lower_at =
+                    |n| -> Vec<_> { (0..PAPER_P).map(|r| lower(&cargs, PAPER_P, r, n)).collect() };
+                let (small, large) = (lower_at(KIB), lower_at(KIB * KIB));
+                let (s, l) = match (verify(&small), verify(&large)) {
+                    (Ok(s), Ok(l)) => (s, l),
+                    (Err(e), _) | (_, Err(e)) => {
+                        failures.push(format!("{what}: {e}"));
+                        continue;
+                    }
+                };
+                if (l.alpha_rounds, l.beta_bytes, l.gamma_bytes)
+                    != (s.alpha_rounds, s.beta_bytes * KIB, s.gamma_bytes * KIB)
+                {
+                    failures.push(format!(
+                        "{what}: term counts do not scale with n: \
+                         {s:?} at 1 KiB, {l:?} at 1 MiB"
+                    ));
+                }
+                let inputs = probe_inputs(&small);
+                let expect = expected_outputs(op, cargs.root, cargs.dtype, cargs.rop, &inputs)
+                    .map_err(|e| e.to_string());
+                check_outputs(failures, &what, "reference", &small, &inputs, expect);
+                let sim = match exacoll_sim::cost(&machine, &large) {
+                    Ok(out) => out.makespan.to_string(),
+                    Err(e) => {
+                        failures.push(format!("{what}: pricing: {e}"));
+                        "-".into()
+                    }
+                };
+                t.row(vec![
+                    op.to_string(),
+                    alg.to_string(),
+                    s.alpha_rounds.to_string(),
+                    format!("{} -> {}", s.beta_bytes, l.beta_bytes),
+                    format!("{} -> {}", s.gamma_bytes, l.gamma_bytes),
+                    sim,
+                ]);
+            }
+        }
+    }
+    (t, checked)
 }
 
 /// List the machine presets.

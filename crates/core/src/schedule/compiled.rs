@@ -19,10 +19,11 @@
 //!
 //! Which requests are outstanding at each step is a pure function of the
 //! straight-line step sequence, so the rule resolves statically and
-//! everything that runs a plan — [`Executor::run`] on a live backend,
-//! [`CompiledSchedule::to_trace`] for the simulator, the world evaluator
-//! ([`super::eval`]) for the optimizer gate and replay — walks the same
-//! `CStep` stream and cannot disagree about where a wait happens.
+//! everything that walks a plan — [`Executor::run`] on a live backend,
+//! [`CompiledSchedule::to_trace`] reading sizes off it for the simulator,
+//! the world evaluator ([`super::eval`]) for the optimizer gate and replay —
+//! walks the same `CStep` stream and cannot disagree about where a wait
+//! happens.
 //!
 //! [`Executor::run`] does no overlap scans, keeps its request and
 //! receive-destination arenas across runs, and never gathers a send payload:
@@ -31,7 +32,7 @@
 use super::{ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{
     reduce_into, Comm, CommError, CommResult, DType, Rank, RankTrace, ReduceOp, Req, SgView, Tag,
-    TraceComm,
+    TraceOp,
 };
 use std::fmt;
 use std::ops::Range;
@@ -139,19 +140,6 @@ impl CompiledSchedule {
     /// The ranges a span denotes, in payload order.
     pub fn ranges_of(&self, span: Span) -> &[Range<usize>] {
         &self.ranges[span.start as usize..(span.start + span.count) as usize]
-    }
-
-    /// Replay the plan on the trace recorder, yielding the rank's
-    /// [`RankTrace`] for discrete-event simulation. This runs the
-    /// [`Executor`] itself over a [`TraceComm`], so the op sequence priced
-    /// is the op sequence a live backend is driven with.
-    pub fn to_trace(&self) -> RankTrace {
-        let mut c = TraceComm::new(self.rank, self.p);
-        let zeros = vec![0u8; self.input_bytes()];
-        Executor::new()
-            .run(&mut c, self, &zeros)
-            .unwrap_or_else(|e| panic!("compiled replay failed on rank {}: {e}", self.rank));
-        c.finish()
     }
 }
 
@@ -483,6 +471,86 @@ impl Executor {
     }
 }
 
+/// The executor's symbolic twin: what [`Executor::run`] would make a
+/// [`TraceComm`](exacoll_comm::TraceComm) record, read off the instruction
+/// stream without running it. It lives beside `run` because the two must
+/// agree step for step; both `match` exhaustively, so a new [`CStep`]
+/// variant stops both from compiling.
+impl CompiledSchedule {
+    /// The rank's [`RankTrace`] for discrete-event simulation. A trace names
+    /// peers and sizes only, so no buffer is allocated and no byte moved: a
+    /// plan prices in O(steps) whatever its message size.
+    ///
+    /// `Send`/`Recv` post the same op with the span's byte total, `Flush`
+    /// waits on every op posted since the last one, `Reduce` charges its
+    /// destination bytes, `Copy` is free. `exacoll-sim`'s
+    /// `schedule_cost_equals_traced_execution_cost` pins this equal to the
+    /// trace [`execute_compiled`] records over a `TraceComm`, rank by rank
+    /// over the registry grid.
+    ///
+    /// # Panics
+    ///
+    /// Naming the rank, when a step addresses a peer outside the
+    /// communicator or a request is never waited on.
+    pub fn to_trace(&self) -> RankTrace {
+        let check_peer = |peer: Rank| {
+            assert!(
+                peer < self.p,
+                "symbolic trace failed on rank {}: peer {peer} out of range for size {}",
+                self.rank,
+                self.p
+            );
+        };
+        let mut ops = Vec::with_capacity(self.steps.len());
+        // Op indices posted since the last flush.
+        let mut posted: Vec<u32> = Vec::new();
+        for step in self.steps() {
+            match step {
+                CStep::Flush => ops.push(TraceOp::WaitAll {
+                    reqs: std::mem::take(&mut posted),
+                }),
+                CStep::Mark { label, round } => ops.push(TraceOp::Mark {
+                    label,
+                    round: *round,
+                }),
+                CStep::Send { to, tag, src } => {
+                    check_peer(*to);
+                    posted.push(ops.len() as u32);
+                    ops.push(TraceOp::Send {
+                        to: *to,
+                        tag: *tag,
+                        bytes: src.bytes() as u64,
+                    });
+                }
+                CStep::Recv { from, tag, dst } => {
+                    check_peer(*from);
+                    posted.push(ops.len() as u32);
+                    ops.push(TraceOp::Recv {
+                        from: *from,
+                        tag: *tag,
+                        bytes: dst.bytes() as u64,
+                    });
+                }
+                CStep::Copy { .. } => {}
+                CStep::Reduce { dst, .. } => ops.push(TraceOp::Compute {
+                    bytes: dst.bytes() as u64,
+                }),
+            }
+        }
+        assert!(
+            posted.is_empty(),
+            "rank {} leaked {} unwaited request(s): ops {posted:?}",
+            self.rank,
+            posted.len()
+        );
+        RankTrace {
+            rank: self.rank,
+            size: self.p,
+            ops,
+        }
+    }
+}
+
 /// One-shot convenience: run an already-compiled plan with a throwaway
 /// [`Executor`].
 pub fn execute_compiled<C: Comm>(
@@ -497,7 +565,7 @@ pub fn execute_compiled<C: Comm>(
 mod tests {
     use super::super::ScheduleBuilder;
     use super::*;
-    use exacoll_comm::{run_ranks, TraceOp};
+    use exacoll_comm::{run_ranks, TraceComm};
 
     /// A two-rank swap written directly in the IR.
     fn swap_schedule(p: usize, rank: usize, n: usize) -> Schedule {

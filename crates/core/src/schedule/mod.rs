@@ -10,16 +10,21 @@
 //! individual sends.
 //!
 //! A plan means what [`compile`] makes of it: the compiled `CStep` stream,
-//! flushes included, is the only thing ever executed. It has two walkers
+//! flushes included, is the only thing ever executed. It has three walkers
 //! and one independent checker:
 //! * [`Executor`] runs it on any `Comm` backend — live threads and sockets,
-//!   and the trace recorder behind [`Schedule::to_trace`] that feeds the
-//!   discrete-event simulator (`exacoll-sim`),
+//!   and the trace recorder,
+//! * [`Schedule::to_trace`] reads the op stream the executor would issue
+//!   straight off the instructions, moving no bytes, for the discrete-event
+//!   simulator (`exacoll-sim`),
 //! * [`eval`] runs a whole world of plans in one thread for the optimizer
 //!   gate, `exacoll verify`, and replay,
 //! * [`verify`] statically checks matching, tags, and data flow against its
 //!   own statement of the flush rule, and [`verify::ScheduleStats`] counts
 //!   the α/β/γ terms the analytical models (`exacoll-models`) predict.
+//!
+//! `verify` and `to_trace` — what a plan gets before it is trusted or
+//! selected — cost O(steps) and are independent of the message size.
 
 pub mod compiled;
 pub mod eval;
@@ -212,8 +217,10 @@ pub struct Schedule {
 
 impl Schedule {
     /// The rank's [`RankTrace`] for discrete-event simulation:
-    /// [`CompiledSchedule::to_trace`] of the compiled plan, i.e. the
-    /// [`Executor`]'s own op sequence — the plan priced is the plan run.
+    /// [`CompiledSchedule::to_trace`] of the compiled plan — a symbolic walk
+    /// of the instructions the [`Executor`] runs, pinned equal to the
+    /// executor's recorded op sequence by `exacoll-sim`'s
+    /// `schedule_cost_equals_traced_execution_cost`.
     pub fn to_trace(&self) -> RankTrace {
         compile(self).to_trace()
     }

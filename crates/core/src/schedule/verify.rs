@@ -23,18 +23,27 @@
 //! # The flush-group model
 //!
 //! The engine posts steps non-blocking and waits at well-defined points
-//! (round marks, computes, forwarding hazards, end of plan — see
-//! [`super::engine`]). Between two waits, a rank's posted sends and receives
-//! form a *flush group*. The verifier reconstructs the same groups with the
-//! same rules and then plays a token game: a rank's group posts as soon as
-//! the previous group completed; sends buffer immediately; a group completes
-//! when all its receives are matched. If the game stalls, the schedule would
-//! deadlock on a real backend.
+//! (round marks, computes, forwarding hazards, end of plan — the flush rule
+//! [`compile`](super::compile) states). Between two waits, a rank's posted
+//! sends and receives form a *flush group*. The verifier reconstructs the
+//! same groups with its own copy of the rule and then plays a token game: a
+//! rank's group posts as soon as the previous group completed; sends buffer
+//! immediately; a group completes when all its receives are matched. If the
+//! game stalls, the schedule would deadlock on a real backend.
+//!
+//! # Cost
+//!
+//! Every check works on ranges and step counts, never on bytes: definedness
+//! is an interval set (`DefSet`), channels are dense indices handed out
+//! while the groups are built. Verifying a plan costs O(steps · log
+//! intervals) whatever its message size, and allocates nothing proportional
+//! to `buf_len`.
 
 use super::{ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{Rank, Tag};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
 /// α/β/γ term counts of a verified schedule set.
 ///
@@ -218,29 +227,83 @@ struct SendMsg {
     avail: usize,
 }
 
+/// A (source, destination, tag) message channel.
+type ChannelKey = (Rank, Rank, Tag);
+
+/// Dense channel indices, handed out on first sight while the flush groups
+/// are built, so the token game indexes `Vec`s instead of searching a map.
+#[derive(Default)]
+struct Channels {
+    ids: BTreeMap<ChannelKey, usize>,
+    /// Per channel, the phase labels of every send it carries.
+    labels: Vec<BTreeSet<&'static str>>,
+}
+
+impl Channels {
+    fn intern(&mut self, key: ChannelKey) -> usize {
+        *self.ids.entry(key).or_insert_with(|| {
+            self.labels.push(BTreeSet::new());
+            self.labels.len() - 1
+        })
+    }
+}
+
 struct SendEv {
-    to: Rank,
-    tag: Tag,
+    chan: usize,
     len: usize,
-    label: &'static str,
 }
 
 struct RecvEv {
+    chan: usize,
     from: Rank,
     tag: Tag,
     len: usize,
+    /// Posting position within the group (the group is kept in channel
+    /// order; a deadlock report names the first stuck receive *posted*).
+    pos: usize,
 }
 
 /// One flush group: everything a rank posts between two engine waits.
 #[derive(Default)]
 struct Group {
     sends: Vec<SendEv>,
+    /// Sorted by channel key, posting order within a channel: the order
+    /// matching consumes them in.
     recvs: Vec<RecvEv>,
 }
 
 impl Group {
     fn is_empty(&self) -> bool {
         self.sends.is_empty() && self.recvs.is_empty()
+    }
+
+    fn post_send(
+        &mut self,
+        channels: &mut Channels,
+        key: ChannelKey,
+        len: usize,
+        label: &'static str,
+    ) {
+        let chan = channels.intern(key);
+        channels.labels[chan].insert(label);
+        self.sends.push(SendEv { chan, len });
+    }
+
+    fn post_recv(&mut self, channels: &mut Channels, key: ChannelKey, len: usize) {
+        self.recvs.push(RecvEv {
+            chan: channels.intern(key),
+            from: key.0,
+            tag: key.2,
+            len,
+            pos: self.recvs.len(),
+        });
+    }
+
+    /// Whether every receive has a buffered send waiting on its channel.
+    fn matchable(&self, queues: &[VecDeque<SendMsg>]) -> bool {
+        self.recvs
+            .chunk_by(|a, b| a.chan == b.chan)
+            .all(|run| queues[run[0].chan].len() >= run.len())
     }
 }
 
@@ -266,25 +329,48 @@ fn check_peer(rank: Rank, peer: Rank, p: usize) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Byte-granular definedness tracking for one rank.
-struct DefSet(Vec<bool>);
+/// Definedness tracking for one rank: the defined scratch bytes as sorted,
+/// pairwise disjoint, coalesced (no two touch) half-open intervals.
+///
+/// Coalescing is what makes both queries one binary search: a fully defined
+/// range lies inside exactly one interval, and a range may be defined iff
+/// the first interval ending after its start begins at or after its end.
+#[derive(Default)]
+struct DefSet(Vec<Range<usize>>);
 
 impl DefSet {
+    /// Index of the first interval ending after byte `at` — the only one
+    /// that can contain `at` or be the next one above it.
+    fn first_ending_after(&self, at: usize) -> usize {
+        self.0.partition_point(|iv| iv.end <= at)
+    }
+
     fn all_defined(&self, sg: &SgList) -> bool {
-        sg.ranges()
-            .iter()
-            .all(|r| self.0[r.clone()].iter().all(|&d| d))
+        sg.ranges().iter().all(|r| {
+            self.0
+                .get(self.first_ending_after(r.start))
+                .is_some_and(|iv| iv.start <= r.start && r.end <= iv.end)
+        })
     }
 
     /// Define every byte of `sg`; returns false if any byte was already
     /// defined (overwrite) or appears twice in the list.
     fn define(&mut self, sg: &SgList) -> bool {
         for r in sg.ranges() {
-            for b in r.clone() {
-                if self.0[b] {
-                    return false;
+            let i = self.first_ending_after(r.start);
+            if self.0.get(i).is_some_and(|iv| iv.start < r.end) {
+                return false;
+            }
+            let joins_below = i > 0 && self.0[i - 1].end == r.start;
+            let joins_above = self.0.get(i).is_some_and(|iv| iv.start == r.end);
+            match (joins_below, joins_above) {
+                (true, true) => {
+                    self.0[i - 1].end = self.0[i].end;
+                    self.0.remove(i);
                 }
-                self.0[b] = true;
+                (true, false) => self.0[i - 1].end = r.end,
+                (false, true) => self.0[i].start = r.start,
+                (false, false) => self.0.insert(i, r.clone()),
             }
         }
         true
@@ -304,6 +390,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
 
     // ---- Stage 1+2: per-rank shape and data-flow checks; group building.
     let mut groups: Vec<Vec<Group>> = Vec::with_capacity(p);
+    let mut channels = Channels::default();
     let mut sent_bytes = vec![0usize; p];
     let mut recv_bytes = vec![0usize; p];
     let mut gamma = vec![0usize; p];
@@ -321,7 +408,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
         check_bounds(rank, "input", &s.input, s.buf_len)?;
         check_bounds(rank, "output", &s.output, s.buf_len)?;
 
-        let mut defined = DefSet(vec![false; s.buf_len]);
+        let mut defined = DefSet::default();
         if !defined.define(&s.input) {
             return Err(VerifyError::Malformed {
                 rank,
@@ -331,11 +418,13 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
 
         let mut rank_groups: Vec<Group> = Vec::new();
         let mut cur = Group::default();
-        let mut pending_dsts: Vec<SgList> = Vec::new();
+        let mut pending_dsts: Vec<&SgList> = Vec::new();
         let mut cur_label: &'static str = "";
 
-        let close = |cur: &mut Group, pending_dsts: &mut Vec<SgList>, out: &mut Vec<Group>| {
+        let close = |cur: &mut Group, pending_dsts: &mut Vec<&SgList>, out: &mut Vec<Group>| {
             if !cur.is_empty() {
+                // Stable, so receives on one channel keep posting order.
+                cur.recvs.sort_by_key(|recv| (recv.from, recv.tag));
                 out.push(std::mem::take(cur));
             }
             pending_dsts.clear();
@@ -395,12 +484,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
                         return Err(dataflow("send reads undefined bytes".into()));
                     }
                     sent_bytes[rank] += src.len();
-                    cur.sends.push(SendEv {
-                        to: *to,
-                        tag: *tag,
-                        len: src.len(),
-                        label: cur_label,
-                    });
+                    cur.post_send(&mut channels, (rank, *to, *tag), src.len(), cur_label);
                 }
                 Step::Recv { from, tag, dst } => {
                     check_peer(rank, *from, p)?;
@@ -409,12 +493,8 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
                         return Err(dataflow("recv overwrites live bytes".into()));
                     }
                     recv_bytes[rank] += dst.len();
-                    pending_dsts.push(dst.clone());
-                    cur.recvs.push(RecvEv {
-                        from: *from,
-                        tag: *tag,
-                        len: dst.len(),
-                    });
+                    pending_dsts.push(dst);
+                    cur.post_recv(&mut channels, (*from, rank, *tag), dst.len());
                 }
                 Step::SendRecv {
                     to,
@@ -439,18 +519,9 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
                     }
                     sent_bytes[rank] += src.len();
                     recv_bytes[rank] += dst.len();
-                    cur.sends.push(SendEv {
-                        to: *to,
-                        tag: *send_tag,
-                        len: src.len(),
-                        label: cur_label,
-                    });
-                    pending_dsts.push(dst.clone());
-                    cur.recvs.push(RecvEv {
-                        from: *from,
-                        tag: *recv_tag,
-                        len: dst.len(),
-                    });
+                    cur.post_send(&mut channels, (rank, *to, *send_tag), src.len(), cur_label);
+                    pending_dsts.push(dst);
+                    cur.post_recv(&mut channels, (*from, rank, *recv_tag), dst.len());
                 }
             }
         }
@@ -467,9 +538,8 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
     }
 
     // ---- Stage 3: symbolic execution of the flush-group token game.
-    type ChannelKey = (Rank, Rank, Tag);
-    let mut channels: BTreeMap<ChannelKey, VecDeque<SendMsg>> = BTreeMap::new();
-    let mut labels: BTreeMap<ChannelKey, BTreeSet<&'static str>> = BTreeMap::new();
+    let mut queues: Vec<VecDeque<SendMsg>> = Vec::new();
+    queues.resize_with(channels.labels.len(), VecDeque::new);
     let mut next = vec![0usize; p];
     let mut posted = vec![false; p];
     let mut depth = vec![0usize; p];
@@ -482,46 +552,32 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
                 let g = &groups[r][next[r]];
                 if !posted[r] {
                     for send in &g.sends {
-                        let key = (r, send.to, send.tag);
-                        channels.entry(key).or_default().push_back(SendMsg {
+                        queues[send.chan].push_back(SendMsg {
                             len: send.len,
                             avail: depth[r],
                         });
-                        labels.entry(key).or_default().insert(send.label);
                     }
                     posted[r] = true;
                     progress = true;
                 }
                 // The group completes when every receive has a matching
                 // send available, consumed in FIFO channel order.
-                let mut need: BTreeMap<ChannelKey, Vec<usize>> = BTreeMap::new();
-                for recv in &g.recvs {
-                    need.entry((recv.from, r, recv.tag))
-                        .or_default()
-                        .push(recv.len);
-                }
-                let satisfiable = need
-                    .iter()
-                    .all(|(key, lens)| channels.get(key).is_some_and(|q| q.len() >= lens.len()));
-                if !satisfiable {
+                if !g.matchable(&queues) {
                     break;
                 }
                 let mut max_avail = None;
-                for (key, lens) in &need {
-                    let q = channels.get_mut(key).expect("checked above");
-                    for &recv_len in lens {
-                        let msg = q.pop_front().expect("checked above");
-                        if msg.len != recv_len {
-                            return Err(VerifyError::SizeMismatch {
-                                from: key.0,
-                                to: key.1,
-                                tag: key.2,
-                                send_len: msg.len,
-                                recv_len,
-                            });
-                        }
-                        max_avail = Some(max_avail.unwrap_or(0).max(msg.avail));
+                for recv in &g.recvs {
+                    let msg = queues[recv.chan].pop_front().expect("checked above");
+                    if msg.len != recv.len {
+                        return Err(VerifyError::SizeMismatch {
+                            from: recv.from,
+                            to: r,
+                            tag: recv.tag,
+                            send_len: msg.len,
+                            recv_len: recv.len,
+                        });
                     }
+                    max_avail = Some(max_avail.unwrap_or(0).max(msg.avail));
                 }
                 if let Some(a) = max_avail {
                     depth[r] = depth[r].max(a + 1);
@@ -533,48 +589,45 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
         }
     }
 
-    if let Some(r) = (0..p).find(|&r| next[r] < groups[r].len()) {
-        let mut lines = Vec::new();
-        for r in (0..p).filter(|&r| next[r] < groups[r].len()) {
-            let g = &groups[r][next[r]];
-            let stuck = g
+    let blocked: Vec<String> = (0..p)
+        .filter(|&r| next[r] < groups[r].len())
+        .map(|r| {
+            let stuck = groups[r][next[r]]
                 .recvs
                 .iter()
-                .find(|recv| {
-                    channels
-                        .get(&(recv.from, r, recv.tag))
-                        .is_none_or(|q| q.is_empty())
-                })
+                .filter(|recv| queues[recv.chan].is_empty())
+                .min_by_key(|recv| recv.pos)
                 .map(|recv| format!("recv from {} tag {:#06x}", recv.from, recv.tag))
                 .unwrap_or_else(|| "a receive".into());
-            lines.push(format!(
-                "rank {r} blocked in flush group {} on {stuck}",
-                next[r]
-            ));
-        }
-        let _ = r;
+            format!("rank {r} blocked in flush group {} on {stuck}", next[r])
+        })
+        .collect();
+    if !blocked.is_empty() {
         return Err(VerifyError::Deadlock {
-            detail: lines.join("; "),
+            detail: blocked.join("; "),
         });
     }
 
-    for (key, q) in &channels {
-        if !q.is_empty() {
+    // Both scans walk the channels in key order, so the first offender
+    // reported does not depend on the order channels were first seen in.
+    for (&(from, to, tag), &chan) in &channels.ids {
+        if !queues[chan].is_empty() {
             return Err(VerifyError::UnmatchedSend {
-                from: key.0,
-                to: key.1,
-                tag: key.2,
-                leftover: q.len(),
+                from,
+                to,
+                tag,
+                leftover: queues[chan].len(),
             });
         }
     }
 
-    for (key, set) in &labels {
+    for (&(from, to, tag), &chan) in &channels.ids {
+        let set = &channels.labels[chan];
         if set.len() >= 2 {
             return Err(VerifyError::TagCollision {
-                from: key.0,
-                to: key.1,
-                tag: key.2,
+                from,
+                to,
+                tag,
                 labels: set.iter().map(|s| s.to_string()).collect(),
             });
         }
@@ -668,6 +721,116 @@ pub fn verify_tenants(tenants: &[TenantPlans<'_>]) -> Result<Vec<ScheduleStats>,
 mod tests {
     use super::*;
     use crate::schedule::ScheduleBuilder;
+    use proptest::prelude::*;
+
+    /// The byte-granular set [`DefSet`] replaced — one flag per scratch
+    /// byte — kept as the oracle the interval set is checked against.
+    struct ByteSet(Vec<bool>);
+
+    impl ByteSet {
+        fn all_defined(&self, sg: &SgList) -> bool {
+            sg.ranges()
+                .iter()
+                .all(|r| self.0[r.clone()].iter().all(|&d| d))
+        }
+
+        fn define(&mut self, sg: &SgList) -> bool {
+            for r in sg.ranges() {
+                for b in r.clone() {
+                    if self.0[b] {
+                        return false;
+                    }
+                    self.0[b] = true;
+                }
+            }
+            true
+        }
+
+        /// The maximal runs of defined bytes.
+        fn runs(&self) -> Vec<Range<usize>> {
+            let mut runs = SgList::empty();
+            for (b, _) in self.0.iter().enumerate().filter(|(_, &d)| d) {
+                runs.push(b..b + 1);
+            }
+            runs.ranges().to_vec()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random lists over a 48-byte scratch — small enough that they
+        /// overlap, touch, repeat a range inside one list, arrive out of
+        /// order and come up empty all the time — drive both sets through
+        /// the same calls; every answer and every resulting state agree.
+        #[test]
+        fn interval_set_agrees_with_the_byte_set_call_by_call(
+            calls in collection::vec(
+                (0usize..3, collection::vec((0usize..48, 0usize..7), 0..4)),
+                1..40,
+            )
+        ) {
+            const LEN: usize = 48;
+            let mut set = DefSet::default();
+            let mut oracle = ByteSet(vec![false; LEN]);
+            for (kind, ranges) in calls {
+                let mut sg = SgList::empty();
+                for (start, len) in ranges {
+                    sg.push(start..(start + len).min(LEN));
+                }
+                if kind == 0 {
+                    prop_assert_eq!(set.all_defined(&sg), oracle.all_defined(&sg), "{:?}", sg);
+                    continue;
+                }
+                // The verifier stops at a refused define, so what a refusal
+                // leaves behind is unspecified: roll both back.
+                let before = (set.0.clone(), oracle.0.clone());
+                let accepted = set.define(&sg);
+                prop_assert_eq!(accepted, oracle.define(&sg), "{:?}", sg);
+                if !accepted {
+                    (set.0, oracle.0) = before;
+                }
+                // Sorted, disjoint and coalesced: exactly the oracle's runs.
+                prop_assert_eq!(&set.0, &oracle.runs(), "after {:?}", sg);
+            }
+        }
+    }
+
+    #[test]
+    fn verification_cost_is_independent_of_scratch_size() {
+        // An exbibyte of scratch address space, four bytes of it in use at
+        // each end: ranges are all the verifier looks at.
+        const TOP: usize = 1 << 60;
+        let plans: Vec<Schedule> = (0..2)
+            .map(|rank| Schedule {
+                p: 2,
+                rank,
+                buf_len: TOP,
+                input: SgList::from(0..4),
+                output: SgList::from(TOP - 4..TOP),
+                steps: vec![Step::SendRecv {
+                    to: rank ^ 1,
+                    send_tag: 7,
+                    src: SgList::from(0..4),
+                    from: rank ^ 1,
+                    recv_tag: 7,
+                    dst: SgList::from(TOP - 4..TOP),
+                }],
+            })
+            .collect();
+        assert_eq!(
+            verify(&plans).unwrap(),
+            ScheduleStats {
+                alpha_rounds: 1,
+                beta_bytes: 4,
+                gamma_bytes: 0
+            }
+        );
+        // Still bounds-checked at that size.
+        let mut bad = plans;
+        bad[0].output = SgList::from(TOP - 4..TOP + 1);
+        assert!(matches!(verify(&bad), Err(VerifyError::Malformed { .. })));
+    }
 
     /// The two-rank swap: one round, one hop.
     fn swap(rank: usize, n: usize) -> Schedule {

@@ -109,20 +109,36 @@ fn inter_node_bytes(t: &[Vec<u64>], sigma: &[usize], topo: &TopoDesc) -> u64 {
 /// cost-reducing swap of two same-class roles (lowest-index pair on ties)
 /// until no swap improves. Signature classes — (input length, output
 /// length) — pin roots in place.
+///
+/// A swap is priced in O(p): exchanging the placements of roles `a` and `b`
+/// changes only the terms pairing one of them with a third role `c` (the
+/// `a`↔`b` term keeps its sides apart or together), so the new cost is the
+/// old one minus what those terms paid plus what they pay with the two
+/// nodes exchanged. Exact integer arithmetic, so the scan picks the swaps a
+/// full recount would.
 fn solve_sigma(t: &[Vec<u64>], classes: &[(usize, usize)], topo: &TopoDesc) -> Vec<usize> {
     let p = classes.len();
+    // Bytes between two roles, both directions.
+    let both = |r: usize, c: usize| t[r][c] + t[c][r];
     let mut sigma: Vec<usize> = (0..p).collect();
     let mut cost = inter_node_bytes(t, &sigma, topo);
     loop {
         let mut best: Option<(u64, usize, usize)> = None;
         for a in 0..p {
             for b in a + 1..p {
-                if classes[a] != classes[b] {
+                let (na, nb) = (topo.node_of(sigma[a]), topo.node_of(sigma[b]));
+                if classes[a] != classes[b] || na == nb {
                     continue;
                 }
-                sigma.swap(a, b);
-                let c = inter_node_bytes(t, &sigma, topo);
-                sigma.swap(a, b);
+                let (mut gone, mut come) = (0, 0);
+                for c in (0..p).filter(|&c| c != a && c != b) {
+                    let nc = topo.node_of(sigma[c]);
+                    let (wa, wb) = (both(a, c), both(b, c));
+                    let (a_cut, b_cut) = (u64::from(na != nc), u64::from(nb != nc));
+                    gone += a_cut * wa + b_cut * wb;
+                    come += b_cut * wa + a_cut * wb;
+                }
+                let c = cost - gone + come;
                 if c < cost && best.is_none_or(|(bc, _, _)| c < bc) {
                     best = Some((c, a, b));
                 }
@@ -132,6 +148,7 @@ fn solve_sigma(t: &[Vec<u64>], classes: &[(usize, usize)], topo: &TopoDesc) -> V
             Some((c, a, b)) => {
                 sigma.swap(a, b);
                 cost = c;
+                debug_assert_eq!(cost, inter_node_bytes(t, &sigma, topo));
             }
             None => return sigma,
         }
@@ -232,6 +249,76 @@ mod tests {
     fn lowered(op: CollectiveOp, alg: Algorithm, p: usize, n: usize) -> Vec<Schedule> {
         let args = CollArgs::new(op, alg);
         (0..p).map(|r| lower(&args, p, r, n)).collect()
+    }
+
+    /// The hill-climb with every candidate swap priced by a full recount:
+    /// the reference `solve_sigma`'s O(p) pricing must reproduce.
+    fn solve_sigma_by_recount(
+        t: &[Vec<u64>],
+        classes: &[(usize, usize)],
+        topo: &TopoDesc,
+    ) -> Vec<usize> {
+        let p = classes.len();
+        let mut sigma: Vec<usize> = (0..p).collect();
+        let mut cost = inter_node_bytes(t, &sigma, topo);
+        loop {
+            let mut best: Option<(u64, usize, usize)> = None;
+            for a in 0..p {
+                for b in a + 1..p {
+                    if classes[a] != classes[b] {
+                        continue;
+                    }
+                    sigma.swap(a, b);
+                    let c = inter_node_bytes(t, &sigma, topo);
+                    sigma.swap(a, b);
+                    if c < cost && best.is_none_or(|(bc, _, _)| c < bc) {
+                        best = Some((c, a, b));
+                    }
+                }
+            }
+            match best {
+                Some((c, a, b)) => {
+                    sigma.swap(a, b);
+                    cost = c;
+                }
+                None => return sigma,
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_swap_pricing_finds_the_same_permutation_as_a_full_recount() {
+        use exacoll_core::registry::candidates;
+        let mut moved = 0;
+        for (p, ppn) in [(4usize, 2usize), (6, 2), (6, 3), (8, 4), (9, 3), (16, 4)] {
+            let topo = TopoDesc {
+                nodes: p / ppn,
+                ppn,
+            };
+            for op in CollectiveOp::ALL {
+                let n = if op == CollectiveOp::Alltoall {
+                    8 * p
+                } else {
+                    24
+                };
+                for alg in candidates(op, p, 4) {
+                    let plans = lowered(op, alg, p, n);
+                    let t = traffic_matrix(&plans);
+                    let classes: Vec<_> = plans
+                        .iter()
+                        .map(|s| (s.input.len(), s.output.len()))
+                        .collect();
+                    let sigma = solve_sigma(&t, &classes, &topo);
+                    assert_eq!(
+                        sigma,
+                        solve_sigma_by_recount(&t, &classes, &topo),
+                        "{op} / {alg} p={p} ppn={ppn}"
+                    );
+                    moved += usize::from(sigma.iter().enumerate().any(|(r, &q)| r != q));
+                }
+            }
+        }
+        assert!(moved > 20, "grid should exercise real swaps, moved {moved}");
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! running it on a live backend first.
 //!
 //! `exacoll_core::registry::lower` produces every rank's communication plan;
-//! [`cost`] replays those plans on the trace recorder (via
-//! [`Schedule::to_trace`], which runs the *real* execution engine over a
-//! `TraceComm`) and feeds the result to the discrete-event simulator. The
-//! op stream being simulated is therefore — by construction — exactly the
-//! op stream a live run would issue, with no data movement and no threads.
+//! [`cost`] reads each plan's op stream off its compiled instructions
+//! ([`Schedule::to_trace`], a symbolic walk: no buffer, no data movement, no
+//! threads, O(steps) whatever the message size) and feeds the result to the
+//! discrete-event simulator. That walk sits beside the executor's own and
+//! the test below pins the two op streams equal over the registry grid, so
+//! what is simulated is what a live run would issue.
 
 use crate::machine::Machine;
 use crate::replay::{simulate, ReplayError, SimOutcome};
@@ -27,8 +28,31 @@ pub fn cost(machine: &Machine, schedules: &[Schedule]) -> Result<SimOutcome, Rep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{record_traces, Comm};
-    use exacoll_core::registry::{lower, Algorithm, CollArgs, CollectiveOp};
+    use exacoll_comm::{record_traces, Comm, RankTrace, TraceComm};
+    use exacoll_core::registry::{
+        candidates, lower, lower_v, unique_candidates_v, Algorithm, CollArgs, CollectiveOp,
+    };
+    use exacoll_core::schedule::{compile, execute_compiled};
+    use exacoll_core::{merge_tenants, Tenant};
+
+    /// What the real executor makes the recorder write for `plan`: the
+    /// reference the symbolic `to_trace` must reproduce op for op.
+    fn executed_trace(plan: &Schedule) -> RankTrace {
+        let plan = compile(plan);
+        let mut c = TraceComm::new(plan.rank, plan.p);
+        execute_compiled(&mut c, &plan, &vec![0; plan.input_bytes()]).unwrap();
+        c.finish()
+    }
+
+    /// Every rank's symbolic trace equals its executed one; returns how many
+    /// rank plans were compared.
+    fn assert_traces_match(world: &[Schedule], what: &dyn std::fmt::Display) -> usize {
+        for plan in world {
+            let (symbolic, executed) = (plan.to_trace(), executed_trace(plan));
+            assert_eq!(symbolic, executed, "{what} rank {}", plan.rank);
+        }
+        world.len()
+    }
 
     #[test]
     fn schedule_cost_equals_traced_execution_cost() {
@@ -53,6 +77,67 @@ mod tests {
             let live = simulate(&machine, &traces).unwrap();
             assert_eq!(direct.makespan, live.makespan, "{alg}");
         }
+
+        // And rank by rank, the op stream `cost` prices is the one the
+        // executor drives a backend with: over the registry grid (empty,
+        // small and 32 KiB payloads; one rank up to sixteen), ragged
+        // v-plans with zero-count ranks, and merged two-tenant plans.
+        let mut compared = 0;
+        for p in [1usize, 2, 4, 6, 8, 9, 16] {
+            for op in CollectiveOp::ALL {
+                for alg in candidates(op, p, 4) {
+                    let args = CollArgs::new(op, alg);
+                    for size in [0usize, 24, 32 << 10] {
+                        let n = match op {
+                            CollectiveOp::Alltoall => size * p,
+                            CollectiveOp::Barrier => 0,
+                            _ => size,
+                        };
+                        let world: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
+                        compared +=
+                            assert_traces_match(&world, &format_args!("{op} / {alg} p={p} n={n}"));
+                    }
+                }
+            }
+            if p < 2 {
+                continue;
+            }
+            let mut holes = vec![24usize; p];
+            holes[p - 1] = 0;
+            holes[p / 2] = 0;
+            let mut head = vec![8usize; p];
+            head[0] = 4096;
+            for counts in [holes, head] {
+                for op in [CollectiveOp::Allgather, CollectiveOp::ReduceScatter] {
+                    for alg in unique_candidates_v(op, 4, &counts) {
+                        let args = CollArgs::new(op, alg);
+                        let world: Vec<_> = (0..p).map(|r| lower_v(&args, r, &counts)).collect();
+                        compared +=
+                            assert_traces_match(&world, &format_args!("{op}v / {alg} {counts:?}"));
+                    }
+                }
+            }
+            let tenant = |id: usize, op, alg| -> Vec<Schedule> {
+                let args = CollArgs::new(op, alg);
+                (0..p)
+                    .map(|r| Tenant::new(id).rewrite(&lower(&args, p, r, 64)))
+                    .collect()
+            };
+            let t0 = tenant(0, CollectiveOp::Allgather, Algorithm::Ring);
+            let t1 = tenant(
+                1,
+                CollectiveOp::Allreduce,
+                Algorithm::RecursiveMultiplying { k: 2 },
+            );
+            let merged: Vec<_> = (0..p)
+                .map(|r| merge_tenants(&[t0[r].clone(), t1[r].clone()]))
+                .collect();
+            compared += assert_traces_match(&merged, &format_args!("2 merged tenants p={p}"));
+        }
+        assert!(
+            compared > 7_000,
+            "grid should be dense, compared {compared}"
+        );
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!    simulating a recorded live run.
 
 use exacoll::collectives::reference::expected_outputs;
-use exacoll::collectives::registry::{candidates, lower, unique_candidates};
+use exacoll::collectives::registry::{candidates, lower, table_i, unique_candidates};
+use exacoll::collectives::schedule::eval::{evaluate, probe_inputs};
 use exacoll::collectives::schedule::verify::verify;
 use exacoll::collectives::schedule::{compile, execute_compiled, Schedule};
-use exacoll::collectives::{CollArgs, CollectiveOp};
-use exacoll::comm::{run_ranks, Comm};
+use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
+use exacoll::comm::{run_ranks, Comm, RankTrace, TraceComm};
 use exacoll::models::{predict_from_stats, NetParams};
 use exacoll::obs::payload;
 
@@ -36,6 +37,15 @@ fn input_len(op: CollectiveOp, p: usize, size: usize) -> usize {
 /// Lower every rank's plan for one case.
 fn lower_all(args: &CollArgs, p: usize, n: usize) -> Vec<Schedule> {
     (0..p).map(|r| lower(args, p, r, n)).collect()
+}
+
+/// The trace the real executor leaves on the recorder — the reference the
+/// symbolic `to_trace` walk must reproduce op for op.
+fn executed_trace(plan: &Schedule) -> RankTrace {
+    let plan = compile(plan);
+    let mut c = TraceComm::new(plan.rank, plan.p);
+    execute_compiled(&mut c, &plan, &vec![0; plan.input_bytes()]).expect("recorder cannot fail");
+    c.finish()
 }
 
 #[test]
@@ -141,4 +151,102 @@ fn direct_ir_costing_agrees_with_live_trace_simulation() {
         let live = simulate(&machine, &traces).expect("trace replays");
         assert_eq!(direct.makespan, live.makespan, "{op} / {alg}");
     }
+}
+
+#[test]
+fn paper_scale_shapes_verify_and_price_independent_of_message_size() {
+    // The paper's headline shapes (Figs. 8-11): the ten generalized
+    // algorithms of Table I on 128 nodes. Verifying and pricing read ranges
+    // and step counts, never bytes, so the 1 MiB allgathers — gigabytes of
+    // scratch address space per rank — cost what the 1 KiB ones do; with a
+    // per-byte verifier this test cannot finish.
+    use exacoll::sim::{cost, Machine};
+    const P: usize = 128;
+    const KIB: usize = 1 << 10;
+    let machine = Machine::frontier(16, 8);
+    // `table_i` rows in order: k-nomial, recursive multiplying, k-ring.
+    let kernels: [fn(usize) -> Algorithm; 3] = [
+        |k| Algorithm::KnomialTree { k },
+        |k| Algorithm::RecursiveMultiplying { k },
+        |k| Algorithm::KRing { k },
+    ];
+    let mut cases = 0;
+    for ((_, _, ops), kernel) in table_i().into_iter().zip(kernels) {
+        for op in ops {
+            for alg in [2, 4, 8, P].map(kernel) {
+                if alg.supports(op, P).is_err() {
+                    continue;
+                }
+                let what = format!("{op} / {alg} p={P}");
+                let args = CollArgs::new(op, alg);
+                let (small, large) = (lower_all(&args, P, KIB), lower_all(&args, P, KIB * KIB));
+                let s = verify(&small).unwrap_or_else(|e| panic!("{what} at 1 KiB: {e}"));
+                let l = verify(&large).unwrap_or_else(|e| panic!("{what} at 1 MiB: {e}"));
+                // 1 KiB splits evenly into 128 blocks, so every term scales
+                // exactly.
+                assert_eq!(l.alpha_rounds, s.alpha_rounds, "{what}");
+                assert_eq!(l.beta_bytes, s.beta_bytes * KIB, "{what}");
+                assert_eq!(l.gamma_bytes, s.gamma_bytes * KIB, "{what}");
+
+                // ceil(log_k 128) rounds for the tree and the exchange.
+                let log_k = |k: usize| (1..).find(|&m| k.pow(m) >= P).unwrap() as usize;
+                match (op, alg) {
+                    (CollectiveOp::Bcast | CollectiveOp::Reduce, Algorithm::KnomialTree { k })
+                    | (CollectiveOp::Allgather, Algorithm::RecursiveMultiplying { k }) => {
+                        assert_eq!(s.alpha_rounds, log_k(k), "{what}");
+                    }
+                    _ => {}
+                }
+
+                let inputs = probe_inputs(&small);
+                let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
+                    .expect("reference computes");
+                assert_eq!(evaluate(&small, &inputs).unwrap(), expect, "{what}");
+                for plan in &small {
+                    assert_eq!(
+                        plan.to_trace(),
+                        executed_trace(plan),
+                        "{what} rank {}",
+                        plan.rank
+                    );
+                }
+                let priced = cost(&machine, &large).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(priced.makespan > exacoll::sim::SimTime::ZERO, "{what}");
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 40, "ten Table I algorithms at four radixes");
+}
+
+#[test]
+fn symbolic_trace_equals_executed_trace_for_optimizer_rewrites() {
+    // The registry grid, ragged v-plans and merged tenants are pinned in
+    // `exacoll-sim` (`schedule_cost_equals_traced_execution_cost`); the
+    // optimizer's rewrites need `exacoll-opt` and are pinned here.
+    use exacoll::opt::{aggregate, pipeline};
+    let mut rewritten = 0;
+    for p in [4usize, 6, 8, 9] {
+        for op in CollectiveOp::ALL {
+            for alg in unique_candidates(op, p, 4) {
+                let n = input_len(op, p, 4096);
+                let plans = lower_all(&CollArgs::new(op, alg), p, n);
+                for world in [
+                    pipeline(&plans, 1024).expect("pipeline applies"),
+                    aggregate(&plans, 4096).expect("aggregate applies"),
+                ] {
+                    rewritten += usize::from(world != plans);
+                    for plan in &world {
+                        assert_eq!(
+                            plan.to_trace(),
+                            executed_trace(plan),
+                            "{op} / {alg} p={p} rank {}",
+                            plan.rank
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(rewritten > 50, "passes should bite, rewrote {rewritten}");
 }
