@@ -341,6 +341,7 @@ mod tests {
                 // completes regardless of backend buffering.
                 let _req = rc.irecv(0, 1, 3)?;
                 let log = rc.finish();
+                c.recv(0, 1, 3)?;
                 Ok(log)
             }
         });

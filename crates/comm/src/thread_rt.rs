@@ -100,6 +100,46 @@ enum ReqState {
     Consumed,
 }
 
+/// The posted requests. A handle is `base + index into slots`; when the last
+/// live request is consumed the slots are dropped and `base` moves past
+/// them, so the table stays as small as the largest batch in flight while
+/// handles are still allocated monotonically and never reused — which
+/// `TimedComm`'s back-patching and `RecordComm`'s pending map rely on.
+#[derive(Default)]
+struct ReqTable {
+    base: usize,
+    slots: Vec<ReqState>,
+    live: usize,
+}
+
+impl ReqTable {
+    fn post(&mut self, state: ReqState) -> Req {
+        self.slots.push(state);
+        self.live += 1;
+        Req(self.base + self.slots.len() - 1)
+    }
+
+    /// Consume a request handle, erroring on stale/unknown handles.
+    fn take(&mut self, req: Req) -> CommResult<ReqState> {
+        let handle = req.0;
+        let state = handle
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get_mut(i))
+            .map(|slot| std::mem::replace(slot, ReqState::Consumed));
+        match state {
+            None | Some(ReqState::Consumed) => Err(CommError::UnknownRequest { handle }),
+            Some(live) => {
+                self.live -= 1;
+                if self.live == 0 {
+                    self.base += self.slots.len();
+                    self.slots.clear();
+                }
+                Ok(live)
+            }
+        }
+    }
+}
+
 /// Construction options for a threaded world.
 #[derive(Debug, Clone, Copy)]
 pub struct WorldOptions {
@@ -153,7 +193,7 @@ impl ThreadWorld {
                 rx,
                 unexpected: Vec::new(),
                 gone: vec![false; p],
-                reqs: Vec::new(),
+                reqs: ReqTable::default(),
                 shared: Arc::clone(&shared),
                 deadline: opts.deadline,
             })
@@ -171,7 +211,7 @@ pub struct ThreadComm {
     unexpected: Vec<(Rank, Tag, Vec<u8>)>,
     /// Peers whose `Gone` notice has been observed.
     gone: Vec<bool>,
-    reqs: Vec<ReqState>,
+    reqs: ReqTable,
     shared: Arc<Shared>,
     deadline: Duration,
 }
@@ -283,18 +323,6 @@ impl ThreadComm {
         }
         Ok(data)
     }
-
-    /// Consume a request handle, erroring on stale/unknown handles.
-    fn take_state(&mut self, req: Req) -> CommResult<ReqState> {
-        let idx = req.0;
-        if idx >= self.reqs.len() {
-            return Err(CommError::UnknownRequest { handle: idx });
-        }
-        match std::mem::replace(&mut self.reqs[idx], ReqState::Consumed) {
-            ReqState::Consumed => Err(CommError::UnknownRequest { handle: idx }),
-            live => Ok(live),
-        }
-    }
 }
 
 impl Comm for ThreadComm {
@@ -315,25 +343,23 @@ impl Comm for ThreadComm {
         self.txs[to]
             .send(Envelope::Msg(self.rank, tag, data))
             .map_err(|_| CommError::PeerGone { peer: to })?;
-        self.reqs.push(ReqState::SendDone);
-        Ok(Req(self.reqs.len() - 1))
+        Ok(self.reqs.post(ReqState::SendDone))
     }
 
     fn irecv(&mut self, from: Rank, tag: Tag, bytes: usize) -> CommResult<Req> {
         self.check_abort()?;
         self.check_rank(from)?;
-        self.reqs.push(ReqState::RecvPosted { from, tag, bytes });
-        Ok(Req(self.reqs.len() - 1))
+        Ok(self.reqs.post(ReqState::RecvPosted { from, tag, bytes }))
     }
 
     fn wait(&mut self, req: Req) -> CommResult<Option<Vec<u8>>> {
-        match self.take_state(req)? {
+        match self.reqs.take(req)? {
             ReqState::SendDone => Ok(None),
             ReqState::RecvPosted { from, tag, bytes } => {
                 let data = self.complete_recv(from, tag, bytes)?;
                 Ok(Some(data))
             }
-            ReqState::Consumed => unreachable!("take_state rejects consumed handles"),
+            ReqState::Consumed => unreachable!("take rejects consumed handles"),
         }
     }
 
@@ -351,12 +377,12 @@ impl Comm for ThreadComm {
         // posting order so same-(from, tag) requests match FIFO.
         let mut pending: Vec<(usize, Rank, Tag, usize)> = Vec::new();
         for (slot, req) in reqs.into_iter().enumerate() {
-            match self.take_state(req)? {
+            match self.reqs.take(req)? {
                 ReqState::SendDone => {}
                 ReqState::RecvPosted { from, tag, bytes } => {
                     pending.push((slot, from, tag, bytes));
                 }
-                ReqState::Consumed => unreachable!("take_state rejects consumed handles"),
+                ReqState::Consumed => unreachable!("take rejects consumed handles"),
             }
         }
         if pending.is_empty() {
@@ -639,6 +665,35 @@ mod tests {
             }
         });
         assert!(matches!(results[0], Err(CommError::UnknownRequest { .. })));
+    }
+
+    #[test]
+    fn request_table_is_reclaimed_but_handles_are_never_reused() {
+        run_ranks(2, |c| {
+            let peer = 1 - c.rank();
+            let sent = c.isend(peer, 0, vec![1])?;
+            let stale = sent.0;
+            let posted = c.irecv(peer, 0, 1)?;
+            // Consuming the last live request empties the table.
+            c.waitall(vec![sent, posted])?;
+            assert_eq!(
+                c.wait(Req(stale)),
+                Err(CommError::UnknownRequest { handle: stale })
+            );
+            for _ in 0..100_000 {
+                c.sendrecv(peer, 1, vec![0u8; 8], peer, 1, 8)?;
+            }
+            // Two requests in flight at most: the table never outgrew the
+            // smallest allocation a `Vec` makes, and the handles kept
+            // counting.
+            assert!(c.reqs.slots.capacity() <= 4, "{}", c.reqs.slots.capacity());
+            assert_eq!(c.irecv(peer, 2, 1)?.0, 2 + 200_000);
+            assert_eq!(
+                c.wait(Req(stale)),
+                Err(CommError::UnknownRequest { handle: stale })
+            );
+            Ok(())
+        });
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! never shows up fails the job with [`CommError::Timeout`] instead of
 //! hanging it.
 
+use crate::poll::{poll, PollFd, POLLIN};
 use crate::wire::{read_frame, write_frame, Frame, KIND_HELLO, KIND_TABLE};
 use exacoll_comm::{CommError, Rank, Tag};
 use std::io;
@@ -206,7 +207,9 @@ pub fn serve_rendezvous(
                 got += 1;
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                // A pending connection makes the listener readable.
+                let left = deadline.saturating_sub(start.elapsed());
+                poll(&mut [PollFd::new(listener, POLLIN)], left)?;
             }
             Err(e) => return Err(e),
         }

@@ -13,18 +13,26 @@
 //! - [`bootstrap`]: rendezvous (rank↔address table exchange) and mesh
 //!   construction, all steps bounded by deadlines with connect retry +
 //!   exponential backoff.
-//! - [`socket_rt`]: the endpoint itself — per-peer reader threads feeding a
-//!   condvar-signalled matching queue, eager sends, out-of-order `waitall`,
-//!   departure/abort propagation — plus an in-process test harness
-//!   ([`run_socket_ranks`]) that drives the identical code path under
-//!   `cargo test`.
+//! - [`socket_rt`]: the endpoint itself — nonblocking sockets driven by
+//!   one `poll(2)` loop on the rank's own thread from inside
+//!   `wait`/`waitall` (and from a send that meets a full socket), a
+//!   matching queue, eager sends, out-of-order `waitall`, departure/abort
+//!   propagation — plus an in-process test harness ([`run_socket_ranks`])
+//!   that drives the identical code path under `cargo test`. The endpoint
+//!   owns no thread, so nothing is received while a rank computes.
 //!
 //! Multi-process execution is orchestrated by the `exacoll launch` CLI
 //! subcommand, which hosts the rendezvous, forks one worker process per
 //! rank, and verifies the collective's result against the sequential
 //! reference.
+//!
+//! `poll(2)` is the crate's one foreign call, which makes it unix-only.
+
+#[cfg(not(unix))]
+compile_error!("exacoll-net drives its sockets through poll(2) and needs a unix target");
 
 pub mod bootstrap;
+mod poll;
 pub mod socket_rt;
 pub mod wire;
 

@@ -1,15 +1,27 @@
 //! The TCP socket runtime: every rank is an OS **process** (or a thread in
 //! the in-process test harness), messages are wire frames over a full mesh
-//! of TCP connections.
+//! of nonblocking TCP connections.
 //!
 //! ## Progress engine
 //!
-//! Each endpoint runs one dedicated **reader thread per peer**. Readers
-//! decode frames off their stream and append messages to a shared matching
-//! queue (arrival order), waking any blocked `wait`/`waitall` through a
-//! condvar. Sends are eager: `isend` writes the frame into the kernel
-//! socket buffer and completes locally — the peer's reader always drains,
-//! so writes cannot deadlock against unposted receives.
+//! The endpoint owns no thread. All progress is made by the rank's own
+//! thread while it is inside a [`Comm`] call: `wait`/`waitall` first read
+//! the sockets of the peers they are waiting for (a frame that has already
+//! arrived costs one `read`), and only when those are empty park in one
+//! `poll(2)` over every peer that has not departed, then drain whatever
+//! became readable into the unexpected queue (arrival order). A
+//! [`FrameDecoder`] per peer turns the byte stream into frames. Nothing is
+//! read while the rank is outside `Comm` calls — there is no asynchronous
+//! progress during a reduction, the usual trade-off of an MPI without a
+//! progress thread.
+//!
+//! Sends are eager: `isend` writes the frame into the kernel socket buffer
+//! and completes locally. When the buffer is full the send does not block in
+//! the kernel: it polls for room on that peer *and* for input from everyone,
+//! queues what arrives and resumes the partial write — so two ranks that
+//! each send more than the buffers hold before either receives still
+//! complete, and a send to a peer that never enters a `Comm` call ends in
+//! [`CommError::Timeout`] at the deadline.
 //!
 //! ## Matching semantics
 //!
@@ -24,35 +36,35 @@
 //! ## Hang-free guarantee
 //!
 //! The same three mechanisms as the threaded runtime, carried over the
-//! wire: departure poison (a `GONE` frame on drop, and reader threads mark
-//! a peer gone on EOF/error, so a dead **process** is observed exactly like
-//! a departed thread), blocking-receive deadlines mapped to
-//! [`CommError::Timeout`], and cooperative abort (`ABORT` frames fan out to
-//! every peer and fail all pending operations with [`CommError::Aborted`]).
+//! wire: departure poison (a `GONE` frame on drop, and EOF or a socket
+//! error mark a peer gone too, so a dead **process** is observed exactly
+//! like a departed thread — in every case after everything it sent before
+//! has been queued), deadlines on every blocking receive and blocked send
+//! mapped to [`CommError::Timeout`], and cooperative abort (`ABORT` frames
+//! fan out to every peer and fail all pending operations with
+//! [`CommError::Aborted`]).
 
 use crate::bootstrap::{
     connect_with_retry_seeded, map_io, parse_table, serve_rendezvous, SocketOptions, TAG_BOOTSTRAP,
     TAG_MESH,
 };
+use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::wire::{
-    read_frame, write_frame, write_frame_parts, Frame, KIND_ABORT, KIND_GONE, KIND_HELLO,
-    KIND_IDENT, KIND_MSG, KIND_TABLE,
+    read_frame, resume_frame_parts, write_frame, Frame, FrameDecoder, KIND_ABORT, KIND_GONE,
+    KIND_HELLO, KIND_IDENT, KIND_MSG, KIND_TABLE, READ_BUF_LEN,
 };
 use exacoll_comm::{Comm, CommError, CommResult, Rank, Req, SgView, Tag};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a blocked receive waits between deadline checks when no frame
-/// arrives (arrivals wake it immediately through the condvar).
+/// How long a blocked receive or send parks in `poll` between deadline
+/// checks when nothing arrives (arrivals end the `poll` immediately).
 const POLL_QUANTUM: Duration = Duration::from_millis(25);
 
-/// State of a posted request. Indices are monotonically allocated and never
-/// reused, which `TimedComm`'s back-patching relies on.
+/// State of a posted request.
 enum ReqState {
     /// Send already completed (eager protocol).
     SendDone,
@@ -62,8 +74,62 @@ enum ReqState {
     Consumed,
 }
 
-/// Shared matching state fed by the reader threads.
-struct InboxState {
+/// The posted requests. A handle is `base + index into slots`; when the last
+/// live request is consumed the slots are dropped and `base` moves past
+/// them, so the table stays as small as the largest batch in flight while
+/// handles are still allocated monotonically and never reused — which
+/// `TimedComm`'s back-patching and `RecordComm`'s pending map rely on.
+#[derive(Default)]
+struct ReqTable {
+    base: usize,
+    slots: Vec<ReqState>,
+    live: usize,
+}
+
+impl ReqTable {
+    fn post(&mut self, state: ReqState) -> Req {
+        self.slots.push(state);
+        self.live += 1;
+        Req::from_index(self.base + self.slots.len() - 1)
+    }
+
+    /// Consume a request handle, erroring on stale/unknown handles.
+    fn take(&mut self, req: Req) -> CommResult<ReqState> {
+        let handle = req.index();
+        let state = handle
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get_mut(i))
+            .map(|slot| std::mem::replace(slot, ReqState::Consumed));
+        match state {
+            None | Some(ReqState::Consumed) => Err(CommError::UnknownRequest { handle }),
+            Some(live) => {
+                self.live -= 1;
+                if self.live == 0 {
+                    self.base += self.slots.len();
+                    self.slots.clear();
+                }
+                Ok(live)
+            }
+        }
+    }
+}
+
+/// The connection to one peer.
+struct Peer {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+}
+
+/// One rank's endpoint of a TCP socket world.
+pub struct SocketComm {
+    rank: Rank,
+    size: usize,
+    /// The mesh, `None` at `self.rank`. Every stream is nonblocking.
+    peers: Vec<Option<Peer>>,
+    /// One `poll` slot per rank, watching for input; switched off at
+    /// `self.rank` and for every peer that is gone — an fd at EOF is
+    /// readable forever and would turn every wait into a spin.
+    pollfds: Vec<PollFd>,
     /// MPI-style unexpected-message queue, in arrival order.
     unexpected: VecDeque<(Rank, Tag, Vec<u8>)>,
     /// Peers whose departure (GONE frame, EOF, or socket error) has been
@@ -71,42 +137,11 @@ struct InboxState {
     gone: Vec<bool>,
     /// First abort origin observed, if any.
     abort_origin: Option<Rank>,
-}
-
-impl InboxState {
-    /// Take the first queued message matching `(from, tag)`.
-    fn match_take(&mut self, from: Rank, tag: Tag) -> Option<Vec<u8>> {
-        let pos = self
-            .unexpected
-            .iter()
-            .position(|(s, t, _)| *s == from && *t == tag)?;
-        self.unexpected.remove(pos).map(|(_, _, data)| data)
-    }
-}
-
-struct Inbox {
-    state: Mutex<InboxState>,
-    cv: Condvar,
-}
-
-impl Inbox {
-    /// Lock the matching state. A poisoned mutex (a panicking reader) must
-    /// not wedge the endpoint, so the poison is swallowed.
-    fn lock(&self) -> MutexGuard<'_, InboxState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// One rank's endpoint of a TCP socket world.
-pub struct SocketComm {
-    rank: Rank,
-    size: usize,
-    /// Write halves of the mesh, `None` at `self.rank`.
-    writers: Vec<Option<TcpStream>>,
-    inbox: Arc<Inbox>,
-    reqs: Vec<ReqState>,
+    reqs: ReqTable,
     deadline: Duration,
-    readers: Vec<JoinHandle<()>>,
+    /// How many times this endpoint parked in `poll`.
+    #[cfg(test)]
+    polls: usize,
 }
 
 impl SocketComm {
@@ -137,40 +172,34 @@ impl SocketComm {
         }
         accept_higher(rank, size, &listener, &mut streams, opts.deadline)?;
 
-        // Split each stream: the clone feeds a reader thread, the original
-        // stays with the endpoint for writes. Clones share the underlying
-        // socket, so `shutdown` on drop unblocks the reader too.
-        let inbox = Arc::new(Inbox {
-            state: Mutex::new(InboxState {
-                unexpected: VecDeque::new(),
-                gone: vec![false; size],
-                abort_origin: None,
-            }),
-            cv: Condvar::new(),
-        });
-        let mut readers = Vec::new();
-        for (peer, slot) in streams.iter().enumerate() {
-            if let Some(stream) = slot {
-                let rd = stream
-                    .try_clone()
+        // Bootstrap spoke blocking I/O; from here on nothing may block in
+        // the kernel except `poll`.
+        let mut pollfds = vec![PollFd::off(); size];
+        let mut peers: Vec<Option<Peer>> = Vec::with_capacity(size);
+        for (peer, stream) in streams.into_iter().enumerate() {
+            if let Some(stream) = &stream {
+                stream
+                    .set_nonblocking(true)
                     .map_err(|e| map_io(rank, peer, TAG_MESH, &e))?;
-                let inbox = Arc::clone(&inbox);
-                readers.push(
-                    std::thread::Builder::new()
-                        .name(format!("exacoll-net-r{rank}p{peer}"))
-                        .spawn(move || reader_loop(peer, rd, inbox))
-                        .expect("spawn reader thread"),
-                );
+                pollfds[peer] = PollFd::new(stream, POLLIN);
             }
+            peers.push(stream.map(|stream| Peer {
+                stream,
+                decoder: FrameDecoder::new(),
+            }));
         }
         Ok(SocketComm {
             rank,
             size,
-            writers: streams,
-            inbox,
-            reqs: Vec::new(),
+            peers,
+            pollfds,
+            unexpected: VecDeque::new(),
+            gone: vec![false; size],
+            abort_origin: None,
+            reqs: ReqTable::default(),
             deadline: opts.deadline,
-            readers,
+            #[cfg(test)]
+            polls: 0,
         })
     }
 
@@ -182,19 +211,17 @@ impl SocketComm {
     /// Raise the world-wide abort flag, attributing it to `origin`: fails
     /// local pending operations and fans ABORT frames out to every peer.
     pub fn abort(&mut self, origin: Rank) {
-        {
-            let mut st = self.inbox.lock();
-            st.abort_origin.get_or_insert(origin);
-        }
-        self.inbox.cv.notify_all();
-        let frame = Frame {
-            kind: KIND_ABORT,
-            src: origin as u32,
-            tag: 0,
-            payload: Vec::new(),
-        };
-        for w in self.writers.iter_mut().flatten() {
-            let _ = write_frame(w, &frame);
+        self.abort_origin.get_or_insert(origin);
+        self.notify_peers(&[Frame::control(KIND_ABORT, origin)]);
+    }
+
+    /// Write control `frames` to every peer, best effort: a peer whose
+    /// socket is full has stopped reading and is not waited for.
+    fn notify_peers(&mut self, frames: &[Frame]) {
+        for peer in self.peers.iter_mut().flatten() {
+            for frame in frames {
+                let _ = write_frame(&mut peer.stream, frame);
+            }
         }
     }
 
@@ -209,23 +236,158 @@ impl SocketComm {
     }
 
     fn check_abort(&self) -> CommResult<()> {
-        match self.inbox.lock().abort_origin {
+        match self.abort_origin {
             Some(origin) => Err(CommError::Aborted { origin }),
             None => Ok(()),
         }
     }
 
-    /// Consume a request handle, erroring on stale/unknown handles.
-    fn take_state(&mut self, req: Req) -> CommResult<ReqState> {
-        let idx = req.index();
-        if idx >= self.reqs.len() {
-            return Err(CommError::UnknownRequest { handle: idx });
+    /// Take the first queued message matching `(from, tag)`.
+    fn match_take(&mut self, from: Rank, tag: Tag) -> Option<Vec<u8>> {
+        let pos = self
+            .unexpected
+            .iter()
+            .position(|(s, t, _)| *s == from && *t == tag)?;
+        self.unexpected.remove(pos).map(|(_, _, data)| data)
+    }
+
+    /// Read `peer`'s socket, feeding the matching queue, until it has
+    /// nothing more or this call has queued a read buffer's worth of
+    /// payload: what the rank has not asked for yet stays in the kernel,
+    /// where it counts against the sender's window, instead of piling up in
+    /// the unexpected queue (level-triggered `poll` reports it again).
+    /// GONE, an unrecognized kind (the stream is corrupt), EOF or a socket
+    /// error all mean the peer is done — a crashed process looks exactly
+    /// like a clean exit — and by then everything it sent before has been
+    /// queued.
+    fn drain(&mut self, peer: Rank) {
+        if self.gone[peer] {
+            return;
         }
-        match std::mem::replace(&mut self.reqs[idx], ReqState::Consumed) {
-            ReqState::Consumed => Err(CommError::UnknownRequest { handle: idx }),
-            live => Ok(live),
+        let Some(conn) = self.peers[peer].as_mut() else {
+            return;
+        };
+        let mut queued = 0usize;
+        'read: loop {
+            // A short read emptied the socket: level-triggered `poll`
+            // reports whatever races in after it.
+            let drained = match conn.decoder.fill(&mut conn.stream) {
+                Ok(drained) => drained,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            };
+            loop {
+                match conn.decoder.next_frame() {
+                    Ok(Some(frame)) => match frame.kind {
+                        KIND_MSG => {
+                            queued += frame.payload.len();
+                            let msg = (frame.src as Rank, frame.tag, frame.payload);
+                            self.unexpected.push_back(msg);
+                        }
+                        KIND_ABORT => {
+                            self.abort_origin.get_or_insert(frame.src as Rank);
+                        }
+                        _ => break 'read,
+                    },
+                    Ok(None) if drained || queued >= READ_BUF_LEN => return,
+                    Ok(None) => continue 'read,
+                    Err(_) => break 'read,
+                }
+            }
+        }
+        self.mark_gone(peer);
+    }
+
+    /// Record `peer`'s departure and take it out of the poll set.
+    fn mark_gone(&mut self, peer: Rank) {
+        self.gone[peer] = true;
+        self.pollfds[peer] = PollFd::off();
+    }
+
+    /// Park until some live peer's socket is readable — or `writable`'s has
+    /// room again — or `timeout` passes, then drain every readable socket.
+    fn progress(&mut self, timeout: Duration, writable: Option<Rank>) {
+        #[cfg(test)]
+        {
+            self.polls += 1;
+        }
+        if let Some(to) = writable {
+            self.pollfds[to].events |= POLLOUT;
+        }
+        let ready = poll(&mut self.pollfds, timeout);
+        if let Some(to) = writable {
+            self.pollfds[to].events &= !POLLOUT;
+        }
+        if !matches!(ready, Ok(n) if n > 0) {
+            return;
+        }
+        for peer in 0..self.size {
+            // Anything but "room to write" is input, EOF or an error, and
+            // reading is how each of them is told apart.
+            if self.pollfds[peer].revents & !POLLOUT != 0 {
+                self.drain(peer);
+            }
         }
     }
+
+    /// The wait quantum left before the deadline, or `None` once it passed.
+    fn time_left(&self, start: Instant) -> Option<Duration> {
+        remaining(self.deadline, start).map(|left| left.min(POLL_QUANTUM))
+    }
+
+    /// Write one frame to `to`, eagerly: return once the kernel holds all of
+    /// it. A full socket buffer is waited out in [`Self::progress`], which
+    /// keeps receiving meanwhile, bounded by the deadline.
+    fn send_frame(&mut self, to: Rank, tag: Tag, segments: &[&[u8]]) -> CommResult<()> {
+        if self.gone[to] {
+            return Err(CommError::PeerGone { peer: to });
+        }
+        let src = self.rank as u32;
+        let mut written = 0usize;
+        let mut blocked_since = None;
+        let failure = loop {
+            let conn = self.peers[to].as_mut().expect("mesh stream for peer");
+            match resume_frame_parts(&mut conn.stream, KIND_MSG, src, tag, segments, &mut written) {
+                Ok(()) => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(_) => break CommError::PeerGone { peer: to },
+            }
+            let start = *blocked_since.get_or_insert_with(Instant::now);
+            let Some(wait) = self.time_left(start) else {
+                break CommError::Timeout {
+                    rank: self.rank,
+                    from: to,
+                    tag,
+                    bytes: segments.iter().map(|s| s.len()).sum(),
+                };
+            };
+            self.progress(wait, Some(to));
+            if let Some(origin) = self.abort_origin {
+                break CommError::Aborted { origin };
+            }
+            if self.gone[to] {
+                break CommError::PeerGone { peer: to };
+            }
+        };
+        if written > 0 {
+            // The stream ends inside a frame: whatever followed would be
+            // read as the rest of this payload. Close it, so the peer sees
+            // this rank depart mid-frame and no later send can corrupt it.
+            self.mark_gone(to);
+            if let Some(conn) = &self.peers[to] {
+                let _ = conn.stream.shutdown(Shutdown::Both);
+            }
+        }
+        Err(failure)
+    }
+}
+
+/// What is left of `deadline` since `start`, or `None` once it has passed.
+fn remaining(deadline: Duration, start: Instant) -> Option<Duration> {
+    deadline
+        .checked_sub(start.elapsed())
+        .filter(|left| !left.is_zero())
 }
 
 /// Rendezvous phase of [`SocketComm::join`].
@@ -274,14 +436,14 @@ fn accept_higher(
         .map_err(|e| map_io(rank, rank, TAG_MESH, &e))?;
     let start = Instant::now();
     while got < expected {
-        if start.elapsed() >= deadline {
+        let Some(left) = remaining(deadline, start) else {
             return Err(CommError::Timeout {
                 rank,
                 from: rank,
                 tag: TAG_MESH,
                 bytes: 0,
             });
-        }
+        };
         match listener.accept() {
             Ok((mut s, _)) => {
                 let _ = s.set_nodelay(true);
@@ -298,7 +460,9 @@ fn accept_higher(
                 got += 1;
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                // A pending connection makes the listener readable.
+                poll(&mut [PollFd::new(listener, POLLIN)], left)
+                    .map_err(|e| map_io(rank, rank, TAG_MESH, &e))?;
             }
             Err(e) => return Err(map_io(rank, rank, TAG_MESH, &e)),
         }
@@ -306,65 +470,30 @@ fn accept_higher(
     Ok(())
 }
 
-/// One peer's progress thread: decode frames, feed the matching queue,
-/// wake waiters. Exits on GONE, EOF, or socket error (all of which mark
-/// the peer departed — a crashed process looks exactly like a clean exit).
-fn reader_loop(peer: Rank, mut stream: TcpStream, inbox: Arc<Inbox>) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok(frame) => {
-                let mut st = inbox.lock();
-                match frame.kind {
-                    KIND_MSG => {
-                        st.unexpected
-                            .push_back((frame.src as Rank, frame.tag, frame.payload));
-                    }
-                    KIND_ABORT => {
-                        st.abort_origin.get_or_insert(frame.src as Rank);
-                    }
-                    // GONE — or any unrecognized kind, which means the
-                    // stream is corrupt: either way the peer is done.
-                    _ => {
-                        st.gone[peer] = true;
-                        drop(st);
-                        inbox.cv.notify_all();
-                        return;
-                    }
-                }
-                drop(st);
-                inbox.cv.notify_all();
-            }
-            Err(_) => {
-                inbox.lock().gone[peer] = true;
-                inbox.cv.notify_all();
-                return;
-            }
-        }
-    }
-}
-
 impl Drop for SocketComm {
     fn drop(&mut self) {
         // Departure poison: announce GONE, then shut the sockets down. The
         // GONE frame precedes FIN on the wire, so peers drain every earlier
-        // message first (per-sender FIFO). Shutdown also unblocks our own
-        // reader threads so the joins below cannot hang.
+        // message first (per-sender FIFO). Nothing here waits: a control
+        // frame that does not fit a full socket is skipped, and the FIN that
+        // follows the queued data marks this rank gone just the same.
         //
         // An observed abort is relayed ahead of GONE: without the relay, a
         // rank two hops from the origin can see its neighbor's departure
         // before the origin's ABORT frame and misreport `PeerGone`. The
         // relay makes abort attribution flood-fill through the departure
-        // cascade on the same FIFO streams.
-        let abort = self.inbox.lock().abort_origin;
-        for w in self.writers.iter_mut().flatten() {
-            if let Some(origin) = abort {
-                let _ = write_frame(w, &Frame::control(KIND_ABORT, origin));
-            }
-            let _ = write_frame(w, &Frame::control(KIND_GONE, self.rank));
-            let _ = w.shutdown(Shutdown::Both);
+        // cascade on the same FIFO streams. An ABORT that reached the
+        // sockets while this rank was outside `Comm` calls counts as
+        // observed, hence the last look.
+        self.progress(Duration::ZERO, None);
+        let mut frames = Vec::with_capacity(2);
+        if let Some(origin) = self.abort_origin {
+            frames.push(Frame::control(KIND_ABORT, origin));
         }
-        for h in self.readers.drain(..) {
-            let _ = h.join();
+        frames.push(Frame::control(KIND_GONE, self.rank));
+        self.notify_peers(&frames);
+        for peer in self.peers.iter().flatten() {
+            let _ = peer.stream.shutdown(Shutdown::Both);
         }
     }
 }
@@ -383,20 +512,11 @@ impl Comm for SocketComm {
         self.check_rank(to)?;
         if to == self.rank {
             // Collectives never send to self, but keep the semantics total.
-            let mut st = self.inbox.lock();
-            st.unexpected.push_back((self.rank, tag, data));
-            drop(st);
-            self.inbox.cv.notify_all();
+            self.unexpected.push_back((self.rank, tag, data));
         } else {
-            if self.inbox.lock().gone[to] {
-                return Err(CommError::PeerGone { peer: to });
-            }
-            let frame = Frame::msg(self.rank, tag, data);
-            let w = self.writers[to].as_mut().expect("mesh stream for peer");
-            write_frame(w, &frame).map_err(|_| CommError::PeerGone { peer: to })?;
+            self.send_frame(to, tag, &[&data])?;
         }
-        self.reqs.push(ReqState::SendDone);
-        Ok(Req::from_index(self.reqs.len() - 1))
+        Ok(self.reqs.post(ReqState::SendDone))
     }
 
     /// Zero-copy scatter-gather send: the borrowed segments go to the
@@ -410,28 +530,18 @@ impl Comm for SocketComm {
         if to == self.rank {
             // Self-sends land in the local queue; gathering is the move
             // into the mailbox, same as the owned-payload path.
-            let mut st = self.inbox.lock();
-            st.unexpected.push_back((self.rank, tag, view.to_vec()));
-            drop(st);
-            self.inbox.cv.notify_all();
+            self.unexpected.push_back((self.rank, tag, view.to_vec()));
         } else {
-            if self.inbox.lock().gone[to] {
-                return Err(CommError::PeerGone { peer: to });
-            }
             let segments: Vec<&[u8]> = view.segments().collect();
-            let w = self.writers[to].as_mut().expect("mesh stream for peer");
-            write_frame_parts(w, KIND_MSG, self.rank as u32, tag, &segments)
-                .map_err(|_| CommError::PeerGone { peer: to })?;
+            self.send_frame(to, tag, &segments)?;
         }
-        self.reqs.push(ReqState::SendDone);
-        Ok(Req::from_index(self.reqs.len() - 1))
+        Ok(self.reqs.post(ReqState::SendDone))
     }
 
     fn irecv(&mut self, from: Rank, tag: Tag, bytes: usize) -> CommResult<Req> {
         self.check_abort()?;
         self.check_rank(from)?;
-        self.reqs.push(ReqState::RecvPosted { from, tag, bytes });
-        Ok(Req::from_index(self.reqs.len() - 1))
+        Ok(self.reqs.post(ReqState::RecvPosted { from, tag, bytes }))
     }
 
     fn wait(&mut self, req: Req) -> CommResult<Option<Vec<u8>>> {
@@ -450,29 +560,30 @@ impl Comm for SocketComm {
         // posting order so same-(from, tag) requests match FIFO.
         let mut pending: Vec<(usize, Rank, Tag, usize)> = Vec::new();
         for (slot, req) in reqs.into_iter().enumerate() {
-            match self.take_state(req)? {
+            match self.reqs.take(req)? {
                 ReqState::SendDone => {}
                 ReqState::RecvPosted { from, tag, bytes } => {
                     pending.push((slot, from, tag, bytes));
                 }
-                ReqState::Consumed => unreachable!("take_state rejects consumed handles"),
+                ReqState::Consumed => unreachable!("take rejects consumed handles"),
             }
         }
         if pending.is_empty() {
             return Ok(out);
         }
         let start = Instant::now();
-        let inbox = Arc::clone(&self.inbox);
-        let mut st = inbox.lock();
+        // Whether the sockets of the pending senders were read since the
+        // queue last failed to match: what has already arrived is taken
+        // with one `read` each, and `poll` is only paid for when that came
+        // up empty.
+        let mut looked = false;
         loop {
-            if let Some(origin) = st.abort_origin {
-                return Err(CommError::Aborted { origin });
-            }
+            self.check_abort()?;
             let mut progressed = false;
             let mut i = 0;
             while i < pending.len() {
                 let (slot, from, tag, posted) = pending[i];
-                match st.match_take(from, tag) {
+                match self.match_take(from, tag) {
                     Some(data) => {
                         if data.len() > posted {
                             return Err(CommError::Truncation {
@@ -496,16 +607,23 @@ impl Comm for SocketComm {
             if progressed {
                 continue;
             }
+            if !looked {
+                for &(_, from, _, _) in &pending {
+                    self.drain(from);
+                }
+                looked = true;
+                continue;
+            }
             // No queued match for anything pending: a departed sender can
             // never satisfy its receive now (per-sender FIFO: everything it
-            // sent was drained before its GONE/EOF was observed).
-            for &(_, from, _, _) in &pending {
-                if st.gone[from] {
-                    return Err(CommError::PeerGone { peer: from });
-                }
+            // sent was queued before its GONE/EOF was observed). An ABORT
+            // that already waits in some other socket outranks the departure.
+            if let Some(&(_, from, _, _)) = pending.iter().find(|p| self.gone[p.1]) {
+                self.progress(Duration::ZERO, None);
+                self.check_abort()?;
+                return Err(CommError::PeerGone { peer: from });
             }
-            let elapsed = start.elapsed();
-            if elapsed >= self.deadline {
+            let Some(wait) = self.time_left(start) else {
                 let (_, from, tag, bytes) = pending[0];
                 return Err(CommError::Timeout {
                     rank: self.rank,
@@ -513,16 +631,8 @@ impl Comm for SocketComm {
                     tag,
                     bytes,
                 });
-            }
-            let wait = (self.deadline - elapsed).min(POLL_QUANTUM);
-            st = inbox
-                .cv
-                .wait_timeout(st, wait)
-                .unwrap_or_else(|e| {
-                    let (guard, timeout) = e.into_inner();
-                    (guard, timeout)
-                })
-                .0;
+            };
+            self.progress(wait, None);
         }
     }
 
@@ -788,6 +898,179 @@ mod tests {
         assert_eq!(out[1], vec![42]);
     }
 
+    /// A message far larger than the kernel's socket buffers, so a sender
+    /// cannot finish it unless the receiver reads.
+    const HUGE: usize = 64 << 20;
+
+    fn pattern(from: Rank, to: Rank, n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|i| (i % 251) as u8 ^ (from * 16 + to) as u8)
+            .collect()
+    }
+
+    /// Every rank sends `n` bytes to every other rank *before* it posts a
+    /// receive. Nobody reads while it sends unless a blocked send makes
+    /// progress on the receive side itself.
+    fn exchange_before_receiving(p: usize, n: usize) {
+        let out = run_socket_ranks(p, |c| {
+            let me = c.rank();
+            let others: Vec<Rank> = (0..p).filter(|&r| r != me).collect();
+            let mut reqs = Vec::new();
+            for &to in &others {
+                reqs.push(c.isend(to, 4, pattern(me, to, n))?);
+            }
+            for &from in &others {
+                reqs.push(c.irecv(from, 4, n)?);
+            }
+            let got = c.waitall(reqs)?;
+            for (&from, msg) in others.iter().zip(got.into_iter().flatten()) {
+                assert!(msg == pattern(from, me, n), "rank {me}: bytes from {from}");
+            }
+            Ok(())
+        });
+        assert_eq!(out.len(), p);
+    }
+
+    #[test]
+    fn two_ranks_sending_8_mib_before_receiving_complete() {
+        exchange_before_receiving(2, 8 << 20);
+    }
+
+    #[test]
+    fn all_to_all_of_4_mib_sent_before_receiving_completes() {
+        exchange_before_receiving(4, 4 << 20);
+    }
+
+    #[test]
+    fn send_to_a_peer_outside_comm_calls_times_out() {
+        let start = Instant::now();
+        let results = try_run_socket_ranks_with(2, Duration::from_millis(300), |c| {
+            if c.rank() == 0 {
+                c.send(1, 6, vec![0u8; HUGE])
+            } else {
+                // Alive, but computing: outlive rank 0's deadline so it
+                // times out rather than observing a departure.
+                std::thread::sleep(Duration::from_millis(900));
+                Ok(())
+            }
+        });
+        assert_eq!(
+            results[0],
+            Err(CommError::Timeout {
+                rank: 0,
+                from: 1,
+                tag: 6,
+                bytes: HUGE,
+            })
+        );
+        assert!(results[1].is_ok());
+        assert!(start.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn abort_unblocks_a_blocked_send() {
+        let start = Instant::now();
+        let results = try_run_socket_ranks(3, |c| match c.rank() {
+            0 => c.send(1, 6, vec![0u8; HUGE]),
+            1 => {
+                std::thread::sleep(Duration::from_millis(600));
+                Ok(())
+            }
+            _ => {
+                std::thread::sleep(Duration::from_millis(100));
+                c.abort(2);
+                Ok(())
+            }
+        });
+        assert_eq!(results[0], Err(CommError::Aborted { origin: 2 }));
+        assert!(start.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn departing_receiver_unblocks_a_blocked_send() {
+        let start = Instant::now();
+        let results = try_run_socket_ranks(2, |c| {
+            if c.rank() == 0 {
+                c.send(1, 6, vec![0u8; HUGE])
+            } else {
+                std::thread::sleep(Duration::from_millis(100));
+                Ok(())
+            }
+        });
+        assert_eq!(results[0], Err(CommError::PeerGone { peer: 1 }));
+        assert!(start.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn large_message_before_departure_still_delivered() {
+        // Longer than the decoder's read buffer, once small enough to sit
+        // in the kernel with GONE and FIN behind it before the receiver
+        // first looks, once so large that the sender departs mid-drain.
+        for n in [48 << 10, 1 << 20] {
+            let out = run_socket_ranks(2, |c| {
+                if c.rank() == 0 {
+                    c.send(1, 0, pattern(0, 1, n))?;
+                    Ok(vec![])
+                } else {
+                    std::thread::sleep(Duration::from_millis(50));
+                    c.recv(0, 0, n)
+                }
+            });
+            assert!(out[1] == pattern(0, 1, n), "{n} B");
+        }
+    }
+
+    #[test]
+    fn payloads_not_asked_for_yet_stay_in_the_kernel() {
+        // Eight messages, each longer than the read buffer, are on their
+        // way before the receiver's first call. Every `recv` reads the one
+        // it returns and leaves the rest to the socket buffers.
+        let n = 64 << 10;
+        run_socket_ranks(2, |c| {
+            if c.rank() == 0 {
+                for i in 0..8u8 {
+                    c.send(1, 2, vec![i; n])?;
+                }
+                c.recv(1, 3, 1)?;
+            } else {
+                std::thread::sleep(Duration::from_millis(50));
+                for i in 0..8u8 {
+                    assert!(c.recv(0, 2, n)? == vec![i; n], "message {i}");
+                    assert!(c.unexpected.is_empty(), "read ahead of message {i}");
+                }
+                c.send(0, 3, vec![0])?;
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn departed_peer_leaves_the_poll_set() {
+        // Rank 0 leaves at once; rank 1 stays but never sends. Rank 0's
+        // socket is at EOF — readable forever — so unless it is dropped
+        // from the poll set, rank 2's wait for rank 1 spins instead of
+        // sleeping through its quanta.
+        let results = try_run_socket_ranks_with(3, Duration::from_millis(300), |c| {
+            match c.rank() {
+                0 => {}
+                1 => std::thread::sleep(Duration::from_millis(900)),
+                _ => return Ok((c.recv(1, 5, 8), c.polls)),
+            }
+            Ok((Ok(vec![]), 0))
+        });
+        let (res, polls) = results[2].clone().expect("rank 2 reports");
+        assert_eq!(
+            res,
+            Err(CommError::Timeout {
+                rank: 2,
+                from: 1,
+                tag: 5,
+                bytes: 8,
+            })
+        );
+        assert!(polls < 100, "wait loop ran {polls} times in 300 ms");
+    }
+
     #[test]
     fn abort_unblocks_all_ranks() {
         let start = Instant::now();
@@ -833,6 +1116,35 @@ mod tests {
             }
         });
         assert!(matches!(results[0], Err(CommError::UnknownRequest { .. })));
+    }
+
+    #[test]
+    fn request_table_is_reclaimed_but_handles_are_never_reused() {
+        run_socket_ranks(2, |c| {
+            let peer = 1 - c.rank();
+            let sent = c.isend(peer, 0, vec![1])?;
+            let stale = sent.index();
+            let posted = c.irecv(peer, 0, 1)?;
+            // Consuming the last live request empties the table.
+            c.waitall(vec![sent, posted])?;
+            assert_eq!(
+                c.wait(Req::from_index(stale)),
+                Err(CommError::UnknownRequest { handle: stale })
+            );
+            for _ in 0..100_000 {
+                c.sendrecv(peer, 1, vec![0u8; 8], peer, 1, 8)?;
+            }
+            // Two requests in flight at most: the table never outgrew the
+            // smallest allocation a `Vec` makes, and the handles kept
+            // counting.
+            assert!(c.reqs.slots.capacity() <= 4, "{}", c.reqs.slots.capacity());
+            assert_eq!(c.irecv(peer, 2, 1)?.index(), 2 + 200_000);
+            assert_eq!(
+                c.wait(Req::from_index(stale)),
+                Err(CommError::UnknownRequest { handle: stale })
+            );
+            Ok(())
+        });
     }
 
     #[test]

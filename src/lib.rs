@@ -21,7 +21,7 @@
 //!   model-vs-measured residual analysis.
 //! * [`net`] — the distributed TCP backend: multi-process `SocketComm`
 //!   runtime with a length-prefixed wire protocol, rendezvous bootstrap,
-//!   and a per-peer progress engine.
+//!   and a single-threaded `poll(2)` progress engine.
 //! * [`replay`] — deterministic record/replay: self-contained artifacts of
 //!   per-rank event logs, a schedule-IR dataflow evaluator, and step-level
 //!   divergence detection.

@@ -324,6 +324,46 @@ fn fault_drops_on_real_sockets_fail_cleanly() {
 }
 
 #[test]
+fn killed_rank_on_real_sockets_fails_every_survivor() {
+    // No abort handle over sockets: the victim's error return drops its
+    // endpoint, and GONE has to reach every survivor through the poll loop
+    // — directly for its ring successor, as a cascade of departures for the
+    // rest — long before anyone's deadline.
+    let p = 4;
+    let deadline = Duration::from_secs(20);
+    let args = CollArgs::new(
+        CollectiveOp::Allreduce,
+        exacoll::collectives::Algorithm::Ring,
+    );
+    let inputs = grid_inputs(CollectiveOp::Allreduce, p, 64);
+    let start = std::time::Instant::now();
+    let results = try_run_socket_ranks_with(p, deadline, |c| {
+        // Ops 0..4 are the first two of the ring's six send/receive steps.
+        let plan = FaultPlan::none(3).kills(1, 4);
+        let mut fc = FaultComm::new(&mut *c, plan);
+        let input = inputs[fc.rank()].clone();
+        execute(&mut fc, &args, &input)
+    });
+    assert_eq!(results[1], Err(CommError::Aborted { origin: 1 }));
+    for (r, res) in results.iter().enumerate() {
+        assert!(
+            matches!(
+                res,
+                Err(CommError::Timeout { .. }
+                    | CommError::PeerGone { .. }
+                    | CommError::Aborted { .. })
+            ),
+            "rank {r}: expected a clean hang-free error, got {res:?}"
+        );
+    }
+    assert!(
+        start.elapsed() < deadline / 4,
+        "survivors waited {:?} of a {deadline:?} deadline",
+        start.elapsed()
+    );
+}
+
+#[test]
 fn timed_comm_is_transparent_over_sockets() {
     // TimedComm must not perturb results, and must record real socket time
     // for every rank.
