@@ -106,7 +106,7 @@ impl Args {
     /// Comma-separated `--sizes` (bytes), or the OSU ladder.
     pub fn sizes(&self) -> Result<Vec<usize>, String> {
         match self.opt("sizes") {
-            None => Ok(exacoll_osu::osu_sizes()),
+            None => Ok(exacoll_sim::report::osu_sizes()),
             Some(list) => list
                 .split(',')
                 .map(|s| parse_size(s.trim()).ok_or_else(|| format!("bad size `{s}` in --sizes")))
@@ -173,7 +173,7 @@ pub fn parse_size(s: &str) -> Option<usize> {
     } else {
         (lower, 1)
     };
-    digits.trim().parse::<usize>().ok().map(|v| v * mult)
+    digits.trim().parse::<usize>().ok()?.checked_mul(mult)
 }
 
 #[cfg(test)]

@@ -17,17 +17,16 @@ use exacoll_obs::{
     rank_tracks, BackendRun, Metrics, ProfileSpec, RankTimeline,
 };
 use exacoll_opt::{layout_for, PassKind, PassManager, TopoDesc};
-use exacoll_osu::sweep::fmt_size;
-use exacoll_osu::{latency, measure, Table, VendorPolicy};
-use exacoll_select::{bucket_range, Policy, SelectionService};
-use exacoll_tuning::{autotune, AutotuneOptions};
+use exacoll_select::{bucket_range, vendor, Policy, SelectionService};
+use exacoll_sim::cost::{latency, measure};
+use exacoll_sim::report::fmt_size;
+use exacoll_sim::Table;
 
 /// Top-level usage text.
 pub const USAGE: &str = "usage:
   exacoll sweep    --machine <name> --nodes N [--ppn P] --op <coll> [--sizes 8,64K,...] [--max-k K]
   exacoll radix    --machine <name> --nodes N [--ppn P] --op <coll> --size BYTES [--max-k K]
   exacoll time     --machine <name> --nodes N [--ppn P] --op <coll> --alg <alg[:k]> --size BYTES
-  exacoll autotune --machine <name> --nodes N [--ppn P] [--max-k K] [--out FILE]
   exacoll chaos    [--ranks P] [--max-k K] [--seed S] [--bytes N] [--record DIR]
   exacoll profile  <coll> (--alg <alg[:k]> | --select auto) --ranks P [--ppn N]
                    [--machine <name>] [--size BYTES] [--counts LIST]
@@ -48,8 +47,9 @@ pub const USAGE: &str = "usage:
   exacoll record   <coll> --alg <alg[:k]> --ranks P [--size BYTES] [--seed S] [--out FILE]
   exacoll replay   <artifact.json>
   exacoll verify   [--ranks P] [--max-k K] [--size BYTES] [--counts LIST]
+  exacoll repro    <table1|fig07|fig08|fig09|fig10|fig11|selection|models|ablation|
+                    alltoall|variance|all>   (EXACOLL_QUICK=1 for smoke scale)
   exacoll machines
-  exacoll table1
 
 machines: frontier | polaris | aurora | testbed
 ops:      bcast reduce gather allgather allreduce barrier alltoall reduce_scatter
@@ -67,7 +67,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "sweep" => sweep(&args),
         "radix" => radix(&args),
         "time" => time(&args),
-        "autotune" => run_autotune(&args),
         "select" => select_cmd(&args),
         "chaos" => chaos(&args),
         "profile" => profile(&args),
@@ -76,11 +75,8 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "record" => record(&args),
         "replay" => replay(&args),
         "verify" => verify_schedules(&args),
+        "repro" => crate::repro::run(&args),
         "machines" => machines(),
-        "table1" => {
-            table1();
-            Ok(())
-        }
         other => Err(format!("unknown subcommand `{other}`")),
     }
 }
@@ -97,13 +93,18 @@ fn sweep(args: &Args) -> Result<(), String> {
         &["size", "best alg", "latency (us)", "vs vendor"],
     );
     for &n in &sizes {
-        let best = cands
+        let priced = cands
             .iter()
-            .map(|&alg| (alg, latency(&m, op, alg, n).expect("simulates")))
+            .map(|&alg| match latency(&m, op, alg, n) {
+                Ok(t) => Ok((alg, t)),
+                Err(e) => Err(format!("{op} / {alg}: {e}")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let best = priced
+            .into_iter()
             .min_by_key(|&(_, t)| t)
             .ok_or("no candidate algorithms")?;
-        let vendor = VendorPolicy::select(op, n, m.ranks());
-        let tv = latency(&m, op, vendor, n).expect("vendor simulates");
+        let tv = latency(&m, op, vendor(op, n, m.ranks()), n).map_err(|e| e.to_string())?;
         t.row(vec![
             fmt_size(n),
             best.0.to_string(),
@@ -126,7 +127,7 @@ fn radix(args: &Args) -> Result<(), String> {
         &["algorithm", "latency (us)"],
     );
     for alg in unique_candidates(op, m.ranks(), max_k) {
-        let lat = latency(&m, op, alg, n).expect("simulates");
+        let lat = latency(&m, op, alg, n).map_err(|e| format!("{op} / {alg}: {e}"))?;
         t.row(vec![alg.to_string(), format!("{:.2}", lat.as_micros())]);
     }
     t.print();
@@ -139,7 +140,6 @@ fn time(args: &Args) -> Result<(), String> {
     let op = args.op()?;
     let alg = parse_alg(args.req("alg")?)?;
     let n = crate::args::parse_size(args.req("size")?).ok_or_else(|| "bad --size".to_string())?;
-    alg.supports(op, m.ranks())?;
     let out = measure(&m, op, alg, n, 0).map_err(|e| e.to_string())?;
     println!("machine:   {}", m.name);
     println!("op/alg:    {op} / {alg} @ {}", fmt_size(n));
@@ -157,27 +157,6 @@ fn time(args: &Args) -> Result<(), String> {
         .filter_map(|b| b.blocked_fraction())
         .fold(0.0f64, f64::max);
     println!("blocked:   worst rank spends {:.0}% waiting", worst * 100.0);
-    Ok(())
-}
-
-/// Autotune a machine and print/save the selection configuration.
-fn run_autotune(args: &Args) -> Result<(), String> {
-    let m = args.machine()?;
-    let opts = AutotuneOptions {
-        ops: CollectiveOp::EVALUATED.to_vec(),
-        sizes: (3..=20).step_by(2).map(|e| 1usize << e).collect(),
-        max_k: args.opt_usize("max-k", 16)?,
-    };
-    eprintln!("autotuning {} over {} sizes ...", m.name, opts.sizes.len());
-    let cfg = autotune(&m, &opts)?;
-    let json = cfg.to_json();
-    match args.opt("out") {
-        Some(path) => {
-            std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("selection configuration written to {path}");
-        }
-        None => println!("{json}"),
-    }
     Ok(())
 }
 
@@ -1213,19 +1192,6 @@ fn machines() -> Result<(), String> {
     Ok(())
 }
 
-/// Print Table I.
-fn table1() {
-    let mut t = Table::new(
-        "Table I  generalized kernels",
-        &["base", "generalized", "collectives"],
-    );
-    for (base, general, ops) in table_i() {
-        let names: Vec<String> = ops.iter().map(|o| o.to_string()).collect();
-        t.row(vec![base.into(), general.into(), names.join(", ")]);
-    }
-    t.print();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1236,9 +1202,8 @@ mod tests {
     }
 
     #[test]
-    fn machines_and_table1_print() {
+    fn machines_print() {
         run("machines").unwrap();
-        run("table1").unwrap();
     }
 
     #[test]
@@ -1379,6 +1344,75 @@ mod tests {
             std::fs::read(&copy).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn select_import_refuses_a_table_that_poisons_its_own_bucket() {
+        let dir = std::env::temp_dir().join(format!("exacoll-cli-poison-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (table, bad) = (dir.join("table.json"), dir.join("bad.json"));
+        run(&format!(
+            "select seed --machine testbed --nodes 4 --sizes 64 --max-k 4 --table {}",
+            table.display()
+        ))
+        .unwrap();
+        let before = std::fs::read(&table).unwrap();
+        // Well-formed v1, but its only candidate cannot run on 4 ranks: once
+        // published it would win every allgather lookup in the bucket.
+        for alg in ["kring:300", "knomial:1"] {
+            std::fs::write(
+                &bad,
+                format!(
+                    r#"{{"format":"exacoll-select/v1","policy":{{"prior_weight":3,"explore":0.5}},
+                    "entries":[{{"op":"allgather","p":4,"bucket":7,
+                    "cells":[{{"alg":"{alg}","prior_ns":1,"obs_sum_ns":0,"obs_n":0}}]}}]}}"#
+                ),
+            )
+            .unwrap();
+            let err = run(&format!(
+                "select import --from {} --table {}",
+                bad.display(),
+                table.display()
+            ))
+            .unwrap_err();
+            assert!(err.contains("allgather p=4 bucket 7"), "got: {err}");
+            assert!(run(&format!("select show --table {}", bad.display())).is_err());
+            assert_eq!(
+                std::fs::read(&table).unwrap(),
+                before,
+                "destination touched"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sub_element_sizes_are_errors_not_panics() {
+        // 3 B of f64 to reduce: one route, one typed error, on all three.
+        let err = run("sweep --machine frontier --nodes 4 --op allreduce --sizes 3").unwrap_err();
+        assert!(err.contains("whole number of f64 elements"), "got: {err}");
+        let err = run("time --machine frontier --nodes 4 --op allreduce --alg ring --size 3")
+            .unwrap_err();
+        assert!(err.contains("whole number of f64 elements"), "got: {err}");
+        assert!(run("radix --machine frontier --nodes 4 --op reduce --size 3").is_err());
+        // Moving 3 B is fine; so is rounding 17 B down to two elements.
+        run("time --machine frontier --nodes 4 --op bcast --alg ring --size 3").unwrap();
+        run("sweep --machine frontier --nodes 4 --op allreduce --sizes 17 --max-k 2").unwrap();
+    }
+
+    #[test]
+    fn shapes_lower_would_panic_on_are_errors() {
+        let time = "time --machine frontier --nodes 4 --op allreduce --size 64 --alg";
+        for alg in ["hier:3:2", "hier:0:2", "hier:2:1", "kring:300", "recmult:1"] {
+            assert!(run(&format!("{time} {alg}")).is_err(), "{alg}");
+        }
+        run(&format!("{time} hier:2:2")).unwrap();
+        // A region of 4 GiB or more does not fit a compiled span.
+        let big = "--machine frontier --nodes 4 --op allgather";
+        assert!(run(&format!("time {big} --alg ring --size 1024M")).is_err());
+        assert!(run(&format!("sweep {big} --sizes 1024M --max-k 2")).is_err());
+        assert!(run(&format!("radix {big} --size 18446744073709551615M")).is_err());
+        assert!(run("sweep --machine frontier --nodes 0 --op bcast --sizes 8").is_err());
     }
 
     #[test]

@@ -4,3 +4,4 @@
 pub mod args;
 pub mod commands;
 pub mod launch;
+pub mod repro;

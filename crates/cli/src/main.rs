@@ -3,11 +3,10 @@
 //! ```text
 //! exacoll sweep    --machine frontier --nodes 128 --ppn 1 --op reduce [--sizes 8,1024] [--max-k 16]
 //! exacoll radix    --machine frontier --nodes 128 --ppn 1 --op allreduce --size 65536 [--max-k 32]
-//! exacoll autotune --machine frontier --nodes 32  --ppn 1 [--out cfg.json] [--max-k 16]
 //! exacoll time     --machine polaris  --nodes 64  --ppn 4 --op bcast --alg kring:4 --size 1048576
 //! exacoll profile  allreduce --alg recmult,4 --ranks 16 [--chrome trace.json]
+//! exacoll repro    fig08          # or table1, fig07..fig11, selection, ..., all
 //! exacoll machines
-//! exacoll table1
 //! ```
 //!
 //! Machines are the simulated presets of `exacoll-sim`; all latencies are

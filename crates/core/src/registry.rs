@@ -251,6 +251,7 @@ impl Algorithm {
             | GeneralizedMultiplying { k }
             | ReduceBcast { k }
             | Dissemination { k }
+            | Hierarchical { k, .. }
                 if *k < 2 =>
             {
                 Err(format!("radix {k} < 2"))
@@ -258,6 +259,9 @@ impl Algorithm {
             GeneralizedBruck { r } if *r < 2 => Err(format!("radix {r} < 2")),
             RecursiveMultiplying { k } if op == ReduceScatter && !is_smooth(p, *k) => Err(format!(
                 "recursive-splitting reduce-scatter needs a {k}-smooth p, got {p}"
+            )),
+            Hierarchical { ppn, .. } if *ppn < 1 || !p.is_multiple_of(*ppn) => Err(format!(
+                "hierarchical allreduce needs a ppn ({ppn}) that divides p = {p}"
             )),
             KRing { k } if *k < 1 => Err("k-ring group size must be >= 1".into()),
             KRing { k } if *k > p => Err(format!("k-ring group size {k} exceeds p = {p}")),
@@ -748,6 +752,10 @@ mod tests {
         assert!(Bruck.supports(Bcast, 9).is_err());
         assert!(Linear.supports(Bcast, 3).is_ok());
         assert!(ReduceBcast { k: 3 }.supports(Allreduce, 9).is_ok());
+        assert!(Hierarchical { ppn: 4, k: 2 }.supports(Allreduce, 8).is_ok());
+        for (ppn, k) in [(3, 2), (0, 2), (4, 1)] {
+            assert!(Hierarchical { ppn, k }.supports(Allreduce, 8).is_err());
+        }
     }
 
     #[test]

@@ -161,6 +161,12 @@ impl Variant {
     }
 }
 
+impl From<Algorithm> for Variant {
+    fn from(alg: Algorithm) -> Variant {
+        Variant::plain(alg)
+    }
+}
+
 impl std::fmt::Display for Variant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.opt.is_none() {

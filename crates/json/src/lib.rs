@@ -5,7 +5,7 @@
 //! model, a recursive-descent parser, and a pretty-printer whose output
 //! matches `serde_json::to_string_pretty` conventions (two-space indent,
 //! `": "` separators). Conversions to and from domain structs are written by
-//! hand next to those structs (`Machine`, `SelectionConfig`).
+//! hand next to those structs (`Machine`, `SelectionService`).
 //!
 //! Numbers are stored as `f64`; integers up to 2^53 round-trip exactly,
 //! which covers every quantity the artifacts serialize (sentinel values

@@ -1,9 +1,9 @@
 //! End-to-end profiling: run one collective under instrumentation on either
 //! backend and return its rank timelines.
 //!
-//! * [`profile_sim`] records the schedule with `TraceComm`, replays it on
-//!   the discrete-event simulator, and converts the per-op virtual timings
-//!   into timelines.
+//! * [`profile_sim`] reads every rank's op stream off its compiled plan,
+//!   replays it on the discrete-event simulator, and converts the per-op
+//!   virtual timings into timelines.
 //! * [`profile_thread`] runs the collective for real on the threaded
 //!   runtime, each rank wrapped in a [`TimedComm`] sharing one epoch.
 //!
@@ -11,10 +11,10 @@
 //! exporter, critical-path walker, and residual analyzer apply uniformly.
 
 use crate::timeline::{makespan_ns, timelines_from_sim, RankTimeline, TimedComm};
-use exacoll_comm::{record_traces, try_run_ranks, Comm, ThreadComm};
+use exacoll_comm::{try_run_ranks, Comm, ThreadComm};
 use exacoll_core::schedule::{execute_compiled, CompiledSchedule};
 use exacoll_core::spec::{OptSpec, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES};
-use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp};
+use exacoll_core::{Algorithm, CollArgs, CollectiveOp};
 use exacoll_models::NetParams;
 use exacoll_opt::cached_world;
 use exacoll_sim::{simulate_timed, Machine};
@@ -33,9 +33,8 @@ pub struct ProfileSpec {
     pub machine: Machine,
     /// Requested per-rank payload bytes (adjusted via [`ProfileSpec::input_len`]).
     pub size: usize,
-    /// Optimizer passes to apply to the lowered plan before running. With
-    /// [`OptSpec::NONE`] the collective executes through the stock
-    /// lowering path, byte-identically to pre-optimizer profiles.
+    /// Optimizer passes to apply to the lowered plan before running;
+    /// [`OptSpec::NONE`] is the stock lowering.
     pub opt: OptSpec,
     /// Pipelining chunk threshold (defaults to
     /// [`OPT_PIPELINE_CHUNK_BYTES`]).
@@ -94,18 +93,15 @@ impl ProfileSpec {
         }
     }
 
-    fn args(&self) -> CollArgs {
-        CollArgs::new(self.op, self.alg)
-    }
-
     /// Every rank's compiled plan with this spec's optimizer passes
     /// applied, served from the process-wide plan cache (the pass
     /// application is deterministic, so all ranks — and any other process
     /// profiling the same spec — agree on the rewritten plans, and repeated
-    /// profiles of one shape share a single lowering).
-    fn optimized_plans(&self) -> Result<Vec<Arc<CompiledSchedule>>, String> {
+    /// profiles of one shape share a single lowering). Without passes these
+    /// are the very entries `registry::execute` would hit.
+    fn plans(&self) -> Result<Vec<Arc<CompiledSchedule>>, String> {
         cached_world(
-            &self.args(),
+            &CollArgs::new(self.op, self.alg),
             &self.opt,
             self.chunk_bytes,
             self.fuse_bytes,
@@ -143,24 +139,10 @@ pub fn payload(rank: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Profile on the simulator: record, replay, convert virtual timings. With
-/// optimizer passes enabled the recorded traces come from the rewritten
-/// per-rank plans instead of the stock lowering.
+/// Profile on the simulator: read each rank's op stream off its plan,
+/// replay, convert virtual timings.
 pub fn profile_sim(spec: &ProfileSpec) -> Result<BackendRun, String> {
-    let p = spec.ranks();
-    let args = spec.args();
-    let len = spec.input_len();
-    let traces = if spec.opt.is_none() {
-        record_traces(p, |c| {
-            let input = payload(c.rank(), len);
-            execute(c, &args, &input).map(|_| ())
-        })
-    } else {
-        spec.optimized_plans()?
-            .iter()
-            .map(|s| s.to_trace())
-            .collect()
-    };
+    let traces: Vec<_> = spec.plans()?.iter().map(|s| s.to_trace()).collect();
     let (outcome, timings) =
         simulate_timed(&spec.machine, &traces).map_err(|e| format!("replay failed: {e}"))?;
     let timelines = timelines_from_sim(&traces, &timings);
@@ -176,23 +158,15 @@ pub fn profile_sim(spec: &ProfileSpec) -> Result<BackendRun, String> {
 /// `t = 0`.
 pub fn profile_thread(spec: &ProfileSpec) -> Result<BackendRun, String> {
     let p = spec.ranks();
-    let args = spec.args();
     let len = spec.input_len();
-    let plans = if spec.opt.is_none() {
-        None
-    } else {
-        Some(spec.optimized_plans()?)
-    };
+    let plans = spec.plans()?;
     let epoch = Instant::now();
     let slots: Mutex<Vec<Option<RankTimeline>>> = Mutex::new(vec![None; p]);
     let results = try_run_ranks(p, |c: &mut ThreadComm| {
         let rank = c.rank();
         let input = payload(rank, len);
         let mut tc = TimedComm::with_epoch(&mut *c, epoch);
-        let res = match &plans {
-            None => execute(&mut tc, &args, &input).map(|_| ()),
-            Some(plans) => execute_compiled(&mut tc, &plans[rank], &input).map(|_| ()),
-        };
+        let res = execute_compiled(&mut tc, &plans[rank], &input).map(|_| ());
         let (_, timeline) = tc.into_parts();
         slots.lock().expect("timeline collector")[rank] = Some(timeline);
         res

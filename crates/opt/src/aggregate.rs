@@ -183,7 +183,7 @@ pub fn aggregate(schedules: &[Schedule], max_fuse_bytes: usize) -> Result<Vec<Sc
 /// its predecessor's blocks one by one — the canonical per-field neighbor
 /// halo exchange an application would emit naively. The registry's own
 /// lowerings pre-fuse via `SgList::concat`, so this is the demonstration
-/// workload (tests, the `opt_passes` bench) where aggregation visibly wins.
+/// workload where aggregation visibly wins.
 pub fn naive_block_exchange(p: usize, blocks: usize, bytes: usize) -> Vec<Schedule> {
     use exacoll_core::schedule::ScheduleBuilder;
     (0..p)

@@ -308,26 +308,89 @@ mod tests {
     }
 
     #[test]
-    fn manager_prices_a_pipeline_win_at_large_messages() {
-        // One rank per frontier node: each node's 4-NIC port pool serves a
-        // single rank, so chunking a 4 MiB ring block stripes one logical
-        // transfer across all four rails and the modeled makespan drops.
-        // (With ppn = 4 the pool is already saturated by four ranks'
-        // concurrent sends and chunking would only add overhead.)
-        let plans = lowered(CollectiveOp::Allgather, Algorithm::Ring, 8, 4 << 20);
-        let m = PassManager::new(Machine::frontier(8, 1)).with_pass(PassKind::Pipeline {
+    fn manager_prices_each_pass_where_its_theory_says_it_wins() {
+        // Each pass wins exactly where its theory says it should, and
+        // honestly does nothing elsewhere; every row goes through the full
+        // gate (re-verify + byte identity + pricing).
+        let p = 8;
+        let pipeline = PassKind::Pipeline {
             chunk_bytes: OPT_PIPELINE_CHUNK_BYTES,
-        });
-        let report = m.run(&plans).unwrap();
-        let o = &report.outcomes[0];
-        assert!(o.changed && o.refused.is_none(), "{:?}", o.refused);
-        assert!(
-            report.cost_final_ns < report.cost_initial_ns,
-            "pipelining 4 MiB messages should beat {} ns, got {} ns",
-            report.cost_initial_ns,
-            report.cost_final_ns
-        );
-        verify(&report.schedules).unwrap();
+        };
+        let aggregate = PassKind::Aggregate {
+            max_fuse_bytes: OPT_AGGREGATE_MAX_FUSE_BYTES,
+        };
+        let recmult2 = Algorithm::RecursiveMultiplying { k: 2 };
+        let cases = [
+            // One rank per frontier node: each node's 4-NIC port pool
+            // serves a single rank, so chunking a 4 MiB ring block stripes
+            // one logical transfer across all four rails and the modeled
+            // makespan drops. (With ppn = 4 the pool is already saturated
+            // by four ranks' concurrent sends and chunking would only add
+            // overhead.)
+            (
+                "ring allgather 4 MiB",
+                Machine::frontier(p, 1),
+                lowered(CollectiveOp::Allgather, Algorithm::Ring, p, 4 << 20),
+                pipeline,
+                true,
+            ),
+            (
+                "ring allgather 1 KiB",
+                Machine::frontier(p, 1),
+                lowered(CollectiveOp::Allgather, Algorithm::Ring, p, 1024),
+                pipeline,
+                false,
+            ),
+            // The canonical unfused workload: 8 separate 64 B halo messages
+            // per neighbor, each paying full alpha. Stock lowerings
+            // pre-fuse, so this hand-built plan is where aggregation shows
+            // its win ...
+            (
+                "halo exchange 8 x 64 B",
+                Machine::frontier(p, 1),
+                naive_block_exchange(p, 8, 64),
+                aggregate,
+                true,
+            ),
+            // ... and an already fused one is where it finds nothing.
+            (
+                "recmult(2) allreduce 4 KiB",
+                Machine::frontier(p, 1),
+                lowered(CollectiveOp::Allreduce, recmult2, p, 4096),
+                aggregate,
+                false,
+            ),
+            // Two nodes of four: recursive multiplying's largest exchange
+            // crosses the node cut under identity placement; the Bine-style
+            // relabeling pulls it in-node.
+            (
+                "recmult(2) allgather 64 KiB on 2x4",
+                Machine::frontier(2, 4),
+                lowered(CollectiveOp::Allgather, recmult2, 8, 65_536),
+                PassKind::Remap {
+                    topo: TopoDesc { nodes: 2, ppn: 4 },
+                    layout: layout_for(CollectiveOp::Allgather),
+                },
+                true,
+            ),
+        ];
+        for (case, machine, plans, pass, wins) in cases {
+            let report = PassManager::new(machine)
+                .with_pass(pass)
+                .run(&plans)
+                .unwrap();
+            let o = &report.outcomes[0];
+            assert!(o.refused.is_none(), "{case}: {:?}", o.refused);
+            assert_eq!(o.changed, wins, "{case}");
+            let (before, after) = (report.cost_initial_ns, report.cost_final_ns);
+            if wins {
+                assert!(after < before, "{case}: {before} ns -> {after} ns");
+                verify(&report.schedules).unwrap();
+            } else {
+                assert_eq!(after, before, "{case}");
+                assert_eq!(report.schedules, plans, "{case}");
+            }
+        }
     }
 
     #[test]

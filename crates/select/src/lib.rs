@@ -7,8 +7,8 @@
 //!
 //! * **Priors** — each (collective, p, size-bucket) is seeded by pricing
 //!   every deduplicated candidate's lowered schedules with
-//!   [`exacoll_sim::cost`], the same discrete-event model the autotuner
-//!   sweeps. Candidates are *variants* (algorithm plus optimizer passes):
+//!   [`exacoll_sim::cost`], the same discrete-event model every sweep and
+//!   figure reads. Candidates are *variants* (algorithm plus optimizer passes):
 //!   wherever the `exacoll-opt` pipelining pass rewrites a plan, the
 //!   optimized variant is priced alongside the plain one and competes for
 //!   the bucket on equal terms.
@@ -29,13 +29,22 @@
 //! * **Accountability** — [`SelectionService::diff`] reports every bucket
 //!   where learning overruled the model, rendered deterministically by
 //!   [`diff::render`].
+//!
+//! Beside the table sit the two things it is judged against: [`vendor()`],
+//! the fixed stand-in for Cray MPI's defaults, and [`Workload`], an
+//! application's per-iteration collective mix timed under any selection
+//! function.
 
 pub mod diff;
 pub mod policy;
 pub mod service;
 pub mod table;
+pub mod vendor;
+pub mod workload;
 
 pub use diff::DiffRow;
 pub use policy::{Cell, Policy};
 pub use service::{SelectionService, FORMAT};
 pub use table::{bucket_of_bytes, bucket_range, op_index, Snapshot, NUM_BUCKETS, NUM_OPS};
+pub use vendor::vendor;
+pub use workload::{variant_latency, Workload, WorkloadStep};

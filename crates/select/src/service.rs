@@ -379,6 +379,11 @@ impl SelectionService {
                     if matches!(variant.alg, Algorithm::Auto) {
                         return Err("`auto` cannot appear as a table candidate".into());
                     }
+                    // A candidate that cannot run would win its bucket and
+                    // fail every launch that asks the table, not fall back.
+                    variant.alg.supports(op, p).map_err(|e| {
+                        format!("entry {op} p={p} bucket {bucket}: candidate `{variant}`: {e}")
+                    })?;
                     let cell = upsert(cells, variant);
                     let prior = cv.req("prior_ns")?;
                     cell.prior_ns = if prior.is_null() {
@@ -668,5 +673,33 @@ mod tests {
         assert!(SelectionService::from_json(&auto)
             .unwrap_err()
             .contains("auto"));
+    }
+
+    #[test]
+    fn candidates_that_cannot_run_are_rejected() {
+        let table = |op: &str, alg: &str| {
+            exacoll_json::parse(&format!(
+                r#"{{"format":"exacoll-select/v1","policy":{{"prior_weight":3,"explore":0.5}},
+                "entries":[{{"op":"{op}","p":4,"bucket":7,
+                "cells":[{{"alg":"{alg}","prior_ns":1,"obs_sum_ns":0,"obs_n":0}}]}}]}}"#
+            ))
+            .unwrap()
+        };
+        // Each would otherwise be published as the bucket's only winner.
+        for (op, alg, why) in [
+            ("allgather", "kring:300", "exceeds p = 4"),
+            ("bcast", "knomial:1", "radix 1 < 2"),
+            ("reduce", "ring", "does not implement"),
+            ("allgather", "kring:8@pipeline", "exceeds p = 4"),
+        ] {
+            let err = SelectionService::from_json(&table(op, alg)).unwrap_err();
+            assert!(err.contains(why), "{alg}: {err}");
+            assert!(err.contains(&format!("entry {op} p=4 bucket 7")), "{err}");
+        }
+        let ok = SelectionService::from_json(&table("allgather", "kring:4")).unwrap();
+        assert_eq!(
+            ok.lookup(CollectiveOp::Allgather, 4, 64),
+            Some(Variant::plain(Algorithm::KRing { k: 4 }))
+        );
     }
 }

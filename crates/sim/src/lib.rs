@@ -20,9 +20,10 @@
 //!    dedicated fabric (Infinity Fabric / NVLink) with its own latency,
 //!    bandwidth and per-rank injection queues, distinct from the NIC path.
 //!
-//! The simulator consumes the [`exacoll_comm::RankTrace`] operation schedules
-//! recorded from real algorithm executions and replays them with an event
-//! queue, yielding virtual completion times plus traffic statistics.
+//! The simulator consumes [`exacoll_comm::RankTrace`] operation streams —
+//! read off lowered plans by [`cost`], which is how every sweep and figure
+//! prices a collective — and replays them with an event queue, yielding
+//! virtual completion times plus traffic statistics.
 
 pub mod cost;
 pub mod fault;
@@ -30,10 +31,11 @@ pub mod machine;
 pub mod noise;
 pub mod port;
 pub mod replay;
+pub mod report;
 pub mod stats;
 pub mod time;
 
-pub use cost::cost;
+pub use cost::{cost, CostError};
 pub use fault::{DeadLink, LinkDegradation, SimFaults, Straggler};
 pub use machine::{CpuParams, IntranodeParams, LinkParams, Machine, PortAssignment, Topology};
 pub use noise::NoiseModel;
@@ -41,5 +43,6 @@ pub use replay::{
     simulate, simulate_faulty, simulate_noisy, simulate_timed, BlockedRank, OpTiming, PendingOp,
     ReplayError, SimOutcome,
 };
+pub use report::Table;
 pub use stats::{RankBreakdown, SimStats};
 pub use time::SimTime;

@@ -3,46 +3,45 @@
 //! §II-A: collectives consume 25–50% of production application runtime.
 //! This example times three application-style communication mixes on a
 //! simulated Frontier partition under (a) MPICH-style fixed defaults and
-//! (b) the autotuned generalized-algorithm selection, and reports the
-//! end-to-end iteration speedup.
+//! (b) a selection table seeded at the sizes the applications issue, and
+//! reports the end-to-end iteration speedup.
 //!
 //! ```text
 //! cargo run --release --example app_workload
 //! ```
 
 use exacoll::collectives::CollectiveOp;
-use exacoll::osu::{Table, Workload};
-use exacoll::sim::Machine;
-use exacoll::tuning::{autotune, AutotuneOptions, Selector};
+use exacoll::select::{Policy, SelectionService, Workload};
+use exacoll::sim::{Machine, Table};
 
 fn main() {
     let machine = Machine::frontier(32, 1);
-    println!("autotuning {} ...", machine.name);
-    let sel = Selector::new(
-        autotune(
-            &machine,
-            &AutotuneOptions {
-                ops: CollectiveOp::EVALUATED.to_vec(),
-                sizes: (3..=22).step_by(2).map(|e| 1usize << e).collect(),
-                max_k: 16,
-            },
-        )
-        .expect("sweep prices every probed point"),
-    )
-    .expect("valid config");
+    let workloads = [
+        Workload::cg_like(),
+        Workload::training_like(),
+        Workload::proxy_like(),
+    ];
+    let mut sizes: Vec<usize> = workloads
+        .iter()
+        .flat_map(|w| w.steps.iter().map(|s| s.bytes))
+        .collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    println!("seeding {} at {} sizes ...", machine.name, sizes.len());
+    let table = SelectionService::new(Policy::default());
+    table
+        .seed_priors(&machine, &CollectiveOp::EVALUATED, &sizes, 16)
+        .expect("every probed point prices");
+    table.publish();
 
     let mut t = Table::new(
         "Per-iteration communication time: fixed defaults vs tuned selection",
         &["workload", "defaults (us)", "tuned (us)", "speedup"],
     );
-    for w in [
-        Workload::cg_like(),
-        Workload::training_like(),
-        Workload::proxy_like(),
-    ] {
+    for w in workloads {
         let default = w.time_defaults(&machine).expect("runs");
         let tuned = w
-            .time_with(&machine, |op, n| sel.select(op, n))
+            .time_with(&machine, |op, n| table.select(op, machine.ranks(), n))
             .expect("runs");
         t.row(vec![
             w.name.clone(),

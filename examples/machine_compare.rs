@@ -10,8 +10,8 @@
 //! ```
 
 use exacoll::collectives::{Algorithm, CollectiveOp};
-use exacoll::osu::{latency, Table};
-use exacoll::sim::Machine;
+use exacoll::sim::cost::latency;
+use exacoll::sim::{Machine, Table};
 
 fn kring_panel(machine: &Machine, ks: &[usize]) -> Table {
     let n = 16 << 20; // 16 MB broadcast

@@ -6,8 +6,8 @@
 //! ```
 
 use exacoll::collectives::{Algorithm, CollectiveOp};
-use exacoll::osu::{latency, Table};
-use exacoll::sim::Machine;
+use exacoll::sim::cost::latency;
+use exacoll::sim::{Machine, Table};
 
 fn main() {
     // 128 Frontier nodes, one MPI rank per node (the MPI+X model).

@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Judge this checkout against a base commit with the repository's benchmark.
+#
+#   scripts/perf-compare.sh <base-ref|base-checkout-dir> [pairs]
+#
+# Adds a git worktree of <base-ref> (or uses an existing checkout of it),
+# builds each side into its own CARGO_TARGET_DIR, alternates
+#   perf/run.sh --seed N --seconds 20 --timed-only --out ...
+# between base and head over `pairs` (default 10) seeds that no one used while
+# writing the change, and ends with
+#   perf/run.sh compare DIR_BASE DIR_HEAD
+# whose verdict table is this script's stdout and whose exit status is this
+# script's: non-zero on a `regression` row or a higher fail ratio, zero on
+# `ok`, `gain` and `unresolved` alike (a host too noisy to tell is not a
+# failure of the change).
+#
+# Everything lands under target/perf-compare/ (ignored): the worktree, the two
+# target directories and base-results/ + head-results/, one JSON per seed.
+# The benchmark pins itself to one CPU, so run nothing else beside it.
+set -euo pipefail
+base="${1:?usage: scripts/perf-compare.sh <base-ref|base-checkout-dir> [pairs]}"
+pairs="${2:-10}"
+head_dir="$(cd "$(dirname "$0")/.." && pwd)"
+work="$head_dir/target/perf-compare"
+rm -rf "$work/base-results" "$work/head-results"
+mkdir -p "$work/base-results" "$work/head-results"
+
+if [ -d "$base" ]; then
+    base_dir="$(cd "$base" && pwd)"
+else
+    base_dir="$work/base"
+    git -C "$head_dir" worktree remove --force "$base_dir" 2>/dev/null || true
+    git -C "$head_dir" worktree add --detach "$base_dir" "$base" >&2
+    trap 'git -C "$head_dir" worktree remove --force "$base_dir"' EXIT
+fi
+
+# Seeds a developer would not have typed: a block of 100 per commit depth.
+seed0=$(( $(git -C "$head_dir" rev-list --count HEAD) * 100 ))
+
+run_side() { # <checkout> <name> <seed>
+    CARGO_TARGET_DIR="$work/$2-target" "$1/perf/run.sh" \
+        --seed "$3" --seconds 20 --timed-only \
+        --out "$work/$2-results/seed$3.json" >/dev/null
+}
+
+for i in $(seq 1 "$pairs"); do
+    seed=$(( seed0 + i ))
+    echo "perf-compare: pair $i/$pairs (seed $seed)" >&2
+    run_side "$base_dir" base "$seed"
+    run_side "$head_dir" head "$seed"
+done
+
+CARGO_TARGET_DIR="$work/head-target" "$head_dir/perf/run.sh" compare \
+    "$work/base-results" "$work/head-results"

@@ -8,12 +8,11 @@
 //! * [`comm`] — MPI-like point-to-point layer (threaded real-data runtime +
 //!   trace recorder).
 //! * [`sim`] — discrete-event simulator of exascale machines (multi-port
-//!   NICs, intranode fabric, dragonfly topology).
+//!   NICs, intranode fabric, dragonfly topology) and the one way to price a
+//!   collective on it ([`sim::cost`]: OSU-style sizes in, virtual time out).
 //! * [`collectives`] — the paper's contribution: k-nomial, recursive
 //!   multiplying, and k-ring generalized kernels plus classical baselines.
 //! * [`models`] — the paper's analytical α-β-γ cost models (Eqs. 1–14).
-//! * [`tuning`] — algorithm/radix selection configuration and autotuner.
-//! * [`osu`] — OSU-style microbenchmark harness and vendor baseline policy.
 //! * [`chaos`] — fault-injection campaign runner exercising the runtime's
 //!   hang-free guarantee (drop/delay/duplicate/corrupt/kill).
 //! * [`obs`] — observability: timed event timelines on both backends,
@@ -30,7 +29,9 @@
 //!   `PassManager` that re-verifies and byte-checks every rewrite.
 //! * [`select`] — the online algorithm-selection service: lock-free
 //!   snapshot lookups seeded by cost-model priors and refined by observed
-//!   timings, with persistent learned tables.
+//!   timings, with persistent learned tables (the §VI-G selection
+//!   configuration), beside the vendor baseline and application workloads
+//!   it is judged against.
 //! * [`json`] — the dependency-free JSON layer the snapshots and exporters
 //!   serialize through.
 //!
@@ -38,18 +39,17 @@
 //!
 //! ```
 //! use exacoll::collectives::{Algorithm, CollectiveOp};
-//! use exacoll::osu::run_collective_timed;
+//! use exacoll::sim::cost::latency;
 //! use exacoll::sim::Machine;
 //!
 //! // Time a k-nomial (radix 8) broadcast of 1 KiB across a simulated
 //! // 128-node Frontier partition, one rank per node.
 //! let machine = Machine::frontier(128, 1);
-//! let t = run_collective_timed(
+//! let t = latency(
 //!     &machine,
 //!     CollectiveOp::Bcast,
 //!     Algorithm::KnomialTree { k: 8 },
 //!     1024,
-//!     0,
 //! )
 //! .unwrap();
 //! assert!(t.as_micros() > 0.0);
@@ -63,8 +63,6 @@ pub use exacoll_models as models;
 pub use exacoll_net as net;
 pub use exacoll_obs as obs;
 pub use exacoll_opt as opt;
-pub use exacoll_osu as osu;
 pub use exacoll_replay as replay;
 pub use exacoll_select as select;
 pub use exacoll_sim as sim;
-pub use exacoll_tuning as tuning;

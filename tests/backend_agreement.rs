@@ -1,15 +1,16 @@
-//! The write-once-run-twice contract: the schedule the trace backend
-//! records must be exactly the communication the threaded backend performs.
+//! The write-once-run-twice contract: the op stream pricing reads off a
+//! plan must be exactly the communication the threaded backend performs.
 //!
-//! We verify by instrumenting the threaded run indirectly: both backends
-//! execute the same generic function, so per-rank (peer, tag, bytes)
-//! multisets of the *recorded* schedule must match the reference semantics
-//! that the threaded run already proves. Here we additionally check the
-//! structural invariants the simulator relies on.
+//! Both come from the same lowered plan — the executor runs its compiled
+//! steps, `sim::cost::traces` reads them symbolically, and `exacoll-sim`'s
+//! `schedule_cost_equals_traced_execution_cost` pins the two streams equal —
+//! so the reference semantics the threaded run already proves carry over.
+//! Here we additionally check the structural invariants the simulator
+//! relies on.
 
 use exacoll::collectives::{registry::candidates, CollectiveOp};
 use exacoll::comm::{RankTrace, TraceOp};
-use exacoll::osu::measure::record_collective;
+use exacoll::sim::cost::traces;
 
 /// Every WaitAll's request indices refer to earlier Send/Recv ops of the
 /// same rank, and every Send/Recv is waited exactly once.
@@ -46,7 +47,7 @@ fn every_schedule_has_clean_wait_discipline() {
     for p in [2usize, 7, 9, 12] {
         for op in CollectiveOp::ALL {
             for alg in candidates(op, p, 4) {
-                for t in record_collective(p, op, alg, 512, 0) {
+                for t in traces(p, op, alg, 512, 0).unwrap() {
                     check_wait_discipline(&t);
                 }
             }
@@ -61,7 +62,7 @@ fn no_self_messages_in_any_schedule() {
     for p in [2usize, 6, 8, 11] {
         for op in CollectiveOp::ALL {
             for alg in candidates(op, p, 4) {
-                for t in record_collective(p, op, alg, 512, 0) {
+                for t in traces(p, op, alg, 512, 0).unwrap() {
                     for o in &t.ops {
                         match o {
                             TraceOp::Send { to, .. } => {
@@ -90,11 +91,13 @@ fn schedule_volume_is_size_linear_for_bandwidth_kernels() {
         Algorithm::RecursiveMultiplying { k: 4 },
     ] {
         let p = 8;
-        let t1: u64 = record_collective(p, CollectiveOp::Allgather, alg, 1024, 0)
+        let t1: u64 = traces(p, CollectiveOp::Allgather, alg, 1024, 0)
+            .unwrap()
             .iter()
             .map(|t| t.bytes_sent())
             .sum();
-        let t2: u64 = record_collective(p, CollectiveOp::Allgather, alg, 2048, 0)
+        let t2: u64 = traces(p, CollectiveOp::Allgather, alg, 2048, 0)
+            .unwrap()
             .iter()
             .map(|t| t.bytes_sent())
             .sum();
@@ -107,37 +110,42 @@ fn message_counts_match_paper_round_structure() {
     use exacoll::collectives::Algorithm;
     let p = 16;
     // Ring allgather: every rank sends exactly p-1 messages.
-    for t in record_collective(p, CollectiveOp::Allgather, Algorithm::Ring, 256, 0) {
+    for t in traces(p, CollectiveOp::Allgather, Algorithm::Ring, 256, 0).unwrap() {
         assert_eq!(t.messages_sent(), p - 1);
     }
     // K-ring: identical round count (Eq. 12), k | p.
-    for t in record_collective(
+    for t in traces(
         p,
         CollectiveOp::Allgather,
         Algorithm::KRing { k: 4 },
         256,
         0,
-    ) {
+    )
+    .unwrap()
+    {
         assert_eq!(t.messages_sent(), p - 1);
     }
     // Recursive multiplying with k = 4 on p = 16: 2 rounds x 3 partners.
-    for t in record_collective(
+    for t in traces(
         p,
         CollectiveOp::Allgather,
         Algorithm::RecursiveMultiplying { k: 4 },
         256,
         0,
-    ) {
+    )
+    .unwrap()
+    {
         assert_eq!(t.messages_sent(), 6);
     }
     // Binomial bcast: the root sends log2(p) messages, leaves none.
-    let traces = record_collective(
+    let traces = traces(
         p,
         CollectiveOp::Bcast,
         Algorithm::KnomialTree { k: 2 },
         256,
         0,
-    );
+    )
+    .unwrap();
     assert_eq!(traces[0].messages_sent(), 4);
     let total: usize = traces.iter().map(|t| t.messages_sent()).sum();
     assert_eq!(total, p - 1, "tree bcast sends exactly p-1 messages");

@@ -1,12 +1,11 @@
 //! Integration tests for the beyond-the-paper extensions: hierarchical
 //! allreduce, the k-dissemination barrier, and application workloads under
-//! the autotuned selector.
+//! a seeded selection table.
 
 use exacoll::collectives::{Algorithm, CollectiveOp};
-use exacoll::osu::measure::record_collective;
-use exacoll::osu::{latency, Workload};
+use exacoll::select::{Policy, SelectionService, Workload};
+use exacoll::sim::cost::{latency, traces};
 use exacoll::sim::{simulate, Machine};
-use exacoll::tuning::{autotune, AutotuneOptions, Selector};
 
 #[test]
 fn hierarchical_allreduce_beats_flat_doubling_on_smp_nodes() {
@@ -39,13 +38,14 @@ fn hierarchical_allreduce_beats_flat_doubling_on_smp_nodes() {
 #[test]
 fn hierarchical_traffic_stays_mostly_intranode() {
     let m = Machine::frontier(4, 8);
-    let traces = record_collective(
+    let traces = traces(
         m.ranks(),
         CollectiveOp::Allreduce,
         Algorithm::Hierarchical { ppn: 8, k: 4 },
         1024,
         0,
-    );
+    )
+    .unwrap();
     let out = simulate(&m, &traces).unwrap();
     // Phases 1 and 3 are intranode (7 messages each per node x 2), phase 2
     // is internode among 4 leaders.
@@ -104,24 +104,27 @@ fn barrier_makespan_covers_the_latest_entrant() {
 #[test]
 fn tuned_selector_improves_application_workloads() {
     let m = Machine::frontier(8, 1);
-    let sel = Selector::new(
-        autotune(
-            &m,
-            &AutotuneOptions {
-                ops: CollectiveOp::EVALUATED.to_vec(),
-                sizes: vec![8, 1024, 65_536, 4 << 20],
-                max_k: 8,
-            },
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    for w in [
+    let workloads = [
         Workload::cg_like(),
         Workload::training_like(),
         Workload::proxy_like(),
-    ] {
-        let tuned = w.time_with(&m, |op, n| sel.select(op, n)).unwrap();
+    ];
+    // Seed the table at the sizes the applications issue, so no step falls
+    // back to the default through an empty bucket.
+    let mut sizes: Vec<usize> = workloads
+        .iter()
+        .flat_map(|w| w.steps.iter().map(|s| s.bytes))
+        .collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    let sel = SelectionService::new(Policy::default());
+    sel.seed_priors(&m, &CollectiveOp::EVALUATED, &sizes, 8)
+        .unwrap();
+    sel.publish();
+    for w in workloads {
+        let tuned = w
+            .time_with(&m, |op, n| sel.lookup(op, m.ranks(), n).expect("seeded"))
+            .unwrap();
         let default = w.time_defaults(&m).unwrap();
         assert!(
             tuned <= default,
@@ -136,7 +139,7 @@ fn breakdown_shows_ring_is_blocked_dominated() {
     // The ring's rendezvous coupling shows up as blocked time, not posting
     // or compute — the observability the RankBreakdown instrumentation adds.
     let m = Machine::frontier(8, 8);
-    let traces = record_collective(m.ranks(), CollectiveOp::Bcast, Algorithm::Ring, 4 << 20, 0);
+    let traces = traces(m.ranks(), CollectiveOp::Bcast, Algorithm::Ring, 4 << 20, 0).unwrap();
     let out = simulate(&m, &traces).unwrap();
     let worst = out
         .breakdown

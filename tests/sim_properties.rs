@@ -1,8 +1,7 @@
 //! Property-based integration tests over the simulator and schedules.
 
 use exacoll::collectives::{registry::candidates, Algorithm, CollectiveOp};
-use exacoll::osu::latency;
-use exacoll::osu::measure::record_collective;
+use exacoll::sim::cost::{latency, traces};
 use exacoll::sim::{simulate, Machine, NoiseModel};
 use proptest::prelude::*;
 
@@ -33,7 +32,7 @@ proptest! {
     #[test]
     fn replay_is_deterministic((op, alg, p) in arb_config()) {
         let m = Machine::frontier(p, 1);
-        let traces = record_collective(p, op, alg, 1024, 0);
+        let traces = traces(p, op, alg, 1024, 0).unwrap();
         let a = simulate(&m, &traces).unwrap();
         let b = simulate(&m, &traces).unwrap();
         prop_assert_eq!(a.makespan, b.makespan);
@@ -45,7 +44,7 @@ proptest! {
     #[test]
     fn noise_monotone_and_reproducible((op, alg, p) in arb_config()) {
         let m = Machine::frontier(p, 1);
-        let traces = record_collective(p, op, alg, 65_536, 0);
+        let traces = traces(p, op, alg, 65_536, 0).unwrap();
         let base = simulate(&m, &traces).unwrap().makespan;
         let mut n1 = NoiseModel::new(7, 0.15, 0.15);
         let mut n2 = NoiseModel::new(7, 0.15, 0.15);

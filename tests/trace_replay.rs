@@ -1,10 +1,10 @@
-//! Structural integration tests: every algorithm's recorded schedule is
+//! Structural integration tests: every algorithm's op stream is
 //! conservative (every send matched by a receive) and replays to completion
 //! on the simulator — across machines, PPNs, and port assignments.
 
 use exacoll::collectives::{registry::candidates, Algorithm, CollectiveOp};
 use exacoll::comm::trace::check_conservation;
-use exacoll::osu::measure::{measure, record_collective};
+use exacoll::sim::cost::{measure, traces};
 use exacoll::sim::{simulate, Machine};
 
 #[test]
@@ -12,7 +12,7 @@ fn all_schedules_conserve_messages() {
     for p in [2usize, 6, 8, 13] {
         for op in CollectiveOp::ALL {
             for alg in candidates(op, p, 4) {
-                let traces = record_collective(p, op, alg, 256, 0);
+                let traces = traces(p, op, alg, 256, 0).unwrap();
                 check_conservation(&traces).unwrap_or_else(|e| panic!("{op} {alg} p={p}: {e}"));
             }
         }
@@ -45,7 +45,7 @@ fn all_schedules_replay_without_deadlock_all_machines() {
 fn traffic_statistics_match_schedule_totals() {
     let m = Machine::frontier(4, 2); // p = 8
     let n = 4096usize;
-    let traces = record_collective(8, CollectiveOp::Allgather, Algorithm::Ring, n, 0);
+    let traces = traces(8, CollectiveOp::Allgather, Algorithm::Ring, n, 0).unwrap();
     let total_sent: u64 = traces.iter().map(|t| t.bytes_sent()).sum();
     let out = simulate(&m, &traces).unwrap();
     assert_eq!(out.stats.total_bytes(), total_sent);
@@ -68,7 +68,7 @@ fn kring_inter_group_traffic_matches_eq13() {
     let k = ppn;
     let block = 1024usize;
     let n = block * p; // total allgather payload
-    let traces = record_collective(p, CollectiveOp::Allgather, Algorithm::KRing { k }, block, 0);
+    let traces = traces(p, CollectiveOp::Allgather, Algorithm::KRing { k }, block, 0).unwrap();
     let out = simulate(&m, &traces).unwrap();
     let per_group_model = exacoll::models::kring::inter_group_data(n, p, k);
     let groups = (p / k) as f64;
