@@ -16,12 +16,11 @@
 
 use exacoll_comm::{
     fnv1a, try_run_ranks_with, Comm, CommResult, DType, FaultComm, FaultEvent, FaultPlan,
-    RecordComm, ReduceOp, ThreadComm, WorldOptions,
+    RecordComm, RecordedEvent, ReduceOp, ThreadComm, WorldOptions,
 };
-use exacoll_core::reference::expected_outputs;
 use exacoll_core::registry::candidates;
 use exacoll_core::spec::alg_to_spec;
-use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp};
+use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll_obs::{RankTimeline, TimedComm};
 use exacoll_replay::{Artifact, RankLog, RankStatus};
 use std::time::{Duration, Instant};
@@ -159,35 +158,13 @@ pub struct CaseResult {
     pub survived: bool,
 }
 
-/// Deterministic per-rank payload: `bytes` pseudo-random bytes derived from
-/// `(seed, rank)`.
-pub fn rank_payload(seed: u64, rank: usize, bytes: usize) -> Vec<u8> {
-    let mut state = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(rank as u64);
-    (0..bytes)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 56) as u8
-        })
-        .collect()
-}
-
-/// Run one collective under one fault plan, returning each rank's result.
+/// The request a case runs: `alg` doing `op` on `p` ranks of `payload`
+/// bytes, reduced with `max` so corrupted bytes stay visible.
 ///
-/// The run is deadline-bounded and abort-coupled, so it returns within
-/// ~2× the deadline in the worst case — never hangs. A closing barrier on
-/// the raw communicator makes any rank's failure visible to every rank.
-pub fn run_case_results(
-    op: CollectiveOp,
-    alg: Algorithm,
-    p: usize,
-    plan: FaultPlan,
-    deadline: Duration,
-    payload: usize,
-) -> Vec<CommResult<Vec<u8>>> {
+/// # Panics
+///
+/// If the registry rejects the combination.
+fn case_request(op: CollectiveOp, alg: Algorithm, p: usize, payload: usize) -> Request {
     let args = CollArgs {
         op,
         alg,
@@ -195,14 +172,56 @@ pub fn run_case_results(
         dtype: DType::U8,
         rop: ReduceOp::Max,
     };
+    Request::uniform(args, p, payload).unwrap_or_else(|e| panic!("unsupported chaos case: {e}"))
+}
+
+/// One rank of a chaos run: the collective's result plus everything the
+/// instrumentation around the fault layer saw.
+#[derive(Debug)]
+pub struct CaseRank {
+    /// The rank's collective result (after the closing barrier).
+    pub result: CommResult<Vec<u8>>,
+    /// Timed event timeline recorded around the fault layer, so injected
+    /// delays show up as inflated send spans.
+    pub timeline: RankTimeline,
+    /// Faults the injector actually fired on this rank.
+    pub faults: Vec<FaultEvent>,
+    /// The canonical event log, recorded outside the fault injector: send
+    /// events digest what the algorithm intended to transmit, receive
+    /// events what actually arrived.
+    pub events: Vec<RecordedEvent>,
+}
+
+/// Run one collective under one fault plan; inputs are the request's,
+/// seeded by the plan.
+///
+/// The run is deadline-bounded and abort-coupled, so it returns within
+/// ~2× the deadline in the worst case — never hangs. Each rank's [`Comm`]
+/// stack is `RecordComm<TimedComm<FaultComm<ThreadComm>>>` — all three are
+/// transparent when idle — and a closing barrier on the raw communicator,
+/// outside the stack so it appears in no log, makes any rank's failure
+/// visible to every rank.
+pub fn run_case_results(
+    op: CollectiveOp,
+    alg: Algorithm,
+    p: usize,
+    plan: FaultPlan,
+    deadline: Duration,
+    payload: usize,
+) -> Vec<CaseRank> {
+    let req = case_request(op, alg, p, payload);
     let opts = WorldOptions { deadline };
-    try_run_ranks_with(p, opts, move |c: &mut ThreadComm| {
-        let rank = c.rank();
-        let input = rank_payload(plan.seed, rank, payload);
+    let epoch = Instant::now();
+    let out = try_run_ranks_with(p, opts, |c: &mut ThreadComm| {
+        let input = req.input(plan.seed, 0, c.rank());
         let abort = c.abort_handle();
-        let res = {
-            let mut fc = FaultComm::new(&mut *c, plan).with_abort(abort);
-            execute(&mut fc, &args, &input)
+        let (res, timeline, faults, events) = {
+            let fc = FaultComm::new(&mut *c, plan).with_abort(abort);
+            let mut rc = RecordComm::new(TimedComm::with_epoch(fc, epoch));
+            let res = execute(&mut rc, req.args(), &input);
+            let (tc, events) = rc.into_parts();
+            let (fc, timeline) = tc.into_parts();
+            (res, timeline, fc.into_events(), events)
         };
         // Closing barrier, entered only on success: a failed rank skips it
         // and drops its endpoint, so no successful rank can pass either
@@ -217,84 +236,22 @@ pub fn run_case_results(
             .map(|_| ()),
             _ => Ok(()),
         };
-        match (res, bar) {
-            (Ok(v), Ok(())) => Ok(v),
-            (Err(e), _) | (Ok(_), Err(e)) => Err(e),
-        }
-    })
-}
-
-/// One rank's instrumented chaos run: the collective's result plus the
-/// observability record of what actually happened.
-#[derive(Debug)]
-pub struct TimedCaseRank {
-    /// The rank's collective result (after the closing barrier).
-    pub result: CommResult<Vec<u8>>,
-    /// Timed event timeline recorded around the fault layer, so injected
-    /// delays show up as inflated send spans.
-    pub timeline: RankTimeline,
-    /// Faults the injector actually fired on this rank.
-    pub faults: Vec<FaultEvent>,
-}
-
-/// [`run_case_results`] with observability: each rank's [`Comm`] stack is
-/// `TimedComm<FaultComm<ThreadComm>>`, so the timeline wraps *around* the
-/// fault layer — an injected delay inflates the corresponding send span,
-/// and the returned [`FaultEvent`]s say which op indices were hit.
-pub fn run_case_timed(
-    op: CollectiveOp,
-    alg: Algorithm,
-    p: usize,
-    plan: FaultPlan,
-    deadline: Duration,
-    payload: usize,
-) -> Vec<TimedCaseRank> {
-    let args = CollArgs {
-        op,
-        alg,
-        root: 0,
-        dtype: DType::U8,
-        rop: ReduceOp::Max,
-    };
-    let opts = WorldOptions { deadline };
-    let epoch = Instant::now();
-    let out = try_run_ranks_with(p, opts, move |c: &mut ThreadComm| {
-        let rank = c.rank();
-        let input = rank_payload(plan.seed, rank, payload);
-        let abort = c.abort_handle();
-        let (res, timeline, faults) = {
-            let fc = FaultComm::new(&mut *c, plan).with_abort(abort);
-            let mut tc = TimedComm::with_epoch(fc, epoch);
-            let res = execute(&mut tc, &args, &input);
-            let (fc, timeline) = tc.into_parts();
-            (res, timeline, fc.into_events())
-        };
-        // Same closing-barrier discipline as `run_case_results`.
-        let bar = match &res {
-            Ok(_) if p > 1 => execute(
-                &mut *c,
-                &CollArgs::new(CollectiveOp::Barrier, Algorithm::Dissemination { k: 2 }),
-                &[],
-            )
-            .map(|_| ()),
-            _ => Ok(()),
-        };
         let result = match (res, bar) {
             (Ok(v), Ok(())) => Ok(v),
             (Err(e), _) | (Ok(_), Err(e)) => Err(e),
         };
-        Ok((result, timeline, faults))
+        Ok(CaseRank {
+            result,
+            timeline,
+            faults,
+            events,
+        })
     });
     out.into_iter()
         .enumerate()
-        .map(|(rank, r)| match r {
-            Ok((result, timeline, faults)) => TimedCaseRank {
-                result,
-                timeline,
-                faults,
-            },
-            // The rank never returned (harness-level failure): no record.
-            Err(e) => TimedCaseRank {
+        // A rank that never returned (harness-level failure) has no record.
+        .map(|(rank, r)| {
+            r.unwrap_or_else(|e| CaseRank {
                 result: Err(e),
                 timeline: RankTimeline {
                     rank,
@@ -302,110 +259,48 @@ pub fn run_case_timed(
                     events: Vec::new(),
                 },
                 faults: Vec::new(),
-            },
+                events: Vec::new(),
+            })
         })
         .collect()
 }
 
-/// [`run_case_results`] with recording: each rank's [`Comm`] stack is
-/// `RecordComm<FaultComm<ThreadComm>>` — the recorder *outside* the fault
-/// injector, so send events digest what the algorithm intended to transmit
-/// while receive events digest what actually arrived. The run is packaged
-/// as a self-contained replay [`Artifact`] (backend `thread`, the fault
-/// plan's seed in the header) that `exacoll replay` can re-execute against
-/// the schedule IR to pinpoint the first divergent (rank, step).
-pub fn run_case_recorded(
+/// Run one case of the campaign and package it as a self-contained replay
+/// [`Artifact`] (backend `thread`, the fault plan's seed in the header) that
+/// `exacoll replay` can re-execute against the schedule IR to pinpoint the
+/// first divergent (rank, step).
+pub fn record_case(
     op: CollectiveOp,
     alg: Algorithm,
     p: usize,
     fault: FaultClass,
     seed: u64,
     payload: usize,
-) -> (Vec<CommResult<Vec<u8>>>, Artifact) {
-    let plan = fault.plan(seed, p);
-    let args = CollArgs {
-        op,
-        alg,
-        root: 0,
-        dtype: DType::U8,
-        rop: ReduceOp::Max,
-    };
-    let opts = WorldOptions {
-        deadline: fault.deadline(),
-    };
-    let out = try_run_ranks_with(p, opts, move |c: &mut ThreadComm| {
-        let rank = c.rank();
-        let input = rank_payload(plan.seed, rank, payload);
-        let abort = c.abort_handle();
-        let (res, events) = {
-            let fc = FaultComm::new(&mut *c, plan).with_abort(abort);
-            let mut rc = RecordComm::new(fc);
-            let res = execute(&mut rc, &args, &input);
-            (res, rc.finish())
-        };
-        // Same closing-barrier discipline as `run_case_results`. The barrier
-        // runs on the raw communicator, outside the recorder, so it does not
-        // appear in the replayed event log.
-        let bar = match &res {
-            Ok(_) if p > 1 => execute(
-                &mut *c,
-                &CollArgs::new(CollectiveOp::Barrier, Algorithm::Dissemination { k: 2 }),
-                &[],
-            )
-            .map(|_| ()),
-            _ => Ok(()),
-        };
-        let result = match (res, bar) {
-            (Ok(v), Ok(())) => Ok(v),
-            (Err(e), _) | (Ok(_), Err(e)) => Err(e),
-        };
-        Ok((result, input, events))
-    });
-    let mut results = Vec::with_capacity(p);
-    let mut ranks = Vec::with_capacity(p);
-    for (rank, r) in out.into_iter().enumerate() {
-        match r {
-            Ok((result, input, events)) => {
-                let (status, output_digest) = match &result {
-                    Ok(v) => (RankStatus::Ok, Some(fnv1a(v))),
-                    Err(e) => (RankStatus::Error(e.to_string()), None),
-                };
-                ranks.push(RankLog {
-                    rank,
-                    status,
-                    input,
-                    output_digest,
-                    events,
-                });
-                results.push(result);
-            }
-            // Harness-level failure: the rank never returned. Its input is
-            // still reconstructable (deterministic), its log is empty.
-            Err(e) => {
-                ranks.push(RankLog {
-                    rank,
-                    status: RankStatus::Error(e.to_string()),
-                    input: rank_payload(plan.seed, rank, payload),
-                    output_digest: None,
-                    events: Vec::new(),
-                });
-                results.push(Err(e));
-            }
-        }
-    }
+) -> (Vec<CaseRank>, Artifact) {
+    let request = case_request(op, alg, p, payload);
+    let ranks = run_case_results(op, alg, p, fault.plan(seed, p), fault.deadline(), payload);
+    let logs = ranks
+        .iter()
+        .enumerate()
+        .map(|(rank, r)| RankLog {
+            rank,
+            status: match &r.result {
+                Ok(_) => RankStatus::Ok,
+                Err(e) => RankStatus::Error(e.to_string()),
+            },
+            input: request.input(seed, 0, rank),
+            output_digest: r.result.as_ref().ok().map(|v| fnv1a(v)),
+            events: r.events.clone(),
+        })
+        .collect();
     let artifact = Artifact {
         case: Some(format!("{op}/{}/p{p}/{}", alg_to_spec(&alg), fault.name())),
         backend: "thread".into(),
-        fault_seed: Some(plan.seed),
-        args,
-        opt: exacoll_core::spec::OptSpec::NONE,
-        opt_chunk: exacoll_core::spec::OPT_PIPELINE_CHUNK_BYTES,
-        opt_fuse: exacoll_core::spec::OPT_AGGREGATE_MAX_FUSE_BYTES,
-        p,
-        n: payload,
-        ranks,
+        fault_seed: Some(seed),
+        request,
+        ranks: logs,
     };
-    (results, artifact)
+    (ranks, artifact)
 }
 
 /// The campaign's pass/fail verdict: `Err` (with a one-line summary) when
@@ -452,11 +347,15 @@ pub fn run_case(
     seed: u64,
     payload: usize,
 ) -> CaseResult {
-    let plan = fault.plan(seed, p);
-    let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_payload(seed, r, payload)).collect();
-    let expected = expected_outputs(op, 0, DType::U8, ReduceOp::Max, &inputs)
+    let req = case_request(op, alg, p, payload);
+    let expected = req
+        .reference(&req.inputs(seed))
         .expect("u8/max reference is always defined");
-    let results = run_case_results(op, alg, p, plan, fault.deadline(), payload);
+    let results: Vec<_> =
+        run_case_results(op, alg, p, fault.plan(seed, p), fault.deadline(), payload)
+            .into_iter()
+            .map(|r| r.result)
+            .collect();
     let outcome = classify(&results, &expected);
     // A single-rank world exchanges no messages, so fault classes that
     // demand a failure (drop, kill-at-op-0) cannot trigger: correct
@@ -549,15 +448,8 @@ mod tests {
     }
 
     #[test]
-    fn payloads_are_deterministic_and_rank_distinct() {
-        assert_eq!(rank_payload(1, 0, 16), rank_payload(1, 0, 16));
-        assert_ne!(rank_payload(1, 0, 16), rank_payload(1, 1, 16));
-        assert_ne!(rank_payload(1, 0, 16), rank_payload(2, 0, 16));
-    }
-
-    #[test]
     fn recorded_corrupt_case_replays_to_a_receive_divergence() {
-        let (results, artifact) = run_case_recorded(
+        let (results, artifact) = record_case(
             CollectiveOp::Allreduce,
             Algorithm::Ring,
             4,
@@ -586,7 +478,7 @@ mod tests {
 
     #[test]
     fn recorded_baseline_case_replays_clean() {
-        let (results, artifact) = run_case_recorded(
+        let (results, artifact) = record_case(
             CollectiveOp::Bcast,
             Algorithm::KnomialTree { k: 3 },
             5,
@@ -594,14 +486,14 @@ mod tests {
             9,
             32,
         );
-        assert!(results.iter().all(|r| r.is_ok()));
+        assert!(results.iter().all(|r| r.result.is_ok()));
         let report = exacoll_replay::replay(&artifact).unwrap();
         assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]
     fn recorded_kill_case_truncates_the_victim_log() {
-        let (_, artifact) = run_case_recorded(
+        let (_, artifact) = record_case(
             CollectiveOp::Allreduce,
             Algorithm::RecursiveMultiplying { k: 2 },
             4,

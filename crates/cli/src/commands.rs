@@ -1,26 +1,25 @@
 //! Subcommand implementations.
 
 use crate::args::{parse_alg, parse_backend, parse_size, Args, Backend};
-use exacoll_core::reference::{expected_outputs, expected_outputs_v};
 use exacoll_core::registry::{
-    candidates, lower, lower_v, supports_v, table_i, unique_candidates, unique_candidates_v,
+    candidates, default_algorithm, table_i, unique_candidates, unique_candidates_v,
 };
+use exacoll_core::request::DEFAULT_SEED;
 use exacoll_core::schedule::eval::{evaluate, probe_inputs};
-use exacoll_core::schedule::verify::{verify, verify_tenants, TenantPlans};
+use exacoll_core::schedule::verify::{verify, ScheduleStats};
 use exacoll_core::spec::{
-    parse_opt_spec, variant_to_spec, CountsSpec, OptSpec, Variant, OPT_AGGREGATE_MAX_FUSE_BYTES,
-    OPT_PIPELINE_CHUNK_BYTES,
+    parse_opt_spec, CountsSpec, OptSpec, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES,
 };
-use exacoll_core::{merge_tenants, Algorithm, CollArgs, CollectiveOp, Tenant};
+use exacoll_core::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll_obs::{
     analyze_residuals, chrome_trace, intra_net_of, net_of, profile_sim, profile_thread,
     rank_tracks, BackendRun, Metrics, ProfileSpec, RankTimeline,
 };
-use exacoll_opt::{layout_for, PassKind, PassManager, TopoDesc};
+use exacoll_opt::{layout_for, plan_world, PassKind, PassManager, TopoDesc};
 use exacoll_select::{bucket_range, vendor, Policy, SelectionService};
 use exacoll_sim::cost::{latency, measure};
 use exacoll_sim::report::fmt_size;
-use exacoll_sim::Table;
+use exacoll_sim::{Machine, Table};
 
 /// Top-level usage text.
 pub const USAGE: &str = "usage:
@@ -29,7 +28,7 @@ pub const USAGE: &str = "usage:
   exacoll time     --machine <name> --nodes N [--ppn P] --op <coll> --alg <alg[:k]> --size BYTES
   exacoll chaos    [--ranks P] [--max-k K] [--seed S] [--bytes N] [--record DIR]
   exacoll profile  <coll> (--alg <alg[:k]> | --select auto) --ranks P [--ppn N]
-                   [--machine <name>] [--size BYTES] [--counts LIST]
+                   [--machine <name>] [--size BYTES] [--counts LIST] [--tenants N]
                    [--backend thread|sim|tcp|both]
                    [--opt <passes>] [--chunk BYTES] [--fuse BYTES]
                    [--chrome FILE] [--metrics FILE] [--table FILE]
@@ -39,12 +38,14 @@ pub const USAGE: &str = "usage:
                    [--opt <passes>] [--chunk BYTES] [--fuse BYTES]
                    [--bind HOST:PORT] [--record DIR] [--table FILE] [--machine <name>]
   exacoll opt      <coll> --alg <alg[:k]> --ranks P [--ppn N] [--machine <name>]
-                   [--size BYTES] [--passes pipeline,aggregate,remap]
+                   [--size BYTES] [--counts LIST] [--passes pipeline,aggregate,remap]
                    [--chunk BYTES] [--fuse BYTES] [--check nonneg]
   exacoll select   <seed|show|diff|export|import> [--table FILE]
                    (seed: --machine <name> --nodes N [--ppn P] [--sizes ...] [--max-k K];
                     export: [--out FILE]; import: --from FILE)
-  exacoll record   <coll> --alg <alg[:k]> --ranks P [--size BYTES] [--seed S] [--out FILE]
+  exacoll record   <coll> --alg <alg[:k]> --ranks P [--size BYTES] [--counts LIST]
+                   [--tenants N] [--opt <passes>] [--chunk BYTES] [--fuse BYTES]
+                   [--seed S] [--out FILE]
   exacoll replay   <artifact.json>
   exacoll verify   [--ranks P] [--max-k K] [--size BYTES] [--counts LIST]
   exacoll repro    <table1|fig07|fig08|fig09|fig10|fig11|selection|models|ablation|
@@ -57,8 +58,11 @@ algs:     linear ring bruck pairwise binomial recdoubling knomial:K recmult:K
           kring:K reduce+bcast:K dissemination:K gbruck:R hier:PPN:K genmult:K
 opt:      --opt takes none|pipeline|aggregate (comma-separated, aliases
           pipe|agg); thresholds default to 1M (--chunk) and 4K (--fuse)
-counts:   --counts takes one byte count per rank (4K,0,64,...) and selects
-          the irregular (\"v\") variant; allgather/reduce_scatter only";
+counts:   --counts takes one byte count per rank (4K,0,64,...) in place of
+          --ranks/--size and selects the irregular (\"v\") variant
+          (allgather/reduce_scatter only); it composes with --tenants, --opt,
+          --record and --select auto, which buckets the vector by its total
+          nudged up by its skew";
 
 /// Dispatch `argv` to a subcommand.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
@@ -169,50 +173,76 @@ pub(crate) fn table_path(args: &Args) -> &str {
     args.opt("table").unwrap_or(DEFAULT_TABLE)
 }
 
-/// Resolve `--select auto` into a concrete variant (algorithm plus
-/// optimizer passes) for (op, ranks, bytes): load (or create) the learned
-/// table, lazily seed cost-model priors for this bucket if nothing is
-/// known yet, and return the published winner. Returns the service so the
-/// caller can feed observed timings back after the run.
+/// Resolve `--select auto`: `request` with the table's winner for its
+/// collective and shape as its algorithm and — unless `--opt` says
+/// otherwise — that winner's passes. A uniform shape is looked up under its
+/// size bucket, cost-model priors for the bucket being seeded on `machine`
+/// first if nothing is known yet; a count vector under its skew-folded
+/// bucket, where an empty bucket answers the v-capable default and only
+/// observations fill it. Tenants do not enter the key: each tenant runs the
+/// single-tenant call.
 pub(crate) fn resolve_auto(
     args: &Args,
-    op: CollectiveOp,
-    ranks: usize,
-    bytes: usize,
-    machine: &exacoll_sim::Machine,
-) -> Result<(SelectionService, Variant), String> {
+    request: Request,
+    machine: &Machine,
+) -> Result<Request, String> {
     let table = table_path(args);
     let svc = SelectionService::load_or_new(table, Policy::default())?;
-    if !svc.knows(op, ranks, bytes) {
-        let max_k = args.opt_usize("max-k", 8)?;
-        let priced = svc.seed_point(machine, op, bytes, max_k)?;
-        svc.publish();
-        svc.save(table)?;
-        eprintln!(
-            "select: seeded {priced} cost-model prior(s) for {op} p={ranks} \
-             bucket {} into {table}",
-            bucket_range(exacoll_select::bucket_of_bytes(bytes))
-        );
+    let (op, ranks, bytes) = (request.args().op, request.ranks(), request.bytes());
+    let variant = match request.counts() {
+        Some(counts) => svc.lookup_v(op, counts.counts()).unwrap_or_else(|| {
+            eprintln!(
+                "select: no v-capable winner for {op} p={ranks} bucket {} in {table} yet",
+                bucket_range(exacoll_select::table::v_bucket(counts.counts()))
+            );
+            svc.select_v(op, counts.counts())
+        }),
+        None => {
+            if !svc.knows(op, ranks, bytes) {
+                let max_k = args.opt_usize("max-k", 8)?;
+                let priced = svc.seed_point(machine, op, bytes, max_k)?;
+                svc.publish();
+                svc.save(table)?;
+                eprintln!(
+                    "select: seeded {priced} cost-model prior(s) for {op} p={ranks} \
+                     bucket {} into {table}",
+                    bucket_range(exacoll_select::bucket_of_bytes(bytes))
+                );
+            }
+            svc.select(op, ranks, bytes)
+        }
+    };
+    eprintln!("select: auto resolved {op} p={ranks} -> {variant}");
+    let request = request.with_alg(variant.alg)?;
+    match args.opt("opt") {
+        // An explicit `--opt` overrides the learned passes.
+        Some(_) => Ok(request),
+        None => {
+            let (chunk, fuse) = (request.chunk(), request.fuse());
+            request.with_opt(variant.opt, chunk, fuse)
+        }
     }
-    let variant = svc.select(op, ranks, bytes);
-    Ok((svc, variant))
 }
 
-/// Fold measured makespans back into the learned table and persist it.
+/// Fold measured makespans of `request` back into the learned table, under
+/// the bucket [`resolve_auto`] read, and persist it. The table is reloaded
+/// rather than kept from resolve time, so concurrent runs at worst lose an
+/// observation instead of resurrecting a stale table.
 pub(crate) fn record_feedback(
-    svc: &SelectionService,
     args: &Args,
-    op: CollectiveOp,
-    ranks: usize,
-    bytes: usize,
-    variant: Variant,
+    request: &Request,
     observations: &[f64],
 ) -> Result<(), String> {
+    let table = table_path(args);
+    let svc = SelectionService::load_or_new(table, Policy::default())?;
+    let (op, ranks, variant) = (request.args().op, request.ranks(), request.variant());
     for &ns in observations {
-        svc.observe(op, ranks, bytes, variant, ns);
+        match request.counts() {
+            Some(counts) => svc.observe_v(op, counts.counts(), variant, ns),
+            None => svc.observe(op, ranks, request.bytes(), variant, ns),
+        }
     }
     svc.publish();
-    let table = table_path(args);
     svc.save(table)?;
     eprintln!(
         "select: recorded {} observation(s) for {op}/{variant} p={ranks} into {table}",
@@ -221,27 +251,63 @@ pub(crate) fn record_feedback(
     Ok(())
 }
 
-/// Parse the optimizer flags shared by `profile`, `launch`, and `opt`:
-/// the `--opt` pass list (None when the flag is absent, so callers can
-/// distinguish "not given" from an explicit `--opt none`) and the
-/// `--chunk`/`--fuse` thresholds, defaulting to the spec constants.
-pub(crate) fn opt_flags(args: &Args) -> Result<(Option<OptSpec>, usize, usize), String> {
-    let opt = args.opt("opt").map(parse_opt_spec).transpose()?;
-    let chunk = match args.opt("chunk") {
-        None => OPT_PIPELINE_CHUNK_BYTES,
-        Some(s) => parse_size(s).ok_or_else(|| format!("bad --chunk `{s}`"))?,
+/// The request a command line names, for `launch`, `profile`, `opt` and
+/// `record`: the collective (bare operand or `--op`), `--alg`, the shape
+/// (`--ranks` with `--size`, or `--counts`, which fixes both), `--tenants`
+/// and the optimizer flags `--opt`/`--chunk`/`--fuse`. Under `--select
+/// auto` the algorithm is the collective's default until [`resolve_auto`]
+/// replaces it. Every shape rule is [`Request`]'s.
+pub(crate) fn parse_request(args: &Args, default_size: usize) -> Result<Request, String> {
+    let op = match args.positional() {
+        Some(name) => crate::args::parse_op(name)?,
+        None => args.op()?,
     };
-    let fuse = match args.opt("fuse") {
-        None => OPT_AGGREGATE_MAX_FUSE_BYTES,
-        Some(s) => parse_size(s).ok_or_else(|| format!("bad --fuse `{s}`"))?,
+    let alg = match args.opt("select") {
+        None => parse_alg(args.req("alg")?)?,
+        Some("auto") => default_algorithm(op),
+        Some(other) => return Err(format!("--select supports only `auto` (got `{other}`)")),
     };
-    if chunk == 0 {
-        return Err("--chunk must be at least 1 byte".into());
+    let size = |flag: &str, default: usize| match args.opt(flag) {
+        None => Ok(default),
+        Some(s) => parse_size(s).ok_or_else(|| format!("bad --{flag} `{s}`")),
+    };
+    let coll = CollArgs::new(op, alg);
+    let request = match args.opt("counts").map(CountsSpec::parse).transpose()? {
+        None => Request::uniform(coll, args.req_usize("ranks")?, size("size", default_size)?),
+        Some(counts) => {
+            let ranks = args.opt_usize("ranks", counts.ranks())?;
+            if ranks != counts.ranks() {
+                return Err(format!(
+                    "--counts names {} rank(s) but --ranks says {ranks}",
+                    counts.ranks()
+                ));
+            }
+            if args.opt("size").is_some() {
+                return Err("--size is meaningless with --counts (the vector is the size)".into());
+            }
+            Request::irregular(coll, counts)
+        }
+    }?;
+    request
+        .with_tenants(args.opt_usize("tenants", 1)?)?
+        .with_opt(
+            args.opt("opt").map_or(Ok(OptSpec::NONE), parse_opt_spec)?,
+            size("chunk", OPT_PIPELINE_CHUNK_BYTES)?,
+            size("fuse", OPT_AGGREGATE_MAX_FUSE_BYTES)?,
+        )
+}
+
+/// The machine `profile` and `opt` model `ranks` ranks on: `--machine`
+/// (default frontier) at `--ppn` ranks per node.
+fn machine_for(args: &Args, ranks: usize) -> Result<(Machine, usize), String> {
+    let ppn = args.opt_usize("ppn", 1)?;
+    if ppn == 0 || !ranks.is_multiple_of(ppn) {
+        return Err(format!(
+            "--ranks must be a positive multiple of --ppn (got ranks={ranks}, ppn={ppn})"
+        ));
     }
-    if fuse == 0 {
-        return Err("--fuse must be at least 1 byte".into());
-    }
-    Ok((opt, chunk, fuse))
+    let name = args.opt("machine").unwrap_or("frontier");
+    Ok((crate::args::parse_machine(name, ranks / ppn, ppn)?, ppn))
 }
 
 /// Inspect, grow, and move learned selection tables.
@@ -356,9 +422,8 @@ fn chaos(args: &Args) -> Result<(), String> {
         let dir = args.opt("record").unwrap_or("chaos-artifacts");
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
         for case in &failed {
-            let (_, artifact) = exacoll_chaos::run_case_recorded(
-                case.op, case.alg, case.p, case.fault, seed, bytes,
-            );
+            let (_, artifact) =
+                exacoll_chaos::record_case(case.op, case.alg, case.p, case.fault, seed, bytes);
             let name = sanitize_artifact_name(&format!(
                 "{}-{}-p{}-{}",
                 case.op,
@@ -389,42 +454,21 @@ pub(crate) fn sanitize_artifact_name(label: &str) -> String {
 
 /// Record one fault-free run on the threaded backend as a replay artifact.
 fn record(args: &Args) -> Result<(), String> {
-    let op = match args.positional() {
-        Some(name) => crate::args::parse_op(name)?,
-        None => args.op()?,
-    };
-    let alg = parse_alg(args.req("alg")?)?;
-    let p = args.req_usize("ranks")?;
-    if p == 0 {
-        return Err("--ranks must be at least 1".into());
-    }
-    let size = match args.opt("size") {
-        None => 64,
-        Some(s) => crate::args::parse_size(s).ok_or_else(|| format!("bad --size `{s}`"))?,
-    };
-    // Same payload normalization as launch: alltoall needs p equal blocks,
-    // barrier carries none.
-    let n = match op {
-        CollectiveOp::Alltoall => size.max(p).div_ceil(p) * p,
-        CollectiveOp::Barrier => 0,
-        _ => size,
-    };
-    let seed = args.opt_usize("seed", 42)? as u64;
-    alg.supports(op, p)?;
-    let coll = CollArgs::new(op, alg);
-    let artifact = exacoll_replay::record_thread_run(&coll, p, n, seed);
+    let request = parse_request(args, 64)?;
+    let (op, p) = (request.args().op, request.ranks());
+    let seed = args.opt_usize("seed", DEFAULT_SEED as usize)? as u64;
+    let artifact = exacoll_replay::record_request(&request, seed)?;
     let default_name = format!(
         "{}.replay.json",
-        sanitize_artifact_name(&format!(
-            "{op}-{}-p{p}",
-            exacoll_core::spec::alg_to_spec(&alg)
-        ))
+        sanitize_artifact_name(&format!("{op}-{}-p{p}", request.variant().spec()))
     );
     let path = args.opt("out").unwrap_or(&default_name);
     std::fs::write(path, artifact.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!(
-        "recorded {op}/{alg} on {p} thread rank(s), {n} B per rank -> {path} \
-         (verify with `exacoll replay {path}`)"
+        "recorded {op}/{} on {p} thread rank(s), {} -> {path} \
+         (verify with `exacoll replay {path}`)",
+        request.variant(),
+        request.describe()
     );
     Ok(())
 }
@@ -450,135 +494,20 @@ fn replay(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Profile the irregular ("v") variant of a collective over an explicit
-/// per-rank count vector: verify the lowered plans, price them on the
-/// simulated machine, and run them with real data on the threaded backend
-/// against the sequential v-reference. The uniform profile's timeline
-/// machinery assumes one payload size per rank, so the v-path reports the
-/// verifier's term counts and the simulated makespan instead.
-fn profile_v(args: &Args, spec: &str) -> Result<(), String> {
-    let counts = CountsSpec::parse(spec)?;
-    let op = match args.positional() {
-        Some(name) => crate::args::parse_op(name)?,
-        None => args.op()?,
-    };
-    let ranks = counts.ranks();
-    if args.opt_usize("ranks", ranks)? != ranks {
-        return Err(format!(
-            "--ranks disagrees with --counts (the vector names {ranks} rank(s))"
-        ));
-    }
-    if args.opt("select").is_some() {
-        return Err("--select cannot be combined with --counts (give an explicit --alg)".into());
-    }
-    if args.opt("opt").is_some() {
-        return Err("--opt does not apply to irregular (--counts) plans".into());
-    }
-    let ppn = args.opt_usize("ppn", 1)?;
-    if ppn == 0 || !ranks.is_multiple_of(ppn) {
-        return Err(format!(
-            "--ranks must be a positive multiple of --ppn (got ranks={ranks}, ppn={ppn})"
-        ));
-    }
-    let alg = parse_alg(args.req("alg")?)?;
-    supports_v(alg, op, counts.counts())?;
-    let machine =
-        crate::args::parse_machine(args.opt("machine").unwrap_or("frontier"), ranks / ppn, ppn)?;
-
-    let cargs = CollArgs::new(op, alg);
-    let plans: Vec<_> = (0..ranks)
-        .map(|r| lower_v(&cargs, r, counts.counts()))
-        .collect();
-    let stats = verify(&plans).map_err(|e| format!("{op}v / {alg}: {e}"))?;
-    let sim = exacoll_sim::cost(&machine, &plans).map_err(|e| e.to_string())?;
-
-    let inputs: Vec<Vec<u8>> = plans
-        .iter()
-        .map(|s| exacoll_obs::payload(s.rank, s.input.len()))
-        .collect();
-    let expect = expected_outputs_v(op, cargs.dtype, cargs.rop, counts.counts(), &inputs)
-        .map_err(|e| e.to_string())?;
-    let outputs = exacoll_comm::try_run_ranks(ranks, |c| {
-        use exacoll_comm::Comm;
-        let r = c.rank();
-        exacoll_core::registry::execute_v(c, &cargs, counts.counts(), &inputs[r])
-    });
-    for (r, out) in outputs.into_iter().enumerate() {
-        match out {
-            Ok(out) if out == expect[r] => {}
-            Ok(_) => return Err(format!("rank {r}: output differs from the v-reference")),
-            Err(e) => return Err(format!("rank {r}: {e}")),
-        }
-    }
-
-    println!(
-        "profile: {op}v / {alg} on {} ({ranks} rank(s), counts [{}], {} B total, skew {:.2})",
-        machine.name,
-        counts.spec(),
-        counts.total(),
-        counts.skew()
-    );
-    println!(
-        "verifier: {} round(s), {} beta B, {} gamma B",
-        stats.alpha_rounds, stats.beta_bytes, stats.gamma_bytes
-    );
-    println!("sim makespan: {}", sim.makespan);
-    println!("thread backend: all {ranks} rank(s) byte-identical to the sequential v-reference");
-    Ok(())
-}
-
-/// Profile one collective on both backends: per-rank timelines, critical
-/// path, model-vs-measured residuals, and an optional Chrome trace.
+/// Profile one request on the chosen backends: per-rank timelines,
+/// critical path, model-vs-measured residuals, and an optional Chrome trace.
 fn profile(args: &Args) -> Result<(), String> {
-    if let Some(spec) = args.opt("counts") {
-        return profile_v(args, spec);
+    let mut request = parse_request(args, 1024)?;
+    let (machine, _) = machine_for(args, request.ranks())?;
+    // Under `--select auto` the selection service names the variant, and
+    // gets the measured makespans fed back after the runs.
+    let auto = args.opt("select").is_some();
+    if auto {
+        request = resolve_auto(args, request, &machine)?;
     }
-    let op = match args.positional() {
-        Some(name) => crate::args::parse_op(name)?,
-        None => args.op()?,
-    };
-    let ranks = args.req_usize("ranks")?;
-    let ppn = args.opt_usize("ppn", 1)?;
-    if ranks == 0 || ppn == 0 || ranks % ppn != 0 {
-        return Err(format!(
-            "--ranks must be a positive multiple of --ppn (got ranks={ranks}, ppn={ppn})"
-        ));
-    }
-    let machine =
-        crate::args::parse_machine(args.opt("machine").unwrap_or("frontier"), ranks / ppn, ppn)?;
-    let size = match args.opt("size") {
-        None => 1024,
-        Some(s) => crate::args::parse_size(s).ok_or_else(|| format!("bad --size `{s}`"))?,
-    };
-    // Resolve the variant: explicit `--alg` (plus optional `--opt`), or the
-    // selection service under `--select auto` (which then gets the measured
-    // makespans fed back after the runs). An explicit `--opt` always wins
-    // over whatever passes the learned winner carries.
-    let (opt, chunk, fuse) = opt_flags(args)?;
-    let mut spec = ProfileSpec::plain(
-        op,
-        exacoll_core::registry::default_algorithm(op),
-        machine,
-        size,
-    );
-    spec.chunk_bytes = chunk;
-    spec.fuse_bytes = fuse;
-    let service = match args.opt("select") {
-        None => {
-            spec.alg = parse_alg(args.req("alg")?)?;
-            spec.opt = opt.unwrap_or(OptSpec::NONE);
-            None
-        }
-        Some("auto") => {
-            let (svc, variant) = resolve_auto(args, op, ranks, spec.input_len(), &spec.machine)?;
-            spec.alg = variant.alg;
-            spec.opt = opt.unwrap_or(variant.opt);
-            eprintln!("select: auto resolved {op} p={ranks} -> {variant}");
-            Some(svc)
-        }
-        Some(other) => return Err(format!("--select supports only `auto` (got `{other}`)")),
-    };
-    spec.alg.supports(op, ranks)?;
+    let spec = ProfileSpec { request, machine };
+    let req = &spec.request;
+    let (op, alg) = (req.args().op, req.args().alg);
 
     let runs: Vec<BackendRun> = match parse_backend(args.opt("backend").unwrap_or("both"))? {
         Backend::Sim => vec![profile_sim(&spec)?],
@@ -588,13 +517,17 @@ fn profile(args: &Args) -> Result<(), String> {
     };
 
     println!(
-        "profile: {op} / {} on {} ({ranks} rank(s), {} B per rank)",
-        variant_to_spec(&spec.alg, &spec.opt),
+        "profile: {op} / {} on {} ({} rank(s), {})",
+        req.variant().spec(),
         spec.machine.name,
-        spec.input_len()
+        req.ranks(),
+        req.describe()
     );
     let net = net_of(&spec.machine);
     let intra = intra_net_of(&spec.machine);
+    // Eqs. 1-14 model one uniform collective: they have no count-vector or
+    // merged-tenant form to take residuals against.
+    let modeled = req.counts().is_none() && req.tenants() == 1;
     let mut metrics = Metrics::new();
     for run in &runs {
         println!();
@@ -602,16 +535,12 @@ fn profile(args: &Args) -> Result<(), String> {
         println!("makespan: {:.3} us", run.makespan_ns / 1000.0);
         let cp = exacoll_obs::critical_path::critical_path(&run.timelines);
         print!("{}", exacoll_obs::critical_path::render(&cp));
-        let report = analyze_residuals(
-            &run.timelines,
-            op,
-            spec.alg,
-            spec.input_len(),
-            &net,
-            Some(&intra),
-        );
-        print!("{}", exacoll_obs::residual::render(&report));
-        let scope = format!("{op}/{}/{}/{}", spec.alg, spec.input_len(), run.backend);
+        if modeled {
+            let report =
+                analyze_residuals(&run.timelines, op, alg, req.bytes(), &net, Some(&intra));
+            print!("{}", exacoll_obs::residual::render(&report));
+        }
+        let scope = format!("{op}/{alg}/{}/{}", req.bytes(), run.backend);
         metrics.record_timelines(&scope, &run.timelines);
     }
 
@@ -633,7 +562,7 @@ fn profile(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("metrics snapshot written to {path}");
     }
-    if let Some(svc) = &service {
+    if auto {
         // Feed real measurements back; the simulator's makespan *is* the
         // cost model, so it would only restate the prior.
         let observed: Vec<f64> = runs
@@ -641,11 +570,7 @@ fn profile(args: &Args) -> Result<(), String> {
             .filter(|r| r.backend != "sim")
             .map(|r| r.makespan_ns)
             .collect();
-        let variant = Variant {
-            alg: spec.alg,
-            opt: spec.opt,
-        };
-        record_feedback(svc, args, op, ranks, spec.input_len(), variant, &observed)?;
+        record_feedback(args, req, &observed)?;
     }
     Ok(())
 }
@@ -654,36 +579,12 @@ fn profile(args: &Args) -> Result<(), String> {
 /// each pass's verdict and modeled cost delta. `--check nonneg` turns a
 /// modeled regression into a non-zero exit, for CI smoke jobs.
 fn opt_cmd(args: &Args) -> Result<(), String> {
-    let op = match args.positional() {
-        Some(name) => crate::args::parse_op(name)?,
-        None => args.op()?,
-    };
-    let alg = parse_alg(args.req("alg")?)?;
-    let ranks = args.req_usize("ranks")?;
-    let ppn = args.opt_usize("ppn", 1)?;
-    if ranks == 0 || ppn == 0 || !ranks.is_multiple_of(ppn) {
-        return Err(format!(
-            "--ranks must be a positive multiple of --ppn (got ranks={ranks}, ppn={ppn})"
-        ));
-    }
-    alg.supports(op, ranks)?;
-    let machine =
-        crate::args::parse_machine(args.opt("machine").unwrap_or("frontier"), ranks / ppn, ppn)?;
-    let size = match args.opt("size") {
-        None => 1024,
-        Some(s) => parse_size(s).ok_or_else(|| format!("bad --size `{s}`"))?,
-    };
-    let (_, chunk, fuse) = opt_flags(args)?;
-
-    // Same payload normalization as profile/launch: alltoall needs p equal
-    // blocks, barrier carries none.
-    let n = match op {
-        CollectiveOp::Alltoall => size.max(ranks).div_ceil(ranks) * ranks,
-        CollectiveOp::Barrier => 0,
-        _ => size,
-    };
-    let cargs = CollArgs::new(op, alg);
-    let plans: Vec<_> = (0..ranks).map(|r| lower(&cargs, ranks, r, n)).collect();
+    let request = parse_request(args, 1024)?;
+    let ranks = request.ranks();
+    let (op, alg) = (request.args().op, request.args().alg);
+    let (machine, ppn) = machine_for(args, ranks)?;
+    let (chunk, fuse) = (request.chunk(), request.fuse());
+    let plans = request.lower_world();
 
     let mut manager = PassManager::new(machine.clone());
     for name in args
@@ -717,7 +618,8 @@ fn opt_cmd(args: &Args) -> Result<(), String> {
     let report = manager.run(&plans).map_err(|e| e.to_string())?;
     let mut t = Table::new(
         format!(
-            "optimizer report: {op}/{alg} p={ranks} ({n} B per rank) on {}",
+            "optimizer report: {op}/{alg} p={ranks} ({}) on {}",
+            request.describe(),
             machine.name
         ),
         &["pass", "verdict", "before (us)", "after (us)", "delta"],
@@ -809,39 +711,27 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
     // schedule doesn't hide the rest of the audit.
     let mut failures: Vec<String> = Vec::new();
     for op in CollectiveOp::ALL {
-        // Alltoall plans need p equal blocks; round the payload up.
-        let n_op = if op == CollectiveOp::Alltoall {
-            n.div_ceil(p) * p
-        } else {
-            n
-        };
-        // The optimizer sweep for this op: a chunk small enough that
-        // pipelining actually bites at this payload, the default fuse
-        // ceiling, and a two-level split of p for the remap.
-        let passes = [
-            PassKind::Pipeline {
-                chunk_bytes: (n_op / 2).max(1),
-            },
-            PassKind::Aggregate {
-                max_fuse_bytes: OPT_AGGREGATE_MAX_FUSE_BYTES,
-            },
-            PassKind::Remap {
-                topo: split_topo(p),
-                layout: layout_for(op),
-            },
-        ];
         for alg in candidates(op, p, max_k) {
-            let cargs = CollArgs::new(op, alg);
-            let plans: Vec<_> = (0..p).map(|r| lower(&cargs, p, r, n_op)).collect();
+            let request = Request::uniform(CollArgs::new(op, alg), p, n)?;
+            let plans = request.lower_world();
+            // The optimizer sweep: a chunk small enough that pipelining
+            // actually bites at this payload, the default fuse ceiling, and
+            // a two-level split of p for the remap.
+            let passes = [
+                PassKind::Pipeline {
+                    chunk_bytes: (request.bytes() / 2).max(1),
+                },
+                PassKind::Aggregate {
+                    max_fuse_bytes: OPT_AGGREGATE_MAX_FUSE_BYTES,
+                },
+                PassKind::Remap {
+                    topo: split_topo(p),
+                    layout: layout_for(op),
+                },
+            ];
             match verify(&plans) {
                 Ok(stats) => {
-                    t.row(vec![
-                        op.to_string(),
-                        alg.to_string(),
-                        stats.alpha_rounds.to_string(),
-                        stats.beta_bytes.to_string(),
-                        stats.gamma_bytes.to_string(),
-                    ]);
+                    t.row(stats_row(op.to_string(), alg.to_string(), &stats));
                     let inputs = probe_inputs(&plans);
                     let reference = match evaluate(&plans, &inputs) {
                         Ok(r) => Some(r),
@@ -899,52 +789,23 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
     // vector or a built-in ragged grid (uniform control, heavy-head skew,
     // zero-count ranks). Each plan set must verify *and* evaluate
     // byte-identical to the sequential v-reference.
-    let count_grid: Vec<Vec<usize>> = match args.opt("counts") {
-        Some(spec) => vec![CountsSpec::parse(spec)?.counts().to_vec()],
+    let count_grid: Vec<CountsSpec> = match args.opt("counts") {
+        Some(spec) => vec![CountsSpec::parse(spec)?],
         None => {
             let mut head = vec![8usize; p];
             head[0] = 8 * p;
             let holes: Vec<usize> = (0..p).map(|r| if r % 2 == 0 { 24 } else { 0 }).collect();
-            vec![vec![8usize; p], head, holes]
+            [vec![8usize; p], head, holes]
+                .into_iter()
+                .map(CountsSpec::new)
+                .collect::<Result<_, _>>()?
         }
     };
     for counts in &count_grid {
-        let fmt_counts = counts
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
         for op in [CollectiveOp::Allgather, CollectiveOp::ReduceScatter] {
-            for alg in unique_candidates_v(op, max_k, counts) {
-                let cargs = CollArgs::new(op, alg);
-                let plans: Vec<_> = (0..counts.len())
-                    .map(|r| lower_v(&cargs, r, counts))
-                    .collect();
-                let label = format!("{op}v [{fmt_counts}]");
-                match verify(&plans) {
-                    Ok(stats) => {
-                        t.row(vec![
-                            label.clone(),
-                            alg.to_string(),
-                            stats.alpha_rounds.to_string(),
-                            stats.beta_bytes.to_string(),
-                            stats.gamma_bytes.to_string(),
-                        ]);
-                        let inputs = probe_inputs(&plans);
-                        let expect =
-                            expected_outputs_v(op, cargs.dtype, cargs.rop, counts, &inputs)
-                                .map_err(|e| e.to_string());
-                        check_outputs(
-                            &mut failures,
-                            &format!("{label} / {alg}"),
-                            "v-reference",
-                            &plans,
-                            &inputs,
-                            expect,
-                        );
-                    }
-                    Err(e) => failures.push(format!("{label} / {alg}: {e}")),
-                }
+            for alg in unique_candidates_v(op, max_k, counts.counts()) {
+                let request = Request::irregular(CollArgs::new(op, alg), counts.clone())?;
+                verify_row(&mut t, &mut failures, format!("{op}v [{counts}]"), &request);
                 checked += 1;
             }
         }
@@ -955,82 +816,30 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
     // independently of `--ranks`.
     for (pg, k) in [(6usize, 2usize), (7, 2), (7, 3), (9, 2), (9, 3)] {
         let alg = Algorithm::GeneralizedMultiplying { k };
-        let cargs = CollArgs::new(CollectiveOp::Allreduce, alg);
-        let plans: Vec<_> = (0..pg).map(|r| lower(&cargs, pg, r, 32)).collect();
-        let label = format!("allreduce p={pg}");
-        match verify(&plans) {
-            Ok(stats) => {
-                t.row(vec![
-                    label.clone(),
-                    alg.to_string(),
-                    stats.alpha_rounds.to_string(),
-                    stats.beta_bytes.to_string(),
-                    stats.gamma_bytes.to_string(),
-                ]);
-                let inputs = probe_inputs(&plans);
-                let expect =
-                    expected_outputs(cargs.op, cargs.root, cargs.dtype, cargs.rop, &inputs)
-                        .map_err(|e| e.to_string());
-                check_outputs(
-                    &mut failures,
-                    &format!("{label} / {alg}"),
-                    "reference",
-                    &plans,
-                    &inputs,
-                    expect,
-                );
-            }
-            Err(e) => failures.push(format!("{label} / {alg}: {e}")),
-        }
+        let request = Request::uniform(CollArgs::new(CollectiveOp::Allreduce, alg), pg, 32)?;
+        verify_row(&mut t, &mut failures, format!("allreduce p={pg}"), &request);
         checked += 1;
     }
 
-    // Multi-tenant tag partitioning: two concurrent collectives sharing one
-    // runtime must verify per-tenant (disjoint tag windows) *and* as the
-    // single merged plan set the shared runtime actually executes.
+    // Multi-tenant tag partitioning: two concurrent allreduces sharing one
+    // runtime, through the gate every tenant launch plans through — proven
+    // per tenant (disjoint tag windows) *and* as the single merged plan set
+    // the shared runtime actually executes.
     if p >= 2 {
-        let rewrite = |id: usize, cargs: &CollArgs| -> Vec<_> {
-            (0..p)
-                .map(|r| Tenant::new(id).rewrite(&lower(cargs, p, r, 16)))
-                .collect()
-        };
-        let t0 = rewrite(0, &CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring));
-        let t1 = rewrite(
-            1,
-            &CollArgs::new(
-                CollectiveOp::Allreduce,
-                Algorithm::RecursiveMultiplying { k: 2 },
-            ),
-        );
-        let tenants = [
-            TenantPlans {
-                tenant: 0,
-                window: Tenant::new(0).window(),
-                schedules: &t0,
-            },
-            TenantPlans {
-                tenant: 1,
-                window: Tenant::new(1).window(),
-                schedules: &t1,
-            },
-        ];
-        if let Err(e) = verify_tenants(&tenants) {
-            failures.push(format!("tenancy: per-tenant verification: {e}"));
-        }
-        let merged: Vec<_> = (0..p)
-            .map(|r| merge_tenants(&[t0[r].clone(), t1[r].clone()]))
-            .collect();
-        match verify(&merged) {
+        let alg = Algorithm::RecursiveMultiplying { k: 2 };
+        let merged = Request::uniform(CollArgs::new(CollectiveOp::Allreduce, alg), p, 16)
+            .and_then(|r| r.with_tenants(2))
+            .and_then(|r| plan_world(&r).map_err(|e| e.to_string()))
+            .and_then(|merged| verify(&merged).map_err(|e| e.to_string()));
+        match merged {
             Ok(stats) => {
-                t.row(vec![
+                t.row(stats_row(
                     "2 tenants (merged)".into(),
-                    "ring + recmult:2".into(),
-                    stats.alpha_rounds.to_string(),
-                    stats.beta_bytes.to_string(),
-                    stats.gamma_bytes.to_string(),
-                ]);
+                    format!("{alg} x 2"),
+                    &stats,
+                ));
             }
-            Err(e) => failures.push(format!("tenancy: merged plan set: {e}")),
+            Err(e) => failures.push(format!("tenancy: {e}")),
         }
         checked += 1;
     }
@@ -1057,6 +866,33 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
          same rounds, beta/gamma scale with n, reference outputs at 1 KiB, priced at 1 MiB"
     );
     Ok(())
+}
+
+/// A row of the verify table: what was checked and its α-β-γ term counts.
+fn stats_row(what: String, alg: String, stats: &ScheduleStats) -> Vec<String> {
+    vec![
+        what,
+        alg,
+        stats.alpha_rounds.to_string(),
+        stats.beta_bytes.to_string(),
+        stats.gamma_bytes.to_string(),
+    ]
+}
+
+/// Verify `request`'s lowered world and check it evaluates to the request's
+/// own sequential reference: a table row on success, a failure otherwise.
+fn verify_row(t: &mut Table, failures: &mut Vec<String>, label: String, request: &Request) {
+    let what = format!("{label} / {}", request.args().alg);
+    let plans = request.lower_world();
+    match verify(&plans) {
+        Ok(stats) => {
+            t.row(stats_row(label, request.args().alg.to_string(), &stats));
+            let inputs = probe_inputs(&plans);
+            let expect = request.reference(&inputs).map_err(|e| e.to_string());
+            check_outputs(failures, &what, "reference", &plans, &inputs, expect);
+        }
+        Err(e) => failures.push(format!("{what}: {e}")),
+    }
 }
 
 /// Evaluate `plans` on `inputs` and record a failure for `what` unless the
@@ -1111,15 +947,13 @@ fn verify_paper_shapes(failures: &mut Vec<String>) -> (Table, usize) {
     for ((_, _, ops), kernel) in table_i().into_iter().zip(kernels) {
         for op in ops {
             for alg in [2, 4, 8, PAPER_P].map(kernel) {
-                if alg.supports(op, PAPER_P).is_err() {
+                let at = |n| Request::uniform(CollArgs::new(op, alg), PAPER_P, n);
+                let (Ok(request), Ok(large)) = (at(KIB), at(KIB * KIB)) else {
                     continue;
-                }
+                };
                 checked += 1;
                 let what = format!("p={PAPER_P} {op} / {alg}");
-                let cargs = CollArgs::new(op, alg);
-                let lower_at =
-                    |n| -> Vec<_> { (0..PAPER_P).map(|r| lower(&cargs, PAPER_P, r, n)).collect() };
-                let (small, large) = (lower_at(KIB), lower_at(KIB * KIB));
+                let (small, large) = (request.lower_world(), large.lower_world());
                 let (s, l) = match (verify(&small), verify(&large)) {
                     (Ok(s), Ok(l)) => (s, l),
                     (Err(e), _) | (_, Err(e)) => {
@@ -1136,8 +970,7 @@ fn verify_paper_shapes(failures: &mut Vec<String>) -> (Table, usize) {
                     ));
                 }
                 let inputs = probe_inputs(&small);
-                let expect = expected_outputs(op, cargs.root, cargs.dtype, cargs.rop, &inputs)
-                    .map_err(|e| e.to_string());
+                let expect = request.reference(&inputs).map_err(|e| e.to_string());
                 check_outputs(failures, &what, "reference", &small, &inputs, expect);
                 let sim = match exacoll_sim::cost(&machine, &large) {
                     Ok(out) => out.makespan.to_string(),
@@ -1242,17 +1075,28 @@ mod tests {
     }
 
     #[test]
-    fn profile_counts_runs_the_v_path_and_validates_flags() {
-        run("profile allgather --alg ring --machine testbed --counts 96,0,24,8").unwrap();
+    fn profile_takes_any_request_shape() {
+        let base = "--machine testbed --backend sim";
+        run(&format!(
+            "profile allgather --alg ring --counts 96,0,24,8 {base}"
+        ))
+        .unwrap();
         run("profile reduce_scatter --alg ring --machine testbed --counts 64,16,0,48").unwrap();
+        run(&format!(
+            "profile allgather --alg ring --counts 96,0,24,8 --opt pipeline --chunk 16 {base}"
+        ))
+        .unwrap();
+        run(&format!(
+            "profile allreduce --alg recmult:2 --ranks 4 --size 64 --tenants 2 {base}"
+        ))
+        .unwrap();
         // bruck rotates fixed-size blocks: uniform counts only.
-        let err =
-            run("profile allgather --alg bruck --machine testbed --counts 96,0,24,8").unwrap_err();
-        assert!(err.contains("uniform"), "got: {err}");
-        // --ranks must agree with the vector; --select/--opt don't compose.
+        let err = run(&format!(
+            "profile allgather --alg bruck --counts 96,0,24,8 {base}"
+        ));
+        assert!(err.unwrap_err().contains("uniform"));
+        // --ranks must agree with the vector.
         assert!(run("profile allgather --alg ring --ranks 8 --counts 96,0,24,8").is_err());
-        assert!(run("profile allgather --select auto --counts 96,0,24,8").is_err());
-        assert!(run("profile allgather --alg ring --opt pipeline --counts 96,0,24,8").is_err());
     }
 
     #[test]
@@ -1270,6 +1114,8 @@ mod tests {
         assert!(run("opt allgather --alg ring --ranks 8 --passes wat").is_err());
         assert!(run("opt allgather --alg ring --ranks 8 --check wat").is_err());
         assert!(run("opt allgather --alg ring --ranks 6 --ppn 4").is_err());
+        // A count vector lowers to the v-plans and goes through the same gate.
+        run("opt allgather --alg ring --counts 4K,0,64,256 --passes pipeline --chunk 1K").unwrap();
     }
 
     #[test]

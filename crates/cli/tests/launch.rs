@@ -119,92 +119,6 @@ fn bcast_and_barrier_worlds_verify() {
 }
 
 #[test]
-fn profile_tcp_backend_emits_chrome_trace() {
-    let trace = tmp("profile-tcp.json");
-    let out = exacoll(&[
-        "profile",
-        "allreduce",
-        "--alg",
-        "recmult:2",
-        "--ranks",
-        "4",
-        "--size",
-        "2K",
-        "--backend",
-        "tcp",
-        "--chrome",
-        trace.to_str().expect("utf-8 temp path"),
-    ]);
-    assert!(
-        out.status.success(),
-        "profile --backend tcp failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("backend: tcp"),
-        "missing tcp section: {stdout}"
-    );
-    assert!(
-        stdout.contains("critical path"),
-        "missing analysis: {stdout}"
-    );
-    let doc = exacoll_json::parse(&std::fs::read_to_string(&trace).expect("trace written"))
-        .expect("valid JSON");
-    let tracks = exacoll_obs::rank_tracks(&doc).expect("Chrome-shaped");
-    assert_eq!(tracks.len(), 4);
-    let _ = std::fs::remove_file(&trace);
-}
-
-#[test]
-fn launch_record_emits_a_clean_replay_artifact() {
-    let dir = tmp("record-dir");
-    let out = exacoll(&[
-        "launch",
-        "allreduce",
-        "--alg",
-        "recmult:2",
-        "--ranks",
-        "4",
-        "--size",
-        "2K",
-        "--timeout",
-        "60",
-        "--record",
-        dir.to_str().expect("utf-8 temp path"),
-    ]);
-    assert!(
-        out.status.success(),
-        "launch --record failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let path = dir.join("allreduce-recmult_2-p4-launch.replay.json");
-    let text = std::fs::read_to_string(&path).expect("artifact written");
-    let artifact = exacoll_replay::Artifact::from_json(&text).expect("artifact parses");
-    assert_eq!(artifact.p, 4);
-    assert_eq!(artifact.backend, "tcp");
-    let report = exacoll_replay::replay(&artifact).expect("artifact replays");
-    assert!(
-        report.is_clean(),
-        "fault-free TCP run must replay with zero divergences:\n{}",
-        report.render()
-    );
-    // And through the CLI: `exacoll replay` exits 0 on a clean artifact.
-    let out = exacoll(&["replay", path.to_str().expect("utf-8 temp path")]);
-    assert!(
-        out.status.success(),
-        "replay subcommand failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("PASS"),
-        "missing verdict line: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn launch_record_rejects_partial_spawn() {
     let out = exacoll(&[
         "launch",
@@ -291,54 +205,250 @@ fn partial_spawn_prints_manual_env_lines() {
     );
 }
 
+/// The `(p, tid)` tracks of the Chrome trace at `path`, and its raw text.
+fn tracks_of(path: &std::path::Path) -> (usize, String) {
+    let text = std::fs::read_to_string(path).expect("trace written");
+    let doc = exacoll_json::parse(&text).expect("valid JSON");
+    (
+        exacoll_obs::rank_tracks(&doc).expect("Chrome-shaped").len(),
+        text,
+    )
+}
+
+fn launch_ok(args: &[&str]) -> (String, String) {
+    let out = exacoll(&[&["launch", "--timeout", "60"], args].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        out.status.success(),
+        "{args:?}\nstdout: {stdout}\nstderr: {stderr}"
+    );
+    (stdout, stderr)
+}
+
+const V: [&str; 7] = [
+    "allgather",
+    "--alg",
+    "ring",
+    "--ranks",
+    "4",
+    "--counts",
+    "4K,0,64,256",
+];
+
+/// Every shape launches, verifies, records and replays through the one
+/// path: a plain uniform world, a count vector with a zero-count rank, the
+/// same vector pipelined, and two tenants sharing the world.
 #[test]
-fn v_launch_with_skewed_counts_verifies_over_tcp() {
-    let out = exacoll(&[
-        "launch",
-        "allgather",
-        "--alg",
-        "ring",
-        "--ranks",
-        "4",
-        "--counts",
-        "96,0,24,8",
-        "--timeout",
-        "60",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stdout: {stdout}\nstderr: {stderr}");
-    assert!(
-        stdout.contains("verified on 4 process(es)"),
-        "missing verification line: {stdout}"
-    );
-    assert!(
-        stdout.contains("counts [96,0,24,8]"),
-        "missing counts shape: {stdout}"
-    );
+fn launches_of_every_shape_verify_record_and_replay_clean() {
+    let uniform = ["allreduce", "--alg", "recmult:2", "--ranks", "4"];
+    let cases: [(&[&str], &[&str], &str); 4] = [
+        (
+            &uniform,
+            &["--size", "2K"],
+            "2 verified on 4 process(es), 2048 B per rank",
+        ),
+        (
+            &V,
+            &[],
+            "ring verified on 4 process(es), 1 tenant(s), counts [4096,0,64,256] (4416 B total)",
+        ),
+        (
+            &V,
+            &["--opt", "pipeline", "--chunk", "1K"],
+            "allgather/ring@pipeline verified",
+        ),
+        (
+            &uniform,
+            &["--size", "4K", "--tenants", "2"],
+            "2 tenant(s), 4096 B per rank",
+        ),
+    ];
+    let mut sends = Vec::new();
+    for (i, (shape, flags, line)) in cases.into_iter().enumerate() {
+        let dir = tmp(&format!("record-{i}"));
+        let record = ["--record", dir.to_str().expect("utf-8 temp path")];
+        let (stdout, _) = launch_ok(&[shape, flags, &record[..]].concat());
+        assert!(stdout.contains(line), "case {i}: {stdout}");
+        let path = std::fs::read_dir(&dir).expect("artifact directory").next();
+        let path = path.expect("one artifact").expect("readable entry").path();
+        let text = std::fs::read_to_string(&path).expect("artifact readable");
+        let artifact = exacoll_replay::Artifact::from_json(&text).expect("artifact parses");
+        assert_eq!((artifact.request.ranks(), &*artifact.backend), (4, "tcp"));
+        let report = exacoll_replay::replay(&artifact).expect("artifact replays");
+        assert!(report.is_clean(), "case {i}:\n{}", report.render());
+        // And through the CLI: `exacoll replay` exits 0 on a clean artifact.
+        let out = exacoll(&["replay", path.to_str().expect("utf-8 temp path")]);
+        let verdict = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && verdict.contains("PASS"),
+            "{verdict}"
+        );
+        let events = artifact.ranks.iter().flat_map(|log| &log.events);
+        sends.push(
+            events
+                .filter(|e| matches!(e, exacoll_comm::RecordedEvent::Send { .. }))
+                .count(),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // The 4 KiB block travels as four 1 KiB chunks on every hop.
+    assert!(sends[2] > sends[1], "{sends:?}");
+}
+
+/// `(alg, obs_n)` of every cell of the table at `path` under (op, p = 4,
+/// bucket).
+fn cells(path: &std::path::Path, op: &str, bucket: usize) -> Vec<(String, usize)> {
+    let text = std::fs::read_to_string(path).expect("table written");
+    let doc = exacoll_json::parse(&text).expect("table is JSON");
+    let entries = doc.req("entries").unwrap().as_arr().unwrap();
+    entries
+        .iter()
+        .filter(|e| {
+            e.req("op").unwrap().as_str().unwrap() == op
+                && e.req("p").unwrap().as_usize().unwrap() == 4
+                && e.req("bucket").unwrap().as_usize().unwrap() == bucket
+        })
+        .flat_map(|e| e.req("cells").unwrap().as_arr().unwrap())
+        .map(|c| {
+            (
+                c.req("alg").unwrap().as_str().unwrap().to_string(),
+                c.req("obs_n").unwrap().as_usize().unwrap(),
+            )
+        })
+        .collect()
 }
 
 #[test]
-fn two_tenant_launch_shares_one_world_over_tcp() {
-    let out = exacoll(&[
-        "launch",
+fn select_auto_composes_with_tenants_and_count_vectors() {
+    let table = tmp("auto-table.json");
+    let t = table.to_str().expect("utf-8 temp path");
+    // Two tenants select and observe under the single-tenant bucket.
+    let auto = ["--select", "auto", "--ranks", "4", "--table", t];
+    let (stdout, _) =
+        launch_ok(&[&["allreduce", "--size", "4K", "--tenants", "2"], &auto[..]].concat());
+    assert!(stdout.contains("2 tenant(s), 4096 B per rank"), "{stdout}");
+    let seen = cells(&table, "allreduce", exacoll_select::bucket_of_bytes(4096));
+    assert_eq!(seen.iter().map(|c| c.1).sum::<usize>(), 1, "{seen:?}");
+
+    // A count vector has no priors: the empty bucket answers the v-capable
+    // default, and the observation lands under the skew-folded bucket.
+    let v = ["allgather", "--counts", "4K,0,64,256"];
+    let (stdout, _) = launch_ok(&[&v[..], &auto[..]].concat());
+    assert!(stdout.contains("allgather/ring verified"), "{stdout}");
+    let bucket = exacoll_select::table::v_bucket(&[4096, 0, 64, 256]);
+    assert_eq!(
+        cells(&table, "allgather", bucket),
+        [("ring".to_string(), 1)]
+    );
+
+    // A Bruck winner hand-seeded into that bucket cannot lower these
+    // counts: `lookup_v` filters it and the launch still runs ring, as does
+    // the profiler resolving against the same table.
+    std::fs::write(
+        &table,
+        format!(
+            r#"{{"format":"exacoll-select/v1","policy":{{"prior_weight":3,"explore":0.5}},
+            "entries":[{{"op":"allgather","p":4,"bucket":{bucket},
+            "cells":[{{"alg":"bruck","prior_ns":1,"obs_sum_ns":0,"obs_n":0}}]}}]}}"#
+        ),
+    )
+    .unwrap();
+    let (stdout, stderr) = launch_ok(&[&v[..], &auto[..]].concat());
+    assert!(stdout.contains("allgather/ring verified"), "{stdout}");
+    assert!(
+        stderr.contains("auto resolved allgather p=4 -> ring"),
+        "{stderr}"
+    );
+    let out = exacoll(&[&["profile", "--backend", "sim"], &v[..], &auto[..]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("auto resolved allgather p=4 -> ring"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(&table);
+}
+
+/// Drift (a): one size rule. `--size 1000` alltoall at p = 6 is the same
+/// byte count under every subcommand, and it is the `Request`'s.
+#[test]
+fn every_subcommand_reports_the_request_s_alltoall_size() {
+    use exacoll_core::{Algorithm, CollArgs, CollectiveOp, Request};
+    let coll = CollArgs::new(CollectiveOp::Alltoall, Algorithm::Pairwise);
+    let want = format!(
+        "{} B per rank",
+        Request::uniform(coll, 6, 1000).unwrap().input_len(0)
+    );
+    let out = tmp("a2a.replay.json");
+    let shape = [
+        "alltoall", "--alg", "pairwise", "--ranks", "6", "--size", "1000",
+    ];
+    for extra in [
+        &["record", "--out", out.to_str().expect("utf-8 temp path")][..],
+        &["opt", "--passes", "aggregate"],
+        &["profile", "--backend", "sim"],
+        &["launch", "--timeout", "60"],
+    ] {
+        let run = exacoll(&[extra, &shape[..]].concat());
+        let said = format!(
+            "{}{}",
+            String::from_utf8_lossy(&run.stdout),
+            String::from_utf8_lossy(&run.stderr)
+        );
+        assert!(
+            run.status.success() && said.contains(&want),
+            "{extra:?} should report `{want}`: {said}"
+        );
+    }
+    let _ = std::fs::remove_file(&out);
+}
+
+/// Drift (b): the profiler reads `--chrome`, `--metrics` and `--backend`
+/// whatever the shape.
+#[test]
+fn profiles_of_every_shape_write_their_trace_and_metrics_on_every_backend() {
+    let (trace, metrics) = (tmp("v-trace.json"), tmp("v-metrics.json"));
+    let files = [
+        "--chrome",
+        trace.to_str().expect("utf-8 temp path"),
+        "--metrics",
+        metrics.to_str().expect("utf-8 temp path"),
+    ];
+    let uniform = [
         "allreduce",
         "--alg",
         "recmult:2",
         "--ranks",
         "4",
         "--size",
-        "64",
-        "--tenants",
-        "2",
-        "--timeout",
-        "60",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stdout: {stdout}\nstderr: {stderr}");
-    assert!(
-        stdout.contains("verified on 4 process(es)") && stdout.contains("2 tenant(s)"),
-        "missing tenant verification line: {stdout}"
-    );
+        "2K",
+    ];
+    let cases: [(&[&str], &str, usize, &str); 3] = [
+        (&uniform, "tcp", 4, "allreduce/recmult(2)/2048/tcp"),
+        (&V, "tcp", 4, "allgather/ring/4416/tcp"),
+        (&V, "both", 8, "allgather/ring/4416/sim"),
+    ];
+    for (shape, backend, tracks, scope) in cases {
+        let out = exacoll(&[&["profile", "--backend", backend], shape, &files[..]].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "profile --backend {backend}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("critical path"),
+            "missing analysis: {stdout}"
+        );
+        assert_eq!(stdout.contains("== backend: tcp =="), backend == "tcp");
+        let (found, text) = tracks_of(&trace);
+        assert_eq!(found, tracks, "4 rank tracks per backend ({backend})");
+        assert_eq!(text.contains("\"name\": \"tcp\""), backend == "tcp");
+        let snap = std::fs::read_to_string(&metrics).expect("metrics written");
+        assert!(snap.contains(scope), "{scope} not in {snap}");
+        for f in [&trace, &metrics] {
+            std::fs::remove_file(f).expect("written by this run");
+        }
+    }
 }

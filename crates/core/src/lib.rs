@@ -43,6 +43,7 @@ pub mod reduce;
 pub mod reduce_scatter;
 pub mod reference;
 pub mod registry;
+pub mod request;
 pub mod scatter;
 pub mod schedule;
 pub mod spec;
@@ -53,5 +54,6 @@ pub mod util;
 
 pub use plan_cache::{CacheMetrics, PlanCache, PlanKey};
 pub use registry::{execute, execute_v, Algorithm, CollArgs, CollectiveOp};
+pub use request::Request;
 pub use schedule::{compile, execute_compiled, CompiledSchedule, Executor};
 pub use tenant::{merge_tenants, run_tenants, Tenant, TENANT_TAG_STRIDE};

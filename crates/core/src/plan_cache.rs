@@ -17,6 +17,7 @@
 //! so eviction is always safe).
 
 use crate::registry::{Algorithm, CollArgs, CollectiveOp};
+use crate::request::Request;
 use crate::schedule::CompiledSchedule;
 use crate::spec::{counts_digest, OptSpec};
 use exacoll_comm::{DType, Rank, ReduceOp};
@@ -66,6 +67,8 @@ pub struct PlanKey {
     /// same local input length lower to different plans, so the digest
     /// keeps their cache entries apart.
     pub counts_digest: u64,
+    /// Tenants merged into the plan; 1 for a plain call.
+    pub tenants: usize,
 }
 
 impl PlanKey {
@@ -98,6 +101,7 @@ impl PlanKey {
             rank,
             nbytes,
             counts_digest: 0,
+            tenants: 1,
         }
     }
 
@@ -109,6 +113,25 @@ impl PlanKey {
         let mut key = PlanKey::plain(args, counts.len(), rank, nbytes);
         key.counts_digest = counts_digest(counts);
         key
+    }
+
+    /// Key for `rank`'s plan of `req`. A single-tenant, pass-free request
+    /// keys exactly as [`PlanKey::plain`] / [`PlanKey::with_counts`] do, so
+    /// it shares its entries with `registry::execute` / `execute_v`.
+    pub fn of(req: &Request, rank: Rank) -> PlanKey {
+        PlanKey {
+            counts_digest: req.counts().map_or(0, |c| c.digest()),
+            tenants: req.tenants(),
+            ..PlanKey::with_opt(
+                req.args(),
+                req.opt(),
+                req.chunk(),
+                req.fuse(),
+                req.ranks(),
+                rank,
+                req.input_len(rank),
+            )
+        }
     }
 
     fn shard(&self) -> usize {
@@ -311,6 +334,18 @@ mod tests {
         assert_ne!(a, PlanKey::plain(&args, 4, 0, 8));
         // Same distribution, same rank: identical keys — the cache hits.
         assert_eq!(a, PlanKey::with_counts(&args, &[8, 8, 8, 8], 0, 8));
+        // A request keys where the primitives it dispatches to key, and a
+        // second tenant or a pass keys it apart.
+        let counts = crate::spec::CountsSpec::new(vec![8, 8, 8, 8]).unwrap();
+        let v = Request::irregular(args, counts).unwrap();
+        assert_eq!(PlanKey::of(&v, 0), a);
+        let one = Request::uniform(args, 4, 8).unwrap();
+        assert_eq!(PlanKey::of(&one, 0), PlanKey::plain(&args, 4, 0, 8));
+        let two = one.clone().with_tenants(2).unwrap();
+        assert_ne!(PlanKey::of(&two, 0), PlanKey::of(&one, 0));
+        assert_eq!(PlanKey::of(&two, 0).tenants, 2);
+        let piped = one.clone().with_opt(OptSpec::PIPELINE, 4, 1).unwrap();
+        assert_ne!(PlanKey::of(&piped, 0), PlanKey::of(&one, 0));
     }
 
     #[test]

@@ -277,11 +277,19 @@ pub struct CountsSpec {
 }
 
 impl CountsSpec {
-    /// Wrap an explicit count vector. Errors on an empty vector — every
-    /// other distribution (skewed, zeros, uniform) is legal.
+    /// Wrap an explicit count vector. Errors on an empty vector and on one
+    /// whose total overflows — every other distribution (skewed, zeros,
+    /// uniform) is legal.
     pub fn new(counts: Vec<usize>) -> Result<CountsSpec, String> {
         if counts.is_empty() {
             return Err("counts vector must name at least one rank".into());
+        }
+        if counts
+            .iter()
+            .try_fold(0usize, |sum, &c| sum.checked_add(c))
+            .is_none()
+        {
+            return Err("counts vector total overflows".into());
         }
         Ok(CountsSpec { counts })
     }
@@ -324,28 +332,6 @@ impl CountsSpec {
         self.counts.iter().sum()
     }
 
-    /// Largest single per-rank count.
-    pub fn max(&self) -> usize {
-        self.counts.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Whether every rank contributes the same count (the regular case —
-    /// algorithms that only support uniform shapes gate on this).
-    pub fn is_uniform(&self) -> bool {
-        self.counts.iter().all(|&c| c == self.counts[0])
-    }
-
-    /// Skew ratio `max / mean` in [1, p]: 1.0 for uniform vectors, large
-    /// when one rank dominates. NaN-free: a zero-total vector reports 1.0
-    /// (all counts equal — all zero).
-    pub fn skew(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 1.0;
-        }
-        self.max() as f64 * self.ranks() as f64 / total as f64
-    }
-
     /// FNV-1a digest of the count vector. This is what makes a `PlanKey`
     /// canonical for v-collectives: two distributions with equal totals
     /// (or equal per-rank slices at *this* rank) still hash apart, so a
@@ -374,10 +360,11 @@ fn parse_count(tok: &str) -> Result<usize, String> {
     } else {
         (t.as_str(), 1)
     };
-    let n: usize = digits
-        .parse()
-        .map_err(|_| format!("bad count `{tok}` (expected e.g. 64, 4K, 1M, 0)"))?;
-    Ok(n * mult)
+    digits
+        .parse::<usize>()
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| format!("bad count `{tok}` (expected e.g. 64, 4K, 1M, 0)"))
 }
 
 /// FNV-1a over the little-endian bytes of a count vector, seeded with its
@@ -552,8 +539,6 @@ mod tests {
         assert_eq!(c.counts(), &[4096, 0, 64, 1 << 20]);
         assert_eq!(c.ranks(), 4);
         assert_eq!(c.total(), 4096 + 64 + (1 << 20));
-        assert_eq!(c.max(), 1 << 20);
-        assert!(!c.is_uniform());
         // Canonical render → reparse is the identity.
         assert_eq!(CountsSpec::parse(&c.spec()).unwrap(), c);
         assert_eq!(c.to_string(), "4096,0,64,1048576");
@@ -562,18 +547,6 @@ mod tests {
         assert!(CountsSpec::parse("").is_err());
         assert!(CountsSpec::parse("4K,x").is_err());
         assert!(CountsSpec::new(Vec::new()).is_err());
-    }
-
-    #[test]
-    fn counts_skew_and_uniformity() {
-        let uniform = CountsSpec::new(vec![8, 8, 8, 8]).unwrap();
-        assert!(uniform.is_uniform());
-        assert_eq!(uniform.skew(), 1.0);
-        let skewed = CountsSpec::new(vec![30, 1, 1, 0]).unwrap();
-        assert!((skewed.skew() - 30.0 * 4.0 / 32.0).abs() < 1e-12);
-        let zeros = CountsSpec::new(vec![0, 0]).unwrap();
-        assert!(zeros.is_uniform());
-        assert_eq!(zeros.skew(), 1.0);
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub mod timeline_json;
 pub use chrome::{chrome_trace, rank_tracks};
 pub use critical_path::{critical_path, CriticalPath, CriticalStep};
 pub use metrics::{bucket_of, Histogram, Metrics, BUCKETS};
-pub use profile::{
-    intra_net_of, net_of, payload, profile_sim, profile_thread, BackendRun, ProfileSpec,
-};
+pub use profile::{intra_net_of, net_of, profile_sim, profile_thread, BackendRun, ProfileSpec};
 pub use residual::{analyze_residuals, PhaseResidual, ResidualReport};
 pub use timeline::{
     makespan_ns, timelines_from_sim, EventKind, RankTimeline, TimedComm, TimedEvent,

@@ -12,36 +12,24 @@
 
 use crate::timeline::{makespan_ns, timelines_from_sim, RankTimeline, TimedComm};
 use exacoll_comm::{try_run_ranks, Comm, ThreadComm};
+use exacoll_core::request::DEFAULT_SEED;
 use exacoll_core::schedule::{execute_compiled, CompiledSchedule};
-use exacoll_core::spec::{OptSpec, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES};
-use exacoll_core::{Algorithm, CollArgs, CollectiveOp};
+use exacoll_core::Request;
 use exacoll_models::NetParams;
 use exacoll_opt::cached_world;
 use exacoll_sim::{simulate_timed, Machine};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// What to profile: one collective × algorithm × machine × message size,
-/// optionally with optimizer passes applied to the lowered plan.
+/// What to profile: one request — any shape, tenant count and optimizer
+/// passes — on one machine model (α-β-γ parameters and placement for the
+/// request's ranks).
 #[derive(Debug, Clone)]
 pub struct ProfileSpec {
-    /// The collective operation.
-    pub op: CollectiveOp,
-    /// The algorithm variant.
-    pub alg: Algorithm,
-    /// Machine model (supplies rank count and α-β-γ parameters).
+    /// The call to run.
+    pub request: Request,
+    /// Machine model the simulator replays on and residuals compare with.
     pub machine: Machine,
-    /// Requested per-rank payload bytes (adjusted via [`ProfileSpec::input_len`]).
-    pub size: usize,
-    /// Optimizer passes to apply to the lowered plan before running;
-    /// [`OptSpec::NONE`] is the stock lowering.
-    pub opt: OptSpec,
-    /// Pipelining chunk threshold (defaults to
-    /// [`OPT_PIPELINE_CHUNK_BYTES`]).
-    pub chunk_bytes: usize,
-    /// Aggregation fuse ceiling (defaults to
-    /// [`OPT_AGGREGATE_MAX_FUSE_BYTES`]).
-    pub fuse_bytes: usize,
 }
 
 /// One backend's profiled run.
@@ -57,58 +45,13 @@ pub struct BackendRun {
 }
 
 impl ProfileSpec {
-    /// Ranks the machine provides.
-    pub fn ranks(&self) -> usize {
-        self.machine.ranks()
-    }
-
-    /// Per-rank input length after op-specific adjustment: alltoall needs a
-    /// multiple of `p` (one block per destination), everything else takes
-    /// `size` as-is.
-    pub fn input_len(&self) -> usize {
-        let p = self.ranks();
-        match self.op {
-            CollectiveOp::Alltoall => {
-                if self.size < p {
-                    p
-                } else {
-                    self.size - self.size % p
-                }
-            }
-            CollectiveOp::Barrier => 0,
-            _ => self.size,
-        }
-    }
-
-    /// A spec with no optimizer passes — the pre-optimizer behavior.
-    pub fn plain(op: CollectiveOp, alg: Algorithm, machine: Machine, size: usize) -> ProfileSpec {
-        ProfileSpec {
-            op,
-            alg,
-            machine,
-            size,
-            opt: OptSpec::NONE,
-            chunk_bytes: OPT_PIPELINE_CHUNK_BYTES,
-            fuse_bytes: OPT_AGGREGATE_MAX_FUSE_BYTES,
-        }
-    }
-
-    /// Every rank's compiled plan with this spec's optimizer passes
-    /// applied, served from the process-wide plan cache (the pass
-    /// application is deterministic, so all ranks — and any other process
-    /// profiling the same spec — agree on the rewritten plans, and repeated
-    /// profiles of one shape share a single lowering). Without passes these
-    /// are the very entries `registry::execute` would hit.
+    /// Every rank's compiled plan, served from the process-wide plan cache
+    /// (planning is deterministic, so all ranks — and any other process
+    /// profiling the same request — agree on the plans, and repeated
+    /// profiles of one shape share a single lowering). Without passes or
+    /// tenants these are the very entries `registry::execute` would hit.
     fn plans(&self) -> Result<Vec<Arc<CompiledSchedule>>, String> {
-        cached_world(
-            &CollArgs::new(self.op, self.alg),
-            &self.opt,
-            self.chunk_bytes,
-            self.fuse_bytes,
-            self.ranks(),
-            self.input_len(),
-        )
-        .map_err(|e| format!("optimizer passes failed: {e}"))
+        cached_world(&self.request).map_err(|e| format!("planning failed: {e}"))
     }
 }
 
@@ -130,15 +73,6 @@ pub fn intra_net_of(machine: &Machine) -> NetParams {
     }
 }
 
-/// Deterministic per-rank payload so instrumented runs are reproducible —
-/// and so a verifier in *another process* (the TCP launcher's workers) can
-/// reconstruct every rank's input without any data exchange.
-pub fn payload(rank: usize, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((rank * 131 + i * 7) % 251) as u8)
-        .collect()
-}
-
 /// Profile on the simulator: read each rank's op stream off its plan,
 /// replay, convert virtual timings.
 pub fn profile_sim(spec: &ProfileSpec) -> Result<BackendRun, String> {
@@ -155,25 +89,29 @@ pub fn profile_sim(spec: &ProfileSpec) -> Result<BackendRun, String> {
 
 /// Profile on the threaded runtime: every rank's [`exacoll_comm::Comm`] is
 /// wrapped in a [`TimedComm`] sharing one epoch, so timelines agree on
-/// `t = 0`.
+/// `t = 0`, and every rank's output is checked against the request's
+/// sequential reference.
 pub fn profile_thread(spec: &ProfileSpec) -> Result<BackendRun, String> {
-    let p = spec.ranks();
-    let len = spec.input_len();
+    let req = &spec.request;
+    let p = req.ranks();
     let plans = spec.plans()?;
+    let inputs = req.inputs(DEFAULT_SEED);
+    let expect = req.reference(&inputs).map_err(|e| e.to_string())?;
     let epoch = Instant::now();
     let slots: Mutex<Vec<Option<RankTimeline>>> = Mutex::new(vec![None; p]);
     let results = try_run_ranks(p, |c: &mut ThreadComm| {
         let rank = c.rank();
-        let input = payload(rank, len);
         let mut tc = TimedComm::with_epoch(&mut *c, epoch);
-        let res = execute_compiled(&mut tc, &plans[rank], &input).map(|_| ());
+        let res = execute_compiled(&mut tc, &plans[rank], &inputs[rank]);
         let (_, timeline) = tc.into_parts();
         slots.lock().expect("timeline collector")[rank] = Some(timeline);
         res
     });
-    for (rank, r) in results.iter().enumerate() {
-        if let Err(e) = r {
-            return Err(format!("rank {rank} failed: {e}"));
+    for (rank, r) in results.into_iter().enumerate() {
+        match r {
+            Ok(out) if out == expect[rank] => {}
+            Ok(_) => return Err(format!("rank {rank}: output differs from the reference")),
+            Err(e) => return Err(format!("rank {rank} failed: {e}")),
         }
     }
     let timelines: Vec<RankTimeline> = slots
@@ -195,9 +133,14 @@ pub fn profile_thread(spec: &ProfileSpec) -> Result<BackendRun, String> {
 mod tests {
     use super::*;
     use crate::timeline::EventKind;
+    use exacoll_core::spec::{CountsSpec, OptSpec};
+    use exacoll_core::{Algorithm, CollArgs, CollectiveOp};
 
     fn spec(op: CollectiveOp, alg: Algorithm, p: usize, size: usize) -> ProfileSpec {
-        ProfileSpec::plain(op, alg, Machine::testbed(p, 1, 1), size)
+        ProfileSpec {
+            request: Request::uniform(CollArgs::new(op, alg), p, size).unwrap(),
+            machine: Machine::testbed(p, 1, 1),
+        }
     }
 
     #[test]
@@ -232,33 +175,29 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_size_rounds_to_block_multiple() {
-        let s = spec(CollectiveOp::Alltoall, Algorithm::Pairwise, 6, 1000);
-        assert_eq!(s.input_len() % 6, 0);
-        assert_eq!(s.input_len(), 996);
-        let tiny = spec(CollectiveOp::Alltoall, Algorithm::Pairwise, 6, 2);
-        assert_eq!(tiny.input_len(), 6);
-        profile_sim(&s).expect("alltoall profiles");
-    }
-
-    #[test]
-    fn barrier_ignores_size() {
-        let s = spec(
-            CollectiveOp::Barrier,
-            Algorithm::Dissemination { k: 2 },
-            8,
-            4096,
-        );
-        assert_eq!(s.input_len(), 0);
-        let run = profile_sim(&s).expect("barrier profiles");
-        assert!(run.makespan_ns > 0.0);
+    fn irregular_and_tenant_requests_profile_like_any_other() {
+        let ring = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+        let counts = CountsSpec::new(vec![96, 0, 24, 8]).unwrap();
+        let mut s = spec(CollectiveOp::Alltoall, Algorithm::Pairwise, 4, 1000);
+        for request in [
+            s.request.clone(),
+            Request::irregular(ring, counts).unwrap(),
+            Request::uniform(ring, 4, 64)
+                .and_then(|r| r.with_tenants(2))
+                .unwrap(),
+        ] {
+            s.request = request;
+            assert_eq!(profile_sim(&s).expect("sim").timelines.len(), 4);
+            let run = profile_thread(&s).expect("thread run matches the reference");
+            assert!(run.makespan_ns > 0.0, "{:?}", s.request);
+        }
     }
 
     #[test]
     fn optimized_profiles_run_on_both_backends() {
         let mut s = spec(CollectiveOp::Allgather, Algorithm::Ring, 4, 4096);
-        s.opt = OptSpec::PIPELINE;
-        s.chunk_bytes = 512; // force chunking at this small test size
+        // 512 B forces chunking at this small test size.
+        s.request = s.request.with_opt(OptSpec::PIPELINE, 512, 4096).unwrap();
         let sim = profile_sim(&s).expect("optimized sim profile");
         assert_eq!(sim.timelines.len(), 4);
         assert!(sim.makespan_ns > 0.0);

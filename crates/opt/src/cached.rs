@@ -1,170 +1,206 @@
-//! Cache-aware compilation of `algorithm@opt` plan variants.
+//! From a [`Request`] to the plans that run, and the cache in front of that.
 //!
-//! Optimizer passes are *plan-set* transformations: pipelining and
-//! aggregation must see every rank's schedule to rewrite consistently, so a
-//! single rank cannot lower-and-optimize in isolation. This module routes
-//! that whole-world work through the process-wide
-//! [`PlanCache`](exacoll_core::plan_cache::PlanCache): a miss for any rank
-//! lowers the full communicator, applies the spec's passes once, compiles
-//! every rank's plan, and warms all `p` entries — so the launcher's pricing
-//! pass, an in-process world (thread backend, profiler), and repeated
-//! invocations of the same shape all share one lowering instead of each
+//! Optimizer passes, tenant merging and the proofs over both are *plan-set*
+//! operations: they must see every rank's schedule, so a single rank cannot
+//! plan in isolation. [`plan_world`] does that whole-world work once, and
+//! [`cached_plan`] / [`cached_world`] route it through the process-wide
+//! [`PlanCache`]: a miss for any rank
+//! plans the full communicator, compiles every rank's plan, and warms all
+//! `p` entries — so a launch worker, an in-process world (thread backend,
+//! profiler, recorder), the selection service's pricing pass and repeated
+//! invocations of the same request all share one planning instead of each
 //! re-deriving it.
 
 use crate::{apply_opt_spec, OptError};
 use exacoll_core::plan_cache::{PlanCache, PlanKey};
-use exacoll_core::registry::lower;
+use exacoll_core::schedule::verify::{verify, verify_tenants, TenantPlans};
 use exacoll_core::schedule::{compile, CompiledSchedule, Schedule};
-use exacoll_core::spec::OptSpec;
-use exacoll_core::CollArgs;
+use exacoll_core::{Request, Tenant};
 use std::sync::Arc;
 
-/// One rank's compiled `algorithm@opt` plan, served from the global
-/// [`PlanCache`]. On a miss the whole communicator is lowered, rewritten,
-/// and compiled, warming every sibling rank's cache entry as a side effect.
+/// Every rank's plan for `req`, the one way a request becomes what runs:
+/// lower one tenant's world, apply the request's passes (they keep tags, so
+/// the one rewritten world is what every tenant's window receives), relocate
+/// it into each tenant's tag window, and splice each rank's tenants into
+/// one schedule. Any count-vector or multi-tenant world is proven before it
+/// is returned — the per-tenant windows by `verify_tenants`, the merged
+/// splice by `verify` — so every process of a launch holds the same proof
+/// before its first message; a plain uniform call is returned as rewritten.
 ///
 /// # Errors
 ///
-/// [`OptError`] when the spec's passes reject their parameters (e.g. a zero
-/// threshold).
-pub fn cached_plan(
-    args: &CollArgs,
-    opt: &OptSpec,
-    chunk_bytes: usize,
-    max_fuse_bytes: usize,
-    p: usize,
-    rank: usize,
-    nbytes: usize,
-) -> Result<Arc<CompiledSchedule>, OptError> {
-    assert!(rank < p, "rank {rank} out of range for p={p}");
-    let key = PlanKey::with_opt(args, opt, chunk_bytes, max_fuse_bytes, p, rank, nbytes);
-    if let Some(hit) = PlanCache::global().get(&key) {
-        return Ok(hit);
+/// [`OptError::BadParam`] when a pass rejects its threshold,
+/// [`OptError::Verify`] with the verifier's typed error when a proof fails.
+pub fn plan_world(req: &Request) -> Result<Vec<Schedule>, OptError> {
+    let mut world = req.lower_world();
+    if !req.opt().is_none() {
+        world = apply_opt_spec(&world, req.opt(), req.chunk(), req.fuse())?;
     }
-    let mut world = compile_world(args, opt, chunk_bytes, max_fuse_bytes, p, nbytes)?;
-    Ok(world.swap_remove(rank))
+    if req.tenants() == 1 && req.counts().is_none() {
+        return Ok(world);
+    }
+    merge_proved(req, req.tenant_worlds(&world))
 }
 
-/// Every rank's compiled `algorithm@opt` plan, served from the global
-/// [`PlanCache`]. All `p` entries hit → no lowering at all; any miss →
-/// one whole-world lowering refreshes the full set.
-///
-/// # Errors
-///
-/// [`OptError`] when the spec's passes reject their parameters.
-pub fn cached_world(
-    args: &CollArgs,
-    opt: &OptSpec,
-    chunk_bytes: usize,
-    max_fuse_bytes: usize,
-    p: usize,
-    nbytes: usize,
-) -> Result<Vec<Arc<CompiledSchedule>>, OptError> {
-    let cache = PlanCache::global();
-    let hits: Vec<Option<Arc<CompiledSchedule>>> = (0..p)
-        .map(|r| {
-            cache.get(&PlanKey::with_opt(
-                args,
-                opt,
-                chunk_bytes,
-                max_fuse_bytes,
-                p,
-                r,
-                nbytes,
-            ))
-        })
-        .collect();
-    if hits.iter().all(|h| h.is_some()) {
-        return Ok(hits.into_iter().map(|h| h.expect("checked")).collect());
-    }
-    compile_world(args, opt, chunk_bytes, max_fuse_bytes, p, nbytes)
-}
-
-/// Lower all `p` ranks, apply the spec's passes, compile, and insert every
-/// rank's plan. Returns the resident entries (an insert race is won by
-/// whichever plan landed first — the rewrite is deterministic, so both are
-/// identical).
-fn compile_world(
-    args: &CollArgs,
-    opt: &OptSpec,
-    chunk_bytes: usize,
-    max_fuse_bytes: usize,
-    p: usize,
-    nbytes: usize,
-) -> Result<Vec<Arc<CompiledSchedule>>, OptError> {
-    let plans: Vec<Schedule> = (0..p).map(|r| lower(args, p, r, nbytes)).collect();
-    let plans = if opt.is_none() {
-        plans
-    } else {
-        apply_opt_spec(&plans, opt, chunk_bytes, max_fuse_bytes)?
-    };
-    let cache = PlanCache::global();
-    Ok(plans
+/// The gate of [`plan_world`]: prove `worlds` (`[tenant][rank]`) stay inside
+/// their windows, merge them, prove the merged plan set.
+fn merge_proved(req: &Request, worlds: Vec<Vec<Schedule>>) -> Result<Vec<Schedule>, OptError> {
+    let claims: Vec<TenantPlans<'_>> = worlds
         .iter()
         .enumerate()
-        .map(|(r, s)| {
-            let key = PlanKey::with_opt(args, opt, chunk_bytes, max_fuse_bytes, p, r, nbytes);
-            cache.insert(key, compile(s))
+        .map(|(t, schedules)| TenantPlans {
+            tenant: t,
+            window: Tenant::new(t).window(),
+            schedules,
         })
+        .collect();
+    verify_tenants(&claims).map_err(OptError::Verify)?;
+    let merged = req.merge(worlds);
+    verify(&merged).map_err(OptError::Verify)?;
+    Ok(merged)
+}
+
+/// One rank's compiled plan for `req`, served from the global
+/// [`PlanCache`]. On a miss the whole world is planned and compiled,
+/// warming every sibling rank's cache entry as a side effect.
+///
+/// # Errors
+///
+/// As [`plan_world`].
+pub fn cached_plan(req: &Request, rank: usize) -> Result<Arc<CompiledSchedule>, OptError> {
+    assert!(rank < req.ranks(), "rank {rank} out of range for {req:?}");
+    if let Some(hit) = PlanCache::global().get(&PlanKey::of(req, rank)) {
+        return Ok(hit);
+    }
+    Ok(compile_world(req)?.swap_remove(rank))
+}
+
+/// Every rank's compiled plan for `req`, served from the global
+/// [`PlanCache`]. All entries hit → no lowering at all; any miss → one
+/// whole-world planning refreshes the full set.
+///
+/// # Errors
+///
+/// As [`plan_world`].
+pub fn cached_world(req: &Request) -> Result<Vec<Arc<CompiledSchedule>>, OptError> {
+    let cache = PlanCache::global();
+    let hits: Option<Vec<_>> = (0..req.ranks())
+        .map(|r| cache.get(&PlanKey::of(req, r)))
+        .collect();
+    match hits {
+        Some(world) => Ok(world),
+        None => compile_world(req),
+    }
+}
+
+/// Plan, compile and insert every rank's plan. Returns the resident entries
+/// (an insert race is won by whichever plan landed first — planning is
+/// deterministic, so both are identical).
+fn compile_world(req: &Request) -> Result<Vec<Arc<CompiledSchedule>>, OptError> {
+    let cache = PlanCache::global();
+    Ok(plan_world(req)?
+        .iter()
+        .enumerate()
+        .map(|(r, s)| cache.insert(PlanKey::of(req, r), compile(s)))
         .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_core::registry::{Algorithm, CollectiveOp};
-    use exacoll_core::spec::{OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES};
+    use exacoll_core::registry::{Algorithm, CollArgs, CollectiveOp};
+    use exacoll_core::schedule::verify::VerifyError;
+    use exacoll_core::schedule::Step;
+    use exacoll_core::spec::OptSpec;
 
     // Distinctive sizes keep these tests out of each other's (and other
     // suites') global-cache keyspace.
 
+    fn request(op: CollectiveOp, alg: Algorithm, p: usize, n: usize) -> Request {
+        Request::uniform(CollArgs::new(op, alg), p, n).unwrap()
+    }
+
     #[test]
     fn repeated_lookups_share_one_compiled_plan() {
-        let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
-        let opt = OptSpec {
-            pipeline: true,
-            aggregate: false,
-        };
-        let n = 48 << 10;
-        let a = cached_plan(&args, &opt, OPT_PIPELINE_CHUNK_BYTES, 0, 4, 1, n).unwrap();
-        let b = cached_plan(&args, &opt, OPT_PIPELINE_CHUNK_BYTES, 0, 4, 1, n).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        let ring = request(CollectiveOp::Allgather, Algorithm::Ring, 4, 48 << 10);
+        let piped = ring.with_opt(OptSpec::PIPELINE, 1 << 20, 1).unwrap();
+        let a = cached_plan(&piped, 1).unwrap();
+        assert!(Arc::ptr_eq(&a, &cached_plan(&piped, 1).unwrap()));
+        // A tenant launch plans once too: its merged plan is resident before
+        // the first message, not compiled inside the timed region.
+        let recmult = Algorithm::RecursiveMultiplying { k: 2 };
+        let two = request(CollectiveOp::Allreduce, recmult, 4, 41 * 8)
+            .with_tenants(2)
+            .unwrap();
+        let a = cached_plan(&two, 3).unwrap();
+        assert!(Arc::ptr_eq(&a, &cached_plan(&two, 3).unwrap()));
+        assert_eq!(a.input_bytes(), 2 * 41 * 8);
     }
 
     #[test]
     fn one_rank_miss_warms_every_sibling() {
-        let args = CollArgs::new(
-            CollectiveOp::Allreduce,
-            Algorithm::RecursiveMultiplying { k: 2 },
-        );
-        let opt = OptSpec {
-            pipeline: false,
-            aggregate: true,
-        };
-        let n = 37 * 8;
-        let mine = cached_plan(&args, &opt, 0, OPT_AGGREGATE_MAX_FUSE_BYTES, 8, 3, n).unwrap();
+        let recmult = Algorithm::RecursiveMultiplying { k: 2 };
+        let req = request(CollectiveOp::Allreduce, recmult, 8, 37 * 8)
+            .with_opt(
+                OptSpec {
+                    pipeline: false,
+                    aggregate: true,
+                },
+                1,
+                4096,
+            )
+            .unwrap();
+        let mine = cached_plan(&req, 3).unwrap();
         // Every other rank is now resident: cached_world must hit all 8
         // without re-lowering, and rank 3 must be the very same plan.
-        let world = cached_world(&args, &opt, 0, OPT_AGGREGATE_MAX_FUSE_BYTES, 8, n).unwrap();
+        let world = cached_world(&req).unwrap();
         assert_eq!(world.len(), 8);
         assert!(Arc::ptr_eq(&mine, &world[3]));
     }
 
     #[test]
     fn cached_variant_matches_a_direct_rewrite() {
-        let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
         let opt = OptSpec {
             pipeline: true,
             aggregate: true,
         };
-        let (p, n) = (4, 51 << 10);
-        let direct: Vec<Schedule> = {
-            let plans: Vec<Schedule> = (0..p).map(|r| lower(&args, p, r, n)).collect();
-            apply_opt_spec(&plans, &opt, 16 << 10, 512).unwrap()
-        };
+        let req = request(CollectiveOp::Allgather, Algorithm::Ring, 4, 51 << 10)
+            .with_opt(opt, 16 << 10, 512)
+            .unwrap();
+        let direct = apply_opt_spec(&req.lower_world(), &opt, 16 << 10, 512).unwrap();
+        assert_ne!(direct, req.lower_world());
+        assert_eq!(plan_world(&req).unwrap(), direct);
         for (r, want) in direct.iter().enumerate() {
-            let got = cached_plan(&args, &opt, 16 << 10, 512, p, r, n).unwrap();
+            let got = cached_plan(&req, r).unwrap();
             assert_eq!(got.to_trace(), want.to_trace(), "rank {r} trace diverged");
         }
+    }
+
+    #[test]
+    fn a_tag_outside_its_window_comes_back_as_the_typed_verifier_error() {
+        let recmult = Algorithm::RecursiveMultiplying { k: 2 };
+        let req = request(CollectiveOp::Allreduce, recmult, 4, 16)
+            .with_tenants(2)
+            .unwrap();
+        let mut worlds = req.tenant_worlds(&req.lower_world());
+        merge_proved(&req, worlds.clone()).expect("the untouched world is proven");
+        // Move tenant 1's first send on rank 0 down into tenant 0's window.
+        let moved = worlds[1][0]
+            .steps
+            .iter_mut()
+            .find_map(|s| match s {
+                Step::Send { tag, .. } | Step::SendRecv { send_tag: tag, .. } => Some(tag),
+                _ => None,
+            })
+            .expect("an allreduce sends");
+        *moved -= Tenant::new(1).window().0;
+        let err = merge_proved(&req, worlds).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                OptError::Verify(VerifyError::TagOutOfWindow { tenant: 1, .. })
+            ),
+            "got: {err}"
+        );
     }
 }

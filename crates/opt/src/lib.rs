@@ -33,12 +33,12 @@ pub mod pipeline;
 pub mod remap;
 
 pub use aggregate::{aggregate, naive_block_exchange};
-pub use cached::{cached_plan, cached_world};
+pub use cached::{cached_plan, cached_world, plan_world};
 pub use pipeline::pipeline;
 pub use remap::{layout_for, remap, BlockLayout, TopoDesc};
 
 use exacoll_core::schedule::eval::{evaluate, probe_inputs};
-use exacoll_core::schedule::verify::{verify, ScheduleStats};
+use exacoll_core::schedule::verify::{verify, ScheduleStats, VerifyError};
 use exacoll_core::schedule::Schedule;
 use exacoll_core::spec::OptSpec;
 use exacoll_sim::{cost, Machine};
@@ -56,6 +56,8 @@ pub enum OptError {
     InvalidInput(String),
     /// The input plan set cannot be evaluated or priced.
     Baseline(String),
+    /// A planned world failed one of [`plan_world`]'s proofs.
+    Verify(VerifyError),
 }
 
 impl fmt::Display for OptError {
@@ -64,6 +66,7 @@ impl fmt::Display for OptError {
             OptError::BadParam(s) => write!(f, "bad pass parameter: {s}"),
             OptError::InvalidInput(s) => write!(f, "input plan fails verification: {s}"),
             OptError::Baseline(s) => write!(f, "cannot establish baseline: {s}"),
+            OptError::Verify(e) => write!(f, "planned world fails verification: {e}"),
         }
     }
 }

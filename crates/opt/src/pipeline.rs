@@ -20,9 +20,14 @@
 use crate::OptError;
 use exacoll_core::schedule::{Schedule, SgList, Step};
 
-/// Split `view` into chunks of at most `chunk` bytes, in order.
+/// Split `view` into chunks of at most `chunk` bytes, in order. An empty
+/// view is still one message: the zero-count rank of a v-plan posts it, and
+/// its peer waits for it.
 fn chunks_of(view: &SgList, chunk: usize) -> Vec<SgList> {
     let n = view.len();
+    if n == 0 {
+        return vec![view.clone()];
+    }
     let mut out = Vec::with_capacity(n.div_ceil(chunk));
     let mut off = 0;
     while off < n {
@@ -168,5 +173,14 @@ mod tests {
             evaluate(&piped, &inputs).unwrap(),
             evaluate(&plans, &inputs).unwrap()
         );
+        // A zero-count rank's empty half rides beside a half that chunks:
+        // it must stay one (empty) message, not vanish from the channel.
+        let ring = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+        let plans: Vec<Schedule> = (0..4)
+            .map(|r| exacoll_core::registry::lower_v(&ring, r, &[4096, 0, 64, 256]))
+            .collect();
+        let piped = pipeline(&plans, 1024).unwrap();
+        assert_ne!(piped, plans);
+        verify(&piped).expect("chunked v-plan must re-verify");
     }
 }

@@ -20,9 +20,10 @@ use crate::ReplayError;
 use exacoll_comm::RecordedEvent;
 use exacoll_core::registry::CollArgs;
 use exacoll_core::spec::{
-    alg_to_spec, opt_to_spec, parse_alg, parse_dtype, parse_op, parse_opt_spec, parse_rop, OptSpec,
-    OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES,
+    alg_to_spec, opt_to_spec, parse_alg, parse_dtype, parse_op, parse_opt_spec, parse_rop,
+    CountsSpec, OptSpec, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES,
 };
+use exacoll_core::Request;
 use exacoll_json::Value;
 
 /// The format tag every artifact must declare.
@@ -64,22 +65,12 @@ pub struct Artifact {
     pub backend: String,
     /// Seed of the fault plan active during the run, if any.
     pub fault_seed: Option<u64>,
-    /// The collective invocation (op, algorithm, root, dtype, reduce op).
-    pub args: CollArgs,
-    /// Optimizer passes that were applied to the lowered plan before the
-    /// recorded run. Replay re-applies the same passes, so the artifact
-    /// stays self-contained. Pre-optimizer artifacts parse as
-    /// [`OptSpec::NONE`].
-    pub opt: OptSpec,
-    /// Pipelining chunk threshold the run used.
-    pub opt_chunk: usize,
-    /// Aggregation fuse ceiling the run used.
-    pub opt_fuse: usize,
-    /// Communicator size.
-    pub p: usize,
-    /// Input bytes per rank.
-    pub n: usize,
-    /// Per-rank logs, indexed by rank.
+    /// What ran: the collective invocation, its shape, tenants and the
+    /// optimizer passes applied before the recorded run. Replay plans the
+    /// same request, so the artifact stays self-contained.
+    pub request: Request,
+    /// Per-rank logs, indexed by rank; a rank's `input` is what it fed the
+    /// plan it executed (its tenants' inputs in tenant order).
     pub ranks: Vec<RankLog>,
 }
 
@@ -311,11 +302,13 @@ impl RankLog {
 
 impl Artifact {
     /// Serialize to the pretty-printed `exacoll-replay/v1` JSON document.
-    /// The optimizer fields are emitted only for optimized runs, so
-    /// artifacts of unoptimized runs stay byte-identical to the
-    /// pre-optimizer format.
+    /// The optimizer fields are emitted only for optimized runs, `counts`
+    /// only for irregular ones (`n` is then the vector's total) and
+    /// `tenants` only above one, so artifacts of plain uniform runs stay
+    /// byte-identical to the original format.
     pub fn to_json(&self) -> String {
         let ranks: Vec<Value> = self.ranks.iter().map(RankLog::to_json).collect();
+        let (req, args) = (&self.request, self.request.args());
         let mut pairs = vec![
             ("format", Value::Str(FORMAT.into())),
             (
@@ -333,19 +326,25 @@ impl Artifact {
                     None => Value::Null,
                 },
             ),
-            ("op", Value::Str(self.args.op.to_string())),
-            ("alg", Value::Str(alg_to_spec(&self.args.alg))),
-            ("root", Value::Num(self.args.root as f64)),
-            ("dtype", Value::Str(self.args.dtype.to_string())),
-            ("rop", Value::Str(self.args.rop.to_string())),
+            ("op", Value::Str(args.op.to_string())),
+            ("alg", Value::Str(alg_to_spec(&args.alg))),
+            ("root", Value::Num(args.root as f64)),
+            ("dtype", Value::Str(args.dtype.to_string())),
+            ("rop", Value::Str(args.rop.to_string())),
         ];
-        if !self.opt.is_none() {
-            pairs.push(("opt", Value::Str(opt_to_spec(&self.opt))));
-            pairs.push(("opt_chunk", Value::Num(self.opt_chunk as f64)));
-            pairs.push(("opt_fuse", Value::Num(self.opt_fuse as f64)));
+        if !req.opt().is_none() {
+            pairs.push(("opt", Value::Str(opt_to_spec(req.opt()))));
+            pairs.push(("opt_chunk", Value::Num(req.chunk() as f64)));
+            pairs.push(("opt_fuse", Value::Num(req.fuse() as f64)));
         }
-        pairs.push(("p", Value::Num(self.p as f64)));
-        pairs.push(("n", Value::Num(self.n as f64)));
+        pairs.push(("p", Value::Num(req.ranks() as f64)));
+        pairs.push(("n", Value::Num(req.bytes() as f64)));
+        if let Some(counts) = req.counts() {
+            pairs.push(("counts", Value::Str(counts.spec())));
+        }
+        if req.tenants() > 1 {
+            pairs.push(("tenants", Value::Num(req.tenants() as f64)));
+        }
         pairs.push(("ranks", Value::Arr(ranks)));
         Value::obj(pairs).pretty()
     }
@@ -356,8 +355,9 @@ impl Artifact {
     ///
     /// [`ReplayError::Parse`] for syntax or field-shape problems,
     /// [`ReplayError::Format`] for a wrong format tag,
-    /// [`ReplayError::Header`] for inconsistent headers (bad `p`, missing or
-    /// out-of-order rank logs), [`ReplayError::SeqGap`] /
+    /// [`ReplayError::Header`] for inconsistent headers (missing or
+    /// out-of-order rank logs, anything [`Request`]'s constructors refuse),
+    /// [`ReplayError::SeqGap`] /
     /// [`ReplayError::Truncated`] for logs that lost events.
     pub fn from_json(text: &str) -> Result<Artifact, ReplayError> {
         let doc = exacoll_json::parse(text).map_err(ReplayError::Parse)?;
@@ -429,11 +429,6 @@ impl Artifact {
         };
         let opt_chunk = opt_usize("opt_chunk", OPT_PIPELINE_CHUNK_BYTES)?;
         let opt_fuse = opt_usize("opt_fuse", OPT_AGGREGATE_MAX_FUSE_BYTES)?;
-        if opt_chunk == 0 || opt_fuse == 0 {
-            return Err(ReplayError::Header(
-                "opt_chunk and opt_fuse must be positive".into(),
-            ));
-        }
         let p = doc
             .req("p")
             .and_then(Value::as_usize)
@@ -442,14 +437,36 @@ impl Artifact {
             .req("n")
             .and_then(Value::as_usize)
             .map_err(ReplayError::Parse)?;
-        if p == 0 {
-            return Err(ReplayError::Header("p must be positive".into()));
+        // `counts` and `tenants` are optional too: absent means uniform and
+        // one, which is every artifact written before they existed.
+        let args = CollArgs {
+            op,
+            alg,
+            root,
+            dtype,
+            rop,
+        };
+        let tenants = opt_usize("tenants", 1)?;
+        // The same fallible constructors the command line goes through: a
+        // header they refuse never reaches `lower`.
+        let request = match doc.get("counts") {
+            None => Request::uniform(args, p, n),
+            Some(v) => {
+                let counts = CountsSpec::parse(v.as_str().map_err(ReplayError::Parse)?)
+                    .map_err(ReplayError::Header)?;
+                if (counts.ranks(), counts.total()) != (p, n) {
+                    return Err(ReplayError::Header(format!(
+                        "counts [{counts}] name {} rank(s) and {} B but the header says p={p}, n={n}",
+                        counts.ranks(),
+                        counts.total()
+                    )));
+                }
+                Request::irregular(args, counts)
+            }
         }
-        if root >= p {
-            return Err(ReplayError::Header(format!(
-                "root {root} out of range for p={p}"
-            )));
-        }
+        .and_then(|r| r.with_tenants(tenants))
+        .and_then(|r| r.with_opt(opt, opt_chunk, opt_fuse))
+        .map_err(ReplayError::Header)?;
 
         let rank_vals = doc
             .req("ranks")
@@ -470,18 +487,7 @@ impl Artifact {
             case,
             backend,
             fault_seed,
-            args: CollArgs {
-                op,
-                alg,
-                root,
-                dtype,
-                rop,
-            },
-            opt,
-            opt_chunk,
-            opt_fuse,
-            p,
-            n,
+            request,
             ranks,
         })
     }
@@ -497,12 +503,12 @@ mod tests {
             case: Some("unit".into()),
             backend: "thread".into(),
             fault_seed: Some(0xdead_beef_dead_beef),
-            args: CollArgs::new(CollectiveOp::Bcast, Algorithm::KnomialTree { k: 2 }),
-            opt: OptSpec::NONE,
-            opt_chunk: OPT_PIPELINE_CHUNK_BYTES,
-            opt_fuse: OPT_AGGREGATE_MAX_FUSE_BYTES,
-            p: 2,
-            n: 2,
+            request: Request::uniform(
+                CollArgs::new(CollectiveOp::Bcast, Algorithm::KnomialTree { k: 2 }),
+                2,
+                2,
+            )
+            .unwrap(),
             ranks: vec![
                 RankLog {
                     rank: 0,
@@ -545,16 +551,73 @@ mod tests {
         let plain = tiny();
         assert!(!plain.to_json().contains("\"opt\""));
         let mut opted = tiny();
-        opted.opt = OptSpec::PIPELINE;
-        opted.opt_chunk = 256;
+        opted.request = opted
+            .request
+            .with_opt(OptSpec::PIPELINE, 256, OPT_AGGREGATE_MAX_FUSE_BYTES)
+            .unwrap();
         let text = opted.to_json();
         assert!(text.contains("\"opt\": \"pipeline\""));
         assert_eq!(Artifact::from_json(&text).unwrap(), opted);
         // Absent fields parse to the no-pass defaults.
-        let back = Artifact::from_json(&plain.to_json()).unwrap();
-        assert_eq!(back.opt, OptSpec::NONE);
-        assert_eq!(back.opt_chunk, OPT_PIPELINE_CHUNK_BYTES);
-        assert_eq!(back.opt_fuse, OPT_AGGREGATE_MAX_FUSE_BYTES);
+        let back = Artifact::from_json(&plain.to_json()).unwrap().request;
+        assert_eq!(back.opt(), &OptSpec::NONE);
+        assert_eq!(back.chunk(), OPT_PIPELINE_CHUNK_BYTES);
+        assert_eq!(back.fuse(), OPT_AGGREGATE_MAX_FUSE_BYTES);
+    }
+
+    /// An allgatherv over `[4, 0]` run by two tenants, in `tiny`'s logs.
+    fn tiny_v() -> Artifact {
+        let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+        let request = Request::irregular(args, CountsSpec::new(vec![4, 0]).unwrap())
+            .and_then(|r| r.with_tenants(2))
+            .unwrap();
+        Artifact { request, ..tiny() }
+    }
+
+    #[test]
+    fn counts_and_tenants_round_trip_and_default_when_absent() {
+        let plain = tiny().to_json();
+        assert!(!plain.contains("\"counts\"") && !plain.contains("\"tenants\""));
+        let back = Artifact::from_json(&plain).unwrap().request;
+        assert_eq!((back.counts(), back.tenants()), (None, 1));
+        let v = tiny_v();
+        let text = v.to_json();
+        assert!(text.contains("\"counts\": \"4,0\"") && text.contains("\"tenants\": 2"));
+        assert_eq!(Artifact::from_json(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn hostile_headers_are_typed_errors() {
+        let header = |text: String| match Artifact::from_json(&text) {
+            Err(ReplayError::Header(why)) => why,
+            other => panic!("expected a Header error, got {other:?}"),
+        };
+        let v = tiny_v().to_json();
+        // Counts that disagree with p, or with n.
+        header(v.replace("\"4,0\"", "\"4,0,0\""));
+        header(v.replace("\"n\": 4", "\"n\": 5"));
+        // Tenants of zero, or more than there are tag windows.
+        header(v.replace("\"tenants\": 2", "\"tenants\": 0"));
+        header(v.replace("\"tenants\": 2", "\"tenants\": 65537"));
+        // An algorithm that cannot run these counts, or this collective.
+        assert!(header(v.replace("\"ring\"", "\"bruck\"")).contains("uniform"));
+        header(tiny().to_json().replace("\"knomial:2\"", "\"bruck\""));
+        // A count that splits an element of a reduce_scatter.
+        let rs = v
+            .replace("\"allgather\"", "\"reduce_scatter\"")
+            .replace("\"u8\"", "\"i32\"");
+        assert!(header(rs.replace("\"4,0\"", "\"2,2\"")).contains("whole number"));
+        Artifact::from_json(&rs).expect("whole elements load");
+        // A total that overflows, and one that reaches 4 GiB.
+        let max = usize::MAX.to_string();
+        header(v.replace("\"4,0\"", &format!("\"{max},{max}\"")));
+        let four_gib = v
+            .replace("\"4,0\"", "\"4096M,0\"")
+            .replace("\"n\": 4", "\"n\": 4294967296");
+        assert!(header(four_gib).contains("4 GiB"));
+        // Root and p as before.
+        header(tiny().to_json().replace("\"root\": 0", "\"root\": 2"));
+        header(tiny().to_json().replace("\"p\": 2", "\"p\": 0"));
     }
 
     #[test]

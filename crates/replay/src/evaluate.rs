@@ -7,47 +7,33 @@
 //! [`RecordedEvent`](exacoll_comm::RecordedEvent) log the way the recorder
 //! does. Nothing about step semantics or flush placement lives here, so the
 //! expected log cannot drift from what a fault-free live run records. The
-//! whole evaluation is a pure function of `(args, p, n, passes, inputs)`.
+//! whole evaluation is a pure function of `(request, inputs)`.
 
 use crate::ReplayError;
-use exacoll_core::registry::{lower, CollArgs};
 use exacoll_core::schedule::eval::{evaluate_recorded, EvalError, Evaluated};
-use exacoll_core::schedule::Schedule;
-use exacoll_core::spec::OptSpec;
-use exacoll_opt::apply_opt_spec;
+use exacoll_core::Request;
+use exacoll_opt::plan_world;
 
-/// Evaluate `args` over `p` ranks with `n` input bytes each, after applying
-/// the passes `opt` selects (thresholds `chunk`/`fuse`) to the lowered
-/// plans. Replaying an optimized artifact must compare against the plan
-/// that actually ran — chunked sends post different event sequences than
-/// the stock lowering, even though the output bytes are identical.
+/// Evaluate the plans `req` runs — lowered, rewritten by its passes, merged
+/// across its tenants: what `exacoll_opt::plan_world` returns, so replaying
+/// an optimized or multi-tenant artifact compares against the plan that
+/// actually ran (chunked sends post different event sequences than the
+/// stock lowering, even though the output bytes are identical).
 ///
 /// `inputs[r]` is rank `r`'s raw input; it must be at least as long as the
 /// plan's input view (extra bytes are ignored, matching the engine).
 ///
 /// # Errors
 ///
-/// [`ReplayError::Unsupported`] if the registry rejects the combination,
-/// [`ReplayError::Header`] if the passes refuse their thresholds or the
-/// inputs do not fit the plans (wrong count, too short), and
-/// [`ReplayError::Stuck`] / [`ReplayError::Eval`] if the plans themselves
-/// deadlock or fail to reduce (a lowering bug — lowered schedules are
-/// verified, so these should never fire).
-pub fn evaluate(
-    args: &CollArgs,
-    p: usize,
-    n: usize,
-    opt: &OptSpec,
-    chunk: usize,
-    fuse: usize,
-    inputs: &[Vec<u8>],
-) -> Result<Evaluated, ReplayError> {
-    args.alg
-        .supports(args.op, p)
-        .map_err(ReplayError::Unsupported)?;
-    let plans: Vec<Schedule> = (0..p).map(|r| lower(args, p, r, n)).collect();
-    let plans = apply_opt_spec(&plans, opt, chunk, fuse)
-        .map_err(|e| ReplayError::Header(format!("optimizer passes failed: {e}")))?;
+/// [`ReplayError::Header`] if the passes refuse their thresholds, the
+/// planned world fails its proofs, or the inputs do not fit the plans
+/// (wrong count, too short), and [`ReplayError::Stuck`] /
+/// [`ReplayError::Eval`] if the plans themselves deadlock or fail to reduce
+/// (a lowering bug — lowered schedules are verified, so these should never
+/// fire).
+pub fn evaluate(req: &Request, inputs: &[Vec<u8>]) -> Result<Evaluated, ReplayError> {
+    let plans = plan_world(req)
+        .map_err(|e| ReplayError::Header(format!("the request cannot be planned: {e}")))?;
     evaluate_recorded(&plans, inputs).map_err(|e| match e {
         EvalError::Shape(why) => {
             ReplayError::Header(format!("recorded inputs do not fit the plan: {why}"))
@@ -61,14 +47,9 @@ pub fn evaluate(
 mod tests {
     use super::*;
     use exacoll_comm::{run_ranks, Comm, RecordComm, RecordedEvent, ThreadComm};
-    use exacoll_core::registry::{Algorithm, CollectiveOp};
+    use exacoll_core::registry::{Algorithm, CollArgs, CollectiveOp};
     use exacoll_core::schedule::{compile, execute_compiled};
-
-    fn inputs(p: usize, n: usize) -> Vec<Vec<u8>> {
-        (0..p)
-            .map(|r| (0..n).map(|i| (r * 37 + i * 11) as u8).collect())
-            .collect()
-    }
+    use exacoll_core::spec::OptSpec;
 
     /// The evaluator must reproduce, event for event and digest for digest,
     /// what a live recorded run logs — that equivalence is the entire basis
@@ -106,12 +87,13 @@ mod tests {
         let mut rewrites_that_bit = 0;
         for (op, alg) in cases {
             for (opt, chunk, fuse) in [(OptSpec::NONE, 1, 1), (rewritten, 4, 8)] {
-                let args = CollArgs::new(op, alg);
-                let ins = inputs(p, n);
-                let expected = evaluate(&args, p, n, &opt, chunk, fuse, &ins).unwrap();
-                let stock: Vec<Schedule> = (0..p).map(|r| lower(&args, p, r, n)).collect();
-                let plans = apply_opt_spec(&stock, &opt, chunk, fuse).unwrap();
-                rewrites_that_bit += usize::from(plans != stock);
+                let req = Request::uniform(CollArgs::new(op, alg), p, n)
+                    .and_then(|r| r.with_opt(opt, chunk, fuse))
+                    .unwrap();
+                let ins = req.inputs(1);
+                let expected = evaluate(&req, &ins).unwrap();
+                let plans = plan_world(&req).unwrap();
+                rewrites_that_bit += usize::from(plans != req.lower_world());
                 let live: Vec<(Vec<RecordedEvent>, Vec<u8>)> =
                     run_ranks(p, |c: &mut ThreadComm| {
                         let r = c.rank();
@@ -140,18 +122,8 @@ mod tests {
     #[test]
     fn evaluation_is_deterministic() {
         let args = CollArgs::new(CollectiveOp::Allreduce, Algorithm::KRing { k: 3 });
-        let ins = inputs(6, 24);
-        let a = evaluate(&args, 6, 24, &OptSpec::NONE, 1, 1, &ins).unwrap();
-        let b = evaluate(&args, 6, 24, &OptSpec::NONE, 1, 1, &ins).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn unsupported_combinations_are_rejected() {
-        let args = CollArgs::new(CollectiveOp::Alltoall, Algorithm::Ring);
-        assert!(matches!(
-            evaluate(&args, 4, 8, &OptSpec::NONE, 1, 1, &inputs(4, 8)),
-            Err(ReplayError::Unsupported(_))
-        ));
+        let req = Request::uniform(args, 6, 24).unwrap();
+        let ins = req.inputs(1);
+        assert_eq!(evaluate(&req, &ins).unwrap(), evaluate(&req, &ins).unwrap());
     }
 }

@@ -31,7 +31,7 @@ pub mod replay;
 
 pub use artifact::{Artifact, RankLog, RankStatus};
 pub use evaluate::evaluate;
-pub use record::{payload, record_thread_run, record_thread_run_opt, RecordOptions};
+pub use record::{record_request, record_thread_run};
 pub use replay::{replay, Divergence, ReplayReport};
 
 use std::fmt;
@@ -48,8 +48,11 @@ pub enum ReplayError {
         /// The `format` string found in the artifact.
         found: String,
     },
-    /// The header is internally inconsistent (bad `p`, missing or duplicate
-    /// rank logs, unknown algorithm spec, ...).
+    /// The header is internally inconsistent (missing or duplicate rank
+    /// logs, unknown algorithm spec, ...) or does not describe a valid
+    /// [`Request`](exacoll_core::Request): an algorithm that cannot run the
+    /// collective on that shape, a root that is not a rank, `counts` that
+    /// disagree with `p` or `n`, too many tenants, a region of 4 GiB.
     Header(String),
     /// A rank's event `seq` numbers are not the contiguous run `0..count`:
     /// an event was dropped or reordered. Rejected, never replayed.
@@ -71,9 +74,6 @@ pub enum ReplayError {
         /// The events actually present.
         found: usize,
     },
-    /// The artifact's (collective, algorithm, p) combination is not
-    /// supported by the registry, so no schedule exists to replay against.
-    Unsupported(String),
     /// The world evaluator deadlocked: some rank's schedule blocks on a
     /// message no other rank's schedule ever sends. This indicates a
     /// lowering bug, not a bad artifact.
@@ -112,7 +112,6 @@ impl fmt::Display for ReplayError {
                 f,
                 "truncated log: rank {rank} declares {declared} events but holds {found} — artifact cut off mid-write, refusing to replay"
             ),
-            ReplayError::Unsupported(msg) => write!(f, "cannot re-lower schedule: {msg}"),
             ReplayError::Stuck { blocked } => write!(
                 f,
                 "dataflow evaluator stuck with ranks {blocked:?} mid-schedule (lowering bug?)"

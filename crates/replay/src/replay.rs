@@ -90,19 +90,10 @@ impl ReplayReport {
 /// plan consumes; integrity errors (gaps, truncation) were already rejected
 /// at parse time.
 pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
-    let p = artifact.p;
+    let req = &artifact.request;
+    let p = req.ranks();
     let inputs: Vec<Vec<u8>> = artifact.ranks.iter().map(|l| l.input.clone()).collect();
-    // Re-apply the artifact's optimizer passes so the expected event stream
-    // comes from the plan that actually ran.
-    let expected = evaluate(
-        &artifact.args,
-        p,
-        artifact.n,
-        &artifact.opt,
-        artifact.opt_chunk,
-        artifact.opt_fuse,
-        &inputs,
-    )?;
+    let expected = evaluate(req, &inputs)?;
 
     let mut divergences = Vec::new();
     let mut events_checked = 0usize;
@@ -168,11 +159,15 @@ pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
     }
 
     let run = format!(
-        "{} {} p={} n={} backend={}{}{}",
-        artifact.args.op,
-        exacoll_core::spec::variant_to_spec(&artifact.args.alg, &artifact.opt),
+        "{} {} p={} n={}{} backend={}{}{}",
+        req.args().op,
+        req.variant().spec(),
         p,
-        artifact.n,
+        req.bytes(),
+        match (req.counts(), req.tenants()) {
+            (None, 1) => String::new(),
+            _ => format!(" ({})", req.describe()),
+        },
         artifact.backend,
         match artifact.fault_seed {
             Some(s) => format!(" fault_seed={}", hex_digest(s)),
@@ -284,23 +279,23 @@ mod tests {
 
     #[test]
     fn pipelined_record_replays_clean_and_unoptimized_expectation_diverges() {
-        use crate::record::{record_thread_run_opt, RecordOptions};
         use exacoll_core::spec::OptSpec;
+        use exacoll_core::Request;
         let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
-        let ropts = RecordOptions {
-            opt: OptSpec::PIPELINE,
-            chunk: 16, // far below the 64 B blocks: every send chunks
-            fuse: 4096,
-        };
-        let a = record_thread_run_opt(&ropts, &args, 4, 64, 7);
+        let plain = Request::uniform(args, 4, 64).unwrap();
+        // 16 B is far below the 64 B blocks: every send chunks.
+        let piped = plain.clone().with_opt(OptSpec::PIPELINE, 16, 4096).unwrap();
+        let a = crate::record::record_request(&piped, 7).unwrap();
         let report = replay(&a).unwrap();
         assert!(report.is_clean(), "{}", report.render());
         assert!(report.run.contains("ring@pipeline"), "{}", report.run);
         // Dropping the recorded pass settings makes the expected stream the
         // stock lowering's — which the chunked log must NOT match, proving
         // the optimizer really changed the wire behavior.
-        let mut stripped = a.clone();
-        stripped.opt = OptSpec::NONE;
+        let stripped = Artifact {
+            request: plain,
+            ..a
+        };
         let report = replay(&stripped).unwrap();
         assert!(!report.is_clean());
     }

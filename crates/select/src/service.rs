@@ -16,7 +16,7 @@ use exacoll_core::registry::{default_algorithm, supports_v, unique_candidates};
 use exacoll_core::spec::{
     parse_op, OptSpec, Variant, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES,
 };
-use exacoll_core::{Algorithm, CollArgs, CollectiveOp};
+use exacoll_core::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll_json::Value;
 use exacoll_opt::cached_world;
 use exacoll_sim::{simulate, Machine};
@@ -150,37 +150,29 @@ impl SelectionService {
         max_k: usize,
     ) -> Result<usize, String> {
         let p = machine.ranks();
-        // Lowering rejects malformed shapes, so normalize the probe payload
-        // the way launch/profile normalize theirs: alltoall and
-        // reduce-scatter want p-divisible inputs, barrier carries none.
-        let n = match op {
-            CollectiveOp::Alltoall | CollectiveOp::ReduceScatter => bytes.max(p).div_ceil(p) * p,
-            CollectiveOp::Barrier => 0,
-            _ => bytes.max(1),
-        };
         let cands = unique_candidates(op, p, max_k);
         let mut priced = Vec::with_capacity(cands.len());
         for alg in cands {
             // Compiled plans come from the process-wide plan cache, so a
             // sweep re-pricing overlapping (op, size) grids lowers each
             // shape once; pricing itself replays the cached plan's op
-            // stream on the discrete-event simulator.
-            let args = CollArgs::new(op, alg);
-            let plain = cached_world(&args, &OptSpec::NONE, 0, 0, p, n)
+            // stream on the discrete-event simulator. The probe moves at
+            // least one byte; the request normalizes it per collective.
+            let plain = Request::uniform(CollArgs::new(op, alg), p, bytes.max(1))?;
+            let n = plain.bytes();
+            let piped = plain.clone().with_opt(
+                OptSpec::PIPELINE,
+                OPT_PIPELINE_CHUNK_BYTES,
+                OPT_AGGREGATE_MAX_FUSE_BYTES,
+            )?;
+            let plain = cached_world(&plain)
                 .map_err(|e| format!("lowering {op}/{alg} p={p} n={n}: {e}"))?;
             let plain_traces: Vec<_> = plain.iter().map(|s| s.to_trace()).collect();
             let outcome = simulate(machine, &plain_traces)
                 .map_err(|e| format!("pricing {op}/{alg} p={p} n={n}: {e}"))?;
             priced.push((Variant::plain(alg), outcome.makespan.as_nanos()));
-            let piped = cached_world(
-                &args,
-                &OptSpec::PIPELINE,
-                OPT_PIPELINE_CHUNK_BYTES,
-                OPT_AGGREGATE_MAX_FUSE_BYTES,
-                p,
-                n,
-            )
-            .map_err(|e| format!("pipelining {op}/{alg} p={p} n={n}: {e}"))?;
+            let piped = cached_world(&piped)
+                .map_err(|e| format!("pipelining {op}/{alg} p={p} n={n}: {e}"))?;
             let piped_traces: Vec<_> = piped.iter().map(|s| s.to_trace()).collect();
             // Only price the optimized variant when the pass actually
             // changes the op stream at this size — an identical stream

@@ -21,8 +21,9 @@ use crate::machine::Machine;
 use crate::replay::{simulate, ReplayError, SimOutcome};
 use crate::time::SimTime;
 use exacoll_comm::{DType, RankTrace, ReduceOp};
-use exacoll_core::registry::{lower, Algorithm, CollArgs, CollectiveOp};
+use exacoll_core::registry::{Algorithm, CollArgs, CollectiveOp};
 use exacoll_core::schedule::Schedule;
+use exacoll_core::Request;
 
 /// Simulate the lowered plans of all ranks on `machine`.
 ///
@@ -87,38 +88,17 @@ pub fn plans(
     n: usize,
     root: usize,
 ) -> Result<Vec<Schedule>, CostError> {
-    let refuse = |why: String| Err(CostError::Unsupported(why));
-    if let Err(why) = alg.supports(op, p) {
-        return refuse(why);
-    }
-    if root >= p {
-        return refuse(format!("root {root} is not one of {p} rank(s)"));
-    }
     let elem = OSU_DTYPE.size();
     // OSU sizes are all multiples of the element; pad odd ones down.
     let n = if n >= elem { n - n % elem } else { n };
-    let reduces = matches!(
-        op,
-        CollectiveOp::Reduce | CollectiveOp::Allreduce | CollectiveOp::ReduceScatter
-    );
-    if reduces && !n.is_multiple_of(elem) {
-        return refuse(format!(
-            "{op} of {n} B is not a whole number of {OSU_DTYPE} elements"
-        ));
-    }
-    // Input bytes per rank (alltoall holds p blocks) and the widest region
-    // the plan addresses (gathers lay all p blocks side by side): a
-    // compiled span holds a u32.
-    let world = n.checked_mul(p);
-    let (bytes, widest) = match op {
-        CollectiveOp::Alltoall => (world, world),
-        CollectiveOp::Gather | CollectiveOp::Allgather => (Some(n), world),
-        _ => (Some(n), Some(n)),
-    };
-    let (Some(bytes), Some(_)) = (bytes, widest.and_then(|w| u32::try_from(w).ok())) else {
-        return refuse(format!(
-            "{op} of {n} B on {p} ranks addresses 4 GiB or more in one region"
-        ));
+    // Alltoall is sized per destination: the input holds p blocks.
+    let bytes = match op {
+        CollectiveOp::Alltoall => n.checked_mul(p).ok_or_else(|| {
+            CostError::Unsupported(format!(
+                "{op} of {n} B on {p} ranks addresses 4 GiB or more in one region"
+            ))
+        })?,
+        _ => n,
     };
     let args = CollArgs {
         op,
@@ -127,7 +107,9 @@ pub fn plans(
         dtype: OSU_DTYPE,
         rop: ReduceOp::Sum,
     };
-    Ok((0..p).map(|rank| lower(&args, p, rank, bytes)).collect())
+    Request::uniform(args, p, bytes)
+        .map(|req| req.lower_world())
+        .map_err(CostError::Unsupported)
 }
 
 /// Every rank's op stream for the same call, read off [`plans`]: the one
@@ -171,7 +153,7 @@ pub fn latency(
 mod tests {
     use super::*;
     use exacoll_comm::{record_traces, Comm, TraceComm};
-    use exacoll_core::registry::{candidates, execute, lower_v, unique_candidates_v};
+    use exacoll_core::registry::{candidates, execute, lower, lower_v, unique_candidates_v};
     use exacoll_core::schedule::{compile, execute_compiled};
     use exacoll_core::{merge_tenants, Tenant};
 

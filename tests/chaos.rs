@@ -8,10 +8,8 @@
 //! [`FaultClass::acceptable`] never accepts.
 
 use exacoll::chaos::{algorithm_candidates, run_case, run_case_results, FaultClass, Outcome};
-use exacoll::collectives::{execute, Algorithm, CollArgs, CollectiveOp};
-use exacoll::comm::thread_rt::{try_run_ranks_with, WorldOptions};
-use exacoll::comm::{Comm, FaultComm, FaultEvent, FaultPlan};
-use std::sync::Mutex;
+use exacoll::collectives::{Algorithm, CollectiveOp};
+use exacoll::comm::{FaultEvent, FaultPlan};
 use std::time::Duration;
 
 const SEED: u64 = 2026;
@@ -112,7 +110,7 @@ fn killed_rank_fails_every_survivor() {
                 assert_eq!(results.len(), p);
                 for (rank, res) in results.iter().enumerate() {
                     assert!(
-                        res.is_err(),
+                        res.result.is_err(),
                         "{op:?}/{alg} p={p}: rank {rank} returned Ok although \
                          rank 1 was killed mid-collective"
                     );
@@ -123,32 +121,18 @@ fn killed_rank_fails_every_survivor() {
 }
 
 /// Run one faulty allreduce and return each rank's injected-event log.
+/// The campaign's runner closes with a barrier on the raw communicator, so
+/// no rank drops its endpoint while a peer still has a duplicate to post.
 fn event_logs(plan: FaultPlan) -> Vec<Vec<FaultEvent>> {
-    let p = 4;
-    let logs: Mutex<Vec<Option<Vec<FaultEvent>>>> = Mutex::new(vec![None; p]);
-    let opts = WorldOptions {
-        deadline: Duration::from_secs(30),
-    };
-    let results = try_run_ranks_with(p, opts, |c| {
-        let rank = c.rank();
-        let abort = c.abort_handle();
-        let input = vec![rank as u8 + 1; PAYLOAD];
-        let mut fc = FaultComm::new(&mut *c, plan).with_abort(abort);
-        let args = CollArgs::new(
-            CollectiveOp::Allreduce,
-            Algorithm::RecursiveMultiplying { k: 2 },
-        );
-        let res = execute(&mut fc, &args, &input);
-        logs.lock().unwrap()[rank] = Some(fc.into_events());
-        res.map(|_| ())
-    });
-    for r in results {
-        r.expect("delay/dup/corrupt faults do not abort the collective");
-    }
-    logs.into_inner()
-        .unwrap()
+    let recmult = Algorithm::RecursiveMultiplying { k: 2 };
+    let deadline = Duration::from_secs(30);
+    run_case_results(CollectiveOp::Allreduce, recmult, 4, plan, deadline, PAYLOAD)
         .into_iter()
-        .map(|l| l.expect("every rank logged"))
+        .map(|rank| {
+            rank.result
+                .expect("delay/dup/corrupt faults do not abort the collective");
+            rank.faults
+        })
         .collect()
 }
 

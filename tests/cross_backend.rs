@@ -11,10 +11,11 @@
 //! instrumentation transparency over real sockets.
 
 use exacoll::collectives::reference::expected_outputs;
+use exacoll::collectives::request::payload;
 use exacoll::collectives::{execute, registry::candidates, CollArgs, CollectiveOp};
 use exacoll::comm::{run_ranks, Comm, CommError, CommResult, FaultComm, FaultPlan, Req};
 use exacoll::net::{run_socket_ranks, try_run_socket_ranks_with};
-use exacoll::obs::{payload, TimedComm};
+use exacoll::obs::TimedComm;
 use std::time::Duration;
 
 /// Inputs for one grid case: the shared deterministic pattern every process
@@ -25,7 +26,7 @@ fn grid_inputs(op: CollectiveOp, p: usize, size: usize) -> Vec<Vec<u8>> {
         CollectiveOp::Barrier => 0,
         _ => size,
     };
-    (0..p).map(|r| payload(r, len)).collect()
+    (0..p).map(|r| payload(1, r, len)).collect()
 }
 
 fn check_case(op: CollectiveOp, alg: exacoll::collectives::Algorithm, p: usize, size: usize) {

@@ -6,30 +6,25 @@
 //! `supports_v` before lowering, or by the static verifier when per-rank
 //! plans disagree on the count vector.
 
-use exacoll::collectives::reference::{expected_outputs, expected_outputs_v};
-use exacoll::collectives::registry::{execute_v, lower, lower_v, supports_v, unique_candidates_v};
+use exacoll::collectives::registry::{execute_v, lower_v, supports_v, unique_candidates_v};
 use exacoll::collectives::schedule::verify::verify;
 use exacoll::collectives::schedule::{compile, execute_compiled};
-use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
+use exacoll::collectives::spec::CountsSpec;
+use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{run_ranks, Comm};
 use exacoll::net::run_socket_ranks;
-use exacoll::obs::payload;
 use proptest::prelude::*;
 
-/// Per-rank input length for a v-collective (the `execute_v` convention).
-fn input_len_v(op: CollectiveOp, counts: &[usize], rank: usize) -> usize {
-    match op {
-        CollectiveOp::Allgather => counts[rank],
-        CollectiveOp::ReduceScatter => counts.iter().sum(),
-        other => panic!("{other} has no irregular (v) variant"),
-    }
+/// The request for `alg` running the v-variant of `op` over `counts`.
+fn request_v(op: CollectiveOp, alg: Algorithm, counts: &[usize]) -> Request {
+    let counts = CountsSpec::new(counts.to_vec()).unwrap();
+    Request::irregular(CollArgs::new(op, alg), counts).unwrap()
 }
 
-/// Per-rank inputs for a v-collective, seeded per rank.
-fn inputs_v(op: CollectiveOp, counts: &[usize]) -> Vec<Vec<u8>> {
-    (0..counts.len())
-        .map(|r| payload(r, input_len_v(op, counts, r)))
-        .collect()
+/// The request for a generalized allreduce of `n` bytes on `p` ranks.
+fn genmult(k: usize, p: usize, n: usize) -> Request {
+    let alg = Algorithm::GeneralizedMultiplying { k };
+    Request::uniform(CollArgs::new(CollectiveOp::Allreduce, alg), p, n).unwrap()
 }
 
 /// Strategy: a ragged count vector over p ∈ {4, 6, 7, 8, 9}. Counts are
@@ -57,13 +52,12 @@ proptest! {
     fn v_candidates_match_reference_on_threads(counts in arb_counts()) {
         let p = counts.len();
         for op in [CollectiveOp::Allgather, CollectiveOp::ReduceScatter] {
-            let inputs = inputs_v(op, &counts);
             for alg in unique_candidates_v(op, 4, &counts) {
-                let args = CollArgs::new(op, alg);
-                let expect = expected_outputs_v(op, args.dtype, args.rop, &counts, &inputs)
-                    .expect("reference computes");
+                let req = request_v(op, alg, &counts);
+                let inputs = req.inputs(1);
+                let expect = req.reference(&inputs).expect("reference computes");
                 let got = run_ranks(p, |c| {
-                    execute_v(c, &args, &counts, &inputs[c.rank()])
+                    execute_v(c, req.args(), &counts, &inputs[c.rank()])
                 });
                 for r in 0..p {
                     prop_assert_eq!(
@@ -85,18 +79,13 @@ proptest! {
         n in 1usize..64,
     ) {
         let p = [6, 7, 9][p_idx];
-        let args = CollArgs::new(
-            CollectiveOp::Allreduce,
-            Algorithm::GeneralizedMultiplying { k },
-        );
-        let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, n)).collect();
-        let expect = expected_outputs(args.op, args.root, args.dtype, args.rop, &inputs)
-            .expect("reference computes");
-        let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
+        let req = genmult(k, p, n);
+        let inputs = req.inputs(1);
+        let expect = req.reference(&inputs).expect("reference computes");
+        let plans = req.lower_world();
         verify(&plans).expect("generalized allreduce verifies");
         let got = run_ranks(p, |c| {
-            let plan = lower(&args, p, c.rank(), n);
-            execute_compiled(c, &compile(&plan), &inputs[c.rank()])
+            execute_compiled(c, &compile(&plans[c.rank()]), &inputs[c.rank()])
         });
         for r in 0..p {
             prop_assert_eq!(&got[r], &expect[r], "genmult:{} p={} n={} rank {}", k, p, n, r);
@@ -118,12 +107,12 @@ fn v_candidates_match_reference_on_sockets() {
     for &counts in grids {
         let p = counts.len();
         for op in [CollectiveOp::Allgather, CollectiveOp::ReduceScatter] {
-            let inputs = inputs_v(op, counts);
             for alg in unique_candidates_v(op, 3, counts) {
-                let args = CollArgs::new(op, alg);
-                let expect = expected_outputs_v(op, args.dtype, args.rop, counts, &inputs)
-                    .expect("reference computes");
-                let got = run_socket_ranks(p, |c| execute_v(c, &args, counts, &inputs[c.rank()]));
+                let req = request_v(op, alg, counts);
+                let inputs = req.inputs(1);
+                let expect = req.reference(&inputs).expect("reference computes");
+                let got =
+                    run_socket_ranks(p, |c| execute_v(c, req.args(), counts, &inputs[c.rank()]));
                 for r in 0..p {
                     assert_eq!(
                         got[r], expect[r],
@@ -141,16 +130,12 @@ fn v_candidates_match_reference_on_sockets() {
 fn generalized_allreduce_matches_reference_on_sockets() {
     let (p, n) = (7, 24);
     for k in [2, 3] {
-        let args = CollArgs::new(
-            CollectiveOp::Allreduce,
-            Algorithm::GeneralizedMultiplying { k },
-        );
-        let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, n)).collect();
-        let expect = expected_outputs(args.op, args.root, args.dtype, args.rop, &inputs)
-            .expect("reference computes");
+        let req = genmult(k, p, n);
+        let inputs = req.inputs(1);
+        let expect = req.reference(&inputs).expect("reference computes");
+        let plans = req.lower_world();
         let got = run_socket_ranks(p, |c| {
-            let plan = lower(&args, p, c.rank(), n);
-            execute_compiled(c, &compile(&plan), &inputs[c.rank()])
+            execute_compiled(c, &compile(&plans[c.rank()]), &inputs[c.rank()])
         });
         for r in 0..p {
             assert_eq!(got[r], expect[r], "genmult:{k} p={p} rank {r} over sockets");

@@ -5,102 +5,54 @@
 //! the tenancy verifier must refuse overlapping tag-window claims before
 //! anything touches a wire.
 
-use exacoll::collectives::reference::{expected_outputs, expected_outputs_v};
-use exacoll::collectives::registry::{lower, lower_v};
+use exacoll::collectives::registry::lower;
 use exacoll::collectives::schedule::eval::evaluate_recorded;
 use exacoll::collectives::schedule::verify::{verify, verify_tenants, TenantPlans, VerifyError};
 use exacoll::collectives::schedule::{compile, execute_compiled, Schedule};
-use exacoll::collectives::{merge_tenants, run_tenants, Algorithm, CollArgs, CollectiveOp, Tenant};
+use exacoll::collectives::spec::CountsSpec;
+use exacoll::collectives::{
+    merge_tenants, run_tenants, Algorithm, CollArgs, CollectiveOp, Request, Tenant,
+};
 use exacoll::comm::{run_ranks, Comm, RecordComm, RecordedEvent};
 use exacoll::net::run_socket_ranks;
-use exacoll::obs::payload;
+use exacoll::opt::plan_world;
+use exacoll::replay::{record_request, replay, Artifact};
 use proptest::prelude::*;
 
-/// One tenant's workload: its collective, per-rank input length, and (for
-/// the v-variants) the count vector.
-struct Workload {
-    args: CollArgs,
-    counts: Option<Vec<usize>>,
-    n: usize,
+/// One tenant's workload: a single-tenant request. The mixes below run
+/// *different* collectives side by side, which one `Request` (N tenants of
+/// the same call) does not describe, so they are merged by hand here.
+fn uniform(op: CollectiveOp, alg: Algorithm, n: usize, p: usize) -> Request {
+    Request::uniform(CollArgs::new(op, alg), p, n).unwrap()
 }
 
-impl Workload {
-    fn uniform(op: CollectiveOp, alg: Algorithm, n: usize) -> Workload {
-        Workload {
-            args: CollArgs::new(op, alg),
-            counts: None,
-            n,
-        }
-    }
-
-    fn irregular(op: CollectiveOp, alg: Algorithm, counts: Vec<usize>) -> Workload {
-        Workload {
-            args: CollArgs::new(op, alg),
-            counts: Some(counts),
-            n: 0,
-        }
-    }
-
-    fn ranks(&self, p: usize) -> usize {
-        self.counts.as_ref().map_or(p, |c| c.len())
-    }
-
-    fn input_len(&self, rank: usize) -> usize {
-        match &self.counts {
-            None => self.n,
-            Some(c) => match self.args.op {
-                CollectiveOp::ReduceScatter => c.iter().sum(),
-                _ => c[rank],
-            },
-        }
-    }
-
-    fn plan(&self, p: usize, rank: usize) -> Schedule {
-        match &self.counts {
-            None => lower(&self.args, p, rank, self.n),
-            Some(c) => lower_v(&self.args, rank, c),
-        }
-    }
-
-    fn reference(&self, inputs: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let a = &self.args;
-        match &self.counts {
-            None => expected_outputs(a.op, a.root, a.dtype, a.rop, inputs),
-            Some(c) => expected_outputs_v(a.op, a.dtype, a.rop, c, inputs),
-        }
-        .expect("reference computes")
-    }
+fn irregular(op: CollectiveOp, alg: Algorithm, counts: Vec<usize>) -> Request {
+    Request::irregular(CollArgs::new(op, alg), CountsSpec::new(counts).unwrap()).unwrap()
 }
 
-/// Tag-rewritten per-tenant plans for one rank, plus the per-tenant inputs
-/// (seeded so no two tenants ever share a byte pattern). Inputs come in
-/// two shapes: `ref_inputs[t][r]` is the full logical contribution the
-/// sequential reference wants, `live_inputs[t][r]` the (possibly shorter)
-/// prefix the plan's input view actually consumes — a bcast plan, for
-/// example, takes zero input bytes at non-root ranks. `payload` is
-/// prefix-consistent, so the two agree wherever bytes are read.
+/// Tag-rewritten per-tenant plans for each rank (`[rank][tenant]`), plus the
+/// per-tenant inputs `[tenant][rank]` (seeded so no two tenants ever share
+/// a byte pattern) in two shapes: `ref_inputs` is the full logical
+/// contribution the sequential reference wants, `live_inputs` the (possibly
+/// shorter) prefix the plan's input view actually consumes — a bcast plan,
+/// for example, takes zero input bytes at non-root ranks.
 #[allow(clippy::type_complexity)]
 fn tenant_world(
-    workloads: &[Workload],
+    workloads: &[Request],
     p: usize,
 ) -> (Vec<Vec<Schedule>>, Vec<Vec<Vec<u8>>>, Vec<Vec<Vec<u8>>>) {
+    let worlds: Vec<Vec<Schedule>> = workloads.iter().map(Request::lower_world).collect();
     let plans: Vec<Vec<Schedule>> = (0..p)
         .map(|r| {
-            workloads
-                .iter()
-                .enumerate()
-                .map(|(t, w)| Tenant::new(t).rewrite(&w.plan(p, r)))
+            (0..worlds.len())
+                .map(|t| Tenant::new(t).rewrite(&worlds[t][r]))
                 .collect()
         })
         .collect();
     let ref_inputs: Vec<Vec<Vec<u8>>> = workloads
         .iter()
         .enumerate()
-        .map(|(t, w)| {
-            (0..p)
-                .map(|r| payload(100 * t + r, w.input_len(r)))
-                .collect()
-        })
+        .map(|(t, w)| w.inputs(100 + t as u64))
         .collect();
     let live_inputs: Vec<Vec<Vec<u8>>> = ref_inputs
         .iter()
@@ -116,9 +68,9 @@ fn tenant_world(
 
 /// Run `workloads` as tenants of one shared runtime on both backends and
 /// check every tenant's output against its solo reference.
-fn check_tenancy(workloads: &[Workload], p: usize) {
+fn check_tenancy(workloads: &[Request], p: usize) {
     for w in workloads {
-        assert_eq!(w.ranks(p), p, "every tenant must span the shared runtime");
+        assert_eq!(w.ranks(), p, "every tenant must span the shared runtime");
     }
     let (plans, live_inputs, ref_inputs) = tenant_world(workloads, p);
 
@@ -142,16 +94,18 @@ fn check_tenancy(workloads: &[Workload], p: usize) {
     let expect: Vec<Vec<Vec<u8>>> = workloads
         .iter()
         .zip(&ref_inputs)
-        .map(|(w, ins)| w.reference(ins))
+        .map(|(w, ins)| w.reference(ins).expect("reference computes"))
         .collect();
 
     let run = |outs: Vec<Vec<Vec<u8>>>, backend: &str| {
         for (t, w) in workloads.iter().enumerate() {
             for r in 0..p {
                 assert_eq!(
-                    outs[r][t], expect[t][r],
+                    outs[r][t],
+                    expect[t][r],
                     "tenant {t} ({}/{}) rank {r} diverged on {backend}",
-                    w.args.op, w.args.alg
+                    w.args().op,
+                    w.args().alg
                 );
             }
         }
@@ -184,11 +138,12 @@ fn check_tenancy(workloads: &[Workload], p: usize) {
 fn two_tenants_share_one_runtime_without_interference() {
     check_tenancy(
         &[
-            Workload::uniform(CollectiveOp::Allgather, Algorithm::Ring, 24),
-            Workload::uniform(
+            uniform(CollectiveOp::Allgather, Algorithm::Ring, 24, 4),
+            uniform(
                 CollectiveOp::Allreduce,
                 Algorithm::RecursiveMultiplying { k: 2 },
                 16,
+                4,
             ),
         ],
         4,
@@ -201,10 +156,10 @@ fn two_tenants_share_one_runtime_without_interference() {
 fn four_mixed_tenants_including_v_variants() {
     check_tenancy(
         &[
-            Workload::uniform(CollectiveOp::Allreduce, Algorithm::Ring, 32),
-            Workload::irregular(CollectiveOp::Allgather, Algorithm::Ring, vec![40, 0, 8, 16]),
-            Workload::uniform(CollectiveOp::Bcast, Algorithm::KnomialTree { k: 2 }, 12),
-            Workload::irregular(
+            uniform(CollectiveOp::Allreduce, Algorithm::Ring, 32, 4),
+            irregular(CollectiveOp::Allgather, Algorithm::Ring, vec![40, 0, 8, 16]),
+            uniform(CollectiveOp::Bcast, Algorithm::KnomialTree { k: 2 }, 12, 4),
+            irregular(
                 CollectiveOp::ReduceScatter,
                 Algorithm::Ring,
                 vec![8, 24, 0, 16],
@@ -223,16 +178,18 @@ fn four_mixed_tenants_including_v_variants() {
 fn tenants_with_rank_dependent_phases_merge_safely() {
     check_tenancy(
         &[
-            Workload::uniform(CollectiveOp::Allgather, Algorithm::Ring, 12),
-            Workload::uniform(
+            uniform(CollectiveOp::Allgather, Algorithm::Ring, 12, 6),
+            uniform(
                 CollectiveOp::Allreduce,
                 Algorithm::RecursiveMultiplying { k: 2 },
                 16,
+                6,
             ),
-            Workload::uniform(
+            uniform(
                 CollectiveOp::Allreduce,
                 Algorithm::GeneralizedMultiplying { k: 3 },
                 8,
+                6,
             ),
         ],
         6,
@@ -251,17 +208,15 @@ proptest! {
         n in 4usize..40,
     ) {
         let p = [4, 6, 8][p_idx];
-        let workloads: Vec<Workload> = picks
+        let workloads: Vec<Request> = picks
             .iter()
             .map(|&i| match i {
-                0 => Workload::uniform(CollectiveOp::Allgather, Algorithm::Ring, n),
-                1 => Workload::uniform(
+                0 => uniform(CollectiveOp::Allgather, Algorithm::Ring, n, p),
+                1 => uniform(
                     CollectiveOp::Allreduce,
-                    Algorithm::RecursiveMultiplying { k: 2 },
-                    n,
-                ),
-                2 => Workload::uniform(CollectiveOp::Bcast, Algorithm::KnomialTree { k: 2 }, n),
-                _ => Workload::irregular(
+                    Algorithm::RecursiveMultiplying { k: 2 }, n, p),
+                2 => uniform(CollectiveOp::Bcast, Algorithm::KnomialTree { k: 2 }, n, p),
+                _ => irregular(
                     CollectiveOp::Allgather,
                     Algorithm::Ring,
                     (0..p).map(|r| if r % 2 == 0 { n } else { 0 }).collect(),
@@ -274,7 +229,7 @@ proptest! {
         let expect: Vec<Vec<Vec<u8>>> = workloads
             .iter()
             .zip(&ref_inputs)
-            .map(|(w, ins)| w.reference(ins))
+            .map(|(w, ins)| w.reference(ins).expect("reference computes"))
             .collect();
         let outs = run_ranks(p, |c| {
             let per_tenant: Vec<Vec<u8>> =
@@ -285,7 +240,7 @@ proptest! {
             for r in 0..p {
                 prop_assert_eq!(
                     &outs[r][t], &expect[t][r],
-                    "tenant {} ({}/{}) rank {} diverged", t, w.args.op, w.args.alg, r
+                    "tenant {} ({}/{}) rank {} diverged", t, w.args().op, w.args().alg, r
                 );
             }
         }
@@ -299,13 +254,10 @@ proptest! {
 #[test]
 fn tenant_runs_record_and_replay_cleanly() {
     let p = 4;
+    let recmult = Algorithm::RecursiveMultiplying { k: 2 };
     let workloads = [
-        Workload::uniform(CollectiveOp::Allgather, Algorithm::Ring, 16),
-        Workload::uniform(
-            CollectiveOp::Allreduce,
-            Algorithm::RecursiveMultiplying { k: 2 },
-            16,
-        ),
+        uniform(CollectiveOp::Allgather, Algorithm::Ring, 16, p),
+        uniform(CollectiveOp::Allreduce, recmult, 16, p),
     ];
     let (plans, live_inputs, _) = tenant_world(&workloads, p);
     let merged: Vec<Schedule> = (0..p).map(|r| merge_tenants(&plans[r])).collect();
@@ -349,6 +301,20 @@ fn tenant_runs_record_and_replay_cleanly() {
             "rank {r} replay diverged from live run"
         );
     }
+
+    // The same through the front door: two tenants of one call as a
+    // `Request`, recorded, written out, loaded back and replayed.
+    let two = workloads[1].clone().with_tenants(2).unwrap();
+    let artifact = record_request(&two, 9).unwrap();
+    assert_eq!(artifact.ranks[0].input.len(), 2 * 16);
+    let text = artifact.to_json();
+    assert!(text.contains("\"tenants\": 2"), "header names the tenants");
+    let parsed = Artifact::from_json(&text).expect("tenant artifact loads");
+    assert_eq!(parsed, artifact);
+    let report = replay(&parsed).expect("tenant artifact replays");
+    assert!(report.is_clean(), "{}", report.render());
+    let merged = plan_world(&two).expect("the tenant world is proven");
+    assert_eq!(merged[0].input.len(), 2 * 16);
 }
 
 /// Overlapping tag-window claims are refused outright, and a plan that

@@ -2,8 +2,11 @@
 //! must never perturb collective results, the exporters must round-trip,
 //! and injected faults must be visible in the recorded timelines.
 
-use exacoll::chaos::{rank_payload, run_case_timed};
-use exacoll::collectives::{execute, registry::candidates, Algorithm, CollArgs, CollectiveOp};
+use exacoll::chaos::run_case_results;
+use exacoll::collectives::request::payload;
+use exacoll::collectives::{
+    execute, registry::candidates, Algorithm, CollArgs, CollectiveOp, Request,
+};
 use exacoll::comm::thread_rt::try_run_ranks;
 use exacoll::comm::{Comm, FaultEvent, FaultPlan, ThreadComm};
 use exacoll::obs::{
@@ -13,12 +16,6 @@ use exacoll::obs::{
 use exacoll::sim::Machine;
 use proptest::prelude::*;
 use std::time::Duration;
-
-fn payload(rank: usize, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((rank * 37 + i * 11) % 251) as u8)
-        .collect()
-}
 
 /// Run one (op, alg) case on `p` threaded ranks, optionally timed, and
 /// return every rank's output bytes.
@@ -31,7 +28,7 @@ fn run_outputs(
 ) -> Vec<Vec<u8>> {
     let args = CollArgs::new(op, alg);
     let results = try_run_ranks(p, |c: &mut ThreadComm| {
-        let input = payload(c.rank(), len);
+        let input = payload(1, c.rank(), len);
         if timed {
             let mut tc = TimedComm::new(&mut *c);
             execute(&mut tc, &args, &input)
@@ -67,12 +64,14 @@ fn timed_wrapper_is_transparent_for_every_collective() {
 /// matches the recorded timelines slice-for-slice.
 #[test]
 fn chrome_trace_round_trips_through_json() {
-    let spec = ProfileSpec::plain(
+    let recmult = CollArgs::new(
         CollectiveOp::Allreduce,
         Algorithm::RecursiveMultiplying { k: 4 },
-        Machine::testbed(16, 1, 1),
-        2048,
     );
+    let spec = ProfileSpec {
+        request: Request::uniform(recmult, 16, 2048).unwrap(),
+        machine: Machine::testbed(16, 1, 1),
+    };
     let sim = profile_sim(&spec).expect("sim profile");
     let thread = profile_thread(&spec).expect("thread profile");
     let doc = chrome_trace(&[
@@ -98,12 +97,11 @@ fn chrome_trace_round_trips_through_json() {
 /// Metrics snapshot: serialize, re-parse, deserialize, compare structurally.
 #[test]
 fn metrics_snapshot_round_trips_through_json() {
-    let spec = ProfileSpec::plain(
-        CollectiveOp::Allgather,
-        Algorithm::KRing { k: 2 },
-        Machine::testbed(8, 2, 1),
-        512,
-    );
+    let kring = CollArgs::new(CollectiveOp::Allgather, Algorithm::KRing { k: 2 });
+    let spec = ProfileSpec {
+        request: Request::uniform(kring, 16, 512).unwrap(),
+        machine: Machine::testbed(8, 2, 1),
+    };
     let run = profile_sim(&spec).expect("sim profile");
     let mut m = Metrics::new();
     m.incr("campaigns", 3);
@@ -140,7 +138,7 @@ proptest! {
 fn injected_delay_inflates_the_matching_send_span() {
     let plan = FaultPlan::none(7).delays(1.0, Duration::from_micros(800));
     let p = 4;
-    let cases = run_case_timed(
+    let cases = run_case_results(
         CollectiveOp::Allreduce,
         Algorithm::Ring,
         p,
@@ -155,7 +153,7 @@ fn injected_delay_inflates_the_matching_send_span() {
             .result
             .as_ref()
             .unwrap_or_else(|e| panic!("delay-only plan must still complete (rank {rank}): {e}"));
-        assert_eq!(out.len(), rank_payload(plan.seed, rank, 64).len());
+        assert_eq!(out.len(), 64);
         // FaultComm's op clock ticks once per isend/irecv, in call order —
         // the same order TimedComm records Send/Recv events.
         let p2p: Vec<_> = case

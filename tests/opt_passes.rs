@@ -5,11 +5,11 @@
 
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, lower};
+use exacoll::collectives::request::payload;
 use exacoll::collectives::schedule::{compile, execute_compiled};
 use exacoll::collectives::spec::OptSpec;
-use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
+use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{run_ranks, Comm};
-use exacoll::obs::payload;
 use exacoll::opt::apply_opt_spec;
 use proptest::prelude::*;
 
@@ -22,15 +22,6 @@ fn arb_config() -> impl Strategy<Value = (CollectiveOp, Algorithm, usize)> {
         let cands = candidates(op, p, 4);
         (0..cands.len()).prop_map(move |i| (op, cands[i], p))
     })
-}
-
-/// Per-rank payload length valid for `op` on `p` ranks.
-fn input_len(op: CollectiveOp, p: usize, n: usize) -> usize {
-    match op {
-        CollectiveOp::Alltoall => n.div_ceil(p) * p,
-        CollectiveOp::Barrier => 0,
-        _ => n,
-    }
 }
 
 proptest! {
@@ -51,11 +42,11 @@ proptest! {
             OptSpec { pipeline: false, aggregate: true },
             OptSpec { pipeline: true, aggregate: true },
         ][which];
-        let len = input_len(op, p, n);
+        let len = Request::uniform(CollArgs::new(op, alg), p, n).unwrap().bytes();
         let args = CollArgs::new(op, alg);
         let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, len)).collect();
         let rewritten = apply_opt_spec(&plans, &opt, chunk, fuse).expect("passes run");
-        let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, len)).collect();
+        let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(1, r, len)).collect();
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
         let out = run_ranks(p, |c| {
@@ -100,7 +91,7 @@ fn full_pass_pipeline_survives_the_manager_gate_and_runs() {
     for o in &report.outcomes {
         assert!(o.refused.is_none(), "{} refused: {:?}", o.pass, o.refused);
     }
-    let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, len)).collect();
+    let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(1, r, len)).collect();
     let expect =
         expected_outputs(op, args.root, args.dtype, args.rop, &inputs).expect("reference computes");
     let out = run_ranks(p, |c| {

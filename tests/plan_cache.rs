@@ -8,10 +8,10 @@
 use exacoll::collectives::plan_cache::{PlanCache, PlanKey};
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, lower};
+use exacoll::collectives::request::payload;
 use exacoll::collectives::schedule::{compile, execute_compiled, Executor};
-use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
+use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{run_ranks, Comm};
-use exacoll::obs::payload;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -24,15 +24,6 @@ fn arb_config() -> impl Strategy<Value = (CollectiveOp, Algorithm, usize)> {
         let cands = candidates(op, p, 4);
         (0..cands.len()).prop_map(move |i| (op, cands[i], p))
     })
-}
-
-/// Per-rank payload length valid for `op` on `p` ranks.
-fn input_len(op: CollectiveOp, p: usize, n: usize) -> usize {
-    match op {
-        CollectiveOp::Alltoall => n.div_ceil(p) * p,
-        CollectiveOp::Barrier => 0,
-        _ => n,
-    }
 }
 
 proptest! {
@@ -49,9 +40,9 @@ proptest! {
         (op, alg, p) in arb_config(),
         n in 8usize..96,
     ) {
-        let len = input_len(op, p, n);
+        let len = Request::uniform(CollArgs::new(op, alg), p, n).unwrap().bytes();
         let args = CollArgs::new(op, alg);
-        let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, len)).collect();
+        let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(1, r, len)).collect();
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
 

@@ -4,11 +4,11 @@
 //! artifacts are rejected (never reported as "no divergence"), and divergence
 //! reports are byte-identical across replays.
 
-use exacoll::chaos::{run_case_recorded, FaultClass};
+use exacoll::chaos::{record_case, FaultClass};
 use exacoll::collectives::registry::candidates;
-use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
+use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::RecordedEvent;
-use exacoll::replay::{record_thread_run, replay, Artifact, ReplayError};
+use exacoll::replay::{record_request, record_thread_run, replay, Artifact, ReplayError};
 use proptest::prelude::*;
 
 /// Strategy: a supported (op, alg, p) triple over the acceptance grid —
@@ -20,15 +20,6 @@ fn arb_config() -> impl Strategy<Value = (CollectiveOp, Algorithm, usize)> {
         let cands = candidates(op, p, 4);
         (0..cands.len()).prop_map(move |i| (op, cands[i], p))
     })
-}
-
-/// Per-rank payload length valid for `op` on `p` ranks.
-fn input_len(op: CollectiveOp, p: usize, n: usize) -> usize {
-    match op {
-        CollectiveOp::Alltoall => n.div_ceil(p) * p,
-        CollectiveOp::Barrier => 0,
-        _ => n,
-    }
 }
 
 proptest! {
@@ -43,7 +34,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let coll = CollArgs::new(op, alg);
-        let artifact = record_thread_run(&coll, p, input_len(op, p, n), seed);
+        let artifact = record_thread_run(&coll, p, n, seed);
         let parsed = Artifact::from_json(&artifact.to_json())
             .expect("serialized artifact parses back");
         let report = replay(&parsed).expect("artifact replays");
@@ -63,7 +54,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let coll = CollArgs::new(op, alg);
-        let mut artifact = record_thread_run(&coll, p, input_len(op, p, 24), seed);
+        let mut artifact = record_thread_run(&coll, p, 24, seed);
         // Find the first completed receive anywhere and corrupt its digest.
         let victim = artifact.ranks.iter().enumerate().find_map(|(r, log)| {
             log.events.iter().enumerate().find_map(|(s, ev)| match ev {
@@ -151,7 +142,7 @@ fn truncated_event_list_is_rejected_not_clean() {
 fn short_rank_input_is_a_header_error_not_a_panic() {
     let coll = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
     let mut artifact = record_thread_run(&coll, 4, 16, 3);
-    artifact.n = 512;
+    artifact.request = Request::uniform(coll, 4, 512).unwrap();
     artifact.ranks[0].input.clear();
     let text = artifact.to_json();
     assert!(text.contains("\"n\": 512") && text.contains("\"input\": \"\""));
@@ -161,6 +152,61 @@ fn short_rank_input_is_a_header_error_not_a_panic() {
             assert!(why.contains("rank 0"), "names the offending rank: {why}")
         }
         other => panic!("expected a Header error, got {other:?}"),
+    }
+}
+
+/// The valid artifact the hostile-header property mutates: an allgatherv
+/// with a zero-count rank, run by two tenants.
+fn tenant_v_artifact() -> Artifact {
+    use exacoll::collectives::spec::CountsSpec;
+    let coll = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+    let req = Request::irregular(coll, CountsSpec::new(vec![16, 0, 8, 8]).unwrap())
+        .and_then(|r| r.with_tenants(2))
+        .unwrap();
+    record_request(&req, 5).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any rewrite of the header's shape fields either fails to load with a
+    /// typed error or loads into a request that lowers; replaying what
+    /// loaded is a report or a typed error, never a panic.
+    #[test]
+    fn mutated_headers_load_into_a_lowerable_request_or_a_typed_error(
+        alg in 0usize..8,
+        p in 0usize..6,
+        n in 0usize..7,
+        counts in 0usize..9,
+        tenants in 0usize..7,
+    ) {
+        let mut text = tenant_v_artifact().to_json();
+        let mut put = |key: &str, old: &str, pool: &[&str], pick: usize| {
+            if let Some(new) = pool.get(pick) {
+                let (from, to) = (format!("\"{key}\": {old}"), format!("\"{key}\": {new}"));
+                assert!(text.contains(&from), "{from} is in the header");
+                text = text.replacen(&from, &to, 1);
+            }
+        };
+        let algs = ["\"bruck\"", "\"recmult:2\"", "\"kring:300\"", "\"knomial:1\"",
+            "\"pairwise\"", "\"wat\"", "7"];
+        put("alg", "\"ring\"", &algs, alg);
+        put("p", "4", &["0", "1", "5", "1099511627776", "-4"], p);
+        put("n", "32", &["0", "5", "33", "4294967296", "18446744073709551615", "\"32\""], n);
+        let vectors = ["\"16,0,8\"", "\"32,0,0,0\"", "\"8,8,8,8\"", "\"4096M,0,0,0\"", "\"x\"",
+            "\"\"", "\"18446744073709551615,1,0,0\"", "[16,0,8,8]"];
+        put("counts", "\"16,0,8,8\"", &vectors, counts);
+        put("tenants", "2", &["0", "1", "3", "65537", "1099511627776", "2.5"], tenants);
+        match Artifact::from_json(&text) {
+            Ok(artifact) => {
+                prop_assert_eq!(artifact.request.lower_world().len(), artifact.request.ranks());
+                if let Ok(report) = replay(&artifact) {
+                    prop_assert_eq!(report.p, 4);
+                }
+            }
+            Err(ReplayError::Header(_) | ReplayError::Parse(_)) => {}
+            Err(other) => prop_assert!(false, "not a header or parse error: {other:?}"),
+        }
     }
 }
 
@@ -182,7 +228,7 @@ fn corrupt_json_is_rejected_with_a_parse_error() {
 /// (rank, step) with expected-vs-observed digests.
 #[test]
 fn chaos_corruption_replays_to_byte_identical_reports() {
-    let (_, artifact) = run_case_recorded(
+    let (_, artifact) = record_case(
         CollectiveOp::Allreduce,
         Algorithm::RecursiveMultiplying { k: 2 },
         6,
@@ -215,14 +261,11 @@ fn chaos_corruption_replays_to_byte_identical_reports() {
 #[test]
 fn pipelined_record_replays_with_zero_divergence() {
     use exacoll::collectives::spec::OptSpec;
-    use exacoll::replay::{record_thread_run_opt, RecordOptions};
     let coll = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
-    let ropts = RecordOptions {
-        opt: OptSpec::PIPELINE,
-        chunk: 16,
-        fuse: 1,
-    };
-    let artifact = record_thread_run_opt(&ropts, &coll, 4, 64, 11);
+    let piped = Request::uniform(coll, 4, 64)
+        .and_then(|r| r.with_opt(OptSpec::PIPELINE, 16, 1))
+        .unwrap();
+    let artifact = record_request(&piped, 11).unwrap();
     let parsed = Artifact::from_json(&artifact.to_json()).expect("optimized artifact parses");
     let report = replay(&parsed).expect("optimized artifact replays");
     assert!(
@@ -248,7 +291,7 @@ fn pipelined_record_replays_with_zero_divergence() {
 /// that rank at the first missing step.
 #[test]
 fn chaos_kill_replays_to_the_victims_first_missing_step() {
-    let (_, artifact) = run_case_recorded(
+    let (_, artifact) = record_case(
         CollectiveOp::Allreduce,
         Algorithm::Ring,
         6,

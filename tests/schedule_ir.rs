@@ -17,13 +17,13 @@
 
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, lower, table_i, unique_candidates};
+use exacoll::collectives::request::payload;
 use exacoll::collectives::schedule::eval::{evaluate, probe_inputs};
 use exacoll::collectives::schedule::verify::verify;
 use exacoll::collectives::schedule::{compile, execute_compiled, Schedule};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::{run_ranks, Comm, RankTrace, TraceComm};
 use exacoll::models::{predict_from_stats, NetParams};
-use exacoll::obs::payload;
 
 /// Per-rank input length for one grid case.
 fn input_len(op: CollectiveOp, p: usize, size: usize) -> usize {
@@ -87,7 +87,7 @@ fn engine_reproduces_the_sequential_reference_on_threads() {
             for alg in unique_candidates(op, p, 4) {
                 let n = input_len(op, p, 16);
                 let args = CollArgs::new(op, alg);
-                let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, n)).collect();
+                let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(1, r, n)).collect();
                 let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
                     .expect("reference computes");
                 let plans = lower_all(&args, p, n);
@@ -145,7 +145,7 @@ fn direct_ir_costing_agrees_with_live_trace_simulation() {
         let plans = lower_all(&args, p, n);
         let direct = cost(&machine, &plans).expect("schedule costs");
         let traces = record_traces(p, |c| {
-            let input = payload(c.rank(), n);
+            let input = payload(1, c.rank(), n);
             execute(c, &args, &input).map(|_| ())
         });
         let live = simulate(&machine, &traces).expect("trace replays");
