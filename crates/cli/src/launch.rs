@@ -30,7 +30,7 @@ use exacoll_core::request::DEFAULT_SEED;
 use exacoll_core::schedule::execute_compiled;
 use exacoll_core::spec::opt_to_spec;
 use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp, Request};
-use exacoll_net::{serve_rendezvous, SocketComm, SocketOptions};
+use exacoll_net::{serve_rendezvous, SocketOptions};
 use exacoll_obs::{
     chrome_trace, makespan_ns, rank_tracks, timeline_from_json, timeline_to_json, BackendRun,
     ProfileSpec, RankTimeline, TimedComm,
@@ -162,7 +162,7 @@ fn worker(spec: &LaunchSpec) -> Result<(), String> {
     let mut opts = SocketOptions::new(root);
     opts.deadline = spec.timeout;
     let mut c =
-        SocketComm::join(rank, req.ranks(), &opts).map_err(|e| fail("join", e.to_string()))?;
+        exacoll_net::join(rank, req.ranks(), &opts).map_err(|e| fail("join", e.to_string()))?;
 
     // This rank's plan, through the process-wide plan cache: every worker
     // lowers the whole world, rewrites it with the request's passes, merges

@@ -15,11 +15,10 @@ impl Req {
         self.0
     }
 
-    /// Construct a handle from a backend-internal index. This is the
-    /// backend-implementor API: out-of-crate [`Comm`] implementations (the
-    /// TCP backend) need to mint handles for the requests they track. A
-    /// forged or stale handle is harmless — backends answer it with
-    /// `CommError::UnknownRequest`.
+    /// Construct a handle from an index, for [`Comm`] wrappers outside this
+    /// crate that keep their own request table (backends do not: their
+    /// handles come from [`crate::Engine`]). A forged or stale handle is
+    /// harmless — it is answered with `CommError::UnknownRequest`.
     pub fn from_index(index: usize) -> Req {
         Req(index)
     }
@@ -51,9 +50,9 @@ pub trait Comm {
     /// `send_sg(to, tag, view)` must deliver bytes identical to
     /// `isend(to, tag, view.to_vec())`. The default implementation *is* that
     /// gather-copy, which keeps payload-observing wrappers (fault injection,
-    /// digest recording) and the threaded backend correct for free. Backends
-    /// with vectored I/O (the TCP runtime) override it to put the segments on
-    /// the wire without materializing an intermediate `Vec`.
+    /// digest recording) correct for free. [`crate::Engine`] overrides it to
+    /// hand the borrowed segments to its transport, so the TCP mesh puts them
+    /// on the wire without materializing an intermediate `Vec`.
     fn send_sg(&mut self, to: Rank, tag: Tag, view: SgView<'_>) -> CommResult<Req> {
         self.isend(to, tag, view.to_vec())
     }

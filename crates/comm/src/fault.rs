@@ -13,6 +13,7 @@
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
 use crate::comm::{Comm, Req};
+use crate::engine::ReqTable;
 use crate::error::{CommError, CommResult};
 use crate::thread_rt::AbortHandle;
 use crate::types::{Rank, Tag};
@@ -172,7 +173,6 @@ impl SplitMix64 {
 enum FReq {
     Inner(Req),
     DroppedSend,
-    Consumed,
 }
 
 /// A fault-injecting wrapper around any [`Comm`].
@@ -188,7 +188,7 @@ pub struct FaultComm<C: Comm> {
     ops: usize,
     killed: bool,
     events: Vec<FaultEvent>,
-    reqs: Vec<FReq>,
+    reqs: ReqTable<FReq>,
     /// On the threaded backend a kill also aborts the whole world, so
     /// surviving ranks fail fast instead of timing out.
     abort: Option<AbortHandle>,
@@ -210,7 +210,7 @@ impl<C: Comm> FaultComm<C> {
             ops: 0,
             killed: false,
             events: Vec::new(),
-            reqs: Vec::new(),
+            reqs: ReqTable::default(),
             abort: None,
         }
     }
@@ -252,11 +252,6 @@ impl<C: Comm> FaultComm<C> {
         self.ops += 1;
         Ok(op)
     }
-
-    fn push_req(&mut self, r: FReq) -> Req {
-        self.reqs.push(r);
-        Req(self.reqs.len() - 1)
-    }
 }
 
 impl<C: Comm> Comm for FaultComm<C> {
@@ -277,7 +272,7 @@ impl<C: Comm> Comm for FaultComm<C> {
                 tag,
                 bytes: data.len(),
             });
-            return Ok(self.push_req(FReq::DroppedSend));
+            return Ok(self.reqs.post(FReq::DroppedSend));
         }
         if self.rng.roll(self.plan.delay_prob) {
             let max_us = self.plan.max_delay.as_micros().max(1) as u64;
@@ -299,13 +294,13 @@ impl<C: Comm> Comm for FaultComm<C> {
             self.inner.wait(extra)?;
         }
         let r = self.inner.isend(to, tag, data)?;
-        Ok(self.push_req(FReq::Inner(r)))
+        Ok(self.reqs.post(FReq::Inner(r)))
     }
 
     fn irecv(&mut self, from: Rank, tag: Tag, bytes: usize) -> CommResult<Req> {
         self.tick()?;
         let r = self.inner.irecv(from, tag, bytes)?;
-        Ok(self.push_req(FReq::Inner(r)))
+        Ok(self.reqs.post(FReq::Inner(r)))
     }
 
     fn wait(&mut self, req: Req) -> CommResult<Option<Vec<u8>>> {
@@ -314,14 +309,9 @@ impl<C: Comm> Comm for FaultComm<C> {
                 origin: self.inner.rank(),
             });
         }
-        let idx = req.0;
-        if idx >= self.reqs.len() {
-            return Err(CommError::UnknownRequest { handle: idx });
-        }
-        match std::mem::replace(&mut self.reqs[idx], FReq::Consumed) {
+        match self.reqs.take(req)? {
             FReq::Inner(r) => self.inner.wait(r),
             FReq::DroppedSend => Ok(None),
-            FReq::Consumed => Err(CommError::UnknownRequest { handle: idx }),
         }
     }
 
@@ -467,6 +457,32 @@ mod tests {
         assert_eq!(results[1], Err(CommError::Aborted { origin: 1 }));
         // Rank 0 blocks on the dead rank and the abort flag frees it.
         assert!(matches!(results[0], Err(CommError::Aborted { origin: 1 })));
+    }
+
+    #[test]
+    fn request_table_is_reclaimed_but_handles_are_never_reused() {
+        let results = try_run_ranks(2, |c: &mut ThreadComm| {
+            let peer = 1 - c.rank();
+            let mut fc = FaultComm::new(&mut *c, FaultPlan::none(5));
+            let sent = fc.isend(peer, 0, vec![1])?;
+            let stale = sent.0;
+            let posted = fc.irecv(peer, 0, 1)?;
+            fc.waitall(vec![sent, posted])?;
+            for _ in 0..100_000 {
+                fc.sendrecv(peer, 1, vec![0u8; 8], peer, 1, 8)?;
+            }
+            // Two requests in flight at most: the wrapper's table never
+            // outgrew the smallest allocation a `Vec` makes, the handles
+            // kept counting, and a consumed one stays unknown.
+            assert!(fc.reqs.capacity() <= 4, "{}", fc.reqs.capacity());
+            assert_eq!(fc.irecv(peer, 2, 1)?.0, 2 + 200_000);
+            assert_eq!(
+                fc.wait(Req(stale)),
+                Err(CommError::UnknownRequest { handle: stale })
+            );
+            Ok(())
+        });
+        assert_eq!(results, vec![Ok(()), Ok(())]);
     }
 
     #[test]

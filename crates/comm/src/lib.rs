@@ -7,13 +7,16 @@
 //! completion, typed buffers, and reduction operators.
 //!
 //! The central abstraction is the [`Comm`] trait. Collective algorithms are
-//! written **once** as generic functions over `Comm` and then executed on two
-//! backends:
+//! written **once** as generic functions over `Comm` and then executed on:
 //!
-//! * [`ThreadComm`] — every rank is an OS thread and messages are real byte
-//!   buffers moved over channels. This backend is used by the test suite to
-//!   prove the algorithms implement MPI semantics correctly (data contents,
-//!   reduction arithmetic, arbitrary roots, non-power-of-`k` process counts).
+//! * [`Engine`] — the one implementation of the semantics above (matching,
+//!   ordering, requests, `waitall`, the error taxonomy, the hang-free
+//!   guarantee) over a small [`Transport`]. [`ThreadComm`] is the engine over
+//!   in-process mailboxes: every rank is an OS thread and messages are real
+//!   byte buffers. The test suite uses it to prove the algorithms correct
+//!   (data contents, reduction arithmetic, arbitrary roots, non-power-of-`k`
+//!   process counts). `exacoll-net`'s `SocketComm` is the same engine over a
+//!   TCP mesh.
 //! * [`TraceComm`] — a single-threaded recorder that captures each rank's
 //!   operation schedule (sends, receives, waits, reduction compute) as a
 //!   [`RankTrace`]. The `exacoll-sim` crate replays these traces on a
@@ -26,6 +29,7 @@
 
 pub mod buffer;
 pub mod comm;
+pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod record;
@@ -37,14 +41,15 @@ pub mod types;
 
 pub use buffer::TypedBuf;
 pub use comm::{Comm, Req};
+pub use engine::{Engine, Inbox, Payload, Transport};
 pub use error::{CommError, CommResult};
 pub use fault::{FaultComm, FaultEvent, FaultPlan, KillSpec};
 pub use record::{fnv1a, RecordComm, RecordedEvent};
 pub use reduce_ops::reduce_into;
 pub use sg::SgView;
 pub use thread_rt::{
-    run_ranks, try_run_ranks, try_run_ranks_with, AbortHandle, ThreadComm, ThreadWorld,
-    WorldOptions,
+    expect_all_ranks, run_ranks, run_scoped, try_run_ranks, try_run_ranks_with, AbortHandle,
+    Mailbox, ThreadComm, WorldOptions,
 };
 pub use trace::{record_traces, RankTrace, TraceComm, TraceOp};
 pub use types::{DType, Rank, ReduceOp, Tag};

@@ -1,41 +1,28 @@
-//! Threaded real-data runtime: every rank is an OS thread, messages are real
-//! byte buffers over std mpsc channels.
+//! Threaded real-data transport: every rank is an OS thread, messages are
+//! real byte buffers moved over std mpsc channels.
 //!
 //! This backend exists to *prove* the collective algorithms correct: the test
 //! suite runs every algorithm here with randomized inputs and compares the
-//! results against sequential references. It implements the MPI semantics
-//! that matter for collectives:
+//! results against sequential references. The MPI semantics — matching,
+//! ordering, requests, the error taxonomy and the hang-free guarantee — are
+//! [`crate::engine`]'s; this file is what is particular to threads:
 //!
-//! * eager sends (a send completes locally once buffered),
-//! * `(source, tag)` matching with non-overtaking order per (peer, tag),
-//! * an unexpected-message queue for messages that arrive before their
-//!   receive is posted,
-//! * truncation errors when a message is larger than the posted receive.
-//!
-//! ## Hang-free guarantee
-//!
-//! No blocking operation parks forever. Three mechanisms cooperate:
-//!
-//! 1. **Departure poison**: dropping a [`ThreadComm`] endpoint (normal exit,
-//!    error return, or panic) broadcasts a `Gone` envelope to every peer, so
-//!    a receive from a departed rank fails with [`CommError::PeerGone`]
-//!    instead of waiting on a channel that can never produce a message.
-//! 2. **Deadline**: every blocking receive is bounded by a configurable
-//!    deadline ([`WorldOptions::deadline`]); exceeding it yields
-//!    [`CommError::Timeout`] carrying a snapshot of the pending operation.
-//! 3. **Cooperative abort**: an [`AbortHandle`] (shared by all endpoints of
-//!    a world) lets any rank — or fault-injection code — raise a world-wide
-//!    abort flag. Every operation checks the flag and fails promptly with
-//!    [`CommError::Aborted`] naming the origin rank.
+//! * one mailbox per rank, into which an owned payload is *moved*,
+//! * a `Gone` envelope to every peer when an endpoint drops (normal exit,
+//!   error return, or panic), behind everything the rank sent,
+//! * a world-wide abort flag ([`AbortHandle`]) that no message announces, so
+//!   a parked rank looks at it once per [`POLL_QUANTUM`],
+//! * the scoped-thread harness ([`run_ranks`] and friends) every backend's
+//!   in-process runner is built on.
 
-use crate::comm::{Comm, Req};
+use crate::engine::{Engine, Inbox, Payload, Transport};
 use crate::error::{CommError, CommResult};
 use crate::types::{Rank, Tag};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// An in-flight envelope: a payload or a departure notice.
 enum Envelope {
@@ -48,94 +35,31 @@ enum Envelope {
 /// How long a blocked receive waits between abort-flag checks.
 const POLL_QUANTUM: Duration = Duration::from_millis(1);
 
-/// World-wide state shared by all endpoints of one communicator.
-struct Shared {
-    /// `usize::MAX` = not aborted, otherwise the origin rank. The first
-    /// abort wins attribution.
-    abort_origin: AtomicUsize,
-}
-
-impl Shared {
-    fn aborted(&self) -> Option<Rank> {
-        match self.abort_origin.load(Ordering::Acquire) {
-            usize::MAX => None,
-            origin => Some(origin),
-        }
-    }
-}
-
 /// A clonable handle that can abort every rank of a world. Used by
 /// fault-injection kills and available to tests via
 /// [`ThreadComm::abort_handle`].
 #[derive(Clone)]
 pub struct AbortHandle {
-    shared: Arc<Shared>,
+    /// `usize::MAX` = not aborted, otherwise the origin rank. The first
+    /// abort wins attribution.
+    origin: Arc<AtomicUsize>,
 }
 
 impl AbortHandle {
     /// Raise the world-wide abort flag, attributing it to `origin`.
     /// Idempotent; the first origin wins.
     pub fn abort(&self, origin: Rank) {
-        let _ = self.shared.abort_origin.compare_exchange(
-            usize::MAX,
-            origin,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        let _ =
+            self.origin
+                .compare_exchange(usize::MAX, origin, Ordering::AcqRel, Ordering::Acquire);
     }
 
     /// The origin rank if the world has been aborted.
+    #[inline]
     pub fn aborted(&self) -> Option<Rank> {
-        self.shared.aborted()
-    }
-}
-
-/// State of a posted request.
-enum ReqState {
-    /// Send already completed (eager protocol).
-    SendDone,
-    /// Receive posted, not yet matched.
-    RecvPosted { from: Rank, tag: Tag, bytes: usize },
-    /// Handle already consumed by `wait`.
-    Consumed,
-}
-
-/// The posted requests. A handle is `base + index into slots`; when the last
-/// live request is consumed the slots are dropped and `base` moves past
-/// them, so the table stays as small as the largest batch in flight while
-/// handles are still allocated monotonically and never reused — which
-/// `TimedComm`'s back-patching and `RecordComm`'s pending map rely on.
-#[derive(Default)]
-struct ReqTable {
-    base: usize,
-    slots: Vec<ReqState>,
-    live: usize,
-}
-
-impl ReqTable {
-    fn post(&mut self, state: ReqState) -> Req {
-        self.slots.push(state);
-        self.live += 1;
-        Req(self.base + self.slots.len() - 1)
-    }
-
-    /// Consume a request handle, erroring on stale/unknown handles.
-    fn take(&mut self, req: Req) -> CommResult<ReqState> {
-        let handle = req.0;
-        let state = handle
-            .checked_sub(self.base)
-            .and_then(|i| self.slots.get_mut(i))
-            .map(|slot| std::mem::replace(slot, ReqState::Consumed));
-        match state {
-            None | Some(ReqState::Consumed) => Err(CommError::UnknownRequest { handle }),
-            Some(live) => {
-                self.live -= 1;
-                if self.live == 0 {
-                    self.base += self.slots.len();
-                    self.slots.clear();
-                }
-                Ok(live)
-            }
+        match self.origin.load(Ordering::Acquire) {
+            usize::MAX => None,
+            origin => Some(origin),
         }
     }
 }
@@ -158,65 +82,25 @@ impl Default for WorldOptions {
     }
 }
 
-/// Factory for the per-rank [`ThreadComm`] endpoints of a communicator.
-pub struct ThreadWorld;
-
-impl ThreadWorld {
-    /// Create the `p` endpoints of a size-`p` communicator with default
-    /// options.
-    ///
-    /// Endpoints are meant to be moved into threads; see [`run_ranks`] for
-    /// the common harness.
-    pub fn create(p: usize) -> Vec<ThreadComm> {
-        ThreadWorld::create_with(p, WorldOptions::default())
-    }
-
-    /// Create the `p` endpoints of a size-`p` communicator.
-    pub fn create_with(p: usize, opts: WorldOptions) -> Vec<ThreadComm> {
-        assert!(p > 0, "communicator must have at least one rank");
-        let shared = Arc::new(Shared {
-            abort_origin: AtomicUsize::new(usize::MAX),
-        });
-        let mut txs = Vec::with_capacity(p);
-        let mut rxs = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = channel::<Envelope>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        rxs.into_iter()
-            .enumerate()
-            .map(|(rank, rx)| ThreadComm {
-                rank,
-                size: p,
-                txs: txs.clone(),
-                rx,
-                unexpected: Vec::new(),
-                gone: vec![false; p],
-                reqs: ReqTable::default(),
-                shared: Arc::clone(&shared),
-                deadline: opts.deadline,
-            })
-            .collect()
-    }
+/// One rank's side of the mailboxes.
+pub struct Mailbox {
+    rank: Rank,
+    txs: Vec<Sender<Envelope>>,
+    rx: Receiver<Envelope>,
+    abort: AbortHandle,
 }
 
 /// One rank's endpoint in the threaded runtime.
-pub struct ThreadComm {
-    rank: Rank,
-    size: usize,
-    txs: Vec<Sender<Envelope>>,
-    rx: Receiver<Envelope>,
-    /// MPI-style unexpected message queue, in arrival order.
-    unexpected: Vec<(Rank, Tag, Vec<u8>)>,
-    /// Peers whose `Gone` notice has been observed.
-    gone: Vec<bool>,
-    reqs: ReqTable,
-    shared: Arc<Shared>,
-    deadline: Duration,
+pub type ThreadComm = Engine<Mailbox>;
+
+impl ThreadComm {
+    /// A handle that can abort every rank of this world.
+    pub fn abort_handle(&self) -> AbortHandle {
+        self.transport().abort.clone()
+    }
 }
 
-impl Drop for ThreadComm {
+impl Drop for Mailbox {
     fn drop(&mut self) {
         // Departure poison: tell every peer no further messages will come
         // from this rank. Channels whose receiver is already gone are fine.
@@ -228,228 +112,68 @@ impl Drop for ThreadComm {
     }
 }
 
-impl ThreadComm {
-    /// A handle that can abort every rank of this world.
-    pub fn abort_handle(&self) -> AbortHandle {
-        AbortHandle {
-            shared: Arc::clone(&self.shared),
+impl Transport for Mailbox {
+    #[inline]
+    fn send(
+        &mut self,
+        _inbox: &mut Inbox,
+        to: Rank,
+        tag: Tag,
+        payload: Payload<'_>,
+        _deadline: Duration,
+    ) -> CommResult<()> {
+        self.txs[to]
+            .send(Envelope::Msg(self.rank, tag, payload.into_vec()))
+            .map_err(|_| CommError::PeerGone { peer: to })
+    }
+
+    #[inline]
+    fn progress(&mut self, inbox: &mut Inbox, timeout: Duration, from: Option<Rank>) {
+        // One mailbox whoever is asked for: a look at `from` would be the
+        // receive the park after it starts with, and costs a fence when it
+        // comes up empty.
+        if from.is_some() {
+            return;
+        }
+        // One envelope per call. A disconnected channel cannot happen (each
+        // endpoint holds a sender to itself) and reads as nothing arriving.
+        let envelope = if timeout.is_zero() {
+            self.rx.try_recv().ok()
+        } else {
+            self.rx.recv_timeout(timeout.min(POLL_QUANTUM)).ok()
+        };
+        match envelope {
+            Some(Envelope::Msg(from, tag, data)) => inbox.deliver(from, tag, data),
+            Some(Envelope::Gone(peer)) => inbox.depart(peer),
+            None => {}
         }
     }
 
-    /// Override the blocking-receive deadline for this endpoint.
-    pub fn set_deadline(&mut self, deadline: Duration) {
-        self.deadline = deadline;
-    }
-
-    fn check_rank(&self, r: Rank) -> CommResult<()> {
-        if r >= self.size {
-            return Err(CommError::InvalidRank {
-                rank: r,
-                size: self.size,
-            });
-        }
-        Ok(())
-    }
-
-    fn check_abort(&self) -> CommResult<()> {
-        match self.shared.aborted() {
-            Some(origin) => Err(CommError::Aborted { origin }),
-            None => Ok(()),
-        }
-    }
-
-    /// Try to match a posted receive against the unexpected queue.
-    fn match_unexpected(&mut self, from: Rank, tag: Tag) -> Option<Vec<u8>> {
-        let pos = self
-            .unexpected
-            .iter()
-            .position(|(s, t, _)| *s == from && *t == tag)?;
-        Some(self.unexpected.remove(pos).2)
-    }
-
-    /// Block until a message matching (from, tag) arrives, parking
-    /// non-matching arrivals on the unexpected queue. Never parks forever:
-    /// bails on abort, peer departure, or deadline expiry.
-    fn pull_match(&mut self, from: Rank, tag: Tag, bytes: usize) -> CommResult<Vec<u8>> {
-        let start = Instant::now();
-        loop {
-            self.check_abort()?;
-            if let Some(data) = self.match_unexpected(from, tag) {
-                return Ok(data);
-            }
-            if self.gone[from] {
-                // Per-sender FIFO: once Gone is observed, every message the
-                // peer ever sent has already been drained into `unexpected`.
-                return Err(CommError::PeerGone { peer: from });
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= self.deadline {
-                return Err(CommError::Timeout {
-                    rank: self.rank,
-                    from,
-                    tag,
-                    bytes,
-                });
-            }
-            let wait = (self.deadline - elapsed).min(POLL_QUANTUM);
-            match self.rx.recv_timeout(wait) {
-                Ok(Envelope::Msg(s, t, data)) => {
-                    if s == from && t == tag {
-                        return Ok(data);
-                    }
-                    self.unexpected.push((s, t, data));
-                }
-                Ok(Envelope::Gone(g)) => self.gone[g] = true,
-                Err(RecvTimeoutError::Timeout) => {}
-                // Unreachable in practice (each endpoint holds a clone of
-                // its own sender), but treat it as the peer vanishing.
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::PeerGone { peer: from });
-                }
-            }
-        }
-    }
-
-    fn complete_recv(&mut self, from: Rank, tag: Tag, posted: usize) -> CommResult<Vec<u8>> {
-        let data = self.pull_match(from, tag, posted)?;
-        if data.len() > posted {
-            return Err(CommError::Truncation {
-                rank: self.rank,
-                from,
-                tag,
-                posted,
-                arrived: data.len(),
-            });
-        }
-        Ok(data)
+    #[inline]
+    fn aborted(&self) -> Option<Rank> {
+        self.abort.aborted()
     }
 }
 
-impl Comm for ThreadComm {
-    fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn isend(&mut self, to: Rank, tag: Tag, data: Vec<u8>) -> CommResult<Req> {
-        self.check_abort()?;
-        self.check_rank(to)?;
-        if self.gone[to] {
-            return Err(CommError::PeerGone { peer: to });
-        }
-        self.txs[to]
-            .send(Envelope::Msg(self.rank, tag, data))
-            .map_err(|_| CommError::PeerGone { peer: to })?;
-        Ok(self.reqs.post(ReqState::SendDone))
-    }
-
-    fn irecv(&mut self, from: Rank, tag: Tag, bytes: usize) -> CommResult<Req> {
-        self.check_abort()?;
-        self.check_rank(from)?;
-        Ok(self.reqs.post(ReqState::RecvPosted { from, tag, bytes }))
-    }
-
-    fn wait(&mut self, req: Req) -> CommResult<Option<Vec<u8>>> {
-        match self.reqs.take(req)? {
-            ReqState::SendDone => Ok(None),
-            ReqState::RecvPosted { from, tag, bytes } => {
-                let data = self.complete_recv(from, tag, bytes)?;
-                Ok(Some(data))
-            }
-            ReqState::Consumed => unreachable!("take rejects consumed handles"),
-        }
-    }
-
-    /// Out-of-order completion. Sends are eager (already complete), so only
-    /// receives can block — and this backend drains arrivals into the
-    /// unexpected queue regardless of which receive is being waited on, so
-    /// the *default* sequential `waitall` could not deadlock here either.
-    /// The override still matters: it completes whichever receive's message
-    /// arrives first, so one slow sender does not charge its latency to the
-    /// whole batch's deadline accounting, and the semantics match the TCP
-    /// backend exactly.
-    fn waitall(&mut self, reqs: Vec<Req>) -> CommResult<Vec<Option<Vec<u8>>>> {
-        let mut out: Vec<Option<Vec<u8>>> = (0..reqs.len()).map(|_| None).collect();
-        // (result slot, from, tag, posted) for still-unmatched receives, in
-        // posting order so same-(from, tag) requests match FIFO.
-        let mut pending: Vec<(usize, Rank, Tag, usize)> = Vec::new();
-        for (slot, req) in reqs.into_iter().enumerate() {
-            match self.reqs.take(req)? {
-                ReqState::SendDone => {}
-                ReqState::RecvPosted { from, tag, bytes } => {
-                    pending.push((slot, from, tag, bytes));
-                }
-                ReqState::Consumed => unreachable!("take rejects consumed handles"),
-            }
-        }
-        if pending.is_empty() {
-            return Ok(out);
-        }
-        let start = Instant::now();
-        loop {
-            self.check_abort()?;
-            let mut progressed = false;
-            let mut i = 0;
-            while i < pending.len() {
-                let (slot, from, tag, posted) = pending[i];
-                match self.match_unexpected(from, tag) {
-                    Some(data) => {
-                        if data.len() > posted {
-                            return Err(CommError::Truncation {
-                                rank: self.rank,
-                                from,
-                                tag,
-                                posted,
-                                arrived: data.len(),
-                            });
-                        }
-                        out[slot] = Some(data);
-                        pending.remove(i);
-                        progressed = true;
-                    }
-                    None => i += 1,
-                }
-            }
-            if pending.is_empty() {
-                return Ok(out);
-            }
-            if progressed {
-                continue;
-            }
-            for &(_, from, _, _) in &pending {
-                if self.gone[from] {
-                    return Err(CommError::PeerGone { peer: from });
-                }
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= self.deadline {
-                let (_, from, tag, bytes) = pending[0];
-                return Err(CommError::Timeout {
-                    rank: self.rank,
-                    from,
-                    tag,
-                    bytes,
-                });
-            }
-            let wait = (self.deadline - elapsed).min(POLL_QUANTUM);
-            match self.rx.recv_timeout(wait) {
-                Ok(Envelope::Msg(s, t, data)) => self.unexpected.push((s, t, data)),
-                Ok(Envelope::Gone(g)) => self.gone[g] = true,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::PeerGone { peer: pending[0].1 });
-                }
-            }
-        }
-    }
-
-    fn compute(&mut self, _bytes: usize) {
-        // Real computation happens in the algorithm via `reduce_into`; the
-        // accounting hook is only meaningful to the trace backend.
-    }
+/// The `p` endpoints of a fresh size-`p` communicator, in rank order.
+fn world(p: usize, opts: WorldOptions) -> Vec<ThreadComm> {
+    assert!(p > 0, "communicator must have at least one rank");
+    let abort = AbortHandle {
+        origin: Arc::new(AtomicUsize::new(usize::MAX)),
+    };
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| channel::<Envelope>()).unzip();
+    rxs.into_iter()
+        .enumerate()
+        .map(|(rank, rx)| {
+            let mailbox = Mailbox {
+                rank,
+                txs: txs.clone(),
+                rx,
+                abort: abort.clone(),
+            };
+            Engine::new(rank, p, opts.deadline, mailbox)
+        })
+        .collect()
 }
 
 /// Render a panic payload as a string for [`CommError::RankPanicked`].
@@ -463,18 +187,46 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run closure `f` on every rank of a fresh size-`p` communicator, one OS
-/// thread per rank, and return the per-rank results in rank order.
-///
-/// Panics if any rank returns an error or panics, reporting **every**
-/// failing rank (not just the first) so a collective bug that takes down
-/// several ranks diagnoses itself in one run.
-pub fn run_ranks<T, F>(p: usize, f: F) -> Vec<T>
+/// The scoped-thread rank runner under every in-process harness: one OS
+/// thread per entry of `seeds`, running `body(rank, seed)`, results in rank
+/// order. A panicking rank yields [`CommError::RankPanicked`]; whatever
+/// endpoint `body` owned is dropped by then, which unblocks its peers.
+pub fn run_scoped<S, T, F>(seeds: Vec<S>, body: F) -> Vec<CommResult<T>>
 where
+    S: Send,
     T: Send,
-    F: Fn(&mut ThreadComm) -> CommResult<T> + Send + Sync,
+    F: Fn(Rank, S) -> CommResult<T> + Sync,
 {
-    let results = try_run_ranks(p, f);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = seeds
+            .into_iter()
+            .enumerate()
+            .map(|(rank, seed)| {
+                let body = &body;
+                scope.spawn(move || {
+                    std::panic::catch_unwind(AssertUnwindSafe(|| body(rank, seed))).unwrap_or_else(
+                        |payload| {
+                            Err(CommError::RankPanicked {
+                                rank,
+                                message: panic_message(payload.as_ref()),
+                            })
+                        },
+                    )
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread infrastructure panicked"))
+            .collect()
+    })
+}
+
+/// Unwrap per-rank results, panicking with **every** failing rank (not just
+/// the first) so a collective bug that takes down several ranks diagnoses
+/// itself in one run.
+pub fn expect_all_ranks<T>(results: Vec<CommResult<T>>) -> Vec<T> {
+    let p = results.len();
     let mut out = Vec::with_capacity(p);
     let mut failures = Vec::new();
     for (rank, res) in results.into_iter().enumerate() {
@@ -494,10 +246,21 @@ where
     out
 }
 
+/// Run closure `f` on every rank of a fresh size-`p` communicator, one OS
+/// thread per rank, and return the per-rank results in rank order.
+///
+/// Panics if any rank returns an error or panics, reporting every failing
+/// rank.
+pub fn run_ranks<T, F>(p: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&mut ThreadComm) -> CommResult<T> + Send + Sync,
+{
+    expect_all_ranks(try_run_ranks(p, f))
+}
+
 /// Like [`run_ranks`] but collects per-rank `Result`s instead of panicking,
-/// for failure-injection tests. A panicking rank yields
-/// [`CommError::RankPanicked`] (and its dropped endpoint unblocks any peer
-/// waiting on it).
+/// for failure-injection tests.
 pub fn try_run_ranks<T, F>(p: usize, f: F) -> Vec<CommResult<T>>
 where
     T: Send,
@@ -512,93 +275,13 @@ where
     T: Send,
     F: Fn(&mut ThreadComm) -> CommResult<T> + Send + Sync,
 {
-    let comms = ThreadWorld::create_with(p, opts);
-    let mut out: Vec<Option<CommResult<T>>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|mut c| {
-                let f = &f;
-                scope.spawn(move || {
-                    let rank = c.rank();
-                    let res = match std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut c))) {
-                        Ok(r) => r,
-                        Err(payload) => Err(CommError::RankPanicked {
-                            rank,
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    };
-                    // `c` drops here, poisoning peers so nobody waits on a
-                    // departed rank.
-                    (rank, res)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (rank, res) = h.join().expect("rank thread infrastructure panicked");
-            out[rank] = Some(res);
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("rank produced result"))
-        .collect()
+    run_scoped(world(p, opts), |_, mut c| f(&mut c))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pingpong() {
-        let out = run_ranks(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 0, vec![1, 2, 3])?;
-                c.recv(1, 1, 3)
-            } else {
-                let d = c.recv(0, 0, 3)?;
-                c.send(0, 1, d.iter().map(|x| x * 2).collect())?;
-                Ok(d)
-            }
-        });
-        assert_eq!(out[0], vec![2, 4, 6]);
-        assert_eq!(out[1], vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn tag_matching_out_of_order() {
-        // Rank 0 sends tag 5 then tag 6; rank 1 receives tag 6 first.
-        let out = run_ranks(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 5, vec![5])?;
-                c.send(1, 6, vec![6])?;
-                Ok(vec![])
-            } else {
-                let six = c.recv(0, 6, 1)?;
-                let five = c.recv(0, 5, 1)?;
-                Ok(vec![six[0], five[0]])
-            }
-        });
-        assert_eq!(out[1], vec![6, 5]);
-    }
-
-    #[test]
-    fn same_tag_is_fifo() {
-        let out = run_ranks(2, |c| {
-            if c.rank() == 0 {
-                for i in 0..10u8 {
-                    c.send(1, 0, vec![i])?;
-                }
-                Ok(vec![])
-            } else {
-                let mut got = Vec::new();
-                for _ in 0..10 {
-                    got.push(c.recv(0, 0, 1)?[0]);
-                }
-                Ok(got)
-            }
-        });
-        assert_eq!(out[1], (0..10).collect::<Vec<u8>>());
-    }
+    use crate::comm::{Comm, Req};
 
     #[test]
     fn sendrecv_exchanges() {
@@ -608,27 +291,6 @@ mod tests {
         });
         assert_eq!(out[0], vec![1]);
         assert_eq!(out[1], vec![0]);
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let results = try_run_ranks(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 0, vec![0u8; 16])?;
-                Ok(())
-            } else {
-                c.recv(0, 0, 8).map(|_| ())
-            }
-        });
-        assert!(results[0].is_ok());
-        assert!(matches!(
-            results[1],
-            Err(CommError::Truncation {
-                posted: 8,
-                arrived: 16,
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -642,58 +304,6 @@ mod tests {
             }
         });
         assert_eq!(out[1], vec![9u8; 4]);
-    }
-
-    #[test]
-    fn invalid_rank_rejected() {
-        let results = try_run_ranks(1, |c| c.send(5, 0, vec![]));
-        assert!(matches!(
-            results[0],
-            Err(CommError::InvalidRank { rank: 5, size: 1 })
-        ));
-    }
-
-    #[test]
-    fn double_wait_is_error() {
-        let results = try_run_ranks(2, |c| {
-            if c.rank() == 0 {
-                let r = c.isend(1, 0, vec![1])?;
-                c.wait(Req(r.0))?;
-                c.wait(Req(r.0)).map(|_| ())
-            } else {
-                c.recv(0, 0, 1).map(|_| ())
-            }
-        });
-        assert!(matches!(results[0], Err(CommError::UnknownRequest { .. })));
-    }
-
-    #[test]
-    fn request_table_is_reclaimed_but_handles_are_never_reused() {
-        run_ranks(2, |c| {
-            let peer = 1 - c.rank();
-            let sent = c.isend(peer, 0, vec![1])?;
-            let stale = sent.0;
-            let posted = c.irecv(peer, 0, 1)?;
-            // Consuming the last live request empties the table.
-            c.waitall(vec![sent, posted])?;
-            assert_eq!(
-                c.wait(Req(stale)),
-                Err(CommError::UnknownRequest { handle: stale })
-            );
-            for _ in 0..100_000 {
-                c.sendrecv(peer, 1, vec![0u8; 8], peer, 1, 8)?;
-            }
-            // Two requests in flight at most: the table never outgrew the
-            // smallest allocation a `Vec` makes, and the handles kept
-            // counting.
-            assert!(c.reqs.slots.capacity() <= 4, "{}", c.reqs.slots.capacity());
-            assert_eq!(c.irecv(peer, 2, 1)?.0, 2 + 200_000);
-            assert_eq!(
-                c.wait(Req(stale)),
-                Err(CommError::UnknownRequest { handle: stale })
-            );
-            Ok(())
-        });
     }
 
     #[test]
@@ -715,33 +325,6 @@ mod tests {
             }
         });
         assert_eq!(out[0], (1..8).sum::<usize>());
-    }
-
-    #[test]
-    fn waitall_completes_out_of_order() {
-        // Rank 0 posts its receive from the slow sender FIRST; the fast
-        // senders' messages must complete while the slow one is pending,
-        // and arrival order must not disturb result-slot order.
-        let p = 4;
-        let out = run_ranks(p, |c| match c.rank() {
-            0 => {
-                let reqs: Vec<Req> = (1..p)
-                    .map(|r| c.irecv(r, 0, 8))
-                    .collect::<CommResult<_>>()?;
-                let msgs = c.waitall(reqs)?;
-                Ok(msgs.into_iter().map(|m| m.unwrap()[0]).collect::<Vec<u8>>())
-            }
-            1 => {
-                std::thread::sleep(Duration::from_millis(150));
-                c.send(0, 0, vec![1u8; 8])?;
-                Ok(vec![])
-            }
-            r => {
-                c.send(0, 0, vec![r as u8; 8])?;
-                Ok(vec![])
-            }
-        });
-        assert_eq!(out[0], vec![1, 2, 3]);
     }
 
     #[test]
@@ -781,87 +364,6 @@ mod tests {
         assert_eq!(out[0], 31 * 4);
     }
 
-    // ---- hang-free runtime ----
-
-    #[test]
-    fn departed_peer_unblocks_receiver() {
-        // Rank 0 exits without sending; rank 1 must get PeerGone promptly
-        // rather than waiting out the (long) deadline.
-        let start = Instant::now();
-        let results = try_run_ranks(2, |c| {
-            if c.rank() == 0 {
-                Ok(vec![])
-            } else {
-                c.recv(0, 0, 8)
-            }
-        });
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(CommError::PeerGone { peer: 0 })));
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "PeerGone should be near-immediate, not deadline-bound"
-        );
-    }
-
-    #[test]
-    fn messages_before_departure_still_delivered() {
-        // Gone must not outrun the peer's earlier messages (per-sender FIFO).
-        let out = run_ranks(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 0, vec![42])?;
-                Ok(vec![])
-            } else {
-                std::thread::sleep(Duration::from_millis(50));
-                c.recv(0, 0, 1)
-            }
-        });
-        assert_eq!(out[1], vec![42]);
-    }
-
-    #[test]
-    fn deadline_timeout_reports_pending_op() {
-        let opts = WorldOptions {
-            deadline: Duration::from_millis(100),
-        };
-        let results = try_run_ranks_with(2, opts, |c| {
-            if c.rank() == 0 {
-                // Outlive rank 1's deadline so it times out rather than
-                // seeing our departure poison.
-                std::thread::sleep(Duration::from_millis(400));
-                Ok(vec![])
-            } else {
-                c.recv(0, 9, 256)
-            }
-        });
-        assert_eq!(
-            results[1],
-            Err(CommError::Timeout {
-                rank: 1,
-                from: 0,
-                tag: 9,
-                bytes: 256,
-            })
-        );
-    }
-
-    #[test]
-    fn abort_unblocks_all_ranks() {
-        let start = Instant::now();
-        let results = try_run_ranks(4, |c| {
-            if c.rank() == 2 {
-                c.abort_handle().abort(2);
-                Err(CommError::Aborted { origin: 2 })
-            } else {
-                // Would otherwise block the full 60 s default deadline.
-                c.recv((c.rank() + 1) % 4, 77, 8).map(|_| ())
-            }
-        });
-        for r in results {
-            assert!(matches!(r, Err(CommError::Aborted { origin: 2 })));
-        }
-        assert!(start.elapsed() < Duration::from_secs(10));
-    }
-
     #[test]
     fn abort_fails_sends_too() {
         let results = try_run_ranks(2, |c| {
@@ -874,21 +376,6 @@ mod tests {
             }
         });
         assert!(matches!(results[1], Err(CommError::Aborted { origin: 0 })));
-    }
-
-    #[test]
-    fn panicking_rank_is_captured_and_unblocks_peers() {
-        let results = try_run_ranks(2, |c| {
-            if c.rank() == 0 {
-                panic!("injected panic");
-            }
-            c.recv(0, 0, 8).map(|_| ())
-        });
-        assert!(matches!(
-            &results[0],
-            Err(CommError::RankPanicked { rank: 0, message }) if message.contains("injected panic")
-        ));
-        assert!(matches!(results[1], Err(CommError::PeerGone { peer: 0 })));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! # exacoll-net — the distributed TCP backend
 //!
-//! [`SocketComm`] implements [`exacoll_comm::Comm`] over a full mesh of TCP
+//! [`SocketComm`] is `exacoll_comm`'s matching engine over a full mesh of TCP
 //! connections, so every generalized kernel in `exacoll-core` runs
-//! unmodified across OS **processes** (and across hosts): same `(source,
-//! tag)` matching, same non-overtaking guarantee, same hang-free error
-//! taxonomy as the in-process `ThreadComm` — but with real sockets, real
-//! serialization, and real kernel scheduling underneath.
+//! unmodified across OS **processes** (and across hosts): the `(source,
+//! tag)` matching, non-overtaking guarantee and hang-free error taxonomy are
+//! the very code `ThreadComm` runs — with real sockets, real serialization,
+//! and real kernel scheduling underneath.
 //!
 //! The crate has three layers:
 //!
@@ -13,13 +13,13 @@
 //! - [`bootstrap`]: rendezvous (rank↔address table exchange) and mesh
 //!   construction, all steps bounded by deadlines with connect retry +
 //!   exponential backoff.
-//! - [`socket_rt`]: the endpoint itself — nonblocking sockets driven by
+//! - [`socket_rt`]: the [`Mesh`] transport — nonblocking sockets driven by
 //!   one `poll(2)` loop on the rank's own thread from inside
-//!   `wait`/`waitall` (and from a send that meets a full socket), a
-//!   matching queue, eager sends, out-of-order `waitall`, departure/abort
-//!   propagation — plus an in-process test harness ([`run_socket_ranks`])
-//!   that drives the identical code path under `cargo test`. The endpoint
-//!   owns no thread, so nothing is received while a rank computes.
+//!   `wait`/`waitall` (and from a send that meets a full socket), vectored
+//!   eager sends, departure/abort propagation — plus an in-process test
+//!   harness ([`run_socket_ranks`]) that drives the identical code path
+//!   under `cargo test`. It owns no thread, so nothing is received while a
+//!   rank computes.
 //!
 //! Multi-process execution is orchestrated by the `exacoll launch` CLI
 //! subcommand, which hosts the rendezvous, forks one worker process per
@@ -41,5 +41,5 @@ pub use bootstrap::{
     serve_rendezvous, SocketOptions, TAG_BOOTSTRAP, TAG_MESH,
 };
 pub use socket_rt::{
-    run_socket_ranks, try_run_socket_ranks, try_run_socket_ranks_with, SocketComm,
+    join, run_socket_ranks, try_run_socket_ranks, try_run_socket_ranks_with, Mesh, SocketComm,
 };

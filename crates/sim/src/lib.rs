@@ -26,7 +26,6 @@
 //! virtual completion times plus traffic statistics.
 
 pub mod cost;
-pub mod fault;
 pub mod machine;
 pub mod noise;
 pub mod port;
@@ -36,12 +35,11 @@ pub mod stats;
 pub mod time;
 
 pub use cost::{cost, CostError};
-pub use fault::{DeadLink, LinkDegradation, SimFaults, Straggler};
 pub use machine::{CpuParams, IntranodeParams, LinkParams, Machine, PortAssignment, Topology};
 pub use noise::NoiseModel;
 pub use replay::{
-    simulate, simulate_faulty, simulate_noisy, simulate_timed, BlockedRank, OpTiming, PendingOp,
-    ReplayError, SimOutcome,
+    simulate, simulate_noisy, simulate_timed, BlockedRank, OpTiming, PendingOp, ReplayError,
+    SimOutcome,
 };
 pub use report::Table;
 pub use stats::{RankBreakdown, SimStats};

@@ -21,7 +21,6 @@
 //! per-rank diagnostics, which doubles as a structural checker for the
 //! collective algorithms.
 
-use crate::fault::SimFaults;
 use crate::machine::Machine;
 use crate::noise::NoiseModel;
 use crate::port::PortPool;
@@ -43,15 +42,6 @@ pub enum PendingOp {
         /// Posted size.
         bytes: u64,
     },
-    /// A rendezvous send whose delivery never completed.
-    SendTo {
-        /// Destination rank.
-        peer: usize,
-        /// Message tag.
-        tag: u32,
-        /// Message size.
-        bytes: u64,
-    },
 }
 
 impl std::fmt::Display for PendingOp {
@@ -59,9 +49,6 @@ impl std::fmt::Display for PendingOp {
         match self {
             PendingOp::RecvFrom { peer, tag, bytes } => {
                 write!(f, "recv from {peer} tag {tag} ({bytes} B)")
-            }
-            PendingOp::SendTo { peer, tag, bytes } => {
-                write!(f, "send to {peer} tag {tag} ({bytes} B)")
             }
         }
     }
@@ -89,8 +76,8 @@ pub enum ReplayError {
         traces: usize,
     },
     /// Replay reached quiescence with ranks still blocked. Each entry names
-    /// the blocked rank's pending (peer, tag, bytes) so structural bugs —
-    /// and injected dead links — diagnose themselves.
+    /// the blocked rank's pending (peer, tag, bytes) so structural bugs
+    /// diagnose themselves.
     Deadlock {
         /// Ranks that did not finish.
         blocked: Vec<BlockedRank>,
@@ -192,7 +179,6 @@ struct Engine<'a> {
     pool: PortPool,
     stats: SimStats,
     noise: Option<&'a mut NoiseModel>,
-    faults: Option<&'a SimFaults>,
     /// Per rank: next op index.
     pc: Vec<usize>,
     /// Per rank: local virtual clock.
@@ -218,7 +204,6 @@ impl<'a> Engine<'a> {
         machine: &'a Machine,
         traces: &'a [RankTrace],
         noise: Option<&'a mut NoiseModel>,
-        faults: Option<&'a SimFaults>,
     ) -> Self {
         let p = traces.len();
         Engine {
@@ -227,7 +212,6 @@ impl<'a> Engine<'a> {
             pool: PortPool::new(machine),
             stats: SimStats::default(),
             noise,
-            faults,
             pc: vec![0; p],
             now: vec![SimTime::ZERO; p],
             posting: vec![SimTime::ZERO; p],
@@ -295,29 +279,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Posting-overhead multiplier for `rank` (straggler injection).
-    fn overhead_factor(&self, rank: usize) -> f64 {
-        self.faults.map_or(1.0, |f| f.overhead_factor(rank))
-    }
-
-    /// Whether a `src → dst` rank transfer is lost to a dead link.
-    fn link_is_dead(&self, src: usize, dst: usize) -> bool {
-        self.faults
-            .is_some_and(|f| f.is_dead(self.machine.node_of(src), self.machine.node_of(dst)))
-    }
-
     /// Compute the delivery time of a transfer and claim its resources.
     fn transfer(&mut self, src: usize, dst: usize, bytes: u64, ready: SimTime) -> SimTime {
         let m = self.machine;
-        let (mut alpha_f, mut beta_f) = match self.noise.as_deref_mut() {
+        let (alpha_f, beta_f) = match self.noise.as_deref_mut() {
             Some(n) => (n.alpha_factor(), n.beta_factor()),
             None => (1.0, 1.0),
         };
-        if let Some(f) = self.faults {
-            let (af, bf) = f.link_factors(m.node_of(src), m.node_of(dst));
-            alpha_f *= af;
-            beta_f *= bf;
-        }
         if m.same_node(src, dst) && src != dst {
             let dur = SimTime::ns(
                 m.intra.msg_overhead_ns + bytes as f64 * m.intra.beta_ns_per_byte * beta_f,
@@ -378,25 +346,11 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 self.stamp_begin(rank, pc, self.now[rank]);
-                let o_send = SimTime::ns(self.machine.cpu.o_send_ns * self.overhead_factor(rank));
+                let o_send = SimTime::ns(self.machine.cpu.o_send_ns);
                 self.now[rank] += o_send;
                 self.posting[rank] += o_send;
                 let post = self.now[rank];
                 self.stamp_end(rank, pc, post);
-                if self.link_is_dead(rank, *to) {
-                    // The message vanishes: never delivered, never matched.
-                    // An eager send still completes locally at the post; a
-                    // rendezvous send never completes (its delivery
-                    // acknowledgement cannot arrive), which is exactly the
-                    // hang a dead link causes in practice.
-                    self.stats.dropped_messages += 1;
-                    if (*bytes as usize) < self.machine.rendezvous_threshold {
-                        self.complete(rank, pc, post);
-                    }
-                    self.pc[rank] += 1;
-                    self.push_event(self.now[rank], rank);
-                    return;
-                }
                 let arrival = self.transfer(rank, *to, *bytes, post);
                 self.in_flight[rank].push(Reverse(arrival));
                 // Eager sends complete at posting; rendezvous sends only
@@ -422,7 +376,7 @@ impl<'a> Engine<'a> {
             }
             TraceOp::Recv { from, tag, .. } => {
                 self.stamp_begin(rank, pc, self.now[rank]);
-                let o_recv = SimTime::ns(self.machine.cpu.o_recv_ns * self.overhead_factor(rank));
+                let o_recv = SimTime::ns(self.machine.cpu.o_recv_ns);
                 self.now[rank] += o_recv;
                 self.posting[rank] += o_recv;
                 let posted = self.now[rank];
@@ -500,11 +454,6 @@ impl<'a> Engine<'a> {
             .filter_map(|&req| match &ops[req as usize] {
                 TraceOp::Recv { from, tag, bytes } => Some(PendingOp::RecvFrom {
                     peer: *from,
-                    tag: *tag,
-                    bytes: *bytes,
-                }),
-                TraceOp::Send { to, tag, bytes } => Some(PendingOp::SendTo {
-                    peer: *to,
                     tag: *tag,
                     bytes: *bytes,
                 }),
@@ -603,7 +552,7 @@ pub fn simulate(machine: &Machine, traces: &[RankTrace]) -> Result<SimOutcome, R
             traces: traces.len(),
         });
     }
-    Engine::new(machine, traces, None, None).run()
+    Engine::new(machine, traces, None).run()
 }
 
 /// Like [`simulate`] but additionally returns, for every rank, the
@@ -623,7 +572,7 @@ pub fn simulate_timed(
             traces: traces.len(),
         });
     }
-    Engine::new(machine, traces, None, None).run_timed()
+    Engine::new(machine, traces, None).run_timed()
 }
 
 /// Like [`simulate`] but with a seeded run-to-run variance model.
@@ -638,27 +587,7 @@ pub fn simulate_noisy(
             traces: traces.len(),
         });
     }
-    Engine::new(machine, traces, Some(noise), None).run()
-}
-
-/// Like [`simulate`] but on a structurally impaired machine (degraded
-/// links, stragglers, dead links — see [`SimFaults`]).
-///
-/// Dead links make affected receives unmatched, so this commonly returns
-/// [`ReplayError::Deadlock`]; its diagnostics name each blocked rank's
-/// pending (peer, tag, bytes).
-pub fn simulate_faulty(
-    machine: &Machine,
-    traces: &[RankTrace],
-    faults: &SimFaults,
-) -> Result<SimOutcome, ReplayError> {
-    if traces.len() != machine.ranks() {
-        return Err(ReplayError::RankMismatch {
-            machine_ranks: machine.ranks(),
-            traces: traces.len(),
-        });
-    }
-    Engine::new(machine, traces, None, Some(faults)).run()
+    Engine::new(machine, traces, Some(noise)).run()
 }
 
 #[cfg(test)]
@@ -995,122 +924,6 @@ mod tests {
         }
         // A latency-bound exchange is mostly blocked time.
         assert!(out.breakdown[0].blocked_fraction().unwrap() > 0.5);
-    }
-
-    #[test]
-    fn faultless_faults_match_baseline() {
-        let traces = one_message(4096);
-        let m = Machine::frontier(2, 1);
-        let base = simulate(&m, &traces).unwrap();
-        let faulty = simulate_faulty(&m, &traces, &SimFaults::none()).unwrap();
-        assert_eq!(base.makespan, faulty.makespan);
-        assert_eq!(base.finish, faulty.finish);
-        assert_eq!(base.stats, faulty.stats);
-    }
-
-    #[test]
-    fn degraded_link_slows_only_that_path() {
-        let traces = one_message(1 << 20);
-        let m = Machine::testbed(2, 1, 1);
-        let base = simulate(&m, &traces).unwrap().makespan;
-        let slow = simulate_faulty(&m, &traces, &SimFaults::none().degrade_link(0, 1, 1.0, 4.0))
-            .unwrap()
-            .makespan;
-        // 4x beta on a bandwidth-bound transfer ≈ 4x the wire time.
-        assert!(
-            slow.as_nanos() > 3.0 * base.as_nanos(),
-            "slow {slow} base {base}"
-        );
-        // The reverse direction is untouched.
-        let reverse = simulate_faulty(&m, &traces, &SimFaults::none().degrade_link(1, 0, 1.0, 4.0))
-            .unwrap()
-            .makespan;
-        assert_eq!(reverse, base);
-    }
-
-    #[test]
-    fn straggler_inflates_its_posting_overheads() {
-        // Rank 0 posts 8 sends; with a 100x o_send multiplier on rank 0 the
-        // collective's makespan grows accordingly.
-        let traces = record_traces(9, |c| {
-            if c.rank() == 0 {
-                for r in 1..9 {
-                    c.send(r, 0, vec![0u8; 8])?;
-                }
-            } else {
-                let _ = c.recv(0, 0, 8)?;
-            }
-            Ok(())
-        });
-        let m = Machine::frontier(9, 1);
-        let base = simulate(&m, &traces).unwrap();
-        let out = simulate_faulty(&m, &traces, &SimFaults::none().straggler(0, 100.0)).unwrap();
-        let o_send = m.cpu.o_send_ns;
-        let extra = out.finish[0].as_nanos() - base.finish[0].as_nanos();
-        // 8 sends x 99x extra overhead each.
-        assert!(
-            (extra - 8.0 * 99.0 * o_send).abs() < 1e-3,
-            "extra {extra} vs expected {}",
-            8.0 * 99.0 * o_send
-        );
-    }
-
-    #[test]
-    fn dead_link_deadlocks_with_named_pending_ops() {
-        // 512 B stays below the rendezvous threshold: the send completes
-        // eagerly and only the receiver is left blocked.
-        let traces = one_message(512);
-        let m = Machine::testbed(2, 1, 1);
-        let err = simulate_faulty(&m, &traces, &SimFaults::none().dead_link(0, 1)).unwrap_err();
-        match &err {
-            ReplayError::Deadlock { blocked } => {
-                assert_eq!(blocked.len(), 1);
-                assert_eq!(blocked[0].rank, 1);
-                assert_eq!(
-                    blocked[0].pending,
-                    vec![PendingOp::RecvFrom {
-                        peer: 0,
-                        tag: 0,
-                        bytes: 512,
-                    }]
-                );
-            }
-            other => panic!("expected deadlock, got {other}"),
-        }
-    }
-
-    #[test]
-    fn dead_link_counts_dropped_messages() {
-        // Reverse-direction traffic is unaffected: kill 1 -> 0 while the
-        // message goes 0 -> 1.
-        let traces = one_message(512);
-        let m = Machine::testbed(2, 1, 1);
-        let out = simulate_faulty(&m, &traces, &SimFaults::none().dead_link(1, 0)).unwrap();
-        assert_eq!(out.stats.dropped_messages, 0);
-        // And the dead direction counts its loss.
-        let err = simulate_faulty(&m, &traces, &SimFaults::none().dead_link(0, 1));
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn dead_rendezvous_send_blocks_the_sender_too() {
-        let mut m = Machine::testbed(2, 1, 1);
-        m.rendezvous_threshold = 1024;
-        let traces = one_message(4096); // above threshold: rendezvous
-        let err = simulate_faulty(&m, &traces, &SimFaults::none().dead_link(0, 1)).unwrap_err();
-        let ReplayError::Deadlock { blocked } = &err else {
-            panic!("expected deadlock, got {err}");
-        };
-        let ranks: Vec<usize> = blocked.iter().map(|b| b.rank).collect();
-        assert_eq!(ranks, vec![0, 1], "sender and receiver both block");
-        assert!(matches!(
-            blocked[0].pending[0],
-            PendingOp::SendTo {
-                peer: 1,
-                bytes: 4096,
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub struct SimStats {
     pub compute_bytes: u64,
     /// Events processed by the replay engine.
     pub events: u64,
-    /// Messages lost to injected dead links (always 0 without faults).
-    pub dropped_messages: u64,
     /// Sum of NIC transmit busy time over all ports.
     pub nic_tx_busy: SimTime,
     /// Busiest single NIC transmit side.

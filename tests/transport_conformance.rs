@@ -1,0 +1,333 @@
+//! Transport conformance: the point-to-point semantics the collectives rely
+//! on, each case written once against `Comm` and run over both transports —
+//! in-process mailboxes and the loopback TCP mesh — from the table at the
+//! bottom. The matching engine is shared (`exacoll::comm::engine`), so what a
+//! case pins per transport is that its deliveries, departures and aborts
+//! reach the engine in the order the semantics need.
+
+use exacoll::comm::{
+    expect_all_ranks, try_run_ranks_with, Comm, CommError, CommResult, Rank, Req, ThreadComm,
+    WorldOptions,
+};
+use exacoll::net::{try_run_socket_ranks_with, SocketComm};
+use std::time::{Duration, Instant};
+
+/// Only genuine hangs reach it.
+const LONG: Duration = Duration::from_secs(60);
+
+/// One row per transport: how to run a world on it and how a rank raises
+/// the world-wide abort.
+trait World {
+    type C: Comm;
+
+    fn try_run<T: Send>(
+        p: usize,
+        deadline: Duration,
+        f: impl Fn(&mut Self::C) -> CommResult<T> + Send + Sync,
+    ) -> Vec<CommResult<T>>;
+
+    fn abort(c: &mut Self::C, origin: Rank);
+
+    /// Every rank must succeed.
+    fn run<T: Send>(p: usize, f: impl Fn(&mut Self::C) -> CommResult<T> + Send + Sync) -> Vec<T> {
+        expect_all_ranks(Self::try_run(p, LONG, f))
+    }
+}
+
+struct Threads;
+
+impl World for Threads {
+    type C = ThreadComm;
+
+    fn try_run<T: Send>(
+        p: usize,
+        deadline: Duration,
+        f: impl Fn(&mut ThreadComm) -> CommResult<T> + Send + Sync,
+    ) -> Vec<CommResult<T>> {
+        try_run_ranks_with(p, WorldOptions { deadline }, f)
+    }
+
+    fn abort(c: &mut ThreadComm, origin: Rank) {
+        c.abort_handle().abort(origin);
+    }
+}
+
+struct Sockets;
+
+impl World for Sockets {
+    type C = SocketComm;
+
+    fn try_run<T: Send>(
+        p: usize,
+        deadline: Duration,
+        f: impl Fn(&mut SocketComm) -> CommResult<T> + Send + Sync,
+    ) -> Vec<CommResult<T>> {
+        try_run_socket_ranks_with(p, deadline, f)
+    }
+
+    fn abort(c: &mut SocketComm, origin: Rank) {
+        c.transport_mut().abort(origin);
+    }
+}
+
+mod cases {
+    use super::*;
+
+    pub fn pingpong<W: World>() {
+        let out = W::run(2, |c| {
+            if c.rank() == 0 {
+                c.send(1, 0, vec![1, 2, 3])?;
+                c.recv(1, 1, 3)
+            } else {
+                let d = c.recv(0, 0, 3)?;
+                c.send(0, 1, d.iter().map(|x| x * 2).collect())?;
+                Ok(d)
+            }
+        });
+        assert_eq!(out[0], vec![2, 4, 6]);
+        assert_eq!(out[1], vec![1, 2, 3]);
+    }
+
+    pub fn same_tag_is_fifo<W: World>() {
+        let out = W::run(2, |c| {
+            if c.rank() == 0 {
+                for i in 0..32u8 {
+                    c.send(1, 7, vec![i; 3])?;
+                }
+                Ok(vec![])
+            } else {
+                let mut got = Vec::new();
+                for _ in 0..32 {
+                    got.push(c.recv(0, 7, 3)?[0]);
+                }
+                Ok(got)
+            }
+        });
+        assert_eq!(out[1], (0..32).collect::<Vec<u8>>());
+    }
+
+    pub fn tag_matching_out_of_order<W: World>() {
+        // Rank 0 sends tag 5 then tag 6; rank 1 receives tag 6 first.
+        let out = W::run(2, |c| {
+            if c.rank() == 0 {
+                c.send(1, 5, vec![5])?;
+                c.send(1, 6, vec![6])?;
+                Ok(vec![])
+            } else {
+                let six = c.recv(0, 6, 1)?;
+                let five = c.recv(0, 5, 1)?;
+                Ok(vec![six[0], five[0]])
+            }
+        });
+        assert_eq!(out[1], vec![6, 5]);
+    }
+
+    pub fn waitall_completes_out_of_order<W: World>() {
+        // Rank 0 posts its receive from the slow sender FIRST; the fast
+        // senders' messages must complete while the slow one is pending,
+        // and arrival order must not disturb result-slot order.
+        let p = 4;
+        let out = W::run(p, |c| match c.rank() {
+            0 => {
+                let reqs: Vec<Req> = (1..p)
+                    .map(|r| c.irecv(r, 0, 8))
+                    .collect::<CommResult<_>>()?;
+                let msgs = c.waitall(reqs)?;
+                Ok(msgs.into_iter().map(|m| m.unwrap()[0]).collect::<Vec<u8>>())
+            }
+            1 => {
+                std::thread::sleep(Duration::from_millis(150));
+                c.send(0, 0, vec![1u8; 8])?;
+                Ok(vec![])
+            }
+            r => {
+                c.send(0, 0, vec![r as u8; 8])?;
+                Ok(vec![])
+            }
+        });
+        assert_eq!(out[0], vec![1, 2, 3]);
+    }
+
+    pub fn truncation_detected<W: World>() {
+        let results = W::try_run(2, LONG, |c| {
+            if c.rank() == 0 {
+                c.send(1, 0, vec![0u8; 16])?;
+                Ok(())
+            } else {
+                c.recv(0, 0, 8).map(|_| ())
+            }
+        });
+        assert!(results[0].is_ok());
+        assert!(matches!(
+            results[1],
+            Err(CommError::Truncation {
+                posted: 8,
+                arrived: 16,
+                ..
+            })
+        ));
+    }
+
+    pub fn deadline_timeout_reports_pending_op<W: World>() {
+        let results = W::try_run(2, Duration::from_millis(200), |c| {
+            if c.rank() == 0 {
+                // Outlive rank 1's deadline so it times out rather than
+                // observing our departure.
+                std::thread::sleep(Duration::from_millis(600));
+                Ok(vec![])
+            } else {
+                c.recv(0, 9, 256)
+            }
+        });
+        assert_eq!(
+            results[1],
+            Err(CommError::Timeout {
+                rank: 1,
+                from: 0,
+                tag: 9,
+                bytes: 256,
+            })
+        );
+    }
+
+    pub fn departed_peer_unblocks_receiver<W: World>() {
+        // Rank 0 exits without sending; rank 1 must get PeerGone promptly
+        // rather than waiting out the (long) deadline.
+        let start = Instant::now();
+        let results = W::try_run(2, LONG, |c| {
+            if c.rank() == 0 {
+                Ok(vec![])
+            } else {
+                c.recv(0, 0, 8)
+            }
+        });
+        assert!(results[0].is_ok());
+        assert!(matches!(results[1], Err(CommError::PeerGone { peer: 0 })));
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "PeerGone should be near-immediate, not deadline-bound"
+        );
+    }
+
+    pub fn messages_before_departure_still_delivered<W: World>() {
+        // The departure must not outrun the peer's earlier messages
+        // (per-sender FIFO).
+        let out = W::run(2, |c| {
+            if c.rank() == 0 {
+                c.send(1, 0, vec![42])?;
+                Ok(vec![])
+            } else {
+                std::thread::sleep(Duration::from_millis(50));
+                c.recv(0, 0, 1)
+            }
+        });
+        assert_eq!(out[1], vec![42]);
+    }
+
+    pub fn abort_unblocks_all_ranks<W: World>() {
+        let start = Instant::now();
+        let results = W::try_run(4, LONG, |c| {
+            if c.rank() == 2 {
+                W::abort(c, 2);
+                Err(CommError::Aborted { origin: 2 })
+            } else {
+                // Would otherwise block the full deadline.
+                c.recv((c.rank() + 1) % 4, 77, 8).map(|_| ())
+            }
+        });
+        for r in results {
+            assert!(matches!(r, Err(CommError::Aborted { origin: 2 })));
+        }
+        assert!(start.elapsed() < Duration::from_secs(10));
+    }
+
+    pub fn panicking_rank_is_captured_and_unblocks_peers<W: World>() {
+        let results = W::try_run(2, LONG, |c| {
+            if c.rank() == 0 {
+                panic!("injected panic");
+            }
+            c.recv(0, 0, 8).map(|_| ())
+        });
+        assert!(matches!(
+            &results[0],
+            Err(CommError::RankPanicked { rank: 0, message }) if message.contains("injected panic")
+        ));
+        assert!(matches!(results[1], Err(CommError::PeerGone { peer: 0 })));
+    }
+
+    pub fn double_wait_is_error<W: World>() {
+        let results = W::try_run(2, LONG, |c| {
+            if c.rank() == 0 {
+                let r = c.isend(1, 0, vec![1])?;
+                let idx = r.index();
+                c.wait(r)?;
+                c.wait(Req::from_index(idx)).map(|_| ())
+            } else {
+                c.recv(0, 0, 1).map(|_| ())
+            }
+        });
+        assert!(matches!(results[0], Err(CommError::UnknownRequest { .. })));
+    }
+
+    /// The handle-visible half; that the table itself stays as small as the
+    /// batch in flight is asserted where its fields are visible
+    /// (`exacoll-comm`'s `engine` and `fault` unit tests).
+    pub fn request_table_is_reclaimed_but_handles_are_never_reused<W: World>() {
+        W::run(2, |c| {
+            let peer = 1 - c.rank();
+            let sent = c.isend(peer, 0, vec![1])?;
+            let stale = sent.index();
+            let posted = c.irecv(peer, 0, 1)?;
+            // Consuming the last live request empties the table.
+            c.waitall(vec![sent, posted])?;
+            assert_eq!(
+                c.wait(Req::from_index(stale)),
+                Err(CommError::UnknownRequest { handle: stale })
+            );
+            for _ in 0..100_000 {
+                c.sendrecv(peer, 1, vec![0u8; 8], peer, 1, 8)?;
+            }
+            // The handles kept counting through every reclaim.
+            assert_eq!(c.irecv(peer, 2, 1)?.index(), 2 + 200_000);
+            assert_eq!(
+                c.wait(Req::from_index(stale)),
+                Err(CommError::UnknownRequest { handle: stale })
+            );
+            Ok(())
+        });
+    }
+
+    pub fn invalid_rank_rejected<W: World>() {
+        let results = W::try_run(1, LONG, |c| c.send(5, 0, vec![]));
+        assert!(matches!(
+            results[0],
+            Err(CommError::InvalidRank { rank: 5, size: 1 })
+        ));
+    }
+}
+
+macro_rules! on_both_transports {
+    ($($case:ident),* $(,)?) => {$(
+        #[test]
+        fn $case() {
+            cases::$case::<Threads>();
+            cases::$case::<Sockets>();
+        }
+    )*};
+}
+
+on_both_transports!(
+    pingpong,
+    same_tag_is_fifo,
+    tag_matching_out_of_order,
+    waitall_completes_out_of_order,
+    truncation_detected,
+    deadline_timeout_reports_pending_op,
+    departed_peer_unblocks_receiver,
+    messages_before_departure_still_delivered,
+    abort_unblocks_all_ranks,
+    panicking_rank_is_captured_and_unblocks_peers,
+    double_wait_is_error,
+    request_table_is_reclaimed_but_handles_are_never_reused,
+    invalid_rank_rejected,
+);
