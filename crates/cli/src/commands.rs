@@ -6,6 +6,7 @@ use exacoll_core::registry::{
 };
 use exacoll_core::request::DEFAULT_SEED;
 use exacoll_core::schedule::eval::{evaluate, probe_inputs};
+use exacoll_core::schedule::provenance::Equivalence;
 use exacoll_core::schedule::verify::{verify, ScheduleStats};
 use exacoll_core::spec::{
     parse_opt_spec, CountsSpec, OptSpec, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES,
@@ -15,7 +16,7 @@ use exacoll_obs::{
     analyze_residuals, chrome_trace, intra_net_of, net_of, profile_sim, profile_thread,
     rank_tracks, BackendRun, Metrics, ProfileSpec, RankTimeline,
 };
-use exacoll_opt::{layout_for, plan_world, PassKind, PassManager, TopoDesc};
+use exacoll_opt::{layout_for, plan_world, Gate, PassKind, PassManager, TopoDesc};
 use exacoll_select::{bucket_range, vendor, Policy, SelectionService};
 use exacoll_sim::cost::{latency, measure};
 use exacoll_sim::report::fmt_size;
@@ -627,6 +628,7 @@ fn opt_cmd(args: &Args) -> Result<(), String> {
     for o in &report.outcomes {
         let verdict = match (&o.refused, o.changed) {
             (Some(why), _) => format!("refused: {why}"),
+            (None, true) if o.reordered => "rewritten (reduction order changed)".into(),
             (None, true) => "rewritten".into(),
             (None, false) => "no-op".into(),
         };
@@ -649,7 +651,7 @@ fn opt_cmd(args: &Args) -> Result<(), String> {
     t.print();
     println!(
         "total: {:.3} us -> {:.3} us ({:+.2}%); every accepted rewrite re-verified \
-         and matched the reference bytes",
+         and proved to compute what the stock plan computes",
         report.cost_initial_ns / 1000.0,
         report.cost_final_ns / 1000.0,
         if report.cost_initial_ns > 0.0 {
@@ -687,10 +689,10 @@ fn split_topo(p: usize) -> TopoDesc {
 
 /// Statically verify every registry candidate's lowered schedule: per-rank
 /// plans must be deadlock-free, tag-hygienic, and cover every output byte.
-/// Every optimizer pass is then applied to every candidate and the result
-/// re-verified *and* checked byte-identical on rank-distinguishing probe
-/// inputs — the optimizer must never be able to break a plan the verifier
-/// accepted.
+/// Each is then proved to compute its collective, and every optimizer pass
+/// is applied to it and put to the gate `PassManager` uses ([`Gate`]:
+/// re-verify, then provenance-equal) — the optimizer must never be able to
+/// break a plan the verifier accepted.
 fn verify_schedules(args: &Args) -> Result<(), String> {
     let p = args.opt_usize("ranks", 8)?;
     let max_k = args.opt_usize("max-k", 4)?;
@@ -706,7 +708,7 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
         &["collective", "algorithm", "rounds", "beta (B)", "gamma (B)"],
     );
     let mut checked = 0usize;
-    let mut rewrites = 0usize;
+    let (mut rewrites, mut reordered) = (0usize, 0usize);
     // Check every configuration before deciding the exit code, so one bad
     // schedule doesn't hide the rest of the audit.
     let mut failures: Vec<String> = Vec::new();
@@ -732,40 +734,23 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
             match verify(&plans) {
                 Ok(stats) => {
                     t.row(stats_row(op.to_string(), alg.to_string(), &stats));
-                    let inputs = probe_inputs(&plans);
-                    let reference = match evaluate(&plans, &inputs) {
-                        Ok(r) => Some(r),
-                        Err(e) => {
-                            failures.push(format!("{op} / {alg}: baseline evaluation: {e}"));
-                            None
-                        }
-                    };
+                    let mut gate = Gate::new(plans);
+                    check_denotes(&mut failures, &format!("{op} / {alg}"), &mut gate, &request);
                     for pass in &passes {
-                        let rewritten = match pass.apply(&plans) {
+                        let rewritten = match pass.apply(gate.plans()) {
                             Ok(r) => r,
                             Err(e) => {
                                 failures.push(format!("{op} / {alg} under {pass}: {e}"));
                                 continue;
                             }
                         };
-                        if rewritten == plans {
+                        if rewritten == gate.plans() {
                             continue;
                         }
                         rewrites += 1;
-                        if let Err(e) = verify(&rewritten) {
-                            failures
-                                .push(format!("{op} / {alg} after {pass}: re-verification: {e}"));
-                            continue;
-                        }
-                        if let Some(reference) = &reference {
-                            match evaluate(&rewritten, &inputs) {
-                                Ok(out) if &out == reference => {}
-                                Ok(_) => failures.push(format!(
-                                    "{op} / {alg} after {pass}: outputs differ from reference"
-                                )),
-                                Err(e) => failures
-                                    .push(format!("{op} / {alg} after {pass}: evaluation: {e}")),
-                            }
+                        match gate.admit(&rewritten) {
+                            Ok(a) => reordered += usize::from(a.equivalence != Equivalence::Same),
+                            Err(e) => failures.push(format!("{op} / {alg} after {pass}: {e}")),
                         }
                     }
                 }
@@ -787,8 +772,8 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
     // ---- irregular ("v") collectives ------------------------------------
     // Sweep every v-capable candidate over either the user's `--counts`
     // vector or a built-in ragged grid (uniform control, heavy-head skew,
-    // zero-count ranks). Each plan set must verify *and* evaluate
-    // byte-identical to the sequential v-reference.
+    // zero-count ranks). Each plan set must verify, denote its collective
+    // *and* evaluate byte-identical to the sequential v-reference.
     let count_grid: Vec<CountsSpec> = match args.opt("counts") {
         Some(spec) => vec![CountsSpec::parse(spec)?],
         None => {
@@ -857,13 +842,15 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
         ));
     }
     println!(
-        "{checked} configurations verified: matched sends, no deadlock, full data flow; \
-         {rewrites} optimizer rewrite(s) re-verified byte-identical \
+        "{checked} configurations verified: matched sends, no deadlock, full data flow, each \
+         denotes its collective; {rewrites} optimizer rewrite(s) re-verified and proved to \
+         compute the same function ({reordered} in another reduction order) \
          (including irregular v-plans, generalized allreduce, and tenant tag windows)"
     );
     println!(
         "{paper_checked} paper-scale configurations (p = {PAPER_P}) verified at 1 KiB and 1 MiB: \
-         same rounds, beta/gamma scale with n, reference outputs at 1 KiB, priced at 1 MiB"
+         same rounds, beta/gamma scale with n, each denotes its collective at both sizes, \
+         reference bytes at 1 KiB, priced at 1 MiB"
     );
     Ok(())
 }
@@ -879,8 +866,9 @@ fn stats_row(what: String, alg: String, stats: &ScheduleStats) -> Vec<String> {
     ]
 }
 
-/// Verify `request`'s lowered world and check it evaluates to the request's
-/// own sequential reference: a table row on success, a failure otherwise.
+/// Verify `request`'s lowered world and check it denotes the request's
+/// collective and evaluates to its sequential reference: a table row on
+/// success, a failure otherwise.
 fn verify_row(t: &mut Table, failures: &mut Vec<String>, label: String, request: &Request) {
     let what = format!("{label} / {}", request.args().alg);
     let plans = request.lower_world();
@@ -890,8 +878,30 @@ fn verify_row(t: &mut Table, failures: &mut Vec<String>, label: String, request:
             let inputs = probe_inputs(&plans);
             let expect = request.reference(&inputs).map_err(|e| e.to_string());
             check_outputs(failures, &what, "reference", &plans, &inputs, expect);
+            check_denotes(failures, &what, &mut Gate::new(plans), request);
         }
         Err(e) => failures.push(format!("{what}: {e}")),
+    }
+}
+
+/// Prove the plans `gate` holds compute `request`'s collective, whatever the
+/// inputs; returns how to say so (`allreduce (reduction order free)`), or
+/// records a failure for `what` naming the first rank and output range that
+/// are something else.
+fn check_denotes(
+    failures: &mut Vec<String>,
+    what: &str,
+    gate: &mut Gate,
+    request: &Request,
+) -> String {
+    let op = request.args().op;
+    match gate.denotes(request) {
+        Ok(Equivalence::Same) => op.to_string(),
+        Ok(Equivalence::Reordered) => format!("{op} (reduction order free)"),
+        Err(e) => {
+            failures.push(format!("{what}: does not denote {op}: {e}"));
+            "FAIL".into()
+        }
     }
 }
 
@@ -919,9 +929,11 @@ const PAPER_P: usize = 128;
 /// The paper's own shapes, pinned independently of `--ranks`: the ten
 /// generalized algorithms of Table I at p = 128, k in {2, 4, 8, 128}. Each
 /// must verify at 1 KiB and at 1 MiB with the same round count and beta/gamma
-/// bytes exactly 1024x apart (verification is size-independent, so the 1 MiB
-/// allgathers' gigabytes of scratch address space cost nothing), evaluate to
-/// the sequential reference at 1 KiB, and price on a 16x8 Frontier at 1 MiB.
+/// bytes exactly 1024x apart, denote its collective at both sizes (neither
+/// proof looks at a byte, so the 1 MiB allgathers' gigabytes of scratch
+/// address space cost nothing), evaluate to the sequential reference at
+/// 1 KiB as the cross-check of the symbolic proof, and price on a 16x8
+/// Frontier at 1 MiB.
 /// Returns the table and the number of configurations checked.
 fn verify_paper_shapes(failures: &mut Vec<String>) -> (Table, usize) {
     const KIB: usize = 1 << 10;
@@ -935,6 +947,7 @@ fn verify_paper_shapes(failures: &mut Vec<String>) -> (Table, usize) {
             "beta (B)",
             "gamma (B)",
             "sim @ 1 MiB",
+            "denotes",
         ],
     );
     // `table_i` rows in order: k-nomial, recursive multiplying, k-ring.
@@ -948,12 +961,12 @@ fn verify_paper_shapes(failures: &mut Vec<String>) -> (Table, usize) {
         for op in ops {
             for alg in [2, 4, 8, PAPER_P].map(kernel) {
                 let at = |n| Request::uniform(CollArgs::new(op, alg), PAPER_P, n);
-                let (Ok(request), Ok(large)) = (at(KIB), at(KIB * KIB)) else {
+                let (Ok(request), Ok(request_large)) = (at(KIB), at(KIB * KIB)) else {
                     continue;
                 };
                 checked += 1;
                 let what = format!("p={PAPER_P} {op} / {alg}");
-                let (small, large) = (request.lower_world(), large.lower_world());
+                let (small, large) = (request.lower_world(), request_large.lower_world());
                 let (s, l) = match (verify(&small), verify(&large)) {
                     (Ok(s), Ok(l)) => (s, l),
                     (Err(e), _) | (_, Err(e)) => {
@@ -979,6 +992,12 @@ fn verify_paper_shapes(failures: &mut Vec<String>) -> (Table, usize) {
                         "-".into()
                     }
                 };
+                let denotes = [(small, &request, "1 KiB"), (large, &request_large, "1 MiB")].map(
+                    |(plans, request, at)| {
+                        let what = format!("{what} at {at}");
+                        check_denotes(failures, &what, &mut Gate::new(plans), request)
+                    },
+                );
                 t.row(vec![
                     op.to_string(),
                     alg.to_string(),
@@ -986,6 +1005,11 @@ fn verify_paper_shapes(failures: &mut Vec<String>) -> (Table, usize) {
                     format!("{} -> {}", s.beta_bytes, l.beta_bytes),
                     format!("{} -> {}", s.gamma_bytes, l.gamma_bytes),
                     sim,
+                    if denotes[0] == denotes[1] {
+                        denotes[0].clone()
+                    } else {
+                        denotes.join(" -> ")
+                    },
                 ]);
             }
         }

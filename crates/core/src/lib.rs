@@ -20,8 +20,9 @@
 //! schedule against any [`exacoll_comm::Comm`] backend. The same compiled
 //! plan is executed with real data on the threaded and socket runtimes
 //! (correctness tests), replayed on the machine simulator (performance),
-//! evaluated a whole world at a time in one thread ([`schedule::eval`]: the
-//! optimizer gate and replay), statically verified for deadlock-freedom and
+//! walked a whole world at a time in one thread ([`schedule::eval`]: over
+//! bytes for replay, over expressions for the optimizer gate), statically
+//! verified for deadlock-freedom and
 //! data-flow coverage ([`schedule::verify`]), and counted term-by-term
 //! against the α-β-γ cost models.
 //!

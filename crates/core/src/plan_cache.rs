@@ -199,10 +199,15 @@ impl PlanCache {
         found
     }
 
-    /// Insert `plan` under `key`, returning the resident entry (the
-    /// existing one wins a race so concurrent inserters converge on one
-    /// shared plan).
-    pub fn insert(&self, key: PlanKey, plan: CompiledSchedule) -> Arc<CompiledSchedule> {
+    /// Insert `plan` — a freshly compiled one, or one already resident under
+    /// another key that `key` turns out to name as well — under `key`,
+    /// returning the resident entry (the existing one wins a race so
+    /// concurrent inserters converge on one shared plan).
+    pub fn insert(
+        &self,
+        key: PlanKey,
+        plan: impl Into<Arc<CompiledSchedule>>,
+    ) -> Arc<CompiledSchedule> {
         let mut shard = self.shards[key.shard()]
             .write()
             .expect("plan cache shard poisoned");
@@ -215,8 +220,8 @@ impl PlanCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let arc = Arc::new(plan);
-        shard.insert(key, arc.clone());
+        let arc = plan.into();
+        shard.insert(key, Arc::clone(&arc));
         arc
     }
 

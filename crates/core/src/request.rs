@@ -24,8 +24,10 @@
 //! [`expected_outputs_v`] stay public primitives (the data-plane hot path
 //! `registry::execute` → `PlanKey` → cache hit never builds a `Request`).
 
+use crate::reduce_scatter::elem_block_range;
 use crate::reference::{expected_outputs, expected_outputs_v};
 use crate::registry::{lower, lower_v, supports_v, Algorithm, CollArgs, CollectiveOp};
+use crate::schedule::provenance::{Arena, Seg};
 use crate::schedule::Schedule;
 use crate::spec::{
     CountsSpec, OptSpec, Variant, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES,
@@ -352,6 +354,71 @@ impl Request {
             }
         }
         Ok(out)
+    }
+
+    /// What every rank's output is *by definition*, as segments over the
+    /// ranks' inputs built in `arena` — the symbolic twin of
+    /// [`Request::reference`], in the same layout: bcast is the root's
+    /// input; gather (at the root) and allgather the rank-ordered
+    /// concatenation; alltoall block `r` of every rank's input; reduce (at
+    /// the root), allreduce and reduce_scatter the matching window of every
+    /// rank's input folded in rank order under the request's `(dtype, op)`;
+    /// barrier nothing. A lowered world computes the collective exactly when
+    /// [`Arena::equivalent`] accepts its
+    /// [`provenance`](crate::schedule::eval::provenance) against this — for
+    /// the reducing collectives typically as `Reordered`, no algorithm being
+    /// obliged to fold in rank order.
+    pub fn denotation(&self, arena: &mut Arena) -> Vec<Vec<Seg>> {
+        let a = &self.args;
+        let p = self.ranks();
+        let lens: Vec<usize> = (0..p).map(|r| self.input_len(r)).collect();
+        let inputs: Vec<_> = (0..p).map(|q| arena.input(q)).collect();
+        let fold = inputs[1..].iter().fold(inputs[0], |acc, &rhs| {
+            arena.reduce((a.dtype, a.rop), acc, rhs, 0, 0)
+        });
+        let mut out = vec![Vec::new(); p];
+        for t in 0..self.tenants {
+            // Tenant `t`'s share of a rank's input follows its predecessors'.
+            let seg = |expr, of: Rank, at: usize, len: usize| Seg {
+                len,
+                expr,
+                at: (t * lens[of] + at) as i64,
+            };
+            for (r, out) in out.iter_mut().enumerate() {
+                let (mine, at_root) = (lens[r], r == a.root);
+                match a.op {
+                    CollectiveOp::Bcast => {
+                        Seg::push(out, seg(inputs[a.root], a.root, 0, lens[a.root]))
+                    }
+                    CollectiveOp::Gather | CollectiveOp::Reduce if !at_root => {}
+                    CollectiveOp::Gather | CollectiveOp::Allgather => {
+                        for (q, &input) in inputs.iter().enumerate() {
+                            Seg::push(out, seg(input, q, 0, lens[q]));
+                        }
+                    }
+                    CollectiveOp::Alltoall => {
+                        for (q, &input) in inputs.iter().enumerate() {
+                            Seg::push(out, seg(input, q, r * (mine / p), mine / p));
+                        }
+                    }
+                    CollectiveOp::Reduce | CollectiveOp::Allreduce => {
+                        Seg::push(out, seg(fold, r, 0, mine))
+                    }
+                    CollectiveOp::ReduceScatter => {
+                        let (start, end) = match &self.shape {
+                            Shape::Uniform { n, .. } => elem_block_range(*n, a.dtype.size(), p, r),
+                            Shape::Counts(c) => {
+                                let start = c.counts()[..r].iter().sum();
+                                (start, start + c.counts()[r])
+                            }
+                        };
+                        Seg::push(out, seg(fold, r, start, end - start));
+                    }
+                    CollectiveOp::Barrier => {}
+                }
+            }
+        }
+        out
     }
 }
 

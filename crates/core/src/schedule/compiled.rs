@@ -21,7 +21,7 @@
 //! straight-line step sequence, so the rule resolves statically and
 //! everything that walks a plan — [`Executor::run`] on a live backend,
 //! [`CompiledSchedule::to_trace`] reading sizes off it for the simulator,
-//! the world evaluator ([`super::eval`]) for the optimizer gate and replay —
+//! the world walker ([`super::eval`]) for the optimizer gate and replay —
 //! walks the same `CStep` stream and cannot disagree about where a wait
 //! happens.
 //!
@@ -135,6 +135,12 @@ impl CompiledSchedule {
     /// The compiled instruction sequence.
     pub fn steps(&self) -> &[CStep] {
         &self.steps
+    }
+
+    /// Where input bytes land and which bytes form the output, for the
+    /// memories of [`super::eval`].
+    pub(super) fn views(&self) -> (Span, Span) {
+        (self.input, self.output)
     }
 
     /// The ranges a span denotes, in payload order.
@@ -270,9 +276,9 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
 }
 
 /// One rank's scratch buffer plus the gather scratch its non-contiguous
-/// copy/reduce paths need. The [`Executor`] and the world evaluator
-/// ([`super::eval`]) move bytes only through this type, so what `Copy`,
-/// `Reduce`, and a landing receive do to the buffer is written once.
+/// copy/reduce paths need. The [`Executor`] and the world walker's byte
+/// memory ([`super::eval`]) move bytes only through this type, so what
+/// `Copy`, `Reduce`, and a landing receive do to the buffer is written once.
 #[derive(Default)]
 pub(super) struct RankMem {
     buf: Vec<u8>,

@@ -1,29 +1,40 @@
 //! The world evaluator: every rank's plan run to completion in one thread.
 //!
-//! [`evaluate`] takes one [`Schedule`] per rank *as given* — stock
-//! lowerings, optimizer rewrites, merged tenant plans alike — compiles each,
-//! and walks the [`CStep`] streams with per-rank cursors advanced round-robin
-//! over in-memory FIFO channels keyed `(from, to, tag)`, the non-overtaking
+//! One walker takes one [`Schedule`] per rank *as given* — stock lowerings,
+//! optimizer rewrites, merged tenant plans alike — compiles each, and walks
+//! the [`CStep`] streams with per-rank cursors advanced round-robin over
+//! in-memory FIFO channels keyed `(from, to, tag)`, the non-overtaking
 //! channel structure both live backends guarantee. A rank blocks only at a
 //! [`CStep::Flush`] whose receives are not all deliverable yet, which is
 //! exactly where the [`Executor`](super::Executor) blocks in `waitall`; the
-//! flush placement is [`compile`]'s, and the byte movement is the
-//! executor's own ([`RankMem`]), so nothing about a step's meaning is
-//! restated here. Single-threaded execution over a `BTreeMap` makes the
-//! result a pure function of `(schedules, inputs)`.
+//! flush placement is [`compile`]'s, so nothing about where a plan waits is
+//! restated here.
 //!
-//! It serves the optimizer's byte-identity gate, `exacoll verify`, and
-//! replay. For replay, [`evaluate_recorded`] also emits each rank's
-//! [`RecordedEvent`] log exactly as a `RecordComm` around a live backend
-//! would: sends, receives and marks in posting order, a compute after each
-//! reduction, and receive lengths/digests back-patched when the covering
-//! flush completes.
+//! What a step does to a rank's buffer is the business of a [`Memory`], and
+//! there are two:
+//!
+//! * bytes ([`RankMem`], the executor's own): [`evaluate`] returns every
+//!   rank's output bytes — replay's expected side, `exacoll verify`'s
+//!   cross-check against the sequential reference, and the test oracle. For
+//!   replay, [`evaluate_recorded`] also emits each rank's [`RecordedEvent`]
+//!   log exactly as a `RecordComm` around a live backend would: sends,
+//!   receives and marks in posting order, a compute after each reduction,
+//!   and receive lengths/digests back-patched when the covering flush
+//!   completes. Costs O(bytes).
+//! * provenance ([`super::provenance`]): [`provenance`] returns what every
+//!   rank's output *is* as expressions over the ranks' inputs — what the
+//!   optimizer's gate and `exacoll verify` compare. Costs O(steps).
+//!
+//! Single-threaded execution over a `BTreeMap` makes either result a pure
+//! function of its arguments.
 
 use super::compiled::{CStep, CompiledSchedule, RankMem, Span};
+use super::provenance::{Arena, Seg, SymMem};
 use super::{compile, Schedule};
-use exacoll_comm::{fnv1a, Rank, RecordedEvent, Tag};
+use exacoll_comm::{fnv1a, DType, Rank, RecordedEvent, ReduceOp, Tag};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
 /// Why evaluation failed. Verified plan sets with well-shaped inputs never
 /// produce these; the evaluator still checks so the optimizer's gate cannot
@@ -53,6 +64,13 @@ pub enum EvalError {
     },
     /// A reduction failed (unsupported dtype/op combination).
     Compute(String),
+    /// A step of the symbolic walk read scratch bytes nothing had defined.
+    Undefined {
+        /// The reading rank.
+        rank: Rank,
+        /// The scratch range holding the first undefined byte.
+        range: Range<usize>,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -74,6 +92,11 @@ impl fmt::Display for EvalError {
                  posted {want} bytes but message has {got}"
             ),
             EvalError::Compute(s) => write!(f, "compute error: {s}"),
+            EvalError::Undefined { rank, range } => write!(
+                f,
+                "rank {rank} reads scratch bytes {}..{} before anything defined them",
+                range.start, range.end
+            ),
         }
     }
 }
@@ -89,7 +112,89 @@ pub struct Evaluated {
     pub events: Vec<Vec<RecordedEvent>>,
 }
 
-type Channels = BTreeMap<(Rank, Rank, Tag), VecDeque<Vec<u8>>>;
+/// What a rank's scratch buffer holds while the walker runs its plan. The
+/// walker decides *when* a step happens; a memory decides what it does.
+pub(super) trait Memory {
+    /// What one message carries.
+    type Payload;
+    /// State shared by every rank of the walk.
+    type Shared;
+    /// What a finished rank's output view holds.
+    type Output;
+
+    /// Message length in bytes, checked against the posted receive.
+    fn payload_len(payload: &Self::Payload) -> usize;
+    /// The payload's digest for a recorded event log.
+    fn digest(payload: &Self::Payload) -> u64;
+    /// What `src` holds, in payload order.
+    fn gather(&self, plan: &CompiledSchedule, src: Span) -> Result<Self::Payload, EvalError>;
+    /// Write `payload` into `dst`'s ranges in order.
+    fn land(&mut self, plan: &CompiledSchedule, dst: Span, payload: &Self::Payload);
+    /// `dst = src`.
+    fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) -> Result<(), EvalError> {
+        let payload = self.gather(plan, src)?;
+        self.land(plan, dst, &payload);
+        Ok(())
+    }
+    /// `dst = dst ⊕ src` elementwise.
+    fn reduce(
+        &mut self,
+        shared: &mut Self::Shared,
+        plan: &CompiledSchedule,
+        dtype: DType,
+        op: ReduceOp,
+        src: Span,
+        dst: Span,
+    ) -> Result<(), EvalError>;
+    /// What the plan's output view holds.
+    fn output(&self, plan: &CompiledSchedule) -> Result<Self::Output, EvalError>;
+}
+
+impl Memory for RankMem {
+    type Payload = Vec<u8>;
+    type Shared = ();
+    type Output = Vec<u8>;
+
+    fn payload_len(payload: &Vec<u8>) -> usize {
+        payload.len()
+    }
+
+    fn digest(payload: &Vec<u8>) -> u64 {
+        fnv1a(payload)
+    }
+
+    fn gather(&self, plan: &CompiledSchedule, src: Span) -> Result<Vec<u8>, EvalError> {
+        Ok(self.view(plan, src).to_vec())
+    }
+
+    fn land(&mut self, plan: &CompiledSchedule, dst: Span, payload: &Vec<u8>) {
+        RankMem::land(self, plan, dst, payload);
+    }
+
+    fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) -> Result<(), EvalError> {
+        RankMem::copy(self, plan, src, dst);
+        Ok(())
+    }
+
+    fn reduce(
+        &mut self,
+        (): &mut (),
+        plan: &CompiledSchedule,
+        dtype: DType,
+        op: ReduceOp,
+        src: Span,
+        dst: Span,
+    ) -> Result<(), EvalError> {
+        RankMem::reduce(self, plan, dtype, op, src, dst)
+            .map_err(|e| EvalError::Compute(e.to_string()))
+    }
+
+    fn output(&self, plan: &CompiledSchedule) -> Result<Vec<u8>, EvalError> {
+        Ok(RankMem::output(self, plan))
+    }
+}
+
+type Channels<P> = BTreeMap<(Rank, Rank, Tag), VecDeque<P>>;
 
 /// A receive posted since the last flush and not yet delivered.
 struct PendingRecv {
@@ -100,24 +205,30 @@ struct PendingRecv {
     event: usize,
 }
 
-struct RankState {
+struct RankState<M> {
     plan: CompiledSchedule,
-    mem: RankMem,
+    mem: M,
     /// Next step to execute; `plan.steps().len()` once finished.
     pc: usize,
     pending: Vec<PendingRecv>,
     events: Vec<RecordedEvent>,
 }
 
-impl RankState {
+impl<M: Memory> RankState<M> {
     fn done(&self) -> bool {
         self.pc == self.plan.steps().len()
     }
 
     /// Run forward until blocked at an incomplete flush or finished; returns
-    /// whether anything happened. The only interpretation of [`CStep`]s
-    /// besides [`Executor::run`](super::Executor::run).
-    fn advance(&mut self, chans: &mut Channels, record: bool) -> Result<bool, EvalError> {
+    /// whether anything happened. The only interpretation of [`CStep`]s for
+    /// a whole world, beside [`Executor::run`](super::Executor::run) on a
+    /// live backend and `to_trace` for the simulator.
+    fn advance(
+        &mut self,
+        chans: &mut Channels<M::Payload>,
+        shared: &mut M::Shared,
+        record: bool,
+    ) -> Result<bool, EvalError> {
         let me = self.plan.rank;
         let mut progress = false;
         while let Some(step) = self.plan.steps().get(self.pc) {
@@ -133,13 +244,14 @@ impl RankState {
                             continue;
                         };
                         let recv = self.pending.remove(i);
-                        if payload.len() != recv.dst.bytes() {
+                        let got = M::payload_len(&payload);
+                        if got != recv.dst.bytes() {
                             return Err(EvalError::SizeMismatch {
                                 rank: me,
                                 from: recv.from,
                                 tag: recv.tag,
                                 want: recv.dst.bytes(),
-                                got: payload.len(),
+                                got,
                             });
                         }
                         self.mem.land(&self.plan, recv.dst, &payload);
@@ -147,8 +259,8 @@ impl RankState {
                             self.events[recv.event] = RecordedEvent::Recv {
                                 from: recv.from,
                                 tag: recv.tag,
-                                bytes: payload.len(),
-                                digest: Some(fnv1a(&payload)),
+                                bytes: got,
+                                digest: Some(M::digest(&payload)),
                             };
                         }
                         progress = true;
@@ -166,13 +278,13 @@ impl RankState {
                     }
                 }
                 CStep::Send { to, tag, src } => {
-                    let payload = self.mem.view(&self.plan, *src).to_vec();
+                    let payload = self.mem.gather(&self.plan, *src)?;
                     if record {
                         self.events.push(RecordedEvent::Send {
                             to: *to,
                             tag: *tag,
-                            bytes: payload.len(),
-                            digest: fnv1a(&payload),
+                            bytes: M::payload_len(&payload),
+                            digest: M::digest(&payload),
                         });
                     }
                     chans.entry((me, *to, *tag)).or_default().push_back(payload);
@@ -193,7 +305,7 @@ impl RankState {
                         });
                     }
                 }
-                CStep::Copy { src, dst } => self.mem.copy(&self.plan, *src, *dst),
+                CStep::Copy { src, dst } => self.mem.copy(&self.plan, *src, *dst)?,
                 CStep::Reduce {
                     dtype,
                     op,
@@ -201,8 +313,7 @@ impl RankState {
                     dst,
                 } => {
                     self.mem
-                        .reduce(&self.plan, *dtype, *op, *src, *dst)
-                        .map_err(|e| EvalError::Compute(e.to_string()))?;
+                        .reduce(shared, &self.plan, *dtype, *op, *src, *dst)?;
                     if record {
                         self.events
                             .push(RecordedEvent::Compute { bytes: dst.bytes() });
@@ -216,35 +327,27 @@ impl RankState {
     }
 }
 
-fn run(schedules: &[Schedule], inputs: &[Vec<u8>], record: bool) -> Result<Evaluated, EvalError> {
+/// Every rank's output and event log.
+type Walked<O> = (Vec<O>, Vec<Vec<RecordedEvent>>);
+
+/// Walk the world to completion over memories `load` fills from each rank's
+/// plan; the event logs stay empty unless `record`.
+fn run<M: Memory>(
+    schedules: &[Schedule],
+    shared: &mut M::Shared,
+    record: bool,
+    mut load: impl FnMut(&mut M::Shared, &Schedule) -> Result<(CompiledSchedule, M), EvalError>,
+) -> Result<Walked<M::Output>, EvalError> {
     let p = schedules.len();
-    if inputs.len() != p {
-        return Err(EvalError::Shape(format!(
-            "{p} schedules but {} inputs",
-            inputs.len()
-        )));
-    }
     let mut ranks = Vec::with_capacity(p);
-    for (r, (s, input)) in schedules.iter().zip(inputs).enumerate() {
+    for (r, s) in schedules.iter().enumerate() {
         if (s.p, s.rank) != (p, r) {
             return Err(EvalError::Shape(format!(
                 "schedule at index {r} is for rank {}/{} (expected {r}/{p})",
                 s.rank, s.p
             )));
         }
-        // Checked before `compile` so a plan/input mismatch from outside
-        // the program is an error even when the plan itself would not
-        // compile (a hostile artifact naming a 4 GiB message).
-        if input.len() < s.input.len() {
-            return Err(EvalError::Shape(format!(
-                "rank {r}: input is {} bytes but the plan consumes {}",
-                input.len(),
-                s.input.len()
-            )));
-        }
-        let plan = compile(s);
-        let mut mem = RankMem::default();
-        mem.load(&plan, input);
+        let (plan, mem) = load(shared, s)?;
         ranks.push(RankState {
             plan,
             mem,
@@ -257,7 +360,7 @@ fn run(schedules: &[Schedule], inputs: &[Vec<u8>], record: bool) -> Result<Evalu
     while !ranks.iter().all(RankState::done) {
         let mut progress = false;
         for st in ranks.iter_mut() {
-            progress |= st.advance(&mut chans, record)?;
+            progress |= st.advance(&mut chans, shared, record)?;
         }
         if !progress {
             let blocked = ranks
@@ -268,10 +371,41 @@ fn run(schedules: &[Schedule], inputs: &[Vec<u8>], record: bool) -> Result<Evalu
             return Err(EvalError::Deadlock { blocked });
         }
     }
-    Ok(Evaluated {
-        outputs: ranks.iter().map(|st| st.mem.output(&st.plan)).collect(),
-        events: ranks.into_iter().map(|st| st.events).collect(),
-    })
+    let outputs: Result<_, _> = ranks.iter().map(|st| st.mem.output(&st.plan)).collect();
+    Ok((outputs?, ranks.into_iter().map(|st| st.events).collect()))
+}
+
+fn run_bytes(
+    schedules: &[Schedule],
+    inputs: &[Vec<u8>],
+    record: bool,
+) -> Result<Evaluated, EvalError> {
+    if inputs.len() != schedules.len() {
+        return Err(EvalError::Shape(format!(
+            "{} schedules but {} inputs",
+            schedules.len(),
+            inputs.len()
+        )));
+    }
+    let (outputs, events) = run::<RankMem>(schedules, &mut (), record, |(), s| {
+        // Checked before `compile` so a plan/input mismatch from outside
+        // the program is an error even when the plan itself would not
+        // compile (a hostile artifact naming a 4 GiB message).
+        let input = &inputs[s.rank];
+        if input.len() < s.input.len() {
+            return Err(EvalError::Shape(format!(
+                "rank {}: input is {} bytes but the plan consumes {}",
+                s.rank,
+                input.len(),
+                s.input.len()
+            )));
+        }
+        let plan = compile(s);
+        let mut mem = RankMem::default();
+        mem.load(&plan, input);
+        Ok((plan, mem))
+    })?;
+    Ok(Evaluated { outputs, events })
 }
 
 /// Evaluate one schedule per rank with the given per-rank inputs (extra
@@ -284,7 +418,7 @@ fn run(schedules: &[Schedule], inputs: &[Vec<u8>], record: bool) -> Result<Evalu
 /// [`EvalError::SizeMismatch`] / [`EvalError::Compute`] when the plan set
 /// itself is broken (a verified set never is).
 pub fn evaluate(schedules: &[Schedule], inputs: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, EvalError> {
-    run(schedules, inputs, false).map(|e| e.outputs)
+    run_bytes(schedules, inputs, false).map(|e| e.outputs)
 }
 
 /// [`evaluate`], also emitting each rank's event log as a `RecordComm`
@@ -293,18 +427,43 @@ pub fn evaluate_recorded(
     schedules: &[Schedule],
     inputs: &[Vec<u8>],
 ) -> Result<Evaluated, EvalError> {
-    run(schedules, inputs, true)
+    run_bytes(schedules, inputs, true)
+}
+
+/// What every rank's output *is*: one list of [`Seg`]ments per rank, each a
+/// window of an expression over the ranks' inputs, built in `arena`. The
+/// result does not depend on the message size beyond the lengths and
+/// coordinates it names, costs O(steps), and two worlds walked with one
+/// arena compute the same function exactly when [`Arena::equivalent`] says
+/// so.
+///
+/// # Errors
+///
+/// As [`evaluate`], plus [`EvalError::Undefined`] when a step reads bytes
+/// nothing defined (a verified set never does).
+pub fn provenance(arena: &mut Arena, schedules: &[Schedule]) -> Result<Vec<Vec<Seg>>, EvalError> {
+    run::<SymMem>(schedules, arena, false, |arena, s| {
+        let plan = compile(s);
+        let mem = SymMem::load(arena, &plan);
+        Ok((plan, mem))
+    })
+    .map(|(outputs, _)| outputs)
 }
 
 /// Deterministic rank-distinguishing probe inputs for a schedule set: rank
-/// `r`'s byte `i` is a mix of both so any misrouted block, swapped rank, or
-/// off-by-one slice shows up in the byte comparison.
+/// `r`'s byte `i` is `r·131` (distinct for every rank below 256) xor the top
+/// byte of `i` times the 64-bit golden ratio, a sequence in which neighbours
+/// always differ and no stretch repeats — so a misrouted block, a swapped
+/// rank, an off-by-one slice, or two chunks of one message landing in each
+/// other's place all show up in a byte comparison. (The index term used to
+/// be `i·29`, period 256: swapping two 256-aligned chunks went unseen.)
 pub fn probe_inputs(schedules: &[Schedule]) -> Vec<Vec<u8>> {
     schedules
         .iter()
         .map(|s| {
-            (0..s.input.len())
-                .map(|i| (s.rank.wrapping_mul(131) ^ i.wrapping_mul(29)) as u8)
+            let rank = s.rank.wrapping_mul(131) as u8;
+            (0..s.input.len() as u64)
+                .map(|i| rank ^ (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
                 .collect()
         })
         .collect()
@@ -373,10 +532,39 @@ mod tests {
         );
     }
 
+    /// Every rank's output, or why the walk stopped.
+    type Walk<O> = Result<Vec<O>, EvalError>;
+
+    /// Run `plans` over both memories: the byte result on `inputs`, and the
+    /// symbolic one rendered (`in1[0..3)` per segment) so cases can spell it.
+    fn walk_both(plans: &[Schedule], inputs: &[Vec<u8>]) -> (Walk<Vec<u8>>, Walk<Vec<String>>) {
+        let mut arena = Arena::new();
+        let rendered = provenance(&mut arena, plans).map(|world| {
+            let render = |segs: &Vec<Seg>| segs.iter().map(|s| arena.render(s)).collect();
+            world.iter().map(render).collect()
+        });
+        (evaluate(plans, inputs), rendered)
+    }
+
     #[test]
-    fn detects_deadlock_instead_of_hanging() {
+    fn walker_cases_hold_over_both_memories() {
+        // Flush, delivery, deadlock and size-mismatch logic is the walker's,
+        // written once: whatever it decides, it decides for both memories.
+        let swap: Vec<Schedule> = (0..2)
+            .map(|r| {
+                let mut b = ScheduleBuilder::new(2, r);
+                let (mine, theirs) = (b.alloc(3), b.alloc(3));
+                b.recv(1 - r, 4, theirs.clone());
+                b.send(1 - r, 4, mine.clone());
+                b.finish(mine, theirs)
+            })
+            .collect();
+        let (bytes, segs) = walk_both(&swap, &[vec![1, 2, 3], vec![7, 8, 9]]);
+        assert_eq!(bytes.unwrap(), vec![vec![7, 8, 9], vec![1, 2, 3]]);
+        assert_eq!(segs.unwrap(), vec![vec!["in1[0..3)"], vec!["in0[0..3)"]]);
+
         // Two ranks that each only receive: nothing can ever progress.
-        let plans: Vec<_> = (0..2)
+        let stuck: Vec<_> = (0..2)
             .map(|r| {
                 let mut b = ScheduleBuilder::new(2, r);
                 let slot = b.alloc(1);
@@ -384,17 +572,7 @@ mod tests {
                 b.finish(SgList::empty(), slot)
             })
             .collect();
-        let err = evaluate(&plans, &vec![vec![]; 2]).unwrap_err();
-        assert_eq!(
-            err,
-            EvalError::Deadlock {
-                blocked: vec![0, 1]
-            }
-        );
-    }
-
-    #[test]
-    fn rejects_size_mismatch() {
+        // A two-byte send meeting a one-byte receive.
         let mut b = ScheduleBuilder::new(2, 0);
         let two = b.alloc(2);
         b.send(1, 3, two.clone());
@@ -402,29 +580,108 @@ mod tests {
         let mut b = ScheduleBuilder::new(2, 1);
         let one = b.alloc(1);
         b.recv(0, 3, one.clone());
-        let s1 = b.finish(SgList::empty(), one);
-        let err = evaluate(&[s0, s1], &[vec![7, 8], vec![]]).unwrap_err();
-        assert!(matches!(
-            err,
-            EvalError::SizeMismatch {
-                want: 1,
-                got: 2,
-                ..
-            }
-        ));
+        let mismatched = vec![s0, b.finish(SgList::empty(), one)];
+        // One rank's plan of a two-rank world on its own.
+        let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+        let lone = vec![lower(&args, 2, 0, 4)];
+
+        type Case<'a> = (
+            &'a str,
+            &'a [Schedule],
+            Vec<Vec<u8>>,
+            fn(&EvalError) -> bool,
+        );
+        let cases: [Case; 3] = [
+            ("deadlock", &stuck, vec![vec![]; 2], |e| {
+                *e == EvalError::Deadlock {
+                    blocked: vec![0, 1],
+                }
+            }),
+            (
+                "size mismatch",
+                &mismatched,
+                vec![vec![7, 8], vec![]],
+                |e| {
+                    let want = EvalError::SizeMismatch {
+                        rank: 1,
+                        from: 0,
+                        tag: 3,
+                        want: 1,
+                        got: 2,
+                    };
+                    *e == want
+                },
+            ),
+            ("malformed world", &lone, vec![vec![0; 4]], |e| {
+                matches!(e, EvalError::Shape(_))
+            }),
+        ];
+        for (name, plans, inputs, expected) in cases {
+            let (bytes, segs) = walk_both(plans, &inputs);
+            let (bytes, segs) = (bytes.unwrap_err(), segs.unwrap_err());
+            assert!(expected(&bytes), "{name} over bytes: {bytes}");
+            assert!(expected(&segs), "{name} over provenance: {segs}");
+        }
     }
 
     #[test]
-    fn malformed_shapes_are_errors_not_panics() {
+    fn malformed_inputs_are_errors_not_panics() {
+        // Only the byte memory takes inputs that can be the wrong shape.
         let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
         let plans: Vec<_> = (0..2).map(|r| lower(&args, 2, r, 4)).collect();
-        for (plans, inputs) in [
-            (&plans[..], vec![vec![0; 4]]),
-            (&plans[..], vec![vec![0; 4], vec![]]),
-            (&plans[..1], vec![vec![0; 4]]),
-        ] {
-            let err = evaluate(plans, &inputs).unwrap_err();
+        for inputs in [vec![vec![0; 4]], vec![vec![0; 4], vec![]]] {
+            let err = evaluate(&plans, &inputs).unwrap_err();
             assert!(matches!(err, EvalError::Shape(_)), "{err}");
         }
+    }
+
+    #[test]
+    fn symbolic_reads_of_undefined_bytes_are_errors() {
+        // The verifier refuses this plan; the symbolic memory must not
+        // invent a name for bytes nothing wrote (the byte memory reads its
+        // zero fill).
+        let mut b = ScheduleBuilder::new(1, 0);
+        let (own, hole) = (b.alloc(4), b.alloc(4));
+        let out = SgList::concat([&own, &hole]);
+        let plans = [b.finish(own, out)];
+        assert!(verify(&plans).is_err());
+        let err = provenance(&mut Arena::new(), &plans).unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::Undefined {
+                rank: 0,
+                range: 0..8
+            }
+        );
+        assert_eq!(
+            evaluate(&plans, &[vec![1; 4]]).unwrap()[0],
+            [1, 1, 1, 1, 0, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn probe_inputs_have_no_period_and_tell_ranks_apart() {
+        // Over 1 MiB, no two 256-aligned 4 KiB windows of one rank are equal
+        // (the old index term `i·29` made every pair of them equal), and no
+        // window of one rank equals the same window of another.
+        const LEN: usize = 1 << 20;
+        let plans: Vec<Schedule> = (0..2)
+            .map(|r| {
+                let mut b = ScheduleBuilder::new(2, r);
+                let own = b.alloc(LEN);
+                b.finish(own.clone(), own)
+            })
+            .collect();
+        let inputs = probe_inputs(&plans);
+        fn windows(input: &[u8]) -> impl Iterator<Item = &[u8]> {
+            (0..=LEN - 4096)
+                .step_by(256)
+                .map(|at| &input[at..at + 4096])
+        }
+        let distinct: std::collections::HashSet<&[u8]> = windows(&inputs[0]).collect();
+        assert_eq!(distinct.len(), windows(&inputs[0]).count());
+        assert!(windows(&inputs[0])
+            .zip(windows(&inputs[1]))
+            .all(|(a, b)| a != b));
     }
 }

@@ -329,51 +329,109 @@ fn check_peer(rank: Rank, peer: Rank, p: usize) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Definedness tracking for one rank: the defined scratch bytes as sorted,
-/// pairwise disjoint, coalesced (no two touch) half-open intervals.
+/// Sorted, pairwise disjoint half-open intervals of one rank's scratch
+/// bytes, each carrying a value; two that touch and carry equal values are
+/// one interval.
 ///
-/// Coalescing is what makes both queries one binary search: a fully defined
-/// range lies inside exactly one interval, and a range may be defined iff
-/// the first interval ending after its start begins at or after its end.
-#[derive(Default)]
-struct DefSet(Vec<Range<usize>>);
+/// The verifier's definedness set is `Intervals<()>`: with nothing to tell
+/// intervals apart every touching pair merges, so a fully defined range lies
+/// inside exactly one interval and both its queries are one binary search.
+/// The symbolic memory of [`super::provenance`] carries what each byte holds,
+/// and merging equal neighbours is what gives a chunked, a fused and an
+/// untouched transfer the same map.
+#[derive(Debug)]
+pub(super) struct Intervals<V>(Vec<(Range<usize>, V)>);
 
-impl DefSet {
+impl<V> Default for Intervals<V> {
+    fn default() -> Self {
+        Intervals(Vec::new())
+    }
+}
+
+impl<V: Clone + PartialEq> Intervals<V> {
     /// Index of the first interval ending after byte `at` — the only one
     /// that can contain `at` or be the next one above it.
     fn first_ending_after(&self, at: usize) -> usize {
-        self.0.partition_point(|iv| iv.end <= at)
+        self.0.partition_point(|(iv, _)| iv.end <= at)
     }
 
+    /// The run of intervals that covers `r` without a gap (its first and
+    /// last may reach past `r`), or `None` when a byte of `r` is undefined.
+    pub(super) fn cover(&self, r: &Range<usize>) -> Option<&[(Range<usize>, V)]> {
+        let first = self.first_ending_after(r.start);
+        let (mut next, mut covered) = (first, r.start);
+        while covered < r.end {
+            let (iv, _) = self.0.get(next)?;
+            if iv.start > covered {
+                return None;
+            }
+            covered = iv.end;
+            next += 1;
+        }
+        Some(&self.0[first..next])
+    }
+
+    /// Put `v` over `r`, which no interval overlaps and which sorts at index
+    /// `i`, merging it into equal-valued neighbours it touches.
+    fn insert_at(&mut self, i: usize, r: Range<usize>, v: V) {
+        let joins_below = i > 0 && self.0[i - 1].0.end == r.start && self.0[i - 1].1 == v;
+        let joins_above = self
+            .0
+            .get(i)
+            .is_some_and(|(iv, w)| iv.start == r.end && *w == v);
+        match (joins_below, joins_above) {
+            (true, true) => {
+                self.0[i - 1].0.end = self.0[i].0.end;
+                self.0.remove(i);
+            }
+            (true, false) => self.0[i - 1].0.end = r.end,
+            (false, true) => self.0[i].0.start = r.start,
+            (false, false) => self.0.insert(i, (r, v)),
+        }
+    }
+
+    /// Define `r` as `v`; returns false, changing nothing, if any byte of
+    /// `r` was already defined.
+    pub(super) fn define(&mut self, r: Range<usize>, v: V) -> bool {
+        let i = self.first_ending_after(r.start);
+        if self.0.get(i).is_some_and(|(iv, _)| iv.start < r.end) {
+            return false;
+        }
+        self.insert_at(i, r, v);
+        true
+    }
+
+    /// Make `r` hold `v`, cutting away whatever it held before.
+    pub(super) fn assign(&mut self, r: Range<usize>, v: V) {
+        let i = self.first_ending_after(r.start);
+        let j = i + self.0[i..].partition_point(|(iv, _)| iv.start < r.end);
+        let overlapped = &self.0[i..j];
+        let below = overlapped
+            .first()
+            .filter(|(iv, _)| iv.start < r.start)
+            .map(|(iv, w)| (iv.start..r.start, w.clone()));
+        let above = overlapped
+            .last()
+            .filter(|(iv, _)| iv.end > r.end)
+            .map(|(iv, w)| (r.end..iv.end, w.clone()));
+        let at = i + usize::from(below.is_some());
+        self.0.splice(i..j, below.into_iter().chain(above));
+        self.insert_at(at, r, v);
+    }
+}
+
+/// Definedness tracking for one rank: which scratch bytes are defined.
+type DefSet = Intervals<()>;
+
+impl DefSet {
     fn all_defined(&self, sg: &SgList) -> bool {
-        sg.ranges().iter().all(|r| {
-            self.0
-                .get(self.first_ending_after(r.start))
-                .is_some_and(|iv| iv.start <= r.start && r.end <= iv.end)
-        })
+        sg.ranges().iter().all(|r| self.cover(r).is_some())
     }
 
     /// Define every byte of `sg`; returns false if any byte was already
     /// defined (overwrite) or appears twice in the list.
-    fn define(&mut self, sg: &SgList) -> bool {
-        for r in sg.ranges() {
-            let i = self.first_ending_after(r.start);
-            if self.0.get(i).is_some_and(|iv| iv.start < r.end) {
-                return false;
-            }
-            let joins_below = i > 0 && self.0[i - 1].end == r.start;
-            let joins_above = self.0.get(i).is_some_and(|iv| iv.start == r.end);
-            match (joins_below, joins_above) {
-                (true, true) => {
-                    self.0[i - 1].end = self.0[i].end;
-                    self.0.remove(i);
-                }
-                (true, false) => self.0[i - 1].end = r.end,
-                (false, true) => self.0[i].start = r.start,
-                (false, false) => self.0.insert(i, r.clone()),
-            }
-        }
-        true
+    fn define_all(&mut self, sg: &SgList) -> bool {
+        sg.ranges().iter().all(|r| self.define(r.clone(), ()))
     }
 }
 
@@ -409,7 +467,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
         check_bounds(rank, "output", &s.output, s.buf_len)?;
 
         let mut defined = DefSet::default();
-        if !defined.define(&s.input) {
+        if !defined.define_all(&s.input) {
             return Err(VerifyError::Malformed {
                 rank,
                 detail: "input view maps two input bytes to the same scratch byte".into(),
@@ -460,7 +518,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
                     }
                     match kind {
                         ComputeKind::Copy => {
-                            if !defined.define(dst) {
+                            if !defined.define_all(dst) {
                                 return Err(dataflow("copy overwrites live bytes".into()));
                             }
                         }
@@ -489,7 +547,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
                 Step::Recv { from, tag, dst } => {
                     check_peer(rank, *from, p)?;
                     check_bounds(rank, "recv dst", dst, s.buf_len)?;
-                    if !defined.define(dst) {
+                    if !defined.define_all(dst) {
                         return Err(dataflow("recv overwrites live bytes".into()));
                     }
                     recv_bytes[rank] += dst.len();
@@ -514,7 +572,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
                     if !defined.all_defined(src) {
                         return Err(dataflow("sendrecv reads undefined bytes".into()));
                     }
-                    if !defined.define(dst) {
+                    if !defined.define_all(dst) {
                         return Err(dataflow("sendrecv overwrites live bytes".into()));
                     }
                     sent_bytes[rank] += src.len();
@@ -785,13 +843,68 @@ mod tests {
                 // The verifier stops at a refused define, so what a refusal
                 // leaves behind is unspecified: roll both back.
                 let before = (set.0.clone(), oracle.0.clone());
-                let accepted = set.define(&sg);
+                let accepted = set.define_all(&sg);
                 prop_assert_eq!(accepted, oracle.define(&sg), "{:?}", sg);
                 if !accepted {
                     (set.0, oracle.0) = before;
                 }
                 // Sorted, disjoint and coalesced: exactly the oracle's runs.
-                prop_assert_eq!(&set.0, &oracle.runs(), "after {:?}", sg);
+                let runs: Vec<_> = set.0.iter().map(|(iv, ())| iv.clone()).collect();
+                prop_assert_eq!(&runs, &oracle.runs(), "after {:?}", sg);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The payload-carrying operations against one value per byte:
+        /// after every `assign` (overwrite) or `define` (refuse overlap) the
+        /// map is exactly the oracle's maximal runs of equal bytes — sorted,
+        /// disjoint, equal neighbours merged and unequal ones kept apart —
+        /// and `cover` answers for a range what the bytes under it say.
+        #[test]
+        fn valued_intervals_agree_with_a_value_per_byte(
+            calls in collection::vec((0usize..3, 0usize..48, 1usize..9, 0u8..3), 1..40)
+        ) {
+            const LEN: usize = 48;
+            let mut map = Intervals::<u8>::default();
+            let mut oracle: Vec<Option<u8>> = vec![None; LEN];
+            for (kind, start, len, v) in calls {
+                let r = start..(start + len).min(LEN);
+                match kind {
+                    0 => {
+                        let got = map.cover(&r).map(|pieces| {
+                            let clip = |(iv, v): &(Range<usize>, u8)| {
+                                vec![Some(*v); iv.end.min(r.end) - iv.start.max(r.start)]
+                            };
+                            pieces.iter().flat_map(clip).collect::<Vec<_>>()
+                        });
+                        let want = &oracle[r.clone()];
+                        prop_assert_eq!(got, want.iter().all(Option::is_some).then(|| want.to_vec()));
+                        continue;
+                    }
+                    1 => {
+                        map.assign(r.clone(), v);
+                        oracle[r].fill(Some(v));
+                    }
+                    _ => {
+                        let free = oracle[r.clone()].iter().all(Option::is_none);
+                        prop_assert_eq!(map.define(r.clone(), v), free);
+                        if free {
+                            oracle[r].fill(Some(v));
+                        }
+                    }
+                }
+                let runs: Vec<(Range<usize>, u8)> = oracle
+                    .chunk_by(|a, b| a == b)
+                    .scan(0, |at, run| {
+                        *at += run.len();
+                        Some((*at - run.len()..*at, run[0]))
+                    })
+                    .filter_map(|(iv, v)| Some((iv, v?)))
+                    .collect();
+                prop_assert_eq!(&map.0, &runs);
             }
         }
     }

@@ -15,6 +15,7 @@ use crate::{apply_opt_spec, OptError};
 use exacoll_core::plan_cache::{PlanCache, PlanKey};
 use exacoll_core::schedule::verify::{verify, verify_tenants, TenantPlans};
 use exacoll_core::schedule::{compile, CompiledSchedule, Schedule};
+use exacoll_core::spec::OptSpec;
 use exacoll_core::{Request, Tenant};
 use std::sync::Arc;
 
@@ -36,6 +37,12 @@ pub fn plan_world(req: &Request) -> Result<Vec<Schedule>, OptError> {
     if !req.opt().is_none() {
         world = apply_opt_spec(&world, req.opt(), req.chunk(), req.fuse())?;
     }
+    finish_world(req, world)
+}
+
+/// The tail of [`plan_world`]: `world` is one tenant's lowered and rewritten
+/// plans.
+fn finish_world(req: &Request, world: Vec<Schedule>) -> Result<Vec<Schedule>, OptError> {
     if req.tenants() == 1 && req.counts().is_none() {
         return Ok(world);
     }
@@ -82,27 +89,89 @@ pub fn cached_plan(req: &Request, rank: usize) -> Result<Arc<CompiledSchedule>, 
 /// # Errors
 ///
 /// As [`plan_world`].
-pub fn cached_world(req: &Request) -> Result<Vec<Arc<CompiledSchedule>>, OptError> {
-    let cache = PlanCache::global();
-    let hits: Option<Vec<_>> = (0..req.ranks())
-        .map(|r| cache.get(&PlanKey::of(req, r)))
-        .collect();
-    match hits {
+pub fn cached_world(req: &Request) -> Result<CompiledWorld, OptError> {
+    match resident_world(req) {
         Some(world) => Ok(world),
         None => compile_world(req),
     }
 }
 
+/// Every rank's compiled plan, in rank order.
+pub type CompiledWorld = Vec<Arc<CompiledSchedule>>;
+
+/// Every rank's resident plan for `req`, if all of them are.
+fn resident_world(req: &Request) -> Option<CompiledWorld> {
+    let cache = PlanCache::global();
+    (0..req.ranks())
+        .map(|r| cache.get(&PlanKey::of(req, r)))
+        .collect()
+}
+
 /// Plan, compile and insert every rank's plan. Returns the resident entries
 /// (an insert race is won by whichever plan landed first — planning is
 /// deterministic, so both are identical).
-fn compile_world(req: &Request) -> Result<Vec<Arc<CompiledSchedule>>, OptError> {
+fn compile_world(req: &Request) -> Result<CompiledWorld, OptError> {
+    Ok(insert_world(req, plan_world(req)?.iter().map(compile)))
+}
+
+/// Make `plans` (rank order) `req`'s resident world.
+fn insert_world(
+    req: &Request,
+    plans: impl Iterator<Item = impl Into<Arc<CompiledSchedule>>>,
+) -> CompiledWorld {
     let cache = PlanCache::global();
-    Ok(plan_world(req)?
-        .iter()
+    plans
         .enumerate()
-        .map(|(r, s)| cache.insert(PlanKey::of(req, r), compile(s)))
-        .collect())
+        .map(|(r, plan)| cache.insert(PlanKey::of(req, r), plan))
+        .collect()
+}
+
+/// The pass-free world of `opted` and, when `opted`'s passes change it, the
+/// rewritten world — both served from the global [`PlanCache`], lowered once
+/// between them. This is how a candidate is priced plain and as its `@opt`
+/// variant: the variant is derived from the lowering the plain world already
+/// paid for, and where the passes find nothing to do (a 1 KiB message under
+/// a 1 MiB chunk threshold) the second world is `None` and costs neither a
+/// compile nor a trace — the plain plans are filed under the variant's keys
+/// too, so the next call finds both resident and lowers nothing.
+///
+/// # Errors
+///
+/// As [`plan_world`].
+pub fn cached_variant(opted: &Request) -> Result<(CompiledWorld, Option<CompiledWorld>), OptError> {
+    let plain = opted
+        .clone()
+        .with_opt(OptSpec::NONE, opted.chunk(), opted.fuse())
+        .expect("thresholds the request already carries");
+    let (plain_world, opted_world) = match (resident_world(&plain), resident_world(opted)) {
+        (Some(a), Some(b)) => (a, b),
+        (resident, _) => {
+            let lowered = plain.lower_world();
+            let rewritten = apply_opt_spec(&lowered, opted.opt(), opted.chunk(), opted.fuse())?;
+            let unchanged = rewritten == lowered;
+            let a = match resident {
+                Some(a) => a,
+                None => {
+                    let world = finish_world(&plain, lowered)?;
+                    insert_world(&plain, world.iter().map(compile))
+                }
+            };
+            let b = if unchanged {
+                insert_world(opted, a.iter().cloned())
+            } else {
+                let world = finish_world(opted, rewritten)?;
+                insert_world(opted, world.iter().map(compile))
+            };
+            (a, b)
+        }
+    };
+    // Shared entries are the usual sign of "unchanged"; a variant some other
+    // path compiled on its own is compared step for step.
+    let changed = plain_world
+        .iter()
+        .zip(&opted_world)
+        .any(|(a, b)| !Arc::ptr_eq(a, b) && a != b);
+    Ok((plain_world, changed.then_some(opted_world)))
 }
 
 #[cfg(test)]

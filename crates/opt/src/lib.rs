@@ -5,8 +5,9 @@
 //! deadlock-free, define-once, FIFO-matched, and tag-hygienic. That makes
 //! automated plan *rewriting* safe: a pass may transform plans
 //! aggressively, because an independent checker re-proves every guarantee
-//! afterwards and the core world evaluator (`schedule::eval`) re-checks
-//! byte-identical results on the very `CStep` streams the engine runs.
+//! afterwards and the core world walker (`schedule::eval`), run over its
+//! symbolic memory on the very `CStep` streams the engine runs, proves the
+//! rewritten world computes the same function of the ranks' inputs.
 //!
 //! Three passes ship today:
 //!
@@ -21,23 +22,30 @@
 //!   Bine-style.
 //!
 //! The [`PassManager`] composes passes and enforces the contract: each
-//! rewrite must (1) re-verify, (2) leave the evaluator's outputs
-//! byte-identical on rank-distinguishing probe inputs, and (3) be priced by
-//! `sim::cost` before/after so wins are quantified, not asserted. A rewrite
-//! failing (1) or (2) is *refused* — the previous plan is kept and the
-//! refusal reason reported.
+//! rewrite must (1) re-verify, (2) be provenance-equal to the plan it
+//! replaces — every output byte the same expression over the ranks' inputs,
+//! or, failing that, the same operands under an associative-commutative
+//! reading of its reductions, in which case the [`PassOutcome`] says the
+//! reduction order changed — and (3) be priced by `sim::cost` before/after
+//! so wins are quantified, not asserted. (1) and (2) are the [`Gate`], which
+//! `exacoll verify` puts every pass through as well; neither looks at a
+//! byte, so the gate costs O(steps) at any message size. A rewrite failing
+//! (1) or (2) is *refused* — the previous plan is kept and the refusal names
+//! the rank and output byte range that would have changed.
 
 pub mod aggregate;
 pub mod cached;
+pub mod gate;
 pub mod pipeline;
 pub mod remap;
 
 pub use aggregate::{aggregate, naive_block_exchange};
-pub use cached::{cached_plan, cached_world, plan_world};
+pub use cached::{cached_plan, cached_variant, cached_world, plan_world};
+pub use gate::{Admitted, Gate, Refusal};
 pub use pipeline::pipeline;
 pub use remap::{layout_for, remap, BlockLayout, TopoDesc};
 
-use exacoll_core::schedule::eval::{evaluate, probe_inputs};
+use exacoll_core::schedule::provenance::Equivalence;
 use exacoll_core::schedule::verify::{verify, ScheduleStats, VerifyError};
 use exacoll_core::schedule::Schedule;
 use exacoll_core::spec::OptSpec;
@@ -129,6 +137,10 @@ pub struct PassOutcome {
     pub changed: bool,
     /// Why the rewrite was refused, if it was (plan kept as-is).
     pub refused: Option<String>,
+    /// The accepted rewrite runs its reductions in another order: the same
+    /// operands under an associative-commutative reading, bit-identical for
+    /// the wrapping integer types, possibly rounded differently for floats.
+    pub reordered: bool,
     /// Modeled makespan (ns) entering the pass.
     pub cost_before_ns: f64,
     /// Modeled makespan (ns) leaving the pass.
@@ -140,7 +152,7 @@ pub struct PassOutcome {
 }
 
 /// The result of running a pass pipeline: the final (verified,
-/// byte-identical) plan set plus per-pass accounting.
+/// provenance-equal) plan set plus per-pass accounting.
 #[derive(Debug, Clone)]
 pub struct OptReport {
     /// Per-pass outcomes, in pipeline order.
@@ -154,8 +166,7 @@ pub struct OptReport {
 }
 
 /// Composes optimizer passes and enforces the rewrite contract: re-verify,
-/// byte-identity on probe inputs, and before/after cost pricing on one
-/// machine model.
+/// provenance-equal, and before/after cost pricing on one machine model.
 #[derive(Debug, Clone)]
 pub struct PassManager {
     machine: Machine,
@@ -204,13 +215,10 @@ impl PassManager {
     /// [`OptError::InvalidInput`] when the *input* fails verification,
     /// [`OptError::Baseline`] when it cannot be evaluated or priced, and
     /// [`OptError::BadParam`] on out-of-range pass parameters. A rewrite
-    /// that fails re-verification or changes the reference bytes is not an
+    /// that fails re-verification or computes another function is not an
     /// error: it is refused and recorded in the matching [`PassOutcome`].
     pub fn run(&self, schedules: &[Schedule]) -> Result<OptReport, OptError> {
         let mut stats = verify(schedules).map_err(|e| OptError::InvalidInput(e.to_string()))?;
-        let inputs = probe_inputs(schedules);
-        let reference =
-            evaluate(schedules, &inputs).map_err(|e| OptError::Baseline(e.to_string()))?;
         let price = |plans: &[Schedule]| -> Result<f64, String> {
             cost(&self.machine, plans)
                 .map(|o| o.makespan.as_nanos())
@@ -218,44 +226,40 @@ impl PassManager {
         };
         let cost_initial_ns = price(schedules).map_err(OptError::Baseline)?;
 
-        let mut cur = schedules.to_vec();
+        let mut gate = Gate::new(schedules.to_vec());
         let mut cur_cost = cost_initial_ns;
         let mut outcomes = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
-            let candidate = pass.apply(&cur)?;
+            let candidate = pass.apply(gate.plans())?;
             let mut outcome = PassOutcome {
                 pass: pass.to_string(),
                 changed: false,
                 refused: None,
+                reordered: false,
                 cost_before_ns: cur_cost,
                 cost_after_ns: cur_cost,
                 stats_before: stats,
                 stats_after: stats,
             };
-            if candidate != cur {
-                // The gate: re-verify, byte-identity, re-price. Any failure
-                // refuses the rewrite and keeps the current plan.
-                let gated = verify(&candidate)
-                    .map_err(|e| format!("re-verification failed: {e}"))
-                    .and_then(|st| {
-                        let out = evaluate(&candidate, &inputs)
-                            .map_err(|e| format!("evaluation failed: {e}"))?;
-                        if out != reference {
-                            return Err("outputs differ from the reference result".into());
-                        }
-                        Ok(st)
-                    })
-                    .and_then(|st| {
-                        let c = price(&candidate).map_err(|e| format!("pricing failed: {e}"))?;
-                        Ok((st, c))
-                    });
+            if candidate != gate.plans() {
+                // The gate: re-verify, provenance-equal, re-price. Any
+                // failure refuses the rewrite and keeps the current plan.
+                let admitted = match gate.admit(&candidate) {
+                    Err(Refusal::Baseline(e)) => return Err(OptError::Baseline(e.to_string())),
+                    other => other.map_err(|why| why.to_string()),
+                };
+                let gated = admitted.and_then(|admitted| {
+                    let c = price(&candidate).map_err(|e| format!("pricing failed: {e}"))?;
+                    Ok((admitted, c))
+                });
                 match gated {
-                    Ok((st, c)) => {
+                    Ok((admitted, c)) => {
                         outcome.changed = true;
+                        outcome.reordered = admitted.equivalence == Equivalence::Reordered;
                         outcome.cost_after_ns = c;
-                        outcome.stats_after = st;
-                        stats = st;
-                        cur = candidate;
+                        outcome.stats_after = admitted.stats;
+                        stats = admitted.stats;
+                        gate.replace(candidate, admitted);
                         cur_cost = c;
                     }
                     Err(why) => outcome.refused = Some(why),
@@ -265,7 +269,7 @@ impl PassManager {
         }
         Ok(OptReport {
             outcomes,
-            schedules: cur,
+            schedules: gate.into_plans(),
             cost_initial_ns,
             cost_final_ns: cur_cost,
         })
@@ -314,7 +318,7 @@ mod tests {
     fn manager_prices_each_pass_where_its_theory_says_it_wins() {
         // Each pass wins exactly where its theory says it should, and
         // honestly does nothing elsewhere; every row goes through the full
-        // gate (re-verify + byte identity + pricing).
+        // gate (re-verify + provenance-equal + pricing).
         let p = 8;
         let pipeline = PassKind::Pipeline {
             chunk_bytes: OPT_PIPELINE_CHUNK_BYTES,
@@ -421,8 +425,8 @@ mod tests {
     #[test]
     fn manager_refuses_a_semantics_breaking_rewrite() {
         // A remap told the output has no rank-indexed blocks when it does:
-        // relabeling then misroutes blocks, the byte-identity gate must
-        // refuse, and the original plan must survive.
+        // relabeling then misroutes blocks, the gate must refuse saying
+        // where, and the original plan must survive.
         let plans = lowered(
             CollectiveOp::Allgather,
             Algorithm::RecursiveMultiplying { k: 2 },
@@ -436,10 +440,10 @@ mod tests {
         let report = m.run(&plans).unwrap();
         let o = &report.outcomes[0];
         assert!(!o.changed, "mislabeled remap must not be accepted");
+        let why = o.refused.as_deref().unwrap_or("");
         assert!(
-            o.refused.as_deref().unwrap_or("").contains("reference"),
-            "{:?}",
-            o.refused
+            why.starts_with("computes a different function: rank 0 output bytes 0..64 should be in0[0..64) but are in"),
+            "{why}"
         );
         assert_eq!(report.schedules, plans);
         assert_eq!(report.cost_final_ns, report.cost_initial_ns);

@@ -39,7 +39,9 @@ pub fn evaluate(req: &Request, inputs: &[Vec<u8>]) -> Result<Evaluated, ReplayEr
             ReplayError::Header(format!("recorded inputs do not fit the plan: {why}"))
         }
         EvalError::Deadlock { blocked } => ReplayError::Stuck { blocked },
-        EvalError::SizeMismatch { .. } | EvalError::Compute(_) => ReplayError::Eval(e.to_string()),
+        EvalError::SizeMismatch { .. } | EvalError::Compute(_) | EvalError::Undefined { .. } => {
+            ReplayError::Eval(e.to_string())
+        }
     })
 }
 

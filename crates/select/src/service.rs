@@ -18,7 +18,7 @@ use exacoll_core::spec::{
 };
 use exacoll_core::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll_json::Value;
-use exacoll_opt::cached_world;
+use exacoll_opt::cached_variant;
 use exacoll_sim::{simulate, Machine};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -155,38 +155,37 @@ impl SelectionService {
         for alg in cands {
             // Compiled plans come from the process-wide plan cache, so a
             // sweep re-pricing overlapping (op, size) grids lowers each
-            // shape once; pricing itself replays the cached plan's op
-            // stream on the discrete-event simulator. The probe moves at
-            // least one byte; the request normalizes it per collective.
-            let plain = Request::uniform(CollArgs::new(op, alg), p, bytes.max(1))?;
-            let n = plain.bytes();
-            let piped = plain.clone().with_opt(
+            // shape once — and each candidate once for both of its
+            // variants; pricing itself replays the cached plan's op stream
+            // on the discrete-event simulator. The probe moves at least one
+            // byte; the request normalizes it per collective.
+            let piped = Request::uniform(CollArgs::new(op, alg), p, bytes.max(1))?.with_opt(
                 OptSpec::PIPELINE,
                 OPT_PIPELINE_CHUNK_BYTES,
                 OPT_AGGREGATE_MAX_FUSE_BYTES,
             )?;
-            let plain = cached_world(&plain)
+            let n = piped.bytes();
+            let (plain, piped) = cached_variant(&piped)
                 .map_err(|e| format!("lowering {op}/{alg} p={p} n={n}: {e}"))?;
-            let plain_traces: Vec<_> = plain.iter().map(|s| s.to_trace()).collect();
-            let outcome = simulate(machine, &plain_traces)
-                .map_err(|e| format!("pricing {op}/{alg} p={p} n={n}: {e}"))?;
-            priced.push((Variant::plain(alg), outcome.makespan.as_nanos()));
-            let piped = cached_world(&piped)
-                .map_err(|e| format!("pipelining {op}/{alg} p={p} n={n}: {e}"))?;
-            let piped_traces: Vec<_> = piped.iter().map(|s| s.to_trace()).collect();
-            // Only price the optimized variant when the pass actually
-            // changes the op stream at this size — an identical stream
-            // would just duplicate the plain cell.
-            if piped_traces != plain_traces {
-                let outcome = simulate(machine, &piped_traces)
-                    .map_err(|e| format!("pricing {op}/{alg}@pipeline p={p} n={n}: {e}"))?;
-                priced.push((
+            // The optimized variant exists only where the pass actually
+            // changes the plan at this size — an identical one would just
+            // duplicate the plain cell.
+            let variants = [
+                (Variant::plain(alg), Some(plain)),
+                (
                     Variant {
                         alg,
                         opt: OptSpec::PIPELINE,
                     },
-                    outcome.makespan.as_nanos(),
-                ));
+                    piped,
+                ),
+            ];
+            for (variant, world) in variants {
+                let Some(world) = world else { continue };
+                let traces: Vec<_> = world.iter().map(|s| s.to_trace()).collect();
+                let outcome = simulate(machine, &traces)
+                    .map_err(|e| format!("pricing {op}/{variant} p={p} n={n}: {e}"))?;
+                priced.push((variant, outcome.makespan.as_nanos()));
             }
         }
         let key = (op_index(op), p, bucket_of_bytes(bytes));
@@ -600,6 +599,62 @@ mod tests {
         let text = s.to_json().pretty();
         let reloaded = SelectionService::from_json(&exacoll_json::parse(&text).unwrap()).unwrap();
         assert_eq!(reloaded.to_json().pretty(), text);
+    }
+
+    #[test]
+    fn seed_point_prices_what_pricing_each_variant_on_its_own_would() {
+        use exacoll_core::PlanCache;
+        use exacoll_opt::cached_world;
+        let m = Machine::frontier(2, 4);
+        // 1 KiB, where no pipelined variant exists, and 4 MiB, where they do.
+        for (op, bytes, piped_cells) in [
+            (CollectiveOp::Allreduce, 1 << 10, false),
+            (CollectiveOp::Allgather, 4 << 20, true),
+        ] {
+            // The route this replaced: each variant planned, compiled and
+            // traced for itself, the pipelined one kept when its trace
+            // differs.
+            let mut want = Vec::new();
+            for alg in unique_candidates(op, 8, 4) {
+                let plain = Request::uniform(CollArgs::new(op, alg), 8, bytes).unwrap();
+                let piped = plain
+                    .clone()
+                    .with_opt(
+                        OptSpec::PIPELINE,
+                        OPT_PIPELINE_CHUNK_BYTES,
+                        OPT_AGGREGATE_MAX_FUSE_BYTES,
+                    )
+                    .unwrap();
+                let traces = |req: &Request| -> Vec<_> {
+                    let world = cached_world(req).unwrap();
+                    world.iter().map(|s| s.to_trace()).collect()
+                };
+                let price = |t: &[_]| simulate(&m, t).unwrap().makespan.as_nanos().to_bits();
+                let (a, b) = (traces(&plain), traces(&piped));
+                want.push((Variant::plain(alg).spec(), price(&a)));
+                if a != b {
+                    want.push((piped.variant().spec(), price(&b)));
+                }
+            }
+            want.sort();
+            assert_eq!(want.iter().any(|(spec, _)| spec.contains('@')), piped_cells);
+            for state in ["cold", "warm"] {
+                if state == "cold" {
+                    PlanCache::global().clear();
+                }
+                let s = SelectionService::new(Policy::default());
+                let priced = s.seed_point(&m, op, bytes, 4).unwrap();
+                let mut got = Vec::new();
+                s.for_each_bucket(|_, _, _, cells| {
+                    got.extend(cells.iter().map(|c| {
+                        let prior = c.prior_ns.expect("every cell was priced");
+                        (c.variant.spec(), prior.to_bits())
+                    }));
+                });
+                assert_eq!(priced, want.len(), "{op} {state}");
+                assert_eq!(got, want, "{op} {state}");
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,11 @@
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, lower, table_i, unique_candidates};
 use exacoll::collectives::request::payload;
-use exacoll::collectives::schedule::eval::{evaluate, probe_inputs};
+use exacoll::collectives::schedule::eval::{evaluate, probe_inputs, provenance};
+use exacoll::collectives::schedule::provenance::{Arena, Equivalence, Seg};
 use exacoll::collectives::schedule::verify::verify;
 use exacoll::collectives::schedule::{compile, execute_compiled, Schedule};
-use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
+use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{run_ranks, Comm, RankTrace, TraceComm};
 use exacoll::models::{predict_from_stats, NetParams};
 
@@ -212,6 +213,39 @@ fn paper_scale_shapes_verify_and_price_independent_of_message_size() {
                 }
                 let priced = cost(&machine, &large).unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert!(priced.makespan > exacoll::sim::SimTime::ZERO, "{what}");
+
+                // What the world computes, as expressions: the same walk, the
+                // same expressions and the same segments at both sizes, only
+                // the lengths and coordinates 1024 times larger — no step of
+                // it depends on n — and at both sizes the collective's own
+                // definition, which the bytes above cross-check at 1 KiB.
+                let denoted = [(KIB, &small), (KIB * KIB, &large)].map(|(n, plans)| {
+                    let mut arena = Arena::new();
+                    let got = provenance(&mut arena, plans).unwrap();
+                    let built = arena.len();
+                    let request = Request::uniform(args, P, n).unwrap();
+                    let want = request.denotation(&mut arena);
+                    let verdict = arena
+                        .equivalent(&want, &got)
+                        .unwrap_or_else(|d| panic!("{what} at {n} B: {d}"));
+                    (got, built, verdict)
+                });
+                let [(at_kib, built_kib, says_kib), (at_mib, built_mib, says_mib)] = denoted;
+                let scaled: Vec<Vec<Seg>> = at_kib
+                    .iter()
+                    .map(|segs| {
+                        let up = |s: &Seg| Seg {
+                            len: s.len * KIB,
+                            at: s.at * KIB as i64,
+                            ..*s
+                        };
+                        segs.iter().map(up).collect()
+                    })
+                    .collect();
+                assert_eq!(at_mib, scaled, "{what}");
+                assert_eq!((built_mib, says_mib), (built_kib, says_kib), "{what}");
+                let reduces = matches!(op, CollectiveOp::Reduce | CollectiveOp::Allreduce);
+                assert!(reduces || says_kib == Equivalence::Same, "{what}");
                 cases += 1;
             }
         }
