@@ -176,16 +176,21 @@ fn worker(spec: &LaunchSpec) -> Result<(), String> {
     // Align the epoch across processes: everyone leaves the barrier within
     // one wire latency of each other, then starts its clock.
     barrier(&mut c).map_err(|e| fail("entry barrier", e))?;
-    let (result, timeline, events) = {
-        let mut rc = RecordComm::new(TimedComm::new(&mut c));
+    // The event log is only kept for a launch that asked for it: digesting
+    // every payload byte is not something a plain run should pay for.
+    let record_path = env_var("EXACOLL_RECORD").ok();
+    let mut tc = TimedComm::new(&mut c);
+    let (result, events) = if record_path.is_some() {
+        let mut rc = RecordComm::new(&mut tc);
         let result = execute_compiled(&mut rc, &plan, &inputs[rank]);
-        let (tc, events) = rc.into_parts();
-        let (_, timeline) = tc.into_parts();
-        (result, timeline, events)
+        (result, rc.finish())
+    } else {
+        (execute_compiled(&mut tc, &plan, &inputs[rank]), Vec::new())
     };
+    let timeline = tc.finish();
     // The replay fragment is written before any execute error propagates, so
     // a failed run still leaves its half of the evidence.
-    if let Ok(path) = env_var("EXACOLL_RECORD") {
+    if let Some(path) = record_path {
         let log = RankLog {
             rank,
             status: match &result {

@@ -1,7 +1,7 @@
 //! The [`Comm`] trait: the MPI-like surface collective algorithms target.
 
 use crate::error::CommResult;
-use crate::sg::SgView;
+use crate::sg::{scatter, SgDests, SgView};
 use crate::types::{Rank, Tag};
 
 /// A non-blocking request handle, as returned by [`Comm::isend`] /
@@ -72,6 +72,41 @@ pub trait Comm {
         reqs.into_iter().map(|r| self.wait(r)).collect()
     }
 
+    /// Complete all of `reqs` with every received payload put where the
+    /// caller wants it: request `i`'s bytes go into `dests.of(i)` of `buf`.
+    /// `reqs` is left empty (with its allocation, where the implementation
+    /// completes in place).
+    ///
+    /// The caller cannot tell this from [`waitall`](Self::waitall) followed
+    /// by scattering payload `i` over destination `i` — same matching, same
+    /// errors, a shorter message fills a prefix (how much arrived is not
+    /// reported; a caller that needs the length uses `waitall`). The default
+    /// implementation *is* that, which keeps payload-observing wrappers
+    /// correct without opting in. [`crate::Engine`] overrides it to offer the
+    /// destinations to its transport, so a message that arrives while the
+    /// rank is blocked here is read from the socket straight into `buf`: no
+    /// payload `Vec`, no second copy. After an error the destinations hold
+    /// unspecified bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `dests` does not name one destination per request.
+    fn waitall_into(
+        &mut self,
+        reqs: &mut Vec<Req>,
+        buf: &mut [u8],
+        dests: SgDests<'_>,
+    ) -> CommResult<()> {
+        assert_eq!(reqs.len(), dests.len(), "one destination per request");
+        let payloads = self.waitall(std::mem::take(reqs))?;
+        for (i, payload) in payloads.iter().enumerate() {
+            if let Some(payload) = payload {
+                scatter(buf, dests.of(i), payload);
+            }
+        }
+        Ok(())
+    }
+
     /// Account for `bytes` of local reduction computation (γ term in the
     /// cost model). Backends that execute for real treat this as a no-op;
     /// the trace backend records it.
@@ -140,6 +175,14 @@ impl<C: Comm> Comm for &mut C {
     }
     fn waitall(&mut self, reqs: Vec<Req>) -> CommResult<Vec<Option<Vec<u8>>>> {
         (**self).waitall(reqs)
+    }
+    fn waitall_into(
+        &mut self,
+        reqs: &mut Vec<Req>,
+        buf: &mut [u8],
+        dests: SgDests<'_>,
+    ) -> CommResult<()> {
+        (**self).waitall_into(reqs, buf, dests)
     }
     fn compute(&mut self, bytes: usize) {
         (**self).compute(bytes)

@@ -14,9 +14,25 @@
 //!   one is accepted).
 //!
 //! A transport only moves bytes and notices: the in-process mailboxes of
-//! [`crate::thread_rt`], the TCP mesh of `exacoll-net`. This is also where
-//! the receive-side twin of the `send_sg` contract — receive into the posted
-//! destination — will land: one `waitall` and one transport hook.
+//! [`crate::thread_rt`], the TCP mesh of `exacoll-net`.
+//!
+//! ## Receiving into the posted destination
+//!
+//! `wait`, `waitall` and [`Comm::waitall_into`] are one loop
+//! (`Engine::complete`) over a [`Posted`]: the receives still unmatched, in
+//! posting order, and where their payloads go — owned slots, or ranges of
+//! the caller's buffer. Every [`Transport::progress`] call is handed it.
+//! A transport that learns a message's `(from, tag, length)` before its
+//! bytes (a frame header) asks [`Posted::claim`]; the engine grants the
+//! claim when that message is the next one the first matching receive would
+//! get — nothing with the same key queued ahead of it — and fits its
+//! destination, and the transport then writes the body through
+//! [`Posted::window`] / [`Posted::advance`], past the unexpected queue.
+//! Everything else is delivered to the [`Inbox`] as before and scattered by
+//! the same loop, so the two routes cannot disagree about matching, order or
+//! truncation. The state of a landing lives in the `Posted`, which dies with
+//! the call: when `waitall_into` fails half-way through a body, the next
+//! `window` for that peer is `None` and the transport discards the rest.
 //!
 //! ## Hang-free guarantee
 //!
@@ -37,7 +53,7 @@
 
 use crate::comm::{Comm, Req};
 use crate::error::{CommError, CommResult};
-use crate::sg::SgView;
+use crate::sg::{scatter, SgDests, SgView};
 use crate::types::{Rank, Tag};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -82,7 +98,18 @@ pub trait Transport {
     /// peer and parks next: a transport that pays per peer looked at looks at
     /// that one alone without parking; one with a single queue may do
     /// nothing, the park starts with the same look.
-    fn progress(&mut self, inbox: &mut Inbox, timeout: Duration, from: Option<Rank>);
+    ///
+    /// `posted` is what the caller is blocked on. A transport may ignore it
+    /// and deliver everything to `inbox`; one that sees a message's header
+    /// before its body may [`claim`](Posted::claim) the receive it is for and
+    /// write the body where that receive wants it.
+    fn progress(
+        &mut self,
+        inbox: &mut Inbox,
+        posted: &mut Posted<'_>,
+        timeout: Duration,
+        from: Option<Rank>,
+    );
 
     /// The origin of the world-wide abort, once there is one. First origin
     /// wins.
@@ -116,13 +143,18 @@ impl Inbox {
         self.gone[peer]
     }
 
+    /// Where the first queued message matching `(from, tag)` sits.
+    #[inline]
+    fn position(&self, from: Rank, tag: Tag) -> Option<usize> {
+        self.unexpected
+            .iter()
+            .position(|(s, t, _)| *s == from && *t == tag)
+    }
+
     /// Take the first queued message matching `(from, tag)`.
     #[inline]
     fn take(&mut self, from: Rank, tag: Tag) -> Option<Vec<u8>> {
-        let pos = self
-            .unexpected
-            .iter()
-            .position(|(s, t, _)| *s == from && *t == tag)?;
+        let pos = self.position(from, tag)?;
         self.unexpected.remove(pos).map(|(_, _, data)| data)
     }
 }
@@ -180,7 +212,7 @@ impl<S> ReqTable<S> {
 }
 
 /// A posted request.
-enum Posted {
+enum Request {
     /// Send already completed (eager protocol).
     Send,
     /// Receive posted, not yet matched.
@@ -194,13 +226,166 @@ struct Recv {
     bytes: usize,
 }
 
+/// A receive being completed.
+#[derive(Clone, Copy)]
+struct Pending {
+    /// Which request of the batch it is: where its payload goes.
+    slot: usize,
+    recv: Recv,
+    /// `(length, bytes written so far)` of the message a transport is
+    /// writing into this receive's destination.
+    landing: Option<(usize, usize)>,
+}
+
+impl Pending {
+    fn new(slot: usize, recv: Recv) -> Self {
+        Pending {
+            slot,
+            recv,
+            landing: None,
+        }
+    }
+}
+
+/// Where completed payloads go.
+enum Sink<'a> {
+    /// `wait`/`waitall`: payload `i` is handed back in slot `i`.
+    Owned(&'a mut [Option<Vec<u8>>]),
+    /// `waitall_into`: payload `i` is written over destination `i` of the
+    /// caller's buffer.
+    Into(&'a mut [u8], SgDests<'a>),
+}
+
+/// What a blocked engine offers its transport: the receives it is waiting
+/// for and where their payloads go (see the module docs).
+pub struct Posted<'a> {
+    /// In posting order; `pending[..live]` are still unmatched.
+    pending: &'a mut [Pending],
+    live: usize,
+    sink: Sink<'a>,
+}
+
+impl<'a> Posted<'a> {
+    fn new(pending: &'a mut [Pending], sink: Sink<'a>) -> Self {
+        Posted {
+            live: pending.len(),
+            pending,
+            sink,
+        }
+    }
+
+    /// Nothing is waited for — a transport making progress on its own
+    /// account (a blocked send, a last look on drop). Claims nothing.
+    pub fn none() -> Posted<'static> {
+        Posted::new(&mut [], Sink::Owned(&mut []))
+    }
+
+    fn unmatched(&self) -> &[Pending] {
+        &self.pending[..self.live]
+    }
+
+    /// Receive `i` of the unmatched ones is complete.
+    fn retire(&mut self, i: usize) {
+        self.pending.copy_within(i + 1..self.live, i);
+        self.live -= 1;
+    }
+
+    /// Hand over the whole payload of unmatched receive `i`.
+    fn put(&mut self, i: usize, data: Vec<u8>) {
+        let slot = self.pending[i].slot;
+        match &mut self.sink {
+            Sink::Owned(out) => out[slot] = Some(data),
+            Sink::Into(buf, dests) => scatter(buf, dests.of(slot), &data),
+        }
+        self.retire(i);
+    }
+
+    /// Which unmatched receive `from` is writing into, if any.
+    fn landing(&self, from: Rank) -> Option<usize> {
+        self.unmatched()
+            .iter()
+            .position(|p| p.recv.from == from && p.landing.is_some())
+    }
+
+    /// A message of `len` bytes from `from` under `tag` is about to arrive:
+    /// may its bytes be written straight into the destination of the receive
+    /// it matches? Granted when that receive — the first unmatched one for
+    /// `(from, tag)` — has a destination in the caller's buffer that holds
+    /// `len` bytes, and `inbox` queues nothing for `(from, tag)` that would
+    /// have to be matched first. A granted claim obliges the transport to
+    /// pass exactly `len` bytes through [`window`](Self::window) and
+    /// [`advance`](Self::advance) before it claims for `from` again; a
+    /// refused message goes to `inbox` (one longer than posted still ends in
+    /// `Truncation` there).
+    pub fn claim(&mut self, inbox: &Inbox, from: Rank, tag: Tag, len: usize) -> bool {
+        let Sink::Into(_, dests) = &self.sink else {
+            return false;
+        };
+        let Some(i) = self
+            .unmatched()
+            .iter()
+            .position(|p| p.recv.from == from && p.recv.tag == tag)
+        else {
+            return false;
+        };
+        let pending = &mut self.pending[i];
+        debug_assert!(pending.landing.is_none(), "one message at a time per peer");
+        let room: usize = dests.of(pending.slot).iter().map(|r| r.len()).sum();
+        if len > pending.recv.bytes.min(room) || inbox.position(from, tag).is_some() {
+            return false;
+        }
+        if len == 0 {
+            self.retire(i);
+        } else {
+            pending.landing = Some((len, 0));
+        }
+        true
+    }
+
+    /// Where the next bytes of the message claimed for `from` go: the rest
+    /// of the destination range they fall into, at most what is left of the
+    /// message. `None` when no landing is in progress for `from` — the call
+    /// that granted it has failed — and the bytes are to be discarded.
+    pub fn window(&mut self, from: Rank) -> Option<&mut [u8]> {
+        let Pending { slot, landing, .. } = self.pending[self.landing(from)?];
+        let (len, filled) = landing?;
+        let Sink::Into(buf, dests) = &mut self.sink else {
+            return None;
+        };
+        let mut skip = filled;
+        for r in dests.of(slot) {
+            if skip < r.len() {
+                let start = r.start + skip;
+                return Some(&mut buf[start..r.end.min(start + len - filled)]);
+            }
+            skip -= r.len();
+        }
+        None
+    }
+
+    /// The first `n` bytes of the last [`window`](Self::window) for `from`
+    /// were written. Completes the receive with the message's last byte.
+    pub fn advance(&mut self, from: Rank, n: usize) {
+        let i = self.landing(from).expect("advance follows a window");
+        let (len, filled) = self.pending[i].landing.expect("found by its landing");
+        debug_assert!(filled + n <= len, "wrote past the claimed message");
+        self.pending[i].landing = Some((len, filled + n));
+        if filled + n == len {
+            self.retire(i);
+        }
+    }
+}
+
 /// One rank's endpoint: the MPI semantics over transport `T`.
 pub struct Engine<T: Transport> {
     rank: Rank,
     size: usize,
     transport: T,
     inbox: Inbox,
-    reqs: ReqTable<Posted>,
+    reqs: ReqTable<Request>,
+    /// The receives of the `waitall`/`waitall_into` in progress; kept
+    /// between calls for its allocation.
+    pending: Vec<Pending>,
     /// Upper bound on how long any single blocking operation may wait.
     deadline: Duration,
 }
@@ -218,6 +403,7 @@ impl<T: Transport> Engine<T> {
                 gone: vec![false; size],
             },
             reqs: ReqTable::default(),
+            pending: Vec::new(),
             deadline,
         }
     }
@@ -266,20 +452,13 @@ impl<T: Transport> Engine<T> {
             self.transport
                 .send(&mut self.inbox, to, tag, payload, self.deadline)?;
         }
-        Ok(self.reqs.post(Posted::Send))
+        Ok(self.reqs.post(Request::Send))
     }
 
-    /// Block until every `(result slot, receive)` of `pending` (posting
-    /// order) has its message in `out`. Never parks forever: bails on abort,
-    /// on the departure of a sender with nothing queued, or on deadline
-    /// expiry.
-    fn complete(
-        &mut self,
-        pending: &mut [(usize, Recv)],
-        out: &mut [Option<Vec<u8>>],
-    ) -> CommResult<()> {
-        // The receives still unmatched are `pending[..live]`.
-        let mut live = pending.len();
+    /// Block until every receive of `posted` has its message in the sink.
+    /// Never parks forever: bails on abort, on the departure of a sender with
+    /// nothing queued, or on deadline expiry.
+    fn complete(&mut self, mut posted: Posted<'_>) -> CommResult<()> {
         // All pending receives share one deadline window, opened the first
         // time the queue has nothing for them.
         let mut start = None;
@@ -288,10 +467,10 @@ impl<T: Transport> Engine<T> {
         let mut looked = false;
         loop {
             self.check_abort()?;
-            let before = live;
+            let before = posted.live;
             let mut i = 0;
-            while i < live {
-                let (slot, Recv { from, tag, bytes }) = pending[i];
+            while i < posted.live {
+                let Recv { from, tag, bytes } = posted.pending[i].recv;
                 let Some(data) = self.inbox.take(from, tag) else {
                     i += 1;
                     continue;
@@ -305,21 +484,28 @@ impl<T: Transport> Engine<T> {
                         arrived: data.len(),
                     });
                 }
-                out[slot] = Some(data);
-                pending.copy_within(i + 1..live, i);
-                live -= 1;
+                posted.put(i, data);
             }
-            if live == 0 {
+            if posted.live == 0 {
                 return Ok(());
             }
-            if live < before {
+            if posted.live < before {
                 continue;
             }
-            let pending = &pending[..live];
             if !looked {
-                for &(_, Recv { from, .. }) in pending {
-                    self.transport
-                        .progress(&mut self.inbox, Duration::ZERO, Some(from));
+                let mut i = 0;
+                while i < posted.live {
+                    let (before, from) = (posted.live, posted.pending[i].recv.from);
+                    self.transport.progress(
+                        &mut self.inbox,
+                        &mut posted,
+                        Duration::ZERO,
+                        Some(from),
+                    );
+                    // A receive completed in place moved the rest up by one.
+                    if posted.live == before {
+                        i += 1;
+                    }
                 }
                 looked = true;
                 continue;
@@ -328,18 +514,19 @@ impl<T: Transport> Engine<T> {
             // never satisfy its receive now (everything it sent was
             // delivered before its departure). An abort the transport has
             // yet to look at outranks the departure.
-            if let Some(&(_, Recv { from: peer, .. })) =
-                pending.iter().find(|(_, r)| self.inbox.is_gone(r.from))
+            if let Some(peer) = (posted.unmatched().iter())
+                .map(|p| p.recv.from)
+                .find(|&from| self.inbox.is_gone(from))
             {
                 self.transport
-                    .progress(&mut self.inbox, Duration::ZERO, None);
+                    .progress(&mut self.inbox, &mut posted, Duration::ZERO, None);
                 self.check_abort()?;
                 return Err(CommError::PeerGone { peer });
             }
             let now = Instant::now();
             let waited = now - *start.get_or_insert(now);
             let Some(left) = self.deadline.checked_sub(waited).filter(|d| !d.is_zero()) else {
-                let (_, Recv { from, tag, bytes }) = pending[0];
+                let Recv { from, tag, bytes } = posted.pending[0].recv;
                 return Err(CommError::Timeout {
                     rank: self.rank,
                     from,
@@ -347,8 +534,28 @@ impl<T: Transport> Engine<T> {
                     bytes,
                 });
             };
-            self.transport.progress(&mut self.inbox, left, None);
+            self.transport
+                .progress(&mut self.inbox, &mut posted, left, None);
         }
+    }
+
+    /// Consume `reqs` and complete the receives among them — request `i`'s
+    /// payload is slot `i` of `sink` — through the kept `pending` arena.
+    fn complete_all(&mut self, reqs: impl Iterator<Item = Req>, sink: Sink<'_>) -> CommResult<()> {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.clear();
+        for (slot, req) in reqs.enumerate() {
+            if let Request::Recv(recv) = self.reqs.take(req)? {
+                pending.push(Pending::new(slot, recv));
+            }
+        }
+        let done = if pending.is_empty() {
+            Ok(())
+        } else {
+            self.complete(Posted::new(&mut pending, sink))
+        };
+        self.pending = pending;
+        done
     }
 }
 
@@ -358,7 +565,7 @@ impl<T: Transport> Drop for Engine<T> {
         // while the rank was outside `Comm` calls counts as observed by
         // whatever the transport tells its peers on drop.
         self.transport
-            .progress(&mut self.inbox, Duration::ZERO, None);
+            .progress(&mut self.inbox, &mut Posted::none(), Duration::ZERO, None);
     }
 }
 
@@ -385,15 +592,18 @@ impl<T: Transport> Comm for Engine<T> {
     fn irecv(&mut self, from: Rank, tag: Tag, bytes: usize) -> CommResult<Req> {
         self.check_abort()?;
         self.check_rank(from)?;
-        Ok(self.reqs.post(Posted::Recv(Recv { from, tag, bytes })))
+        Ok(self.reqs.post(Request::Recv(Recv { from, tag, bytes })))
     }
 
     fn wait(&mut self, req: Req) -> CommResult<Option<Vec<u8>>> {
         match self.reqs.take(req)? {
-            Posted::Send => Ok(None),
-            Posted::Recv(recv) => {
+            Request::Send => Ok(None),
+            Request::Recv(recv) => {
                 let mut out = [None];
-                self.complete(&mut [(0, recv)], &mut out)?;
+                self.complete(Posted::new(
+                    &mut [Pending::new(0, recv)],
+                    Sink::Owned(&mut out),
+                ))?;
                 let [data] = out;
                 Ok(data)
             }
@@ -404,16 +614,21 @@ impl<T: Transport> Comm for Engine<T> {
     /// is queued first, so one slow sender never serializes the rest.
     fn waitall(&mut self, reqs: Vec<Req>) -> CommResult<Vec<Option<Vec<u8>>>> {
         let mut out: Vec<Option<Vec<u8>>> = (0..reqs.len()).map(|_| None).collect();
-        let mut pending = Vec::new();
-        for (slot, req) in reqs.into_iter().enumerate() {
-            if let Posted::Recv(recv) = self.reqs.take(req)? {
-                pending.push((slot, recv));
-            }
-        }
-        if !pending.is_empty() {
-            self.complete(&mut pending, &mut out)?;
-        }
+        self.complete_all(reqs.into_iter(), Sink::Owned(&mut out))?;
         Ok(out)
+    }
+
+    /// The same completion with the caller's buffer as the sink: a message
+    /// the transport can still steer is written into its destination as it
+    /// arrives, one that was queued first is scattered from the queue.
+    fn waitall_into(
+        &mut self,
+        reqs: &mut Vec<Req>,
+        buf: &mut [u8],
+        dests: SgDests<'_>,
+    ) -> CommResult<()> {
+        assert_eq!(reqs.len(), dests.len(), "one destination per request");
+        self.complete_all(reqs.drain(..), Sink::Into(buf, dests))
     }
 
     fn compute(&mut self, _bytes: usize) {
@@ -430,11 +645,17 @@ mod tests {
     use super::*;
 
     enum Ev {
+        /// A whole message, delivered to the inbox.
         Msg(Rank, Tag, Vec<u8>),
+        /// The header of a message on `from`'s stream: `(from, tag, length)`.
+        /// Claimed where the engine allows it, as a wire transport would.
+        Head(Rank, Tag, usize),
+        /// The next bytes of the message whose header `from` sent last.
+        Body(Rank, Vec<u8>),
         Gone(Rank),
         Abort(Rank),
     }
-    use Ev::{Abort, Gone, Msg};
+    use Ev::{Abort, Body, Gone, Head, Msg};
 
     /// Each `progress` call plays the next step of the script.
     #[derive(Default)]
@@ -448,6 +669,61 @@ mod tests {
         /// Deliver every sent message straight back, as if from its
         /// destination.
         echo: bool,
+        /// Per peer, the message in flight whose claim was refused:
+        /// `(tag, length, bytes so far)`, delivered once whole.
+        queueing: [Option<(Tag, usize, Vec<u8>)>; 3],
+        /// `(from, tag, granted)` of every claim.
+        claims: Vec<(Rank, Tag, bool)>,
+        /// Bytes written through a window, and bytes no window wanted.
+        landed: usize,
+        discarded: usize,
+    }
+
+    impl Script {
+        fn head(
+            &mut self,
+            inbox: &mut Inbox,
+            posted: &mut Posted<'_>,
+            from: Rank,
+            tag: Tag,
+            len: usize,
+        ) {
+            let granted = posted.claim(inbox, from, tag, len);
+            self.claims.push((from, tag, granted));
+            if !granted {
+                self.queueing[from] = Some((tag, len, Vec::new()));
+                self.body(inbox, posted, from, &[]);
+            }
+        }
+
+        fn body(
+            &mut self,
+            inbox: &mut Inbox,
+            posted: &mut Posted<'_>,
+            from: Rank,
+            mut bytes: &[u8],
+        ) {
+            if let Some((tag, len, mut so_far)) = self.queueing[from].take() {
+                so_far.extend_from_slice(bytes);
+                if so_far.len() == len {
+                    inbox.deliver(from, tag, so_far);
+                } else {
+                    self.queueing[from] = Some((tag, len, so_far));
+                }
+                return;
+            }
+            while !bytes.is_empty() {
+                let Some(window) = posted.window(from) else {
+                    self.discarded += bytes.len();
+                    return;
+                };
+                let n = window.len().min(bytes.len());
+                window[..n].copy_from_slice(&bytes[..n]);
+                posted.advance(from, n);
+                self.landed += n;
+                bytes = &bytes[n..];
+            }
+        }
     }
 
     impl Transport for Script {
@@ -467,11 +743,19 @@ mod tests {
             Ok(())
         }
 
-        fn progress(&mut self, inbox: &mut Inbox, timeout: Duration, from: Option<Rank>) {
+        fn progress(
+            &mut self,
+            inbox: &mut Inbox,
+            posted: &mut Posted<'_>,
+            timeout: Duration,
+            from: Option<Rank>,
+        ) {
             self.asked.push((timeout.is_zero(), from));
             for ev in self.steps.pop_front().unwrap_or_default() {
                 match ev {
                     Msg(from, tag, data) => inbox.deliver(from, tag, data),
+                    Head(from, tag, len) => self.head(inbox, posted, from, tag, len),
+                    Body(from, bytes) => self.body(inbox, posted, from, &bytes),
                     Gone(peer) => inbox.depart(peer),
                     Abort(origin) => {
                         self.abort.get_or_insert(origin);
@@ -598,6 +882,159 @@ mod tests {
         assert_eq!(c.transport().sent, vec![(1, 3, true), (2, 4, false)]);
         assert_eq!(c.queued(), 1);
         assert_eq!(c.recv(0, 5, 4), Ok(vec![7, 6, 9, 8]));
+    }
+
+    /// `waitall_into` over `reqs` into a zeroed buffer of `n` bytes, request
+    /// `i` going to `spans[i]` of `ranges`.
+    fn into(
+        c: &mut Engine<Script>,
+        reqs: Vec<CommResult<Req>>,
+        n: usize,
+        ranges: &[std::ops::Range<usize>],
+        spans: &[std::ops::Range<usize>],
+    ) -> (CommResult<()>, Vec<u8>) {
+        let mut reqs = reqs.into_iter().collect::<CommResult<Vec<Req>>>().unwrap();
+        let mut buf = vec![0u8; n];
+        let res = c.waitall_into(&mut reqs, &mut buf, SgDests::new(ranges, spans));
+        assert!(reqs.is_empty());
+        (res, buf)
+    }
+
+    #[test]
+    fn a_message_the_rank_is_blocked_on_lands_past_the_queue() {
+        // Two receives share (1, 4): the first message lands in the first
+        // one's destination — two ranges, out of order, the body split
+        // mid-range — the second in the second's, and a send in the batch has
+        // an empty span.
+        let steps = vec![
+            vec![Head(1, 4, 4), Body(1, vec![1, 2, 3])],
+            vec![],
+            vec![Body(1, vec![4]), Head(1, 4, 2), Body(1, vec![5, 6])],
+        ];
+        let mut c = scripted(LONG, steps);
+        let reqs = vec![c.irecv(1, 4, 4), c.isend(2, 0, vec![9]), c.irecv(1, 4, 2)];
+        let (res, buf) = into(&mut c, reqs, 8, &[6..8, 0..2, 3..5], &[0..2, 0..0, 2..3]);
+        assert_eq!(res, Ok(()));
+        assert_eq!(buf, [3, 4, 0, 5, 6, 0, 1, 2]);
+        let t = c.transport();
+        assert_eq!(t.claims, [(1, 4, true), (1, 4, true)]);
+        assert_eq!((t.landed, t.discarded, c.queued()), (6, 0, 0));
+    }
+
+    #[test]
+    fn a_same_key_message_already_queued_is_not_bypassed() {
+        // The first (1, 4) message is queued whole before the rank blocks
+        // (as if it arrived during a send). The second one's header finds a
+        // receive for (1, 4) — but the queued message is that receive's.
+        let mut c = scripted(LONG, vec![vec![Head(1, 4, 2), Body(1, vec![3, 4])]]);
+        c.inbox.deliver(1, 4, vec![1, 2]);
+        let reqs = vec![c.irecv(1, 4, 2), c.irecv(1, 4, 2)];
+        let (res, buf) = into(&mut c, reqs, 4, &[0..2, 2..4], &[0..1, 1..2]);
+        assert_eq!(res, Ok(()));
+        assert_eq!(buf, [1, 2, 3, 4]);
+        // By the time the header is seen the queued message has been
+        // matched, so the second lands directly — in the second receive.
+        assert_eq!(c.transport().claims, [(1, 4, true)]);
+
+        // Seen while the first is still queued (both on the wire before the
+        // rank looks), the claim is refused and order is the queue's.
+        let step = vec![Msg(1, 4, vec![1, 2]), Head(1, 4, 2), Body(1, vec![3, 4])];
+        let mut c = scripted(LONG, vec![step]);
+        let reqs = vec![c.irecv(1, 4, 2), c.irecv(1, 4, 2)];
+        let (res, buf) = into(&mut c, reqs, 4, &[0..2, 2..4], &[0..1, 1..2]);
+        assert_eq!(res, Ok(()));
+        assert_eq!(buf, [1, 2, 3, 4]);
+        assert_eq!(c.transport().claims, [(1, 4, false)]);
+        assert_eq!(c.transport().landed, 0);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn longer_than_posted_is_refused_and_truncates_shorter_lands_a_prefix() {
+        let steps = vec![vec![
+            Head(1, 0, 2),
+            Body(1, vec![7, 8]),
+            Head(1, 1, 16),
+            Body(1, vec![0; 16]),
+        ]];
+        let mut c = scripted(LONG, steps);
+        let reqs = vec![c.irecv(1, 0, 4), c.irecv(1, 1, 8)];
+        let (res, buf) = into(&mut c, reqs, 12, &[0..4, 4..12], &[0..1, 1..2]);
+        assert_eq!(
+            res,
+            Err(CommError::Truncation {
+                rank: 0,
+                from: 1,
+                tag: 1,
+                posted: 8,
+                arrived: 16,
+            })
+        );
+        assert_eq!(buf[..4], [7, 8, 0, 0]);
+        assert_eq!(c.transport().claims, [(1, 0, true), (1, 1, false)]);
+        // A destination smaller than the posted size is no reason to write
+        // past it either: the message takes the queue and loses its tail
+        // there, as `waitall` + scatter would.
+        let mut c = scripted(LONG, vec![vec![Head(1, 0, 4), Body(1, vec![1, 2, 3, 4])]]);
+        let reqs = vec![c.irecv(1, 0, 4)];
+        let (res, buf) = into(&mut c, reqs, 4, &[1..3], &[0..1]);
+        assert_eq!((res, buf), (Ok(()), vec![0, 1, 2, 0]));
+        assert_eq!(c.transport().claims, [(1, 0, false)]);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn a_landing_cut_short_names_its_receive_and_the_rest_is_discarded() {
+        // Half a body has been written when the peer departs, the world is
+        // aborted, or the deadline passes.
+        let half = || vec![Head(1, 3, 4), Body(1, vec![1, 2])];
+        let gone = (LONG, vec![half(), vec![Gone(1)]]);
+        let abort = (LONG, vec![half(), vec![Abort(2)]]);
+        let late = (Duration::ZERO, vec![half()]);
+        let errors = [
+            CommError::PeerGone { peer: 1 },
+            CommError::Aborted { origin: 2 },
+            CommError::Timeout {
+                rank: 0,
+                from: 1,
+                tag: 3,
+                bytes: 4,
+            },
+        ];
+        for ((deadline, steps), error) in [gone, abort, late].into_iter().zip(errors) {
+            let mut c = scripted(deadline, steps);
+            let reqs = vec![c.irecv(1, 3, 4)];
+            let (res, buf) = into(&mut c, reqs, 4, &[0..4], &[0..1]);
+            assert_eq!(res, Err(error.clone()));
+            assert_eq!(buf, [1, 2, 0, 0]);
+            if !matches!(error, CommError::Timeout { .. }) {
+                continue;
+            }
+            // A rank that outlives the timeout comes back for the message
+            // behind: the rest of the abandoned one has nowhere to go, and
+            // the stream stays in step.
+            let next = vec![Body(1, vec![3, 4]), Head(1, 3, 2), Body(1, vec![5, 6])];
+            c.transport_mut().steps.push_back(next);
+            c.deadline = LONG;
+            let reqs = vec![c.irecv(1, 3, 2)];
+            let (res, buf) = into(&mut c, reqs, 2, &[0..2], &[0..1]);
+            assert_eq!((res, buf), (Ok(()), vec![5, 6]));
+            assert_eq!((c.transport().landed, c.transport().discarded), (4, 2));
+        }
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn owned_waits_never_claim_and_empty_messages_complete_at_the_header() {
+        let mut c = scripted(LONG, vec![vec![Head(1, 0, 2), Body(1, vec![1, 2])]]);
+        assert_eq!(c.recv(1, 0, 2), Ok(vec![1, 2]));
+        assert_eq!(c.transport().claims, [(1, 0, false)]);
+
+        let mut c = scripted(LONG, vec![vec![Head(2, 5, 0)]]);
+        let reqs = vec![c.irecv(2, 5, 8)];
+        let (res, buf) = into(&mut c, reqs, 8, &[0..8], &[0..1]);
+        assert_eq!((res, buf), (Ok(()), vec![0; 8]));
+        assert_eq!(c.transport().claims, [(2, 5, true)]);
     }
 
     #[test]

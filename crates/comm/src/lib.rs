@@ -41,12 +41,12 @@ pub mod types;
 
 pub use buffer::TypedBuf;
 pub use comm::{Comm, Req};
-pub use engine::{Engine, Inbox, Payload, Transport};
+pub use engine::{Engine, Inbox, Payload, Posted, Transport};
 pub use error::{CommError, CommResult};
 pub use fault::{FaultComm, FaultEvent, FaultPlan, KillSpec};
 pub use record::{fnv1a, RecordComm, RecordedEvent};
 pub use reduce_ops::reduce_into;
-pub use sg::SgView;
+pub use sg::{scatter, SgDests, SgView};
 pub use thread_rt::{
     expect_all_ranks, run_ranks, run_scoped, try_run_ranks, try_run_ranks_with, AbortHandle,
     Mailbox, ThreadComm, WorldOptions,

@@ -24,6 +24,7 @@
 
 use crate::comm::{Comm, Req};
 use crate::error::CommResult;
+use crate::sg::{SgDests, SgView};
 use crate::types::{Rank, Tag};
 use std::collections::HashMap;
 
@@ -32,10 +33,17 @@ use std::collections::HashMap;
 /// *divergence*, not adversaries: it is fast, dependency-free, and stable
 /// across platforms.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_segments([bytes])
+}
+
+/// [`fnv1a`] of the concatenation of `segments`, without building it.
+fn fnv1a_segments<'a>(segments: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    for segment in segments {
+        for &b in segment {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
     h
 }
@@ -128,6 +136,45 @@ pub struct RecordComm<C: Comm> {
 }
 
 impl<C: Comm> RecordComm<C> {
+    /// Record the send the inner layer is about to be asked for, if it
+    /// accepts the post: an op refused outright (dead rank, poisoned
+    /// endpoint) never happened, so the log truncates exactly at the failing
+    /// step.
+    fn record_send(
+        &mut self,
+        to: Rank,
+        tag: Tag,
+        bytes: usize,
+        digest: u64,
+        post: impl FnOnce(&mut C) -> CommResult<Req>,
+    ) -> CommResult<Req> {
+        let req = post(&mut self.inner)?;
+        self.events.push(RecordedEvent::Send {
+            to,
+            tag,
+            bytes,
+            digest,
+        });
+        Ok(req)
+    }
+
+    /// Per request about to be waited on, the `Recv` event awaiting its
+    /// digest (`None` for a send).
+    fn recv_events(&mut self, reqs: &[Req]) -> Vec<Option<usize>> {
+        reqs.iter()
+            .map(|r| self.pending.remove(&r.index()))
+            .collect()
+    }
+
+    /// Back-patch the receive event at `idx`: `bytes` arrived, digesting to
+    /// `digest`.
+    fn complete_recv(&mut self, idx: usize, arrived: usize, arrived_digest: u64) {
+        if let RecordedEvent::Recv { bytes, digest, .. } = &mut self.events[idx] {
+            *bytes = arrived;
+            *digest = Some(arrived_digest);
+        }
+    }
+
     /// Wrap `inner` with an empty log.
     pub fn new(inner: C) -> RecordComm<C> {
         RecordComm {
@@ -163,18 +210,16 @@ impl<C: Comm> Comm for RecordComm<C> {
     }
 
     fn isend(&mut self, to: Rank, tag: Tag, data: Vec<u8>) -> CommResult<Req> {
-        // Record only if the inner layer accepted the post: an op refused
-        // outright (dead rank, poisoned endpoint) never happened, so the
-        // log truncates exactly at the failing step.
-        let ev = RecordedEvent::Send {
-            to,
-            tag,
-            bytes: data.len(),
-            digest: fnv1a(&data),
-        };
-        let req = self.inner.isend(to, tag, data)?;
-        self.events.push(ev);
-        Ok(req)
+        let (bytes, digest) = (data.len(), fnv1a(&data));
+        self.record_send(to, tag, bytes, digest, |c| c.isend(to, tag, data))
+    }
+
+    /// Digests the view segment by segment — the digest of the gathered
+    /// bytes — and forwards it borrowed, so recording does not forfeit the
+    /// inner backend's zero-copy send.
+    fn send_sg(&mut self, to: Rank, tag: Tag, view: SgView<'_>) -> CommResult<Req> {
+        let (bytes, digest) = (view.len(), fnv1a_segments(view.segments()));
+        self.record_send(to, tag, bytes, digest, |c| c.send_sg(to, tag, view))
     }
 
     fn irecv(&mut self, from: Rank, tag: Tag, bytes: usize) -> CommResult<Req> {
@@ -193,29 +238,41 @@ impl<C: Comm> Comm for RecordComm<C> {
         let slot = self.pending.remove(&req.index());
         let out = self.inner.wait(req)?;
         if let (Some(idx), Some(payload)) = (slot, &out) {
-            if let RecordedEvent::Recv { bytes, digest, .. } = &mut self.events[idx] {
-                *bytes = payload.len();
-                *digest = Some(fnv1a(payload));
-            }
+            self.complete_recv(idx, payload.len(), fnv1a(payload));
         }
         Ok(out)
     }
 
     fn waitall(&mut self, reqs: Vec<Req>) -> CommResult<Vec<Option<Vec<u8>>>> {
-        let slots: Vec<Option<usize>> = reqs
-            .iter()
-            .map(|r| self.pending.remove(&r.index()))
-            .collect();
+        let slots = self.recv_events(&reqs);
         let out = self.inner.waitall(reqs)?;
         for (slot, res) in slots.iter().zip(&out) {
             if let (Some(idx), Some(payload)) = (slot, res) {
-                if let RecordedEvent::Recv { bytes, digest, .. } = &mut self.events[*idx] {
-                    *bytes = payload.len();
-                    *digest = Some(fnv1a(payload));
-                }
+                self.complete_recv(*idx, payload.len(), fnv1a(payload));
             }
         }
         Ok(out)
+    }
+
+    /// Forwards the destinations, then digests what landed in them. The
+    /// inner layer does not say how much arrived, so the event describes the
+    /// whole destination: the arrived payload whenever it was as long as its
+    /// destination, as a verified plan guarantees.
+    fn waitall_into(
+        &mut self,
+        reqs: &mut Vec<Req>,
+        buf: &mut [u8],
+        dests: SgDests<'_>,
+    ) -> CommResult<()> {
+        let slots = self.recv_events(reqs);
+        self.inner.waitall_into(reqs, buf, dests)?;
+        for (i, slot) in slots.iter().enumerate() {
+            if let Some(idx) = *slot {
+                let landed = SgView::new(buf, dests.of(i));
+                self.complete_recv(idx, landed.len(), fnv1a_segments(landed.segments()));
+            }
+        }
+        Ok(())
     }
 
     fn compute(&mut self, bytes: usize) {

@@ -6,6 +6,10 @@
 //! segments straight to the wire (vectored I/O) consume the segments in
 //! order; everything else calls [`SgView::to_vec`] and falls back to the
 //! classic gather-copy, which produces exactly the same payload bytes.
+//!
+//! [`SgDests`] is the receive side: where each request of one
+//! [`Comm::waitall_into`](crate::Comm::waitall_into) lands in the caller's
+//! buffer, named as index spans into a range arena the caller already owns.
 
 use std::ops::Range;
 
@@ -76,6 +80,72 @@ impl<'a> SgView<'a> {
     }
 }
 
+/// Write `data` into `ranges` of `buf` in order, stopping when either runs
+/// out: a short payload fills a prefix, bytes past the last range are dropped.
+///
+/// # Panics
+///
+/// If a range written to is malformed or out of bounds for `buf`.
+pub fn scatter(buf: &mut [u8], ranges: &[Range<usize>], data: &[u8]) {
+    let mut pos = 0;
+    for r in ranges {
+        if pos >= data.len() {
+            break;
+        }
+        let take = r.len().min(data.len() - pos);
+        buf[r.start..r.start + take].copy_from_slice(&data[pos..pos + take]);
+        pos += take;
+    }
+}
+
+/// The destinations of one [`Comm::waitall_into`](crate::Comm::waitall_into):
+/// request `i`'s payload goes, in order, into the ranges `ranges[spans[i]]` of
+/// the buffer passed beside it. A send carries an empty span.
+///
+/// Both slices are borrowed — `ranges` is typically a compiled plan's own
+/// range arena — so naming the destinations of a batch allocates nothing.
+/// The destinations of one call must be pairwise disjoint: payloads land as
+/// they arrive, not in request order.
+#[derive(Debug, Clone, Copy)]
+pub struct SgDests<'a> {
+    ranges: &'a [Range<usize>],
+    spans: &'a [Range<usize>],
+}
+
+impl<'a> SgDests<'a> {
+    /// One span of `ranges` per request.
+    ///
+    /// # Panics
+    ///
+    /// If a span does not lie within `ranges`. Whether a range fits the
+    /// buffer is checked when it is written to.
+    pub fn new(ranges: &'a [Range<usize>], spans: &'a [Range<usize>]) -> Self {
+        for s in spans {
+            assert!(
+                s.start <= s.end && s.end <= ranges.len(),
+                "destination span {s:?} out of bounds for an arena of {} ranges",
+                ranges.len()
+            );
+        }
+        SgDests { ranges, spans }
+    }
+
+    /// Number of requests the destinations are for.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// True when there is no request.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Request `i`'s destination ranges, in payload order.
+    pub fn of(&self, i: usize) -> &'a [Range<usize>] {
+        &self.ranges[self.spans[i].clone()]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +170,33 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
         assert_eq!(v.to_vec(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn scatter_follows_range_order_and_stops_with_the_shorter_side() {
+        let mut buf = vec![0u8; 8];
+        let ranges = [4..8, 0..4];
+        scatter(&mut buf, &ranges, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(buf, vec![5, 6, 7, 8, 1, 2, 3, 4]);
+        // A short payload fills a prefix and leaves the rest alone; a long
+        // one loses its tail.
+        let mut buf = vec![9u8; 6];
+        scatter(&mut buf, std::slice::from_ref(&(0..6)), &[1, 2]);
+        assert_eq!(buf, vec![1, 2, 9, 9, 9, 9]);
+        scatter(&mut buf, std::slice::from_ref(&(4..6)), &[5, 6, 7]);
+        assert_eq!(buf, vec![1, 2, 9, 9, 5, 6]);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn destinations_are_spans_of_one_arena() {
+        let ranges = [0..2, 6..8, 2..6];
+        let spans = [0..2, 2..2, 2..3];
+        let d = SgDests::new(&ranges, &spans);
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.of(0), &[0..2, 6..8]);
+        assert!(d.of(1).is_empty());
+        assert_eq!(d.of(2), &[2..6]);
     }
 
     #[test]

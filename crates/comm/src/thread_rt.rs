@@ -15,7 +15,7 @@
 //! * the scoped-thread harness ([`run_ranks`] and friends) every backend's
 //!   in-process runner is built on.
 
-use crate::engine::{Engine, Inbox, Payload, Transport};
+use crate::engine::{Engine, Inbox, Payload, Posted, Transport};
 use crate::error::{CommError, CommResult};
 use crate::types::{Rank, Tag};
 use std::panic::AssertUnwindSafe;
@@ -128,7 +128,15 @@ impl Transport for Mailbox {
     }
 
     #[inline]
-    fn progress(&mut self, inbox: &mut Inbox, timeout: Duration, from: Option<Rank>) {
+    fn progress(
+        &mut self,
+        inbox: &mut Inbox,
+        _posted: &mut Posted<'_>,
+        timeout: Duration,
+        from: Option<Rank>,
+    ) {
+        // An envelope is already an owned payload when it gets here, so it
+        // goes through the queue and the engine scatters it from there.
         // One mailbox whoever is asked for: a look at `from` would be the
         // receive the park after it starts with, and costs a fence when it
         // comes up empty.

@@ -26,13 +26,15 @@
 //! happens.
 //!
 //! [`Executor::run`] does no overlap scans, keeps its request and
-//! receive-destination arenas across runs, and never gathers a send payload:
-//! payloads go out as borrowed [`SgView`]s via [`Comm::send_sg`].
+//! receive-destination arenas across runs, and never owns a payload: sends
+//! go out as borrowed [`SgView`]s via [`Comm::send_sg`], and a flush is one
+//! [`Comm::waitall_into`] naming the scratch buffer and the plan's own range
+//! arena, so the backend writes received bytes where the plan wants them.
 
 use super::{ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{
-    reduce_into, Comm, CommError, CommResult, DType, Rank, RankTrace, ReduceOp, Req, SgView, Tag,
-    TraceOp,
+    reduce_into, scatter, Comm, CommError, CommResult, DType, Rank, RankTrace, ReduceOp, Req,
+    SgDests, SgView, Tag, TraceOp,
 };
 use std::fmt;
 use std::ops::Range;
@@ -52,6 +54,11 @@ impl Span {
     /// Total bytes the span denotes.
     pub fn bytes(&self) -> usize {
         self.bytes as usize
+    }
+
+    /// The arena indices of the span's ranges.
+    fn indices(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.count) as usize
     }
 }
 
@@ -145,7 +152,7 @@ impl CompiledSchedule {
 
     /// The ranges a span denotes, in payload order.
     pub fn ranges_of(&self, span: Span) -> &[Range<usize>] {
-        &self.ranges[span.start as usize..(span.start + span.count) as usize]
+        &self.ranges[span.indices()]
     }
 }
 
@@ -277,8 +284,10 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
 
 /// One rank's scratch buffer plus the gather scratch its non-contiguous
 /// copy/reduce paths need. The [`Executor`] and the world walker's byte
-/// memory ([`super::eval`]) move bytes only through this type, so what
-/// `Copy`, `Reduce`, and a landing receive do to the buffer is written once.
+/// memory ([`super::eval`]) copy and reduce only through this type, so what
+/// `Copy` and `Reduce` do to the buffer is written once; a receive is
+/// [`scatter`]ed into it by the walker and by the backend under the executor
+/// ([`Comm::waitall_into`]) alike.
 #[derive(Default)]
 pub(super) struct RankMem {
     buf: Vec<u8>,
@@ -302,8 +311,8 @@ impl RankMem {
         SgView::new(&self.buf, plan.ranges_of(span))
     }
 
-    /// Write `data` into `dst`'s ranges in order. A short payload (truncated
-    /// receive) fills a prefix.
+    /// Write `data` into `dst`'s ranges in order. A short payload fills a
+    /// prefix.
     pub(super) fn land(&mut self, plan: &CompiledSchedule, dst: Span, data: &[u8]) {
         scatter(&mut self.buf, plan.ranges_of(dst), data);
     }
@@ -371,31 +380,20 @@ fn gather(out: &mut Vec<u8>, buf: &[u8], ranges: &[Range<usize>]) {
     }
 }
 
-/// Write `data` into `ranges` of `buf` in order, stopping when `data` runs
-/// out.
-fn scatter(buf: &mut [u8], ranges: &[Range<usize>], data: &[u8]) {
-    let mut pos = 0;
-    for r in ranges {
-        if pos >= data.len() {
-            break;
-        }
-        let take = r.len().min(data.len() - pos);
-        buf[r.start..r.start + take].copy_from_slice(&data[pos..pos + take]);
-        pos += take;
-    }
-}
-
 /// Reusable execution state for compiled plans.
 ///
-/// One `Executor` may run any number of plans; its pending-request arena and
-/// compute scratch grow to a high-water mark and are reused, so a steady
-/// state run allocates only what [`Comm::waitall`]'s by-value signature
-/// forces (the request vector itself).
+/// One `Executor` may run any number of plans; its scratch buffer, compute
+/// scratch and the arenas of the requests outstanding since the last flush
+/// grow to a high-water mark and are reused, so on a backend that implements
+/// [`Comm::waitall_into`] itself a steady-state run allocates nothing but
+/// its output.
 #[derive(Default)]
 pub struct Executor {
     mem: RankMem,
     reqs: Vec<Req>,
-    dsts: Vec<Option<Span>>,
+    /// Per outstanding request, where its payload lands: the arena indices
+    /// of a receive's destination ranges, empty for a send.
+    dsts: Vec<Range<usize>>,
 }
 
 impl Executor {
@@ -442,24 +440,20 @@ impl Executor {
         for step in plan.steps() {
             match step {
                 CStep::Flush => {
-                    let reqs = std::mem::take(&mut self.reqs);
-                    let results = c.waitall(reqs)?;
-                    for (res, dst) in results.into_iter().zip(self.dsts.drain(..)) {
-                        if let (Some(payload), Some(span)) = (res, dst) {
-                            self.mem.land(plan, span, &payload);
-                        }
-                    }
+                    let dests = SgDests::new(&plan.ranges, &self.dsts);
+                    c.waitall_into(&mut self.reqs, &mut self.mem.buf, dests)?;
+                    self.dsts.clear();
                 }
                 CStep::Mark { label, round } => c.mark(label, *round),
                 CStep::Send { to, tag, src } => {
                     let req = c.send_sg(*to, *tag, self.mem.view(plan, *src))?;
                     self.reqs.push(req);
-                    self.dsts.push(None);
+                    self.dsts.push(0..0);
                 }
                 CStep::Recv { from, tag, dst } => {
                     let req = c.irecv(*from, *tag, dst.bytes())?;
                     self.reqs.push(req);
-                    self.dsts.push(Some(*dst));
+                    self.dsts.push(dst.indices());
                 }
                 CStep::Copy { src, dst } => self.mem.copy(plan, *src, *dst),
                 CStep::Reduce {
@@ -726,18 +720,10 @@ mod tests {
     }
 
     #[test]
-    fn scatter_and_gather_follow_range_order() {
-        let mut buf = vec![0u8; 8];
-        let ranges = [4..8, 0..4];
-        scatter(&mut buf, &ranges, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(buf, vec![5, 6, 7, 8, 1, 2, 3, 4]);
+    fn gather_follows_range_order() {
         let mut out = vec![9];
-        gather(&mut out, &buf, &ranges);
+        gather(&mut out, &[5, 6, 7, 8, 1, 2, 3, 4], &[4..8, 0..4]);
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        // A short payload fills a prefix and leaves the rest alone.
-        let mut buf = vec![9u8; 6];
-        scatter(&mut buf, std::slice::from_ref(&(0..6)), &[1, 2]);
-        assert_eq!(buf, vec![1, 2, 9, 9, 9, 9]);
     }
 
     #[test]

@@ -19,6 +19,18 @@
 //! progress during a reduction, the usual trade-off of an MPI without a
 //! progress thread.
 //!
+//! A message the rank is blocked on in `waitall_into` skips the inbox: when
+//! its header is decoded the engine is asked ([`Posted::claim`]) whether the
+//! body may go straight to the posted destination, and if so the decoder
+//! `read`s it there — out of the read-ahead for a small frame, from the
+//! socket for a large one, range by range for a scattered destination. No
+//! payload `Vec`, no second copy. A frame that arrives while nothing waits
+//! for it (during a blocked send, or ahead of its `waitall_into`) is queued
+//! as before. When the call fails half-way through a body — timeout, abort,
+//! another peer's departure — the destination is gone but the bytes still
+//! come: the decoder reads the rest of that frame to nowhere, so the stream
+//! stays in step with its frames.
+//!
 //! Sends are eager: a send writes the frame into the kernel socket buffer
 //! and completes locally. When the buffer is full the send does not block in
 //! the kernel: it polls for room on that peer *and* for input from everyone,
@@ -41,11 +53,11 @@ use crate::bootstrap::{
 };
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::wire::{
-    read_frame, resume_frame_parts, write_frame, Frame, FrameDecoder, KIND_ABORT, KIND_GONE,
+    read_frame, resume_frame_parts, write_frame, Frame, FrameDecoder, Land, KIND_ABORT, KIND_GONE,
     KIND_HELLO, KIND_IDENT, KIND_MSG, KIND_TABLE, READ_BUF_LEN,
 };
 use exacoll_comm::{
-    expect_all_ranks, run_scoped, CommError, CommResult, Engine, Inbox, Payload, Rank, Tag,
+    expect_all_ranks, run_scoped, CommError, CommResult, Engine, Inbox, Payload, Posted, Rank, Tag,
     Transport,
 };
 use std::io;
@@ -62,6 +74,78 @@ struct Peer {
     decoder: FrameDecoder,
 }
 
+/// What one [`Peer::pump`] feeds: the engine's inbox for frames nobody is
+/// blocked on, the posted destinations for the ones somebody is.
+struct Delivery<'a, 'p> {
+    inbox: &'a mut Inbox,
+    posted: &'a mut Posted<'p>,
+    peer: Rank,
+    /// Payload bytes this pump has queued or landed.
+    moved: usize,
+    #[cfg(test)]
+    landed: usize,
+}
+
+impl Land for Delivery<'_, '_> {
+    fn claim(&mut self, src: u32, tag: u32, len: usize) -> bool {
+        src as Rank == self.peer && self.posted.claim(self.inbox, self.peer, tag, len)
+    }
+
+    fn window(&mut self) -> Option<&mut [u8]> {
+        self.posted.window(self.peer)
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.posted.advance(self.peer, n);
+        self.moved += n;
+        #[cfg(test)]
+        {
+            self.landed += n;
+        }
+    }
+}
+
+impl Peer {
+    /// Read the socket, feeding `to`, until it has nothing more or this call
+    /// has moved a read buffer's worth of payload: what the rank has not
+    /// asked for yet stays in the kernel, where it counts against the
+    /// sender's window, instead of piling up in the unexpected queue
+    /// (level-triggered `poll` reports it again). `false` once the peer is
+    /// done: GONE, an unrecognized kind (the stream is corrupt), EOF or a
+    /// socket error — a crashed process looks exactly like a clean exit —
+    /// and by then everything it sent before has been delivered.
+    fn pump(&mut self, to: &mut Delivery<'_, '_>, abort_origin: &mut Option<Rank>) -> bool {
+        loop {
+            // A short read emptied the socket: level-triggered `poll`
+            // reports whatever races in after it.
+            let drained = match self.decoder.fill(&mut self.stream, to) {
+                Ok(drained) => drained,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
+            loop {
+                match self.decoder.next_frame(to) {
+                    Ok(Some(frame)) => match frame.kind {
+                        KIND_MSG => {
+                            to.moved += frame.payload.len();
+                            to.inbox
+                                .deliver(frame.src as Rank, frame.tag, frame.payload);
+                        }
+                        KIND_ABORT => {
+                            abort_origin.get_or_insert(frame.src as Rank);
+                        }
+                        _ => return false,
+                    },
+                    Ok(None) if drained || to.moved >= READ_BUF_LEN => return true,
+                    Ok(None) => break,
+                    Err(_) => return false,
+                }
+            }
+        }
+    }
+}
+
 /// One rank's side of the TCP mesh.
 pub struct Mesh {
     rank: Rank,
@@ -76,6 +160,9 @@ pub struct Mesh {
     /// How many times this endpoint parked in `poll`.
     #[cfg(test)]
     polls: usize,
+    /// Payload bytes read straight into a posted destination.
+    #[cfg(test)]
+    landed: usize,
 }
 
 /// One rank's endpoint of a TCP socket world.
@@ -131,6 +218,8 @@ pub fn join(rank: Rank, size: usize, opts: &SocketOptions) -> CommResult<SocketC
         abort_origin: None,
         #[cfg(test)]
         polls: 0,
+        #[cfg(test)]
+        landed: 0,
     };
     Ok(Engine::new(rank, size, opts.deadline, mesh))
 }
@@ -153,50 +242,31 @@ impl Mesh {
         }
     }
 
-    /// Read `peer`'s socket, feeding the inbox, until it has nothing more or
-    /// this call has delivered a read buffer's worth of payload: what the
-    /// rank has not asked for yet stays in the kernel, where it counts
-    /// against the sender's window, instead of piling up in the unexpected
-    /// queue (level-triggered `poll` reports it again). GONE, an
-    /// unrecognized kind (the stream is corrupt), EOF or a socket error all
-    /// mean the peer is done — a crashed process looks exactly like a clean
-    /// exit — and by then everything it sent before has been delivered.
-    fn drain(&mut self, inbox: &mut Inbox, peer: Rank) {
+    /// Read what `peer`'s socket holds ([`Peer::pump`]) and note its
+    /// departure if that is what it held.
+    fn drain(&mut self, inbox: &mut Inbox, posted: &mut Posted<'_>, peer: Rank) {
         if inbox.is_gone(peer) {
             return;
         }
         let Some(conn) = self.peers[peer].as_mut() else {
             return;
         };
-        let mut queued = 0usize;
-        'read: loop {
-            // A short read emptied the socket: level-triggered `poll`
-            // reports whatever races in after it.
-            let drained = match conn.decoder.fill(&mut conn.stream) {
-                Ok(drained) => drained,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            };
-            loop {
-                match conn.decoder.next_frame() {
-                    Ok(Some(frame)) => match frame.kind {
-                        KIND_MSG => {
-                            queued += frame.payload.len();
-                            inbox.deliver(frame.src as Rank, frame.tag, frame.payload);
-                        }
-                        KIND_ABORT => {
-                            self.abort_origin.get_or_insert(frame.src as Rank);
-                        }
-                        _ => break 'read,
-                    },
-                    Ok(None) if drained || queued >= READ_BUF_LEN => return,
-                    Ok(None) => continue 'read,
-                    Err(_) => break 'read,
-                }
-            }
+        let mut to = Delivery {
+            inbox,
+            posted,
+            peer,
+            moved: 0,
+            #[cfg(test)]
+            landed: 0,
+        };
+        let alive = conn.pump(&mut to, &mut self.abort_origin);
+        #[cfg(test)]
+        {
+            self.landed += to.landed;
         }
-        self.mark_gone(inbox, peer);
+        if !alive {
+            self.mark_gone(inbox, peer);
+        }
     }
 
     /// Record `peer`'s departure and take it out of the poll set.
@@ -207,7 +277,13 @@ impl Mesh {
 
     /// Park until some live peer's socket is readable — or `writable`'s has
     /// room again — or `timeout` passes, then drain every readable socket.
-    fn park(&mut self, inbox: &mut Inbox, timeout: Duration, writable: Option<Rank>) {
+    fn park(
+        &mut self,
+        inbox: &mut Inbox,
+        posted: &mut Posted<'_>,
+        timeout: Duration,
+        writable: Option<Rank>,
+    ) {
         #[cfg(test)]
         {
             self.polls += 1;
@@ -226,7 +302,7 @@ impl Mesh {
             // Anything but "room to write" is input, EOF or an error, and
             // reading is how each of them is told apart.
             if self.pollfds[peer].revents & !POLLOUT != 0 {
-                self.drain(inbox, peer);
+                self.drain(inbox, posted, peer);
             }
         }
     }
@@ -273,7 +349,9 @@ impl Transport for Mesh {
                     bytes: segments.iter().map(|s| s.len()).sum(),
                 };
             };
-            self.park(inbox, left, Some(to));
+            // Nothing is offered a destination from here: a message read
+            // while this send waits for room is queued.
+            self.park(inbox, &mut Posted::none(), left, Some(to));
             if let Some(origin) = self.abort_origin {
                 break CommError::Aborted { origin };
             }
@@ -297,10 +375,16 @@ impl Transport for Mesh {
     /// arrived is taken with one `read`, and `poll` is only paid for when
     /// that came up empty; with none, park in `poll`.
     #[inline]
-    fn progress(&mut self, inbox: &mut Inbox, timeout: Duration, from: Option<Rank>) {
+    fn progress(
+        &mut self,
+        inbox: &mut Inbox,
+        posted: &mut Posted<'_>,
+        timeout: Duration,
+        from: Option<Rank>,
+    ) {
         match from {
-            Some(peer) => self.drain(inbox, peer),
-            None => self.park(inbox, timeout, None),
+            Some(peer) => self.drain(inbox, posted, peer),
+            None => self.park(inbox, posted, timeout, None),
         }
     }
 
@@ -472,7 +556,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{Comm, SgView};
+    use exacoll_comm::{Comm, SgDests, SgView};
 
     /// A message far larger than the kernel's socket buffers, so a sender
     /// cannot finish it unless the receiver reads.
@@ -618,6 +702,37 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn a_receive_waited_on_before_it_arrives_is_read_into_its_destination() {
+        // Rank 1 sends only once rank 0 has told it to, and nothing is read
+        // outside `Comm` calls: whenever the megabyte reaches rank 0's
+        // socket, the first read of it happens inside the `waitall_into`
+        // that names its destination — two ranges, swapped — and takes as
+        // many reads as the kernel's buffers make it, none of them past the
+        // message's end: the small one behind it stays in the socket.
+        let n = 1 << 20;
+        let out = run_socket_ranks(2, |c| {
+            if c.rank() == 1 {
+                c.recv(0, 1, 1)?;
+                c.send(0, 2, pattern(1, 0, n))?;
+                c.send(0, 3, vec![9; 16])?;
+                return Ok(vec![]);
+            }
+            let go = c.isend(1, 1, vec![0])?;
+            let mut reqs = vec![go, c.irecv(1, 2, n)?];
+            let mut buf = vec![0u8; n];
+            let (ranges, spans) = ([n / 2..n, 0..n / 2], [0..0, 0..2]);
+            c.waitall_into(&mut reqs, &mut buf, SgDests::new(&ranges, &spans))?;
+            assert_eq!(c.transport().landed, n);
+            assert_eq!(c.queued(), 0);
+            assert_eq!(c.recv(1, 3, 16)?, vec![9; 16]);
+            assert_eq!(c.transport().landed, n, "an owned receive never lands");
+            Ok(buf)
+        });
+        let sent = pattern(1, 0, n);
+        assert!(out[0][n / 2..] == sent[..n / 2] && out[0][..n / 2] == sent[n / 2..]);
     }
 
     #[test]

@@ -184,22 +184,61 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
 
 /// Read-ahead per connection of the incremental decoder. A frame that fits
 /// is decoded out of this buffer (small frames that are already in the
-/// socket cost one `read` for however many there are); a larger one gets
-/// its payload `Vec` once and is read straight into it.
+/// socket cost one `read` for however many there are); the body of a larger
+/// one is read straight to where it is going — a claimed destination, or a
+/// payload `Vec` allocated once.
 pub(crate) const READ_BUF_LEN: usize = 16 * 1024;
+
+/// Where the decoder puts the body of a message someone is blocked on,
+/// instead of building a [`Frame`] for the queue.
+pub(crate) trait Land {
+    /// A [`KIND_MSG`] header was decoded: should its `len` body bytes go
+    /// through [`window`](Self::window) rather than into a `Frame`? May be
+    /// asked again for a header whose frame is still incomplete.
+    fn claim(&mut self, src: u32, tag: u32, len: usize) -> bool;
+
+    /// Room for the next body bytes of the claimed message — never empty,
+    /// never more than the message has left — or `None` once nobody wants
+    /// them, and they are discarded.
+    fn window(&mut self) -> Option<&mut [u8]>;
+
+    /// The first `n` bytes of the last window were written.
+    fn advance(&mut self, n: usize);
+}
+
+/// The body the decoder is in the middle of.
+enum Body {
+    /// Between frames, or inside one that fits the read-ahead.
+    None,
+    /// A frame larger than the read-ahead, with how much of its payload has
+    /// arrived.
+    Queued(Frame, usize),
+    /// A claimed message with this many bytes still to come; the read-ahead
+    /// holds nothing else until they have.
+    Landing(usize),
+}
 
 /// [`read_frame`] for a source that hands bytes over in arbitrary pieces —
 /// a nonblocking socket. [`fill`](Self::fill) performs one `read`,
 /// [`next_frame`](Self::next_frame) pops the frames that read completed;
 /// the frames and the terminal error are those `read_frame` would produce
-/// on the same byte stream.
+/// on the same byte stream, except that the body of a message the caller's
+/// [`Land`] claims is written into its windows and yields no frame.
 pub(crate) struct FrameDecoder {
     buf: Box<[u8]>,
     /// `buf[start..end]` holds bytes read but not yet decoded.
     start: usize,
     end: usize,
-    /// A frame larger than `buf`, with how much of its payload has arrived.
-    large: Option<(Frame, usize)>,
+    body: Body,
+}
+
+/// One `read`, with end of stream as `UnexpectedEof` (as it is for
+/// `read_frame`, also between frames).
+fn read_some(r: &mut impl Read, space: &mut [u8]) -> io::Result<usize> {
+    match r.read(space)? {
+        0 => Err(io::ErrorKind::UnexpectedEof.into()),
+        n => Ok(n),
+    }
 }
 
 impl FrameDecoder {
@@ -208,73 +247,146 @@ impl FrameDecoder {
             buf: vec![0u8; READ_BUF_LEN].into_boxed_slice(),
             start: 0,
             end: 0,
-            large: None,
+            body: Body::None,
         }
     }
 
-    /// One `read` from `r` into the large frame in progress, or else into
-    /// the buffer. `Ok(true)` means the read came back short, i.e. the
-    /// source had nothing more at that moment; end of stream is
-    /// `UnexpectedEof` (as it is for `read_frame`, also between frames).
-    /// Call only after [`next_frame`](Self::next_frame) returned `None`.
-    pub(crate) fn fill(&mut self, r: &mut impl Read) -> io::Result<bool> {
-        let (space, filled) = match &mut self.large {
-            Some((frame, filled)) => (&mut frame.payload[*filled..], filled),
-            None => {
+    /// One `read` from `r` into the body in progress — a large frame's
+    /// payload, a claimed message's window, or nowhere once the claim has
+    /// lapsed — or else into the buffer. `Ok(true)` means the read came back
+    /// short, i.e. the source had nothing more at that moment. Call only
+    /// after [`next_frame`](Self::next_frame) returned `None`.
+    pub(crate) fn fill(&mut self, r: &mut impl Read, land: &mut impl Land) -> io::Result<bool> {
+        let (n, room) = match &mut self.body {
+            Body::Queued(frame, filled) => {
+                let space = &mut frame.payload[*filled..];
+                let n = read_some(r, space)?;
+                *filled += n;
+                (n, space.len())
+            }
+            Body::Landing(left) => {
+                let (n, room) = match land.window() {
+                    Some(window) => {
+                        let room = window.len().min(*left);
+                        let n = read_some(r, &mut window[..room])?;
+                        land.advance(n);
+                        (n, room)
+                    }
+                    None => {
+                        let room = self.buf.len().min(*left);
+                        (read_some(r, &mut self.buf[..room])?, room)
+                    }
+                };
+                *left -= n;
+                if *left == 0 {
+                    self.body = Body::None;
+                }
+                (n, room)
+            }
+            Body::None => {
                 // What is left is the head of one incomplete frame that
                 // fits the buffer; at the front it has room to complete.
                 self.buf.copy_within(self.start..self.end, 0);
                 self.end -= self.start;
                 self.start = 0;
-                (&mut self.buf[self.end..], &mut self.end)
+                let space = &mut self.buf[self.end..];
+                let n = read_some(r, space)?;
+                self.end += n;
+                (n, space.len())
             }
         };
-        match r.read(space)? {
-            0 => Err(io::ErrorKind::UnexpectedEof.into()),
-            n => {
-                *filled += n;
-                Ok(n < space.len())
-            }
-        }
+        Ok(n < room)
     }
 
-    /// The next complete frame, if the bytes read so far hold one.
-    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Frame>> {
-        if let Some((frame, filled)) = &self.large {
-            if *filled < frame.payload.len() {
-                return Ok(None);
+    /// The next complete frame, if the bytes read so far hold one. Body
+    /// bytes of a claimed message that came in behind its header are moved
+    /// to `land` on the way.
+    pub(crate) fn next_frame(&mut self, land: &mut impl Land) -> io::Result<Option<Frame>> {
+        loop {
+            match &mut self.body {
+                Body::None => {}
+                Body::Queued(frame, filled) => {
+                    if *filled < frame.payload.len() {
+                        return Ok(None);
+                    }
+                    let Body::Queued(frame, _) = std::mem::replace(&mut self.body, Body::None)
+                    else {
+                        unreachable!("matched above");
+                    };
+                    return Ok(Some(frame));
+                }
+                Body::Landing(left) => {
+                    let have = (self.end - self.start).min(*left);
+                    if have == 0 {
+                        return Ok(None);
+                    }
+                    let n = match land.window() {
+                        Some(window) => {
+                            let n = window.len().min(have);
+                            window[..n].copy_from_slice(&self.buf[self.start..self.start + n]);
+                            land.advance(n);
+                            n
+                        }
+                        None => have,
+                    };
+                    self.start += n;
+                    *left -= n;
+                    if *left == 0 {
+                        self.body = Body::None;
+                    }
+                    continue;
+                }
             }
-            return Ok(self.large.take().map(|(frame, _)| frame));
-        }
-        let avail = &self.buf[self.start..self.end];
-        let Some((header, body)) = avail.split_first_chunk::<HEADER_LEN>() else {
+            let avail = &self.buf[self.start..self.end];
+            let Some((header, body)) = avail.split_first_chunk::<HEADER_LEN>() else {
+                return Ok(None);
+            };
+            let (kind, src, tag, len) = parse_header(header)?;
+            if kind == KIND_MSG && land.claim(src, tag, len) {
+                self.start += HEADER_LEN;
+                if len > 0 {
+                    self.body = Body::Landing(len);
+                }
+                continue;
+            }
+            let mut frame = Frame {
+                kind,
+                src,
+                tag,
+                payload: Vec::new(),
+            };
+            if let Some(payload) = body.get(..len) {
+                frame.payload = payload.to_vec();
+                self.start += HEADER_LEN + len;
+                return Ok(Some(frame));
+            }
+            if HEADER_LEN + len > self.buf.len() {
+                frame.payload = vec![0u8; len];
+                frame.payload[..body.len()].copy_from_slice(body);
+                self.body = Body::Queued(frame, body.len());
+                self.start = self.end;
+            }
             return Ok(None);
-        };
-        let (kind, src, tag, len) = parse_header(header)?;
-        let mut frame = Frame {
-            kind,
-            src,
-            tag,
-            payload: Vec::new(),
-        };
-        if let Some(payload) = body.get(..len) {
-            frame.payload = payload.to_vec();
-            self.start += HEADER_LEN + len;
-            return Ok(Some(frame));
         }
-        if HEADER_LEN + len > self.buf.len() {
-            frame.payload = vec![0u8; len];
-            frame.payload[..body.len()].copy_from_slice(body);
-            self.large = Some((frame, body.len()));
-            self.start = self.end;
-        }
-        Ok(None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Claims nothing: every frame is decoded for the queue.
+    struct Queue;
+
+    impl Land for Queue {
+        fn claim(&mut self, _src: u32, _tag: u32, _len: usize) -> bool {
+            false
+        }
+        fn window(&mut self) -> Option<&mut [u8]> {
+            None
+        }
+        fn advance(&mut self, _n: usize) {}
+    }
 
     #[test]
     fn frames_round_trip() {
@@ -439,27 +551,87 @@ mod tests {
         let (small, large) = wire.split_at(3 * (HEADER_LEN + 64));
 
         let mut decoder = FrameDecoder::new();
-        assert!(decoder.next_frame().unwrap().is_none());
+        let q = &mut Queue;
+        assert!(decoder.next_frame(q).unwrap().is_none());
         let mut socket = small;
-        assert!(decoder.fill(&mut socket).unwrap(), "short read: drained");
+        assert!(decoder.fill(&mut socket, q).unwrap(), "short read: drained");
         for tag in 0..3 {
             let frame = decoder
-                .next_frame()
+                .next_frame(q)
                 .unwrap()
                 .expect("decoded from the buffer");
             assert_eq!(frame, Frame::msg(1, tag, vec![tag as u8; 64]));
         }
-        assert!(decoder.next_frame().unwrap().is_none());
+        assert!(decoder.next_frame(q).unwrap().is_none());
 
         let mut socket = large;
-        assert!(!decoder.fill(&mut socket).unwrap(), "filled the buffer");
-        assert!(decoder.next_frame().unwrap().is_none());
+        assert!(!decoder.fill(&mut socket, q).unwrap(), "filled the buffer");
+        assert!(decoder.next_frame(q).unwrap().is_none());
         // The rest goes straight into the payload, in one read here.
-        assert!(!decoder.fill(&mut socket).unwrap());
+        assert!(!decoder.fill(&mut socket, q).unwrap());
         assert!(socket.is_empty());
-        assert_eq!(decoder.next_frame().unwrap(), Some(big));
-        let eof = decoder.fill(&mut socket).unwrap_err();
+        assert_eq!(decoder.next_frame(q).unwrap(), Some(big));
+        let eof = decoder.fill(&mut socket, q).unwrap_err();
         assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// The same reads with the large message claimed: what came in behind
+    /// its header is copied out of the read-ahead, the rest is read straight
+    /// into the destination, window by window, and no frame comes out.
+    #[test]
+    fn a_claimed_body_is_read_into_its_windows() {
+        struct Halves {
+            dest: Vec<u8>,
+            filled: usize,
+        }
+        impl Land for Halves {
+            fn claim(&mut self, src: u32, tag: u32, len: usize) -> bool {
+                (src, tag, len) == (2, 9, self.dest.len())
+            }
+            fn window(&mut self) -> Option<&mut [u8]> {
+                // Two ranges' worth: a window never crosses the middle.
+                let half = self.dest.len() / 2;
+                let end = if self.filled < half {
+                    half
+                } else {
+                    self.dest.len()
+                };
+                Some(&mut self.dest[self.filled..end])
+            }
+            fn advance(&mut self, n: usize) {
+                self.filled += n;
+            }
+        }
+        let payload: Vec<u8> = (0..3 * READ_BUF_LEN).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::msg(1, 0, vec![7; 64])).unwrap();
+        write_frame(&mut wire, &Frame::msg(2, 9, payload.clone())).unwrap();
+        write_frame(&mut wire, &Frame::control(KIND_GONE, 2)).unwrap();
+
+        let mut land = Halves {
+            dest: vec![0; payload.len()],
+            filled: 0,
+        };
+        let mut decoder = FrameDecoder::new();
+        let mut socket = &wire[..];
+        assert!(!decoder.fill(&mut socket, &mut land).unwrap());
+        let first = decoder.next_frame(&mut land).unwrap();
+        assert_eq!(first, Some(Frame::msg(1, 0, vec![7; 64])));
+        assert!(decoder.next_frame(&mut land).unwrap().is_none());
+        let buffered = READ_BUF_LEN - 2 * HEADER_LEN - 64;
+        assert_eq!(land.filled, buffered);
+        // One read to the middle, one to the end — and not a byte further.
+        assert!(!decoder.fill(&mut socket, &mut land).unwrap());
+        assert_eq!(land.filled, payload.len() / 2);
+        assert!(decoder.next_frame(&mut land).unwrap().is_none());
+        assert!(!decoder.fill(&mut socket, &mut land).unwrap());
+        assert_eq!(land.filled, payload.len());
+        assert_eq!(socket.len(), HEADER_LEN);
+        assert!(land.dest == payload);
+        assert!(decoder.next_frame(&mut land).unwrap().is_none());
+        assert!(decoder.fill(&mut socket, &mut land).unwrap());
+        let last = decoder.next_frame(&mut land).unwrap();
+        assert_eq!(last, Some(Frame::control(KIND_GONE, 2)));
     }
 
     /// Hands a byte stream over in pieces of `1..=max_chunk` bytes, refusing
@@ -554,14 +726,113 @@ mod tests {
 
             let mut pieces = Pieces { data: &stream, max_chunk, state: seed };
             let mut decoder = FrameDecoder::new();
-            let got = drive(|| match decoder.next_frame()? {
+            let got = drive(|| match decoder.next_frame(&mut Queue)? {
                 Some(frame) => Ok(Some(frame)),
-                None => decoder.fill(&mut pieces).map(|_| None),
+                None => decoder.fill(&mut pieces, &mut Queue).map(|_| None),
             });
             prop_assert_eq!(&got.1, &expected.1);
             prop_assert!(got.0 == expected.0, "frames differ ({} vs {})", got.0.len(), expected.0.len());
             let want = if ending == 2 { io::ErrorKind::InvalidData } else { io::ErrorKind::UnexpectedEof };
             prop_assert_eq!(got.1, want);
+
+            // With some messages claimed — windows of a few bytes to a few
+            // buffers, some claims dropped part-way as a failed
+            // `waitall_into` drops them — landed bytes and queued frames
+            // together are still what `read_frame` decodes: every message
+            // whole and in order, a dropped one up to where it was dropped,
+            // and the frames behind it untouched.
+            let mut pieces = Pieces { data: &stream, max_chunk, state: seed };
+            let mut decoder = FrameDecoder::new();
+            let mut land = Claims { state: seed ^ 0x9E37_79B9, current: None, log: Vec::new() };
+            let (queued, kind) = drive(|| match decoder.next_frame(&mut land)? {
+                Some(frame) => {
+                    land.log.push((frame.clone(), None));
+                    Ok(Some(frame))
+                }
+                None => decoder.fill(&mut pieces, &mut land).map(|_| None),
+            });
+            prop_assert_eq!(kind, want);
+            // A claim still open when the stream ended never completed; one
+            // dropped before a truncated tail is the only entry `read_frame`
+            // has no frame for.
+            let log = land.log;
+            prop_assert!(log.len() >= queued.len());
+            prop_assert!(log.len() == expected.0.len()
+                || (log.len() == expected.0.len() + 1 && log.last().unwrap().1.is_some()),
+                "{} entries for {} frames", log.len(), expected.0.len());
+            for ((frame, dropped_at), whole) in log.iter().zip(&expected.0) {
+                match dropped_at {
+                    None => prop_assert!(frame == whole),
+                    Some(at) => {
+                        prop_assert_eq!((frame.kind, frame.src, frame.tag), (whole.kind, whole.src, whole.tag));
+                        prop_assert!(frame.payload.len() == *at && whole.payload.starts_with(&frame.payload));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Claims about half the messages it is asked about, hands out windows
+    /// of varying length over a buffer of its own, and drops about a third
+    /// of its claims somewhere inside the body.
+    struct Claims {
+        state: u64,
+        /// The claimed message, what has landed of it, and where it will be
+        /// dropped.
+        current: Option<(Frame, usize, Option<usize>)>,
+        /// Every frame in stream order: queued ones as decoded, claimed ones
+        /// once whole, dropped ones (with the offset) when dropped.
+        log: Vec<(Frame, Option<usize>)>,
+    }
+
+    impl Claims {
+        fn draw(&mut self) -> usize {
+            self.state = self
+                .state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.state >> 33) as usize
+        }
+    }
+
+    impl Land for Claims {
+        fn claim(&mut self, src: u32, tag: u32, len: usize) -> bool {
+            assert!(self.current.is_none(), "claim inside a claimed body");
+            if self.draw().is_multiple_of(2) {
+                return false;
+            }
+            let frame = Frame::msg(src as Rank, tag, vec![0; len]);
+            if len == 0 {
+                self.log.push((frame, None));
+            } else {
+                let drop_at = self.draw().is_multiple_of(3).then(|| self.draw() % len);
+                self.current = Some((frame, 0, drop_at));
+            }
+            true
+        }
+
+        fn window(&mut self) -> Option<&mut [u8]> {
+            let draw = self.draw();
+            if matches!(self.current, Some((_, filled, Some(at))) if filled == at) {
+                let (mut frame, filled, _) = self.current.take()?;
+                frame.payload.truncate(filled);
+                self.log.push((frame, Some(filled)));
+                return None;
+            }
+            let (frame, filled, drop_at) = self.current.as_mut()?;
+            let stop = drop_at.unwrap_or(frame.payload.len());
+            let room = 1 + draw % [3, 100, 5000, 40_000][draw % 4];
+            let end = stop.min(*filled + room);
+            Some(&mut frame.payload[*filled..end])
+        }
+
+        fn advance(&mut self, n: usize) {
+            let (frame, filled, _) = self.current.as_mut().expect("advance without a window");
+            *filled += n;
+            if *filled == frame.payload.len() {
+                let (frame, ..) = self.current.take().expect("checked above");
+                self.log.push((frame, None));
+            }
         }
     }
 }

@@ -15,7 +15,7 @@
 //! be far after `end`; the critical-path walk uses `done`, the Chrome trace
 //! draws `begin..end`.
 
-use exacoll_comm::{Comm, CommResult, Rank, RankTrace, Req, SgView, Tag, TraceOp};
+use exacoll_comm::{Comm, CommResult, Rank, RankTrace, Req, SgDests, SgView, Tag, TraceOp};
 use exacoll_sim::OpTiming;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -168,6 +168,32 @@ impl<C: Comm> TimedComm<C> {
         self.events.len() - 1
     }
 
+    /// The Send/Recv events `reqs` belong to, which a wait on them covers.
+    fn covered(&mut self, reqs: &[Req]) -> Vec<usize> {
+        reqs.iter()
+            .filter_map(|r| self.pending.remove(&r.index()))
+            .collect()
+    }
+
+    /// Run the inner wait and record it as one `Wait` event over `covered`.
+    fn timed_wait<T>(
+        &mut self,
+        covered: Vec<usize>,
+        wait: impl FnOnce(&mut C) -> CommResult<T>,
+    ) -> CommResult<T> {
+        let begin = self.now_ns();
+        let out = wait(&mut self.inner)?;
+        let end = self.now_ns();
+        // The wait's return is the first moment completion is *observed*;
+        // credit covered ops with that completion time.
+        for &c in &covered {
+            self.events[c].done_ns = end;
+        }
+        let idx = self.push(EventKind::Wait, None, None, 0, begin, end);
+        self.events[idx].covers = covered.iter().map(|&c| c as u32).collect();
+        Ok(out)
+    }
+
     /// Stop recording: return the inner backend and the recorded timeline.
     pub fn into_parts(self) -> (C, RankTimeline) {
         let timeline = RankTimeline {
@@ -237,21 +263,21 @@ impl<C: Comm> Comm for TimedComm<C> {
     }
 
     fn waitall(&mut self, reqs: Vec<Req>) -> CommResult<Vec<Option<Vec<u8>>>> {
-        let covered: Vec<usize> = reqs
-            .iter()
-            .filter_map(|r| self.pending.remove(&r.index()))
-            .collect();
-        let begin = self.now_ns();
-        let out = self.inner.waitall(reqs)?;
-        let end = self.now_ns();
-        // The wait's return is the first moment completion is *observed*;
-        // credit covered ops with that completion time.
-        for &c in &covered {
-            self.events[c].done_ns = end;
-        }
-        let idx = self.push(EventKind::Wait, None, None, 0, begin, end);
-        self.events[idx].covers = covered.iter().map(|&c| c as u32).collect();
-        Ok(out)
+        let covered = self.covered(&reqs);
+        self.timed_wait(covered, |c| c.waitall(reqs))
+    }
+
+    /// Forwards the destinations to the inner backend, so a timeline
+    /// measures the receive path applications take — `SocketComm` reading
+    /// into the posted buffer — and records the same one `Wait` event.
+    fn waitall_into(
+        &mut self,
+        reqs: &mut Vec<Req>,
+        buf: &mut [u8],
+        dests: SgDests<'_>,
+    ) -> CommResult<()> {
+        let covered = self.covered(reqs);
+        self.timed_wait(covered, |c| c.waitall_into(reqs, buf, dests))
     }
 
     fn compute(&mut self, bytes: usize) {

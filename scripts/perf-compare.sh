@@ -14,6 +14,11 @@
 # `ok`, `gain` and `unresolved` alike (a host too noisy to tell is not a
 # failure of the change).
 #
+# A side that fails (the benchmark's own self-tests run before every
+# measurement and have flaked) is run once more; if it fails again that
+# seed's pair is dropped — both files, so the runs stay paired — and the
+# compare goes on. Stderr ends with how many pairs were judged.
+#
 # Everything lands under target/perf-compare/ (ignored): the worktree, the two
 # target directories and base-results/ + head-results/, one JSON per seed.
 # The benchmark pins itself to one CPU, so run nothing else beside it.
@@ -43,12 +48,24 @@ run_side() { # <checkout> <name> <seed>
         --out "$work/$2-results/seed$3.json" >/dev/null
 }
 
+try_side() { # same arguments; one retry
+    run_side "$@" && return
+    echo "perf-compare: $2 failed on seed $3, running it once more" >&2
+    run_side "$@"
+}
+
+judged=0
 for i in $(seq 1 "$pairs"); do
     seed=$(( seed0 + i ))
     echo "perf-compare: pair $i/$pairs (seed $seed)" >&2
-    run_side "$base_dir" base "$seed"
-    run_side "$head_dir" head "$seed"
+    if try_side "$base_dir" base "$seed" && try_side "$head_dir" head "$seed"; then
+        judged=$(( judged + 1 ))
+    else
+        echo "perf-compare: pair $i dropped: a side failed twice on seed $seed" >&2
+        rm -f "$work/base-results/seed$seed.json" "$work/head-results/seed$seed.json"
+    fi
 done
+echo "perf-compare: $judged of $pairs pairs judged" >&2
 
 CARGO_TARGET_DIR="$work/head-target" "$head_dir/perf/run.sh" compare \
     "$work/base-results" "$work/head-results"

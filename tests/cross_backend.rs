@@ -197,6 +197,73 @@ fn compiled_plans_with_scatter_gather_sends_agree_on_both_backends() {
 }
 
 #[test]
+fn fused_receives_with_scattered_destinations_land_over_real_sockets() {
+    // A halo exchange whose blocks arrive in every other slot of the inbox,
+    // last slot first: aggregation fuses the six receives into one whose
+    // destination is six separate ranges, and `SocketComm` has to fill them
+    // range by range as the frame arrives — out of its read-ahead for the
+    // 96 B message, over several `read`s for the 48 KiB one. The registry's
+    // own lowerings only ever receive into contiguous regions.
+    use exacoll::collectives::schedule::compiled::CStep;
+    use exacoll::collectives::schedule::verify::verify;
+    use exacoll::collectives::schedule::{compile, execute_compiled, ScheduleBuilder, SgList};
+    use exacoll::opt::aggregate;
+
+    let (p, blocks) = (4, 6);
+    for bytes in [16, 8 << 10] {
+        let plans: Vec<_> = (0..p)
+            .map(|r| {
+                let mut b = ScheduleBuilder::new(p, r);
+                let own = b.alloc(blocks * bytes);
+                let inbox = b.alloc(2 * blocks * bytes);
+                b.mark("halo", 0);
+                for i in 0..blocks {
+                    b.send((r + 1) % p, 9, own.slice(i * bytes, bytes));
+                }
+                let slots: Vec<SgList> = (0..blocks)
+                    .map(|i| inbox.slice(2 * (blocks - 1 - i) * bytes, bytes))
+                    .collect();
+                for slot in &slots {
+                    b.recv((r + p - 1) % p, 9, slot.clone());
+                }
+                b.finish(own, SgList::concat(&slots))
+            })
+            .collect();
+        verify(&plans).expect("the unfused exchange is a valid plan");
+        let fused = aggregate(&plans, 1 << 20).expect("aggregation runs");
+        verify(&fused).expect("the fused exchange is a valid plan");
+        let compiled: Vec<_> = fused.iter().map(compile).collect();
+        for plan in &compiled {
+            let dsts: Vec<usize> = (plan.steps().iter())
+                .filter_map(|s| match s {
+                    CStep::Recv { dst, .. } => Some(plan.ranges_of(*dst).len()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(dsts, [blocks], "one receive into {blocks} ranges");
+        }
+        let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(1, r, blocks * bytes)).collect();
+        let thread_out = run_ranks(p, |c| {
+            execute_compiled(c, &compiled[c.rank()], &inputs[c.rank()])
+        });
+        let socket_out = run_socket_ranks(p, |c| {
+            execute_compiled(c, &compiled[c.rank()], &inputs[c.rank()])
+        });
+        for r in 0..p {
+            let expect = &inputs[(r + p - 1) % p];
+            assert!(
+                thread_out[r] == *expect,
+                "thread rank {r}, {bytes} B blocks"
+            );
+            assert!(
+                socket_out[r] == *expect,
+                "socket rank {r}, {bytes} B blocks"
+            );
+        }
+    }
+}
+
+#[test]
 fn odd_world_size_agrees_on_both_backends() {
     // Prime p exercises the non-power-of-two paths (virtual ranks, uneven
     // k-ring splits) over real sockets.
@@ -285,6 +352,38 @@ fn fault_delays_on_real_sockets_stay_correct() {
     });
     for r in 0..p {
         assert_eq!(out[r], expect[r], "delayed socket run diverged at rank {r}");
+    }
+}
+
+#[test]
+fn fault_corruption_on_real_sockets_reaches_the_output() {
+    // `FaultComm` does not forward `send_sg` or `waitall_into`, so every
+    // payload still passes through it on the way out — and the byte it flips
+    // is the byte the receiver's `SocketComm` hands back, whichever way the
+    // executor completes its receives.
+    let p = 4;
+    let args = CollArgs::new(
+        CollectiveOp::Allgather,
+        exacoll::collectives::Algorithm::Ring,
+    );
+    let inputs = grid_inputs(CollectiveOp::Allgather, p, 20 << 10);
+    let expect =
+        expected_outputs(args.op, args.root, args.dtype, args.rop, &inputs).expect("reference");
+    let out = run_socket_ranks(p, |c| {
+        let rank = c.rank();
+        let mut fc = FaultComm::new(&mut *c, FaultPlan::none(5).corrupts(1.0));
+        let out = execute(&mut fc, &args, &inputs[rank])?;
+        Ok((out, fc.into_events().len()))
+    });
+    for (r, (got, corrupted)) in out.iter().enumerate() {
+        // One flip per ring step sent; the block a rank contributed itself
+        // is the only one that reaches it unharmed.
+        assert_eq!(*corrupted, p - 1, "rank {r}");
+        let differing = got.iter().zip(&expect[r]).filter(|(a, b)| a != b).count();
+        assert!(
+            (p - 1..=(p - 1) * (p - 1)).contains(&differing),
+            "rank {r}: {differing} corrupted bytes in the output"
+        );
     }
 }
 

@@ -3,37 +3,38 @@
 //! and injected faults must be visible in the recorded timelines.
 
 use exacoll::chaos::run_case_results;
+use exacoll::collectives::registry::{candidates, lower};
 use exacoll::collectives::request::payload;
-use exacoll::collectives::{
-    execute, registry::candidates, Algorithm, CollArgs, CollectiveOp, Request,
-};
+use exacoll::collectives::schedule::compile;
+use exacoll::collectives::{execute, Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::thread_rt::try_run_ranks;
-use exacoll::comm::{Comm, FaultEvent, FaultPlan, ThreadComm};
+use exacoll::comm::{Comm, FaultEvent, FaultPlan, ThreadComm, TraceOp};
 use exacoll::obs::{
     chrome_trace, profile_sim, profile_thread, rank_tracks, EventKind, Histogram, Metrics,
-    ProfileSpec, TimedComm,
+    ProfileSpec, RankTimeline, TimedComm,
 };
 use exacoll::sim::Machine;
 use proptest::prelude::*;
 use std::time::Duration;
 
 /// Run one (op, alg) case on `p` threaded ranks, optionally timed, and
-/// return every rank's output bytes.
+/// return every rank's output bytes and — when timed — its timeline.
 fn run_outputs(
     op: CollectiveOp,
     alg: Algorithm,
     p: usize,
     len: usize,
     timed: bool,
-) -> Vec<Vec<u8>> {
+) -> Vec<(Vec<u8>, Option<RankTimeline>)> {
     let args = CollArgs::new(op, alg);
     let results = try_run_ranks(p, |c: &mut ThreadComm| {
         let input = payload(1, c.rank(), len);
         if timed {
             let mut tc = TimedComm::new(&mut *c);
-            execute(&mut tc, &args, &input)
+            let out = execute(&mut tc, &args, &input)?;
+            Ok((out, Some(tc.finish())))
         } else {
-            execute(c, &args, &input)
+            Ok((execute(c, &args, &input)?, None))
         }
     });
     results
@@ -44,7 +45,11 @@ fn run_outputs(
 }
 
 /// The correctness guard: wrapping every rank in `TimedComm` must leave the
-/// result of every collective byte-identical, for every candidate algorithm.
+/// result of every collective byte-identical, for every candidate algorithm
+/// — and the wrapper must see every call the executor makes, `send_sg` and
+/// `waitall_into` included: its timeline is the plan's own op stream, one
+/// event per op, each flush one `Wait` covering what was posted since the
+/// last.
 #[test]
 fn timed_wrapper_is_transparent_for_every_collective() {
     let p = 6;
@@ -55,7 +60,33 @@ fn timed_wrapper_is_transparent_for_every_collective() {
         for alg in candidates(op, p, 4) {
             let bare = run_outputs(op, alg, p, len, false);
             let timed = run_outputs(op, alg, p, len, true);
-            assert_eq!(bare, timed, "{op}/{alg}: TimedComm changed the result");
+            for (rank, ((bare, _), (timed, timeline))) in bare.iter().zip(&timed).enumerate() {
+                assert_eq!(bare, timed, "{op}/{alg}: TimedComm changed the result");
+                let plan = compile(&lower(&CollArgs::new(op, alg), p, rank, len));
+                let seen: Vec<TraceOp> = (timeline.as_ref().expect("timed run").events.iter())
+                    .map(|e| match e.kind {
+                        EventKind::Send => TraceOp::Send {
+                            to: e.peer.expect("send peer"),
+                            tag: e.tag.expect("send tag"),
+                            bytes: e.bytes,
+                        },
+                        EventKind::Recv => TraceOp::Recv {
+                            from: e.peer.expect("recv peer"),
+                            tag: e.tag.expect("recv tag"),
+                            bytes: e.bytes,
+                        },
+                        EventKind::Wait => TraceOp::WaitAll {
+                            reqs: e.covers.clone(),
+                        },
+                        EventKind::Compute => TraceOp::Compute { bytes: e.bytes },
+                        EventKind::Mark => TraceOp::Mark {
+                            label: e.label.expect("mark label"),
+                            round: e.round.expect("mark round"),
+                        },
+                    })
+                    .collect();
+                assert_eq!(seen, plan.to_trace().ops, "{op}/{alg} rank {rank}");
+            }
         }
     }
 }

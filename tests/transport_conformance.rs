@@ -6,10 +6,11 @@
 //! reach the engine in the order the semantics need.
 
 use exacoll::comm::{
-    expect_all_ranks, try_run_ranks_with, Comm, CommError, CommResult, Rank, Req, ThreadComm,
-    WorldOptions,
+    expect_all_ranks, fnv1a, scatter, try_run_ranks_with, Comm, CommError, CommResult, FaultComm,
+    FaultPlan, Rank, RecordComm, RecordedEvent, Req, SgDests, SgView, ThreadComm, WorldOptions,
 };
 use exacoll::net::{try_run_socket_ranks_with, SocketComm};
+use exacoll::obs::{EventKind, TimedComm};
 use std::time::{Duration, Instant};
 
 /// Only genuine hangs reach it.
@@ -67,6 +68,65 @@ impl World for Sockets {
 
     fn abort(c: &mut SocketComm, origin: Rank) {
         c.transport_mut().abort(origin);
+    }
+}
+
+/// Forwards everything and counts which calls reached it: a wrapper above it
+/// that claims to forward `send_sg` or `waitall_into` must show up here.
+struct Probe<C> {
+    inner: C,
+    sg_sends: usize,
+    owned_waits: usize,
+    into_waits: usize,
+}
+
+impl<C: Comm> Probe<C> {
+    fn new(inner: C) -> Self {
+        Probe {
+            inner,
+            sg_sends: 0,
+            owned_waits: 0,
+            into_waits: 0,
+        }
+    }
+}
+
+impl<C: Comm> Comm for Probe<C> {
+    fn rank(&self) -> Rank {
+        self.inner.rank()
+    }
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+    fn isend(&mut self, to: Rank, tag: u32, data: Vec<u8>) -> CommResult<Req> {
+        self.inner.isend(to, tag, data)
+    }
+    fn send_sg(&mut self, to: Rank, tag: u32, view: SgView<'_>) -> CommResult<Req> {
+        self.sg_sends += 1;
+        self.inner.send_sg(to, tag, view)
+    }
+    fn irecv(&mut self, from: Rank, tag: u32, bytes: usize) -> CommResult<Req> {
+        self.inner.irecv(from, tag, bytes)
+    }
+    fn wait(&mut self, req: Req) -> CommResult<Option<Vec<u8>>> {
+        self.owned_waits += 1;
+        self.inner.wait(req)
+    }
+    fn waitall(&mut self, reqs: Vec<Req>) -> CommResult<Vec<Option<Vec<u8>>>> {
+        self.owned_waits += 1;
+        self.inner.waitall(reqs)
+    }
+    fn waitall_into(
+        &mut self,
+        reqs: &mut Vec<Req>,
+        buf: &mut [u8],
+        dests: SgDests<'_>,
+    ) -> CommResult<()> {
+        self.into_waits += 1;
+        self.inner.waitall_into(reqs, buf, dests)
+    }
+    fn compute(&mut self, bytes: usize) {
+        self.inner.compute(bytes)
     }
 }
 
@@ -297,6 +357,173 @@ mod cases {
         });
     }
 
+    /// The bytes of the large message in [`exchange`].
+    const BIG: usize = 40 << 10;
+
+    /// Rank 0 completes one batch — two same-key receives from rank 1 (the
+    /// second message a byte short of its destination, and sent only once
+    /// rank 0 is on its way into the wait), a send, and a receive from rank 2
+    /// longer than the mesh's read-ahead into a destination of two swapped
+    /// ranges — with `waitall_into`, or with `waitall` and a scatter.
+    /// Returns rank 0's buffer.
+    fn exchange<C: Comm>(c: &mut C, into: bool) -> CommResult<Vec<u8>> {
+        match c.rank() {
+            0 => {
+                let half = 16 + BIG / 2;
+                let ranges = [8..13, 0..4, half..16 + BIG, 16..half];
+                let spans = [0..1, 1..2, 0..0, 2..4];
+                let mut reqs = vec![
+                    c.irecv(1, 4, 5)?,
+                    c.irecv(1, 4, 4)?,
+                    c.isend(1, 9, vec![1])?,
+                    c.irecv(2, 4, BIG)?,
+                ];
+                let mut buf = vec![0xEE; 16 + BIG];
+                if into {
+                    c.waitall_into(&mut reqs, &mut buf, SgDests::new(&ranges, &spans))?;
+                    assert!(reqs.is_empty());
+                } else {
+                    for (span, payload) in spans.iter().zip(c.waitall(reqs)?) {
+                        if let Some(payload) = payload {
+                            scatter(&mut buf, &ranges[span.clone()], &payload);
+                        }
+                    }
+                }
+                Ok(buf)
+            }
+            1 => {
+                c.send(0, 4, vec![1, 2, 3, 4, 5])?;
+                c.recv(0, 9, 1)?;
+                let (bytes, range) = ([9u8, 7, 8, 9], 1..4);
+                let sent = c.send_sg(0, 4, SgView::contiguous(&bytes, &range))?;
+                c.wait(sent)?;
+                Ok(vec![])
+            }
+            _ => {
+                c.send(0, 4, (0..BIG).map(|i| (i % 251) as u8).collect())?;
+                Ok(vec![])
+            }
+        }
+    }
+
+    /// What `exchange` must leave in rank 0's buffer when nothing interferes.
+    fn exchanged() -> Vec<u8> {
+        let mut want = vec![0xEE; 16 + BIG];
+        want[8..13].copy_from_slice(&[1, 2, 3, 4, 5]);
+        want[..3].copy_from_slice(&[7, 8, 9]);
+        let big: Vec<u8> = (0..BIG).map(|i| (i % 251) as u8).collect();
+        want[16 + BIG / 2..].copy_from_slice(&big[..BIG / 2]);
+        want[16..16 + BIG / 2].copy_from_slice(&big[BIG / 2..]);
+        want
+    }
+
+    #[allow(clippy::single_range_in_vec_init)]
+    pub fn waitall_into_is_waitall_then_scatter<W: World>() {
+        for into in [false, true] {
+            let out = W::run(3, |c| exchange(c, into));
+            assert!(out[0] == exchanged(), "into={into}");
+        }
+        // A message longer than posted is the same error either way.
+        for into in [false, true] {
+            let results = W::try_run(2, LONG, |c| {
+                if c.rank() == 0 {
+                    return c.send(1, 0, vec![0u8; 16]);
+                }
+                let mut reqs = vec![c.irecv(0, 0, 8)?];
+                if into {
+                    let (ranges, spans) = ([0..8], [0..1]);
+                    c.waitall_into(&mut reqs, &mut [0; 8], SgDests::new(&ranges, &spans))
+                } else {
+                    c.waitall(reqs).map(|_| ())
+                }
+            });
+            assert!(
+                matches!(
+                    results[1],
+                    Err(CommError::Truncation {
+                        posted: 8,
+                        arrived: 16,
+                        ..
+                    })
+                ),
+                "into={into}: {:?}",
+                results[1]
+            );
+        }
+    }
+
+    /// The wrappers keep the equivalence: `FaultComm` does not opt in and
+    /// still corrupts what the receiver lands, `RecordComm` and `TimedComm`
+    /// forward and log the same run.
+    pub fn wrappers_keep_waitall_into_equivalent<W: World>() {
+        let plan = FaultPlan::none(11).corrupts(1.0);
+        let [plain, landed] =
+            [false, true].map(|into| W::run(3, |c| exchange(&mut FaultComm::new(c, plan), into)));
+        assert!(plain[0] == landed[0]);
+        let flipped = (plain[0].iter().zip(exchanged()))
+            .filter(|(got, want)| *got != want)
+            .count();
+        assert_eq!(flipped, 3, "one byte of each of the three messages");
+
+        let [plain, landed] = [false, true].map(|into| {
+            W::run(3, |c| {
+                let mut rc = RecordComm::new(c);
+                let buf = exchange(&mut rc, into)?;
+                Ok((buf, rc.finish()))
+            })
+        });
+        for rank in 0..3 {
+            assert!(plain[rank].0 == landed[rank].0);
+            let (mut a, mut b) = (plain[rank].1.clone(), landed[rank].1.clone());
+            if rank == 0 {
+                assert!(landed[0].0 == exchanged());
+                // The short message: `waitall` knows it was three bytes,
+                // `waitall_into` describes the four-byte destination.
+                let (short, dest) = ([7, 8, 9], [7, 8, 9, 0xEE]);
+                let event = |bytes: &[u8]| RecordedEvent::Recv {
+                    from: 1,
+                    tag: 4,
+                    bytes: bytes.len(),
+                    digest: Some(fnv1a(bytes)),
+                };
+                assert_eq!((a.remove(1), b.remove(1)), (event(&short), event(&dest)));
+            }
+            assert_eq!(a, b, "rank {rank}");
+        }
+
+        let [plain, landed] = [false, true].map(|into| {
+            W::run(3, |c| {
+                let mut tc = TimedComm::new(c);
+                let buf = exchange(&mut tc, into)?;
+                Ok((buf, tc.finish()))
+            })
+        });
+        // Forwarding, not re-deriving: what the executor calls is what the
+        // backend under a recorder, a timeline or a borrow is asked for.
+        let calls = W::run(3, |c| {
+            let mut probe = Probe::new(c);
+            exchange(&mut RecordComm::new(TimedComm::new(&mut probe)), true)?;
+            Ok((probe.sg_sends, probe.owned_waits, probe.into_waits))
+        });
+        assert_eq!(calls, [(0, 0, 1), (1, 3, 0), (0, 1, 0)]);
+        assert!(plain[0].0 == exchanged() && landed[0].0 == exchanged());
+        let shape = |t: &exacoll::obs::RankTimeline| -> Vec<_> {
+            t.events
+                .iter()
+                .map(|e| (e.kind, e.peer, e.tag, e.bytes, e.covers.clone()))
+                .collect()
+        };
+        assert_eq!(shape(&plain[0].1), shape(&landed[0].1));
+        let wait = landed[0].1.events.last().expect("events");
+        assert_eq!(
+            (wait.kind, wait.covers.as_slice()),
+            (EventKind::Wait, &[0, 1, 2, 3][..])
+        );
+        for covered in &landed[0].1.events[..4] {
+            assert_eq!(covered.done_ns, wait.end_ns);
+        }
+    }
+
     pub fn invalid_rank_rejected<W: World>() {
         let results = W::try_run(1, LONG, |c| c.send(5, 0, vec![]));
         assert!(matches!(
@@ -330,4 +557,6 @@ on_both_transports!(
     double_wait_is_error,
     request_table_is_reclaimed_but_handles_are_never_reused,
     invalid_rank_rejected,
+    waitall_into_is_waitall_then_scatter,
+    wrappers_keep_waitall_into_equivalent,
 );
