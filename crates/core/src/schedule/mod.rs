@@ -40,6 +40,8 @@ pub mod verify;
 pub use compiled::{compile, execute_compiled, CompiledSchedule, Executor};
 
 use exacoll_comm::{DType, Rank, RankTrace, ReduceOp, Tag};
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// A scatter/gather list: an ordered sequence of byte ranges into the
@@ -48,28 +50,46 @@ use std::ops::Range;
 ///
 /// Adjacent ranges are coalesced and empty ranges dropped on construction,
 /// so two lists describing the same byte string compare equal.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct SgList(Vec<Range<usize>>);
+///
+/// Nine lists in ten a lowering builds hold exactly one range, so that one
+/// is stored inline: only a list of two or more ranges owns a heap vector,
+/// and building, cloning or slicing a single-range list never allocates.
+#[derive(Clone, Default)]
+pub struct SgList(Ranges);
+
+/// [`SgList`]'s storage. `Many` always holds two or more ranges, none empty
+/// and none ending where the next begins.
+#[derive(Clone, Default)]
+enum Ranges {
+    #[default]
+    Empty,
+    One(Range<usize>),
+    Many(Vec<Range<usize>>),
+}
 
 impl SgList {
     /// The empty byte string.
     pub fn empty() -> Self {
-        SgList(Vec::new())
+        SgList(Ranges::Empty)
     }
 
     /// Total number of bytes the list denotes.
     pub fn len(&self) -> usize {
-        self.0.iter().map(|r| r.len()).sum()
+        self.ranges().iter().map(|r| r.len()).sum()
     }
 
     /// Whether the list denotes zero bytes.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        matches!(self.0, Ranges::Empty)
     }
 
     /// The underlying ranges, in logical order.
     pub fn ranges(&self) -> &[Range<usize>] {
-        &self.0
+        match &self.0 {
+            Ranges::Empty => &[],
+            Ranges::One(r) => std::slice::from_ref(r),
+            Ranges::Many(v) => v,
+        }
     }
 
     /// Append a range, coalescing with the tail when contiguous.
@@ -77,20 +97,25 @@ impl SgList {
         if r.is_empty() {
             return;
         }
-        if let Some(last) = self.0.last_mut() {
-            if last.end == r.start {
-                last.end = r.end;
-                return;
+        self.0 = match std::mem::take(&mut self.0) {
+            Ranges::Empty => Ranges::One(r),
+            Ranges::One(last) if last.end == r.start => Ranges::One(last.start..r.end),
+            Ranges::One(first) => Ranges::Many(vec![first, r]),
+            Ranges::Many(mut v) => {
+                match v.last_mut() {
+                    Some(last) if last.end == r.start => last.end = r.end,
+                    _ => v.push(r),
+                }
+                Ranges::Many(v)
             }
-        }
-        self.0.push(r);
+        };
     }
 
     /// Concatenate `parts` into one list.
     pub fn concat<'a, I: IntoIterator<Item = &'a SgList>>(parts: I) -> SgList {
         let mut out = SgList::empty();
         for part in parts {
-            for r in &part.0 {
+            for r in part.ranges() {
                 out.push(r.clone());
             }
         }
@@ -98,10 +123,20 @@ impl SgList {
     }
 
     /// The sub-list denoting logical bytes `offset..offset+len`.
+    ///
+    /// # Panics
+    ///
+    /// When `offset..offset+len` does not lie inside the list — like a Rust
+    /// slice, an empty window may start at the end but not past it.
     pub fn slice(&self, offset: usize, len: usize) -> SgList {
+        let total = self.len();
+        assert!(
+            offset <= total && len <= total - offset,
+            "slice {offset}+{len} out of bounds for {self:?}"
+        );
         let mut out = SgList::empty();
         let (mut skip, mut want) = (offset, len);
-        for r in &self.0 {
+        for r in self.ranges() {
             if want == 0 {
                 break;
             }
@@ -115,23 +150,49 @@ impl SgList {
             skip = 0;
             want -= take;
         }
-        assert!(want == 0, "slice {offset}+{len} out of bounds for {self:?}");
         out
     }
 
     /// Whether any byte is shared with `other`.
     pub fn overlaps(&self, other: &SgList) -> bool {
-        self.0
-            .iter()
-            .any(|a| other.0.iter().any(|b| a.start < b.end && b.start < a.end))
+        self.ranges().iter().any(|a| {
+            other
+                .ranges()
+                .iter()
+                .any(|b| a.start < b.end && b.start < a.end)
+        })
+    }
+}
+
+// Equality, hashing and `Debug` go through `ranges()`, so they never depend
+// on which variant holds the ranges.
+impl PartialEq for SgList {
+    fn eq(&self, other: &Self) -> bool {
+        self.ranges() == other.ranges()
+    }
+}
+
+impl Eq for SgList {}
+
+impl Hash for SgList {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ranges().hash(state);
+    }
+}
+
+impl fmt::Debug for SgList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SgList").field(&self.ranges()).finish()
     }
 }
 
 impl From<Range<usize>> for SgList {
     fn from(r: Range<usize>) -> Self {
-        let mut s = SgList::empty();
-        s.push(r);
-        s
+        SgList(if r.is_empty() {
+            Ranges::Empty
+        } else {
+            Ranges::One(r)
+        })
     }
 }
 
@@ -362,6 +423,7 @@ pub(crate) fn run_built<C: exacoll_comm::Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sglist_coalesces_and_slices() {
@@ -374,6 +436,127 @@ mod tests {
         assert_eq!(s.slice(6, 4).ranges(), &[6..8, 12..14]);
         assert_eq!(s.slice(0, 0).len(), 0);
         assert_eq!(s.slice(12, 0).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 100+0 out of bounds")]
+    fn sglist_empty_slice_past_the_end_panics() {
+        let mut s = SgList::from(0..8);
+        s.push(12..16);
+        s.slice(100, 0);
+    }
+
+    /// The `Vec`-backed definition this representation replaced, whose
+    /// derived `Debug` and `Hash` the hand-written ones must reproduce.
+    mod vec_form {
+        #[derive(Debug, Hash)]
+        pub struct SgList(pub Vec<std::ops::Range<usize>>);
+    }
+
+    /// The former push rule: the model the inline list is checked against.
+    fn model_push(v: &mut Vec<Range<usize>>, r: Range<usize>) {
+        if r.is_empty() {
+            return;
+        }
+        match v.last_mut() {
+            Some(last) if last.end == r.start => last.end = r.end,
+            _ => v.push(r),
+        }
+    }
+
+    fn model_slice(v: &[Range<usize>], offset: usize, len: usize) -> Vec<Range<usize>> {
+        let bytes: Vec<usize> = v.iter().flat_map(|r| r.clone()).collect();
+        let mut out = Vec::new();
+        for &b in &bytes[offset..offset + len] {
+            model_push(&mut out, b..b + 1);
+        }
+        out
+    }
+
+    fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    /// Build a list and its model from `(kind, start, len)` pushes, checking
+    /// their ranges agree after each: kind 0 is a range anywhere in a
+    /// 32-byte scratch (disjoint, overlapping or touching by chance), 1
+    /// touches the current tail, 2 is empty.
+    fn build(pushes: &[(usize, usize, usize)]) -> (SgList, Vec<Range<usize>>) {
+        let (mut s, mut m) = (SgList::empty(), Vec::new());
+        for &(kind, start, len) in pushes {
+            let r = match kind {
+                0 => start..start + len,
+                1 => {
+                    let at = m.last().map_or(start, |r: &Range<usize>| r.end);
+                    at..at + len
+                }
+                _ => start..start,
+            };
+            s.push(r.clone());
+            model_push(&mut m, r);
+            assert_eq!(s.ranges(), &m[..]);
+        }
+        (s, m)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Random push sequences, then `concat` and `slice`, on the inline
+        /// list and on the `Vec` model: every observation agrees, `Debug`
+        /// prints what the `Vec` form printed, and a list rebuilt from
+        /// different pieces of the same byte string compares and hashes
+        /// equal.
+        #[test]
+        fn sglist_agrees_with_the_vec_model(
+            a in collection::vec((0usize..3, 0usize..32, 0usize..6), 0..8),
+            b in collection::vec((0usize..3, 0usize..32, 0usize..6), 0..8),
+            cut in 0usize..64,
+            window in (0usize..64, 0usize..64),
+        ) {
+            let (sa, ma) = build(&a);
+            let (sb, mb) = build(&b);
+            for (s, m) in [(&sa, &ma), (&sb, &mb)] {
+                prop_assert_eq!(s.len(), m.iter().map(|r| r.len()).sum::<usize>());
+                prop_assert_eq!(s.is_empty(), m.is_empty());
+                let old = vec_form::SgList(m.clone());
+                prop_assert_eq!(format!("{s:?}"), format!("{old:?}"));
+                prop_assert_eq!(format!("{s:#?}"), format!("{old:#?}"));
+                prop_assert_eq!(hash_of(s), hash_of(&old));
+            }
+            let shared = ma.iter().any(|x| mb.iter().any(|y| x.start < y.end && y.start < x.end));
+            prop_assert_eq!(sa.overlaps(&sb), shared);
+            prop_assert_eq!(sb.overlaps(&sa), shared);
+
+            let joined = SgList::concat([&sa, &sb]);
+            let mut mj = ma.clone();
+            for r in &mb {
+                model_push(&mut mj, r.clone());
+            }
+            prop_assert_eq!(joined.ranges(), &mj[..]);
+
+            let n = joined.len();
+            let off = window.0 % (n + 1);
+            let len = window.1 % (n - off + 1);
+            prop_assert_eq!(joined.slice(off, len).ranges(), &model_slice(&mj, off, len)[..]);
+
+            // The same byte string, cut at an arbitrary byte and rebuilt from
+            // the two halves — and from single bytes with empty pushes
+            // between them.
+            let k = cut % (n + 1);
+            let halves = SgList::concat([&joined.slice(0, k), &joined.slice(k, n - k)]);
+            let mut bytes = SgList::empty();
+            for b in mj.iter().flat_map(|r| r.clone()) {
+                bytes.push(b..b + 1);
+                bytes.push(b..b);
+            }
+            for rebuilt in [&halves, &bytes] {
+                prop_assert_eq!(rebuilt, &joined);
+                prop_assert_eq!(hash_of(rebuilt), hash_of(&joined));
+            }
+        }
     }
 
     #[test]

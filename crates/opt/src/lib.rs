@@ -293,14 +293,19 @@ pub fn apply_opt_spec(
     chunk_bytes: usize,
     max_fuse_bytes: usize,
 ) -> Result<Vec<Schedule>, OptError> {
-    let mut cur = schedules.to_vec();
+    // Each pass builds its own output, so the input is copied only when no
+    // pass runs.
+    let mut cur = None;
     if opt.pipeline {
-        cur = pipeline(&cur, chunk_bytes)?;
+        cur = Some(pipeline(schedules, chunk_bytes)?);
     }
     if opt.aggregate {
-        cur = aggregate(&cur, max_fuse_bytes)?;
+        cur = Some(aggregate(
+            cur.as_deref().unwrap_or(schedules),
+            max_fuse_bytes,
+        )?);
     }
-    Ok(cur)
+    Ok(cur.unwrap_or_else(|| schedules.to_vec()))
 }
 
 #[cfg(test)]

@@ -104,9 +104,14 @@ pub fn pipeline(schedules: &[Schedule], chunk_bytes: usize) -> Result<Vec<Schedu
                 other => steps.push(other.clone()),
             }
         }
-        let mut ns = s.clone();
-        ns.steps = steps;
-        out.push(ns);
+        out.push(Schedule {
+            p: s.p,
+            rank: s.rank,
+            buf_len: s.buf_len,
+            input: s.input.clone(),
+            output: s.output.clone(),
+            steps,
+        });
     }
     Ok(out)
 }

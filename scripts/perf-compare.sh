@@ -4,10 +4,11 @@
 #   scripts/perf-compare.sh <base-ref|base-checkout-dir> [pairs]
 #
 # Adds a git worktree of <base-ref> (or uses an existing checkout of it),
-# builds each side into its own CARGO_TARGET_DIR, alternates
+# builds each side into its own CARGO_TARGET_DIR, runs
 #   perf/run.sh --seed N --seconds 20 --timed-only --out ...
-# between base and head over `pairs` (default 10) seeds that no one used while
-# writing the change, and ends with
+# on base and head over `pairs` (default 10) seeds that no one used while
+# writing the change — odd pairs base then head, even pairs head then base
+# (stderr names the order of each) — and ends with
 #   perf/run.sh compare DIR_BASE DIR_HEAD
 # whose verdict table is this script's stdout and whose exit status is this
 # script's: non-zero on a `regression` row or a higher fail ratio, zero on
@@ -57,8 +58,15 @@ try_side() { # same arguments; one retry
 judged=0
 for i in $(seq 1 "$pairs"); do
     seed=$(( seed0 + i ))
-    echo "perf-compare: pair $i/$pairs (seed $seed)" >&2
-    if try_side "$base_dir" base "$seed" && try_side "$head_dir" head "$seed"; then
+    # Odd pairs run base first, even pairs head first, so a host that drifts
+    # during a pair (warming up, throttling) favours neither side.
+    if (( i % 2 )); then
+        first=("$base_dir" base) second=("$head_dir" head)
+    else
+        first=("$head_dir" head) second=("$base_dir" base)
+    fi
+    echo "perf-compare: pair $i/$pairs (seed $seed): ${first[1]} -> ${second[1]}" >&2
+    if try_side "${first[@]}" "$seed" && try_side "${second[@]}" "$seed"; then
         judged=$(( judged + 1 ))
     else
         echo "perf-compare: pair $i dropped: a side failed twice on seed $seed" >&2
