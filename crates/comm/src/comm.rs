@@ -1,7 +1,7 @@
 //! The [`Comm`] trait: the MPI-like surface collective algorithms target.
 
 use crate::error::CommResult;
-use crate::sg::{scatter, SgDests, SgView};
+use crate::sg::{scatter, zero_tail, SgDests, SgView};
 use crate::types::{Rank, Tag};
 
 /// A non-blocking request handle, as returned by [`Comm::isend`] /
@@ -79,8 +79,10 @@ pub trait Comm {
     ///
     /// The caller cannot tell this from [`waitall`](Self::waitall) followed
     /// by scattering payload `i` over destination `i` — same matching, same
-    /// errors, a shorter message fills a prefix (how much arrived is not
-    /// reported; a caller that needs the length uses `waitall`). The default
+    /// errors — and zeroing what of the destination a shorter message does
+    /// not cover ([`zero_tail`]), so a destination never shows what the
+    /// buffer held before the call (how much arrived is not reported; a
+    /// caller that needs the length uses `waitall`). The default
     /// implementation *is* that, which keeps payload-observing wrappers
     /// correct without opting in. [`crate::Engine`] overrides it to offer the
     /// destinations to its transport, so a message that arrives while the
@@ -102,6 +104,7 @@ pub trait Comm {
         for (i, payload) in payloads.iter().enumerate() {
             if let Some(payload) = payload {
                 scatter(buf, dests.of(i), payload);
+                zero_tail(buf, dests.of(i), payload.len());
             }
         }
         Ok(())

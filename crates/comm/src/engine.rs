@@ -11,7 +11,8 @@
 //!   pending receive's message is queued finishes first, same-`(from, tag)`
 //!   receives match in posting order, results land in request order,
 //! * truncation when a message is longer than its posted receive (a shorter
-//!   one is accepted).
+//!   one is accepted; in a destination it fills a prefix and the rest is
+//!   zeroed).
 //!
 //! A transport only moves bytes and notices: the in-process mailboxes of
 //! [`crate::thread_rt`], the TCP mesh of `exacoll-net`.
@@ -53,7 +54,7 @@
 
 use crate::comm::{Comm, Req};
 use crate::error::{CommError, CommResult};
-use crate::sg::{scatter, SgDests, SgView};
+use crate::sg::{scatter, zero_tail, SgDests, SgView};
 use crate::types::{Rank, Tag};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -284,20 +285,26 @@ impl<'a> Posted<'a> {
         &self.pending[..self.live]
     }
 
-    /// Receive `i` of the unmatched ones is complete.
-    fn retire(&mut self, i: usize) {
+    /// Receive `i` of the unmatched ones is complete, with a message of
+    /// `len` bytes. In the caller's buffer, what of its destination the
+    /// message did not cover is zeroed: a reused buffer never shows a
+    /// previous call's bytes there.
+    fn retire(&mut self, i: usize, len: usize) {
+        if let Sink::Into(buf, dests) = &mut self.sink {
+            zero_tail(buf, dests.of(self.pending[i].slot), len);
+        }
         self.pending.copy_within(i + 1..self.live, i);
         self.live -= 1;
     }
 
     /// Hand over the whole payload of unmatched receive `i`.
     fn put(&mut self, i: usize, data: Vec<u8>) {
-        let slot = self.pending[i].slot;
+        let (slot, len) = (self.pending[i].slot, data.len());
         match &mut self.sink {
             Sink::Owned(out) => out[slot] = Some(data),
             Sink::Into(buf, dests) => scatter(buf, dests.of(slot), &data),
         }
-        self.retire(i);
+        self.retire(i, len);
     }
 
     /// Which unmatched receive `from` is writing into, if any.
@@ -335,7 +342,7 @@ impl<'a> Posted<'a> {
             return false;
         }
         if len == 0 {
-            self.retire(i);
+            self.retire(i, 0);
         } else {
             pending.landing = Some((len, 0));
         }
@@ -371,7 +378,7 @@ impl<'a> Posted<'a> {
         debug_assert!(filled + n <= len, "wrote past the claimed message");
         self.pending[i].landing = Some((len, filled + n));
         if filled + n == len {
-            self.retire(i);
+            self.retire(i, len);
         }
     }
 }
@@ -884,8 +891,11 @@ mod tests {
         assert_eq!(c.recv(0, 5, 4), Ok(vec![7, 6, 9, 8]));
     }
 
-    /// `waitall_into` over `reqs` into a zeroed buffer of `n` bytes, request
-    /// `i` going to `spans[i]` of `ranges`.
+    /// What an earlier call left in a reused buffer.
+    const OLD: u8 = 0xAA;
+
+    /// `waitall_into` over `reqs` into a buffer of `n` bytes of [`OLD`],
+    /// request `i` going to `spans[i]` of `ranges`.
     fn into(
         c: &mut Engine<Script>,
         reqs: Vec<CommResult<Req>>,
@@ -894,7 +904,7 @@ mod tests {
         spans: &[std::ops::Range<usize>],
     ) -> (CommResult<()>, Vec<u8>) {
         let mut reqs = reqs.into_iter().collect::<CommResult<Vec<Req>>>().unwrap();
-        let mut buf = vec![0u8; n];
+        let mut buf = vec![OLD; n];
         let res = c.waitall_into(&mut reqs, &mut buf, SgDests::new(ranges, spans));
         assert!(reqs.is_empty());
         (res, buf)
@@ -915,7 +925,7 @@ mod tests {
         let reqs = vec![c.irecv(1, 4, 4), c.isend(2, 0, vec![9]), c.irecv(1, 4, 2)];
         let (res, buf) = into(&mut c, reqs, 8, &[6..8, 0..2, 3..5], &[0..2, 0..0, 2..3]);
         assert_eq!(res, Ok(()));
-        assert_eq!(buf, [3, 4, 0, 5, 6, 0, 1, 2]);
+        assert_eq!(buf, [3, 4, OLD, 5, 6, OLD, 1, 2]);
         let t = c.transport();
         assert_eq!(t.claims, [(1, 4, true), (1, 4, true)]);
         assert_eq!((t.landed, t.discarded, c.queued()), (6, 0, 0));
@@ -970,15 +980,22 @@ mod tests {
                 arrived: 16,
             })
         );
+        // The short message landed a prefix, and the rest of its destination
+        // no longer shows what the buffer held.
         assert_eq!(buf[..4], [7, 8, 0, 0]);
         assert_eq!(c.transport().claims, [(1, 0, true), (1, 1, false)]);
+        // The same from the queue, into a destination of two ranges.
+        let mut c = scripted(LONG, vec![vec![Msg(1, 0, vec![7, 8, 9])]]);
+        let reqs = vec![c.irecv(1, 0, 4)];
+        let (res, buf) = into(&mut c, reqs, 6, &[4..6, 0..2], &[0..2]);
+        assert_eq!((res, buf), (Ok(()), vec![9, 0, OLD, OLD, 7, 8]));
         // A destination smaller than the posted size is no reason to write
         // past it either: the message takes the queue and loses its tail
         // there, as `waitall` + scatter would.
         let mut c = scripted(LONG, vec![vec![Head(1, 0, 4), Body(1, vec![1, 2, 3, 4])]]);
         let reqs = vec![c.irecv(1, 0, 4)];
         let (res, buf) = into(&mut c, reqs, 4, &[1..3], &[0..1]);
-        assert_eq!((res, buf), (Ok(()), vec![0, 1, 2, 0]));
+        assert_eq!((res, buf), (Ok(()), vec![OLD, 1, 2, OLD]));
         assert_eq!(c.transport().claims, [(1, 0, false)]);
     }
 
@@ -1006,7 +1023,7 @@ mod tests {
             let reqs = vec![c.irecv(1, 3, 4)];
             let (res, buf) = into(&mut c, reqs, 4, &[0..4], &[0..1]);
             assert_eq!(res, Err(error.clone()));
-            assert_eq!(buf, [1, 2, 0, 0]);
+            assert_eq!(buf, [1, 2, OLD, OLD]);
             if !matches!(error, CommError::Timeout { .. }) {
                 continue;
             }

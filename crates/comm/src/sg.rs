@@ -98,6 +98,22 @@ pub fn scatter(buf: &mut [u8], ranges: &[Range<usize>], data: &[u8]) {
     }
 }
 
+/// Zero the bytes of `ranges` past the first `filled`, in range order: what
+/// a message of `filled` bytes leaves of a longer destination then reads 0,
+/// whatever the buffer held before. [`scatter`] followed by this is what a
+/// receive does to its destination.
+///
+/// # Panics
+///
+/// If a range is malformed or out of bounds for `buf`.
+pub fn zero_tail(buf: &mut [u8], ranges: &[Range<usize>], mut filled: usize) {
+    for r in ranges {
+        let keep = filled.min(r.len());
+        buf[r.start + keep..r.end].fill(0);
+        filled -= keep;
+    }
+}
+
 /// The destinations of one [`Comm::waitall_into`](crate::Comm::waitall_into):
 /// request `i`'s payload goes, in order, into the ranges `ranges[spans[i]]` of
 /// the buffer passed beside it. A send carries an empty span.
@@ -185,6 +201,20 @@ mod tests {
         assert_eq!(buf, vec![1, 2, 9, 9, 9, 9]);
         scatter(&mut buf, std::slice::from_ref(&(4..6)), &[5, 6, 7]);
         assert_eq!(buf, vec![1, 2, 9, 9, 5, 6]);
+    }
+
+    #[test]
+    fn zero_tail_clears_what_a_short_message_leaves_in_range_order() {
+        let mut buf = vec![9u8; 8];
+        let ranges = [6..8, 0..3, 4..5];
+        zero_tail(&mut buf, &ranges, 3);
+        assert_eq!(buf, vec![9, 0, 0, 9, 0, 9, 9, 9]);
+        // A payload filling the destination leaves it alone; none zeroes it.
+        let mut buf = vec![9u8; 8];
+        zero_tail(&mut buf, &ranges, 6);
+        assert_eq!(buf, vec![9; 8]);
+        zero_tail(&mut buf, &ranges, 0);
+        assert_eq!(buf, vec![0, 0, 0, 9, 0, 9, 0, 0]);
     }
 
     #[test]

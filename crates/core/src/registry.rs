@@ -3,7 +3,8 @@
 //!
 //! Dispatch is two-staged: [`lower`] turns a [`CollArgs`] into the per-rank
 //! [`Schedule`] IR, and [`execute`] compiles that plan (once — the
-//! [`PlanCache`] keeps it) and runs it on the [`Executor`]. Everything
+//! [`PlanCache`] keeps it) and runs it on this thread's
+//! [`Executor`](crate::Executor) ([`execute_compiled`]). Everything
 //! downstream — correctness runs, trace simulation, static verification,
 //! model term counting — consumes the same lowering.
 
@@ -21,7 +22,7 @@ use crate::reduce::{build_reduce_knomial, build_reduce_linear};
 use crate::reduce_scatter::{
     build_reduce_scatter_recmult, build_reduce_scatter_ring, build_reduce_scatter_v,
 };
-use crate::schedule::{compile, Executor, Schedule, ScheduleBuilder, SgList};
+use crate::schedule::{compile, execute_compiled, Schedule, ScheduleBuilder, SgList};
 use crate::topo::is_smooth;
 use exacoll_comm::{Comm, CommResult, DType, Rank, ReduceOp};
 use std::fmt;
@@ -360,14 +361,14 @@ pub fn execute<C: Comm>(c: &mut C, args: &CollArgs, input: &[u8]) -> CommResult<
         .get_or_insert_with(PlanKey::plain(args, p, rank, input.len()), || {
             compile(&lower(args, p, rank, input.len()))
         });
-    Executor::new().run(c, &plan, input)
+    execute_compiled(c, &plan, input)
 }
 
 /// Lower one collective invocation to `rank`'s communication plan, for a
 /// size-`p` communicator with `n` input bytes per rank.
 ///
 /// This is the *whole* registry dispatch: [`execute`] is nothing but a
-/// cached `compile(&lower(..))` handed to the [`Executor`], and the
+/// cached `compile(&lower(..))` handed to [`execute_compiled`], and the
 /// simulator, verifier, and model term counter consume the identical plans.
 ///
 /// # Panics
@@ -623,7 +624,7 @@ pub fn execute_v<C: Comm>(
         PlanKey::with_counts(args, counts, rank, input.len()),
         || compile(&lower_v(args, rank, counts)),
     );
-    Executor::new().run(c, &plan, input)
+    execute_compiled(c, &plan, input)
 }
 
 /// [`unique_candidates`] for the irregular variants: every candidate that

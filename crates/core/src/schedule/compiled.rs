@@ -25,17 +25,24 @@
 //! walks the same `CStep` stream and cannot disagree about where a wait
 //! happens.
 //!
-//! [`Executor::run`] does no overlap scans, keeps its request and
-//! receive-destination arenas across runs, and never owns a payload: sends
-//! go out as borrowed [`SgView`]s via [`Comm::send_sg`], and a flush is one
-//! [`Comm::waitall_into`] naming the scratch buffer and the plan's own range
-//! arena, so the backend writes received bytes where the plan wants them.
+//! The same walk records which scratch bytes have been written, and sets
+//! [`CompiledSchedule::reads_unwritten`] when a step or the output may read
+//! one that was not.
+//!
+//! [`Executor::run`] does no overlap scans, keeps its scratch buffer and its
+//! request and receive-destination arenas across runs, and never owns a
+//! payload: sends go out as borrowed [`SgView`]s via [`Comm::send_sg`], and a
+//! flush is one [`Comm::waitall_into`] naming the scratch buffer and the
+//! plan's own range arena, so the backend writes received bytes where the
+//! plan wants them.
 
+use super::verify::Intervals;
 use super::{ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{
     reduce_into, scatter, Comm, CommError, CommResult, DType, Rank, RankTrace, ReduceOp, Req,
     SgDests, SgView, Tag, TraceOp,
 };
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 
@@ -131,12 +138,26 @@ pub struct CompiledSchedule {
     output: Span,
     ranges: Box<[Range<usize>]>,
     steps: Box<[CStep]>,
+    reads_unwritten: bool,
 }
 
 impl CompiledSchedule {
     /// Bytes of caller input the plan consumes.
     pub fn input_bytes(&self) -> usize {
         self.input.bytes()
+    }
+
+    /// Whether some step or the output may read a scratch byte that neither
+    /// the input view nor an earlier step wrote. Writes are the input view,
+    /// a receive's destination at post time (as the verifier counts it) and
+    /// a copy's destination, up to its source's length; reads are a send's
+    /// source, both operands of a reduction, a copy's source and, at the
+    /// end, the output view. Clear for every plan
+    /// [`verify`](super::verify::verify) accepts — its define-once rules
+    /// imply it — and what lets an [`Executor`] skip zeroing the scratch
+    /// bytes an earlier run left behind.
+    pub fn reads_unwritten(&self) -> bool {
+        self.reads_unwritten
     }
 
     /// The compiled instruction sequence.
@@ -168,8 +189,9 @@ fn span_u32(n: usize, what: &str, region: fmt::Arguments) -> u32 {
     })
 }
 
-/// [`compile`]'s working state: the arenas being filled plus the static
-/// picture of what is outstanding since the last flush.
+/// [`compile`]'s working state: the arenas being filled, the static picture
+/// of what is outstanding since the last flush, and of which scratch bytes
+/// have been written.
 #[derive(Default)]
 struct Compiler<'a> {
     ranges: Vec<Range<usize>>,
@@ -178,9 +200,30 @@ struct Compiler<'a> {
     outstanding: usize,
     /// Destination lists of the receives among them.
     pending_dsts: Vec<&'a SgList>,
+    written: Intervals<()>,
+    /// See [`CompiledSchedule::reads_unwritten`].
+    reads_unwritten: bool,
 }
 
 impl<'a> Compiler<'a> {
+    fn read(&mut self, sg: &SgList) {
+        if !self.reads_unwritten {
+            self.reads_unwritten = !sg.ranges().iter().all(|r| self.written.cover(r).is_some());
+        }
+    }
+
+    fn write(&mut self, sg: &SgList) {
+        if !self.reads_unwritten {
+            // A verified plan writes each byte once, so `define` (nothing
+            // written there yet) is the cheap common case.
+            for r in sg.ranges() {
+                if !self.written.define(r.clone(), ()) {
+                    self.written.assign(r.clone(), ());
+                }
+            }
+        }
+    }
+
     /// Append `sg`'s ranges to the arena and return the span naming them.
     fn intern(&mut self, sg: &SgList, region: fmt::Arguments) -> Span {
         let start = span_u32(self.ranges.len(), "range index", region);
@@ -204,12 +247,14 @@ impl<'a> Compiler<'a> {
         if self.pending_dsts.iter().any(|d| src.overlaps(d)) {
             self.flush();
         }
+        self.read(src);
         let src = self.intern(src, format_args!("step {i} send source"));
         self.steps.push(CStep::Send { to, tag, src });
         self.outstanding += 1;
     }
 
     fn recv(&mut self, i: usize, from: Rank, tag: Tag, dst: &'a SgList) {
+        self.write(dst);
         let span = self.intern(dst, format_args!("step {i} receive destination"));
         self.steps.push(CStep::Recv {
             from,
@@ -230,6 +275,7 @@ impl<'a> Compiler<'a> {
 /// `u32` totals); the message names the region.
 pub fn compile(schedule: &Schedule) -> CompiledSchedule {
     let mut c = Compiler::default();
+    c.write(&schedule.input);
     for (i, step) in schedule.steps.iter().enumerate() {
         match step {
             Step::RoundMark { label, round } => {
@@ -241,6 +287,13 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
             }
             Step::Compute { kind, src, dst } => {
                 c.flush();
+                c.read(src);
+                match kind {
+                    // A short source fills a prefix of the destination.
+                    ComputeKind::Copy if src.len() < dst.len() => c.write(&dst.slice(0, src.len())),
+                    ComputeKind::Copy => c.write(dst),
+                    ComputeKind::Reduce { .. } => c.read(dst),
+                }
                 let src = c.intern(src, format_args!("step {i} compute source"));
                 let dst = c.intern(dst, format_args!("step {i} compute destination"));
                 c.steps.push(match kind {
@@ -269,6 +322,7 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
         }
     }
     c.flush();
+    c.read(&schedule.output);
     let input = c.intern(&schedule.input, format_args!("input view"));
     let output = c.intern(&schedule.output, format_args!("output view"));
     CompiledSchedule {
@@ -279,6 +333,7 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
         output,
         ranges: c.ranges.into_boxed_slice(),
         steps: c.steps.into_boxed_slice(),
+        reads_unwritten: c.reads_unwritten,
     }
 }
 
@@ -296,25 +351,36 @@ pub(super) struct RankMem {
 }
 
 impl RankMem {
-    /// Reset to `plan`'s zeroed scratch buffer with `input` in its input
+    /// Make the scratch buffer ready for `plan`, with `input` in its input
     /// view. The caller has checked `input` fills the view; extra bytes are
     /// ignored.
+    ///
+    /// The buffer keeps its high-water length and only grows, new bytes
+    /// zero; every access goes through its first `plan.buf_len` bytes, so a
+    /// range past them panics as in a buffer of exactly that size. The bytes
+    /// an earlier run left are zeroed only for a plan that may read a byte
+    /// it did not write ([`CompiledSchedule::reads_unwritten`]): no other
+    /// plan can observe them.
     pub(super) fn load(&mut self, plan: &CompiledSchedule, input: &[u8]) {
         debug_assert!(input.len() >= plan.input_bytes());
-        self.buf.clear();
-        self.buf.resize(plan.buf_len, 0);
+        if plan.reads_unwritten {
+            self.buf.clear();
+        }
+        if self.buf.len() < plan.buf_len {
+            self.buf.resize(plan.buf_len, 0);
+        }
         self.land(plan, plan.input, input);
     }
 
     /// The bytes `span` denotes, borrowed in payload order.
     pub(super) fn view<'a>(&'a self, plan: &'a CompiledSchedule, span: Span) -> SgView<'a> {
-        SgView::new(&self.buf, plan.ranges_of(span))
+        SgView::new(&self.buf[..plan.buf_len], plan.ranges_of(span))
     }
 
     /// Write `data` into `dst`'s ranges in order. A short payload fills a
     /// prefix.
     pub(super) fn land(&mut self, plan: &CompiledSchedule, dst: Span, data: &[u8]) {
-        scatter(&mut self.buf, plan.ranges_of(dst), data);
+        scatter(&mut self.buf[..plan.buf_len], plan.ranges_of(dst), data);
     }
 
     /// The plan's output bytes.
@@ -325,13 +391,14 @@ impl RankMem {
     /// `dst = src`.
     pub(super) fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) {
         let (s, d) = (plan.ranges_of(src), plan.ranges_of(dst));
+        let buf = &mut self.buf[..plan.buf_len];
         if let ([s], [d]) = (s, d) {
             // Contiguous fast path; `copy_within` is memmove, so overlap
             // behaves like the gather-then-scatter below.
-            self.buf.copy_within(s.clone(), d.start);
+            buf.copy_within(s.clone(), d.start);
         } else {
-            gather(&mut self.scratch_src, &self.buf, s);
-            scatter(&mut self.buf, d, &self.scratch_src);
+            gather(&mut self.scratch_src, buf, s);
+            scatter(buf, d, &self.scratch_src);
         }
     }
 
@@ -350,22 +417,23 @@ impl RankMem {
         dst: Span,
     ) -> CommResult<()> {
         let (s, d) = (plan.ranges_of(src), plan.ranges_of(dst));
+        let buf = &mut self.buf[..plan.buf_len];
         match (s, d) {
             // Contiguous disjoint operands reduce in place via a split
             // borrow — no gather, no scatter.
             ([s], [d]) if s.end <= d.start => {
-                let (lo, hi) = self.buf.split_at_mut(d.start);
+                let (lo, hi) = buf.split_at_mut(d.start);
                 reduce_into(dtype, op, &mut hi[..d.len()], &lo[s.clone()])
             }
             ([s], [d]) if d.end <= s.start => {
-                let (lo, hi) = self.buf.split_at_mut(s.start);
+                let (lo, hi) = buf.split_at_mut(s.start);
                 reduce_into(dtype, op, &mut lo[d.clone()], &hi[..s.len()])
             }
             _ => {
-                gather(&mut self.scratch_src, &self.buf, s);
-                gather(&mut self.scratch_dst, &self.buf, d);
+                gather(&mut self.scratch_src, buf, s);
+                gather(&mut self.scratch_dst, buf, d);
                 reduce_into(dtype, op, &mut self.scratch_dst, &self.scratch_src)?;
-                scatter(&mut self.buf, d, &self.scratch_dst);
+                scatter(buf, d, &self.scratch_dst);
                 Ok(())
             }
         }
@@ -386,7 +454,9 @@ fn gather(out: &mut Vec<u8>, buf: &[u8], ranges: &[Range<usize>]) {
 /// scratch and the arenas of the requests outstanding since the last flush
 /// grow to a high-water mark and are reused, so on a backend that implements
 /// [`Comm::waitall_into`] itself a steady-state run allocates nothing but
-/// its output.
+/// its output. The scratch buffer is not re-zeroed between runs (see
+/// [`CompiledSchedule::reads_unwritten`]). [`execute_compiled`] keeps one
+/// per thread.
 #[derive(Default)]
 pub struct Executor {
     mem: RankMem,
@@ -441,7 +511,8 @@ impl Executor {
             match step {
                 CStep::Flush => {
                     let dests = SgDests::new(&plan.ranges, &self.dsts);
-                    c.waitall_into(&mut self.reqs, &mut self.mem.buf, dests)?;
+                    let buf = &mut self.mem.buf[..plan.buf_len];
+                    c.waitall_into(&mut self.reqs, buf, dests)?;
                     self.dsts.clear();
                 }
                 CStep::Mark { label, round } => c.mark(label, *round),
@@ -551,14 +622,22 @@ impl CompiledSchedule {
     }
 }
 
-/// One-shot convenience: run an already-compiled plan with a throwaway
-/// [`Executor`].
+/// Run an already-compiled plan on this thread's [`Executor`], whose
+/// scratch buffer and arenas persist across calls. A call made while that
+/// executor is running — from inside a `Comm` method — runs on a throwaway
+/// one instead.
 pub fn execute_compiled<C: Comm>(
     c: &mut C,
     plan: &CompiledSchedule,
     input: &[u8],
 ) -> CommResult<Vec<u8>> {
-    Executor::new().run(c, plan, input)
+    thread_local! {
+        static EXECUTOR: RefCell<Executor> = RefCell::new(Executor::new());
+    }
+    EXECUTOR.with(|e| match e.try_borrow_mut() {
+        Ok(mut e) => e.run(c, plan, input),
+        Err(_) => Executor::new().run(c, plan, input),
+    })
 }
 
 #[cfg(test)]
@@ -566,6 +645,7 @@ mod tests {
     use super::super::ScheduleBuilder;
     use super::*;
     use exacoll_comm::{run_ranks, TraceComm};
+    use proptest::prelude::*;
 
     /// A two-rank swap written directly in the IR.
     fn swap_schedule(p: usize, rank: usize, n: usize) -> Schedule {
@@ -745,6 +825,118 @@ mod tests {
             }],
         };
         compile(&plan);
+    }
+
+    /// [`CompiledSchedule::reads_unwritten`] restated one flag per scratch
+    /// byte: the oracle the interval walk in `compile` is checked against.
+    fn reads_unwritten_bytewise(s: &Schedule) -> bool {
+        let mut written = vec![false; s.buf_len];
+        let bytes = |sg: &SgList| {
+            sg.ranges()
+                .iter()
+                .flat_map(|r| r.clone())
+                .collect::<Vec<_>>()
+        };
+        let unwritten = |w: &[bool], sg: &SgList| bytes(sg).iter().any(|&b| !w[b]);
+        let mut read_unwritten = false;
+        let write = |w: &mut Vec<bool>, sg: &SgList, len: usize| {
+            for b in bytes(sg).into_iter().take(len) {
+                w[b] = true;
+            }
+        };
+        write(&mut written, &s.input, usize::MAX);
+        for step in &s.steps {
+            match step {
+                Step::Send { src, .. } => read_unwritten |= unwritten(&written, src),
+                Step::Recv { dst, .. } => write(&mut written, dst, usize::MAX),
+                Step::SendRecv { src, dst, .. } => {
+                    read_unwritten |= unwritten(&written, src);
+                    write(&mut written, dst, usize::MAX);
+                }
+                Step::Compute {
+                    kind: ComputeKind::Copy,
+                    src,
+                    dst,
+                } => {
+                    read_unwritten |= unwritten(&written, src);
+                    write(&mut written, dst, src.len());
+                }
+                Step::Compute { src, dst, .. } => {
+                    read_unwritten |= unwritten(&written, src) || unwritten(&written, dst);
+                }
+                Step::RoundMark { .. } => {}
+            }
+        }
+        read_unwritten || unwritten(&written, &s.output)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Random hand-built plans over a 24-byte scratch — lists that
+        /// overlap, touch, come up empty, are read before anything writes
+        /// them and copy between operands of unequal length — compile to
+        /// exactly the byte model's flag.
+        #[test]
+        fn reads_unwritten_agrees_with_the_byte_model(
+            views in collection::vec((0usize..24, 0usize..9), 0..6),
+            steps in collection::vec(
+                (0usize..6, collection::vec((0usize..24, 0usize..7), 0..6)),
+                0..10,
+            ),
+        ) {
+            const LEN: usize = 24;
+            let list = |pieces: &[(usize, usize)]| {
+                let mut sg = SgList::empty();
+                for &(start, len) in pieces {
+                    sg.push(start..(start + len).min(LEN));
+                }
+                sg
+            };
+            let half = |pieces: &[(usize, usize)], second: bool| {
+                let mid = pieces.len() / 2;
+                list(if second { &pieces[mid..] } else { &pieces[..mid] })
+            };
+            let steps = steps
+                .iter()
+                .map(|(kind, pieces)| {
+                    let (a, b) = (half(pieces, false), half(pieces, true));
+                    match kind {
+                        0 => Step::Send { to: 1, tag: 1, src: a },
+                        1 => Step::Recv { from: 1, tag: 1, dst: a },
+                        2 => Step::SendRecv {
+                            to: 1,
+                            send_tag: 1,
+                            src: a,
+                            from: 1,
+                            recv_tag: 1,
+                            dst: b,
+                        },
+                        3 => Step::Compute { kind: ComputeKind::Copy, src: a, dst: b },
+                        4 => Step::Compute {
+                            kind: ComputeKind::Reduce { dtype: DType::U8, op: ReduceOp::Sum },
+                            src: a,
+                            dst: b,
+                        },
+                        _ => Step::RoundMark { label: "r", round: 0 },
+                    }
+                })
+                .collect();
+            let s = Schedule {
+                p: 2,
+                rank: 0,
+                buf_len: LEN,
+                input: half(&views, false),
+                output: half(&views, true),
+                steps,
+            };
+            prop_assert_eq!(
+                compile(&s).reads_unwritten(),
+                reads_unwritten_bytewise(&s),
+                "{:?}",
+                s
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 # `ok`, `gain` and `unresolved` alike (a host too noisy to tell is not a
 # failure of the change).
 #
+# It also writes the trajectory file results/bench/BENCH_<depth>.json
+# (tracked; <depth> is `git rev-list --count HEAD`, the number the seeds
+# derive from): the base and head SHAs, every pair's seed, run order and
+# whether it was judged, and the `compare --json` document.
+#
 # A side that fails (the benchmark's own self-tests run before every
 # measurement and have flaked) is run once more; if it fails again that
 # seed's pair is dropped — both files, so the runs stay paired — and the
@@ -41,7 +46,8 @@ else
 fi
 
 # Seeds a developer would not have typed: a block of 100 per commit depth.
-seed0=$(( $(git -C "$head_dir" rev-list --count HEAD) * 100 ))
+depth=$(git -C "$head_dir" rev-list --count HEAD)
+seed0=$(( depth * 100 ))
 
 run_side() { # <checkout> <name> <seed>
     CARGO_TARGET_DIR="$work/$2-target" "$1/perf/run.sh" \
@@ -56,6 +62,7 @@ try_side() { # same arguments; one retry
 }
 
 judged=0
+pair_docs=()
 for i in $(seq 1 "$pairs"); do
     seed=$(( seed0 + i ))
     # Odd pairs run base first, even pairs head first, so a host that drifts
@@ -68,12 +75,44 @@ for i in $(seq 1 "$pairs"); do
     echo "perf-compare: pair $i/$pairs (seed $seed): ${first[1]} -> ${second[1]}" >&2
     if try_side "${first[@]}" "$seed" && try_side "${second[@]}" "$seed"; then
         judged=$(( judged + 1 ))
+        kept=true
     else
         echo "perf-compare: pair $i dropped: a side failed twice on seed $seed" >&2
         rm -f "$work/base-results/seed$seed.json" "$work/head-results/seed$seed.json"
+        kept=false
     fi
+    pair_docs+=("{\"pair\": $i, \"seed\": $seed, \"order\": [\"${first[1]}\", \"${second[1]}\"], \"judged\": $kept}")
 done
 echo "perf-compare: $judged of $pairs pairs judged" >&2
 
-CARGO_TARGET_DIR="$work/head-target" "$head_dir/perf/run.sh" compare \
-    "$work/base-results" "$work/head-results"
+compare() {
+    CARGO_TARGET_DIR="$work/head-target" "$head_dir/perf/run.sh" compare \
+        "$work/base-results" "$work/head-results" "$@"
+}
+status=0
+compare || status=$?
+
+sha() { # <checkout>: its commit, or null when it is not a git checkout
+    if [ -e "$1/.git" ]; then echo "\"$(git -C "$1" rev-parse HEAD)\""; else echo null; fi
+}
+dirty=false
+[ -z "$(git -C "$head_dir" status --porcelain --untracked-files=no)" ] || dirty=true
+doc=$(compare --json) || true
+bench="$head_dir/results/bench/BENCH_$depth.json"
+mkdir -p "$(dirname "$bench")"
+{
+    echo "{"
+    echo "  \"base\": {\"ref\": \"$base\", \"sha\": $(sha "$base_dir")},"
+    echo "  \"head\": {\"sha\": $(sha "$head_dir"), \"dirty\": $dirty},"
+    echo "  \"pairs\": {\"asked\": $pairs, \"judged\": $judged, \"dropped\": $(( pairs - judged ))},"
+    echo "  \"runs\": ["
+    for i in "${!pair_docs[@]}"; do
+        sep=","; (( i + 1 < ${#pair_docs[@]} )) || sep=""
+        echo "    ${pair_docs[$i]}$sep"
+    done
+    echo "  ],"
+    echo "  \"compare\": ${doc:-null}"
+    echo "}"
+} > "$bench"
+echo "perf-compare: wrote $bench" >&2
+exit "$status"

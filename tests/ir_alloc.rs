@@ -1,12 +1,14 @@
-//! Pins how often the schedule IR touches the heap. A scatter/gather list
-//! holding at most one range stores it inline, so building, cloning,
-//! slicing and concatenating such lists allocates nothing, and cloning a
-//! lowered plan allocates its step vector plus one vector per list of two
-//! or more ranges — nothing per single-range list.
+//! Pins how often the schedule IR and the dispatch path touch the heap. A
+//! scatter/gather list holding at most one range stores it inline, so
+//! building, cloning, slicing and concatenating such lists allocates
+//! nothing, and cloning a lowered plan allocates its step vector plus one
+//! vector per list of two or more ranges — nothing per single-range list. A
+//! warm `registry::execute` allocates its output and nothing else.
 
-use exacoll::collectives::registry::{candidates, lower};
+use exacoll::collectives::registry::{candidates, execute, lower};
 use exacoll::collectives::schedule::{Schedule, SgList, Step};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
+use exacoll::comm::run_ranks;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -134,4 +136,23 @@ fn cloning_a_plan_allocates_its_steps_and_its_multi_range_lists() {
         }
     }
     assert!(multi_total > 0, "no multi-range list anywhere at p = 8");
+}
+
+/// DESIGN §16.4(3): a steady-state dispatch reuses the plan the cache holds
+/// and this thread's executor — its scratch buffer and arenas — so the one
+/// allocation left is the output.
+#[test]
+fn a_warm_execute_allocates_only_its_output() {
+    let args = CollArgs::new(
+        CollectiveOp::Allreduce,
+        Algorithm::RecursiveMultiplying { k: 2 },
+    );
+    let counts = run_ranks(1, |c| {
+        let input: Vec<u8> = (0..=255).collect();
+        assert_eq!(execute(c, &args, &input)?, input, "warm-up");
+        let (out, n) = allocations(|| execute(c, &args, &input));
+        assert_eq!(out?, input);
+        Ok(n)
+    });
+    assert_eq!(counts, [1]);
 }

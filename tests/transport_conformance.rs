@@ -6,8 +6,9 @@
 //! reach the engine in the order the semantics need.
 
 use exacoll::comm::{
-    expect_all_ranks, fnv1a, scatter, try_run_ranks_with, Comm, CommError, CommResult, FaultComm,
-    FaultPlan, Rank, RecordComm, RecordedEvent, Req, SgDests, SgView, ThreadComm, WorldOptions,
+    expect_all_ranks, fnv1a, scatter, try_run_ranks_with, zero_tail, Comm, CommError, CommResult,
+    FaultComm, FaultPlan, Rank, RecordComm, RecordedEvent, Req, SgDests, SgView, ThreadComm,
+    WorldOptions,
 };
 use exacoll::net::{try_run_socket_ranks_with, SocketComm};
 use exacoll::obs::{EventKind, TimedComm};
@@ -364,8 +365,8 @@ mod cases {
     /// second message a byte short of its destination, and sent only once
     /// rank 0 is on its way into the wait), a send, and a receive from rank 2
     /// longer than the mesh's read-ahead into a destination of two swapped
-    /// ranges — with `waitall_into`, or with `waitall` and a scatter.
-    /// Returns rank 0's buffer.
+    /// ranges — with `waitall_into`, or with `waitall`, a scatter and a
+    /// zeroed tail. Returns rank 0's buffer, which starts out all `0xEE`.
     fn exchange<C: Comm>(c: &mut C, into: bool) -> CommResult<Vec<u8>> {
         match c.rank() {
             0 => {
@@ -386,6 +387,7 @@ mod cases {
                     for (span, payload) in spans.iter().zip(c.waitall(reqs)?) {
                         if let Some(payload) = payload {
                             scatter(&mut buf, &ranges[span.clone()], &payload);
+                            zero_tail(&mut buf, &ranges[span.clone()], payload.len());
                         }
                     }
                 }
@@ -406,11 +408,13 @@ mod cases {
         }
     }
 
-    /// What `exchange` must leave in rank 0's buffer when nothing interferes.
+    /// What `exchange` must leave in rank 0's buffer when nothing interferes:
+    /// the short message's last destination byte is zeroed, bytes no
+    /// destination names keep the `0xEE` they held.
     fn exchanged() -> Vec<u8> {
         let mut want = vec![0xEE; 16 + BIG];
         want[8..13].copy_from_slice(&[1, 2, 3, 4, 5]);
-        want[..3].copy_from_slice(&[7, 8, 9]);
+        want[..4].copy_from_slice(&[7, 8, 9, 0]);
         let big: Vec<u8> = (0..BIG).map(|i| (i % 251) as u8).collect();
         want[16 + BIG / 2..].copy_from_slice(&big[..BIG / 2]);
         want[16..16 + BIG / 2].copy_from_slice(&big[BIG / 2..]);
@@ -478,8 +482,9 @@ mod cases {
             if rank == 0 {
                 assert!(landed[0].0 == exchanged());
                 // The short message: `waitall` knows it was three bytes,
-                // `waitall_into` describes the four-byte destination.
-                let (short, dest) = ([7, 8, 9], [7, 8, 9, 0xEE]);
+                // `waitall_into` describes the four-byte destination, whose
+                // last byte is the zero the message did not cover.
+                let (short, dest) = ([7, 8, 9], [7, 8, 9, 0]);
                 let event = |bytes: &[u8]| RecordedEvent::Recv {
                     from: 1,
                     tag: 4,
