@@ -112,7 +112,8 @@ pub trait Comm {
 
     /// Account for `bytes` of local reduction computation (γ term in the
     /// cost model). Backends that execute for real treat this as a no-op;
-    /// the trace backend records it.
+    /// wrappers that observe the op stream (`exacoll-obs`'s `TimedComm`)
+    /// record it.
     fn compute(&mut self, bytes: usize);
 
     /// Annotate the schedule with a round/phase boundary: `label` names the

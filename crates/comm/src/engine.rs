@@ -640,7 +640,7 @@ impl<T: Transport> Comm for Engine<T> {
 
     fn compute(&mut self, _bytes: usize) {
         // Real computation happens in the algorithm via `reduce_into`; the
-        // accounting hook is only meaningful to the trace backend.
+        // accounting hook is only meaningful to observing wrappers.
     }
 }
 

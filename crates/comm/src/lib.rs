@@ -17,15 +17,14 @@
 //!   (data contents, reduction arithmetic, arbitrary roots, non-power-of-`k`
 //!   process counts). `exacoll-net`'s `SocketComm` is the same engine over a
 //!   TCP mesh.
-//! * [`TraceComm`] — a single-threaded recorder that captures each rank's
-//!   operation schedule (sends, receives, waits, reduction compute) as a
-//!   [`RankTrace`]. The `exacoll-sim` crate replays these traces on a
-//!   discrete-event model of an exascale machine to produce virtual time.
 //!
-//! Because the collective algorithms' control flow depends only on
-//! `(rank, size, radix, message size)` — never on received data — a trace
-//! recorded with dummy payloads is exactly the schedule the threaded backend
-//! executes.
+//! A rank's operation schedule (sends, receives, waits, reduction compute)
+//! is a [`RankTrace`]. `exacoll-core` reads it symbolically off a compiled
+//! plan, and the `exacoll-sim` crate replays it on a discrete-event model of
+//! an exascale machine to produce virtual time. Because the collective
+//! algorithms' control flow depends only on `(rank, size, radix, message
+//! size)` — never on received data — that trace is exactly the schedule a
+//! live backend executes.
 
 pub mod buffer;
 pub mod comm;
@@ -51,5 +50,5 @@ pub use thread_rt::{
     expect_all_ranks, run_ranks, run_scoped, try_run_ranks, try_run_ranks_with, AbortHandle,
     Mailbox, ThreadComm, WorldOptions,
 };
-pub use trace::{record_traces, RankTrace, TraceComm, TraceOp};
+pub use trace::{RankTrace, TraceOp};
 pub use types::{DType, Rank, ReduceOp, Tag};

@@ -635,12 +635,9 @@ mod tests {
     fn uniform_kring_rejects_nondivisible() {
         // The uniform fast path insists on k | p; the dispatcher routes
         // non-divisible configurations to the general variant instead.
-        exacoll_comm::record_traces(8, |c| {
-            run_blocks(c, &rank_block(c.rank(), 4), |b, own| {
-                build_allgather_kring(b, 3, own, &[4; 8])
-            })
-            .map(|_| ())
-        });
+        let mut b = ScheduleBuilder::new(8, 0);
+        let own = b.alloc(4);
+        build_allgather_kring(&mut b, 3, own, &[4; 8]);
     }
 
     #[test]

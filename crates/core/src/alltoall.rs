@@ -233,8 +233,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal size")]
     fn ragged_input_rejected() {
-        exacoll_comm::record_traces(4, |c| {
-            alltoall(c, Algorithm::Pairwise, &[0u8; 7]).map(|_| ())
-        });
+        let args = CollArgs::new(CollectiveOp::Alltoall, Algorithm::Pairwise);
+        crate::registry::lower(&args, 4, 0, 7);
     }
 }

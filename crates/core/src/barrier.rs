@@ -113,11 +113,11 @@ mod tests {
 
     #[test]
     fn higher_radix_needs_fewer_rounds_in_simulation() {
-        use exacoll_comm::record_traces;
-        let p = 64;
+        use crate::registry::lower;
         let count_rounds = |k: usize| {
-            let traces = record_traces(p, |c| barrier_dissemination(c, k));
-            traces[0]
+            let args = CollArgs::new(CollectiveOp::Barrier, Algorithm::Dissemination { k });
+            lower(&args, 64, 0, 0)
+                .to_trace()
                 .ops
                 .iter()
                 .filter(|o| matches!(o, exacoll_comm::TraceOp::WaitAll { .. }))

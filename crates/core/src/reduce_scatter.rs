@@ -223,7 +223,6 @@ pub(crate) fn build_reduce_scatter_recmult(
 mod tests {
     use super::*;
     use crate::registry::{execute, execute_v, Algorithm, CollArgs, CollectiveOp};
-    use crate::schedule::run_built;
     use exacoll_comm::{reduce_ops::reduce_all, run_ranks, Comm, TypedBuf};
 
     fn args(alg: Algorithm, dtype: DType, rop: ReduceOp) -> CollArgs {
@@ -403,24 +402,16 @@ mod tests {
     #[should_panic(expected = "element-aligned")]
     fn v_variant_rejects_misaligned_counts() {
         let ring_args = args(Algorithm::Ring, DType::I64, ReduceOp::Sum);
-        exacoll_comm::record_traces(2, |c| {
-            execute_v(c, &ring_args, &[3, 5], &[0u8; 8]).map(|_| ())
-        });
+        crate::registry::lower_v(&ring_args, 0, &[3, 5]);
     }
 
     #[test]
     #[should_panic(expected = "smooth")]
     fn recursive_splitting_rejects_nonsmooth() {
         // The builder's own precondition, below the registry's `supports`.
-        exacoll_comm::record_traces(7, |c| {
-            run_built(c, &[0u8; 56], |b| {
-                let own = b.alloc(56);
-                let out =
-                    build_reduce_scatter_recmult(b, 2, own.clone(), DType::F64, ReduceOp::Sum);
-                (own, out)
-            })
-            .map(|_| ())
-        });
+        let mut b = ScheduleBuilder::new(7, 0);
+        let own = b.alloc(56);
+        build_reduce_scatter_recmult(&mut b, 2, own, DType::F64, ReduceOp::Sum);
     }
 
     #[test]

@@ -542,11 +542,11 @@ impl Executor {
     }
 }
 
-/// The executor's symbolic twin: what [`Executor::run`] would make a
-/// [`TraceComm`](exacoll_comm::TraceComm) record, read off the instruction
-/// stream without running it. It lives beside `run` because the two must
-/// agree step for step; both `match` exhaustively, so a new [`CStep`]
-/// variant stops both from compiling.
+/// The executor's symbolic twin: the op stream [`Executor::run`] would issue
+/// to its backend, read off the instruction stream without running it. It
+/// lives beside `run` because the two must agree step for step; both
+/// `match` exhaustively, so a new [`CStep`] variant stops both from
+/// compiling.
 impl CompiledSchedule {
     /// The rank's [`RankTrace`] for discrete-event simulation. A trace names
     /// peers and sizes only, so no buffer is allocated and no byte moved: a
@@ -554,10 +554,10 @@ impl CompiledSchedule {
     ///
     /// `Send`/`Recv` post the same op with the span's byte total, `Flush`
     /// waits on every op posted since the last one, `Reduce` charges its
-    /// destination bytes, `Copy` is free. `exacoll-sim`'s
-    /// `schedule_cost_equals_traced_execution_cost` pins this equal to the
-    /// trace [`execute_compiled`] records over a `TraceComm`, rank by rank
-    /// over the registry grid.
+    /// destination bytes, `Copy` is free. `tests/observability.rs`'s
+    /// `symbolic_trace_equals_the_executed_trace` pins this equal, rank by
+    /// rank, to the ops [`execute_compiled`] issues on the threaded backend
+    /// as a timing wrapper sees them.
     ///
     /// # Panics
     ///
@@ -644,7 +644,7 @@ pub fn execute_compiled<C: Comm>(
 mod tests {
     use super::super::ScheduleBuilder;
     use super::*;
-    use exacoll_comm::{run_ranks, TraceComm};
+    use exacoll_comm::run_ranks;
     use proptest::prelude::*;
 
     /// A two-rank swap written directly in the IR.
@@ -760,10 +760,10 @@ mod tests {
         let src = b.alloc(2);
         b.reduce(DType::U8, ReduceOp::Sum, src.clone(), acc.clone());
         let s = b.finish(SgList::concat([&acc, &src]), acc);
-        let mut c = TraceComm::new(0, 1);
-        let out = execute_compiled(&mut c, &compile(&s), &[10, 20, 1, 2]).unwrap();
-        assert_eq!(out, vec![11, 22]);
-        assert_eq!(c.finish().ops, vec![TraceOp::Compute { bytes: 2 }]);
+        let plan = compile(&s);
+        let out = run_ranks(1, |c| execute_compiled(c, &plan, &[10, 20, 1, 2]));
+        assert_eq!(out[0], vec![11, 22]);
+        assert_eq!(plan.to_trace().ops, vec![TraceOp::Compute { bytes: 2 }]);
     }
 
     #[test]
@@ -780,9 +780,9 @@ mod tests {
             b.reduce(DType::U8, ReduceOp::Sum, src.clone(), dst.clone());
             let plan = b.finish(SgList::concat([&dst, &src]), dst.clone());
             let input: Vec<u8> = (0..2 * n as u8).collect();
-            let out = execute_compiled(&mut TraceComm::new(0, 1), &compile(&plan), &input).unwrap();
+            let out = run_ranks(1, |c| execute_compiled(c, &compile(&plan), &input));
             let want: Vec<u8> = (0..n as u8).map(|i| 2 * i + n as u8).collect();
-            assert_eq!(out, want, "first_is_dst={first_is_dst} n={n}");
+            assert_eq!(out[0], want, "first_is_dst={first_is_dst} n={n}");
         }
         let mut b = ScheduleBuilder::new(1, 0);
         let dst = b.alloc(4);
@@ -790,13 +790,10 @@ mod tests {
         let swapped = SgList::concat([&src.slice(2, 2), &src.slice(0, 2)]);
         b.reduce(DType::U8, ReduceOp::Sum, swapped, dst.clone());
         let plan = b.finish(SgList::concat([&dst, &src]), dst);
-        let out = execute_compiled(
-            &mut TraceComm::new(0, 1),
-            &compile(&plan),
-            &[0, 1, 2, 3, 10, 20, 30, 40],
-        )
-        .unwrap();
-        assert_eq!(out, vec![30, 41, 12, 23]);
+        let out = run_ranks(1, |c| {
+            execute_compiled(c, &compile(&plan), &[0, 1, 2, 3, 10, 20, 30, 40])
+        });
+        assert_eq!(out[0], vec![30, 41, 12, 23]);
     }
 
     #[test]
@@ -942,12 +939,11 @@ mod tests {
     #[test]
     fn mismatched_endpoint_is_an_error_not_a_panic() {
         let plan = compile(&swap_schedule(2, 0, 4));
-        let mut c = TraceComm::new(0, 4);
-        let e = execute_compiled(&mut c, &plan, &[0; 4]).unwrap_err();
-        assert!(matches!(e, CommError::PlanMismatch { plan_p: 2, .. }));
+        let e = run_ranks(4, |c| Ok(execute_compiled(c, &plan, &[0; 4]).unwrap_err()));
+        assert!(matches!(e[0], CommError::PlanMismatch { plan_p: 2, .. }));
 
-        let mut c = TraceComm::new(0, 2);
-        let e = execute_compiled(&mut c, &plan, &[0; 2]).unwrap_err();
-        assert!(matches!(e, CommError::ShortInput { need: 4, got: 2 }));
+        // Rank 1 is handed rank 0's plan too, so it fails without sending.
+        let e = run_ranks(2, |c| Ok(execute_compiled(c, &plan, &[0; 2]).unwrap_err()));
+        assert!(matches!(e[0], CommError::ShortInput { need: 4, got: 2 }));
     }
 }

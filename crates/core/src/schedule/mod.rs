@@ -13,7 +13,7 @@
 //! flushes included, is the only thing ever executed. Three things interpret
 //! it, and one independent checker does not:
 //! * [`Executor`] runs one rank's plan on any `Comm` backend — live threads
-//!   and sockets, and the trace recorder,
+//!   and sockets, under any wrapper (timing, recording, fault injection),
 //! * [`Schedule::to_trace`] reads the op stream the executor would issue
 //!   straight off the instructions, moving no bytes, for the discrete-event
 //!   simulator (`exacoll-sim`),
@@ -286,9 +286,9 @@ pub struct Schedule {
 impl Schedule {
     /// The rank's [`RankTrace`] for discrete-event simulation:
     /// [`CompiledSchedule::to_trace`] of the compiled plan — a symbolic walk
-    /// of the instructions the [`Executor`] runs, pinned equal to the
-    /// executor's recorded op sequence by `exacoll-sim`'s
-    /// `schedule_cost_equals_traced_execution_cost`.
+    /// of the instructions the [`Executor`] runs, pinned equal to the op
+    /// sequence a live threaded run issues by
+    /// `tests/observability.rs::symbolic_trace_equals_the_executed_trace`.
     pub fn to_trace(&self) -> RankTrace {
         compile(self).to_trace()
     }

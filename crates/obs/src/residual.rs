@@ -370,16 +370,13 @@ pub fn render(report: &ResidualReport) -> String {
 mod tests {
     use super::*;
     use crate::timeline::timelines_from_sim;
-    use exacoll_comm::record_traces;
-    use exacoll_core::{execute, CollArgs};
+    use exacoll_core::registry::lower;
+    use exacoll_core::CollArgs;
     use exacoll_sim::{simulate_timed, Machine};
 
     fn sim_timelines(op: CollectiveOp, alg: Algorithm, p: usize, n: usize) -> Vec<RankTimeline> {
         let args = CollArgs::new(op, alg);
-        let traces = record_traces(p, |c| {
-            let input = vec![0u8; n];
-            execute(c, &args, &input).map(|_| ())
-        });
+        let traces: Vec<_> = (0..p).map(|r| lower(&args, p, r, n).to_trace()).collect();
         let m = Machine::testbed(p, 1, 1);
         let (_, timings) = simulate_timed(&m, &traces).expect("replay");
         timelines_from_sim(&traces, &timings)

@@ -423,17 +423,11 @@ mod tests {
 
     #[test]
     fn sim_timelines_align_with_ops() {
-        use exacoll_comm::record_traces;
+        use exacoll_core::registry::{lower, Algorithm, CollArgs, CollectiveOp};
         use exacoll_sim::{simulate_timed, Machine};
 
-        let traces = record_traces(2, |c| {
-            c.mark("xfer", 0);
-            if c.rank() == 0 {
-                c.send(1, 3, vec![0u8; 64])
-            } else {
-                c.recv(0, 3, 64).map(|_| ())
-            }
-        });
+        let bcast = CollArgs::new(CollectiveOp::Bcast, Algorithm::KnomialTree { k: 2 });
+        let traces: Vec<_> = (0..2).map(|r| lower(&bcast, 2, r, 64).to_trace()).collect();
         let m = Machine::testbed(2, 1, 1);
         let (outcome, timings) = simulate_timed(&m, &traces).expect("replay");
         let tls = timelines_from_sim(&traces, &timings);
@@ -442,8 +436,8 @@ mod tests {
             assert_eq!(tl.events.len(), traces[tl.rank].ops.len());
             assert_eq!(tl.events[0].kind, EventKind::Mark);
             // Phase annotation flows onto subsequent events.
-            assert_eq!(tl.events[1].label, Some("xfer"));
-            assert_eq!(tl.events[1].round, Some(0));
+            assert_eq!(tl.events[1].label, Some("bc-knomial"));
+            assert_eq!(tl.events[1].round, tl.events[0].round);
         }
         let makespan = makespan_ns(&tls);
         assert!((makespan - outcome.makespan.as_nanos()).abs() < 1e-6);

@@ -5,9 +5,10 @@
 //! [`cost`] reads each plan's op stream off its compiled instructions
 //! ([`Schedule::to_trace`], a symbolic walk: no buffer, no data movement, no
 //! threads, O(steps) whatever the message size) and feeds the result to the
-//! discrete-event simulator. That walk sits beside the executor's own and
-//! the test below pins the two op streams equal over the registry grid, so
-//! what is simulated is what a live run would issue.
+//! discrete-event simulator. That walk sits beside the executor's own, and
+//! `tests/observability.rs` pins the two op streams equal against a live
+//! threaded run over the registry grid, so what is simulated is what a live
+//! run issues.
 //!
 //! [`plans`], [`traces`], [`measure`] and [`latency`] are the OSU-style front
 //! end every sweep, figure and workload prices through: one (collective,
@@ -152,141 +153,7 @@ pub fn latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{record_traces, Comm, TraceComm};
-    use exacoll_core::registry::{candidates, execute, lower, lower_v, unique_candidates_v};
-    use exacoll_core::schedule::{compile, execute_compiled};
-    use exacoll_core::{merge_tenants, Tenant};
-
-    /// What the real executor makes the recorder write for `plan`: the
-    /// reference the symbolic `to_trace` must reproduce op for op.
-    fn executed_trace(plan: &Schedule) -> RankTrace {
-        let plan = compile(plan);
-        let mut c = TraceComm::new(plan.rank, plan.p);
-        execute_compiled(&mut c, &plan, &vec![0; plan.input_bytes()]).unwrap();
-        c.finish()
-    }
-
-    /// Every rank's symbolic trace equals its executed one; returns how many
-    /// rank plans were compared.
-    fn assert_traces_match(world: &[Schedule], what: &dyn std::fmt::Display) -> usize {
-        for plan in world {
-            let (symbolic, executed) = (plan.to_trace(), executed_trace(plan));
-            assert_eq!(symbolic, executed, "{what} rank {}", plan.rank);
-        }
-        world.len()
-    }
-
-    #[test]
-    fn schedule_cost_equals_traced_execution_cost() {
-        // Costing the IR directly must give the same makespan as recording
-        // a live (threaded) execution and simulating that.
-        let p = 8;
-        let machine = Machine::testbed(2, 4, 2);
-        for alg in [
-            Algorithm::Ring,
-            Algorithm::KnomialTree { k: 2 },
-            Algorithm::RecursiveMultiplying { k: 4 },
-        ] {
-            let args = CollArgs::new(CollectiveOp::Allgather, alg);
-            let n = 64;
-            let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
-            let direct = cost(&machine, &plans).unwrap();
-
-            let traces = record_traces(p, |c| {
-                let input = vec![c.rank() as u8; n];
-                execute(c, &args, &input).map(|_| ())
-            });
-            let live = simulate(&machine, &traces).unwrap();
-            assert_eq!(direct.makespan, live.makespan, "{alg}");
-        }
-
-        // The route every figure is priced through: `traces` (f64 sums at
-        // OSU sizes, alltoall sized per destination) against what a
-        // recorder sees when the registry executes the same call.
-        for op in CollectiveOp::ALL {
-            for alg in candidates(op, p, 4) {
-                for n in [8usize, 1024, 64 << 10] {
-                    let args = CollArgs {
-                        dtype: OSU_DTYPE,
-                        ..CollArgs::new(op, alg)
-                    };
-                    let bytes = if op == CollectiveOp::Alltoall {
-                        n * p
-                    } else {
-                        n
-                    };
-                    let executed =
-                        record_traces(p, |c| execute(c, &args, &vec![0; bytes]).map(|_| ()));
-                    assert_eq!(
-                        traces(p, op, alg, n, 0).unwrap(),
-                        executed,
-                        "{op} / {alg} f64 n={n}"
-                    );
-                }
-            }
-        }
-
-        // And rank by rank, the op stream `cost` prices is the one the
-        // executor drives a backend with: over the registry grid (empty,
-        // small and 32 KiB payloads; one rank up to sixteen), ragged
-        // v-plans with zero-count ranks, and merged two-tenant plans.
-        let mut compared = 0;
-        for p in [1usize, 2, 4, 6, 8, 9, 16] {
-            for op in CollectiveOp::ALL {
-                for alg in candidates(op, p, 4) {
-                    let args = CollArgs::new(op, alg);
-                    for size in [0usize, 24, 32 << 10] {
-                        let n = match op {
-                            CollectiveOp::Alltoall => size * p,
-                            CollectiveOp::Barrier => 0,
-                            _ => size,
-                        };
-                        let world: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
-                        compared +=
-                            assert_traces_match(&world, &format_args!("{op} / {alg} p={p} n={n}"));
-                    }
-                }
-            }
-            if p < 2 {
-                continue;
-            }
-            let mut holes = vec![24usize; p];
-            holes[p - 1] = 0;
-            holes[p / 2] = 0;
-            let mut head = vec![8usize; p];
-            head[0] = 4096;
-            for counts in [holes, head] {
-                for op in [CollectiveOp::Allgather, CollectiveOp::ReduceScatter] {
-                    for alg in unique_candidates_v(op, 4, &counts) {
-                        let args = CollArgs::new(op, alg);
-                        let world: Vec<_> = (0..p).map(|r| lower_v(&args, r, &counts)).collect();
-                        compared +=
-                            assert_traces_match(&world, &format_args!("{op}v / {alg} {counts:?}"));
-                    }
-                }
-            }
-            let tenant = |id: usize, op, alg| -> Vec<Schedule> {
-                let args = CollArgs::new(op, alg);
-                (0..p)
-                    .map(|r| Tenant::new(id).rewrite(&lower(&args, p, r, 64)))
-                    .collect()
-            };
-            let t0 = tenant(0, CollectiveOp::Allgather, Algorithm::Ring);
-            let t1 = tenant(
-                1,
-                CollectiveOp::Allreduce,
-                Algorithm::RecursiveMultiplying { k: 2 },
-            );
-            let merged: Vec<_> = (0..p)
-                .map(|r| merge_tenants(&[t0[r].clone(), t1[r].clone()]))
-                .collect();
-            compared += assert_traces_match(&merged, &format_args!("2 merged tenants p={p}"));
-        }
-        assert!(
-            compared > 7_000,
-            "grid should be dense, compared {compared}"
-        );
-    }
+    use exacoll_core::registry::lower;
 
     #[test]
     fn skewed_v_allgather_costs_more_than_uniform_at_equal_total() {

@@ -593,17 +593,62 @@ pub fn simulate_noisy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{record_traces, Comm};
+    use exacoll_comm::Rank;
+
+    /// Every rank's program as `f(rank)` lists it.
+    fn world(p: usize, f: impl Fn(Rank) -> Vec<TraceOp>) -> Vec<RankTrace> {
+        (0..p)
+            .map(|rank| RankTrace {
+                rank,
+                size: p,
+                ops: f(rank),
+            })
+            .collect()
+    }
+
+    fn send(to: Rank, bytes: u64) -> TraceOp {
+        TraceOp::Send { to, tag: 0, bytes }
+    }
+
+    fn recv(from: Rank, bytes: u64) -> TraceOp {
+        TraceOp::Recv {
+            from,
+            tag: 0,
+            bytes,
+        }
+    }
+
+    fn wait(reqs: impl IntoIterator<Item = u32>) -> TraceOp {
+        TraceOp::WaitAll {
+            reqs: reqs.into_iter().collect(),
+        }
+    }
+
+    /// Rank `from` sends `bytes` to rank `to` in a world of `p`, both blocking.
+    fn message(p: usize, from: Rank, to: Rank, bytes: u64) -> Vec<RankTrace> {
+        world(p, |r| {
+            if r == from {
+                vec![send(to, bytes), wait([0])]
+            } else if r == to {
+                vec![recv(from, bytes), wait([0])]
+            } else {
+                vec![]
+            }
+        })
+    }
 
     /// Two ranks on different nodes; rank 0 sends n bytes to rank 1.
-    fn one_message(bytes: usize) -> Vec<RankTrace> {
-        record_traces(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 0, vec![0u8; bytes])?;
-            } else {
-                let _ = c.recv(0, 0, bytes)?;
-            }
-            Ok(())
+    fn one_message(bytes: u64) -> Vec<RankTrace> {
+        message(2, 0, 1, bytes)
+    }
+
+    /// Every rank swaps `bytes` with rank `r ^ 1`, then reduces `compute`
+    /// bytes of what arrived.
+    fn pairwise_swap(p: usize, bytes: u64, compute: Option<u64>) -> Vec<RankTrace> {
+        world(p, |r| {
+            let mut ops = vec![send(r ^ 1, bytes), recv(r ^ 1, bytes), wait([0, 1])];
+            ops.extend(compute.map(|bytes| TraceOp::Compute { bytes }));
+            ops
         })
     }
 
@@ -636,7 +681,7 @@ mod tests {
     fn time_is_monotone_in_bytes() {
         let m = Machine::frontier(2, 1);
         let mut last = SimTime::ZERO;
-        for bytes in [8usize, 64, 1024, 65536, 1 << 20] {
+        for bytes in [8u64, 64, 1024, 65536, 1 << 20] {
             let t = simulate(&m, &one_message(bytes)).unwrap().makespan;
             assert!(t > last, "{bytes} B not slower than previous");
             last = t;
@@ -647,16 +692,12 @@ mod tests {
     fn concurrent_sends_stripe_over_pooled_ports() {
         // Rank 0 sends 4 big messages to 4 distinct peers on distinct nodes;
         // with 4 pooled ports they ship in parallel, with 1 port serially.
-        let traces = record_traces(5, |c| {
-            if c.rank() == 0 {
-                let reqs: Vec<_> = (1..5)
-                    .map(|r| c.isend(r, 0, vec![0u8; 1_000_000]))
-                    .collect::<Result<_, _>>()?;
-                c.waitall(reqs)?;
-            } else {
-                let _ = c.recv(0, 0, 1_000_000)?;
-            }
-            Ok(())
+        let traces = world(5, |r| match r {
+            0 => (1..5)
+                .map(|to| send(to, 1_000_000))
+                .chain([wait(0..4)])
+                .collect(),
+            _ => vec![recv(0, 1_000_000), wait([0])],
         });
         let wide = Machine::testbed(5, 1, 4);
         let narrow = Machine::testbed(5, 1, 1);
@@ -673,16 +714,12 @@ mod tests {
     #[test]
     fn receive_side_serializes_on_rx_port() {
         // 4 senders to one receiver with a single rx port: arrivals serialize.
-        let traces = record_traces(5, |c| {
-            if c.rank() == 4 {
-                let reqs: Vec<_> = (0..4)
-                    .map(|r| c.irecv(r, 0, 1_000_000))
-                    .collect::<Result<_, _>>()?;
-                c.waitall(reqs)?;
-            } else {
-                c.send(4, 0, vec![0u8; 1_000_000])?;
-            }
-            Ok(())
+        let traces = world(5, |r| match r {
+            4 => (0..4)
+                .map(|from| recv(from, 1_000_000))
+                .chain([wait(0..4)])
+                .collect(),
+            _ => vec![send(4, 1_000_000), wait([0])],
         });
         let m = Machine::testbed(5, 1, 1);
         let out = simulate(&m, &traces).unwrap();
@@ -693,11 +730,16 @@ mod tests {
     #[test]
     fn deadlock_detected() {
         // Rank 1 waits for a message nobody sends.
-        let traces = record_traces(2, |c| {
-            if c.rank() == 1 {
-                let _ = c.recv(0, 9, 8)?;
-            }
-            Ok(())
+        let traces = world(2, |r| match r {
+            1 => vec![
+                TraceOp::Recv {
+                    from: 0,
+                    tag: 9,
+                    bytes: 8,
+                },
+                wait([0]),
+            ],
+            _ => vec![],
         });
         let m = Machine::testbed(2, 1, 1);
         let err = simulate(&m, &traces).unwrap_err();
@@ -733,14 +775,14 @@ mod tests {
     fn recv_posted_late_still_completes_at_max() {
         // Receiver computes for a long time before posting its recv: its
         // completion is its own post time, not the wire arrival.
-        let traces = record_traces(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 0, vec![0u8; 8])?;
-            } else {
-                c.compute(100_000_000); // long local work first
-                let _ = c.recv(0, 0, 8)?;
-            }
-            Ok(())
+        let traces = world(2, |r| match r {
+            0 => vec![send(1, 8), wait([0])],
+            // Long local work first.
+            _ => vec![
+                TraceOp::Compute { bytes: 100_000_000 },
+                recv(0, 8),
+                wait([1]),
+            ],
         });
         let mut m = Machine::testbed(2, 1, 1);
         m.cpu.gamma_ns_per_byte = 1.0;
@@ -751,15 +793,9 @@ mod tests {
     #[test]
     fn send_buffer_depth_limits_inflight() {
         // With depth 1, the second send cannot post until the first arrives.
-        let traces = record_traces(3, |c| {
-            if c.rank() == 0 {
-                let r1 = c.isend(1, 0, vec![0u8; 1000])?;
-                let r2 = c.isend(2, 0, vec![0u8; 1000])?;
-                c.waitall(vec![r1, r2])?;
-            } else {
-                let _ = c.recv(0, 0, 1000)?;
-            }
-            Ok(())
+        let traces = world(3, |r| match r {
+            0 => vec![send(1, 1000), send(2, 1000), wait([0, 1])],
+            _ => vec![recv(0, 1000), wait([0])],
         });
         let mut unlimited = Machine::testbed(3, 1, 2);
         let mut limited = unlimited.clone();
@@ -772,11 +808,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let traces = record_traces(8, |c| {
-            let peer = c.rank() ^ 1;
-            let _ = c.sendrecv(peer, 0, vec![0u8; 4096], peer, 0, 4096)?;
-            Ok(())
-        });
+        let traces = pairwise_swap(8, 4096, None);
         let m = Machine::frontier(8, 1);
         let a = simulate(&m, &traces).unwrap();
         let b = simulate(&m, &traces).unwrap();
@@ -787,12 +819,7 @@ mod tests {
 
     #[test]
     fn timed_replay_matches_untimed() {
-        let traces = record_traces(8, |c| {
-            let peer = c.rank() ^ 1;
-            let got = c.sendrecv(peer, 0, vec![0u8; 4096], peer, 0, 4096)?;
-            c.compute(got.len());
-            Ok(())
-        });
+        let traces = pairwise_swap(8, 4096, Some(4096));
         let m = Machine::frontier(8, 1);
         let base = simulate(&m, &traces).unwrap();
         let (timed, spans) = simulate_timed(&m, &traces).unwrap();
@@ -813,16 +840,13 @@ mod tests {
     #[test]
     fn marks_cost_nothing_in_replay() {
         let plain = one_message(4096);
-        let marked = record_traces(2, |c| {
-            c.mark("phase", 0);
-            if c.rank() == 0 {
-                c.send(1, 0, vec![0u8; 4096])?;
-            } else {
-                c.mark("phase", 1);
-                let _ = c.recv(0, 0, 4096)?;
-            }
-            c.mark("phase", 2);
-            Ok(())
+        let mark = |round| TraceOp::Mark {
+            label: "phase",
+            round,
+        };
+        let marked = world(2, |r| match r {
+            0 => vec![mark(0), send(1, 4096), wait([1]), mark(2)],
+            _ => vec![mark(0), mark(1), recv(0, 4096), wait([2]), mark(2)],
         });
         let m = Machine::frontier(2, 1);
         let a = simulate(&m, &plain).unwrap();
@@ -854,10 +878,7 @@ mod tests {
 
     #[test]
     fn self_message_is_cheap() {
-        let traces = record_traces(1, |c| {
-            let _ = c.sendrecv(0, 0, vec![0u8; 64], 0, 0, 64)?;
-            Ok(())
-        });
+        let traces = world(1, |_| vec![send(0, 64), recv(0, 64), wait([0, 1])]);
         let m = Machine::testbed(1, 1, 1);
         let out = simulate(&m, &traces).unwrap();
         // No alpha charged for a local copy.
@@ -868,14 +889,9 @@ mod tests {
     fn constrained_global_links_slow_intergroup_traffic() {
         // 64 ranks split over 2 dragonfly groups, everyone in group 0 sends
         // a large block to its counterpart in group 1.
-        let traces = record_traces(64, |c| {
-            let me = c.rank();
-            if me < 32 {
-                c.send(me + 32, 0, vec![0u8; 1 << 20])?;
-            } else {
-                let _ = c.recv(me - 32, 0, 1 << 20)?;
-            }
-            Ok(())
+        let traces = world(64, |me| match me {
+            0..32 => vec![send(me + 32, 1 << 20), wait([0])],
+            _ => vec![recv(me - 32, 1 << 20), wait([0])],
         });
         let open = Machine::frontier(64, 1);
         let mut constrained = open.clone();
@@ -888,14 +904,10 @@ mod tests {
             "constrained {t_constrained} vs open {t_open}"
         );
         // Intra-group traffic is unaffected by the constraint.
-        let local = record_traces(64, |c| {
-            let me = c.rank();
-            if me < 16 {
-                c.send(me + 16, 0, vec![0u8; 1 << 20])?;
-            } else if me < 32 {
-                let _ = c.recv(me - 16, 0, 1 << 20)?;
-            }
-            Ok(())
+        let local = world(64, |me| match me {
+            0..16 => vec![send(me + 16, 1 << 20), wait([0])],
+            16..32 => vec![recv(me - 16, 1 << 20), wait([0])],
+            _ => vec![],
         });
         let a = simulate(&open, &local).unwrap().makespan;
         let b = simulate(&constrained, &local).unwrap().makespan;
@@ -905,12 +917,7 @@ mod tests {
     #[test]
     fn breakdown_partitions_rank_time() {
         let m = Machine::frontier(4, 1);
-        let traces = record_traces(4, |c| {
-            let peer = c.rank() ^ 1;
-            let got = c.sendrecv(peer, 0, vec![0u8; 1024], peer, 0, 1024)?;
-            c.compute(got.len());
-            Ok(())
-        });
+        let traces = pairwise_swap(4, 1024, Some(1024));
         let out = simulate(&m, &traces).unwrap();
         for (r, b) in out.breakdown.iter().enumerate() {
             let sum = b.posting + b.computing + b.blocked;
@@ -931,26 +938,8 @@ mod tests {
         let mut m = Machine::frontier(64, 1);
         m.cpu.o_send_ns = 0.0;
         m.cpu.o_recv_ns = 0.0;
-        let near = record_traces(64, |c| {
-            match c.rank() {
-                0 => c.send(1, 0, vec![0u8; 8])?, // same dragonfly group
-                1 => {
-                    let _ = c.recv(0, 0, 8)?;
-                }
-                _ => {}
-            }
-            Ok(())
-        });
-        let far = record_traces(64, |c| {
-            match c.rank() {
-                0 => c.send(40, 0, vec![0u8; 8])?, // different group
-                40 => {
-                    let _ = c.recv(0, 0, 8)?;
-                }
-                _ => {}
-            }
-            Ok(())
-        });
+        let near = message(64, 0, 1, 8); // same dragonfly group
+        let far = message(64, 0, 40, 8); // different group
         let t_near = simulate(&m, &near).unwrap().makespan;
         let t_far = simulate(&m, &far).unwrap().makespan;
         let delta = (t_far - t_near).as_nanos() - m.inter.inter_group_extra_ns;

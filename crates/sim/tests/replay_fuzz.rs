@@ -3,7 +3,7 @@
 //! must always replay to completion, deterministically, with exact traffic
 //! accounting — independent of the collective algorithms.
 
-use exacoll_comm::{Comm, CommResult, TraceComm};
+use exacoll_comm::{RankTrace, TraceOp};
 use exacoll_sim::{simulate, Machine};
 use proptest::prelude::*;
 
@@ -31,43 +31,45 @@ fn arb_script() -> impl Strategy<Value = Script> {
         .prop_map(|(p, msgs, cut)| Script { p, msgs, cut })
 }
 
-/// Execute the script on the trace recorder for one rank.
-fn run_rank(c: &mut TraceComm, script: &Script) -> CommResult<()> {
-    let me = c.rank();
-    let mut reqs = Vec::new();
-    let total: usize = script
-        .msgs
-        .iter()
-        .filter(|(a, b, _, _)| *a == me || *b == me)
-        .count();
-    let cut_at = ((total as f64) * script.cut) as usize;
-    let mut posted = 0usize;
-    for &(src, dst, tag, bytes) in &script.msgs {
-        if src == me {
-            reqs.push(c.isend(dst, tag, vec![0u8; bytes])?);
-            posted += 1;
-        } else if dst == me {
-            reqs.push(c.irecv(src, tag, bytes)?);
-            posted += 1;
-        } else {
-            continue;
-        }
-        if posted == cut_at && !reqs.is_empty() {
-            c.waitall(std::mem::take(&mut reqs))?;
-        }
-    }
-    if !reqs.is_empty() {
-        c.waitall(reqs)?;
-    }
-    Ok(())
-}
-
-fn record(script: &Script) -> Vec<exacoll_comm::RankTrace> {
+/// Every rank's ops for the script: its sends and receives in script
+/// order, one wait over the first `cut` fraction of them and one over the
+/// rest.
+fn record(script: &Script) -> Vec<RankTrace> {
     (0..script.p)
-        .map(|r| {
-            let mut c = TraceComm::new(r, script.p);
-            run_rank(&mut c, script).expect("recording succeeds");
-            c.finish()
+        .map(|me| {
+            let posts: Vec<TraceOp> = (script.msgs.iter())
+                .filter_map(|&(src, dst, tag, bytes)| {
+                    let bytes = bytes as u64;
+                    if src == me {
+                        Some(TraceOp::Send {
+                            to: dst,
+                            tag,
+                            bytes,
+                        })
+                    } else {
+                        (dst == me).then_some(TraceOp::Recv {
+                            from: src,
+                            tag,
+                            bytes,
+                        })
+                    }
+                })
+                .collect();
+            let cut = ((posts.len() as f64) * script.cut) as usize;
+            let mut ops = Vec::new();
+            for batch in [&posts[..cut], &posts[cut..]] {
+                if !batch.is_empty() {
+                    let first = ops.len() as u32;
+                    ops.extend_from_slice(batch);
+                    let reqs = (first..first + batch.len() as u32).collect();
+                    ops.push(TraceOp::WaitAll { reqs });
+                }
+            }
+            RankTrace {
+                rank: me,
+                size: script.p,
+                ops,
+            }
         })
         .collect()
 }

@@ -6,7 +6,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`comm`] — MPI-like point-to-point layer (threaded real-data runtime +
-//!   trace recorder).
+//!   the per-rank op traces the simulator replays).
 //! * [`sim`] — discrete-event simulator of exascale machines (multi-port
 //!   NICs, intranode fabric, dragonfly topology) and the one way to price a
 //!   collective on it ([`sim::cost`]: OSU-style sizes in, virtual time out).

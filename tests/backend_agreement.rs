@@ -2,8 +2,9 @@
 //! plan must be exactly the communication the threaded backend performs.
 //!
 //! Both come from the same lowered plan — the executor runs its compiled
-//! steps, `sim::cost::traces` reads them symbolically, and `exacoll-sim`'s
-//! `schedule_cost_equals_traced_execution_cost` pins the two streams equal —
+//! steps, `sim::cost::traces` reads them symbolically, and
+//! `tests/observability.rs::symbolic_trace_equals_the_executed_trace` pins
+//! the two streams equal —
 //! so the reference semantics the threaded run already proves carry over.
 //! Here we additionally check the structural invariants the simulator
 //! relies on.

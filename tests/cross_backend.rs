@@ -10,6 +10,8 @@
 //! out-of-order `waitall` completion in posting order, fault-wrapper and
 //! instrumentation transparency over real sockets.
 
+mod support;
+
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::request::payload;
 use exacoll::collectives::{execute, registry::candidates, CollArgs, CollectiveOp};
@@ -17,15 +19,12 @@ use exacoll::comm::{run_ranks, Comm, CommError, CommResult, FaultComm, FaultPlan
 use exacoll::net::{run_socket_ranks, try_run_socket_ranks_with};
 use exacoll::obs::TimedComm;
 use std::time::Duration;
+use support::{input_len, lower_all};
 
 /// Inputs for one grid case: the shared deterministic pattern every process
 /// of the TCP backend can reconstruct locally.
 fn grid_inputs(op: CollectiveOp, p: usize, size: usize) -> Vec<Vec<u8>> {
-    let len = match op {
-        CollectiveOp::Alltoall => size * p,
-        CollectiveOp::Barrier => 0,
-        _ => size,
-    };
+    let len = input_len(op, p, size);
     (0..p).map(|r| payload(1, r, len)).collect()
 }
 
@@ -68,7 +67,6 @@ fn pre_lowered_schedules_execute_over_real_sockets() {
     // The schedule IR is transport-agnostic: plans lowered once, ahead of
     // time, must compile and run unmodified on the TCP runtime and still
     // match the sequential reference.
-    use exacoll::collectives::registry::lower;
     use exacoll::collectives::schedule::{compile, execute_compiled};
     use exacoll::collectives::Algorithm;
 
@@ -88,7 +86,7 @@ fn pre_lowered_schedules_execute_over_real_sockets() {
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
         let n = inputs[0].len();
-        let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
+        let plans = lower_all(&args, p, n);
         let out = run_socket_ranks(p, |c| {
             execute_compiled(c, &compile(&plans[c.rank()]), &inputs[c.rank()])
         });
@@ -107,7 +105,6 @@ fn pipelined_plans_execute_over_real_sockets() {
     // chunk the big ring blocks well below the payload size, run the
     // rewritten plans through the engine on the TCP runtime, and the
     // outputs must still match the sequential reference byte for byte.
-    use exacoll::collectives::registry::lower;
     use exacoll::collectives::schedule::{compile, execute_compiled};
     use exacoll::collectives::spec::OptSpec;
     use exacoll::collectives::Algorithm;
@@ -127,7 +124,7 @@ fn pipelined_plans_execute_over_real_sockets() {
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
         let n = inputs[0].len();
-        let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
+        let plans = lower_all(&args, p, n);
         let piped = apply_opt_spec(&plans, &OptSpec::PIPELINE, chunk, 1).expect("pipelining runs");
         assert_ne!(piped, plans, "{op} {alg}: chunking must bite at {chunk} B");
         let out = run_socket_ranks(p, |c| {
@@ -150,7 +147,6 @@ fn compiled_plans_with_scatter_gather_sends_agree_on_both_backends() {
     // the wire layer's vectored `send_sg` carries them. Outputs must still
     // match the sequential reference — and the threaded backend, which
     // takes the gather-copy default `send_sg` — byte for byte.
-    use exacoll::collectives::registry::lower;
     use exacoll::collectives::schedule::{compile, execute_compiled};
     use exacoll::collectives::spec::OptSpec;
     use exacoll::collectives::Algorithm;
@@ -174,7 +170,7 @@ fn compiled_plans_with_scatter_gather_sends_agree_on_both_backends() {
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
         let n = inputs[0].len();
-        let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
+        let plans = lower_all(&args, p, n);
         let plans = apply_opt_spec(&plans, &fused, 1, 4096).expect("aggregation runs");
         let compiled: Vec<_> = plans.iter().map(compile).collect();
         let thread_out = run_ranks(p, |c| {

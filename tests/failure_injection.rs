@@ -1,10 +1,11 @@
 //! Failure injection across the stack: runtime errors, structural bugs,
 //! and invalid configurations must be detected, not silently mis-executed.
 
+use exacoll::collectives::registry::lower;
 use exacoll::collectives::{execute, Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::thread_rt::try_run_ranks;
 use exacoll::comm::trace::check_conservation;
-use exacoll::comm::{record_traces, Comm, CommError, DType, ReduceOp};
+use exacoll::comm::{Comm, CommError, DType, RankTrace, ReduceOp, TraceOp};
 use exacoll::sim::{simulate, Machine, PendingOp, ReplayError};
 
 #[test]
@@ -44,15 +45,32 @@ fn reduction_with_wrong_operator_dtype_pair_fails_cleanly() {
         .any(|r| matches!(r, Err(CommError::UnsupportedReduction { .. }))));
 }
 
+/// A three-rank world where rank `who` posts `op` and waits for it and the
+/// other ranks do nothing.
+fn lone_op(who: usize, op: TraceOp) -> Vec<RankTrace> {
+    (0..3)
+        .map(|rank| {
+            let ops = if rank == who {
+                vec![op.clone(), TraceOp::WaitAll { reqs: vec![0] }]
+            } else {
+                vec![]
+            };
+            RankTrace { rank, size: 3, ops }
+        })
+        .collect()
+}
+
 #[test]
 fn broken_schedule_is_caught_by_conservation_and_replay() {
     // A "collective" where rank 0 sends to a peer that never receives.
-    let traces = record_traces(3, |c| {
-        if c.rank() == 0 {
-            c.send(2, 77, vec![0u8; 128])?;
-        }
-        Ok(())
-    });
+    let traces = lone_op(
+        0,
+        TraceOp::Send {
+            to: 2,
+            tag: 77,
+            bytes: 128,
+        },
+    );
     assert!(check_conservation(&traces).is_err());
     // Replay completes (the message is simply never consumed): the sender's
     // eager send and the other ranks' empty programs all terminate — the
@@ -63,12 +81,14 @@ fn broken_schedule_is_caught_by_conservation_and_replay() {
 
 #[test]
 fn blocked_receiver_is_a_replay_deadlock() {
-    let traces = record_traces(3, |c| {
-        if c.rank() == 2 {
-            let _ = c.recv(0, 77, 128)?;
-        }
-        Ok(())
-    });
+    let traces = lone_op(
+        2,
+        TraceOp::Recv {
+            from: 0,
+            tag: 77,
+            bytes: 128,
+        },
+    );
     let m = Machine::testbed(3, 1, 1);
     match simulate(&m, &traces) {
         Err(err @ ReplayError::Deadlock { .. }) => {
@@ -99,7 +119,10 @@ fn blocked_receiver_is_a_replay_deadlock() {
 
 #[test]
 fn wrong_trace_count_rejected() {
-    let traces = record_traces(3, |_| Ok(()));
+    let barrier = CollArgs::new(CollectiveOp::Barrier, Algorithm::Dissemination { k: 2 });
+    let traces: Vec<_> = (0..3)
+        .map(|r| lower(&barrier, 3, r, 0).to_trace())
+        .collect();
     let m = Machine::testbed(4, 1, 1);
     assert!(matches!(
         simulate(&m, &traces),
@@ -113,11 +136,10 @@ fn wrong_trace_count_rejected() {
 #[test]
 #[should_panic(expected = "unsupported configuration")]
 fn executing_an_unsupported_pair_panics_with_reason() {
-    // Bruck does not implement bcast; dispatch must refuse loudly. Use the
-    // trace backend so the panic surfaces on this thread.
-    let mut c = exacoll::comm::TraceComm::new(0, 4);
+    // Bruck does not implement bcast; lowering, which every dispatch goes
+    // through, must refuse loudly.
     let args = CollArgs::new(CollectiveOp::Bcast, Algorithm::Bruck);
-    let _ = execute(&mut c, &args, &[0u8; 8]);
+    lower(&args, 4, 0, 8);
 }
 
 #[test]

@@ -3,53 +3,30 @@
 //! and injected faults must be visible in the recorded timelines.
 
 use exacoll::chaos::run_case_results;
-use exacoll::collectives::registry::{candidates, lower};
+use exacoll::collectives::registry::{candidates, lower, lower_v, table_i, unique_candidates_v};
 use exacoll::collectives::request::payload;
-use exacoll::collectives::schedule::compile;
-use exacoll::collectives::{execute, Algorithm, CollArgs, CollectiveOp, Request};
-use exacoll::comm::thread_rt::try_run_ranks;
-use exacoll::comm::{Comm, FaultEvent, FaultPlan, ThreadComm, TraceOp};
+use exacoll::collectives::schedule::Schedule;
+use exacoll::collectives::{
+    execute, merge_tenants, Algorithm, CollArgs, CollectiveOp, Request, Tenant,
+};
+use exacoll::comm::{run_ranks, Comm, FaultEvent, FaultPlan};
 use exacoll::obs::{
     chrome_trace, profile_sim, profile_thread, rank_tracks, EventKind, Histogram, Metrics,
-    ProfileSpec, RankTimeline, TimedComm,
+    ProfileSpec,
 };
 use exacoll::sim::Machine;
 use proptest::prelude::*;
+use std::fmt::Display;
 use std::time::Duration;
 
-/// Run one (op, alg) case on `p` threaded ranks, optionally timed, and
-/// return every rank's output bytes and — when timed — its timeline.
-fn run_outputs(
-    op: CollectiveOp,
-    alg: Algorithm,
-    p: usize,
-    len: usize,
-    timed: bool,
-) -> Vec<(Vec<u8>, Option<RankTimeline>)> {
-    let args = CollArgs::new(op, alg);
-    let results = try_run_ranks(p, |c: &mut ThreadComm| {
-        let input = payload(1, c.rank(), len);
-        if timed {
-            let mut tc = TimedComm::new(&mut *c);
-            let out = execute(&mut tc, &args, &input)?;
-            Ok((out, Some(tc.finish())))
-        } else {
-            Ok((execute(c, &args, &input)?, None))
-        }
-    });
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(r, res)| res.unwrap_or_else(|e| panic!("{op}/{alg} rank {r} (timed={timed}): {e}")))
-        .collect()
-}
+mod support;
+
+use support::{input_len, lower_all, run_traced};
 
 /// The correctness guard: wrapping every rank in `TimedComm` must leave the
 /// result of every collective byte-identical, for every candidate algorithm
 /// — and the wrapper must see every call the executor makes, `send_sg` and
-/// `waitall_into` included: its timeline is the plan's own op stream, one
-/// event per op, each flush one `Wait` covering what was posted since the
-/// last.
+/// `waitall_into` included.
 #[test]
 fn timed_wrapper_is_transparent_for_every_collective() {
     let p = 6;
@@ -58,37 +35,110 @@ fn timed_wrapper_is_transparent_for_every_collective() {
         // holds; barrier takes no payload.
         let len = if op == CollectiveOp::Barrier { 0 } else { 96 };
         for alg in candidates(op, p, 4) {
-            let bare = run_outputs(op, alg, p, len, false);
-            let timed = run_outputs(op, alg, p, len, true);
-            for (rank, ((bare, _), (timed, timeline))) in bare.iter().zip(&timed).enumerate() {
-                assert_eq!(bare, timed, "{op}/{alg}: TimedComm changed the result");
-                let plan = compile(&lower(&CollArgs::new(op, alg), p, rank, len));
-                let seen: Vec<TraceOp> = (timeline.as_ref().expect("timed run").events.iter())
-                    .map(|e| match e.kind {
-                        EventKind::Send => TraceOp::Send {
-                            to: e.peer.expect("send peer"),
-                            tag: e.tag.expect("send tag"),
-                            bytes: e.bytes,
-                        },
-                        EventKind::Recv => TraceOp::Recv {
-                            from: e.peer.expect("recv peer"),
-                            tag: e.tag.expect("recv tag"),
-                            bytes: e.bytes,
-                        },
-                        EventKind::Wait => TraceOp::WaitAll {
-                            reqs: e.covers.clone(),
-                        },
-                        EventKind::Compute => TraceOp::Compute { bytes: e.bytes },
-                        EventKind::Mark => TraceOp::Mark {
-                            label: e.label.expect("mark label"),
-                            round: e.round.expect("mark round"),
-                        },
-                    })
-                    .collect();
-                assert_eq!(seen, plan.to_trace().ops, "{op}/{alg} rank {rank}");
+            let args = CollArgs::new(op, alg);
+            let what = format!("{op}/{alg}");
+            let bare = run_ranks(p, |c| execute(c, &args, &payload(1, c.rank(), len)));
+            let timed = run_traced(&lower_all(&args, p, len), &what);
+            assert_eq!(bare, timed, "{what}: TimedComm changed the result");
+        }
+    }
+}
+
+/// What the simulator prices is what a live run issues: the symbolic
+/// `to_trace()` of every plan equals, rank by rank, the op stream the
+/// executor drives a threaded backend with. Over the registry grid, ragged
+/// v-plans with zero-count ranks, merged tenants, the OSU-sized plans every
+/// figure is priced from and the paper's p = 128 Table I shapes. The
+/// optimizer's rewrites run through the same oracle in `tests/schedule_ir.rs`.
+#[test]
+fn symbolic_trace_equals_the_executed_trace() {
+    let mut compared = 0;
+    let mut check = |world: &[Schedule], what: &dyn Display| {
+        run_traced(world, what);
+        compared += world.len();
+    };
+    for p in [1usize, 2, 4, 6, 8, 9, 16] {
+        for op in CollectiveOp::ALL {
+            for alg in candidates(op, p, 4) {
+                let args = CollArgs::new(op, alg);
+                for size in [0usize, 24, 32 << 10] {
+                    let n = input_len(op, p, size);
+                    check(
+                        &lower_all(&args, p, n),
+                        &format_args!("{op} / {alg} p={p} n={n}"),
+                    );
+                }
+            }
+        }
+        if p < 2 {
+            continue;
+        }
+        let mut holes = vec![24usize; p];
+        holes[p - 1] = 0;
+        holes[p / 2] = 0;
+        let mut head = vec![8usize; p];
+        head[0] = 4096;
+        for counts in [holes, head] {
+            for op in [CollectiveOp::Allgather, CollectiveOp::ReduceScatter] {
+                for alg in unique_candidates_v(op, 4, &counts) {
+                    let args = CollArgs::new(op, alg);
+                    let world: Vec<_> = (0..p).map(|r| lower_v(&args, r, &counts)).collect();
+                    check(&world, &format_args!("{op}v / {alg} {counts:?}"));
+                }
+            }
+        }
+        let tenant = |id: usize, op, alg| -> Vec<Schedule> {
+            let args = CollArgs::new(op, alg);
+            (0..p)
+                .map(|r| Tenant::new(id).rewrite(&lower(&args, p, r, 64)))
+                .collect()
+        };
+        let t0 = tenant(0, CollectiveOp::Allgather, Algorithm::Ring);
+        let t1 = tenant(
+            1,
+            CollectiveOp::Allreduce,
+            Algorithm::RecursiveMultiplying { k: 2 },
+        );
+        let merged: Vec<_> = (0..p)
+            .map(|r| merge_tenants(&[t0[r].clone(), t1[r].clone()]))
+            .collect();
+        check(&merged, &format_args!("2 merged tenants p={p}"));
+    }
+
+    // The route every figure is priced through: f64 sums at OSU sizes,
+    // alltoall sized per destination.
+    for op in CollectiveOp::ALL {
+        for alg in candidates(op, 8, 4) {
+            for n in [8usize, 1024, 64 << 10] {
+                let world = exacoll::sim::cost::plans(8, op, alg, n, 0).expect("OSU point lowers");
+                check(&world, &format_args!("{op} / {alg} f64 n={n}"));
             }
         }
     }
+
+    // The paper's headline shapes: the ten Table I algorithms on 128 ranks.
+    const P: usize = 128;
+    let kernels: [fn(usize) -> Algorithm; 3] = [
+        |k| Algorithm::KnomialTree { k },
+        |k| Algorithm::RecursiveMultiplying { k },
+        |k| Algorithm::KRing { k },
+    ];
+    for ((_, _, ops), kernel) in table_i().into_iter().zip(kernels) {
+        for op in ops {
+            for alg in [2, 4, 8, P].map(kernel) {
+                if alg.supports(op, P).is_ok() {
+                    check(
+                        &lower_all(&CollArgs::new(op, alg), P, 1 << 10),
+                        &format_args!("{op} / {alg} p={P}"),
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        compared > 7_000,
+        "grid should be dense, compared {compared}"
+    );
 }
 
 /// Chrome-trace export: pretty-print, re-parse, and check the track map

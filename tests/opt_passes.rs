@@ -3,8 +3,9 @@
 //! threaded runtime must produce byte-identical outputs to the sequential
 //! reference — the property the whole pass framework stands on.
 
+mod support;
+
 use exacoll::collectives::reference::expected_outputs;
-use exacoll::collectives::registry::{candidates, lower};
 use exacoll::collectives::request::payload;
 use exacoll::collectives::schedule::{compile, execute_compiled};
 use exacoll::collectives::spec::OptSpec;
@@ -12,17 +13,7 @@ use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{run_ranks, Comm};
 use exacoll::opt::apply_opt_spec;
 use proptest::prelude::*;
-
-/// Strategy: a supported (op, alg, p) triple over the acceptance grid —
-/// p ∈ {4, 6, 8, 9}, radix k ≤ 4.
-fn arb_config() -> impl Strategy<Value = (CollectiveOp, Algorithm, usize)> {
-    (0usize..4, 0usize..CollectiveOp::ALL.len()).prop_flat_map(|(p_idx, op_idx)| {
-        let p = [4, 6, 8, 9][p_idx];
-        let op = CollectiveOp::ALL[op_idx];
-        let cands = candidates(op, p, 4);
-        (0..cands.len()).prop_map(move |i| (op, cands[i], p))
-    })
-}
+use support::{arb_config, lower_all};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -31,7 +22,7 @@ proptest! {
     /// rewritten plans run on ThreadComm byte-identical to the reference.
     #[test]
     fn optimized_plans_match_the_reference_on_threads(
-        (op, alg, p) in arb_config(),
+        (op, alg, p) in arb_config(&[4, 6, 8, 9], 4),
         n in 8usize..96,
         chunk in 1usize..64,
         fuse in 1usize..256,
@@ -44,7 +35,7 @@ proptest! {
         ][which];
         let len = Request::uniform(CollArgs::new(op, alg), p, n).unwrap().bytes();
         let args = CollArgs::new(op, alg);
-        let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, len)).collect();
+        let plans = lower_all(&args, p, len);
         let rewritten = apply_opt_spec(&plans, &opt, chunk, fuse).expect("passes run");
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(1, r, len)).collect();
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
@@ -76,7 +67,7 @@ fn full_pass_pipeline_survives_the_manager_gate_and_runs() {
     let alg = Algorithm::RecursiveMultiplying { k: 2 };
     let len = 4096;
     let args = CollArgs::new(op, alg);
-    let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, len)).collect();
+    let plans = lower_all(&args, p, len);
     let report = PassManager::new(Machine::frontier(2, 4))
         .with_pass(PassKind::Pipeline { chunk_bytes: 512 })
         .with_pass(PassKind::Aggregate {

@@ -5,26 +5,18 @@
 //! readers racing an inserting writer (mirroring the selection service's
 //! reader/writer stress).
 
+mod support;
+
 use exacoll::collectives::plan_cache::{PlanCache, PlanKey};
 use exacoll::collectives::reference::expected_outputs;
-use exacoll::collectives::registry::{candidates, lower};
+use exacoll::collectives::registry::lower;
 use exacoll::collectives::request::payload;
 use exacoll::collectives::schedule::{compile, execute_compiled, Executor};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{run_ranks, Comm};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Strategy: a supported (op, alg, p) triple over the acceptance grid —
-/// p ∈ {4, 6, 8, 9}, radix k ≤ 4.
-fn arb_config() -> impl Strategy<Value = (CollectiveOp, Algorithm, usize)> {
-    (0usize..4, 0usize..CollectiveOp::ALL.len()).prop_flat_map(|(p_idx, op_idx)| {
-        let p = [4, 6, 8, 9][p_idx];
-        let op = CollectiveOp::ALL[op_idx];
-        let cands = candidates(op, p, 4);
-        (0..cands.len()).prop_map(move |i| (op, cands[i], p))
-    })
-}
+use support::arb_config;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -37,7 +29,7 @@ proptest! {
     /// plan is the plan an uncached `compile` produces.
     #[test]
     fn cached_plans_match_fresh_lowerings(
-        (op, alg, p) in arb_config(),
+        (op, alg, p) in arb_config(&[4, 6, 8, 9], 4),
         n in 8usize..96,
     ) {
         let len = Request::uniform(CollArgs::new(op, alg), p, n).unwrap().bytes();

@@ -4,7 +4,9 @@
 //! diagnostic that points at the bytes a byte comparison first disagrees on,
 //! and a reassociated float reduction is accepted and *said* to be reordered.
 
-use exacoll::collectives::registry::{candidates, lower};
+mod support;
+
+use exacoll::collectives::registry::candidates;
 use exacoll::collectives::request::payload;
 use exacoll::collectives::schedule::eval::{evaluate, probe_inputs};
 use exacoll::collectives::schedule::provenance::Equivalence;
@@ -15,10 +17,7 @@ use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{DType, ReduceOp};
 use exacoll::opt::{layout_for, pipeline, Gate, PassKind, PassManager, Refusal, TopoDesc};
 use exacoll::sim::Machine;
-
-fn lowered(args: &CollArgs, p: usize, n: usize) -> Vec<Schedule> {
-    (0..p).map(|r| lower(args, p, r, n)).collect()
-}
+use support::lower_all;
 
 /// Seeded inputs with no period: the SplitMix64 stream of `payload`.
 fn inputs_for(plans: &[Schedule]) -> Vec<Vec<u8>> {
@@ -157,7 +156,7 @@ fn swapped_chunk_receives_of_one_message_are_refused() {
     ];
     for (op, alg) in cases {
         let what = format!("{op}/{alg}");
-        let stock = lowered(&CollArgs::new(op, alg), 4, 8 << 10);
+        let stock = lower_all(&CollArgs::new(op, alg), 4, 8 << 10);
         let piped = pipeline(&stock, 4096).unwrap();
         let mut mutant = piped.clone();
         // The last two chunk receives of one message, on the last rank that
@@ -263,7 +262,7 @@ fn a_range_shifted_by_one_element_is_refused() {
         dtype: DType::I64,
         ..CollArgs::new(CollectiveOp::Allreduce, Algorithm::Ring)
     };
-    let stock = lowered(&args, 4, 8 << 10);
+    let stock = lower_all(&args, 4, 8 << 10);
     let mut mutant = stock.clone();
     let src = mutant[2]
         .steps
@@ -287,7 +286,7 @@ fn swapped_reduce_operands_are_refused() {
     // `src ⊕= dst` instead of `dst ⊕= src`: the sum lands in the buffer
     // nothing reads again and the accumulator keeps its stale value.
     let alg = Algorithm::RecursiveMultiplying { k: 2 };
-    let stock = lowered(&CollArgs::new(CollectiveOp::Allreduce, alg), 4, 8 << 10);
+    let stock = lower_all(&CollArgs::new(CollectiveOp::Allreduce, alg), 4, 8 << 10);
     let mut mutant = stock.clone();
     let (src, dst) = mutant[1]
         .steps
@@ -366,7 +365,7 @@ fn a_reassociated_float_reduction_is_accepted_and_flagged() {
             Algorithm::RecursiveMultiplying { k: 2 },
         )
     };
-    let plans = lowered(&args, 6, 1 << 10);
+    let plans = lower_all(&args, 6, 1 << 10);
     let report = PassManager::new(Machine::frontier(3, 2))
         .with_pass(PassKind::Pipeline { chunk_bytes: 512 })
         .with_pass(PassKind::Remap {

@@ -13,41 +13,21 @@
 //!    byte.
 //! 3. **Analytical utility** — the verifier's α/β/γ term counts price into
 //!    a finite positive prediction, and direct IR costing agrees with
-//!    simulating a recorded live run.
+//!    simulating the op streams of a live threaded run.
+
+mod support;
 
 use exacoll::collectives::reference::expected_outputs;
-use exacoll::collectives::registry::{candidates, lower, table_i, unique_candidates};
+use exacoll::collectives::registry::{candidates, table_i, unique_candidates};
 use exacoll::collectives::request::payload;
 use exacoll::collectives::schedule::eval::{evaluate, probe_inputs, provenance};
 use exacoll::collectives::schedule::provenance::{Arena, Equivalence, Seg};
 use exacoll::collectives::schedule::verify::verify;
-use exacoll::collectives::schedule::{compile, execute_compiled, Schedule};
+use exacoll::collectives::schedule::{compile, execute_compiled};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
-use exacoll::comm::{run_ranks, Comm, RankTrace, TraceComm};
+use exacoll::comm::{run_ranks, Comm};
 use exacoll::models::{predict_from_stats, NetParams};
-
-/// Per-rank input length for one grid case.
-fn input_len(op: CollectiveOp, p: usize, size: usize) -> usize {
-    match op {
-        CollectiveOp::Alltoall => size * p,
-        CollectiveOp::Barrier => 0,
-        _ => size,
-    }
-}
-
-/// Lower every rank's plan for one case.
-fn lower_all(args: &CollArgs, p: usize, n: usize) -> Vec<Schedule> {
-    (0..p).map(|r| lower(args, p, r, n)).collect()
-}
-
-/// The trace the real executor leaves on the recorder — the reference the
-/// symbolic `to_trace` walk must reproduce op for op.
-fn executed_trace(plan: &Schedule) -> RankTrace {
-    let plan = compile(plan);
-    let mut c = TraceComm::new(plan.rank, plan.p);
-    execute_compiled(&mut c, &plan, &vec![0; plan.input_bytes()]).expect("recorder cannot fail");
-    c.finish()
-}
+use support::{input_len, lower_all};
 
 #[test]
 fn every_registry_candidate_verifies_statically() {
@@ -126,8 +106,6 @@ fn unique_candidates_execute_everything_candidates_do() {
 
 #[test]
 fn direct_ir_costing_agrees_with_live_trace_simulation() {
-    use exacoll::collectives::{execute, Algorithm};
-    use exacoll::comm::record_traces;
     use exacoll::sim::{cost, simulate, Machine};
 
     let p = 8;
@@ -141,14 +119,11 @@ fn direct_ir_costing_agrees_with_live_trace_simulation() {
         (CollectiveOp::Bcast, Algorithm::KnomialTree { k: 4 }),
         (CollectiveOp::Alltoall, Algorithm::Pairwise),
     ] {
-        let n = input_len(op, p, 32);
-        let args = CollArgs::new(op, alg);
-        let plans = lower_all(&args, p, n);
+        let plans = lower_all(&CollArgs::new(op, alg), p, input_len(op, p, 32));
         let direct = cost(&machine, &plans).expect("schedule costs");
-        let traces = record_traces(p, |c| {
-            let input = payload(1, c.rank(), n);
-            execute(c, &args, &input).map(|_| ())
-        });
+        let traces: Vec<_> = (support::run_live(&plans).into_iter())
+            .map(|(_, trace)| trace)
+            .collect();
         let live = simulate(&machine, &traces).expect("trace replays");
         assert_eq!(direct.makespan, live.makespan, "{op} / {alg}");
     }
@@ -203,14 +178,6 @@ fn paper_scale_shapes_verify_and_price_independent_of_message_size() {
                 let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
                     .expect("reference computes");
                 assert_eq!(evaluate(&small, &inputs).unwrap(), expect, "{what}");
-                for plan in &small {
-                    assert_eq!(
-                        plan.to_trace(),
-                        executed_trace(plan),
-                        "{what} rank {}",
-                        plan.rank
-                    );
-                }
                 let priced = cost(&machine, &large).unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert!(priced.makespan > exacoll::sim::SimTime::ZERO, "{what}");
 
@@ -255,29 +222,27 @@ fn paper_scale_shapes_verify_and_price_independent_of_message_size() {
 
 #[test]
 fn symbolic_trace_equals_executed_trace_for_optimizer_rewrites() {
-    // The registry grid, ragged v-plans and merged tenants are pinned in
-    // `exacoll-sim` (`schedule_cost_equals_traced_execution_cost`); the
-    // optimizer's rewrites need `exacoll-opt` and are pinned here.
+    // The registry grid, ragged v-plans, merged tenants and the Table I
+    // shapes are pinned in `tests/observability.rs`; the optimizer's
+    // rewrites are pinned here.
     use exacoll::opt::{aggregate, pipeline};
     let mut rewritten = 0;
     for p in [4usize, 6, 8, 9] {
         for op in CollectiveOp::ALL {
             for alg in unique_candidates(op, p, 4) {
-                let n = input_len(op, p, 4096);
-                let plans = lower_all(&CollArgs::new(op, alg), p, n);
-                for world in [
-                    pipeline(&plans, 1024).expect("pipeline applies"),
-                    aggregate(&plans, 4096).expect("aggregate applies"),
+                let plans = lower_all(&CollArgs::new(op, alg), p, input_len(op, p, 4096));
+                for (pass, world) in [
+                    (
+                        "pipeline",
+                        pipeline(&plans, 1024).expect("pipeline applies"),
+                    ),
+                    (
+                        "aggregate",
+                        aggregate(&plans, 4096).expect("aggregate applies"),
+                    ),
                 ] {
                     rewritten += usize::from(world != plans);
-                    for plan in &world {
-                        assert_eq!(
-                            plan.to_trace(),
-                            executed_trace(plan),
-                            "{op} / {alg} p={p} rank {}",
-                            plan.rank
-                        );
-                    }
+                    support::run_traced(&world, &format_args!("{op} / {alg}@{pass} p={p}"));
                 }
             }
         }

@@ -16,7 +16,7 @@ use exacoll::collectives::spec::{CountsSpec, OptSpec};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{
     fnv1a, run_ranks, try_run_ranks, Comm, CommError, CommResult, RecordComm, RecordedEvent, Req,
-    SgDests, SgView, TraceComm,
+    SgDests, SgView,
 };
 use exacoll::net::run_socket_ranks;
 use exacoll::opt::plan_world;
@@ -183,6 +183,30 @@ fn a_recorded_short_receive_digests_the_same_whatever_the_buffer_held() {
     );
 }
 
+/// A one-rank communicator that runs on the calling thread, so a plan's
+/// panic surfaces here and a nested call reuses this thread's executor. A
+/// plan for one rank has no peers to talk to.
+struct Solo;
+
+impl Comm for Solo {
+    fn rank(&self) -> usize {
+        0
+    }
+    fn size(&self) -> usize {
+        1
+    }
+    fn isend(&mut self, _: usize, _: u32, _: Vec<u8>) -> CommResult<Req> {
+        unreachable!("one rank has no peer to send to")
+    }
+    fn irecv(&mut self, _: usize, _: u32, _: usize) -> CommResult<Req> {
+        unreachable!("one rank has no peer to receive from")
+    }
+    fn wait(&mut self, _: Req) -> CommResult<Option<Vec<u8>>> {
+        unreachable!("one rank posts no request")
+    }
+    fn compute(&mut self, _: usize) {}
+}
+
 /// The message of the panic `f` raises.
 fn panic_message(f: impl FnOnce()) -> String {
     let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
@@ -199,7 +223,7 @@ fn panic_message(f: impl FnOnce()) -> String {
 fn a_range_past_the_plans_buffer_still_panics_with_the_slice_message() {
     // An input view eight bytes long in a four-byte plan, run after a call
     // that grew this thread's buffer to 64 bytes: the plan sees four.
-    let mut c = TraceComm::new(0, 1);
+    let mut c = Solo;
     leave_behind(&mut c, 64, OLD);
     let plan = compile(&Schedule {
         p: 1,
@@ -282,7 +306,7 @@ impl<C: Comm> Comm for Nested<C> {
     fn mark(&mut self, label: &'static str, round: u32) {
         let bcast = CollArgs::new(CollectiveOp::Bcast, Algorithm::KnomialTree { k: 2 });
         let own = vec![OLD ^ round as u8; 96];
-        let out = execute(&mut TraceComm::new(0, 1), &bcast, &own);
+        let out = execute(&mut Solo, &bcast, &own);
         assert_eq!(out, Ok(own), "the nested call");
         self.nested += 1;
         self.inner.mark(label, round)

@@ -1,25 +1,19 @@
 //! Property-based integration tests over the simulator and schedules.
 
-use exacoll::collectives::{registry::candidates, Algorithm, CollectiveOp};
+mod support;
+
+use exacoll::collectives::{Algorithm, CollectiveOp};
 use exacoll::sim::cost::{latency, traces};
 use exacoll::sim::{simulate, Machine, NoiseModel};
 use proptest::prelude::*;
-
-/// Strategy: a supported (op, alg, p) triple on small communicators.
-fn arb_config() -> impl Strategy<Value = (CollectiveOp, Algorithm, usize)> {
-    (2usize..14, 0usize..CollectiveOp::ALL.len()).prop_flat_map(|(p, op_idx)| {
-        let op = CollectiveOp::ALL[op_idx];
-        let cands = candidates(op, p, 5);
-        (0..cands.len()).prop_map(move |i| (op, cands[i], p))
-    })
-}
+use support::arb_config;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Simulated latency is monotone (non-decreasing) in message size.
     #[test]
-    fn latency_monotone_in_size((op, alg, p) in arb_config()) {
+    fn latency_monotone_in_size((op, alg, p) in arb_config(&[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], 5)) {
         let m = Machine::frontier(p, 1);
         let t1 = latency(&m, op, alg, 64).unwrap();
         let t2 = latency(&m, op, alg, 8192).unwrap();
@@ -30,7 +24,7 @@ proptest! {
 
     /// The simulator is a pure function of (machine, trace).
     #[test]
-    fn replay_is_deterministic((op, alg, p) in arb_config()) {
+    fn replay_is_deterministic((op, alg, p) in arb_config(&[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], 5)) {
         let m = Machine::frontier(p, 1);
         let traces = traces(p, op, alg, 1024, 0).unwrap();
         let a = simulate(&m, &traces).unwrap();
@@ -42,7 +36,7 @@ proptest! {
     /// Congestion noise can only slow things down, and identical seeds give
     /// identical noisy results.
     #[test]
-    fn noise_monotone_and_reproducible((op, alg, p) in arb_config()) {
+    fn noise_monotone_and_reproducible((op, alg, p) in arb_config(&[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], 5)) {
         let m = Machine::frontier(p, 1);
         let traces = traces(p, op, alg, 65_536, 0).unwrap();
         let base = simulate(&m, &traces).unwrap().makespan;
@@ -56,7 +50,7 @@ proptest! {
 
     /// More NIC ports never hurt.
     #[test]
-    fn more_ports_never_slower((op, alg, p) in arb_config(), n in 64usize..65_536) {
+    fn more_ports_never_slower((op, alg, p) in arb_config(&[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], 5), n in 64usize..65_536) {
         let mut narrow = Machine::frontier(p, 1);
         narrow.ports_per_node = 1;
         let wide = Machine::frontier(p, 1); // 4 ports
@@ -98,7 +92,7 @@ proptest! {
     /// Message-buffer depth: unlimited buffering is never slower than a
     /// depth-1 buffer (Fig. 2's overlap argument).
     #[test]
-    fn buffering_never_hurts((op, alg, p) in arb_config()) {
+    fn buffering_never_hurts((op, alg, p) in arb_config(&[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], 5)) {
         let unlimited = Machine::frontier(p, 1);
         let mut depth1 = unlimited.clone();
         depth1.send_buffer_depth = 1;
