@@ -7,9 +7,8 @@
 //! single `waitall`, in posting order, that completes all outstanding
 //! requests and lands received payloads in their scatter lists — becomes an
 //! explicit [`CStep::Flush`]. This is the one place the flush rule is
-//! decided (the verifier keeps an independent copy as the proof tool). A
-//! flush is emitted, only when requests are actually outstanding, at exactly
-//! four points:
+//! decided. A flush is emitted, only when requests are actually outstanding,
+//! at exactly four points:
 //!
 //! 1. at a [`Step::RoundMark`], *before* the mark — one `waitall` per round;
 //! 2. before a [`Step::Compute`], so reductions see delivered data;
@@ -21,9 +20,9 @@
 //! straight-line step sequence, so the rule resolves statically and
 //! everything that walks a plan — [`Executor::run`] on a live backend,
 //! [`CompiledSchedule::to_trace`] reading sizes off it for the simulator,
-//! the world walker ([`super::eval`]) for the optimizer gate and replay —
-//! walks the same `CStep` stream and cannot disagree about where a wait
-//! happens.
+//! the world walker ([`super::eval`]) for the verifier, the optimizer gate
+//! and replay — walks the same `CStep` stream and cannot disagree about
+//! where a wait happens.
 //!
 //! The same walk records which scratch bytes have been written, and sets
 //! [`CompiledSchedule::reads_unwritten`] when a step or the output may read
@@ -149,13 +148,12 @@ impl CompiledSchedule {
 
     /// Whether some step or the output may read a scratch byte that neither
     /// the input view nor an earlier step wrote. Writes are the input view,
-    /// a receive's destination at post time (as the verifier counts it) and
-    /// a copy's destination, up to its source's length; reads are a send's
-    /// source, both operands of a reduction, a copy's source and, at the
-    /// end, the output view. Clear for every plan
-    /// [`verify`](super::verify::verify) accepts — its define-once rules
-    /// imply it — and what lets an [`Executor`] skip zeroing the scratch
-    /// bytes an earlier run left behind.
+    /// a receive's destination at post time and a copy's destination, up to
+    /// its source's length; reads are a send's source, both operands of a
+    /// reduction, a copy's source and, at the end, the output view. Clear
+    /// for every plan [`verify`](super::verify::verify) accepts — its
+    /// define-once rules imply it — and what lets an [`Executor`] skip
+    /// zeroing the scratch bytes an earlier run left behind.
     pub fn reads_unwritten(&self) -> bool {
         self.reads_unwritten
     }
@@ -274,7 +272,14 @@ impl<'a> Compiler<'a> {
 /// If any region of the plan denotes 4 GiB or more (a [`Span`] stores
 /// `u32` totals); the message names the region.
 pub fn compile(schedule: &Schedule) -> CompiledSchedule {
-    let mut c = Compiler::default();
+    // Sized for one range per list and a flush before each step, the arenas
+    // rarely grow: growing them was a third of the cost of a compile.
+    let n = schedule.steps.len();
+    let mut c = Compiler {
+        ranges: Vec::with_capacity(2 * n + 2),
+        steps: Vec::with_capacity(2 * n + 1),
+        ..Compiler::default()
+    };
     c.write(&schedule.input);
     for (i, step) in schedule.steps.iter().enumerate() {
         match step {

@@ -11,7 +11,7 @@
 //! restated here.
 //!
 //! What a step does to a rank's buffer is the business of a [`Memory`], and
-//! there are two:
+//! there are three:
 //!
 //! * bytes ([`RankMem`], the executor's own): [`evaluate`] returns every
 //!   rank's output bytes — replay's expected side, `exacoll verify`'s
@@ -24,9 +24,13 @@
 //! * provenance ([`super::provenance`]): [`provenance`] returns what every
 //!   rank's output *is* as expressions over the ranks' inputs — what the
 //!   optimizer's gate and `exacoll verify` compare. Costs O(steps).
+//! * definedness ([`super::verify`]): which bytes are defined and how many
+//!   message hops deep each rank's data is — how
+//!   [`verify`](super::verify::verify) proves a plan set's matching, progress
+//!   and data flow. Costs O(steps).
 //!
-//! Single-threaded execution over a `BTreeMap` makes either result a pure
-//! function of its arguments.
+//! Single-threaded execution over channels numbered in a `BTreeMap` makes
+//! every result a pure function of its arguments.
 
 use super::compiled::{CStep, CompiledSchedule, RankMem, Span};
 use super::provenance::{Arena, Seg, SymMem};
@@ -46,8 +50,20 @@ pub enum EvalError {
     Shape(String),
     /// No rank can make progress and some rank is unfinished.
     Deadlock {
-        /// The ranks still blocked at a flush.
-        blocked: Vec<Rank>,
+        /// Each rank still blocked at a flush, with the source and tag of
+        /// the first receive it posted that nothing will ever match.
+        blocked: Vec<(Rank, Rank, Tag)>,
+    },
+    /// Every rank finished and a channel still holds messages.
+    UnmatchedSend {
+        /// Sending rank.
+        from: Rank,
+        /// Receiving rank.
+        to: Rank,
+        /// Channel tag.
+        tag: Tag,
+        /// How many messages nobody received.
+        leftover: usize,
     },
     /// A message's length disagrees with the posted receive.
     SizeMismatch {
@@ -64,11 +80,27 @@ pub enum EvalError {
     },
     /// A reduction failed (unsupported dtype/op combination).
     Compute(String),
-    /// A step of the symbolic walk read scratch bytes nothing had defined.
+    /// A step of a symbolic walk read scratch bytes nothing had defined.
     Undefined {
         /// The reading rank.
         rank: Rank,
         /// The scratch range holding the first undefined byte.
+        range: Range<usize>,
+    },
+    /// A landing or a copy of the verifier's walk wrote over bytes already
+    /// defined.
+    Overwrite {
+        /// The writing rank.
+        rank: Rank,
+        /// The scratch range holding the first byte written twice.
+        range: Range<usize>,
+    },
+    /// A finished rank's output view holds bytes nothing wrote (the
+    /// verifier's walk).
+    Unwritten {
+        /// The rank.
+        rank: Rank,
+        /// The scratch range holding the first unwritten byte.
         range: Range<usize>,
     },
 }
@@ -78,8 +110,23 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::Shape(s) => write!(f, "shape error: {s}"),
             EvalError::Deadlock { blocked } => {
-                write!(f, "deadlock: ranks {blocked:?} blocked mid-plan")
+                let waits: Vec<String> = blocked
+                    .iter()
+                    .map(|(rank, from, tag)| {
+                        format!("rank {rank} waits for a message from {from} tag {tag:#06x}")
+                    })
+                    .collect();
+                write!(f, "deadlock: {}", waits.join("; "))
             }
+            EvalError::UnmatchedSend {
+                from,
+                to,
+                tag,
+                leftover,
+            } => write!(
+                f,
+                "channel {from}->{to} tag {tag:#06x}: {leftover} send(s) never received"
+            ),
             EvalError::SizeMismatch {
                 rank,
                 from,
@@ -94,7 +141,17 @@ impl fmt::Display for EvalError {
             EvalError::Compute(s) => write!(f, "compute error: {s}"),
             EvalError::Undefined { rank, range } => write!(
                 f,
-                "rank {rank} reads scratch bytes {}..{} before anything defined them",
+                "rank {rank} reads undefined bytes {}..{}",
+                range.start, range.end
+            ),
+            EvalError::Overwrite { rank, range } => write!(
+                f,
+                "rank {rank} overwrites live bytes {}..{}",
+                range.start, range.end
+            ),
+            EvalError::Unwritten { rank, range } => write!(
+                f,
+                "rank {rank}: output contains bytes no step ever wrote ({}..{})",
                 range.start, range.end
             ),
         }
@@ -124,17 +181,24 @@ pub(super) trait Memory {
 
     /// Message length in bytes, checked against the posted receive.
     fn payload_len(payload: &Self::Payload) -> usize;
-    /// The payload's digest for a recorded event log.
-    fn digest(payload: &Self::Payload) -> u64;
+    /// The payload's digest for a recorded event log; only a walk over
+    /// bytes is ever recorded.
+    fn digest(_payload: &Self::Payload) -> u64 {
+        unreachable!("only a walk over bytes is recorded")
+    }
     /// What `src` holds, in payload order.
     fn gather(&self, plan: &CompiledSchedule, src: Span) -> Result<Self::Payload, EvalError>;
     /// Write `payload` into `dst`'s ranges in order.
-    fn land(&mut self, plan: &CompiledSchedule, dst: Span, payload: &Self::Payload);
+    fn land(
+        &mut self,
+        plan: &CompiledSchedule,
+        dst: Span,
+        payload: &Self::Payload,
+    ) -> Result<(), EvalError>;
     /// `dst = src`.
     fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) -> Result<(), EvalError> {
         let payload = self.gather(plan, src)?;
-        self.land(plan, dst, &payload);
-        Ok(())
+        self.land(plan, dst, &payload)
     }
     /// `dst = dst ⊕ src` elementwise.
     fn reduce(
@@ -167,8 +231,14 @@ impl Memory for RankMem {
         Ok(self.view(plan, src).to_vec())
     }
 
-    fn land(&mut self, plan: &CompiledSchedule, dst: Span, payload: &Vec<u8>) {
+    fn land(
+        &mut self,
+        plan: &CompiledSchedule,
+        dst: Span,
+        payload: &Vec<u8>,
+    ) -> Result<(), EvalError> {
         RankMem::land(self, plan, dst, payload);
+        Ok(())
     }
 
     fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) -> Result<(), EvalError> {
@@ -194,12 +264,42 @@ impl Memory for RankMem {
     }
 }
 
-type Channels<P> = BTreeMap<(Rank, Rank, Tag), VecDeque<P>>;
+/// The world's (from, to, tag) channels, each a FIFO of messages in flight,
+/// numbered densely as the ranks load so a step finds its queue by index.
+struct Channels<P> {
+    ids: BTreeMap<(Rank, Rank, Tag), u32>,
+    queues: Vec<VecDeque<P>>,
+}
+
+impl<P> Channels<P> {
+    /// The number of channel `key`, handed out on first sight.
+    fn id(&mut self, key: (Rank, Rank, Tag)) -> u32 {
+        let next = self.queues.len() as u32;
+        let id = *self.ids.entry(key).or_insert(next);
+        if id == next {
+            self.queues.push(VecDeque::new());
+        }
+        id
+    }
+
+    /// The channel of each of `plan`'s steps that carries a message; other
+    /// steps get 0.
+    fn of_steps(&mut self, plan: &CompiledSchedule) -> Vec<u32> {
+        let me = plan.rank;
+        let chan = |step: &CStep| match step {
+            CStep::Send { to, tag, .. } => self.id((me, *to, *tag)),
+            CStep::Recv { from, tag, .. } => self.id((*from, me, *tag)),
+            _ => 0,
+        };
+        plan.steps().iter().map(chan).collect()
+    }
+}
 
 /// A receive posted since the last flush and not yet delivered.
 struct PendingRecv {
     from: Rank,
     tag: Tag,
+    chan: u32,
     dst: Span,
     /// Index of its `Recv` event awaiting a digest (recorded runs only).
     event: usize,
@@ -207,6 +307,8 @@ struct PendingRecv {
 
 struct RankState<M> {
     plan: CompiledSchedule,
+    /// Per step, the channel of its message ([`Channels::of_steps`]).
+    chans: Vec<u32>,
     mem: M,
     /// Next step to execute; `plan.steps().len()` once finished.
     pc: usize,
@@ -238,8 +340,8 @@ impl<M: Memory> RankState<M> {
                     // channel that is FIFO order); stay here until all has.
                     let mut i = 0;
                     while i < self.pending.len() {
-                        let key = (self.pending[i].from, me, self.pending[i].tag);
-                        let Some(payload) = chans.get_mut(&key).and_then(|q| q.pop_front()) else {
+                        let queue = &mut chans.queues[self.pending[i].chan as usize];
+                        let Some(payload) = queue.pop_front() else {
                             i += 1;
                             continue;
                         };
@@ -254,7 +356,7 @@ impl<M: Memory> RankState<M> {
                                 got,
                             });
                         }
-                        self.mem.land(&self.plan, recv.dst, &payload);
+                        self.mem.land(&self.plan, recv.dst, &payload)?;
                         if record {
                             self.events[recv.event] = RecordedEvent::Recv {
                                 from: recv.from,
@@ -287,12 +389,13 @@ impl<M: Memory> RankState<M> {
                             digest: M::digest(&payload),
                         });
                     }
-                    chans.entry((me, *to, *tag)).or_default().push_back(payload);
+                    chans.queues[self.chans[self.pc] as usize].push_back(payload);
                 }
                 CStep::Recv { from, tag, dst } => {
                     self.pending.push(PendingRecv {
                         from: *from,
                         tag: *tag,
+                        chan: self.chans[self.pc],
                         dst: *dst,
                         event: self.events.len(),
                     });
@@ -331,8 +434,9 @@ impl<M: Memory> RankState<M> {
 type Walked<O> = (Vec<O>, Vec<Vec<RecordedEvent>>);
 
 /// Walk the world to completion over memories `load` fills from each rank's
-/// plan; the event logs stay empty unless `record`.
-fn run<M: Memory>(
+/// plan; the event logs stay empty unless `record`. A world is complete when
+/// every rank has finished its plan and every channel is empty.
+pub(super) fn walk<M: Memory>(
     schedules: &[Schedule],
     shared: &mut M::Shared,
     record: bool,
@@ -340,6 +444,10 @@ fn run<M: Memory>(
 ) -> Result<Walked<M::Output>, EvalError> {
     let p = schedules.len();
     let mut ranks = Vec::with_capacity(p);
+    let mut chans = Channels {
+        ids: BTreeMap::new(),
+        queues: Vec::new(),
+    };
     for (r, s) in schedules.iter().enumerate() {
         if (s.p, s.rank) != (p, r) {
             return Err(EvalError::Shape(format!(
@@ -349,6 +457,7 @@ fn run<M: Memory>(
         }
         let (plan, mem) = load(shared, s)?;
         ranks.push(RankState {
+            chans: chans.of_steps(&plan),
             plan,
             mem,
             pc: 0,
@@ -356,20 +465,32 @@ fn run<M: Memory>(
             events: Vec::new(),
         });
     }
-    let mut chans = Channels::new();
     while !ranks.iter().all(RankState::done) {
         let mut progress = false;
         for st in ranks.iter_mut() {
             progress |= st.advance(&mut chans, shared, record)?;
         }
         if !progress {
+            // A rank that is not done stopped at a flush with receives
+            // outstanding.
             let blocked = ranks
                 .iter()
                 .filter(|st| !st.done())
-                .map(|st| st.plan.rank)
+                .map(|st| (st.plan.rank, st.pending[0].from, st.pending[0].tag))
                 .collect();
             return Err(EvalError::Deadlock { blocked });
         }
+    }
+    // In channel key order, so the channel reported does not depend on the
+    // order the ranks loaded in.
+    let queue = |id: u32| &chans.queues[id as usize];
+    if let Some((&(from, to, tag), &id)) = chans.ids.iter().find(|(_, &id)| !queue(id).is_empty()) {
+        return Err(EvalError::UnmatchedSend {
+            from,
+            to,
+            tag,
+            leftover: queue(id).len(),
+        });
     }
     let outputs: Result<_, _> = ranks.iter().map(|st| st.mem.output(&st.plan)).collect();
     Ok((outputs?, ranks.into_iter().map(|st| st.events).collect()))
@@ -387,7 +508,7 @@ fn run_bytes(
             inputs.len()
         )));
     }
-    let (outputs, events) = run::<RankMem>(schedules, &mut (), record, |(), s| {
+    let (outputs, events) = walk::<RankMem>(schedules, &mut (), record, |(), s| {
         // Checked before `compile` so a plan/input mismatch from outside
         // the program is an error even when the plan itself would not
         // compile (a hostile artifact naming a 4 GiB message).
@@ -415,8 +536,9 @@ fn run_bytes(
 /// # Errors
 ///
 /// [`EvalError::Shape`] on malformed inputs, [`EvalError::Deadlock`] /
-/// [`EvalError::SizeMismatch`] / [`EvalError::Compute`] when the plan set
-/// itself is broken (a verified set never is).
+/// [`EvalError::SizeMismatch`] / [`EvalError::UnmatchedSend`] /
+/// [`EvalError::Compute`] when the plan set itself is broken (a verified set
+/// never is).
 pub fn evaluate(schedules: &[Schedule], inputs: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, EvalError> {
     run_bytes(schedules, inputs, false).map(|e| e.outputs)
 }
@@ -442,9 +564,9 @@ pub fn evaluate_recorded(
 /// As [`evaluate`], plus [`EvalError::Undefined`] when a step reads bytes
 /// nothing defined (a verified set never does).
 pub fn provenance(arena: &mut Arena, schedules: &[Schedule]) -> Result<Vec<Vec<Seg>>, EvalError> {
-    run::<SymMem>(schedules, arena, false, |arena, s| {
+    walk::<SymMem>(schedules, arena, false, |arena, s| {
         let plan = compile(s);
-        let mem = SymMem::load(arena, &plan);
+        let mem = SymMem::load(arena, &plan)?;
         Ok((plan, mem))
     })
     .map(|(outputs, _)| outputs)
@@ -581,6 +703,14 @@ mod tests {
         let one = b.alloc(1);
         b.recv(0, 3, one.clone());
         let mismatched = vec![s0, b.finish(SgList::empty(), one)];
+        // A message nobody receives.
+        let mut b = ScheduleBuilder::new(2, 0);
+        let two = b.alloc(2);
+        b.send(1, 3, two.clone());
+        let unmatched = vec![
+            b.finish(two, SgList::empty()),
+            ScheduleBuilder::new(2, 1).finish(SgList::empty(), SgList::empty()),
+        ];
         // One rank's plan of a two-rank world on its own.
         let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
         let lone = vec![lower(&args, 2, 0, 4)];
@@ -591,12 +721,26 @@ mod tests {
             Vec<Vec<u8>>,
             fn(&EvalError) -> bool,
         );
-        let cases: [Case; 3] = [
+        let cases: [Case; 4] = [
             ("deadlock", &stuck, vec![vec![]; 2], |e| {
                 *e == EvalError::Deadlock {
-                    blocked: vec![0, 1],
+                    blocked: vec![(0, 1, 3), (1, 0, 3)],
                 }
             }),
+            (
+                "unmatched send",
+                &unmatched,
+                vec![vec![7, 8], vec![]],
+                |e| {
+                    let want = EvalError::UnmatchedSend {
+                        from: 0,
+                        to: 1,
+                        tag: 3,
+                        leftover: 1,
+                    };
+                    *e == want
+                },
+            ),
             (
                 "size mismatch",
                 &mismatched,

@@ -10,23 +10,24 @@
 //! individual sends.
 //!
 //! A plan means what [`compile`] makes of it: the compiled `CStep` stream,
-//! flushes included, is the only thing ever executed. Three things interpret
-//! it, and one independent checker does not:
+//! flushes included, is the only thing ever executed, and the only thing
+//! anything interprets:
 //! * [`Executor`] runs one rank's plan on any `Comm` backend — live threads
 //!   and sockets, under any wrapper (timing, recording, fault injection),
 //! * [`Schedule::to_trace`] reads the op stream the executor would issue
 //!   straight off the instructions, moving no bytes, for the discrete-event
 //!   simulator (`exacoll-sim`),
 //! * the world walker of [`eval`] runs a whole communicator's plans in one
-//!   thread. It is written once over two memories: bytes (the executor's
+//!   thread. It is written once over three memories: bytes (the executor's
 //!   own buffer code — replay's expected run, `exacoll verify`'s reference
-//!   cross-check, the test oracle) and [`provenance`] (what every byte *is*,
-//!   as an expression over the ranks' inputs — how the optimizer's gate
-//!   proves a rewrite computes the same function, and how `exacoll verify`
-//!   states that a lowering denotes its collective),
-//! * [`verify`] statically checks matching, tags, and data flow against its
-//!   own statement of the flush rule, and [`verify::ScheduleStats`] counts
-//!   the α/β/γ terms the analytical models (`exacoll-models`) predict.
+//!   cross-check, the test oracle), [`provenance`] (what every byte *is*, as
+//!   an expression over the ranks' inputs — how the optimizer's gate proves
+//!   a rewrite computes the same function, and how `exacoll verify` states
+//!   that a lowering denotes its collective) and definedness, with which
+//!   [`verify`] proves matching, progress and data flow; it adds only what
+//!   needs no walk (bounds, peers, tag hygiene), and
+//!   [`verify::ScheduleStats`] counts the α/β/γ terms the analytical models
+//!   (`exacoll-models`) predict.
 //!
 //! `verify`, `to_trace` and the provenance walk — what a plan gets before it
 //! is trusted or selected — cost O(steps) and are independent of the message

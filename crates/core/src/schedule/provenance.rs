@@ -397,15 +397,15 @@ pub(super) struct SymMem(Intervals<(ExprId, i64)>);
 
 impl SymMem {
     /// `plan`'s scratch buffer with the rank's input in its input view.
-    pub(super) fn load(arena: &mut Arena, plan: &CompiledSchedule) -> SymMem {
+    pub(super) fn load(arena: &mut Arena, plan: &CompiledSchedule) -> Result<SymMem, EvalError> {
         let mut mem = SymMem::default();
         let whole = Seg {
             len: plan.input_bytes(),
             expr: arena.input(plan.rank),
             at: 0,
         };
-        mem.land(plan, plan.views().0, &vec![whole]);
-        mem
+        mem.land(plan, plan.views().0, &vec![whole])?;
+        Ok(mem)
     }
 }
 
@@ -416,13 +416,6 @@ impl Memory for SymMem {
 
     fn payload_len(payload: &Vec<Seg>) -> usize {
         payload.iter().map(|s| s.len).sum()
-    }
-
-    fn digest(payload: &Vec<Seg>) -> u64 {
-        let words = payload
-            .iter()
-            .flat_map(|s| [s.len as u64, u64::from(s.expr.0), s.at as u64]);
-        exacoll_comm::fnv1a(&words.flat_map(u64::to_le_bytes).collect::<Vec<u8>>())
     }
 
     fn gather(&self, plan: &CompiledSchedule, src: Span) -> Result<Vec<Seg>, EvalError> {
@@ -445,18 +438,26 @@ impl Memory for SymMem {
         Ok(out)
     }
 
-    fn land(&mut self, plan: &CompiledSchedule, dst: Span, payload: &Vec<Seg>) {
+    fn land(
+        &mut self,
+        plan: &CompiledSchedule,
+        dst: Span,
+        payload: &Vec<Seg>,
+    ) -> Result<(), EvalError> {
         let mut bites = Bites::of(payload);
         for r in plan.ranges_of(dst) {
             let mut x = r.start;
             while x < r.end {
                 // A short payload fills a prefix, as the byte memory does.
-                let Some(left) = bites.left() else { return };
+                let Some(left) = bites.left() else {
+                    return Ok(());
+                };
                 let seg = bites.bite(left.min(r.end - x));
                 self.0.assign(x..x + seg.len, (seg.expr, x as i64 - seg.at));
                 x += seg.len;
             }
         }
+        Ok(())
     }
 
     fn reduce(
@@ -496,8 +497,7 @@ impl Memory for SymMem {
             let expr = arena.reduce((dtype, op), lhs.expr, rhs.expr, rhs.at - lhs.at, phase);
             Seg::push(&mut out, Seg { expr, ..lhs });
         }
-        self.land(plan, dst, &out);
-        Ok(())
+        self.land(plan, dst, &out)
     }
 
     fn output(&self, plan: &CompiledSchedule) -> Result<Vec<Seg>, EvalError> {

@@ -1,55 +1,55 @@
 //! Static schedule verification.
 //!
-//! [`verify`] takes the lowered plans of **all** `p` ranks and proves, without
-//! executing anything:
+//! [`verify`] takes the lowered plans of **all** `p` ranks and proves,
+//! without moving a byte:
 //!
-//! * **Well-formedness** — every scatter/gather list stays inside the rank's
-//!   scratch buffer and peers are in range.
-//! * **Data flow** — every byte is defined (by the input view, a receive, or
-//!   a copy) before it is sent, reduced, or returned; receives and copies
-//!   never overwrite live data; every output byte is written exactly once.
-//! * **Matching** — replaying the engine's flush discipline symbolically,
-//!   every receive is matched by a same-size send on its (source,
-//!   destination, tag) channel in FIFO order, no sends are left over, and
-//!   the whole exchange makes progress (deadlock-freedom under the
-//!   buffered-send semantics both backends provide).
-//! * **Tag hygiene** — no channel carries messages from two different
-//!   algorithm phases, which is how cross-phase mis-matching bugs start.
+//! * **Well-formedness** — every plan sits in its own slot, every
+//!   scatter/gather list stays inside the rank's scratch buffer, the input
+//!   view lands no two input bytes on one scratch byte, and peers are in
+//!   range.
+//! * **Matching and progress** — the plans, compiled and walked together by
+//!   the world walker of [`super::eval`], run to the end: every receive
+//!   meets a same-size send on its (source, destination, tag) channel in
+//!   FIFO order, no send is left over, and no rank waits forever at a flush
+//!   (deadlock-freedom under the buffered-send semantics both backends
+//!   provide).
+//! * **Data flow** — the same walk, over a memory that holds only which
+//!   bytes are defined: every byte is defined (by the input view, a receive,
+//!   or a copy) before it is sent, reduced, or returned, and no byte is
+//!   defined twice, so receives and copies never overwrite live data and
+//!   every output byte is written exactly once.
+//! * **Tag hygiene** — no channel carries sends from two different algorithm
+//!   phases, which is how cross-phase mis-matching bugs start.
+//!
+//! The walk is the one replay's expected run and the optimizer gate's proof
+//! take, over the `CStep` stream the executor runs: where a rank waits is
+//! [`compile`]'s flush placement, and which message meets which receive and
+//! when a world is stuck are the walker's. Nothing here restates either.
 //!
 //! Verification also yields [`ScheduleStats`], the α/β/γ term counts of the
 //! plan, so the analytical models can be checked against the IR they claim
 //! to describe (`exacoll-models::predict_from_schedule`).
 //!
-//! # The flush-group model
-//!
-//! The engine posts steps non-blocking and waits at well-defined points
-//! (round marks, computes, forwarding hazards, end of plan — the flush rule
-//! [`compile`](super::compile) states). Between two waits, a rank's posted
-//! sends and receives form a *flush group*. The verifier reconstructs the
-//! same groups with its own copy of the rule and then plays a token game: a
-//! rank's group posts as soon as the previous group completed; sends buffer
-//! immediately; a group completes when all its receives are matched. If the
-//! game stalls, the schedule would deadlock on a real backend.
-//!
 //! # Cost
 //!
 //! Every check works on ranges and step counts, never on bytes: definedness
-//! is an interval set (`DefSet`), channels are dense indices handed out
-//! while the groups are built. Verifying a plan costs O(steps · log
-//! intervals) whatever its message size, and allocates nothing proportional
-//! to `buf_len`.
+//! is an interval set (`Intervals`), and a message is its length and hop
+//! depth. Verifying a plan costs O(steps · log intervals) whatever its
+//! message size, and allocates nothing proportional to `buf_len`.
 
-use super::{ComputeKind, Schedule, SgList, Step};
-use exacoll_comm::{Rank, Tag};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use super::compiled::{CompiledSchedule, Span};
+use super::eval::{walk, EvalError, Memory};
+use super::{compile, ComputeKind, Schedule, SgList, Step};
+use exacoll_comm::{DType, Rank, ReduceOp, Tag};
 use std::fmt;
 use std::ops::Range;
 
 /// α/β/γ term counts of a verified schedule set.
 ///
-/// * `alpha_rounds` — the longest dependency chain of message hops: a
-///   receive's completion depends on data its sender had one flush group
-///   earlier. This is the number of α terms on the critical path.
+/// * `alpha_rounds` — the longest dependency chain of message hops: data a
+///   rank receives is one hop deeper than the deepest data its sender had
+///   received when it posted the send. This is the number of α terms on
+///   the critical path.
 /// * `beta_bytes` — `max` over ranks of `max(bytes sent, bytes received)`:
 ///   sends and receives overlap on a full-duplex link, so the busier
 ///   direction bounds the β cost.
@@ -68,51 +68,18 @@ pub struct ScheduleStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyError {
     /// A plan is internally inconsistent (wrong p/rank, out-of-bounds
-    /// ranges, peer out of range).
+    /// ranges, two input bytes on one scratch byte, peer out of range).
     Malformed {
         /// Offending rank.
         rank: Rank,
         /// What is wrong.
         detail: String,
     },
-    /// A step uses undefined bytes or overwrites live ones.
-    DataFlow {
-        /// Offending rank.
-        rank: Rank,
-        /// Index into that rank's step list.
-        step: usize,
-        /// What is wrong.
-        detail: String,
-    },
-    /// A matched send/receive pair disagrees on message size.
-    SizeMismatch {
-        /// Sender rank.
-        from: Rank,
-        /// Receiver rank.
-        to: Rank,
-        /// Channel tag.
-        tag: Tag,
-        /// Bytes the send carries.
-        send_len: usize,
-        /// Bytes the receive expects.
-        recv_len: usize,
-    },
-    /// The symbolic execution stalled: some rank waits forever.
-    Deadlock {
-        /// One line per blocked rank.
-        detail: String,
-    },
-    /// Sends nobody ever receives.
-    UnmatchedSend {
-        /// Sender rank.
-        from: Rank,
-        /// Receiver rank.
-        to: Rank,
-        /// Channel tag.
-        tag: Tag,
-        /// How many sends were left in the channel.
-        leftover: usize,
-    },
+    /// The walk of the compiled plans failed: a step read bytes nothing
+    /// defined or overwrote defined ones, an output byte was never written,
+    /// compute operands differ in length, a send met a receive of another
+    /// size, a send was never received, or some rank waits forever.
+    Walk(EvalError),
     /// One (source, destination, tag) channel carries sends from two
     /// different phases.
     TagCollision {
@@ -157,30 +124,7 @@ impl fmt::Display for VerifyError {
             VerifyError::Malformed { rank, detail } => {
                 write!(f, "rank {rank}: malformed schedule: {detail}")
             }
-            VerifyError::DataFlow { rank, step, detail } => {
-                write!(f, "rank {rank} step {step}: {detail}")
-            }
-            VerifyError::SizeMismatch {
-                from,
-                to,
-                tag,
-                send_len,
-                recv_len,
-            } => write!(
-                f,
-                "channel {from}->{to} tag {tag:#06x}: send carries {send_len} \
-                 bytes but the matching recv expects {recv_len}"
-            ),
-            VerifyError::Deadlock { detail } => write!(f, "deadlock: {detail}"),
-            VerifyError::UnmatchedSend {
-                from,
-                to,
-                tag,
-                leftover,
-            } => write!(
-                f,
-                "channel {from}->{to} tag {tag:#06x}: {leftover} send(s) never received"
-            ),
+            VerifyError::Walk(e) => write!(f, "{e}"),
             VerifyError::TagCollision {
                 from,
                 to,
@@ -218,116 +162,6 @@ impl fmt::Display for VerifyError {
 }
 
 impl std::error::Error for VerifyError {}
-
-/// One posted send awaiting a matching receive.
-struct SendMsg {
-    len: usize,
-    /// Chain depth of the data the message carries (sender's depth when the
-    /// send posted).
-    avail: usize,
-}
-
-/// A (source, destination, tag) message channel.
-type ChannelKey = (Rank, Rank, Tag);
-
-/// Dense channel indices, handed out on first sight while the flush groups
-/// are built, so the token game indexes `Vec`s instead of searching a map.
-#[derive(Default)]
-struct Channels {
-    ids: BTreeMap<ChannelKey, usize>,
-    /// Per channel, the phase labels of every send it carries.
-    labels: Vec<BTreeSet<&'static str>>,
-}
-
-impl Channels {
-    fn intern(&mut self, key: ChannelKey) -> usize {
-        *self.ids.entry(key).or_insert_with(|| {
-            self.labels.push(BTreeSet::new());
-            self.labels.len() - 1
-        })
-    }
-}
-
-struct SendEv {
-    chan: usize,
-    len: usize,
-}
-
-struct RecvEv {
-    chan: usize,
-    from: Rank,
-    tag: Tag,
-    len: usize,
-    /// Posting position within the group (the group is kept in channel
-    /// order; a deadlock report names the first stuck receive *posted*).
-    pos: usize,
-}
-
-/// One flush group: everything a rank posts between two engine waits.
-#[derive(Default)]
-struct Group {
-    sends: Vec<SendEv>,
-    /// Sorted by channel key, posting order within a channel: the order
-    /// matching consumes them in.
-    recvs: Vec<RecvEv>,
-}
-
-impl Group {
-    fn is_empty(&self) -> bool {
-        self.sends.is_empty() && self.recvs.is_empty()
-    }
-
-    fn post_send(
-        &mut self,
-        channels: &mut Channels,
-        key: ChannelKey,
-        len: usize,
-        label: &'static str,
-    ) {
-        let chan = channels.intern(key);
-        channels.labels[chan].insert(label);
-        self.sends.push(SendEv { chan, len });
-    }
-
-    fn post_recv(&mut self, channels: &mut Channels, key: ChannelKey, len: usize) {
-        self.recvs.push(RecvEv {
-            chan: channels.intern(key),
-            from: key.0,
-            tag: key.2,
-            len,
-            pos: self.recvs.len(),
-        });
-    }
-
-    /// Whether every receive has a buffered send waiting on its channel.
-    fn matchable(&self, queues: &[VecDeque<SendMsg>]) -> bool {
-        self.recvs
-            .chunk_by(|a, b| a.chan == b.chan)
-            .all(|run| queues[run[0].chan].len() >= run.len())
-    }
-}
-
-fn check_bounds(rank: Rank, what: &str, sg: &SgList, buf_len: usize) -> Result<(), VerifyError> {
-    for r in sg.ranges() {
-        if r.end > buf_len {
-            return Err(VerifyError::Malformed {
-                rank,
-                detail: format!("{what} range {r:?} exceeds scratch buffer of {buf_len} bytes"),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn check_peer(rank: Rank, peer: Rank, p: usize) -> Result<(), VerifyError> {
-    if peer >= p {
-        return Err(VerifyError::Malformed {
-            rank,
-            detail: format!("peer {peer} out of range for size {p}"),
-        });
-    }
-    Ok(())
-}
 
 /// Sorted, pairwise disjoint half-open intervals of one rank's scratch
 /// bytes, each carrying a value; two that touch and carry equal values are
@@ -424,15 +258,218 @@ impl<V: Clone + PartialEq> Intervals<V> {
 type DefSet = Intervals<()>;
 
 impl DefSet {
-    fn all_defined(&self, sg: &SgList) -> bool {
-        sg.ranges().iter().all(|r| self.cover(r).is_some())
+    /// The first of `ranges` holding a byte nothing defined.
+    fn undefined<'a>(&self, ranges: &'a [Range<usize>]) -> Option<&'a Range<usize>> {
+        ranges.iter().find(|r| self.cover(r).is_none())
     }
 
-    /// Define every byte of `sg`; returns false if any byte was already
-    /// defined (overwrite) or appears twice in the list.
-    fn define_all(&mut self, sg: &SgList) -> bool {
-        sg.ranges().iter().all(|r| self.define(r.clone(), ()))
+    /// Define every byte of `ranges` in order, stopping at the first range
+    /// that holds a byte already defined (or listed twice), which is the
+    /// error.
+    fn define_all<'a>(&mut self, ranges: &'a [Range<usize>]) -> Result<(), &'a Range<usize>> {
+        match ranges.iter().find(|r| !self.define((*r).clone(), ())) {
+            Some(r) => Err(r),
+            None => Ok(()),
+        }
     }
+}
+
+/// One rank's scratch buffer as the verifier walks it: which bytes are
+/// defined, and how many message hops deep the rank's data is.
+struct Defined {
+    bytes: DefSet,
+    depth: usize,
+}
+
+/// A message as the verifier sees it: its length, and the hop depth of the
+/// data its sender held when it posted it.
+struct Hop {
+    len: usize,
+    depth: usize,
+}
+
+impl Defined {
+    /// `plan`'s buffer with its input view defined.
+    fn load(plan: &CompiledSchedule) -> Result<Defined, EvalError> {
+        let mut mem = Defined {
+            bytes: DefSet::default(),
+            depth: 0,
+        };
+        mem.write(plan, plan.views().0)?;
+        Ok(mem)
+    }
+
+    fn read(&self, plan: &CompiledSchedule, span: Span) -> Result<(), EvalError> {
+        match self.bytes.undefined(plan.ranges_of(span)) {
+            Some(r) => Err(EvalError::Undefined {
+                rank: plan.rank,
+                range: r.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    fn write(&mut self, plan: &CompiledSchedule, span: Span) -> Result<(), EvalError> {
+        let ranges = plan.ranges_of(span);
+        self.bytes
+            .define_all(ranges)
+            .map_err(|r| EvalError::Overwrite {
+                rank: plan.rank,
+                range: r.clone(),
+            })
+    }
+}
+
+/// Refuse a compute whose operands differ in length: no lowering writes one,
+/// and the executor would quietly copy a prefix.
+fn same_len(plan: &CompiledSchedule, src: Span, dst: Span) -> Result<(), EvalError> {
+    if src.bytes() == dst.bytes() {
+        return Ok(());
+    }
+    Err(EvalError::Compute(format!(
+        "rank {}: compute operands differ: src {} bytes, dst {}",
+        plan.rank,
+        src.bytes(),
+        dst.bytes()
+    )))
+}
+
+impl Memory for Defined {
+    type Payload = Hop;
+    type Shared = ();
+    /// The rank's hop depth.
+    type Output = usize;
+
+    fn payload_len(hop: &Hop) -> usize {
+        hop.len
+    }
+
+    fn gather(&self, plan: &CompiledSchedule, src: Span) -> Result<Hop, EvalError> {
+        self.read(plan, src)?;
+        Ok(Hop {
+            len: src.bytes(),
+            depth: self.depth,
+        })
+    }
+
+    fn land(&mut self, plan: &CompiledSchedule, dst: Span, hop: &Hop) -> Result<(), EvalError> {
+        self.depth = self.depth.max(hop.depth + 1);
+        self.write(plan, dst)
+    }
+
+    fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) -> Result<(), EvalError> {
+        same_len(plan, src, dst)?;
+        self.read(plan, src)?;
+        self.write(plan, dst)
+    }
+
+    fn reduce(
+        &mut self,
+        (): &mut (),
+        plan: &CompiledSchedule,
+        _: DType,
+        _: ReduceOp,
+        src: Span,
+        dst: Span,
+    ) -> Result<(), EvalError> {
+        same_len(plan, src, dst)?;
+        self.read(plan, src)?;
+        self.read(plan, dst)
+    }
+
+    fn output(&self, plan: &CompiledSchedule) -> Result<usize, EvalError> {
+        match self.bytes.undefined(plan.ranges_of(plan.views().1)) {
+            Some(r) => Err(EvalError::Unwritten {
+                rank: plan.rank,
+                range: r.clone(),
+            }),
+            None => Ok(self.depth),
+        }
+    }
+}
+
+/// Every send's (source, destination, tag) channel and phase label.
+type Phases = Vec<((Rank, Rank, Tag), &'static str)>;
+
+/// Check that `s` holds slot `rank` of `p`, keeps every list inside its
+/// buffer and every peer in range, and lands its input on distinct bytes;
+/// add each of its sends to `phases`. Returns the rank's β bytes (its
+/// busier direction) and γ bytes.
+fn well_formed(
+    rank: Rank,
+    p: usize,
+    s: &Schedule,
+    phases: &mut Phases,
+) -> Result<(usize, usize), VerifyError> {
+    let malformed = |detail: String| VerifyError::Malformed { rank, detail };
+    if (s.p, s.rank) != (p, rank) {
+        return Err(malformed(format!(
+            "plan says rank {}/{} but occupies slot {rank} of {p}",
+            s.rank, s.p
+        )));
+    }
+    let in_bounds = |what: &str, sg: &SgList| match sg.ranges().iter().find(|r| r.end > s.buf_len) {
+        Some(r) => Err(malformed(format!(
+            "{what} range {r:?} exceeds scratch buffer of {} bytes",
+            s.buf_len
+        ))),
+        None => Ok(()),
+    };
+    let in_range = |peer: Rank| {
+        if peer < p {
+            return Ok(());
+        }
+        Err(malformed(format!("peer {peer} out of range for size {p}")))
+    };
+    in_bounds("input", &s.input)?;
+    in_bounds("output", &s.output)?;
+    if DefSet::default().define_all(s.input.ranges()).is_err() {
+        return Err(malformed(
+            "input view maps two input bytes to the same scratch byte".into(),
+        ));
+    }
+
+    let (mut sent, mut received, mut reduced) = (0, 0, 0);
+    let mut send = |to: Rank, tag: Tag, src: &SgList, phase| {
+        in_range(to)?;
+        in_bounds("send src", src)?;
+        sent += src.len();
+        phases.push(((rank, to, tag), phase));
+        Ok(())
+    };
+    let mut recv = |from: Rank, dst: &SgList| {
+        in_range(from)?;
+        in_bounds("recv dst", dst)?;
+        received += dst.len();
+        Ok(())
+    };
+    let mut phase = "";
+    for step in &s.steps {
+        match step {
+            Step::RoundMark { label, .. } => phase = label,
+            Step::Compute { kind, src, dst } => {
+                in_bounds("compute src", src)?;
+                in_bounds("compute dst", dst)?;
+                if let ComputeKind::Reduce { .. } = kind {
+                    reduced += dst.len();
+                }
+            }
+            Step::Send { to, tag, src } => send(*to, *tag, src, phase)?,
+            Step::Recv { from, dst, .. } => recv(*from, dst)?,
+            Step::SendRecv {
+                to,
+                send_tag,
+                src,
+                from,
+                dst,
+                ..
+            } => {
+                send(*to, *send_tag, src, phase)?;
+                recv(*from, dst)?;
+            }
+        }
+    }
+    Ok((sent.max(received), reduced))
 }
 
 /// Statically verify the plans of all `p` ranks together; on success return
@@ -445,259 +482,37 @@ impl DefSet {
 pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
     let p = schedules.len();
     assert!(p > 0, "verify needs at least one rank's schedule");
-
-    // ---- Stage 1+2: per-rank shape and data-flow checks; group building.
-    let mut groups: Vec<Vec<Group>> = Vec::with_capacity(p);
-    let mut channels = Channels::default();
-    let mut sent_bytes = vec![0usize; p];
-    let mut recv_bytes = vec![0usize; p];
-    let mut gamma = vec![0usize; p];
-
+    let mut phases = Phases::new();
+    let (mut beta_bytes, mut gamma_bytes) = (0, 0);
     for (rank, s) in schedules.iter().enumerate() {
-        if s.p != p || s.rank != rank {
-            return Err(VerifyError::Malformed {
-                rank,
-                detail: format!(
-                    "plan says rank {}/{} but occupies slot {rank} of {p}",
-                    s.rank, s.p
-                ),
-            });
-        }
-        check_bounds(rank, "input", &s.input, s.buf_len)?;
-        check_bounds(rank, "output", &s.output, s.buf_len)?;
-
-        let mut defined = DefSet::default();
-        if !defined.define_all(&s.input) {
-            return Err(VerifyError::Malformed {
-                rank,
-                detail: "input view maps two input bytes to the same scratch byte".into(),
-            });
-        }
-
-        let mut rank_groups: Vec<Group> = Vec::new();
-        let mut cur = Group::default();
-        let mut pending_dsts: Vec<&SgList> = Vec::new();
-        let mut cur_label: &'static str = "";
-
-        let close = |cur: &mut Group, pending_dsts: &mut Vec<&SgList>, out: &mut Vec<Group>| {
-            if !cur.is_empty() {
-                // Stable, so receives on one channel keep posting order.
-                cur.recvs.sort_by_key(|recv| (recv.from, recv.tag));
-                out.push(std::mem::take(cur));
-            }
-            pending_dsts.clear();
-        };
-
-        for (i, step) in s.steps.iter().enumerate() {
-            let dataflow = |detail: String| VerifyError::DataFlow {
-                rank,
-                step: i,
-                detail,
-            };
-            // Mirror the engine: a receive's bytes only become *defined*
-            // (usable by later steps) after the flush that delivers them,
-            // but for define-once purposes we claim them at post time.
-            match step {
-                Step::RoundMark { label, .. } => {
-                    close(&mut cur, &mut pending_dsts, &mut rank_groups);
-                    cur_label = label;
-                }
-                Step::Compute { kind, src, dst } => {
-                    close(&mut cur, &mut pending_dsts, &mut rank_groups);
-                    check_bounds(rank, "compute src", src, s.buf_len)?;
-                    check_bounds(rank, "compute dst", dst, s.buf_len)?;
-                    if src.len() != dst.len() {
-                        return Err(dataflow(format!(
-                            "compute operands differ: src {} bytes, dst {}",
-                            src.len(),
-                            dst.len()
-                        )));
-                    }
-                    if !defined.all_defined(src) {
-                        return Err(dataflow("compute reads undefined bytes".into()));
-                    }
-                    match kind {
-                        ComputeKind::Copy => {
-                            if !defined.define_all(dst) {
-                                return Err(dataflow("copy overwrites live bytes".into()));
-                            }
-                        }
-                        ComputeKind::Reduce { .. } => {
-                            if !defined.all_defined(dst) {
-                                return Err(dataflow(
-                                    "reduce accumulates into undefined bytes".into(),
-                                ));
-                            }
-                            gamma[rank] += dst.len();
-                        }
-                    }
-                }
-                Step::Send { to, tag, src } => {
-                    check_peer(rank, *to, p)?;
-                    check_bounds(rank, "send src", src, s.buf_len)?;
-                    if pending_dsts.iter().any(|d| src.overlaps(d)) {
-                        close(&mut cur, &mut pending_dsts, &mut rank_groups);
-                    }
-                    if !defined.all_defined(src) {
-                        return Err(dataflow("send reads undefined bytes".into()));
-                    }
-                    sent_bytes[rank] += src.len();
-                    cur.post_send(&mut channels, (rank, *to, *tag), src.len(), cur_label);
-                }
-                Step::Recv { from, tag, dst } => {
-                    check_peer(rank, *from, p)?;
-                    check_bounds(rank, "recv dst", dst, s.buf_len)?;
-                    if !defined.define_all(dst) {
-                        return Err(dataflow("recv overwrites live bytes".into()));
-                    }
-                    recv_bytes[rank] += dst.len();
-                    pending_dsts.push(dst);
-                    cur.post_recv(&mut channels, (*from, rank, *tag), dst.len());
-                }
-                Step::SendRecv {
-                    to,
-                    send_tag,
-                    src,
-                    from,
-                    recv_tag,
-                    dst,
-                } => {
-                    check_peer(rank, *to, p)?;
-                    check_peer(rank, *from, p)?;
-                    check_bounds(rank, "sendrecv src", src, s.buf_len)?;
-                    check_bounds(rank, "sendrecv dst", dst, s.buf_len)?;
-                    if pending_dsts.iter().any(|d| src.overlaps(d)) {
-                        close(&mut cur, &mut pending_dsts, &mut rank_groups);
-                    }
-                    if !defined.all_defined(src) {
-                        return Err(dataflow("sendrecv reads undefined bytes".into()));
-                    }
-                    if !defined.define_all(dst) {
-                        return Err(dataflow("sendrecv overwrites live bytes".into()));
-                    }
-                    sent_bytes[rank] += src.len();
-                    recv_bytes[rank] += dst.len();
-                    cur.post_send(&mut channels, (rank, *to, *send_tag), src.len(), cur_label);
-                    pending_dsts.push(dst);
-                    cur.post_recv(&mut channels, (*from, rank, *recv_tag), dst.len());
-                }
-            }
-        }
-        close(&mut cur, &mut pending_dsts, &mut rank_groups);
-
-        if !defined.all_defined(&s.output) {
-            return Err(VerifyError::DataFlow {
-                rank,
-                step: s.steps.len(),
-                detail: "output contains bytes no step ever wrote".into(),
-            });
-        }
-        groups.push(rank_groups);
+        let (beta, gamma) = well_formed(rank, p, s, &mut phases)?;
+        beta_bytes = beta_bytes.max(beta);
+        gamma_bytes = gamma_bytes.max(gamma);
     }
-
-    // ---- Stage 3: symbolic execution of the flush-group token game.
-    let mut queues: Vec<VecDeque<SendMsg>> = Vec::new();
-    queues.resize_with(channels.labels.len(), VecDeque::new);
-    let mut next = vec![0usize; p];
-    let mut posted = vec![false; p];
-    let mut depth = vec![0usize; p];
-
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for r in 0..p {
-            while next[r] < groups[r].len() {
-                let g = &groups[r][next[r]];
-                if !posted[r] {
-                    for send in &g.sends {
-                        queues[send.chan].push_back(SendMsg {
-                            len: send.len,
-                            avail: depth[r],
-                        });
-                    }
-                    posted[r] = true;
-                    progress = true;
-                }
-                // The group completes when every receive has a matching
-                // send available, consumed in FIFO channel order.
-                if !g.matchable(&queues) {
-                    break;
-                }
-                let mut max_avail = None;
-                for recv in &g.recvs {
-                    let msg = queues[recv.chan].pop_front().expect("checked above");
-                    if msg.len != recv.len {
-                        return Err(VerifyError::SizeMismatch {
-                            from: recv.from,
-                            to: r,
-                            tag: recv.tag,
-                            send_len: msg.len,
-                            recv_len: recv.len,
-                        });
-                    }
-                    max_avail = Some(max_avail.unwrap_or(0).max(msg.avail));
-                }
-                if let Some(a) = max_avail {
-                    depth[r] = depth[r].max(a + 1);
-                }
-                next[r] += 1;
-                posted[r] = false;
-                progress = true;
-            }
-        }
-    }
-
-    let blocked: Vec<String> = (0..p)
-        .filter(|&r| next[r] < groups[r].len())
-        .map(|r| {
-            let stuck = groups[r][next[r]]
-                .recvs
-                .iter()
-                .filter(|recv| queues[recv.chan].is_empty())
-                .min_by_key(|recv| recv.pos)
-                .map(|recv| format!("recv from {} tag {:#06x}", recv.from, recv.tag))
-                .unwrap_or_else(|| "a receive".into());
-            format!("rank {r} blocked in flush group {} on {stuck}", next[r])
-        })
-        .collect();
-    if !blocked.is_empty() {
-        return Err(VerifyError::Deadlock {
-            detail: blocked.join("; "),
+    let (depths, _) = walk::<Defined>(schedules, &mut (), false, |(), s| {
+        let plan = compile(s);
+        let mem = Defined::load(&plan)?;
+        Ok((plan, mem))
+    })
+    .map_err(VerifyError::Walk)?;
+    // Sorted, so the channel reported is the first in key order and its
+    // labels come out sorted.
+    phases.sort_unstable();
+    phases.dedup();
+    if let Some(pair) = phases.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+        let (from, to, tag) = pair[0].0;
+        let on_channel = phases.iter().filter(|(key, _)| *key == (from, to, tag));
+        return Err(VerifyError::TagCollision {
+            from,
+            to,
+            tag,
+            labels: on_channel.map(|(_, label)| label.to_string()).collect(),
         });
     }
-
-    // Both scans walk the channels in key order, so the first offender
-    // reported does not depend on the order channels were first seen in.
-    for (&(from, to, tag), &chan) in &channels.ids {
-        if !queues[chan].is_empty() {
-            return Err(VerifyError::UnmatchedSend {
-                from,
-                to,
-                tag,
-                leftover: queues[chan].len(),
-            });
-        }
-    }
-
-    for (&(from, to, tag), &chan) in &channels.ids {
-        let set = &channels.labels[chan];
-        if set.len() >= 2 {
-            return Err(VerifyError::TagCollision {
-                from,
-                to,
-                tag,
-                labels: set.iter().map(|s| s.to_string()).collect(),
-            });
-        }
-    }
-
     Ok(ScheduleStats {
-        alpha_rounds: depth.iter().copied().max().unwrap_or(0),
-        beta_bytes: (0..p)
-            .map(|r| sent_bytes[r].max(recv_bytes[r]))
-            .max()
-            .unwrap_or(0),
-        gamma_bytes: gamma.iter().copied().max().unwrap_or(0),
+        alpha_rounds: depths.into_iter().max().unwrap_or(0),
+        beta_bytes,
+        gamma_bytes,
     })
 }
 
@@ -730,8 +545,8 @@ fn wire_tags(s: &Schedule) -> impl Iterator<Item = Tag> + '_ {
 ///
 /// Disjoint windows plus in-window plans are exactly what makes per-tenant
 /// verification sound on a shared communicator: no channel `(from, to, tag)`
-/// of one tenant can ever name a message of another, so the token game of
-/// each tenant composes with any interleaving of the others.
+/// of one tenant can ever name a message of another, so the walk of each
+/// tenant composes with any interleaving of the others.
 ///
 /// Returns one [`ScheduleStats`] per tenant, in input order.
 ///
@@ -837,13 +652,14 @@ mod tests {
                     sg.push(start..(start + len).min(LEN));
                 }
                 if kind == 0 {
-                    prop_assert_eq!(set.all_defined(&sg), oracle.all_defined(&sg), "{:?}", sg);
+                    let defined = set.undefined(sg.ranges()).is_none();
+                    prop_assert_eq!(defined, oracle.all_defined(&sg), "{:?}", sg);
                     continue;
                 }
                 // The verifier stops at a refused define, so what a refusal
                 // leaves behind is unspecified: roll both back.
                 let before = (set.0.clone(), oracle.0.clone());
-                let accepted = set.define_all(&sg);
+                let accepted = set.define_all(sg.ranges()).is_ok();
                 prop_assert_eq!(accepted, oracle.define(&sg), "{:?}", sg);
                 if !accepted {
                     (set.0, oracle.0) = before;
@@ -1007,12 +823,23 @@ mod tests {
                 b.finish(own, other)
             })
             .collect();
-        assert!(matches!(verify(&plans), Err(VerifyError::Deadlock { .. })));
+        let err = verify(&plans).unwrap_err();
+        assert_eq!(
+            err,
+            VerifyError::Walk(EvalError::Deadlock {
+                blocked: vec![(0, 1, 9), (1, 0, 9)]
+            })
+        );
+        assert_eq!(
+            err.to_string(),
+            "deadlock: rank 0 waits for a message from 1 tag 0x0009; \
+             rank 1 waits for a message from 0 tag 0x0009"
+        );
     }
 
     #[test]
     fn buffered_sends_make_the_same_shape_safe() {
-        // Send first, recv second, same flush group: fine with buffering.
+        // Send first, recv second, one flush: fine with buffering.
         let plans: Vec<Schedule> = (0..2)
             .map(|r| {
                 let mut b = ScheduleBuilder::new(2, r);
@@ -1034,15 +861,15 @@ mod tests {
         let s0 = b.finish(own, SgList::empty());
         let b1 = ScheduleBuilder::new(2, 1);
         let s1 = b1.finish(SgList::empty(), SgList::empty());
-        assert!(matches!(
+        assert_eq!(
             verify(&[s0, s1]),
-            Err(VerifyError::UnmatchedSend {
+            Err(VerifyError::Walk(EvalError::UnmatchedSend {
                 from: 0,
                 to: 1,
                 tag: 3,
                 leftover: 1
-            })
-        ));
+            }))
+        );
     }
 
     #[test]
@@ -1055,14 +882,16 @@ mod tests {
         let slot = b1.alloc(2);
         b1.recv(0, 3, slot.clone());
         let s1 = b1.finish(SgList::empty(), slot);
-        assert!(matches!(
+        assert_eq!(
             verify(&[s0, s1]),
-            Err(VerifyError::SizeMismatch {
-                send_len: 4,
-                recv_len: 2,
-                ..
-            })
-        ));
+            Err(VerifyError::Walk(EvalError::SizeMismatch {
+                rank: 1,
+                from: 0,
+                tag: 3,
+                want: 2,
+                got: 4
+            }))
+        );
     }
 
     #[test]
@@ -1072,13 +901,25 @@ mod tests {
         let hole = b.alloc(2);
         b.send(0, 1, hole.clone());
         let s = b.finish(SgList::empty(), SgList::empty());
-        assert!(matches!(verify(&[s]), Err(VerifyError::DataFlow { .. })));
+        assert_eq!(
+            verify(&[s]),
+            Err(VerifyError::Walk(EvalError::Undefined {
+                rank: 0,
+                range: 0..2
+            }))
+        );
 
         // Output referencing bytes nothing wrote.
         let mut b = ScheduleBuilder::new(1, 0);
         let hole = b.alloc(2);
         let s = b.finish(SgList::empty(), hole);
-        assert!(matches!(verify(&[s]), Err(VerifyError::DataFlow { .. })));
+        assert_eq!(
+            verify(&[s]),
+            Err(VerifyError::Walk(EvalError::Unwritten {
+                rank: 0,
+                range: 0..2
+            }))
+        );
     }
 
     #[test]
@@ -1094,10 +935,30 @@ mod tests {
         b1.mark("again", 0);
         b1.recv(0, 3, slot.clone());
         let s1 = b1.finish(SgList::empty(), slot);
-        assert!(matches!(
+        assert_eq!(
             verify(&[s0, s1]),
-            Err(VerifyError::DataFlow { .. })
-        ));
+            Err(VerifyError::Walk(EvalError::Overwrite {
+                rank: 1,
+                range: 0..2
+            }))
+        );
+    }
+
+    #[test]
+    fn detects_compute_operands_of_different_lengths() {
+        let mut b = ScheduleBuilder::new(1, 0);
+        let (x, y) = (b.alloc(4), b.alloc(2));
+        let mut s = b.finish(x.clone(), y.clone());
+        s.steps.push(Step::Compute {
+            kind: ComputeKind::Copy,
+            src: x,
+            dst: y,
+        });
+        let err = verify(&[s]).unwrap_err();
+        assert!(
+            matches!(&err, VerifyError::Walk(EvalError::Compute(why)) if why.contains("differ")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1118,10 +979,15 @@ mod tests {
         b1.mark("gap", 0);
         b1.recv(0, 5, v.clone());
         let s1 = b1.finish(SgList::empty(), SgList::concat([&u, &v]));
-        assert!(matches!(
+        assert_eq!(
             verify(&[s0, s1]),
-            Err(VerifyError::TagCollision { tag: 5, .. })
-        ));
+            Err(VerifyError::TagCollision {
+                from: 0,
+                to: 1,
+                tag: 5,
+                labels: vec!["a".into(), "b".into()]
+            })
+        );
     }
 
     /// The two-rank swap on an arbitrary tag.
@@ -1226,7 +1092,7 @@ mod tests {
             schedules: &plans,
         }])
         .unwrap_err();
-        assert!(matches!(err, VerifyError::Deadlock { .. }));
+        assert!(matches!(err, VerifyError::Walk(EvalError::Deadlock { .. })));
     }
 
     #[test]

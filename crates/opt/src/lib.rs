@@ -4,10 +4,11 @@
 //! IR, and the static verifier (`schedule::verify`) can prove a plan set
 //! deadlock-free, define-once, FIFO-matched, and tag-hygienic. That makes
 //! automated plan *rewriting* safe: a pass may transform plans
-//! aggressively, because an independent checker re-proves every guarantee
-//! afterwards and the core world walker (`schedule::eval`), run over its
-//! symbolic memory on the very `CStep` streams the engine runs, proves the
-//! rewritten world computes the same function of the ranks' inputs.
+//! aggressively, because the core world walker (`schedule::eval`), run on
+//! the very `CStep` streams the engine runs, re-proves every guarantee
+//! afterwards — over the verifier's definedness memory — and, over its
+//! symbolic memory, proves the rewritten world computes the same function
+//! of the ranks' inputs.
 //!
 //! Three passes ship today:
 //!

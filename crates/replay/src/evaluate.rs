@@ -38,10 +38,15 @@ pub fn evaluate(req: &Request, inputs: &[Vec<u8>]) -> Result<Evaluated, ReplayEr
         EvalError::Shape(why) => {
             ReplayError::Header(format!("recorded inputs do not fit the plan: {why}"))
         }
-        EvalError::Deadlock { blocked } => ReplayError::Stuck { blocked },
-        EvalError::SizeMismatch { .. } | EvalError::Compute(_) | EvalError::Undefined { .. } => {
-            ReplayError::Eval(e.to_string())
-        }
+        EvalError::Deadlock { blocked } => ReplayError::Stuck {
+            blocked: blocked.into_iter().map(|(rank, _, _)| rank).collect(),
+        },
+        EvalError::SizeMismatch { .. }
+        | EvalError::UnmatchedSend { .. }
+        | EvalError::Compute(_)
+        | EvalError::Undefined { .. }
+        | EvalError::Overwrite { .. }
+        | EvalError::Unwritten { .. } => ReplayError::Eval(e.to_string()),
     })
 }
 

@@ -8,7 +8,7 @@ mod support;
 
 use exacoll::collectives::registry::candidates;
 use exacoll::collectives::request::payload;
-use exacoll::collectives::schedule::eval::{evaluate, probe_inputs};
+use exacoll::collectives::schedule::eval::{evaluate, probe_inputs, EvalError};
 use exacoll::collectives::schedule::provenance::Equivalence;
 use exacoll::collectives::schedule::verify::{verify, VerifyError};
 use exacoll::collectives::schedule::{ComputeKind, Schedule, ScheduleBuilder, SgList, Step};
@@ -241,13 +241,13 @@ fn dropping_the_empty_half_of_a_sendrecv_is_refused() {
     assert!(
         matches!(
             refusal,
-            Refusal::Verify(VerifyError::SizeMismatch {
+            Refusal::Verify(VerifyError::Walk(EvalError::SizeMismatch {
+                rank: 2,
                 from: 1,
-                to: 2,
-                send_len: 1024,
-                recv_len: 0,
+                want: 0,
+                got: 1024,
                 ..
-            })
+            }))
         ),
         "{refusal}"
     );
