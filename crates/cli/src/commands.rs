@@ -13,8 +13,8 @@ use exacoll_core::spec::{
 };
 use exacoll_core::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll_obs::{
-    analyze_residuals, chrome_trace, intra_net_of, net_of, profile_sim, profile_thread,
-    rank_tracks, BackendRun, Metrics, ProfileSpec, RankTimeline,
+    analyze_residuals, chrome_trace, profile_sim, profile_thread, rank_tracks, BackendRun, Metrics,
+    ProfileSpec, RankTimeline,
 };
 use exacoll_opt::{layout_for, plan_world, Gate, PassKind, PassManager, TopoDesc};
 use exacoll_select::{bucket_range, vendor, Policy, SelectionService};
@@ -524,11 +524,17 @@ fn profile(args: &Args) -> Result<(), String> {
         req.ranks(),
         req.describe()
     );
-    let net = net_of(&spec.machine);
-    let intra = intra_net_of(&spec.machine);
-    // Eqs. 1-14 model one uniform collective: they have no count-vector or
-    // merged-tenant form to take residuals against.
-    let modeled = req.counts().is_none() && req.tenants() == 1;
+    // The prediction is the simulator's replay of the same plans on
+    // `--machine`; a measured run is compared with it, the replay itself is
+    // not.
+    let sim_run;
+    let predicted = match runs.iter().find(|r| r.backend == "sim") {
+        Some(run) => run,
+        None => {
+            sim_run = profile_sim(&spec)?;
+            &sim_run
+        }
+    };
     let mut metrics = Metrics::new();
     for run in &runs {
         println!();
@@ -536,9 +542,8 @@ fn profile(args: &Args) -> Result<(), String> {
         println!("makespan: {:.3} us", run.makespan_ns / 1000.0);
         let cp = exacoll_obs::critical_path::critical_path(&run.timelines);
         print!("{}", exacoll_obs::critical_path::render(&cp));
-        if modeled {
-            let report =
-                analyze_residuals(&run.timelines, op, alg, req.bytes(), &net, Some(&intra));
+        if run.backend != "sim" {
+            let report = analyze_residuals(&run.timelines, &predicted.timelines);
             print!("{}", exacoll_obs::residual::render(&report));
         }
         let scope = format!("{op}/{alg}/{}/{}", req.bytes(), run.backend);

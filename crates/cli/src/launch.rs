@@ -357,7 +357,16 @@ fn collect_timelines(dir: &Path, p: usize) -> Result<Vec<RankTimeline>, String> 
                 .map_err(|e| format!("reading {}: {e}", path.display()))?;
             let value = exacoll_json::parse(&text)
                 .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-            timeline_from_json(&value)
+            let tl = timeline_from_json(&value)?;
+            if (tl.rank, tl.size) != (rank, p) {
+                return Err(format!(
+                    "{}: timeline of rank {} of {}, expected rank {rank} of {p}",
+                    path.display(),
+                    tl.rank,
+                    tl.size
+                ));
+            }
+            Ok(tl)
         })
         .collect()
 }
@@ -686,5 +695,30 @@ mod tests {
         assert!(spec("launch allreduce --alg ring --ranks 4 --tenants 0").is_err());
         assert!(spec("launch allreduce --alg ring --ranks 4 --chunk 0").is_err());
         assert!(spec("launch allreduce --select always --ranks 4").is_err());
+    }
+
+    #[test]
+    fn a_timeline_for_another_rank_or_world_is_refused() {
+        let dir = std::env::temp_dir().join(format!("exacoll-tl-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Write `rank{file}.json` holding a timeline that says it is `rank`
+        // of `size`.
+        let write = |file: usize, rank: usize, size: usize| {
+            let tl = RankTimeline {
+                rank,
+                size,
+                events: Vec::new(),
+            };
+            std::fs::write(timeline_path(&dir, file), timeline_to_json(&tl).pretty()).unwrap();
+        };
+        write(0, 0, 2);
+        write(1, 1, 2);
+        assert_eq!(collect_timelines(&dir, 2).unwrap().len(), 2);
+        for (rank, size) in [(5, 2), (0, 2), (1, 3)] {
+            write(1, rank, size);
+            let err = collect_timelines(&dir, 2).unwrap_err();
+            assert!(err.contains("expected rank 1 of 2"), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

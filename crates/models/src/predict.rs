@@ -5,8 +5,7 @@
 //! hand: it verifies the lowered plans and prices the α/β/γ term counts the
 //! static verifier extracts ([`ScheduleStats`]). For the paper's kernels the
 //! two must agree *exactly* on smooth process counts — the tests below pin
-//! that — so model-vs-measured residuals (`exacoll-obs`) compare like with
-//! like: same lowering, same counts.
+//! that: same lowering, same counts.
 
 use crate::NetParams;
 use exacoll_core::schedule::verify::{verify, ScheduleStats};

@@ -3,7 +3,7 @@
 //! Everything needed to *see* what a collective did: per-rank timed event
 //! timelines from either backend, a metrics registry, Chrome-trace export
 //! for Perfetto, critical-path extraction, and model-vs-measured residual
-//! analysis against the α-β-γ cost models.
+//! analysis against the simulator's replay of the same plans.
 //!
 //! The subsystem is layered:
 //!
@@ -17,8 +17,9 @@
 //! 3. [`chrome_trace`] renders timelines as a Chrome `trace_event` document
 //!    (one process per backend, one thread track per rank);
 //!    [`critical_path`] walks the send/recv dependency graph backwards from
-//!    the last-finishing event; [`analyze_residuals`] compares each phase's
-//!    measured span against the paper's per-round predictions.
+//!    the last-finishing event; [`analyze_residuals`] attributes two runs'
+//!    events to their round marks and compares each measured phase's span
+//!    with its twin in the predicted run.
 //! 4. [`profile_sim`] / [`profile_thread`] run one collective end-to-end
 //!    under instrumentation on the chosen backend.
 
@@ -33,11 +34,9 @@ pub mod timeline_json;
 pub use chrome::{chrome_trace, rank_tracks};
 pub use critical_path::{critical_path, CriticalPath, CriticalStep};
 pub use metrics::{bucket_of, Histogram, Metrics, BUCKETS};
-pub use profile::{intra_net_of, net_of, profile_sim, profile_thread, BackendRun, ProfileSpec};
+pub use profile::{profile_sim, profile_thread, BackendRun, ProfileSpec};
 pub use residual::{analyze_residuals, PhaseResidual, ResidualReport};
 pub use timeline::{
     makespan_ns, timelines_from_sim, EventKind, RankTimeline, TimedComm, TimedEvent,
 };
-pub use timeline_json::{
-    timeline_from_json, timeline_to_json, timelines_from_json, timelines_to_json,
-};
+pub use timeline_json::{timeline_from_json, timeline_to_json};

@@ -15,7 +15,6 @@ use exacoll_comm::{try_run_ranks, Comm, ThreadComm};
 use exacoll_core::request::DEFAULT_SEED;
 use exacoll_core::schedule::{execute_compiled, CompiledSchedule};
 use exacoll_core::Request;
-use exacoll_models::NetParams;
 use exacoll_opt::cached_world;
 use exacoll_sim::{simulate_timed, Machine};
 use std::sync::{Arc, Mutex};
@@ -52,24 +51,6 @@ impl ProfileSpec {
     /// tenants these are the very entries `registry::execute` would hit.
     fn plans(&self) -> Result<Vec<Arc<CompiledSchedule>>, String> {
         cached_world(&self.request).map_err(|e| format!("planning failed: {e}"))
-    }
-}
-
-/// Internode α-β-γ parameters of a machine, for model comparisons.
-pub fn net_of(machine: &Machine) -> NetParams {
-    NetParams {
-        alpha: machine.inter.alpha_ns,
-        beta: machine.inter.beta_ns_per_byte,
-        gamma: machine.cpu.gamma_ns_per_byte,
-    }
-}
-
-/// Intranode equivalent of [`net_of`].
-pub fn intra_net_of(machine: &Machine) -> NetParams {
-    NetParams {
-        alpha: machine.intra.alpha_ns,
-        beta: machine.intra.beta_ns_per_byte,
-        gamma: machine.cpu.gamma_ns_per_byte,
     }
 }
 
@@ -218,15 +199,5 @@ mod tests {
                 .sum()
         };
         assert!(sends(&sim) > sends(&plain));
-    }
-
-    #[test]
-    fn net_params_derive_from_machine() {
-        let m = Machine::frontier(2, 8);
-        let net = net_of(&m);
-        assert_eq!(net.alpha, m.inter.alpha_ns);
-        assert_eq!(net.beta, m.inter.beta_ns_per_byte);
-        let intra = intra_net_of(&m);
-        assert_eq!(intra.alpha, m.intra.alpha_ns);
     }
 }

@@ -122,28 +122,27 @@ pub fn timeline_to_json(tl: &RankTimeline) -> Value {
     ])
 }
 
-/// Decode one rank's timeline.
+/// Decode one rank's timeline. An event may only cover events recorded
+/// before it, so a decoded timeline is safe to walk by its `covers`.
 pub fn timeline_from_json(v: &Value) -> Result<RankTimeline, String> {
+    let events: Vec<TimedEvent> = v
+        .req("events")?
+        .as_arr()?
+        .iter()
+        .map(event_from_json)
+        .collect::<Result<_, _>>()?;
+    for (i, e) in events.iter().enumerate() {
+        if let Some(c) = e.covers.iter().find(|&&c| c as usize >= i) {
+            return Err(format!(
+                "event {i} covers event {c}, which is not before it"
+            ));
+        }
+    }
     Ok(RankTimeline {
         rank: v.req("rank")?.as_usize()?,
         size: v.req("size")?.as_usize()?,
-        events: v
-            .req("events")?
-            .as_arr()?
-            .iter()
-            .map(event_from_json)
-            .collect::<Result<_, _>>()?,
+        events,
     })
-}
-
-/// Encode a set of timelines (one per rank) as a JSON array.
-pub fn timelines_to_json(tls: &[RankTimeline]) -> Value {
-    Value::Arr(tls.iter().map(timeline_to_json).collect())
-}
-
-/// Decode a JSON array of timelines.
-pub fn timelines_from_json(v: &Value) -> Result<Vec<RankTimeline>, String> {
-    v.as_arr()?.iter().map(timeline_from_json).collect()
 }
 
 #[cfg(test)]
@@ -205,20 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn timelines_array_round_trips() {
-        let tls = vec![
-            sample(),
-            RankTimeline {
-                rank: 3,
-                ..sample()
-            },
-        ];
-        let text = timelines_to_json(&tls).pretty();
-        let back = timelines_from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back, tls);
-    }
-
-    #[test]
     fn interned_labels_dedupe() {
         let a = intern("phase-x");
         let b = intern("phase-x");
@@ -229,5 +214,18 @@ mod tests {
     fn unknown_kind_is_an_error() {
         let v = parse(r#"{"rank":0,"size":1,"events":[{"kind":"zap","bytes":0,"begin_ns":0,"end_ns":0,"done_ns":0}]}"#).unwrap();
         assert!(timeline_from_json(&v).unwrap_err().contains("zap"));
+    }
+
+    #[test]
+    fn a_cover_not_before_its_wait_is_an_error() {
+        for covers in ["[1]", "[0, 2]"] {
+            let text = format!(
+                r#"{{"rank":0,"size":1,"events":[
+                    {{"kind":"send","bytes":0,"begin_ns":0,"end_ns":0,"done_ns":0}},
+                    {{"kind":"wait","bytes":0,"begin_ns":0,"end_ns":0,"done_ns":0,"covers":{covers}}}]}}"#
+            );
+            let err = timeline_from_json(&parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains("event 1 covers"), "{covers}: {err}");
+        }
     }
 }

@@ -17,7 +17,8 @@
 //!   hang-free guarantee (drop/delay/duplicate/corrupt/kill).
 //! * [`obs`] — observability: timed event timelines on both backends,
 //!   metrics registry, Chrome-trace export, critical-path extraction, and
-//!   model-vs-measured residual analysis.
+//!   per-round residuals of a measured run against the simulator's replay
+//!   of the same plans.
 //! * [`net`] — the distributed TCP backend: multi-process `SocketComm`
 //!   runtime with a length-prefixed wire protocol, rendezvous bootstrap,
 //!   and a single-threaded `poll(2)` progress engine.
