@@ -157,12 +157,6 @@ pub enum Algorithm {
         /// Digit radix.
         r: usize,
     },
-    /// Deferred choice: "ask the selection service". `Auto` is a request,
-    /// not a plan — it must be resolved to a concrete algorithm (via
-    /// `exacoll_select` or [`default_algorithm`]) before lowering;
-    /// [`Algorithm::supports`] rejects it for every collective so an
-    /// unresolved `Auto` can never reach the engine silently.
-    Auto,
 }
 
 impl Algorithm {
@@ -220,12 +214,6 @@ impl Algorithm {
         if p == 0 {
             return Err("empty communicator".into());
         }
-        if matches!(self, Auto) {
-            return Err(format!(
-                "`auto` must be resolved to a concrete algorithm before running {op} \
-                 (consult the selection service or default_algorithm)"
-            ));
-        }
         let ok_ops: &[CollectiveOp] = match self {
             // For Alltoall, `Linear` is the spread-out (post-everything)
             // algorithm, MPICH's isend_irecv.
@@ -241,7 +229,6 @@ impl Algorithm {
             Hierarchical { .. } => &[Allreduce],
             Pairwise => &[Alltoall],
             GeneralizedBruck { .. } => &[Alltoall],
-            Auto => unreachable!("rejected above"),
         };
         if !ok_ops.contains(&op) {
             return Err(format!("{self} does not implement {op}"));
@@ -292,7 +279,6 @@ impl fmt::Display for Algorithm {
             Algorithm::Hierarchical { ppn, k } => write!(f, "hier({ppn},{k})"),
             Algorithm::Pairwise => write!(f, "pairwise"),
             Algorithm::GeneralizedBruck { r } => write!(f, "gbruck({r})"),
-            Algorithm::Auto => write!(f, "auto"),
         }
     }
 }

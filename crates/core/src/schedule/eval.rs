@@ -24,10 +24,11 @@
 //! * provenance ([`super::provenance`]): [`provenance`] returns what every
 //!   rank's output *is* as expressions over the ranks' inputs — what the
 //!   optimizer's gate and `exacoll verify` compare. Costs O(steps).
-//! * definedness ([`super::verify`]): which bytes are defined and how many
-//!   message hops deep each rank's data is — how
-//!   [`verify`](super::verify::verify) proves a plan set's matching, progress
-//!   and data flow. Costs O(steps).
+//! * hop depth ([`super::verify`]): no bytes, only each message's length
+//!   and how many message hops deep each rank's data is — how
+//!   [`verify`](super::verify::verify) proves a plan set's matching and
+//!   progress and counts its α rounds (data flow it reads off [`compile`]).
+//!   Costs O(steps).
 //!
 //! Single-threaded execution over channels numbered in a `BTreeMap` makes
 //! every result a pure function of its arguments.
@@ -80,23 +81,24 @@ pub enum EvalError {
     },
     /// A reduction failed (unsupported dtype/op combination).
     Compute(String),
-    /// A step of a symbolic walk read scratch bytes nothing had defined.
+    /// A step read scratch bytes nothing had defined (the symbolic walk, or
+    /// [`compile`]'s data flow as the verifier reports it).
     Undefined {
         /// The reading rank.
         rank: Rank,
         /// The scratch range holding the first undefined byte.
         range: Range<usize>,
     },
-    /// A landing or a copy of the verifier's walk wrote over bytes already
-    /// defined.
+    /// A receive or a copy writes over bytes already written ([`compile`]'s
+    /// data flow as the verifier reports it).
     Overwrite {
         /// The writing rank.
         rank: Rank,
         /// The scratch range holding the first byte written twice.
         range: Range<usize>,
     },
-    /// A finished rank's output view holds bytes nothing wrote (the
-    /// verifier's walk).
+    /// A rank's output view holds bytes nothing wrote ([`compile`]'s data
+    /// flow as the verifier reports it).
     Unwritten {
         /// The rank.
         rank: Rank,

@@ -3,9 +3,9 @@
 //! The world walker of [`super::eval`] runs over either of two memories. The
 //! byte one (`RankMem`) moves data; this one moves names. A rank's buffer is
 //! a map of sorted disjoint pieces `[start, end) ↦ (expr, off)` meaning
-//! `mem[x] = expr(x − off)`, kept in the verifier's [`Intervals`] container
-//! so touching pieces with equal `(expr, off)` are one piece. An expression
-//! is a function from a byte coordinate to a byte:
+//! `mem[x] = expr(x − off)`, kept in the [`Intervals`] container `compile`
+//! records written bytes in, so touching pieces with equal `(expr, off)` are
+//! one piece. An expression is a function from a byte coordinate to a byte:
 //!
 //! ```text
 //! expr ::= Input(rank)                                  rank's input, byte y
@@ -29,9 +29,8 @@
 //! the same comparison against the collective's definition written as
 //! segments (`Request::denotation`).
 
-use super::compiled::{CompiledSchedule, Span};
+use super::compiled::{CompiledSchedule, Intervals, Span};
 use super::eval::{EvalError, Memory};
-use super::verify::Intervals;
 use exacoll_comm::{CommError, DType, Rank, ReduceOp};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;

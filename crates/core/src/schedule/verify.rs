@@ -13,18 +13,20 @@
 //!   FIFO order, no send is left over, and no rank waits forever at a flush
 //!   (deadlock-freedom under the buffered-send semantics both backends
 //!   provide).
-//! * **Data flow** — the same walk, over a memory that holds only which
-//!   bytes are defined: every byte is defined (by the input view, a receive,
+//! * **Data flow** — every byte is written (by the input view, a receive,
 //!   or a copy) before it is sent, reduced, or returned, and no byte is
-//!   defined twice, so receives and copies never overwrite live data and
-//!   every output byte is written exactly once.
+//!   written twice, so receives and copies never overwrite live data and
+//!   every output byte is written exactly once. This is read off each rank's
+//!   compiled plan: [`compile`]'s walk is the one definedness analysis, and
+//!   the first fault it records is the error.
 //! * **Tag hygiene** — no channel carries sends from two different algorithm
 //!   phases, which is how cross-phase mis-matching bugs start.
 //!
 //! The walk is the one replay's expected run and the optimizer gate's proof
 //! take, over the `CStep` stream the executor runs: where a rank waits is
 //! [`compile`]'s flush placement, and which message meets which receive and
-//! when a world is stuck are the walker's. Nothing here restates either.
+//! when a world is stuck are the walker's. Nothing here restates either; the
+//! walk's memory holds no bytes, only each rank's hop depth.
 //!
 //! Verification also yields [`ScheduleStats`], the α/β/γ term counts of the
 //! plan, so the analytical models can be checked against the IR they claim
@@ -32,17 +34,16 @@
 //!
 //! # Cost
 //!
-//! Every check works on ranges and step counts, never on bytes: definedness
-//! is an interval set (`Intervals`), and a message is its length and hop
-//! depth. Verifying a plan costs O(steps · log intervals) whatever its
+//! Every check works on ranges and step counts, never on bytes: written
+//! bytes are an interval set in [`compile`], and a message is its length and
+//! hop depth. Verifying a plan costs O(steps · log intervals) whatever its
 //! message size, and allocates nothing proportional to `buf_len`.
 
-use super::compiled::{CompiledSchedule, Span};
+use super::compiled::{CompiledSchedule, Fault, Span};
 use super::eval::{walk, EvalError, Memory};
 use super::{compile, ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{DType, Rank, ReduceOp, Tag};
 use std::fmt;
-use std::ops::Range;
 
 /// α/β/γ term counts of a verified schedule set.
 ///
@@ -75,10 +76,11 @@ pub enum VerifyError {
         /// What is wrong.
         detail: String,
     },
-    /// The walk of the compiled plans failed: a step read bytes nothing
-    /// defined or overwrote defined ones, an output byte was never written,
-    /// compute operands differ in length, a send met a receive of another
-    /// size, a send was never received, or some rank waits forever.
+    /// A compiled plan has a data-flow fault (a step reads bytes nothing
+    /// wrote or overwrites written ones, an output byte was never written),
+    /// or the walk of the compiled plans failed: compute operands differ in
+    /// length, a send met a receive of another size, a send was never
+    /// received, or some rank waits forever.
     Walk(EvalError),
     /// One (source, destination, tag) channel carries sends from two
     /// different phases.
@@ -163,161 +165,15 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Sorted, pairwise disjoint half-open intervals of one rank's scratch
-/// bytes, each carrying a value; two that touch and carry equal values are
-/// one interval.
-///
-/// The verifier's definedness set is `Intervals<()>`: with nothing to tell
-/// intervals apart every touching pair merges, so a fully defined range lies
-/// inside exactly one interval and both its queries are one binary search.
-/// The symbolic memory of [`super::provenance`] carries what each byte holds,
-/// and merging equal neighbours is what gives a chunked, a fused and an
-/// untouched transfer the same map.
-#[derive(Debug)]
-pub(super) struct Intervals<V>(Vec<(Range<usize>, V)>);
-
-impl<V> Default for Intervals<V> {
-    fn default() -> Self {
-        Intervals(Vec::new())
-    }
-}
-
-impl<V: Clone + PartialEq> Intervals<V> {
-    /// Index of the first interval ending after byte `at` — the only one
-    /// that can contain `at` or be the next one above it.
-    fn first_ending_after(&self, at: usize) -> usize {
-        self.0.partition_point(|(iv, _)| iv.end <= at)
-    }
-
-    /// The run of intervals that covers `r` without a gap (its first and
-    /// last may reach past `r`), or `None` when a byte of `r` is undefined.
-    pub(super) fn cover(&self, r: &Range<usize>) -> Option<&[(Range<usize>, V)]> {
-        let first = self.first_ending_after(r.start);
-        let (mut next, mut covered) = (first, r.start);
-        while covered < r.end {
-            let (iv, _) = self.0.get(next)?;
-            if iv.start > covered {
-                return None;
-            }
-            covered = iv.end;
-            next += 1;
-        }
-        Some(&self.0[first..next])
-    }
-
-    /// Put `v` over `r`, which no interval overlaps and which sorts at index
-    /// `i`, merging it into equal-valued neighbours it touches.
-    fn insert_at(&mut self, i: usize, r: Range<usize>, v: V) {
-        let joins_below = i > 0 && self.0[i - 1].0.end == r.start && self.0[i - 1].1 == v;
-        let joins_above = self
-            .0
-            .get(i)
-            .is_some_and(|(iv, w)| iv.start == r.end && *w == v);
-        match (joins_below, joins_above) {
-            (true, true) => {
-                self.0[i - 1].0.end = self.0[i].0.end;
-                self.0.remove(i);
-            }
-            (true, false) => self.0[i - 1].0.end = r.end,
-            (false, true) => self.0[i].0.start = r.start,
-            (false, false) => self.0.insert(i, (r, v)),
-        }
-    }
-
-    /// Define `r` as `v`; returns false, changing nothing, if any byte of
-    /// `r` was already defined.
-    pub(super) fn define(&mut self, r: Range<usize>, v: V) -> bool {
-        let i = self.first_ending_after(r.start);
-        if self.0.get(i).is_some_and(|(iv, _)| iv.start < r.end) {
-            return false;
-        }
-        self.insert_at(i, r, v);
-        true
-    }
-
-    /// Make `r` hold `v`, cutting away whatever it held before.
-    pub(super) fn assign(&mut self, r: Range<usize>, v: V) {
-        let i = self.first_ending_after(r.start);
-        let j = i + self.0[i..].partition_point(|(iv, _)| iv.start < r.end);
-        let overlapped = &self.0[i..j];
-        let below = overlapped
-            .first()
-            .filter(|(iv, _)| iv.start < r.start)
-            .map(|(iv, w)| (iv.start..r.start, w.clone()));
-        let above = overlapped
-            .last()
-            .filter(|(iv, _)| iv.end > r.end)
-            .map(|(iv, w)| (r.end..iv.end, w.clone()));
-        let at = i + usize::from(below.is_some());
-        self.0.splice(i..j, below.into_iter().chain(above));
-        self.insert_at(at, r, v);
-    }
-}
-
-/// Definedness tracking for one rank: which scratch bytes are defined.
-type DefSet = Intervals<()>;
-
-impl DefSet {
-    /// The first of `ranges` holding a byte nothing defined.
-    fn undefined<'a>(&self, ranges: &'a [Range<usize>]) -> Option<&'a Range<usize>> {
-        ranges.iter().find(|r| self.cover(r).is_none())
-    }
-
-    /// Define every byte of `ranges` in order, stopping at the first range
-    /// that holds a byte already defined (or listed twice), which is the
-    /// error.
-    fn define_all<'a>(&mut self, ranges: &'a [Range<usize>]) -> Result<(), &'a Range<usize>> {
-        match ranges.iter().find(|r| !self.define((*r).clone(), ())) {
-            Some(r) => Err(r),
-            None => Ok(()),
-        }
-    }
-}
-
-/// One rank's scratch buffer as the verifier walks it: which bytes are
-/// defined, and how many message hops deep the rank's data is.
-struct Defined {
-    bytes: DefSet,
-    depth: usize,
-}
+/// One rank as the verifier walks it: how many message hops deep its data
+/// is. What its bytes hold is [`compile`]'s business.
+struct HopDepth(usize);
 
 /// A message as the verifier sees it: its length, and the hop depth of the
 /// data its sender held when it posted it.
 struct Hop {
     len: usize,
     depth: usize,
-}
-
-impl Defined {
-    /// `plan`'s buffer with its input view defined.
-    fn load(plan: &CompiledSchedule) -> Result<Defined, EvalError> {
-        let mut mem = Defined {
-            bytes: DefSet::default(),
-            depth: 0,
-        };
-        mem.write(plan, plan.views().0)?;
-        Ok(mem)
-    }
-
-    fn read(&self, plan: &CompiledSchedule, span: Span) -> Result<(), EvalError> {
-        match self.bytes.undefined(plan.ranges_of(span)) {
-            Some(r) => Err(EvalError::Undefined {
-                rank: plan.rank,
-                range: r.clone(),
-            }),
-            None => Ok(()),
-        }
-    }
-
-    fn write(&mut self, plan: &CompiledSchedule, span: Span) -> Result<(), EvalError> {
-        let ranges = plan.ranges_of(span);
-        self.bytes
-            .define_all(ranges)
-            .map_err(|r| EvalError::Overwrite {
-                rank: plan.rank,
-                range: r.clone(),
-            })
-    }
 }
 
 /// Refuse a compute whose operands differ in length: no lowering writes one,
@@ -334,7 +190,7 @@ fn same_len(plan: &CompiledSchedule, src: Span, dst: Span) -> Result<(), EvalErr
     )))
 }
 
-impl Memory for Defined {
+impl Memory for HopDepth {
     type Payload = Hop;
     type Shared = ();
     /// The rank's hop depth.
@@ -344,23 +200,20 @@ impl Memory for Defined {
         hop.len
     }
 
-    fn gather(&self, plan: &CompiledSchedule, src: Span) -> Result<Hop, EvalError> {
-        self.read(plan, src)?;
+    fn gather(&self, _: &CompiledSchedule, src: Span) -> Result<Hop, EvalError> {
         Ok(Hop {
             len: src.bytes(),
-            depth: self.depth,
+            depth: self.0,
         })
     }
 
-    fn land(&mut self, plan: &CompiledSchedule, dst: Span, hop: &Hop) -> Result<(), EvalError> {
-        self.depth = self.depth.max(hop.depth + 1);
-        self.write(plan, dst)
+    fn land(&mut self, _: &CompiledSchedule, _: Span, hop: &Hop) -> Result<(), EvalError> {
+        self.0 = self.0.max(hop.depth + 1);
+        Ok(())
     }
 
     fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) -> Result<(), EvalError> {
-        same_len(plan, src, dst)?;
-        self.read(plan, src)?;
-        self.write(plan, dst)
+        same_len(plan, src, dst)
     }
 
     fn reduce(
@@ -372,19 +225,11 @@ impl Memory for Defined {
         src: Span,
         dst: Span,
     ) -> Result<(), EvalError> {
-        same_len(plan, src, dst)?;
-        self.read(plan, src)?;
-        self.read(plan, dst)
+        same_len(plan, src, dst)
     }
 
-    fn output(&self, plan: &CompiledSchedule) -> Result<usize, EvalError> {
-        match self.bytes.undefined(plan.ranges_of(plan.views().1)) {
-            Some(r) => Err(EvalError::Unwritten {
-                rank: plan.rank,
-                range: r.clone(),
-            }),
-            None => Ok(self.depth),
-        }
+    fn output(&self, _: &CompiledSchedule) -> Result<usize, EvalError> {
+        Ok(self.0)
     }
 }
 
@@ -423,7 +268,9 @@ fn well_formed(
     };
     in_bounds("input", &s.input)?;
     in_bounds("output", &s.output)?;
-    if DefSet::default().define_all(s.input.ranges()).is_err() {
+    let mut input = s.input.ranges().to_vec();
+    input.sort_unstable_by_key(|r| r.start);
+    if input.windows(2).any(|pair| pair[0].end > pair[1].start) {
         return Err(malformed(
             "input view maps two input bytes to the same scratch byte".into(),
         ));
@@ -489,10 +336,15 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
         beta_bytes = beta_bytes.max(beta);
         gamma_bytes = gamma_bytes.max(gamma);
     }
-    let (depths, _) = walk::<Defined>(schedules, &mut (), false, |(), s| {
+    let (depths, _) = walk::<HopDepth>(schedules, &mut (), false, |(), s| {
         let plan = compile(s);
-        let mem = Defined::load(&plan)?;
-        Ok((plan, mem))
+        let rank = plan.rank;
+        match plan.fault().cloned() {
+            None => Ok((plan, HopDepth(0))),
+            Some(Fault::Undefined(range)) => Err(EvalError::Undefined { rank, range }),
+            Some(Fault::Overwrite(range)) => Err(EvalError::Overwrite { rank, range }),
+            Some(Fault::Unwritten(range)) => Err(EvalError::Unwritten { rank, range }),
+        }
     })
     .map_err(VerifyError::Walk)?;
     // Sorted, so the channel reported is the first in key order and its
@@ -594,136 +446,6 @@ pub fn verify_tenants(tenants: &[TenantPlans<'_>]) -> Result<Vec<ScheduleStats>,
 mod tests {
     use super::*;
     use crate::schedule::ScheduleBuilder;
-    use proptest::prelude::*;
-
-    /// The byte-granular set [`DefSet`] replaced — one flag per scratch
-    /// byte — kept as the oracle the interval set is checked against.
-    struct ByteSet(Vec<bool>);
-
-    impl ByteSet {
-        fn all_defined(&self, sg: &SgList) -> bool {
-            sg.ranges()
-                .iter()
-                .all(|r| self.0[r.clone()].iter().all(|&d| d))
-        }
-
-        fn define(&mut self, sg: &SgList) -> bool {
-            for r in sg.ranges() {
-                for b in r.clone() {
-                    if self.0[b] {
-                        return false;
-                    }
-                    self.0[b] = true;
-                }
-            }
-            true
-        }
-
-        /// The maximal runs of defined bytes.
-        fn runs(&self) -> Vec<Range<usize>> {
-            let mut runs = SgList::empty();
-            for (b, _) in self.0.iter().enumerate().filter(|(_, &d)| d) {
-                runs.push(b..b + 1);
-            }
-            runs.ranges().to_vec()
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// Random lists over a 48-byte scratch — small enough that they
-        /// overlap, touch, repeat a range inside one list, arrive out of
-        /// order and come up empty all the time — drive both sets through
-        /// the same calls; every answer and every resulting state agree.
-        #[test]
-        fn interval_set_agrees_with_the_byte_set_call_by_call(
-            calls in collection::vec(
-                (0usize..3, collection::vec((0usize..48, 0usize..7), 0..4)),
-                1..40,
-            )
-        ) {
-            const LEN: usize = 48;
-            let mut set = DefSet::default();
-            let mut oracle = ByteSet(vec![false; LEN]);
-            for (kind, ranges) in calls {
-                let mut sg = SgList::empty();
-                for (start, len) in ranges {
-                    sg.push(start..(start + len).min(LEN));
-                }
-                if kind == 0 {
-                    let defined = set.undefined(sg.ranges()).is_none();
-                    prop_assert_eq!(defined, oracle.all_defined(&sg), "{:?}", sg);
-                    continue;
-                }
-                // The verifier stops at a refused define, so what a refusal
-                // leaves behind is unspecified: roll both back.
-                let before = (set.0.clone(), oracle.0.clone());
-                let accepted = set.define_all(sg.ranges()).is_ok();
-                prop_assert_eq!(accepted, oracle.define(&sg), "{:?}", sg);
-                if !accepted {
-                    (set.0, oracle.0) = before;
-                }
-                // Sorted, disjoint and coalesced: exactly the oracle's runs.
-                let runs: Vec<_> = set.0.iter().map(|(iv, ())| iv.clone()).collect();
-                prop_assert_eq!(&runs, &oracle.runs(), "after {:?}", sg);
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// The payload-carrying operations against one value per byte:
-        /// after every `assign` (overwrite) or `define` (refuse overlap) the
-        /// map is exactly the oracle's maximal runs of equal bytes — sorted,
-        /// disjoint, equal neighbours merged and unequal ones kept apart —
-        /// and `cover` answers for a range what the bytes under it say.
-        #[test]
-        fn valued_intervals_agree_with_a_value_per_byte(
-            calls in collection::vec((0usize..3, 0usize..48, 1usize..9, 0u8..3), 1..40)
-        ) {
-            const LEN: usize = 48;
-            let mut map = Intervals::<u8>::default();
-            let mut oracle: Vec<Option<u8>> = vec![None; LEN];
-            for (kind, start, len, v) in calls {
-                let r = start..(start + len).min(LEN);
-                match kind {
-                    0 => {
-                        let got = map.cover(&r).map(|pieces| {
-                            let clip = |(iv, v): &(Range<usize>, u8)| {
-                                vec![Some(*v); iv.end.min(r.end) - iv.start.max(r.start)]
-                            };
-                            pieces.iter().flat_map(clip).collect::<Vec<_>>()
-                        });
-                        let want = &oracle[r.clone()];
-                        prop_assert_eq!(got, want.iter().all(Option::is_some).then(|| want.to_vec()));
-                        continue;
-                    }
-                    1 => {
-                        map.assign(r.clone(), v);
-                        oracle[r].fill(Some(v));
-                    }
-                    _ => {
-                        let free = oracle[r.clone()].iter().all(Option::is_none);
-                        prop_assert_eq!(map.define(r.clone(), v), free);
-                        if free {
-                            oracle[r].fill(Some(v));
-                        }
-                    }
-                }
-                let runs: Vec<(Range<usize>, u8)> = oracle
-                    .chunk_by(|a, b| a == b)
-                    .scan(0, |at, run| {
-                        *at += run.len();
-                        Some((*at - run.len()..*at, run[0]))
-                    })
-                    .filter_map(|(iv, v)| Some((iv, v?)))
-                    .collect();
-                prop_assert_eq!(&map.0, &runs);
-            }
-        }
-    }
 
     #[test]
     fn verification_cost_is_independent_of_scratch_size() {

@@ -11,7 +11,7 @@ use crate::registry::{Algorithm, CollectiveOp};
 use exacoll_comm::{DType, ReduceOp};
 
 /// The algorithm spec grammar, for error messages.
-pub const ALG_SPECS: &str = "auto|linear|ring|bruck|pairwise|binomial|recdoubling|\
+pub const ALG_SPECS: &str = "linear|ring|bruck|pairwise|binomial|recdoubling|\
 knomial:K|recmult:K|genmult:K|kring:K|reduce+bcast:K|dissemination:K|gbruck:R|hier:PPN:K";
 
 /// The optimizer spec grammar, for error messages.
@@ -203,7 +203,11 @@ pub fn parse_alg(spec: &str) -> Result<Algorithm, String> {
             .map_err(|_| format!("bad radix in `{spec}`"))
     };
     let alg = match head {
-        "auto" => Algorithm::Auto,
+        "auto" => {
+            return Err(
+                "`auto` is not an algorithm: ask the selection service with `--select auto`".into(),
+            )
+        }
         "linear" | "spread" => Algorithm::Linear,
         "ring" => Algorithm::Ring,
         "bruck" => Algorithm::Bruck,
@@ -246,7 +250,6 @@ pub fn parse_alg(spec: &str) -> Result<Algorithm, String> {
 /// artifacts need the parseable `recmult:4` form instead.
 pub fn alg_to_spec(alg: &Algorithm) -> String {
     match alg {
-        Algorithm::Auto => "auto".into(),
         Algorithm::Linear => "linear".into(),
         Algorithm::Ring => "ring".into(),
         Algorithm::Bruck => "bruck".into(),
@@ -451,15 +454,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_round_trips_but_never_supports() {
-        use crate::registry::CollectiveOp;
-        assert_eq!(parse_alg("auto").unwrap(), Algorithm::Auto);
-        assert_eq!(alg_to_spec(&Algorithm::Auto), "auto");
-        assert_eq!(Algorithm::Auto.to_string(), "auto");
-        for op in CollectiveOp::ALL {
-            let err = Algorithm::Auto.supports(op, 8).unwrap_err();
-            assert!(err.contains("resolved"), "{op}: {err}");
-        }
+    fn auto_is_a_request_not_an_algorithm() {
+        let err = parse_alg("auto").unwrap_err();
+        assert!(err.contains("--select auto"), "{err}");
     }
 
     #[test]

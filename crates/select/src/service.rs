@@ -367,9 +367,6 @@ impl SelectionService {
                 let cells: &mut Vec<Cell> = inner.stats.entry(key).or_default();
                 for cv in entry.req("cells")?.as_arr()? {
                     let variant = Variant::parse(cv.req("alg")?.as_str()?)?;
-                    if matches!(variant.alg, Algorithm::Auto) {
-                        return Err("`auto` cannot appear as a table candidate".into());
-                    }
                     // A candidate that cannot run would win its bucket and
                     // fail every launch that asks the table, not fall back.
                     variant.alg.supports(op, p).map_err(|e| {

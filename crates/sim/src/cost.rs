@@ -279,7 +279,6 @@ mod tests {
         for (op, alg, root) in [
             (CollectiveOp::Reduce, recmult, 0),
             (CollectiveOp::Allgather, Algorithm::KRing { k: 300 }, 0),
-            (CollectiveOp::Allreduce, Algorithm::Auto, 0),
             (CollectiveOp::Bcast, recmult, 4),
         ] {
             let err = measure(&m, op, alg, 64, root).unwrap_err();

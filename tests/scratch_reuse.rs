@@ -1,9 +1,11 @@
 //! The executor keeps its scratch buffer across calls and zeroes it only for
-//! a plan that may read a byte it did not write. These tests pin both
-//! halves: `compile`'s flag is clear for everything the verifier accepts
-//! and set where it rejects an undefined read, and no byte an earlier call
-//! left in the buffer is ever observable — through an output, a short
-//! receive, a recording, a bounds panic or a nested call.
+//! a plan whose `compile` found a data-flow fault, which is what the
+//! verifier refuses a plan's data flow for: the flag is clear for every
+//! verified plan by construction. The first test pins that construction
+//! over the plans the runtime runs (stock, optimized, tenant-merged and
+//! count-vector worlds) and the verifier's refusals; the rest pin that no
+//! byte an earlier call left in the buffer is ever observable — through an
+//! output, a short receive, a recording, a bounds panic or a nested call.
 
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, execute, unique_candidates_v};
