@@ -4,11 +4,11 @@
 //! IR, and the static verifier (`schedule::verify`) can prove a plan set
 //! deadlock-free, define-once, FIFO-matched, and tag-hygienic. That makes
 //! automated plan *rewriting* safe: a pass may transform plans
-//! aggressively, because the core world walker (`schedule::eval`), run on
-//! the very `CStep` streams the engine runs, re-proves every guarantee
-//! afterwards — over the verifier's definedness memory — and, over its
-//! symbolic memory, proves the rewritten world computes the same function
-//! of the ranks' inputs.
+//! aggressively, because the verifier re-proves every guarantee afterwards
+//! on the very `CStep` streams the engine runs (data flow from `compile`,
+//! matching and progress on the core world walker, `schedule::eval`), and
+//! the walker, over its symbolic memory, proves the rewritten world
+//! computes the same function of the ranks' inputs.
 //!
 //! Three passes ship today:
 //!
