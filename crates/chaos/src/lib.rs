@@ -156,6 +156,11 @@ pub struct CaseResult {
     pub outcome: Outcome,
     /// Whether [`FaultClass::acceptable`] holds.
     pub survived: bool,
+    /// The judged run as a self-contained replay [`Artifact`] (backend
+    /// `thread`, the fault plan's seed in the header) that `exacoll replay`
+    /// re-executes against the schedule IR to pinpoint the first divergent
+    /// (rank, step).
+    pub artifact: Artifact,
 }
 
 /// The request a case runs: `alg` doing `op` on `p` ranks of `payload`
@@ -265,44 +270,6 @@ pub fn run_case_results(
         .collect()
 }
 
-/// Run one case of the campaign and package it as a self-contained replay
-/// [`Artifact`] (backend `thread`, the fault plan's seed in the header) that
-/// `exacoll replay` can re-execute against the schedule IR to pinpoint the
-/// first divergent (rank, step).
-pub fn record_case(
-    op: CollectiveOp,
-    alg: Algorithm,
-    p: usize,
-    fault: FaultClass,
-    seed: u64,
-    payload: usize,
-) -> (Vec<CaseRank>, Artifact) {
-    let request = case_request(op, alg, p, payload);
-    let ranks = run_case_results(op, alg, p, fault.plan(seed, p), fault.deadline(), payload);
-    let logs = ranks
-        .iter()
-        .enumerate()
-        .map(|(rank, r)| RankLog {
-            rank,
-            status: match &r.result {
-                Ok(_) => RankStatus::Ok,
-                Err(e) => RankStatus::Error(e.to_string()),
-            },
-            input: request.input(seed, 0, rank),
-            output_digest: r.result.as_ref().ok().map(|v| fnv1a(v)),
-            events: r.events.clone(),
-        })
-        .collect();
-    let artifact = Artifact {
-        case: Some(format!("{op}/{}/p{p}/{}", alg_to_spec(&alg), fault.name())),
-        backend: "thread".into(),
-        fault_seed: Some(seed),
-        request,
-        ranks: logs,
-    };
-    (ranks, artifact)
-}
-
 /// The campaign's pass/fail verdict: `Err` (with a one-line summary) when
 /// any case failed its fault class's acceptance criterion. This is what
 /// makes `exacoll chaos` exit nonzero on failure.
@@ -338,7 +305,8 @@ pub fn classify(results: &[CommResult<Vec<u8>>], expected: &[Vec<u8>]) -> Outcom
     }
 }
 
-/// Run one case end-to-end: inputs, execution, classification.
+/// Run one case end-to-end: inputs, execution, classification, and the
+/// run's recorded logs.
 pub fn run_case(
     op: CollectiveOp,
     alg: Algorithm,
@@ -347,15 +315,26 @@ pub fn run_case(
     seed: u64,
     payload: usize,
 ) -> CaseResult {
-    let req = case_request(op, alg, p, payload);
-    let expected = req
-        .reference(&req.inputs(seed))
+    let request = case_request(op, alg, p, payload);
+    let expected = request
+        .reference(&request.inputs(seed))
         .expect("u8/max reference is always defined");
-    let results: Vec<_> =
-        run_case_results(op, alg, p, fault.plan(seed, p), fault.deadline(), payload)
-            .into_iter()
-            .map(|r| r.result)
-            .collect();
+    let ranks = run_case_results(op, alg, p, fault.plan(seed, p), fault.deadline(), payload);
+    let logs = ranks
+        .iter()
+        .enumerate()
+        .map(|(rank, r)| RankLog {
+            rank,
+            status: match &r.result {
+                Ok(_) => RankStatus::Ok,
+                Err(e) => RankStatus::Error(e.to_string()),
+            },
+            input: request.input(seed, 0, rank),
+            output_digest: r.result.as_ref().ok().map(|v| fnv1a(v)),
+            events: r.events.clone(),
+        })
+        .collect();
+    let results: Vec<_> = ranks.into_iter().map(|r| r.result).collect();
     let outcome = classify(&results, &expected);
     // A single-rank world exchanges no messages, so fault classes that
     // demand a failure (drop, kill-at-op-0) cannot trigger: correct
@@ -368,6 +347,13 @@ pub fn run_case(
         fault,
         outcome,
         survived,
+        artifact: Artifact {
+            case: Some(format!("{op}/{}/p{p}/{}", alg_to_spec(&alg), fault.name())),
+            backend: "thread".into(),
+            fault_seed: Some(seed),
+            request,
+            ranks: logs,
+        },
     }
 }
 
@@ -449,15 +435,16 @@ mod tests {
 
     #[test]
     fn recorded_corrupt_case_replays_to_a_receive_divergence() {
-        let (results, artifact) = record_case(
+        let artifact = run_case(
             CollectiveOp::Allreduce,
             Algorithm::Ring,
             4,
             FaultClass::Corrupt,
             3,
             64,
-        );
-        assert_eq!(results.len(), 4);
+        )
+        .artifact;
+        assert_eq!(artifact.ranks.len(), 4);
         // Round-trip through the on-disk format, then replay: corruption
         // happened in flight, so the first divergence must be a receive
         // whose digest disagrees with the fault-free dataflow.
@@ -478,7 +465,7 @@ mod tests {
 
     #[test]
     fn recorded_baseline_case_replays_clean() {
-        let (results, artifact) = record_case(
+        let r = run_case(
             CollectiveOp::Bcast,
             Algorithm::KnomialTree { k: 3 },
             5,
@@ -486,21 +473,22 @@ mod tests {
             9,
             32,
         );
-        assert!(results.iter().all(|r| r.result.is_ok()));
-        let report = exacoll_replay::replay(&artifact).unwrap();
+        assert_eq!(r.outcome, Outcome::Correct);
+        let report = exacoll_replay::replay(&r.artifact).unwrap();
         assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]
     fn recorded_kill_case_truncates_the_victim_log() {
-        let (_, artifact) = record_case(
+        let artifact = run_case(
             CollectiveOp::Allreduce,
             Algorithm::RecursiveMultiplying { k: 2 },
             4,
             FaultClass::Kill,
             5,
             32,
-        );
+        )
+        .artifact;
         // Victim is rank 1 (kills(1 % p, 0)): it dies at its first
         // communication op, so its log holds no sends or receives — only
         // the infallible leading round mark — and its status is an error.

@@ -415,16 +415,14 @@ fn chaos(args: &Args) -> Result<(), String> {
     );
     let results = exacoll_chaos::campaign(p, max_k, seed, bytes);
     print!("{}", exacoll_chaos::survival_table(&results));
-    // Any failed case is re-run under the recorder and dumped as a
-    // self-contained replay artifact, so the failure can be reproduced
-    // offline with `exacoll replay <file>`.
+    // Every failed case's judged run is dumped as a self-contained replay
+    // artifact, so the failure can be inspected offline with
+    // `exacoll replay <file>`.
     let failed: Vec<_> = results.iter().filter(|r| !r.survived).collect();
     if !failed.is_empty() {
         let dir = args.opt("record").unwrap_or("chaos-artifacts");
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
         for case in &failed {
-            let (_, artifact) =
-                exacoll_chaos::record_case(case.op, case.alg, case.p, case.fault, seed, bytes);
             let name = sanitize_artifact_name(&format!(
                 "{}-{}-p{}-{}",
                 case.op,
@@ -433,7 +431,7 @@ fn chaos(args: &Args) -> Result<(), String> {
                 case.fault.name()
             ));
             let path = format!("{dir}/{name}.replay.json");
-            std::fs::write(&path, artifact.to_json())
+            std::fs::write(&path, case.artifact.to_json())
                 .map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("replay artifact written to {path} (inspect with `exacoll replay {path}`)");
         }

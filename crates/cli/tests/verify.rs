@@ -16,31 +16,40 @@ fn a_shape_refused_at_the_requested_size_is_skipped_not_fatal() {
 }
 
 #[test]
-fn the_p6_table_matches_the_golden_byte_for_byte() {
+fn the_pinned_tables_match_their_goldens_byte_for_byte() {
     // Every rounds/β/γ cell, the paper-shape block and the summary lines;
-    // CI diffs the release binary's stdout against the same file.
-    let out = Command::new(env!("CARGO_BIN_EXE_exacoll"))
-        .args(["verify", "--ranks", "6", "--max-k", "3"])
-        .output()
-        .expect("run exacoll");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let got = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    let golden = include_str!("golden/verify_p6_k3.txt");
-    if let Some((i, (want, have))) = golden
-        .lines()
-        .zip(got.lines())
-        .enumerate()
-        .find(|(_, (a, b))| a != b)
-    {
-        panic!("line {} differs\n golden: {want}\n    got: {have}", i + 1);
+    // CI diffs the release binary's stdout against the same files. At p = 6
+    // every k-ring radix divides p; at p = 7 none does.
+    let cases = [
+        ("6", "3", include_str!("golden/verify_p6_k3.txt")),
+        ("7", "6", include_str!("golden/verify_p7_k6.txt")),
+    ];
+    for (ranks, max_k, golden) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_exacoll"))
+            .args(["verify", "--ranks", ranks, "--max-k", max_k])
+            .output()
+            .expect("run exacoll");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let got = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        if let Some((i, (want, have))) = golden
+            .lines()
+            .zip(got.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+        {
+            panic!(
+                "p = {ranks}: line {} differs\n golden: {want}\n    got: {have}",
+                i + 1
+            );
+        }
+        assert_eq!(
+            got.len(),
+            golden.len(),
+            "p = {ranks}: one output is a prefix of the other"
+        );
     }
-    assert_eq!(
-        got.len(),
-        golden.len(),
-        "one output is a prefix of the other"
-    );
 }

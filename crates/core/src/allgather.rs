@@ -10,12 +10,13 @@
 //!   rounds, each rank forwarding the block it received in the previous
 //!   round.
 //! * [`AllgatherKernel::KRing`] — the generalized k-ring (§V-C, Fig. 6):
-//!   `p/k` groups of `k`; `g(k-1)` intra-group rounds interleaved with `g-1`
-//!   inter-group rounds, so most traffic stays on the fast intranode fabric
-//!   when `k` equals the processes-per-node. **Non-uniform group sizes**
-//!   (`k ∤ p`), the corner case §VI-A singles out as the largest
-//!   implementation burden, run a variant whose blocks travel in
-//!   residue-class bundles (`build_allgather_kring_general`).
+//!   `g = ceil(p/k)` contiguous groups; intra-group rounds interleaved with
+//!   `g-1` inter-group rounds, so most traffic stays on the fast intranode
+//!   fabric when `k` equals the processes-per-node. One builder serves every
+//!   `p`: blocks travel in residue-class bundles, which are single blocks
+//!   when `k | p` (the paper's schedule, `g(k-1)` intra rounds) and cover
+//!   **non-uniform group sizes** (`k ∤ p`), the corner case §VI-A singles
+//!   out as the largest implementation burden.
 //! * [`AllgatherKernel::RecursiveMultiplying`] — recursive multiplying
 //!   (§IV): one exchange round per factor of `p` (each factor ≤ `k`);
 //!   `k = 2` is recursive doubling (Fig. 3), Fig. 4 is `p = 9, k = 3`.
@@ -39,6 +40,8 @@ use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::{factorize, largest_smooth_leq};
 use crate::util::{block_range, pmod, prefix_offsets};
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// Which allgather kernel to run (also selects the second phase of
 /// scatter-allgather broadcast).
@@ -48,8 +51,8 @@ pub enum AllgatherKernel {
     Ring,
     /// Generalized k-ring with group size `k` (`k = 1` degenerates to ring,
     /// `k = p` to a single intra ring). When `k` divides `p` this is the
-    /// paper's exact Fig. 6 schedule; otherwise the non-uniform-group
-    /// variant runs (§VI-A's corner case).
+    /// paper's exact Fig. 6 schedule; otherwise the same builder splits the
+    /// ranks into `ceil(p/k)` near-equal groups (§VI-A's corner case).
     KRing {
         /// Group size.
         k: usize,
@@ -79,11 +82,8 @@ pub(crate) fn build_allgather_kernel(
 ) -> Vec<SgList> {
     debug_assert_eq!(sizes.len(), b.p());
     match kernel {
-        AllgatherKernel::Ring => build_allgather_ring_from(b, b.rank(), own, sizes),
-        AllgatherKernel::KRing { k } if b.p().is_multiple_of(k) => {
-            build_allgather_kring(b, k, own, sizes)
-        }
-        AllgatherKernel::KRing { k } => build_allgather_kring_general(b, k, own, sizes),
+        AllgatherKernel::Ring => build_allgather_ring(b, own, sizes),
+        AllgatherKernel::KRing { k } => build_allgather_kring(b, k, own, sizes),
         AllgatherKernel::RecursiveMultiplying { k } => build_allgather_recmult(b, k, own, sizes),
         AllgatherKernel::Bruck => build_allgather_bruck(b, own, sizes),
         AllgatherKernel::GatherBcast { k } => {
@@ -101,20 +101,17 @@ fn uniform_size(sizes: &[usize]) -> Option<usize> {
     sizes.iter().all(|&s| s == n).then_some(n)
 }
 
-/// Lower the ring allgather into `b`, with this rank *starting* as owner of
-/// block `own_idx` (a cyclic shift of the identity assignment). The
-/// allreduce path uses this with the block ownership the ring reduce-scatter
-/// leaves behind.
-pub(crate) fn build_allgather_ring_from(
+/// Lower the ring allgather into `b`: round `t` forwards the block received
+/// in round `t - 1` (this rank's own block first) to the right neighbor.
+pub(crate) fn build_allgather_ring(
     b: &mut ScheduleBuilder,
-    own_idx: usize,
     own: SgList,
     sizes: &[usize],
 ) -> Vec<SgList> {
     let p = b.p();
     let me = b.rank();
     let mut blocks = vec![SgList::empty(); p];
-    blocks[own_idx] = own;
+    blocks[me] = own;
     if p == 1 {
         return blocks;
     }
@@ -122,8 +119,8 @@ pub(crate) fn build_allgather_ring_from(
     let left = (me + p - 1) % p;
     for t in 0..p - 1 {
         b.mark("ag-ring", t as u32);
-        let send_idx = pmod(own_idx as isize - t as isize, p);
-        let recv_idx = pmod(own_idx as isize - t as isize - 1, p);
+        let send_idx = pmod(me as isize - t as isize, p);
+        let recv_idx = pmod(me as isize - t as isize - 1, p);
         let region = b.alloc(sizes[recv_idx]);
         b.sendrecv(
             right,
@@ -134,80 +131,6 @@ pub(crate) fn build_allgather_ring_from(
             region.clone(),
         );
         blocks[recv_idx] = region;
-    }
-    blocks
-}
-
-/// Lower the uniform-group k-ring (Fig. 6) into `b`. Requires `k >= 1` and
-/// `k | p`.
-///
-/// Ranks are grouped contiguously (`group = rank / k`), matching the
-/// node-contiguous rank placement of `Machine`, so with `k` equal to the
-/// processes-per-node the intra rounds ride the intranode fabric.
-pub(crate) fn build_allgather_kring(
-    b: &mut ScheduleBuilder,
-    k: usize,
-    own: SgList,
-    sizes: &[usize],
-) -> Vec<SgList> {
-    let p = b.p();
-    let me = b.rank();
-    assert!(k >= 1, "k-ring group size must be at least 1");
-    assert!(
-        p.is_multiple_of(k),
-        "k-ring requires the group size ({k}) to divide the process count ({p})"
-    );
-    let mut blocks = vec![SgList::empty(); p];
-    blocks[me] = own;
-    if p == 1 {
-        return blocks;
-    }
-    let g = p / k; // number of groups
-    let grp = me / k;
-    let j = me % k;
-    let intra_right = grp * k + (j + 1) % k;
-    let intra_left = grp * k + (j + k - 1) % k;
-    let inter_right = ((grp + 1) % g) * k + j;
-    let inter_left = ((grp + g - 1) % g) * k + j;
-    let blk = |group: usize, member: usize| group * k + member;
-
-    let mut intra_round = 0u32;
-    for r in 0..g {
-        if r > 0 {
-            // Inter-group round: the group's members collectively forward
-            // the k blocks of group (grp - r + 1) to the next group.
-            b.mark("ag-kring-inter", r as u32 - 1);
-            let send_idx = blk(pmod(grp as isize - r as isize + 1, g), j);
-            let recv_idx = blk(pmod(grp as isize - r as isize, g), j);
-            let region = b.alloc(sizes[recv_idx]);
-            b.sendrecv(
-                inter_right,
-                tags::ALLGATHER_KRING_INTER,
-                blocks[send_idx].clone(),
-                inter_left,
-                tags::ALLGATHER_KRING_INTER,
-                region.clone(),
-            );
-            blocks[recv_idx] = region;
-        }
-        // k-1 intra-group rounds circulate group (grp - r)'s blocks.
-        let src_grp = pmod(grp as isize - r as isize, g);
-        for t in 0..k.saturating_sub(1) {
-            b.mark("ag-kring-intra", intra_round);
-            intra_round += 1;
-            let send_idx = blk(src_grp, pmod(j as isize - t as isize, k));
-            let recv_idx = blk(src_grp, pmod(j as isize - t as isize - 1, k));
-            let region = b.alloc(sizes[recv_idx]);
-            b.sendrecv(
-                intra_right,
-                tags::ALLGATHER_KRING_INTRA,
-                blocks[send_idx].clone(),
-                intra_left,
-                tags::ALLGATHER_KRING_INTRA,
-                region.clone(),
-            );
-            blocks[recv_idx] = region;
-        }
     }
     blocks
 }
@@ -231,16 +154,19 @@ fn group_of(p: usize, g: usize, rank: usize) -> usize {
     }
 }
 
-/// Lower the k-ring generalized to arbitrary `p` and `1 <= k <= p` into `b`.
+/// Lower the k-ring (§V-C, Fig. 6) into `b`, for any `p` and `1 <= k <= p`.
 ///
-/// Ranks are split into `g = ceil(p / k)` contiguous near-equal groups
-/// (sizes differ by at most one, [`block_range`] on rank space). The round
-/// structure mirrors the uniform k-ring (Fig. 6): phases of intra-group
-/// circulation punctuated by one inter-group handoff, but blocks travel in
-/// *residue-class bundles*:
+/// Ranks are split into `g = ceil(p / k)` contiguous groups of near-equal
+/// size (they differ by at most one, [`block_range`] on rank space), which
+/// matches the node-contiguous rank placement of `Machine`: with `k` equal
+/// to the processes-per-node the intra rounds ride the intranode fabric.
+/// Each of the `g` phases circulates one source group's blocks around every
+/// group in `s - 1` intra rounds (`s` the group's size); the `g - 1` inter
+/// rounds between phases hand the next source group on to the right group.
+/// Blocks travel in *residue-class bundles*:
 ///
-/// * After the inter round of phase `b`, member `j` of a size-`s` group
-///   holds the source group's blocks whose slot index `x` satisfies
+/// * After the inter round of a phase, member `j` of a size-`s` group holds
+///   the source group's blocks whose slot index `x` satisfies
 ///   `x ≡ j (mod s)`.
 /// * Intra round `t` then forwards the class `(j - t) mod s` bundle to the
 ///   right neighbor, so after `s - 1` rounds every member holds every class.
@@ -248,15 +174,15 @@ fn group_of(p: usize, g: usize, rank: usize) -> usize {
 ///   owns the full source-group data by then — ships member `j` its whole
 ///   bundle in one message.
 ///
-/// With `k | p` every bundle is a single block and this reduces to the
-/// paper's schedule round-for-round (tested).
-///
-/// The inter round emits its sends *before* its receive: the engine's
-/// forwarding-hazard flush fires at the first send (the bundles read data
-/// received last phase), and if the receive were already pending that flush
-/// would wait on it before any peer had posted the matching send — a cyclic
-/// deadlock around the group ring.
-pub(crate) fn build_allgather_kring_general(
+/// With `k | p` every bundle is a single block and this is the paper's
+/// schedule: every round carries its `ag-kring-inter`/`ag-kring-intra` mark
+/// and each inter round is one `sendrecv`. With `k ∤ p` the plan carries no
+/// mark, and an inter round emits its sends *before* its receive: the
+/// engine's forwarding-hazard flush fires at the first send (the bundles
+/// read data received last phase), and if the receive were already pending
+/// that flush would wait on it before any peer had posted the matching send
+/// — a cyclic deadlock around the group ring.
+pub(crate) fn build_allgather_kring(
     b: &mut ScheduleBuilder,
     k: usize,
     own: SgList,
@@ -273,6 +199,7 @@ pub(crate) fn build_allgather_kring_general(
     if p == 1 {
         return blocks;
     }
+    let uniform = p.is_multiple_of(k);
     let g = p.div_ceil(k);
     let grp = group_of(p, g, me);
     let (gs, ge) = block_range(p, g, grp); // my group's rank span
@@ -281,64 +208,64 @@ pub(crate) fn build_allgather_kring_general(
     let intra_right = gs + (j + 1) % s;
     let intra_left = gs + (j + s - 1) % s;
 
-    // Span and size of an arbitrary group.
+    // Rank span of an arbitrary group.
     let span = |gg: usize| block_range(p, g, gg);
-    // Blocks of source group `src` in residue class `class` modulo the
-    // *receiving* group's size (empty when class >= the source's size).
-    let class_blocks = |src: usize, class: usize, modulus: usize| -> Vec<usize> {
-        let (ss, se) = span(src);
-        (ss..se).filter(|&r| (r - ss) % modulus == class).collect()
+    // Blocks of the source group spanning `ss..se` in residue class `class`
+    // modulo the *receiving* group's size (empty when class >= the source's
+    // size).
+    let class_blocks =
+        |(ss, se): (usize, usize), class: usize, modulus: usize| (ss + class..se).step_by(modulus);
+    // The buffer view of the bundle's bytes, in order.
+    let bundle_view = |blocks: &[SgList], bundle: StepBy<Range<usize>>| {
+        SgList::concat(bundle.map(|x| &blocks[x]))
     };
-    // The buffer view of the listed blocks' bytes, in order.
-    let bundle_view = |blocks: &[SgList], bundle: &[usize]| -> SgList {
-        SgList::concat(bundle.iter().map(|&x| &blocks[x]))
-    };
-    // Allocate a fresh region for the bundle and rebind its blocks to it.
-    let rebind = |b: &mut ScheduleBuilder, blocks: &mut [SgList], bundle: &[usize]| -> SgList {
-        let region = b.alloc(bundle.iter().map(|&x| sizes[x]).sum());
-        let mut pos = 0;
-        for &x in bundle {
-            blocks[x] = region.slice(pos, sizes[x]);
-            pos += sizes[x];
+    // Rebind the bundle's blocks to fresh back-to-back allocations; the
+    // region they form receives the bundle.
+    let rebind = |b: &mut ScheduleBuilder, blocks: &mut [SgList], bundle: StepBy<Range<usize>>| {
+        for x in bundle.clone() {
+            blocks[x] = b.alloc(sizes[x]);
         }
-        region
+        bundle_view(blocks, bundle)
     };
 
+    let mut intra_round = 0u32;
     for r in 0..g {
         let src = pmod(grp as isize - r as isize, g);
+        let src_span = span(src);
         if r > 0 {
             // Inter round: serve the right group its bundles of group
             // `src_right = src + 1` (which I fully own by now), and fetch my
             // residue-class bundle of group `src` from the left group.
-            // Sends go first — see the doc comment above.
-            let right_grp = (grp + 1) % g;
-            let (rs, re) = span(right_grp);
-            let s_right = re - rs;
-            debug_assert!(s_right > 0);
-            let src_right = pmod(right_grp as isize - r as isize, g);
-            for jr in 0..s_right {
-                if jr % s == j {
-                    let bundle = class_blocks(src_right, jr, s_right);
-                    let data = bundle_view(&blocks, &bundle);
-                    b.send(rs + jr, tags::ALLGATHER_KRING_INTER, data);
+            let (rs, re) = span((grp + 1) % g);
+            let src_right = span((src + 1) % g);
+            let (ls, le) = span(pmod(grp as isize - 1, g));
+            let sender = ls + j % (le - ls);
+            let tag = tags::ALLGATHER_KRING_INTER;
+            if uniform {
+                b.mark("ag-kring-inter", r as u32 - 1);
+                let data = bundle_view(&blocks, class_blocks(src_right, j, s));
+                let region = rebind(b, &mut blocks, class_blocks(src_span, j, s));
+                b.sendrecv(rs + j, tag, data, sender, tag, region);
+            } else {
+                // Sends first — see the doc comment above.
+                for jr in (j..re - rs).step_by(s) {
+                    let data = bundle_view(&blocks, class_blocks(src_right, jr, re - rs));
+                    b.send(rs + jr, tag, data);
                 }
+                let region = rebind(b, &mut blocks, class_blocks(src_span, j, s));
+                b.recv(sender, tag, region);
             }
-            let left_grp = pmod(grp as isize - 1, g);
-            let (ls, le) = span(left_grp);
-            let s_left = le - ls;
-            let sender = ls + j % s_left;
-            let my_bundle = class_blocks(src, j, s);
-            let region = rebind(b, &mut blocks, &my_bundle);
-            b.recv(sender, tags::ALLGATHER_KRING_INTER, region);
         }
         // Intra rounds: circulate group `src`'s residue-class bundles.
         for t in 0..s - 1 {
+            if uniform {
+                b.mark("ag-kring-intra", intra_round);
+                intra_round += 1;
+            }
             let send_class = pmod(j as isize - t as isize, s);
             let recv_class = pmod(j as isize - t as isize - 1, s);
-            let send_blocks = class_blocks(src, send_class, s);
-            let recv_blocks = class_blocks(src, recv_class, s);
-            let data = bundle_view(&blocks, &send_blocks);
-            let region = rebind(b, &mut blocks, &recv_blocks);
+            let data = bundle_view(&blocks, class_blocks(src_span, send_class, s));
+            let region = rebind(b, &mut blocks, class_blocks(src_span, recv_class, s));
             b.sendrecv(
                 intra_right,
                 tags::ALLGATHER_KRING_INTRA,
@@ -506,7 +433,7 @@ pub(crate) fn build_allgather_bruck(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::run_built;
+    use crate::schedule::{run_built, Step};
     use exacoll_comm::{run_ranks, Comm, CommResult};
 
     fn rank_block(rank: usize, n: usize) -> Vec<u8> {
@@ -544,10 +471,6 @@ mod tests {
         }
     }
 
-    fn uniform_expect(p: usize, n: usize) -> Vec<u8> {
-        (0..p).flat_map(|r| rank_block(r, n)).collect()
-    }
-
     fn check_uniform(kernel: AllgatherKernel, p: usize, n: usize) {
         check_ragged(kernel, &vec![n; p]);
     }
@@ -558,12 +481,11 @@ mod tests {
         });
     }
 
-    /// The non-uniform-group k-ring itself, below the dispatcher (which
-    /// only routes `k ∤ p` to it).
-    fn check_general(p: usize, k: usize, sizes: &[usize]) {
+    /// The k-ring builder itself, below the dispatcher.
+    fn check_kring(p: usize, k: usize, sizes: &[usize]) {
         assert_eq!(sizes.len(), p);
-        check_build(sizes, &format!("kring-general k={k}"), |b, own| {
-            build_allgather_kring_general(b, k, own, sizes)
+        check_build(sizes, &format!("kring k={k}"), |b, own| {
+            build_allgather_kring(b, k, own, sizes)
         });
     }
 
@@ -577,23 +499,6 @@ mod tests {
     #[test]
     fn ring_ragged_blocks() {
         check_ragged(AllgatherKernel::Ring, &[3, 0, 7, 1, 4]);
-    }
-
-    #[test]
-    fn ring_from_shifted_ownership() {
-        // Every rank starts owning block (rank+1) % p, as after the ring
-        // reduce-scatter.
-        let p = 6;
-        let n = 5;
-        let sizes = vec![n; p];
-        let expect = uniform_expect(p, n);
-        let out = run_ranks(p, |c| {
-            let own_idx = (c.rank() + 1) % p;
-            run_blocks(c, &rank_block(own_idx, n), |b, own| {
-                build_allgather_ring_from(b, own_idx, own, &sizes)
-            })
-        });
-        assert!(out.iter().all(|o| o == &expect));
     }
 
     #[test]
@@ -631,17 +536,64 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "divide")]
-    fn uniform_kring_rejects_nondivisible() {
-        // The uniform fast path insists on k | p; the dispatcher routes
-        // non-divisible configurations to the general variant instead.
-        let mut b = ScheduleBuilder::new(8, 0);
-        let own = b.alloc(4);
-        build_allgather_kring(&mut b, 3, own, &[4; 8]);
+    fn kring_marks_and_fuses_exactly_when_k_divides_p() {
+        // k | p is the paper's schedule: g - 1 inter and g(k - 1) intra
+        // round marks, each inter round one sendrecv. k ∤ p plans carry no
+        // mark (each would force a flush) and post inter sends on their own.
+        for p in 1..=16usize {
+            for k in 1..=p {
+                for r in 0..p {
+                    let mut b = ScheduleBuilder::new(p, r);
+                    let own = b.alloc(4);
+                    let blocks = build_allgather_kring(&mut b, k, own.clone(), &vec![4; p]);
+                    let plan = b.finish(own, SgList::concat(&blocks));
+                    let count = |keep: &dyn Fn(&Step) -> bool| {
+                        plan.steps.iter().filter(|s| keep(s)).count()
+                    };
+                    let got = (
+                        count(&|s| {
+                            matches!(
+                                s,
+                                Step::RoundMark {
+                                    label: "ag-kring-inter",
+                                    ..
+                                }
+                            )
+                        }),
+                        count(&|s| {
+                            matches!(
+                                s,
+                                Step::RoundMark {
+                                    label: "ag-kring-intra",
+                                    ..
+                                }
+                            )
+                        }),
+                        count(&|s| matches!(s, Step::RoundMark { .. })),
+                        count(&|s| {
+                            matches!(
+                                s,
+                                Step::SendRecv {
+                                    send_tag: tags::ALLGATHER_KRING_INTER,
+                                    ..
+                                }
+                            )
+                        }),
+                    );
+                    let want = if p.is_multiple_of(k) {
+                        let g = p / k;
+                        (g - 1, g * (k - 1), g - 1 + g * (k - 1), g - 1)
+                    } else {
+                        (0, 0, 0, 0)
+                    };
+                    assert_eq!(got, want, "p={p} k={k} rank={r}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn dispatcher_routes_nondivisible_kring_to_general_variant() {
+    fn kring_nondivisible_through_the_dispatcher() {
         check_uniform(AllgatherKernel::KRing { k: 3 }, 8, 4);
         check_uniform(AllgatherKernel::KRing { k: 5 }, 7, 4);
         check_ragged(AllgatherKernel::KRing { k: 3 }, &[2, 5, 0, 3, 1, 6, 2]);
@@ -733,7 +685,7 @@ mod tests {
     #[test]
     fn uniform_groups_still_work() {
         for (p, k) in [(6usize, 3usize), (8, 4), (12, 2), (9, 3)] {
-            check_general(p, k, &vec![5; p]);
+            check_kring(p, k, &vec![5; p]);
         }
     }
 
@@ -750,28 +702,28 @@ mod tests {
             (17, 8),
             (5, 4),
         ] {
-            check_general(p, k, &vec![4; p]);
+            check_kring(p, k, &vec![4; p]);
         }
     }
 
     #[test]
     fn extreme_group_sizes() {
-        check_general(7, 1, &[3; 7]); // all singleton groups = ring
-        check_general(7, 7, &[3; 7]); // one group = pure intra ring
-        check_general(7, 6, &[3; 7]); // group sizes 4 and 3
+        check_kring(7, 1, &[3; 7]); // all singleton groups = ring
+        check_kring(7, 7, &[3; 7]); // one group = pure intra ring
+        check_kring(7, 6, &[3; 7]); // group sizes 4 and 3
     }
 
     #[test]
     fn ragged_block_sizes_with_ragged_groups() {
-        check_general(7, 3, &[3, 0, 5, 1, 4, 2, 6]);
-        check_general(10, 4, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        check_kring(7, 3, &[3, 0, 5, 1, 4, 2, 6]);
+        check_kring(10, 4, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
     }
 
     #[test]
     fn proptest_style_sweep() {
         for p in 2..=14usize {
             for k in 1..=p {
-                check_general(p, k, &vec![2; p]);
+                check_kring(p, k, &vec![2; p]);
             }
         }
     }

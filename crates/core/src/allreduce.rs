@@ -296,8 +296,8 @@ pub(crate) fn build_allreduce_rsag(
     if p == 1 {
         return own;
     }
-    let mine = build_reduce_scatter_ring(b, own, dtype, op);
     let sizes = elem_block_sizes(n, dtype.size(), p);
+    let mine = build_reduce_scatter_ring(b, &sizes, own, dtype, op);
     let blocks = build_allgather_kernel(b, kernel, mine, &sizes);
     SgList::concat(&blocks)
 }

@@ -3,7 +3,9 @@
 //! * `build_reduce_scatter_ring` — runs the ring "leftward" so that after `p-1`
 //!   rounds rank `r` owns the fully reduced block `r` — the one-block
 //!   ownership offset the paper notes distinguishes the allreduce k-ring
-//!   from the allgather k-ring (§V-D).
+//!   from the allgather k-ring (§V-D). Blocks are a count vector: the
+//!   near-equal element-aligned split for plain reduce-scatter, the caller's
+//!   counts for the irregular ("v") variant.
 //! * `build_reduce_scatter_recmult` — **radix-`k` recursive vector splitting**:
 //!   MPICH's recursive *halving* is the `k = 2` case; each round splits the
 //!   active segment into `f ≤ k` parts exchanged within a group of `f`
@@ -11,7 +13,7 @@
 //!   `k`-smooth rank count (the factorization defines the rounds).
 //!
 //! Blocks are split on element boundaries so reductions never straddle an
-//! element. Both variants lower to [`crate::schedule`] steps; fold order is
+//! element. Both algorithms lower to [`crate::schedule`] steps; fold order is
 //! the order of the `Compute` steps, kept identical to the original loops so
 //! results stay bitwise deterministic.
 
@@ -40,61 +42,19 @@ pub fn elem_block_sizes(n: usize, esize: usize, p: usize) -> Vec<usize> {
 }
 
 /// Lower the ring reduce-scatter into `b`, accumulating in place into the
-/// `n`-byte vector `own`. Returns this rank's fully reduced block view.
+/// input vector `own`: block `i` is its `counts[i]`-byte slice, so rank `i`
+/// ends up owning exactly `counts[i]` bytes of the reduction — including
+/// zero (its rounds then move and fold zero-byte blocks, which both
+/// backends and the verifier treat as ordinary messages). The near-equal
+/// split of plain reduce-scatter is the count vector [`elem_block_sizes`].
+/// Counts must be element-aligned and sum to the input length. Returns this
+/// rank's fully reduced block view.
 ///
 /// Round `t`: send partial block `(r + t + 1) mod p` to the left neighbor,
 /// receive partial block `(r + t + 2) mod p` from the right, fold own
 /// contribution in. Each block accumulates contributions in descending-rank
 /// ring order, identically on every path, so results are deterministic.
 pub(crate) fn build_reduce_scatter_ring(
-    b: &mut ScheduleBuilder,
-    own: SgList,
-    dtype: DType,
-    op: ReduceOp,
-) -> SgList {
-    let p = b.p();
-    let me = b.rank();
-    let n = own.len();
-    let esize = dtype.size();
-    let range = |i: usize| elem_block_range(n, esize, p, i);
-    let block = |i: usize| {
-        let (s, e) = range(i);
-        own.slice(s, e - s)
-    };
-    if p == 1 {
-        return own;
-    }
-    let left = (me + p - 1) % p;
-    let right = (me + 1) % p;
-    for t in 0..p - 1 {
-        b.mark("rs-ring", t as u32);
-        let send_idx = pmod(me as isize + t as isize + 1, p);
-        let recv_idx = pmod(me as isize + t as isize + 2, p);
-        let recv_blk = block(recv_idx);
-        let region = b.alloc(recv_blk.len());
-        b.sendrecv(
-            left,
-            tags::REDUCE_SCATTER_RING,
-            block(send_idx),
-            right,
-            tags::REDUCE_SCATTER_RING,
-            region.clone(),
-        );
-        b.reduce(dtype, op, region, recv_blk);
-    }
-    block(me)
-}
-
-/// Lower the irregular ("v") ring reduce-scatter into `b`: block `i` is
-/// the explicit `counts[i]`-byte slice of the input vector rather than a
-/// near-equal split, so rank `i` ends up owning exactly `counts[i]` bytes
-/// of the reduction — including zero (its rounds then move and fold
-/// zero-byte blocks, which both backends and the verifier already treat as
-/// ordinary messages). The ring structure and descending-rank fold order
-/// match [`build_reduce_scatter_ring`] exactly, so results stay bitwise
-/// deterministic. Counts must be element-aligned and sum to the input
-/// length.
-pub(crate) fn build_reduce_scatter_v(
     b: &mut ScheduleBuilder,
     counts: &[usize],
     own: SgList,
@@ -122,7 +82,7 @@ pub(crate) fn build_reduce_scatter_v(
     let left = (me + p - 1) % p;
     let right = (me + 1) % p;
     for t in 0..p - 1 {
-        b.mark("rs-v", t as u32);
+        b.mark("rs-ring", t as u32);
         let send_idx = pmod(me as isize + t as isize + 1, p);
         let recv_idx = pmod(me as isize + t as isize + 2, p);
         let recv_blk = block(recv_idx);
@@ -368,19 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn v_variant_uniform_counts_match_near_equal_split_when_divisible() {
-        // With p | elements the uniform split *is* the elem_block split, so
-        // the v-variant must agree byte for byte with the classic ring.
-        let p = 4;
-        let elems = 12;
-        let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, elems, DType::I64)).collect();
-        let counts = vec![elems / p * 8; p];
-        let ring_args = args(Algorithm::Ring, DType::I64, ReduceOp::Sum);
-        let v = run_ranks(p, |c| execute_v(c, &ring_args, &counts, &inputs[c.rank()]));
-        assert_eq!(run(Algorithm::Ring, DType::I64, ReduceOp::Sum, &inputs), v);
-    }
-
-    #[test]
     fn v_variant_schedules_verify() {
         use crate::schedule::verify::verify;
         let counts = [24usize, 0, 56, 8, 0, 16];
@@ -390,8 +337,13 @@ mod tests {
             .map(|r| {
                 let mut b = ScheduleBuilder::new(p, r);
                 let own = b.alloc(n);
-                let out =
-                    build_reduce_scatter_v(&mut b, &counts, own.clone(), DType::I64, ReduceOp::Sum);
+                let out = build_reduce_scatter_ring(
+                    &mut b,
+                    &counts,
+                    own.clone(),
+                    DType::I64,
+                    ReduceOp::Sum,
+                );
                 b.finish(own, out)
             })
             .collect();

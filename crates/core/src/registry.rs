@@ -20,7 +20,7 @@ use crate::gather::build_gather_knomial;
 use crate::plan_cache::{PlanCache, PlanKey};
 use crate::reduce::{build_reduce_knomial, build_reduce_linear};
 use crate::reduce_scatter::{
-    build_reduce_scatter_recmult, build_reduce_scatter_ring, build_reduce_scatter_v,
+    build_reduce_scatter_recmult, build_reduce_scatter_ring, elem_block_sizes,
 };
 use crate::schedule::{compile, execute_compiled, Schedule, ScheduleBuilder, SgList};
 use crate::topo::is_smooth;
@@ -360,11 +360,13 @@ pub fn execute<C: Comm>(c: &mut C, args: &CollArgs, input: &[u8]) -> CommResult<
 /// # Panics
 ///
 /// Panics with `unsupported configuration: ...` when
-/// [`Algorithm::supports`] rejects the combination, and on malformed
-/// shapes (e.g. an alltoall input not divisible into `p` blocks).
+/// [`Algorithm::supports`] rejects the combination or a reducing `n` is not
+/// a whole number of elements, and on malformed shapes (e.g. an alltoall
+/// input not divisible into `p` blocks).
 pub fn lower(args: &CollArgs, p: usize, rank: Rank, n: usize) -> Schedule {
     args.alg
         .supports(args.op, p)
+        .and_then(|()| whole_elements(args, n))
         .unwrap_or_else(|e| panic!("unsupported configuration: {e}"));
     let mut b = ScheduleBuilder::new(p, rank);
     let root = args.root;
@@ -377,28 +379,13 @@ pub fn lower(args: &CollArgs, p: usize, rank: Rank, n: usize) -> Schedule {
                 Algorithm::KnomialTree { k } => {
                     build_bcast_knomial(&mut b, k, root, data.clone(), n)
                 }
-                Algorithm::RecursiveMultiplying { k } => build_bcast_scatter_allgather(
+                alg => build_bcast_scatter_allgather(
                     &mut b,
-                    AllgatherKernel::RecursiveMultiplying { k },
+                    allgather_kernel(alg),
                     root,
                     data.clone(),
                     n,
                 ),
-                Algorithm::Ring => build_bcast_scatter_allgather(
-                    &mut b,
-                    AllgatherKernel::Ring,
-                    root,
-                    data.clone(),
-                    n,
-                ),
-                Algorithm::KRing { k } => build_bcast_scatter_allgather(
-                    &mut b,
-                    AllgatherKernel::KRing { k },
-                    root,
-                    data.clone(),
-                    n,
-                ),
-                _ => unreachable!("guarded by supports()"),
             };
             b.finish(data.unwrap_or_default(), out)
         }
@@ -422,26 +409,18 @@ pub fn lower(args: &CollArgs, p: usize, rank: Rank, n: usize) -> Schedule {
             b.finish(own, out.unwrap_or_default())
         }
         CollectiveOp::Allgather => {
-            let sizes = vec![n; p];
-            let kernel = match args.alg {
-                Algorithm::KnomialTree { k } => AllgatherKernel::GatherBcast { k },
-                Algorithm::RecursiveMultiplying { k } => {
-                    AllgatherKernel::RecursiveMultiplying { k }
-                }
-                Algorithm::Ring => AllgatherKernel::Ring,
-                Algorithm::KRing { k } => AllgatherKernel::KRing { k },
-                Algorithm::Bruck => AllgatherKernel::Bruck,
-                _ => unreachable!("guarded by supports()"),
-            };
             let own = b.alloc(n);
-            let blocks = build_allgather_kernel(&mut b, kernel, own.clone(), &sizes);
-            let out = SgList::concat(&blocks);
-            b.finish(own, out)
+            let kernel = allgather_kernel(args.alg);
+            let blocks = build_allgather_kernel(&mut b, kernel, own.clone(), &vec![n; p]);
+            b.finish(own, SgList::concat(&blocks))
         }
         CollectiveOp::ReduceScatter => {
             let own = b.alloc(n);
             let out = match args.alg {
-                Algorithm::Ring => build_reduce_scatter_ring(&mut b, own.clone(), dtype, rop),
+                Algorithm::Ring => {
+                    let counts = elem_block_sizes(n, dtype.size(), p);
+                    build_reduce_scatter_ring(&mut b, &counts, own.clone(), dtype, rop)
+                }
                 Algorithm::RecursiveMultiplying { k } => {
                     build_reduce_scatter_recmult(&mut b, k, own.clone(), dtype, rop)
                 }
@@ -486,16 +465,10 @@ pub fn lower(args: &CollArgs, p: usize, rank: Rank, n: usize) -> Schedule {
                     dtype,
                     rop,
                 ),
-                Algorithm::Ring => {
-                    build_allreduce_rsag(&mut b, AllgatherKernel::Ring, own.clone(), dtype, rop)
+                Algorithm::Ring | Algorithm::KRing { .. } => {
+                    let kernel = allgather_kernel(args.alg);
+                    build_allreduce_rsag(&mut b, kernel, own.clone(), dtype, rop)
                 }
-                Algorithm::KRing { k } => build_allreduce_rsag(
-                    &mut b,
-                    AllgatherKernel::KRing { k },
-                    own.clone(),
-                    dtype,
-                    rop,
-                ),
                 Algorithm::ReduceBcast { k } => {
                     build_allreduce_reduce_bcast(&mut b, k, own.clone(), dtype, rop)
                 }
@@ -509,6 +482,35 @@ pub fn lower(args: &CollArgs, p: usize, rank: Rank, n: usize) -> Schedule {
             };
             b.finish(own, out)
         }
+    }
+}
+
+/// `Err` unless `n` bytes are a whole number of `args.dtype` elements
+/// wherever `args.op` reduces: a reduction never splits an element.
+pub(crate) fn whole_elements(args: &CollArgs, n: usize) -> Result<(), String> {
+    let reduces = matches!(
+        args.op,
+        CollectiveOp::Reduce | CollectiveOp::Allreduce | CollectiveOp::ReduceScatter
+    );
+    if reduces && !n.is_multiple_of(args.dtype.size()) {
+        return Err(format!(
+            "{} of {n} B is not a whole number of {} elements",
+            args.op, args.dtype
+        ));
+    }
+    Ok(())
+}
+
+/// The allgather kernel `alg` names: the allgather itself, the second phase
+/// of a scatter-allgather bcast, or the second half of an rsag allreduce.
+fn allgather_kernel(alg: Algorithm) -> AllgatherKernel {
+    match alg {
+        Algorithm::KnomialTree { k } => AllgatherKernel::GatherBcast { k },
+        Algorithm::RecursiveMultiplying { k } => AllgatherKernel::RecursiveMultiplying { k },
+        Algorithm::Ring => AllgatherKernel::Ring,
+        Algorithm::KRing { k } => AllgatherKernel::KRing { k },
+        Algorithm::Bruck => AllgatherKernel::Bruck,
+        _ => unreachable!("guarded by supports()"),
     }
 }
 
@@ -563,25 +565,14 @@ pub fn lower_v(args: &CollArgs, rank: Rank, counts: &[usize]) -> Schedule {
     let mut b = ScheduleBuilder::new(p, rank);
     match args.op {
         CollectiveOp::Allgather => {
-            let kernel = match args.alg {
-                Algorithm::KnomialTree { k } => AllgatherKernel::GatherBcast { k },
-                Algorithm::RecursiveMultiplying { k } => {
-                    AllgatherKernel::RecursiveMultiplying { k }
-                }
-                Algorithm::Ring => AllgatherKernel::Ring,
-                Algorithm::KRing { k } => AllgatherKernel::KRing { k },
-                Algorithm::Bruck => AllgatherKernel::Bruck,
-                _ => unreachable!("guarded by supports_v()"),
-            };
             let own = b.alloc(counts[rank]);
+            let kernel = allgather_kernel(args.alg);
             let blocks = build_allgather_kernel(&mut b, kernel, own.clone(), counts);
-            let out = SgList::concat(&blocks);
-            b.finish(own, out)
+            b.finish(own, SgList::concat(&blocks))
         }
         CollectiveOp::ReduceScatter => {
-            let total: usize = counts.iter().sum();
-            let own = b.alloc(total);
-            let out = build_reduce_scatter_v(&mut b, counts, own.clone(), args.dtype, args.rop);
+            let own = b.alloc(counts.iter().sum());
+            let out = build_reduce_scatter_ring(&mut b, counts, own.clone(), args.dtype, args.rop);
             b.finish(own, out)
         }
         _ => unreachable!("guarded by supports_v()"),
@@ -622,25 +613,13 @@ pub fn execute_v<C: Comm>(
 pub fn unique_candidates_v(op: CollectiveOp, max_k: usize, counts: &[usize]) -> Vec<Algorithm> {
     let p = counts.len();
     let scaled: Vec<usize> = counts.iter().map(|&c| c * 8).collect();
-    let mut out: Vec<Algorithm> = Vec::new();
-    let mut seen: Vec<Vec<Schedule>> = Vec::new();
-    for a in candidates(op, p, max_k) {
-        if supports_v(a, op, counts).is_err() {
-            continue;
-        }
-        let args = CollArgs::new(op, a);
-        let mut plans: Vec<Schedule> = Vec::with_capacity(2 * p);
-        for cs in [counts, &scaled[..]] {
-            for r in 0..p {
-                plans.push(lower_v(&args, r, cs));
-            }
-        }
-        if !seen.contains(&plans) {
-            seen.push(plans);
-            out.push(a);
-        }
-    }
-    out
+    let probes = [counts, &scaled[..]];
+    let cands = candidates(op, p, max_k)
+        .into_iter()
+        .filter(|&a| supports_v(a, op, counts).is_ok());
+    dedupe_by_plans(op, p, cands, |args, probe, r| {
+        lower_v(args, r, probes[probe])
+    })
 }
 
 /// Table I: for each generalized kernel, the collectives it implements.
@@ -695,17 +674,30 @@ pub fn candidates(op: CollectiveOp, p: usize, max_k: usize) -> Vec<Algorithm> {
 /// and verify one schedule twice. Plans are compared at two probe sizes so
 /// a coincidental size-dependent collision cannot hide a real difference.
 pub fn unique_candidates(op: CollectiveOp, p: usize, max_k: usize) -> Vec<Algorithm> {
-    let mut out: Vec<Algorithm> = Vec::new();
-    let mut seen: Vec<Vec<Schedule>> = Vec::new();
     // Both probes are p-divisible (alltoall) and element-aligned for the
     // default u8 dtype (reduce-scatter).
     let probes = [p, 8 * p];
-    for a in candidates(op, p, max_k) {
+    dedupe_by_plans(op, p, candidates(op, p, max_k), |args, probe, r| {
+        lower(args, p, r, probes[probe])
+    })
+}
+
+/// `cands` in order, keeping the first of those that lower to equal plans:
+/// every rank's `lower_probe(args, probe, rank)` at both probe shapes
+/// (`probe` 0 and 1).
+fn dedupe_by_plans(
+    op: CollectiveOp,
+    p: usize,
+    cands: impl IntoIterator<Item = Algorithm>,
+    lower_probe: impl Fn(&CollArgs, usize, Rank) -> Schedule,
+) -> Vec<Algorithm> {
+    let mut out: Vec<Algorithm> = Vec::new();
+    let mut seen: Vec<Vec<Schedule>> = Vec::new();
+    for a in cands {
         let args = CollArgs::new(op, a);
-        let plans: Vec<Schedule> = probes
-            .iter()
-            .flat_map(|&n| (0..p).map(move |r| (n, r)))
-            .map(|(n, r)| lower(&args, p, r, n))
+        let plans: Vec<Schedule> = (0..2)
+            .flat_map(|probe| (0..p).map(move |r| (probe, r)))
+            .map(|(probe, r)| lower_probe(&args, probe, r))
             .collect();
         if !seen.contains(&plans) {
             seen.push(plans);
@@ -922,6 +914,48 @@ mod tests {
         });
         for o in &out {
             assert_eq!(o, &[0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "unsupported configuration: allreduce of 12 B is not a whole number of f64 elements"
+    )]
+    fn lower_refuses_a_partial_element() {
+        let mut args = CollArgs::new(CollectiveOp::Allreduce, Algorithm::Ring);
+        args.dtype = DType::F64;
+        lower(&args, 4, 0, 12);
+    }
+
+    #[test]
+    fn lower_is_lower_v_at_the_equal_split() {
+        use CollectiveOp::{Allgather, ReduceScatter};
+        for p in 1..=9usize {
+            for dtype in [DType::U8, DType::I32, DType::F64] {
+                for elems in [0usize, 1, 5, 24] {
+                    let n = elems * dtype.size();
+                    let mut cases: Vec<(Algorithm, CollectiveOp, Vec<usize>)> =
+                        candidates(Allgather, p, p.max(2))
+                            .into_iter()
+                            .map(|a| (a, Allgather, vec![n; p]))
+                            .collect();
+                    let rs_counts = elem_block_sizes(n, dtype.size(), p);
+                    cases.push((Algorithm::Ring, ReduceScatter, rs_counts));
+                    for (alg, op, counts) in cases {
+                        let args = CollArgs {
+                            dtype,
+                            ..CollArgs::new(op, alg)
+                        };
+                        for r in 0..p {
+                            assert_eq!(
+                                lower(&args, p, r, n),
+                                lower_v(&args, r, &counts),
+                                "{op}/{alg} p={p} n={n} {dtype} rank={r}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -26,7 +26,9 @@
 
 use crate::reduce_scatter::elem_block_range;
 use crate::reference::{expected_outputs, expected_outputs_v};
-use crate::registry::{lower, lower_v, supports_v, Algorithm, CollArgs, CollectiveOp};
+use crate::registry::{
+    lower, lower_v, supports_v, whole_elements, Algorithm, CollArgs, CollectiveOp,
+};
 use crate::schedule::provenance::{Arena, Seg};
 use crate::schedule::Schedule;
 use crate::spec::{
@@ -140,13 +142,7 @@ impl Request {
     }
 
     fn check(&self) -> Result<(), String> {
-        let CollArgs {
-            op,
-            alg,
-            root,
-            dtype,
-            ..
-        } = self.args;
+        let CollArgs { op, alg, root, .. } = self.args;
         if self.tenants == 0 || self.tenants > MAX_TENANTS {
             return Err(format!(
                 "tenants must be between 1 and {MAX_TENANTS} (got {})",
@@ -161,21 +157,12 @@ impl Request {
         if root >= p {
             return Err(format!("root {root} is not one of {p} rank(s)"));
         }
-        let reduces = matches!(
-            op,
-            CollectiveOp::Reduce | CollectiveOp::Allreduce | CollectiveOp::ReduceScatter
-        );
         let elements: &[usize] = match &self.shape {
             Shape::Uniform { n, .. } => std::slice::from_ref(n),
             Shape::Counts(c) => c.counts(),
         };
-        if let Some(n) = elements
-            .iter()
-            .find(|n| reduces && !n.is_multiple_of(dtype.size()))
-        {
-            return Err(format!(
-                "{op} of {n} B is not a whole number of {dtype} elements"
-            ));
+        for &n in elements {
+            whole_elements(&self.args, n)?;
         }
         // The widest region of one tenant's plan (gathers lay every rank's
         // block side by side), times the tenants merging stacks into one

@@ -6,7 +6,7 @@
 
 mod support;
 
-use exacoll::chaos::{record_case, FaultClass};
+use exacoll::chaos::{run_case, FaultClass};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::RecordedEvent;
 use exacoll::replay::{record_request, record_thread_run, replay, Artifact, ReplayError};
@@ -219,14 +219,15 @@ fn corrupt_json_is_rejected_with_a_parse_error() {
 /// (rank, step) with expected-vs-observed digests.
 #[test]
 fn chaos_corruption_replays_to_byte_identical_reports() {
-    let (_, artifact) = record_case(
+    let artifact = run_case(
         CollectiveOp::Allreduce,
         Algorithm::RecursiveMultiplying { k: 2 },
         6,
         FaultClass::Corrupt,
         42,
         48,
-    );
+    )
+    .artifact;
     let text = artifact.to_json();
     let a = replay(&Artifact::from_json(&text).unwrap()).unwrap();
     let b = replay(&Artifact::from_json(&text).unwrap()).unwrap();
@@ -282,14 +283,15 @@ fn pipelined_record_replays_with_zero_divergence() {
 /// that rank at the first missing step.
 #[test]
 fn chaos_kill_replays_to_the_victims_first_missing_step() {
-    let (_, artifact) = record_case(
+    let artifact = run_case(
         CollectiveOp::Allreduce,
         Algorithm::Ring,
         6,
         FaultClass::Kill,
         42,
         48,
-    );
+    )
+    .artifact;
     let report = replay(&Artifact::from_json(&artifact.to_json()).unwrap()).unwrap();
     assert!(!report.is_clean());
     let victim = 1; // the campaign kills rank 1 % p at its first op
