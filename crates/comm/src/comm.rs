@@ -1,7 +1,7 @@
 //! The [`Comm`] trait: the MPI-like surface collective algorithms target.
 
 use crate::error::CommResult;
-use crate::sg::{scatter, zero_tail, SgDests, SgView};
+use crate::sg::{SgDests, SgView};
 use crate::types::{Rank, Tag};
 
 /// A non-blocking request handle, as returned by [`Comm::isend`] /
@@ -73,21 +73,25 @@ pub trait Comm {
     }
 
     /// Complete all of `reqs` with every received payload put where the
-    /// caller wants it: request `i`'s bytes go into `dests.of(i)` of `buf`.
-    /// `reqs` is left empty (with its allocation, where the implementation
-    /// completes in place).
+    /// caller wants it: request `i`'s bytes land in `buf` as
+    /// `dests.landing(i)` says — into `dests.of(i)`, or folded into an
+    /// accumulator. `reqs` is left empty (with its allocation, where the
+    /// implementation completes in place).
     ///
     /// The caller cannot tell this from [`waitall`](Self::waitall) followed
-    /// by scattering payload `i` over destination `i` — same matching, same
-    /// errors — and zeroing what of the destination a shorter message does
-    /// not cover ([`zero_tail`]), so a destination never shows what the
-    /// buffer held before the call (how much arrived is not reported; a
-    /// caller that needs the length uses `waitall`). The default
+    /// by [`SgDests::put`] of payload `i` — same matching, same errors: a
+    /// copied payload is scattered over its destination and what a shorter
+    /// one does not cover is zeroed, a folded one is reduced into its
+    /// accumulator zero-padded, `acc ⊕ payload` (how much arrived is not
+    /// reported; a caller that needs the length uses `waitall`). The default
     /// implementation *is* that, which keeps payload-observing wrappers
-    /// correct without opting in. [`crate::Engine`] overrides it to offer the
-    /// destinations to its transport, so a message that arrives while the
-    /// rank is blocked here is read from the socket straight into `buf`: no
-    /// payload `Vec`, no second copy. After an error the destinations hold
+    /// correct without opting in; one that forwards to an inner layer and
+    /// reads the payload there forwards [`SgDests::copies`] and folds after
+    /// ([`SgDests::fold_landed`]). [`crate::Engine`] overrides it to offer
+    /// the destinations to its transport, so a message that arrives while
+    /// the rank is blocked here is read from the socket, or written by the
+    /// sending thread, straight into `buf`: no payload `Vec`, no second
+    /// copy. After an error the destinations and accumulators hold
     /// unspecified bytes.
     ///
     /// # Panics
@@ -103,8 +107,7 @@ pub trait Comm {
         let payloads = self.waitall(std::mem::take(reqs))?;
         for (i, payload) in payloads.iter().enumerate() {
             if let Some(payload) = payload {
-                scatter(buf, dests.of(i), payload);
-                zero_tail(buf, dests.of(i), payload.len());
+                dests.put(buf, i, payload);
             }
         }
         Ok(())

@@ -254,7 +254,9 @@ impl<C: Comm> Comm for RecordComm<C> {
         Ok(out)
     }
 
-    /// Forwards the destinations, then digests what landed in them. The
+    /// Forwards the destinations with every payload copied, digests what
+    /// landed in them, then folds the folding ones into their accumulators
+    /// itself: a digest is of the payload, never of an accumulator. The
     /// inner layer does not say how much arrived, so the event describes the
     /// whole destination: the arrived payload whenever it was as long as its
     /// destination, as a verified plan guarantees.
@@ -265,13 +267,14 @@ impl<C: Comm> Comm for RecordComm<C> {
         dests: SgDests<'_>,
     ) -> CommResult<()> {
         let slots = self.recv_events(reqs);
-        self.inner.waitall_into(reqs, buf, dests)?;
+        self.inner.waitall_into(reqs, buf, dests.copies())?;
         for (i, slot) in slots.iter().enumerate() {
             if let Some(idx) = *slot {
                 let landed = SgView::new(buf, dests.of(i));
                 self.complete_recv(idx, landed.len(), fnv1a_segments(landed.segments()));
             }
         }
+        dests.fold_landed(buf);
         Ok(())
     }
 

@@ -9,8 +9,12 @@
 //!
 //! [`SgDests`] is the receive side: where each request of one
 //! [`Comm::waitall_into`](crate::Comm::waitall_into) lands in the caller's
-//! buffer, named as index spans into a range arena the caller already owns.
+//! buffer, named as index spans into a range arena the caller already owns,
+//! and whether it is written there or folded into an accumulator
+//! ([`Landing`]).
 
+use crate::reduce_ops::reduce_into;
+use crate::types::{DType, ReduceOp};
 use std::ops::Range;
 
 /// A borrowed, ordered scatter-gather view over one backing buffer.
@@ -114,22 +118,46 @@ pub fn zero_tail(buf: &mut [u8], ranges: &[Range<usize>], mut filled: usize) {
     }
 }
 
+/// What one request's payload does to the buffer of a
+/// [`Comm::waitall_into`](crate::Comm::waitall_into).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Landing {
+    /// Written over the destination; what a shorter payload leaves of it is
+    /// zeroed ([`scatter`] then [`zero_tail`]).
+    Copy,
+    /// Folded into `acc`, one contiguous range as long as the destination:
+    /// `acc = acc ⊕ payload`, the payload zero-padded to that length — the
+    /// bytes `Copy` then `reduce_into(acc, destination)` would leave there.
+    /// The destination itself is left unspecified.
+    Reduce {
+        /// Element type.
+        dtype: DType,
+        /// Combining operator.
+        op: ReduceOp,
+        /// The accumulator, left-hand operand.
+        acc: Range<usize>,
+    },
+}
+
 /// The destinations of one [`Comm::waitall_into`](crate::Comm::waitall_into):
 /// request `i`'s payload goes, in order, into the ranges `ranges[spans[i]]` of
-/// the buffer passed beside it. A send carries an empty span.
+/// the buffer passed beside it, or is folded into an accumulator
+/// ([`landing_into`](Self::landing_into)). A send carries an empty span.
 ///
 /// Both slices are borrowed — `ranges` is typically a compiled plan's own
 /// range arena — so naming the destinations of a batch allocates nothing.
-/// The destinations of one call must be pairwise disjoint: payloads land as
-/// they arrive, not in request order.
+/// The destinations and accumulators of one call must be pairwise disjoint:
+/// payloads land as they arrive, not in request order.
 #[derive(Debug, Clone, Copy)]
 pub struct SgDests<'a> {
     ranges: &'a [Range<usize>],
     spans: &'a [Range<usize>],
+    /// Empty when every request is [`Landing::Copy`].
+    landings: &'a [Landing],
 }
 
 impl<'a> SgDests<'a> {
-    /// One span of `ranges` per request.
+    /// One span of `ranges` per request, every payload copied.
     ///
     /// # Panics
     ///
@@ -143,7 +171,40 @@ impl<'a> SgDests<'a> {
                 ranges.len()
             );
         }
-        SgDests { ranges, spans }
+        SgDests {
+            ranges,
+            spans,
+            landings: &[],
+        }
+    }
+
+    /// The same destinations with request `i` landing as `landings[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Unless there is one landing per request and every `Reduce` names an
+    /// operator its type supports and an accumulator of whole elements as
+    /// long as its destination: a malformed landing is a lowering bug.
+    pub fn landing_into(self, landings: &'a [Landing]) -> Self {
+        assert_eq!(landings.len(), self.len(), "one landing per request");
+        for (i, landing) in landings.iter().enumerate() {
+            if let Landing::Reduce { dtype, op, acc } = landing {
+                let room: usize = self.of(i).iter().map(|r| r.len()).sum();
+                assert!(
+                    op.supports(*dtype)
+                        && acc.len() == room
+                        && acc.len().is_multiple_of(dtype.size()),
+                    "request {i}: cannot fold {room} B into {acc:?} as {op:?} over {dtype:?}"
+                );
+            }
+        }
+        SgDests { landings, ..self }
+    }
+
+    /// The same destinations with every payload copied: what a wrapper that
+    /// has to see payloads forwards, before [`fold_landed`](Self::fold_landed).
+    pub fn copies(self) -> Self {
+        SgDests::new(self.ranges, self.spans)
     }
 
     /// Number of requests the destinations are for.
@@ -159,6 +220,85 @@ impl<'a> SgDests<'a> {
     /// Request `i`'s destination ranges, in payload order.
     pub fn of(&self, i: usize) -> &'a [Range<usize>] {
         &self.ranges[self.spans[i].clone()]
+    }
+
+    /// How request `i`'s payload lands.
+    pub fn landing(&self, i: usize) -> &'a Landing {
+        self.landings.get(i).unwrap_or(&Landing::Copy)
+    }
+
+    /// Land request `i`'s whole `payload` in `buf`. Bytes past the
+    /// destination are dropped.
+    pub fn put(&self, buf: &mut [u8], i: usize, payload: &[u8]) {
+        match self.landing(i) {
+            Landing::Copy => {
+                scatter(buf, self.of(i), payload);
+                zero_tail(buf, self.of(i), payload.len());
+            }
+            Landing::Reduce { dtype, op, acc } => {
+                let payload = &payload[..payload.len().min(acc.len())];
+                let (acc, mut carry) = (&mut buf[acc.clone()], [0; 8]);
+                fold(*dtype, *op, acc, 0, &mut carry, payload);
+                fold_tail(*dtype, *op, acc, payload.len(), &mut carry);
+            }
+        }
+    }
+
+    /// Fold every `Reduce` request's destination, which a [`copies`]
+    /// (Self::copies) landing has filled, into its accumulator.
+    pub fn fold_landed(&self, buf: &mut [u8]) {
+        for i in 0..self.landings.len() {
+            if let Landing::Reduce { .. } = self.landing(i) {
+                let landed = SgView::new(buf, self.of(i)).to_vec();
+                self.put(buf, i, &landed);
+            }
+        }
+    }
+}
+
+/// Fold the next `bytes` of a message into `acc`, which holds its first
+/// `filled` bytes already: whole elements are reduced as they come, a
+/// trailing partial one waits in `carry` for the rest of its bytes.
+pub(crate) fn fold(
+    dtype: DType,
+    op: ReduceOp,
+    acc: &mut [u8],
+    filled: usize,
+    carry: &mut [u8; 8],
+    mut bytes: &[u8],
+) {
+    let esz = dtype.size();
+    let (mut at, part) = (filled - filled % esz, filled % esz);
+    let checked = "a checked landing folds whole elements";
+    if part > 0 {
+        let take = (esz - part).min(bytes.len());
+        carry[part..part + take].copy_from_slice(&bytes[..take]);
+        bytes = &bytes[take..];
+        if part + take < esz {
+            return;
+        }
+        reduce_into(dtype, op, &mut acc[at..at + esz], &carry[..esz]).expect(checked);
+        at += esz;
+    }
+    let whole = bytes.len() - bytes.len() % esz;
+    reduce_into(dtype, op, &mut acc[at..at + whole], &bytes[..whole]).expect(checked);
+    carry[..bytes.len() - whole].copy_from_slice(&bytes[whole..]);
+}
+
+/// A message of `len` bytes has been [`fold`]ed into `acc`: fold in the
+/// zeros that pad it to `acc`'s length.
+pub(crate) fn fold_tail(
+    dtype: DType,
+    op: ReduceOp,
+    acc: &mut [u8],
+    mut len: usize,
+    carry: &mut [u8; 8],
+) {
+    const ZEROS: [u8; 64] = [0; 64];
+    while len < acc.len() {
+        let n = (acc.len() - len).min(ZEROS.len());
+        fold(dtype, op, acc, len, carry, &ZEROS[..n]);
+        len += n;
     }
 }
 

@@ -10,8 +10,11 @@
 //!   kernel. With [`AllgatherKernel::Ring`] this is the classic bandwidth-
 //!   optimal ring allreduce; with [`AllgatherKernel::KRing`] it is the
 //!   paper's k-ring allreduce ("the reduce-scatter-allgather algorithm,
-//!   which can also leverage the MPI_Allgather k-ring algorithm", §VI-C);
-//!   with recursive multiplying, a Rabenseifner-style composite.
+//!   which can also leverage the MPI_Allgather k-ring algorithm", §VI-C).
+//!   `lower` routes only those two here. Any other kernel would follow the
+//!   same *ring* reduce-scatter; the Rabenseifner-style composite also
+//!   needs a recursive-splitting reduce-scatter, which ROADMAP item 10
+//!   plans.
 //! * `build_allreduce_reduce_bcast` — k-nomial reduce + k-nomial bcast, the
 //!   composite of Eq. (2)/(3).
 //! * `build_allreduce_general` and `build_allreduce_hierarchical` — the

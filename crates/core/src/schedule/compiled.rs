@@ -38,13 +38,20 @@
 //! flush is one [`Comm::waitall_into`] naming the scratch buffer and the
 //! plan's own range arena, so the backend writes received bytes where the
 //! plan wants them.
+//!
+//! Reduce on arrival: a receive whose destination dies as the `src` of the
+//! reduce right after its flush is *fused* with it (`Compiler::fusable`,
+//! and `Compiler::read` for "dies"): the executor lands it as
+//! [`Landing::Reduce`] and skips that kernel. The fusions sit beside the step stream, so every other
+//! walker sees the unfused plan.
 
 use super::{ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{
-    reduce_into, scatter, Comm, CommError, CommResult, DType, Rank, RankTrace, ReduceOp, Req,
-    SgDests, SgView, Tag, TraceOp,
+    reduce_into, scatter, Comm, CommError, CommResult, DType, Landing, Rank, RankTrace, ReduceOp,
+    Req, SgDests, SgView, Tag, TraceOp,
 };
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -141,6 +148,9 @@ pub struct CompiledSchedule {
     ranges: Box<[Range<usize>]>,
     steps: Box<[CStep]>,
     fault: Option<Fault>,
+    /// `(receive, reduce)` step indices of every fused pair (see the module
+    /// docs), in step order.
+    fused: Box<[(u32, u32)]>,
 }
 
 /// A plan's first data-flow fault in program order, with the range of the
@@ -193,6 +203,19 @@ impl CompiledSchedule {
     /// The ranges a span denotes, in payload order.
     pub fn ranges_of(&self, span: Span) -> &[Range<usize>] {
         &self.ranges[span.indices()]
+    }
+
+    /// How the executor lands a fused receive: into the accumulator of the
+    /// reduce at step `reduce`.
+    fn landing(&self, reduce: u32) -> Landing {
+        let CStep::Reduce { dtype, op, dst, .. } = self.steps[reduce as usize] else {
+            unreachable!("fused with a reduce");
+        };
+        Landing::Reduce {
+            dtype,
+            op,
+            acc: self.ranges_of(dst)[0].clone(),
+        }
     }
 }
 
@@ -300,29 +323,47 @@ impl<V: Clone + PartialEq> Intervals<V> {
 }
 
 /// [`compile`]'s working state: the arenas being filled, the static picture
-/// of what is outstanding since the last flush, and of which scratch bytes
-/// have been written up to the first fault.
+/// of what is outstanding since the last flush, of which scratch bytes
+/// have been written up to the first fault, and of which receives may fuse.
 #[derive(Default)]
 struct Compiler<'a> {
     ranges: Vec<Range<usize>>,
     steps: Vec<CStep>,
     /// Requests posted since the last flush.
     outstanding: usize,
-    /// Destination lists of the receives among them.
-    pending_dsts: Vec<&'a SgList>,
+    /// Step index and destination list of the receives among them.
+    pending_dsts: Vec<(u32, &'a SgList)>,
+    /// The same of the receives the last flush completed.
+    flushed: Vec<(u32, &'a SgList)>,
     written: Intervals<()>,
     /// See [`CompiledSchedule::fault`].
     fault: Option<Fault>,
+    /// `(receive, reduce)` step indices of the pairs that may fuse, and
+    /// whether the receive's destination is still unread since the reduce.
+    candidates: Vec<((u32, u32), bool)>,
+    /// Those destinations' ranges by start: `(end, candidate)`.
+    watched: BTreeMap<usize, (usize, usize)>,
 }
 
 impl<'a> Compiler<'a> {
     /// Read `sg`: the first of its ranges holding a byte nothing wrote is
-    /// `fault`, unless one came earlier.
+    /// `fault`, unless one came earlier. A candidate whose destination it
+    /// reads does not fuse. (A plan without a fault writes no byte twice,
+    /// so reads are all that can keep a destination alive.)
     fn read(&mut self, sg: &SgList, fault: fn(Range<usize>) -> Fault) {
         if self.fault.is_none() {
             let written = &self.written;
             let unwritten = sg.ranges().iter().find(|r| written.cover(r).is_none());
             self.fault = unwritten.map(|r| fault(r.clone()));
+            for r in sg.ranges() {
+                // Disjoint ranges sorted by start end in order too.
+                for (_, &(end, c)) in self.watched.range(..r.end).rev() {
+                    if end <= r.start {
+                        break;
+                    }
+                    self.candidates[c].1 = false;
+                }
+            }
         }
     }
 
@@ -354,12 +395,38 @@ impl<'a> Compiler<'a> {
         if self.outstanding > 0 {
             self.steps.push(CStep::Flush);
             self.outstanding = 0;
+            std::mem::swap(&mut self.pending_dsts, &mut self.flushed);
             self.pending_dsts.clear();
         }
     }
 
+    /// The receive a reduce of `src` into `dst` right after a flush may fuse
+    /// with: the one of that flush whose destination is `src`, when `dst`
+    /// is one range as long, the kernel accepts the operands, and no
+    /// receive of the flush lands in `dst` — so folding on arrival is
+    /// `dst ⊕ src` in the reduce's own order, whichever message comes first.
+    fn fusable(&self, dtype: DType, op: ReduceOp, src: &SgList, dst: &SgList) -> Option<u32> {
+        let [acc] = dst.ranges() else {
+            return None;
+        };
+        if !matches!(self.steps.last(), Some(CStep::Flush))
+            || src.is_empty()
+            || src.len() != acc.len()
+            || !op.supports(dtype)
+            || !acc.len().is_multiple_of(dtype.size())
+            || src.overlaps(dst)
+            || self.flushed.iter().any(|(_, d)| d.overlaps(dst))
+        {
+            return None;
+        }
+        self.flushed
+            .iter()
+            .find(|(_, d)| *d == src)
+            .map(|(at, _)| *at)
+    }
+
     fn send(&mut self, i: usize, to: Rank, tag: Tag, src: &SgList) {
-        if self.pending_dsts.iter().any(|d| src.overlaps(d)) {
+        if self.pending_dsts.iter().any(|(_, d)| src.overlaps(d)) {
             self.flush();
         }
         self.read(src, Fault::Undefined);
@@ -371,13 +438,13 @@ impl<'a> Compiler<'a> {
     fn recv(&mut self, i: usize, from: Rank, tag: Tag, dst: &'a SgList) {
         self.write(dst);
         let span = self.intern(dst, format_args!("step {i} receive destination"));
+        self.pending_dsts.push((self.steps.len() as u32, dst));
         self.steps.push(CStep::Recv {
             from,
             tag,
             dst: span,
         });
         self.outstanding += 1;
-        self.pending_dsts.push(dst);
     }
 }
 
@@ -409,12 +476,22 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
             }
             Step::Compute { kind, src, dst } => {
                 c.flush();
+                let fusable = match kind {
+                    ComputeKind::Reduce { dtype, op } => c.fusable(*dtype, *op, src, dst),
+                    ComputeKind::Copy => None,
+                };
                 c.read(src, Fault::Undefined);
                 match kind {
                     // A short source fills a prefix of the destination.
                     ComputeKind::Copy if src.len() < dst.len() => c.write(&dst.slice(0, src.len())),
                     ComputeKind::Copy => c.write(dst),
                     ComputeKind::Reduce { .. } => c.read(dst, Fault::Undefined),
+                }
+                if let Some(recv) = fusable {
+                    for r in src.ranges() {
+                        c.watched.insert(r.start, (r.end, c.candidates.len()));
+                    }
+                    c.candidates.push(((recv, c.steps.len() as u32), true));
                 }
                 let src = c.intern(src, format_args!("step {i} compute source"));
                 let dst = c.intern(dst, format_args!("step {i} compute destination"));
@@ -447,6 +524,11 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
     c.read(&schedule.output, Fault::Unwritten);
     let input = c.intern(&schedule.input, format_args!("input view"));
     let output = c.intern(&schedule.output, format_args!("output view"));
+    let unread = c.candidates.iter().filter(|(_, unread)| *unread);
+    let fused = match c.fault {
+        None => unread.map(|(pair, _)| *pair).collect(),
+        Some(_) => Vec::new(),
+    };
     CompiledSchedule {
         p: schedule.p,
         rank: schedule.rank,
@@ -456,6 +538,7 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
         ranges: c.ranges.into_boxed_slice(),
         steps: c.steps.into_boxed_slice(),
         fault: c.fault,
+        fused: fused.into_boxed_slice(),
     }
 }
 
@@ -584,8 +667,9 @@ pub struct Executor {
     mem: RankMem,
     reqs: Vec<Req>,
     /// Per outstanding request, where its payload lands: the arena indices
-    /// of a receive's destination ranges, empty for a send.
+    /// of a receive's destination ranges, empty for a send, and how.
     dsts: Vec<Range<usize>>,
+    landings: Vec<Landing>,
 }
 
 impl Executor {
@@ -628,25 +712,35 @@ impl Executor {
         self.mem.load(plan, input);
         self.reqs.clear();
         self.dsts.clear();
+        self.landings.clear();
+        // The next fused pair, by the step indices of its receive and reduce.
+        let mut fused = plan.fused.iter().peekable();
 
-        for step in plan.steps() {
+        for (i, step) in plan.steps().iter().enumerate() {
+            let i = i as u32;
             match step {
                 CStep::Flush => {
-                    let dests = SgDests::new(&plan.ranges, &self.dsts);
+                    let dests = SgDests::new(&plan.ranges, &self.dsts).landing_into(&self.landings);
                     let buf = &mut self.mem.buf[..plan.buf_len];
                     c.waitall_into(&mut self.reqs, buf, dests)?;
                     self.dsts.clear();
+                    self.landings.clear();
                 }
                 CStep::Mark { label, round } => c.mark(label, *round),
                 CStep::Send { to, tag, src } => {
                     let req = c.send_sg(*to, *tag, self.mem.view(plan, *src))?;
                     self.reqs.push(req);
                     self.dsts.push(0..0);
+                    self.landings.push(Landing::Copy);
                 }
                 CStep::Recv { from, tag, dst } => {
                     let req = c.irecv(*from, *tag, dst.bytes())?;
                     self.reqs.push(req);
                     self.dsts.push(dst.indices());
+                    self.landings.push(match fused.peek() {
+                        Some(&&(recv, reduce)) if recv == i => plan.landing(reduce),
+                        _ => Landing::Copy,
+                    });
                 }
                 CStep::Copy { src, dst } => self.mem.copy(plan, *src, *dst),
                 CStep::Reduce {
@@ -655,7 +749,10 @@ impl Executor {
                     src,
                     dst,
                 } => {
-                    self.mem.reduce(plan, *dtype, *op, *src, *dst)?;
+                    // A fused reduce happened as its receive landed.
+                    if fused.next_if(|&&(_, reduce)| reduce == i).is_none() {
+                        self.mem.reduce(plan, *dtype, *op, *src, *dst)?;
+                    }
                     c.compute(dst.bytes());
                 }
             }
@@ -1105,6 +1202,151 @@ mod tests {
             prop_assert_eq!(plan.fault(), first_fault_bytewise(&s).as_ref(), "{:?}", s);
             prop_assert_eq!(plan.reads_unwritten(), plan.fault().is_some());
         }
+    }
+
+    /// Rank 0 of two: receive 8 bytes into a temporary and fold them into
+    /// the input, then whatever `more` adds.
+    fn fold_plan(more: impl Fn(&mut ScheduleBuilder, &SgList, &SgList)) -> CompiledSchedule {
+        let mut b = ScheduleBuilder::new(2, 0);
+        let (acc, tmp) = (b.alloc(8), b.alloc(8));
+        b.recv(1, 0, tmp.clone());
+        b.reduce(DType::F64, ReduceOp::Sum, tmp.clone(), acc.clone());
+        more(&mut b, &acc, &tmp);
+        compile(&b.finish(acc.clone(), acc))
+    }
+
+    #[test]
+    fn a_receive_fuses_only_when_its_temporary_dies_in_the_reduce_after_its_flush() {
+        // Recv, Flush, Reduce.
+        let plan = fold_plan(|_, _, _| {});
+        assert_eq!(*plan.fused, [(0, 2)]);
+        let acc = 0..8;
+        let (dtype, op) = (DType::F64, ReduceOp::Sum);
+        assert_eq!(plan.landing(2), Landing::Reduce { dtype, op, acc });
+        // The temporary is read again: by a send, or by a second reduce.
+        let resent = fold_plan(|b, _, tmp| b.send(1, 1, tmp.clone()));
+        let refolded = fold_plan(|b, acc, tmp| b.reduce(dtype, op, tmp.clone(), acc.clone()));
+        // A byte of the plan is read before anything writes it.
+        let faulty = fold_plan(|b, _, _| {
+            let stray = b.alloc(1);
+            b.send(1, 1, stray);
+        });
+        // A second receive of the same flush lands in the accumulator.
+        let mut b = ScheduleBuilder::new(2, 0);
+        let (acc, tmp) = (b.alloc(8), b.alloc(8));
+        b.recv(1, 0, tmp.clone());
+        b.recv(1, 1, acc.clone());
+        b.reduce(dtype, op, tmp, acc.clone());
+        let shared = compile(&b.finish(SgList::empty(), acc));
+        // Another reduce comes between the flush and the temporary's.
+        let mut b = ScheduleBuilder::new(2, 0);
+        let (acc, own, tmp) = (b.alloc(8), b.alloc(8), b.alloc(8));
+        b.recv(1, 0, tmp.clone());
+        b.reduce(dtype, op, own.clone(), acc.clone());
+        b.reduce(dtype, op, tmp, acc.clone());
+        let late = compile(&b.finish(SgList::concat([&acc, &own]), acc));
+        for (what, plan) in [
+            ("resent", resent),
+            ("refolded", refolded),
+            ("faulty", faulty),
+            ("shared", shared),
+            ("late", late),
+        ] {
+            assert_eq!(plan.fused.len(), 0, "{what}: {:?}", plan.steps());
+        }
+    }
+
+    #[test]
+    fn every_ring_reduce_scatter_reduce_fuses() {
+        use crate::registry::lower;
+        use crate::{Algorithm, CollArgs, CollectiveOp};
+        let shapes = [
+            (CollectiveOp::Allreduce, Algorithm::Ring),
+            (CollectiveOp::Allreduce, Algorithm::KRing { k: 2 }),
+            (CollectiveOp::Allreduce, Algorithm::KRing { k: 3 }),
+            (CollectiveOp::Allreduce, Algorithm::KRing { k: 4 }),
+            (CollectiveOp::ReduceScatter, Algorithm::Ring),
+        ];
+        for p in 2..=16 {
+            for (op, alg) in shapes {
+                if alg.supports(op, p).is_err() {
+                    continue;
+                }
+                let args = CollArgs {
+                    dtype: DType::F64,
+                    ..CollArgs::new(op, alg)
+                };
+                for rank in 0..p {
+                    let plan = compile(&lower(&args, p, rank, 8 * 3 * p));
+                    let fused: Vec<usize> = plan.fused.iter().map(|f| f.1 as usize).collect();
+                    let mut phase = "";
+                    let mut ring = 0;
+                    for (i, step) in plan.steps().iter().enumerate() {
+                        match step {
+                            CStep::Mark { label, .. } => phase = label,
+                            CStep::Reduce { .. } if phase == "rs-ring" => {
+                                assert!(
+                                    fused.contains(&i),
+                                    "{op:?} {alg} p={p} rank {rank} step {i}"
+                                );
+                                ring += 1;
+                            }
+                            _ => {}
+                        }
+                    }
+                    assert_eq!(ring, p - 1, "{op:?} {alg} p={p} rank {rank}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_execution_is_bitwise_the_unfused_walk() {
+        use super::super::eval::evaluate;
+        use crate::registry::candidates;
+        use crate::{CollArgs, CollectiveOp, Request};
+        // Finite f64s of mixed magnitudes, so a reordered sum shows.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut f64s = |n: usize| -> Vec<u8> {
+            (0..n / 8)
+                .flat_map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let x = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    (x * f64::powi(2.0, (state % 40) as i32 - 20)).to_le_bytes()
+                })
+                .collect()
+        };
+        let mut fused = 0;
+        for p in 2..=9 {
+            for op in [
+                CollectiveOp::Reduce,
+                CollectiveOp::Allreduce,
+                CollectiveOp::ReduceScatter,
+            ] {
+                for alg in candidates(op, p, 8) {
+                    let args = CollArgs {
+                        dtype: DType::F64,
+                        ..CollArgs::new(op, alg)
+                    };
+                    let Ok(req) = Request::uniform(args, p, 8 * 5 * p) else {
+                        continue;
+                    };
+                    let world = req.lower_world();
+                    let inputs: Vec<Vec<u8>> = world.iter().map(|s| f64s(s.input.len())).collect();
+                    let plans: Vec<CompiledSchedule> = world.iter().map(compile).collect();
+                    fused += plans.iter().map(|plan| plan.fused.len()).sum::<usize>();
+                    let want = evaluate(&world, &inputs).expect("a registry plan walks");
+                    let got = run_ranks(p, |c| {
+                        let rank = c.rank();
+                        execute_compiled(c, &plans[rank], &inputs[rank])
+                    });
+                    assert_eq!(got, want, "{}", req.describe());
+                }
+            }
+        }
+        assert!(fused > 0);
     }
 
     #[test]

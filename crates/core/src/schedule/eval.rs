@@ -37,6 +37,7 @@ use super::compiled::{CStep, CompiledSchedule, RankMem, Span};
 use super::provenance::{Arena, Seg, SymMem};
 use super::{compile, Schedule};
 use exacoll_comm::{fnv1a, DType, Rank, RecordedEvent, ReduceOp, Tag};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
@@ -307,8 +308,8 @@ struct PendingRecv {
     event: usize,
 }
 
-struct RankState<M> {
-    plan: CompiledSchedule,
+struct RankState<'p, M> {
+    plan: Cow<'p, CompiledSchedule>,
     /// Per step, the channel of its message ([`Channels::of_steps`]).
     chans: Vec<u32>,
     mem: M,
@@ -318,7 +319,7 @@ struct RankState<M> {
     events: Vec<RecordedEvent>,
 }
 
-impl<M: Memory> RankState<M> {
+impl<M: Memory> RankState<'_, M> {
     fn done(&self) -> bool {
         self.pc == self.plan.steps().len()
     }
@@ -436,13 +437,14 @@ impl<M: Memory> RankState<M> {
 type Walked<O> = (Vec<O>, Vec<Vec<RecordedEvent>>);
 
 /// Walk the world to completion over memories `load` fills from each rank's
-/// plan; the event logs stay empty unless `record`. A world is complete when
-/// every rank has finished its plan and every channel is empty.
-pub(super) fn walk<M: Memory>(
+/// plan — compiled by `load`, or one the caller compiled already; the event
+/// logs stay empty unless `record`. A world is complete when every rank has
+/// finished its plan and every channel is empty.
+pub(super) fn walk<'p, M: Memory>(
     schedules: &[Schedule],
     shared: &mut M::Shared,
     record: bool,
-    mut load: impl FnMut(&mut M::Shared, &Schedule) -> Result<(CompiledSchedule, M), EvalError>,
+    mut load: impl FnMut(&mut M::Shared, &Schedule) -> Result<(Cow<'p, CompiledSchedule>, M), EvalError>,
 ) -> Result<Walked<M::Output>, EvalError> {
     let p = schedules.len();
     let mut ranks = Vec::with_capacity(p);
@@ -526,7 +528,7 @@ fn run_bytes(
         let plan = compile(s);
         let mut mem = RankMem::default();
         mem.load(&plan, input);
-        Ok((plan, mem))
+        Ok((Cow::Owned(plan), mem))
     })?;
     Ok(Evaluated { outputs, events })
 }
@@ -566,12 +568,36 @@ pub fn evaluate_recorded(
 /// As [`evaluate`], plus [`EvalError::Undefined`] when a step reads bytes
 /// nothing defined (a verified set never does).
 pub fn provenance(arena: &mut Arena, schedules: &[Schedule]) -> Result<Vec<Vec<Seg>>, EvalError> {
+    provenance_compiled(arena, schedules, &[])
+}
+
+/// [`provenance`] walking `plans[r]`, the caller's `compile(&schedules[r])`,
+/// for every rank it has one (none: every rank's is compiled here).
+///
+/// # Errors
+///
+/// As [`provenance`].
+pub fn provenance_compiled(
+    arena: &mut Arena,
+    schedules: &[Schedule],
+    plans: &[CompiledSchedule],
+) -> Result<Vec<Vec<Seg>>, EvalError> {
     walk::<SymMem>(schedules, arena, false, |arena, s| {
-        let plan = compile(s);
+        let plan = compiled(plans, s);
         let mem = SymMem::load(arena, &plan)?;
         Ok((plan, mem))
     })
     .map(|(outputs, _)| outputs)
+}
+
+/// Rank `s.rank`'s plan: the caller's, or compiled now.
+pub(super) fn compiled<'p>(
+    plans: &'p [CompiledSchedule],
+    s: &Schedule,
+) -> Cow<'p, CompiledSchedule> {
+    plans
+        .get(s.rank)
+        .map_or_else(|| Cow::Owned(compile(s)), Cow::Borrowed)
 }
 
 /// Deterministic rank-distinguishing probe inputs for a schedule set: rank

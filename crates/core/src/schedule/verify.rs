@@ -40,8 +40,8 @@
 //! message size, and allocates nothing proportional to `buf_len`.
 
 use super::compiled::{CompiledSchedule, Fault, Span};
-use super::eval::{walk, EvalError, Memory};
-use super::{compile, ComputeKind, Schedule, SgList, Step};
+use super::eval::{compiled, walk, EvalError, Memory};
+use super::{ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{DType, Rank, ReduceOp, Tag};
 use std::fmt;
 
@@ -327,6 +327,19 @@ fn well_formed(
 /// Returns the first [`VerifyError`] found; see the enum for the properties
 /// checked.
 pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
+    verify_compiled(schedules, &[])
+}
+
+/// [`verify`] walking `plans[r]`, the caller's `compile(&schedules[r])`,
+/// for every rank it has one (none: every rank's is compiled here).
+///
+/// # Errors
+///
+/// As [`verify`].
+pub fn verify_compiled(
+    schedules: &[Schedule],
+    plans: &[CompiledSchedule],
+) -> Result<ScheduleStats, VerifyError> {
     let p = schedules.len();
     assert!(p > 0, "verify needs at least one rank's schedule");
     let mut phases = Phases::new();
@@ -337,7 +350,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
         gamma_bytes = gamma_bytes.max(gamma);
     }
     let (depths, _) = walk::<HopDepth>(schedules, &mut (), false, |(), s| {
-        let plan = compile(s);
+        let plan = compiled(plans, s);
         let rank = plan.rank;
         match plan.fault().cloned() {
             None => Ok((plan, HopDepth(0))),

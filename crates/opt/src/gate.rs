@@ -10,10 +10,10 @@
 //! manager cannot drift. Either proof costs O(steps), whatever the message
 //! size.
 
-use exacoll_core::schedule::eval::{provenance, EvalError};
+use exacoll_core::schedule::eval::{provenance, provenance_compiled, EvalError};
 use exacoll_core::schedule::provenance::{Arena, Divergence, Equivalence, Seg};
-use exacoll_core::schedule::verify::{verify, ScheduleStats, VerifyError};
-use exacoll_core::schedule::Schedule;
+use exacoll_core::schedule::verify::{verify_compiled, ScheduleStats, VerifyError};
+use exacoll_core::schedule::{compile, CompiledSchedule, Schedule};
 use exacoll_core::Request;
 use std::fmt;
 
@@ -96,14 +96,16 @@ impl Gate {
     }
 
     /// Prove `candidate` verifies and computes what the trusted plans do.
+    /// Both proofs walk one compile of each rank's plan.
     ///
     /// # Errors
     ///
     /// The [`Refusal`]; the gate is unchanged either way.
     pub fn admit(&mut self, candidate: &[Schedule]) -> Result<Admitted, Refusal> {
-        let stats = verify(candidate).map_err(Refusal::Verify)?;
+        let plans: Vec<CompiledSchedule> = candidate.iter().map(compile).collect();
+        let stats = verify_compiled(candidate, &plans).map_err(Refusal::Verify)?;
         let (arena, want) = self.baseline()?;
-        let outputs = provenance(arena, candidate).map_err(Refusal::Eval)?;
+        let outputs = provenance_compiled(arena, candidate, &plans).map_err(Refusal::Eval)?;
         let equivalence = arena
             .equivalent(want, &outputs)
             .map_err(Refusal::Diverged)?;
