@@ -19,6 +19,23 @@ use crate::tags;
 use crate::topo::KnomialTree;
 use exacoll_comm::{DType, Rank, ReduceOp};
 
+/// Fold `parts[1..]` into `parts[0]` left to right and return `parts[0]`.
+/// Every builder that combines partials folds through here, in ascending
+/// rank or group position, so each rank computes bitwise-identical results.
+pub(crate) fn fold_in_order(
+    b: &mut ScheduleBuilder,
+    parts: Vec<SgList>,
+    dtype: DType,
+    op: ReduceOp,
+) -> SgList {
+    let mut parts = parts.into_iter();
+    let acc = parts.next().expect("a fold needs at least one part");
+    for part in parts {
+        b.reduce(dtype, op, part, acc.clone());
+    }
+    acc
+}
+
 /// Lower a k-nomial reduce into `b`, accumulating in place into `own`.
 /// Returns the result view at the root, `None` elsewhere.
 pub(crate) fn build_reduce_knomial(
@@ -44,17 +61,14 @@ pub(crate) fn build_reduce_knomial(
     // Post every child receive up front (message buffering), then fold
     // in ascending vrank order for determinism.
     children.sort_unstable();
-    let regions: Vec<SgList> = children
-        .iter()
-        .map(|&ch| {
-            let region = b.alloc(n);
-            b.recv(t.unvrank(ch, root), tags::REDUCE_TREE, region.clone());
-            region
-        })
-        .collect();
-    for region in regions {
-        b.reduce(dtype, op, region, own.clone());
+    let mut parts = Vec::with_capacity(children.len() + 1);
+    parts.push(own);
+    for &ch in &children {
+        let region = b.alloc(n);
+        b.recv(t.unvrank(ch, root), tags::REDUCE_TREE, region.clone());
+        parts.push(region);
     }
+    let own = fold_in_order(b, parts, dtype, op);
     if let Some(parent) = t.parent(v) {
         b.send(t.unvrank(parent, root), tags::REDUCE_TREE, own);
         return None;
@@ -74,18 +88,14 @@ pub(crate) fn build_reduce_linear(
     let n = own.len();
     if b.rank() == root {
         // Fold in ascending sender order.
-        let regions: Vec<SgList> = (0..p)
-            .filter(|&r| r != root)
-            .map(|r| {
-                let region = b.alloc(n);
-                b.recv(r, tags::REDUCE_LINEAR, region.clone());
-                region
-            })
-            .collect();
-        for region in regions {
-            b.reduce(dtype, op, region, own.clone());
+        let mut parts = Vec::with_capacity(p);
+        parts.push(own);
+        for r in (0..p).filter(|&r| r != root) {
+            let region = b.alloc(n);
+            b.recv(r, tags::REDUCE_LINEAR, region.clone());
+            parts.push(region);
         }
-        Some(own)
+        Some(fold_in_order(b, parts, dtype, op))
     } else {
         b.send(root, tags::REDUCE_LINEAR, own);
         None

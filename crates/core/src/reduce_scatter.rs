@@ -17,6 +17,7 @@
 //! the order of the `Compute` steps, kept identical to the original loops so
 //! results stay bitwise deterministic.
 
+use crate::reduce::fold_in_order;
 use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::factorize;
@@ -144,9 +145,12 @@ pub(crate) fn build_reduce_scatter_recmult(
         let (my_s, my_e) = byte_range((lo + d * sub, lo + (d + 1) * sub));
         let part_len = my_e - my_s;
         // Exchange: send partner dd its part of my segment, receive my part.
-        let mut regions: Vec<(usize, SgList)> = Vec::with_capacity(f - 1);
+        // Contributions fold in ascending group position, my own partial at
+        // position d, so every rank of the part computes identical bits.
+        let mut parts = Vec::with_capacity(f);
         for dd in 0..f {
             if dd == d {
+                parts.push(cur.slice(my_s - seg_s, part_len));
                 continue;
             }
             let peer = lo + dd * sub + offset;
@@ -154,26 +158,9 @@ pub(crate) fn build_reduce_scatter_recmult(
             b.send(peer, tag, cur.slice(s - seg_s, e - s));
             let region = b.alloc(part_len);
             b.recv(peer, tag, region.clone());
-            regions.push((dd, region));
+            parts.push(region);
         }
-        // Fold contributions in ascending group position, my own partial at
-        // position d, so every rank of the part computes identical bits. The
-        // position-0 contribution becomes the accumulator; the rest fold in.
-        let my_part = cur.slice(my_s - seg_s, part_len);
-        let mut it = regions.into_iter();
-        let mut acc: Option<SgList> = None;
-        for dd in 0..f {
-            let buf = if dd == d {
-                my_part.clone()
-            } else {
-                it.next().expect("one contribution per partner").1
-            };
-            match &acc {
-                None => acc = Some(buf),
-                Some(a) => b.reduce(dtype, op, buf, a.clone()),
-            }
-        }
-        cur = acc.expect("group nonempty");
+        cur = fold_in_order(b, parts, dtype, op);
         span = sub;
     }
     cur

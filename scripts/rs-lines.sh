@@ -1,18 +1,33 @@
 #!/usr/bin/env bash
 # Count the workspace's Rust lines — every tracked `*.rs` file outside the
 # benchmark package (perf/) and the vendored dependencies (vendor/) — at a
-# base ref and at HEAD, and print the delta.
+# base ref and at HEAD, split into non-test and test lines, and print the
+# delta.
 #
 #   scripts/rs-lines.sh [base-ref]    # base-ref defaults to HEAD~1
 #
-# Both counts read committed trees (`git grep`), so uncommitted edits are
-# not included.
+# A test line is a line of a file under a `tests/` directory, or a line
+# from a top-level `#[cfg(test)]` that introduces a `mod` to the end of its
+# file. Both counts read committed trees (`git grep`), so uncommitted edits
+# are not included.
 set -euo pipefail
 
 base=${1:-HEAD~1}
 
+# Prints "total non-test test" for the tree at ref $1.
 rs_lines() {
-    git grep -c '' "$1" -- '*.rs' ':!perf' ':!vendor' | awk -F: '{ n += $NF } END { print n + 0 }'
+    git grep -n '' "$1" -- '*.rs' ':!perf' ':!vendor' | awk -v pre="$1:" '
+        {
+            rest = substr($0, length(pre) + 1)
+            i = index(rest, ":"); file = substr(rest, 1, i - 1); rest = substr(rest, i + 1)
+            text = substr(rest, index(rest, ":") + 1)
+            if (file != cur) { cur = file; in_test = file ~ /(^|\/)tests\//; cfg = 0 }
+            total++
+            if (cfg && text ~ /^(pub(\([a-z]+\))? )?mod /) { in_test = 1; test++ }
+            cfg = !in_test && text ~ /^#\[cfg\(test\)\]/
+            if (in_test) test++
+        }
+        END { print total + 0, total - test, test + 0 }'
 }
 
 if ! git rev-parse --verify --quiet "$base^{commit}" >/dev/null; then
@@ -20,8 +35,9 @@ if ! git rev-parse --verify --quiet "$base^{commit}" >/dev/null; then
     exit 1
 fi
 
-before=$(rs_lines "$base")
-after=$(rs_lines HEAD)
-printf '%-8s %8d  %s\n' base "$before" "$(git rev-parse --short "$base")"
-printf '%-8s %8d  %s\n' HEAD "$after" "$(git rev-parse --short HEAD)"
-printf '%-8s %+8d\n' delta $((after - before))
+read -r b_all b_src b_test <<<"$(rs_lines "$base")"
+read -r h_all h_src h_test <<<"$(rs_lines HEAD)"
+printf '%-8s %8s %9s %8s\n' '' total non-test test
+printf '%-8s %8d %9d %8d  %s\n' base "$b_all" "$b_src" "$b_test" "$(git rev-parse --short "$base")"
+printf '%-8s %8d %9d %8d  %s\n' HEAD "$h_all" "$h_src" "$h_test" "$(git rev-parse --short HEAD)"
+printf '%-8s %+8d %+9d %+8d\n' delta $((h_all - b_all)) $((h_src - b_src)) $((h_test - b_test))

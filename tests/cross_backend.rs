@@ -50,6 +50,8 @@ fn check_case(op: CollectiveOp, alg: exacoll::collectives::Algorithm, p: usize, 
 
 #[test]
 fn every_candidate_agrees_on_both_backends() {
+    use exacoll::collectives::Algorithm::Hierarchical;
+
     let mut cases = 0;
     for p in [4usize, 6] {
         for op in CollectiveOp::ALL {
@@ -58,6 +60,12 @@ fn every_candidate_agrees_on_both_backends() {
                 cases += 1;
             }
         }
+    }
+    // Not a candidate, but its leader phase runs the recursive-multiplying
+    // builder: hier(2,2) at p = 6 has 3 leaders, so it takes the pre-fold.
+    for alg in [Hierarchical { ppn: 2, k: 2 }, Hierarchical { ppn: 3, k: 2 }] {
+        check_case(CollectiveOp::Allreduce, alg, 6, 48);
+        cases += 1;
     }
     assert!(cases > 60, "grid should be dense, got {cases} cases");
 }
