@@ -339,7 +339,7 @@ impl CollArgs {
 ///
 /// | op        | input (`n` bytes each rank)           | output                              |
 /// |-----------|----------------------------------------|-------------------------------------|
-/// | Bcast     | payload at root, ignored elsewhere     | the payload, every rank             |
+/// | Bcast     | `n` bytes; only the root's are read    | the root's payload, every rank      |
 /// | Reduce    | contribution                           | reduction at root, empty elsewhere  |
 /// | Gather    | own block                              | `p·n` at root, empty elsewhere      |
 /// | Allgather | own block                              | `p·n`, every rank                   |
@@ -739,6 +739,30 @@ mod tests {
         for (p, ok) in [(65536, true), (65537, false)] {
             let genmult = GeneralizedMultiplying { k: 2 };
             assert_eq!(genmult.supports(Allreduce, p).is_ok(), ok, "p={p}");
+        }
+    }
+
+    #[test]
+    fn bcast_returns_the_roots_payload_whatever_the_others_pass() {
+        let (p, n) = (4, 64);
+        for alg in candidates(CollectiveOp::Bcast, p, 4) {
+            for root in [0, p - 1] {
+                let args = CollArgs {
+                    root,
+                    ..CollArgs::new(CollectiveOp::Bcast, alg)
+                };
+                let payload: Vec<u8> = (0..n as u8).collect();
+                let out = exacoll_comm::run_ranks(p, |c| {
+                    let r = c.rank();
+                    let input = if r == root {
+                        payload.clone()
+                    } else {
+                        vec![0xEE ^ r as u8; n]
+                    };
+                    execute(c, &args, &input)
+                });
+                assert_eq!(out, vec![payload; p], "{alg} root {root}");
+            }
         }
     }
 

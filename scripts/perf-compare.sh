@@ -36,13 +36,26 @@ work="$head_dir/target/perf-compare"
 rm -rf "$work/base-results" "$work/head-results"
 mkdir -p "$work/base-results" "$work/head-results"
 
+# Whether the measured tree has uncommitted changes, read before the
+# benchmark's offline build rewrites the tracked perf/Cargo.lock; the lock
+# is put back as it was when the script exits.
+dirty=false
+[ -z "$(git -C "$head_dir" status --porcelain --untracked-files=no)" ] || dirty=true
+cp "$head_dir/perf/Cargo.lock" "$work/head-Cargo.lock"
+worktree=false
+cleanup() {
+    cp "$work/head-Cargo.lock" "$head_dir/perf/Cargo.lock"
+    if $worktree; then git -C "$head_dir" worktree remove --force "$base_dir"; fi
+}
+trap cleanup EXIT
+
 if [ -d "$base" ]; then
     base_dir="$(cd "$base" && pwd)"
 else
     base_dir="$work/base"
     git -C "$head_dir" worktree remove --force "$base_dir" 2>/dev/null || true
     git -C "$head_dir" worktree add --detach "$base_dir" "$base" >&2
-    trap 'git -C "$head_dir" worktree remove --force "$base_dir"' EXIT
+    worktree=true
 fi
 
 # Seeds a developer would not have typed: a block of 100 per commit depth.
@@ -95,8 +108,6 @@ compare || status=$?
 sha() { # <checkout>: its commit, or null when it is not a git checkout
     if [ -e "$1/.git" ]; then echo "\"$(git -C "$1" rev-parse HEAD)\""; else echo null; fi
 }
-dirty=false
-[ -z "$(git -C "$head_dir" status --porcelain --untracked-files=no)" ] || dirty=true
 doc=$(compare --json) || true
 bench="$head_dir/results/bench/BENCH_$depth.json"
 mkdir -p "$(dirname "$bench")"

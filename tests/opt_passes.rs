@@ -92,3 +92,67 @@ fn full_pass_pipeline_survives_the_manager_gate_and_runs() {
         assert_eq!(out[r], expect[r], "optimized run diverged at rank {r}");
     }
 }
+
+/// The executor runs most rewritten plans in its three regions (output,
+/// caller's input, scratch) and the rest in one buffer; either way its
+/// output is bitwise what the world walker makes of the same plans, for
+/// byte and mixed-magnitude f64 inputs.
+#[test]
+fn rewritten_plans_execute_bitwise_as_the_world_walker_evaluates_them() {
+    use exacoll::collectives::registry::candidates;
+    use exacoll::collectives::schedule::eval::evaluate;
+    use exacoll::comm::DType;
+    use exacoll::opt::plan_world;
+    let both = OptSpec {
+        pipeline: true,
+        aggregate: true,
+    };
+    let aggregate = OptSpec {
+        pipeline: false,
+        aggregate: true,
+    };
+    let (mut placed, mut plans) = (0, 0);
+    for p in 1..=9 {
+        for op in CollectiveOp::ALL {
+            for alg in candidates(op, p, 4) {
+                for (dtype, opt) in [
+                    (DType::U8, OptSpec::PIPELINE),
+                    (DType::F64, aggregate),
+                    (DType::F64, both),
+                ] {
+                    let args = CollArgs {
+                        dtype,
+                        root: p - 1,
+                        ..CollArgs::new(op, alg)
+                    };
+                    let Ok(req) = Request::uniform(args, p, 8 * 5 * p) else {
+                        continue;
+                    };
+                    let req = req.with_opt(opt, 24, 64).unwrap();
+                    let world = plan_world(&req).expect("passes run");
+                    let inputs: Vec<Vec<u8>> = (0..p)
+                        .map(|r| match dtype {
+                            DType::F64 => (0..world[r].input.len() / 8)
+                                .flat_map(|i| {
+                                    let x = payload(2, r * 1000 + i, 1)[0] as f64 - 127.5;
+                                    (x * f64::powi(2.0, (i % 40) as i32 - 20)).to_le_bytes()
+                                })
+                                .collect(),
+                            _ => payload(2, r, world[r].input.len()),
+                        })
+                        .collect();
+                    let compiled: Vec<_> = world.iter().map(compile).collect();
+                    placed += compiled.iter().filter(|plan| plan.is_placed()).count();
+                    plans += compiled.len();
+                    let want = evaluate(&world, &inputs).expect("a rewritten plan walks");
+                    let got = run_ranks(p, |c| {
+                        let rank = c.rank();
+                        execute_compiled(c, &compiled[rank], &inputs[rank])
+                    });
+                    assert_eq!(got, want, "{op:?} {alg} {opt:?} {}", req.describe());
+                }
+            }
+        }
+    }
+    assert!(0 < placed && placed < plans, "{placed} of {plans} placed");
+}

@@ -138,6 +138,26 @@ fn a_byte_no_step_wrote_reads_zero_after_an_earlier_call() {
     assert_eq!(out[0], [1, 2, 3, 4, 0]);
 }
 
+/// After an earlier call left 64 bytes of `OLD` in the scratch buffer, run
+/// a flagged plan whose output holds 32 input bytes and 32 that nothing
+/// writes. A flagged plan keeps the one-buffer layout.
+fn unwritten_output<C: Comm>(c: &mut C) -> CommResult<Vec<u8>> {
+    leave_behind(c, 64, OLD);
+    let mut b = ScheduleBuilder::new(c.size(), c.rank());
+    let x = b.alloc(32);
+    let hole = b.alloc(32);
+    let plan = compile(&b.finish(x.clone(), SgList::concat([&x, &hole])));
+    assert!(plan.reads_unwritten() && !plan.is_placed());
+    execute_compiled(c, &plan, &[7; 32])
+}
+
+#[test]
+fn an_unwritten_output_byte_reads_zero_on_both_transports() {
+    let want = [[7; 32], [0; 32]].concat();
+    assert_eq!(run_ranks(1, unwritten_output)[0], want);
+    assert_eq!(run_socket_ranks(1, unwritten_output)[0], want);
+}
+
 /// After leaving `old` in its scratch buffer, rank 1 receives into a 4-byte
 /// destination what rank 0 sends one byte short; rank 1 returns its output.
 fn short_receive<C: Comm>(c: &mut C, old: u8) -> CommResult<Vec<u8>> {
@@ -152,6 +172,31 @@ fn short_receive<C: Comm>(c: &mut C, old: u8) -> CommResult<Vec<u8>> {
     let plan = compile(&b.finish(SgList::empty(), slot));
     assert!(!plan.reads_unwritten());
     execute_compiled(c, &plan, &[])
+}
+
+/// [`short_receive`] into a 64-byte output, after an earlier call returned
+/// (and dropped) as many bytes of `OLD`: the plan lands the message in the
+/// `Vec` it returns.
+fn short_receive_into_the_output<C: Comm>(c: &mut C) -> CommResult<Vec<u8>> {
+    leave_behind(c, 64, OLD);
+    if c.rank() == 0 {
+        c.send(1, 7, vec![1, 2, 3])?;
+        return Ok(Vec::new());
+    }
+    let mut b = ScheduleBuilder::new(2, 1);
+    let slot = b.alloc(64);
+    b.recv(0, 7, slot.clone());
+    let plan = compile(&b.finish(SgList::empty(), slot));
+    assert!(plan.is_placed());
+    execute_compiled(c, &plan, &[])
+}
+
+#[test]
+fn a_placed_short_message_leaves_a_zeroed_tail_on_both_transports() {
+    let mut want = vec![0; 64];
+    want[..3].copy_from_slice(&[1, 2, 3]);
+    assert_eq!(run_ranks(2, short_receive_into_the_output)[1], want);
+    assert_eq!(run_socket_ranks(2, short_receive_into_the_output)[1], want);
 }
 
 #[test]
@@ -324,16 +369,19 @@ fn a_collective_called_from_inside_a_running_one_runs_on_its_own_executor() {
     );
     let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(3, r, n)).collect();
     let expect = expected_outputs(args.op, args.root, args.dtype, args.rop, &inputs).unwrap();
-    let out = run_ranks(p, |c| {
-        leave_behind(c, 4096, OLD);
+    fn run<C: Comm>(mut c: C, args: &CollArgs, inputs: &[Vec<u8>]) -> CommResult<Vec<u8>> {
+        leave_behind(&mut c, 4096, OLD);
         let input = &inputs[c.rank()];
         let mut nested = Nested {
             inner: c,
             nested: 0,
         };
-        let out = execute(&mut nested, &args, input)?;
+        let out = execute(&mut nested, args, input)?;
         assert!(nested.nested > 0, "the plan has round marks");
         Ok(out)
-    });
-    assert_eq!(out, expect);
+    }
+    let threads = run_ranks(p, |c| run(c, &args, &inputs));
+    let sockets = run_socket_ranks(p, |c| run(c, &args, &inputs));
+    assert_eq!(threads, expect);
+    assert_eq!(sockets, expect);
 }
