@@ -73,26 +73,26 @@ pub trait Comm {
     }
 
     /// Complete all of `reqs` with every received payload put where the
-    /// caller wants it: request `i`'s bytes land in `buf` as
-    /// `dests.landing(i)` says — into `dests.of(i)`, or folded into an
-    /// accumulator. `reqs` is left empty (with its allocation, where the
-    /// implementation completes in place).
+    /// caller wants it: request `i`'s bytes land in `buf` in `dests.of(i)`,
+    /// written over it or folded into it as `dests.landing(i)` says. `reqs`
+    /// is left empty (with its allocation, where the implementation
+    /// completes in place).
     ///
     /// The caller cannot tell this from [`waitall`](Self::waitall) followed
     /// by [`SgDests::put`] of payload `i` — same matching, same errors: a
     /// copied payload is scattered over its destination and what a shorter
     /// one does not cover is zeroed, a folded one is reduced into its
-    /// accumulator zero-padded, `acc ⊕ payload` (how much arrived is not
+    /// destination zero-padded, `dst ⊕ payload` (how much arrived is not
     /// reported; a caller that needs the length uses `waitall`). The default
     /// implementation *is* that, which keeps payload-observing wrappers
     /// correct without opting in; one that forwards to an inner layer and
-    /// reads the payload there forwards [`SgDests::copies`] and folds after
-    /// ([`SgDests::fold_landed`]). [`crate::Engine`] overrides it to offer
-    /// the destinations to its transport, so a message that arrives while
-    /// the rank is blocked here is read from the socket, or written by the
-    /// sending thread, straight into `buf`: no payload `Vec`, no second
-    /// copy. After an error the destinations and accumulators hold
-    /// unspecified bytes.
+    /// reads the payload there keeps the folding destinations, forwards
+    /// [`SgDests::copies`] and folds after. [`crate::Engine`] overrides it
+    /// to offer the destinations to its transport, so a message that
+    /// arrives while the rank is blocked here is read from the socket, or
+    /// written by the sending thread, straight into `buf`: no payload `Vec`,
+    /// no second copy. After an error the destinations hold unspecified
+    /// bytes.
     ///
     /// # Panics
     ///

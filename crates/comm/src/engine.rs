@@ -29,9 +29,9 @@
 //! get — nothing with the same key queued ahead of it — and fits its
 //! destination, and the transport then writes the body through
 //! [`Posted::window`] / [`Posted::advance`] (or [`Posted::write`]), past the
-//! unexpected queue. A destination whose landing folds into an accumulator
+//! unexpected queue. A destination whose landing folds into what it holds
 //! ([`crate::Landing::Reduce`]) is served through a reused staging window
-//! instead, folded as each window is advanced.
+//! instead, folded into it as each window is advanced.
 //! Everything else is delivered to the [`Inbox`] as before and scattered by
 //! the same loop, so the two routes cannot disagree about matching, order or
 //! truncation. The state of a landing lives in the `Posted`, which dies with
@@ -418,9 +418,9 @@ impl<'a> Posted<'a> {
     }
 
     /// `n` more bytes of claimed receive `i`'s message are in: written into
-    /// its destination already, or `folded` for a folding landing. With the
-    /// message's last byte, what its landing leaves of the destination or
-    /// accumulator is settled and the receive completes.
+    /// its destination already, or `folded` into it for a folding landing.
+    /// With the message's last byte, what its landing leaves of the
+    /// destination is settled and the receive completes.
     fn landed(&mut self, i: usize, n: usize, folded: &[u8]) {
         let Pending { slot, landing, .. } = self.pending[i];
         let (len, filled) = landing.expect("a landing is in progress");
@@ -432,8 +432,9 @@ impl<'a> Posted<'a> {
         match dests.landing(slot) {
             Landing::Copy if done => zero_tail(buf, dests.of(slot), len),
             Landing::Copy => {}
-            Landing::Reduce { dtype, op, acc } => {
-                let (acc, carry) = (&mut buf[acc.clone()], &mut self.pending[i].carry);
+            Landing::Reduce { dtype, op } => {
+                let acc = &mut buf[dests.of(slot)[0].clone()];
+                let carry = &mut self.pending[i].carry;
                 fold(*dtype, *op, acc, filled, carry, folded);
                 if done {
                     fold_tail(*dtype, *op, acc, len, carry);
@@ -1111,21 +1112,17 @@ mod tests {
     fn a_folding_landing_reduces_piece_by_piece_and_pads_a_short_message() {
         use crate::reduce_ops::reduce_into;
         use crate::types::{DType, ReduceOp};
-        // Ten bytes for a twelve-byte i32 destination: landed in three
-        // windows that split elements, or queued whole. Either way the
-        // accumulator ends as landing the message and reducing would leave
-        // it; the destination is not written.
+        // Ten bytes folded into a twelve-byte i32 destination: landed in
+        // three windows that split elements, or queued whole. Either way the
+        // destination ends as reducing the zero-padded message into it would
+        // leave it, and nothing around it is written.
         let msg: Vec<u8> = (1..=10).collect();
         let (dtype, op) = (DType::I32, ReduceOp::Sum);
-        let landings = [Landing::Reduce {
-            dtype,
-            op,
-            acc: 12..24,
-        }];
-        let mut dest = msg.clone();
-        dest.resize(12, 0);
+        let landings = [Landing::Reduce { dtype, op }];
+        let mut padded = msg.clone();
+        padded.resize(12, 0);
         let mut want = vec![OLD; 12];
-        reduce_into(dtype, op, &mut want, &dest).unwrap();
+        reduce_into(dtype, op, &mut want, &padded).unwrap();
         let landed = vec![
             vec![Head(1, 4, 10), Body(1, msg[..3].to_vec())],
             vec![Body(1, msg[3..9].to_vec()), Body(1, msg[9..].to_vec())],
@@ -1135,9 +1132,10 @@ mod tests {
             let mut c = scripted(LONG, steps);
             let mut reqs = vec![c.irecv(1, 4, 12).unwrap()];
             let mut buf = vec![OLD; 24];
-            let dests = SgDests::new(&[0..12], &[0..1]).landing_into(&landings);
+            let dests = SgDests::new(&[6..18], &[0..1]).landing_into(&landings);
             assert_eq!(c.waitall_into(&mut reqs, &mut buf, dests), Ok(()));
-            assert_eq!((&buf[..12], &buf[12..]), (&[OLD; 12][..], &want[..]));
+            assert_eq!((&buf[..6], &buf[6..18]), (&[OLD; 6][..], &want[..]));
+            assert_eq!(buf[18..], [OLD; 6]);
             assert_eq!(c.transport().claims, claims);
         }
     }

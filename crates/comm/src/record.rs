@@ -24,7 +24,7 @@
 
 use crate::comm::{Comm, Req};
 use crate::error::CommResult;
-use crate::sg::{SgDests, SgView};
+use crate::sg::{Landing, SgDests, SgView};
 use crate::types::{Rank, Tag};
 use std::collections::HashMap;
 
@@ -254,12 +254,13 @@ impl<C: Comm> Comm for RecordComm<C> {
         Ok(out)
     }
 
-    /// Forwards the destinations with every payload copied, digests what
-    /// landed in them, then folds the folding ones into their accumulators
-    /// itself: a digest is of the payload, never of an accumulator. The
-    /// inner layer does not say how much arrived, so the event describes the
-    /// whole destination: the arrived payload whenever it was as long as its
-    /// destination, as a verified plan guarantees.
+    /// Keeps what the folding destinations hold, forwards the destinations
+    /// with every payload copied and digests what landed in them, then puts
+    /// each kept value back and folds its payload into it: a digest is of
+    /// the payload, never of a fold. The inner layer does not say how much
+    /// arrived, so the event describes the whole destination: the arrived
+    /// payload whenever it was as long as its destination, as a verified
+    /// plan guarantees.
     fn waitall_into(
         &mut self,
         reqs: &mut Vec<Req>,
@@ -267,6 +268,10 @@ impl<C: Comm> Comm for RecordComm<C> {
         dests: SgDests<'_>,
     ) -> CommResult<()> {
         let slots = self.recv_events(reqs);
+        let mut kept: Vec<_> = (0..dests.len())
+            .filter(|&i| matches!(dests.landing(i), Landing::Reduce { .. }))
+            .map(|i| (i, buf[dests.of(i)[0].clone()].to_vec()))
+            .collect();
         self.inner.waitall_into(reqs, buf, dests.copies())?;
         for (i, slot) in slots.iter().enumerate() {
             if let Some(idx) = *slot {
@@ -274,7 +279,10 @@ impl<C: Comm> Comm for RecordComm<C> {
                 self.complete_recv(idx, landed.len(), fnv1a_segments(landed.segments()));
             }
         }
-        dests.fold_landed(buf);
+        for (i, landed) in &mut kept {
+            buf[dests.of(*i)[0].clone()].swap_with_slice(landed);
+            dests.put(buf, *i, landed);
+        }
         Ok(())
     }
 

@@ -10,7 +10,7 @@
 //! [`SgDests`] is the receive side: where each request of one
 //! [`Comm::waitall_into`](crate::Comm::waitall_into) lands in the caller's
 //! buffer, named as index spans into a range arena the caller already owns,
-//! and whether it is written there or folded into an accumulator
+//! and whether it is written there or folded into what is there
 //! ([`Landing`]).
 
 use crate::reduce_ops::reduce_into;
@@ -125,29 +125,26 @@ pub enum Landing {
     /// Written over the destination; what a shorter payload leaves of it is
     /// zeroed ([`scatter`] then [`zero_tail`]).
     Copy,
-    /// Folded into `acc`, one contiguous range as long as the destination:
-    /// `acc = acc ⊕ payload`, the payload zero-padded to that length — the
-    /// bytes `Copy` then `reduce_into(acc, destination)` would leave there.
-    /// The destination itself is left unspecified.
+    /// Folded into the destination, one contiguous range of whole
+    /// elements: `dst = dst ⊕ payload`, the payload zero-padded to its
+    /// length.
     Reduce {
         /// Element type.
         dtype: DType,
         /// Combining operator.
         op: ReduceOp,
-        /// The accumulator, left-hand operand.
-        acc: Range<usize>,
     },
 }
 
 /// The destinations of one [`Comm::waitall_into`](crate::Comm::waitall_into):
 /// request `i`'s payload goes, in order, into the ranges `ranges[spans[i]]` of
-/// the buffer passed beside it, or is folded into an accumulator
+/// the buffer passed beside it, or is folded into them
 /// ([`landing_into`](Self::landing_into)). A send carries an empty span.
 ///
 /// Both slices are borrowed — `ranges` is typically a compiled plan's own
 /// range arena — so naming the destinations of a batch allocates nothing.
-/// The destinations and accumulators of one call must be pairwise disjoint:
-/// payloads land as they arrive, not in request order.
+/// The destinations of one call must be pairwise disjoint: payloads land as
+/// they arrive, not in request order.
 #[derive(Debug, Clone, Copy)]
 pub struct SgDests<'a> {
     ranges: &'a [Range<usize>],
@@ -183,18 +180,18 @@ impl<'a> SgDests<'a> {
     /// # Panics
     ///
     /// Unless there is one landing per request and every `Reduce` names an
-    /// operator its type supports and an accumulator of whole elements as
-    /// long as its destination: a malformed landing is a lowering bug.
+    /// operator its type supports and a destination of one range of whole
+    /// elements: a malformed landing is a lowering bug.
     pub fn landing_into(self, landings: &'a [Landing]) -> Self {
         assert_eq!(landings.len(), self.len(), "one landing per request");
         for (i, landing) in landings.iter().enumerate() {
-            if let Landing::Reduce { dtype, op, acc } = landing {
-                let room: usize = self.of(i).iter().map(|r| r.len()).sum();
+            if let Landing::Reduce { dtype, op } = landing {
+                let dst = self.of(i);
                 assert!(
                     op.supports(*dtype)
-                        && acc.len() == room
-                        && acc.len().is_multiple_of(dtype.size()),
-                    "request {i}: cannot fold {room} B into {acc:?} as {op:?} over {dtype:?}"
+                        && dst.len() == 1
+                        && dst[0].len().is_multiple_of(dtype.size()),
+                    "request {i}: cannot fold into {dst:?} as {op:?} over {dtype:?}"
                 );
             }
         }
@@ -202,7 +199,7 @@ impl<'a> SgDests<'a> {
     }
 
     /// The same destinations with every payload copied: what a wrapper that
-    /// has to see payloads forwards, before [`fold_landed`](Self::fold_landed).
+    /// has to see payloads forwards.
     pub fn copies(self) -> Self {
         SgDests::new(self.ranges, self.spans)
     }
@@ -235,22 +232,11 @@ impl<'a> SgDests<'a> {
                 scatter(buf, self.of(i), payload);
                 zero_tail(buf, self.of(i), payload.len());
             }
-            Landing::Reduce { dtype, op, acc } => {
+            Landing::Reduce { dtype, op } => {
+                let (acc, mut carry) = (&mut buf[self.of(i)[0].clone()], [0; 8]);
                 let payload = &payload[..payload.len().min(acc.len())];
-                let (acc, mut carry) = (&mut buf[acc.clone()], [0; 8]);
                 fold(*dtype, *op, acc, 0, &mut carry, payload);
                 fold_tail(*dtype, *op, acc, payload.len(), &mut carry);
-            }
-        }
-    }
-
-    /// Fold every `Reduce` request's destination, which a [`copies`]
-    /// (Self::copies) landing has filled, into its accumulator.
-    pub fn fold_landed(&self, buf: &mut [u8]) {
-        for i in 0..self.landings.len() {
-            if let Landing::Reduce { .. } = self.landing(i) {
-                let landed = SgView::new(buf, self.of(i)).to_vec();
-                self.put(buf, i, &landed);
             }
         }
     }
@@ -367,6 +353,33 @@ mod tests {
         assert_eq!(d.of(0), &[0..2, 6..8]);
         assert!(d.of(1).is_empty());
         assert_eq!(d.of(2), &[2..6]);
+    }
+
+    /// `landing_into` of one `Reduce` landing into `dst`.
+    #[allow(clippy::single_range_in_vec_init)]
+    fn fold_into(dst: &[Range<usize>], dtype: DType, op: ReduceOp) {
+        let landings = [Landing::Reduce { dtype, op }];
+        let _ = SgDests::new(dst, &[0..dst.len()]).landing_into(&landings);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fold into [0..8, 16..24]")]
+    fn a_fold_into_two_ranges_is_refused() {
+        fold_into(&[0..8, 16..24], DType::F64, ReduceOp::Sum);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    #[should_panic(expected = "cannot fold into [0..12]")]
+    fn a_fold_into_part_of_an_element_is_refused() {
+        fold_into(&[0..12], DType::F64, ReduceOp::Sum);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    #[should_panic(expected = "as BXor over F64")]
+    fn a_fold_the_type_does_not_support_is_refused() {
+        fold_into(&[0..16], DType::F64, ReduceOp::BXor);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * sender-side landing: a rank parked in `progress` publishes its
 //!   [`Posted`] and [`Inbox`] in its mailbox, and a sender whose message
 //!   [`Posted::claim`] admits writes it there itself, under the mutex —
-//!   into the destination or folded into the accumulator, one pass where
+//!   written over the destination or folded into it, one pass where
 //!   an envelope costs a gather, a scatter and a re-read. No rendezvous: a
 //!   message nobody is parked for is an envelope,
 //! * a `Gone` envelope to every peer when an endpoint drops (normal exit,
@@ -517,8 +517,8 @@ mod tests {
         use crate::sg::{Landing, SgDests};
         use crate::types::{DType, ReduceOp};
         // Each round the receiver parks first: the sender writes the first
-        // message into its destination and folds the second into the
-        // accumulator, unless it comes while the receiver is between parks.
+        // message into its destination and folds the second into its own,
+        // unless it comes while the receiver is between parks.
         let rounds = 5;
         let out = run_ranks(2, |c| {
             if c.rank() == 0 {
@@ -534,16 +534,15 @@ mod tests {
                 Landing::Reduce {
                     dtype: DType::F64,
                     op: ReduceOp::Sum,
-                    acc: 16..24,
                 },
             ];
-            let mut buf = vec![0; 24];
-            buf[16..].copy_from_slice(&0.25f64.to_le_bytes());
+            let mut buf = vec![0; 16];
+            buf[8..].copy_from_slice(&0.25f64.to_le_bytes());
             for round in 0..rounds {
                 let mut reqs = vec![c.irecv(0, 3, 8)?, c.irecv(0, 4, 8)?];
                 let dests = SgDests::new(&[0..8, 8..16], &[0..1, 1..2]).landing_into(&landings);
                 c.waitall_into(&mut reqs, &mut buf, dests)?;
-                let acc = f64::from_le_bytes(buf[16..].try_into().unwrap());
+                let acc = f64::from_le_bytes(buf[8..].try_into().unwrap());
                 assert_eq!(
                     (&buf[..8], acc),
                     (&[7; 8][..], 0.25 + 1.5 * (round + 1) as f64)

@@ -40,19 +40,20 @@
 //!
 //! Reduce on arrival: a receive whose destination dies as the `src` of the
 //! reduce right after its flush is *fused* with it (`Compiler::fusable`,
-//! and `Compiler::read` for "dies"): the executor lands it as
-//! [`Landing::Reduce`] and skips that kernel. The fusions sit beside the step stream, so every other
-//! walker sees the unfused plan.
+//! and `Compiler::read` for "dies"): the executor posts it with the
+//! reduce's `dst` as its destination, lands it there as
+//! [`Landing::Reduce`], never touches the temporary and skips that kernel.
+//! The fusions sit beside the step stream, so every other walker sees the
+//! unfused plan.
 //!
 //! Placement: the executor runs a plan in three regions, not one buffer
 //! (`place`, beside the step stream, worked out on a plan's first run).
-//! *Out* holds the output view's bytes in output order, then the
-//! destination of each fused receive whose accumulator is in Out; it is the
-//! `Vec` the run returns, truncated to the output. *In* is the input-view
-//! bytes that no step writes and the output does not list, read from the
-//! caller's input in place. *Scratch*, the executor's persistent buffer at
-//! the plan's own addresses, holds the rest and is loaded from the input
-//! only where it overlaps the input view. A plan keeps one region —
+//! *Out* holds the output view's bytes in output order; it is the `Vec` the
+//! run returns. *In* is the input-view bytes that no step writes and the
+//! output does not list, read from the caller's input in place. *Scratch*,
+//! the executor's persistent buffer at the plan's own addresses, holds the
+//! rest and is loaded from the input only where it overlaps the input
+//! view. A plan keeps one region —
 //! everything in scratch, loaded, copied out — when it has a fault, a range
 //! past its buffer, an output view that lists a byte twice, or a list or
 //! the receives of one flush that would span two regions. The world walker
@@ -200,9 +201,8 @@ struct Placement {
     /// so a span indexes both alike.
     ranges: Box<[Range<usize>]>,
     regions: Box<[Region]>,
-    /// Bytes of Out, and how many of them are the output.
+    /// Bytes of the output.
     out_len: usize,
-    output_len: usize,
     /// `(region, at, from)`: bytes `at` of Out or scratch start as the
     /// input's bytes from `from` on; Out's first, in Out order.
     loads: Box<[(Region, Range<usize>, usize)]>,
@@ -261,28 +261,6 @@ fn place(plan: &CompiledSchedule) -> Option<Placement> {
         pieces.push((r.clone(), Region::Out, out_len));
         out_len += r.len();
     }
-    let output_len = out_len;
-    pieces.sort_unstable_by_key(|p| p.0.start);
-    // Only its flush writes a fused destination, and a flush fuses one
-    // receive at most (the reduce right after it), so they all start the
-    // tail after the output.
-    let mut tails = Vec::new();
-    for &(recv, reduce) in fused {
-        let (CStep::Recv { dst, .. }, CStep::Reduce { dst: acc, .. }) =
-            (&steps[recv as usize], &steps[reduce as usize])
-        else {
-            unreachable!("a receive fused with a reduce");
-        };
-        if home(&pieces, &span(acc)[0])?.1 == Region::Out {
-            let mut tail = output_len;
-            for r in span(dst) {
-                tails.push((r.clone(), Region::Out, tail));
-                tail += r.len();
-            }
-            out_len = out_len.max(tail);
-        }
-    }
-    pieces.append(&mut tails);
     // Input bytes that no step writes and the output does not list are In.
     let mut taken = output.to_vec();
     for step in steps {
@@ -316,7 +294,7 @@ fn place(plan: &CompiledSchedule) -> Option<Placement> {
     let homes: Option<Vec<_>> = arena.iter().map(|r| home(&pieces, r)).collect();
     let (ranges, regions): (Vec<_>, Vec<_>) = homes?.into_iter().unzip();
     // One region per list (`None` when it is empty), and per flush for its
-    // receives.
+    // receives, a fused one landing in its reduce's destination.
     let region_of = |sp: &Span| {
         let first = regions[sp.indices()].first().copied();
         regions[sp.indices()]
@@ -324,14 +302,18 @@ fn place(plan: &CompiledSchedule) -> Option<Placement> {
             .all(|r| Some(*r) == first)
             .then_some(first)
     };
-    let mut flush = None;
-    for step in steps {
+    let (mut flush, mut fused) = (None, fused.iter().peekable());
+    for (i, step) in steps.iter().enumerate() {
         match step {
             CStep::Flush => flush = None,
             CStep::Mark { .. } => {}
             CStep::Send { src, .. } => _ = region_of(src)?,
             CStep::Recv { dst, .. } => {
-                let here = region_of(dst)?;
+                let dst = match fused.next_if(|f| f.0 == i as u32) {
+                    Some(&(_, reduce)) => plan.landing(reduce).0,
+                    None => *dst,
+                };
+                let here = region_of(&dst)?;
                 if here.is_some() && flush.is_some() && here != flush {
                     return None;
                 }
@@ -358,7 +340,6 @@ fn place(plan: &CompiledSchedule) -> Option<Placement> {
         ranges: ranges.into_boxed_slice(),
         regions: regions.into_boxed_slice(),
         out_len,
-        output_len,
         loads: loads.into_boxed_slice(),
     })
 }
@@ -421,17 +402,13 @@ impl CompiledSchedule {
         &self.ranges[span.indices()]
     }
 
-    /// How the executor lands a fused receive: into the accumulator of the
-    /// reduce at step `reduce`.
-    fn landing(&self, reduce: u32) -> Landing {
+    /// Where and how the executor lands a fused receive: folded into the
+    /// destination of the reduce at step `reduce`.
+    fn landing(&self, reduce: u32) -> (Span, Landing) {
         let CStep::Reduce { dtype, op, dst, .. } = self.steps[reduce as usize] else {
             unreachable!("fused with a reduce");
         };
-        Landing::Reduce {
-            dtype,
-            op,
-            acc: self.placed(dst).1[0].clone(),
-        }
+        (dst, Landing::Reduce { dtype, op })
     }
 }
 
@@ -1079,15 +1056,16 @@ impl Executor {
                 }
                 CStep::Recv { from, tag, dst } => {
                     let req = c.irecv(*from, *tag, dst.bytes())?;
+                    let (dst, landing) = match fused.peek() {
+                        Some(&&(recv, reduce)) if recv == i => plan.landing(reduce),
+                        _ => (*dst, Landing::Copy),
+                    };
                     if dst.count > 0 {
-                        landing_in = plan.placed(*dst).0;
+                        landing_in = plan.placed(dst).0;
                     }
                     self.reqs.push(req);
                     self.dsts.push(dst.indices());
-                    self.landings.push(match fused.peek() {
-                        Some(&&(recv, reduce)) if recv == i => plan.landing(reduce),
-                        _ => Landing::Copy,
-                    });
+                    self.landings.push(landing);
                 }
                 CStep::Copy { src, dst } => {
                     let ((sr, s), (dr, d)) = (plan.placed(*src), plan.placed(*dst));
@@ -1110,10 +1088,7 @@ impl Executor {
             }
         }
         match plan.placement() {
-            Some(pl) => {
-                out.truncate(pl.output_len);
-                Ok(out)
-            }
+            Some(_) => Ok(out),
             None => Ok(self.mem.output(plan)),
         }
     }
@@ -1574,13 +1549,15 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn a_receive_fuses_only_when_its_temporary_dies_in_the_reduce_after_its_flush() {
         // Recv, Flush, Reduce.
         let plan = fold_plan(|_, _, _| {});
         assert_eq!(*plan.fused, [(0, 2)]);
-        let acc = 0..8;
         let (dtype, op) = (DType::F64, ReduceOp::Sum);
-        assert_eq!(plan.landing(2), Landing::Reduce { dtype, op, acc });
+        let (acc, landing) = plan.landing(2);
+        assert_eq!(plan.ranges_of(acc), [0..8]);
+        assert_eq!(landing, Landing::Reduce { dtype, op });
         // The temporary is read again: by a send, or by a second reduce.
         let resent = fold_plan(|b, _, tmp| b.send(1, 1, tmp.clone()));
         let refolded = fold_plan(|b, acc, tmp| b.reduce(dtype, op, tmp.clone(), acc.clone()));
@@ -1685,17 +1662,19 @@ mod tests {
                 _ => (0..n).map(|_| next() as u8).collect(),
             }
         };
-        // Plans placed, placed with a fused destination in Out, kept in
-        // one region.
+        // Plans placed, placed with a fused accumulator in Out, kept in one
+        // region.
         let mut census = [0; 3];
         let mut check = |world: &[Schedule], dtype: DType, what: &str| {
             let inputs: Vec<Vec<u8>> = world.iter().map(|s| bytes(dtype, s.input.len())).collect();
             let plans: Vec<CompiledSchedule> = world.iter().map(compile).collect();
             for plan in &plans {
                 match plan.placement() {
-                    Some(pl) => {
+                    Some(_) => {
                         census[0] += 1;
-                        census[1] += usize::from(pl.out_len > pl.output_len);
+                        census[1] += usize::from(plan.fused.iter().any(|&(_, reduce)| {
+                            plan.placed(plan.landing(reduce).0).0 == Region::Out
+                        }));
                     }
                     None => census[2] += 1,
                 }

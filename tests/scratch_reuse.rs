@@ -17,8 +17,8 @@ use exacoll::collectives::schedule::{
 use exacoll::collectives::spec::{CountsSpec, OptSpec};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{
-    fnv1a, run_ranks, try_run_ranks, Comm, CommError, CommResult, RecordComm, RecordedEvent, Req,
-    SgDests, SgView,
+    fnv1a, run_ranks, try_run_ranks, Comm, CommError, CommResult, DType, RecordComm, RecordedEvent,
+    Req, SgDests, SgView,
 };
 use exacoll::net::run_socket_ranks;
 use exacoll::opt::plan_world;
@@ -205,6 +205,42 @@ fn a_short_message_leaves_a_zeroed_tail_on_both_transports() {
     let sockets = run_socket_ranks(2, |c| short_receive(c, OLD));
     assert_eq!(threads[1], [1, 2, 3, 0]);
     assert_eq!(sockets[1], [1, 2, 3, 0]);
+}
+
+/// Allreduce f64 at p = 4 and 256 KiB, with integer-valued inputs so any
+/// summation order is exact: each rank calls `alg` three times and checks
+/// that every output is exactly as long as its allocation and is what the
+/// reference computes. A fused receive folds into its accumulator, so no
+/// byte of the output `Vec` is left over for its temporary.
+fn exact_outputs<C: Comm>(c: &mut C, alg: Algorithm) -> CommResult<()> {
+    let (p, n) = (c.size(), 256 << 10);
+    let args = CollArgs {
+        dtype: DType::F64,
+        ..CollArgs::new(CollectiveOp::Allreduce, alg)
+    };
+    let inputs: Vec<Vec<u8>> = (0..p)
+        .map(|r| {
+            (0..n / 8)
+                .flat_map(|i| ((r * 1000 + i % 997) as f64).to_le_bytes())
+                .collect()
+        })
+        .collect();
+    let want = expected_outputs(args.op, args.root, args.dtype, args.rop, &inputs)?;
+    for call in 0..3 {
+        let out = execute(c, &args, &inputs[c.rank()])?;
+        let what = format!("{alg} rank {} call {call}", c.rank());
+        assert_eq!((out.len(), out.capacity()), (n, n), "{what}");
+        assert!(out == want[c.rank()], "{what}");
+    }
+    Ok(())
+}
+
+#[test]
+fn a_plan_with_a_fused_receive_returns_exactly_its_output_on_both_transports() {
+    for alg in [Algorithm::RecursiveMultiplying { k: 2 }, Algorithm::Ring] {
+        run_ranks(4, |c| exact_outputs(c, alg));
+        run_socket_ranks(4, |c| exact_outputs(c, alg));
+    }
 }
 
 #[test]

@@ -530,25 +530,26 @@ mod cases {
     }
 
     /// Rank 0's receives in [`fold`]: `(from, tag, posted bytes)`, the
-    /// destination ranges and the accumulator of each — `None` for a copy.
+    /// destination ranges and whether the payload is folded into them.
     #[allow(clippy::type_complexity, clippy::single_range_in_vec_init)]
-    const FOLDS: [(
-        (Rank, u32, usize),
-        &[std::ops::Range<usize>],
-        Option<std::ops::Range<usize>>,
-    ); 4] = [
+    const FOLDS: [((Rank, u32, usize), &[std::ops::Range<usize>], bool); 5] = [
         // An f64 split across the two segments of the sender's view.
-        ((1, 4, 24), &[52..64, 40..52], Some(0..24)),
+        ((1, 4, 24), &[0..24], true),
         // Same key, a message of one and a half elements: zero-padded.
-        ((1, 4, 24), &[64..88], Some(88..112)),
-        // Longer than the mesh's read-ahead and than one staging window,
-        // into two swapped ranges: elements split across reads.
+        ((1, 4, 24), &[32..56], true),
+        // Longer than the mesh's read-ahead and than one staging window:
+        // elements split across reads.
+        ((2, 5, FOLD_BIG), &[56..56 + FOLD_BIG], true),
+        ((2, 6, 8), &[24..32], false),
+        // As long, copied into two swapped ranges.
         (
-            (2, 5, FOLD_BIG),
-            &[112 + FOLD_BIG / 2..112 + FOLD_BIG, 112..112 + FOLD_BIG / 2],
-            Some(112 + FOLD_BIG..112 + 2 * FOLD_BIG),
+            (2, 7, FOLD_BIG),
+            &[
+                56 + FOLD_BIG + FOLD_BIG / 2..56 + 2 * FOLD_BIG,
+                56 + FOLD_BIG..56 + FOLD_BIG + FOLD_BIG / 2,
+            ],
+            false,
         ),
-        ((2, 6, 8), &[24..32], None),
     ];
 
     /// The large message of [`FOLDS`]: not a whole number of staging
@@ -563,15 +564,14 @@ mod cases {
     }
 
     /// Rank 0 completes one batch of [`FOLDS`] plus a send — with
-    /// `waitall_into` over folding landings, or with `waitall`, a scatter, a
-    /// zeroed tail and `reduce_into` — in a buffer of `0xAA` whose
-    /// accumulators start as f64s. Returns rank 0's buffer with what the
-    /// folded destinations hold left out: their bytes are unspecified.
+    /// `waitall_into` over folding landings, or with `waitall`, a scatter
+    /// and a zeroed tail, or `reduce_into` of the zero-padded payload — in a
+    /// buffer of `0xAA`, whose folded destinations start as f64s. Returns
+    /// rank 0's buffer.
     fn fold<C: Comm>(c: &mut C, into: bool) -> CommResult<Vec<u8>> {
-        let sum = |acc: &std::ops::Range<usize>| Landing::Reduce {
+        let sum = Landing::Reduce {
             dtype: DType::F64,
             op: ReduceOp::Sum,
-            acc: acc.clone(),
         };
         match c.rank() {
             0 => {
@@ -584,7 +584,7 @@ mod cases {
                 spans.insert(2, 0..0);
                 let mut landings: Vec<Landing> = FOLDS
                     .iter()
-                    .map(|f| f.2.as_ref().map_or(Landing::Copy, sum))
+                    .map(|f| if f.2 { sum.clone() } else { Landing::Copy })
                     .collect();
                 landings.insert(2, Landing::Copy);
                 let mut reqs = Vec::new();
@@ -595,24 +595,21 @@ mod cases {
                 for ((from, tag, bytes), ..) in &FOLDS[2..] {
                     reqs.push(c.irecv(*from, *tag, *bytes)?);
                 }
-                let mut buf = vec![0xAA; 112 + 2 * FOLD_BIG];
+                let mut buf = vec![0xAA; 56 + 2 * FOLD_BIG];
                 let dests = SgDests::new(&ranges, &spans);
                 if into {
                     c.waitall_into(&mut reqs, &mut buf, dests.landing_into(&landings))?;
                 } else {
                     for (i, payload) in c.waitall(reqs)?.into_iter().enumerate() {
-                        let Some(payload) = payload else { continue };
-                        scatter(&mut buf, dests.of(i), &payload);
-                        zero_tail(&mut buf, dests.of(i), payload.len());
-                        if let Landing::Reduce { dtype, op, acc } = &landings[i] {
-                            let landed = SgView::new(&buf, dests.of(i)).to_vec();
-                            reduce_into(*dtype, *op, &mut buf[acc.clone()], &landed)?;
+                        let Some(mut payload) = payload else { continue };
+                        if let Landing::Reduce { dtype, op } = &landings[i] {
+                            let acc = dests.of(i)[0].clone();
+                            payload.resize(acc.len(), 0);
+                            reduce_into(*dtype, *op, &mut buf[acc], &payload)?;
+                        } else {
+                            scatter(&mut buf, dests.of(i), &payload);
+                            zero_tail(&mut buf, dests.of(i), payload.len());
                         }
-                    }
-                }
-                for (_, dest, acc) in FOLDS {
-                    if acc.is_some() {
-                        dest.iter().for_each(|r| buf[r.clone()].fill(0));
                     }
                 }
                 Ok(buf)
@@ -629,15 +626,16 @@ mod cases {
             _ => {
                 c.send(0, 5, fold_payload(2, 5, FOLD_BIG))?;
                 c.send(0, 6, fold_payload(2, 6, 8))?;
+                c.send(0, 7, fold_payload(2, 7, FOLD_BIG))?;
                 Ok(vec![])
             }
         }
     }
 
-    /// `waitall_into` with folding landings is `waitall`, a scatter and
-    /// `reduce_into`, on each transport and under each wrapper — the ones
-    /// that forward it, and `FaultComm`, which does not — and a recording
-    /// digests the payloads, not the accumulators.
+    /// `waitall_into` with folding landings is `waitall` and `reduce_into`,
+    /// on each transport and under each wrapper — the ones that forward it,
+    /// and `FaultComm`, which does not — and a recording digests the
+    /// payloads, not what a fold leaves.
     #[allow(clippy::single_range_in_vec_init)]
     pub fn folding_landings_are_waitall_then_reduce<W: World>() {
         let want = W::run(3, |c| fold(c, false));
@@ -668,9 +666,10 @@ mod cases {
             short,
             fold_payload(2, 5, FOLD_BIG),
             fold_payload(2, 6, 8),
+            fold_payload(2, 7, FOLD_BIG),
         ];
         assert_eq!(digests, sent.iter().map(|p| fnv1a(p)).collect::<Vec<_>>());
-        // Two same-key receives posted for 16 bytes into 8-byte folds, the
+        // Two same-key receives posted for 16 bytes folding into 8 bytes, the
         // receiver parked first: the first message is too long for its
         // destination, so it takes the queue and loses its tail there, and
         // the second may not overtake it into the first receive.
@@ -684,16 +683,15 @@ mod cases {
             }
             let mut reqs = vec![c.irecv(1, 7, 16)?, c.irecv(1, 7, 16)?];
             let (ranges, spans) = ([0..8, 8..16], [0..1, 1..2]);
-            let sum = |acc| Landing::Reduce {
+            let sum = Landing::Reduce {
                 dtype: DType::F64,
                 op: ReduceOp::Sum,
-                acc,
             };
-            let landings = [sum(16..24), sum(24..32)];
-            let mut buf = f64s(&[0.0, 0.0, 0.5, 0.5]);
+            let landings = [sum.clone(), sum];
+            let mut buf = f64s(&[0.5, 0.5]);
             let dests = SgDests::new(&ranges, &spans).landing_into(&landings);
             c.waitall_into(&mut reqs, &mut buf, dests)?;
-            Ok(buf[16..].to_vec())
+            Ok(buf)
         });
         assert_eq!(out[0], f64s(&[1.5, 4.5]));
         // A message longer than posted is `Truncation`, as for a copy.
@@ -706,10 +704,9 @@ mod cases {
             let landings = [Landing::Reduce {
                 dtype: DType::F64,
                 op: ReduceOp::Sum,
-                acc: 8..16,
             }];
             let dests = SgDests::new(&ranges, &spans).landing_into(&landings);
-            c.waitall_into(&mut reqs, &mut [0; 16], dests)
+            c.waitall_into(&mut reqs, &mut [0; 8], dests)
         });
         assert!(
             matches!(
