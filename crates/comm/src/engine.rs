@@ -325,16 +325,16 @@ impl<'a> Posted<'a> {
     /// A message of `len` bytes from `from` under `tag` is about to arrive:
     /// may its bytes be written straight into the destination of the receive
     /// it matches? Granted when that receive — the first unmatched one for
-    /// `(from, tag)` — has a destination in the caller's buffer that holds
-    /// `len` bytes, and `inbox` queues nothing for `(from, tag)` that would
-    /// have to be matched first. A granted claim obliges the transport to
-    /// pass exactly `len` bytes through [`window`](Self::window) and
+    /// `(from, tag)` — has a destination inside the caller's buffer that
+    /// holds `len` bytes, and `inbox` queues nothing for `(from, tag)` that
+    /// would have to be matched first. A granted claim obliges the transport
+    /// to pass exactly `len` bytes through [`window`](Self::window) and
     /// [`advance`](Self::advance), or [`write`](Self::write), before it
-    /// claims for `from` again; a
-    /// refused message goes to `inbox` (one longer than posted still ends in
-    /// `Truncation` there).
+    /// claims for `from` again; a refused message goes to `inbox` (one
+    /// longer than posted still ends in `Truncation` there, one past the
+    /// buffer in the receiver's own out-of-range panic).
     pub fn claim(&mut self, inbox: &Inbox, from: Rank, tag: Tag, len: usize) -> bool {
-        let Sink::Into(_, dests) = &self.sink else {
+        let Sink::Into(buf, dests) = &self.sink else {
             return false;
         };
         let Some(i) = self
@@ -346,8 +346,10 @@ impl<'a> Posted<'a> {
         };
         let pending = &mut self.pending[i];
         debug_assert!(pending.landing.is_none(), "one message at a time per peer");
-        let room: usize = dests.of(pending.slot).iter().map(|r| r.len()).sum();
-        if len > pending.recv.bytes.min(room) || inbox.position(from, tag).is_some() {
+        let dest = dests.of(pending.slot);
+        let room: usize = dest.iter().map(|r| r.len()).sum();
+        let inside = dest.iter().all(|r| r.end <= buf.len());
+        if !inside || len > pending.recv.bytes.min(room) || inbox.position(from, tag).is_some() {
             return false;
         }
         pending.landing = Some((len, 0));
