@@ -1,7 +1,7 @@
 //! The [`Comm`] trait: the MPI-like surface collective algorithms target.
 
 use crate::error::CommResult;
-use crate::sg::{SgDests, SgView};
+use crate::sg::{Regions, SgDests, SgView};
 use crate::types::{Rank, Tag};
 
 /// A non-blocking request handle, as returned by [`Comm::isend`] /
@@ -73,7 +73,7 @@ pub trait Comm {
     }
 
     /// Complete all of `reqs` with every received payload put where the
-    /// caller wants it: request `i`'s bytes land in `buf` in `dests.of(i)`,
+    /// caller wants it: request `i`'s bytes land in `bufs` in `dests.of(i)`,
     /// written over it or folded into it as `dests.landing(i)` says. `reqs`
     /// is left empty (with its allocation, where the implementation
     /// completes in place).
@@ -90,7 +90,7 @@ pub trait Comm {
     /// [`SgDests::copies`] and folds after. [`crate::Engine`] overrides it
     /// to offer the destinations to its transport, so a message that
     /// arrives while the rank is blocked here is read from the socket, or
-    /// written by the sending thread, straight into `buf`: no payload `Vec`,
+    /// written by the sending thread, straight into `bufs`: no payload `Vec`,
     /// no second copy. After an error the destinations hold unspecified
     /// bytes.
     ///
@@ -100,14 +100,14 @@ pub trait Comm {
     fn waitall_into(
         &mut self,
         reqs: &mut Vec<Req>,
-        buf: &mut [u8],
+        mut bufs: Regions<'_>,
         dests: SgDests<'_>,
     ) -> CommResult<()> {
         assert_eq!(reqs.len(), dests.len(), "one destination per request");
         let payloads = self.waitall(std::mem::take(reqs))?;
         for (i, payload) in payloads.iter().enumerate() {
             if let Some(payload) = payload {
-                dests.put(buf, i, payload);
+                dests.put(&mut bufs, i, payload);
             }
         }
         Ok(())
@@ -186,10 +186,10 @@ impl<C: Comm> Comm for &mut C {
     fn waitall_into(
         &mut self,
         reqs: &mut Vec<Req>,
-        buf: &mut [u8],
+        bufs: Regions<'_>,
         dests: SgDests<'_>,
     ) -> CommResult<()> {
-        (**self).waitall_into(reqs, buf, dests)
+        (**self).waitall_into(reqs, bufs, dests)
     }
     fn compute(&mut self, bytes: usize) {
         (**self).compute(bytes)

@@ -45,7 +45,7 @@ pub use error::{CommError, CommResult};
 pub use fault::{FaultComm, FaultEvent, FaultPlan, KillSpec};
 pub use record::{fnv1a, RecordComm, RecordedEvent};
 pub use reduce_ops::reduce_into;
-pub use sg::{scatter, zero_tail, Landing, SgDests, SgView};
+pub use sg::{Landing, Regions, SgDests, SgView};
 pub use thread_rt::{
     expect_all_ranks, run_ranks, run_scoped, try_run_ranks, try_run_ranks_with, AbortHandle,
     Mailbox, ThreadComm, WorldOptions,

@@ -24,7 +24,7 @@
 
 use crate::comm::{Comm, Req};
 use crate::error::CommResult;
-use crate::sg::{Landing, SgDests, SgView};
+use crate::sg::{Landing, Regions, SgDests, SgView};
 use crate::types::{Rank, Tag};
 use std::collections::HashMap;
 
@@ -264,24 +264,25 @@ impl<C: Comm> Comm for RecordComm<C> {
     fn waitall_into(
         &mut self,
         reqs: &mut Vec<Req>,
-        buf: &mut [u8],
+        mut bufs: Regions<'_>,
         dests: SgDests<'_>,
     ) -> CommResult<()> {
         let slots = self.recv_events(reqs);
         let mut kept: Vec<_> = (0..dests.len())
             .filter(|&i| matches!(dests.landing(i), Landing::Reduce { .. }))
-            .map(|i| (i, buf[dests.of(i)[0].clone()].to_vec()))
+            .map(|i| (i, bufs.get(&dests.of(i)[0]).to_vec()))
             .collect();
-        self.inner.waitall_into(reqs, buf, dests.copies())?;
+        self.inner
+            .waitall_into(reqs, bufs.reborrow(), dests.copies())?;
         for (i, slot) in slots.iter().enumerate() {
             if let Some(idx) = *slot {
-                let landed = SgView::new(buf, dests.of(i));
+                let landed = bufs.view(dests.of(i));
                 self.complete_recv(idx, landed.len(), fnv1a_segments(landed.segments()));
             }
         }
         for (i, landed) in &mut kept {
-            buf[dests.of(*i)[0].clone()].swap_with_slice(landed);
-            dests.put(buf, *i, landed);
+            bufs.get_mut(&dests.of(*i)[0]).swap_with_slice(landed);
+            dests.put(&mut bufs, *i, landed);
         }
         Ok(())
     }

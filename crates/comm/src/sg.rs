@@ -1,31 +1,54 @@
-//! Borrowed scatter-gather views over a caller's buffer.
+//! Borrowed scatter-gather views over a caller's buffers.
 //!
 //! A [`SgView`] is the zero-copy counterpart of gathering an `SgList` into a
-//! fresh `Vec<u8>`: an ordered list of byte ranges over a single backing
-//! buffer, borrowed for the duration of one send. Backends that can feed
-//! segments straight to the wire (vectored I/O) consume the segments in
-//! order; everything else calls [`SgView::to_vec`] and falls back to the
-//! classic gather-copy, which produces exactly the same payload bytes.
+//! fresh `Vec<u8>`: an ordered list of byte ranges over borrowed bytes, for
+//! the duration of one send. Backends that can feed segments straight to
+//! the wire (vectored I/O) consume the segments in order; everything else
+//! calls [`SgView::to_vec`] and falls back to the classic gather-copy, which
+//! produces exactly the same payload bytes.
+//!
+//! A range addresses one buffer, or the [`Regions`] of a run: a read-only
+//! buffer and two writable ones laid end to end and addressed as one. A
+//! range lies in exactly one region; one that crosses from a region into
+//! the next panics as a slice index past that region's end does, and one
+//! that starts past every region indexes the last, so it panics as an index
+//! into that buffer at the same offset would.
 //!
 //! [`SgDests`] is the receive side: where each request of one
 //! [`Comm::waitall_into`](crate::Comm::waitall_into) lands in the caller's
-//! buffer, named as index spans into a range arena the caller already owns,
-//! and whether it is written there or folded into what is there
-//! ([`Landing`]).
+//! writable regions, named as index spans into a range arena the caller
+//! already owns, and whether it is written there or folded into what is
+//! there ([`Landing`]).
 
 use crate::reduce_ops::reduce_into;
 use crate::types::{DType, ReduceOp};
 use std::ops::Range;
 
-/// A borrowed, ordered scatter-gather view over one backing buffer.
+/// Which of three buffers laid end to end, of lengths `lens`, range `r`
+/// lies in, and where in it: the one holding its first byte, the last for a
+/// range that starts past them all.
+fn locate(lens: [usize; 3], r: &Range<usize>) -> (usize, Range<usize>) {
+    let mut base = 0;
+    for (i, len) in lens.into_iter().enumerate() {
+        if r.start < base + len || i == 2 {
+            return (i, r.start - base..r.end.saturating_sub(base));
+        }
+        base += len;
+    }
+    unreachable!("the last buffer takes every range left")
+}
+
+/// A borrowed, ordered scatter-gather view over one buffer or the three
+/// [`Regions`] of a run.
 ///
-/// Invariants (checked at construction): every range lies within `buf` and
-/// is well-formed (`start <= end`). Ranges are *not* required to be disjoint
-/// or sorted — the logical payload is the ordered concatenation of the
-/// segments, nothing more.
+/// Invariants (checked at construction): every range is well-formed
+/// (`start <= end`) and lies within one buffer. Ranges are *not* required
+/// to be disjoint or sorted — the logical payload is the ordered
+/// concatenation of the segments, nothing more.
 #[derive(Debug, Clone, Copy)]
 pub struct SgView<'a> {
-    buf: &'a [u8],
+    /// The buffers laid end to end; a one-buffer view has its bytes last.
+    bufs: [&'a [u8]; 3],
     ranges: &'a [Range<usize>],
 }
 
@@ -34,17 +57,18 @@ impl<'a> SgView<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any range is malformed or out of bounds — a malformed view
-    /// is a lowering bug, not a runtime condition.
+    /// Panics, as a slice index does, if any range is malformed or out of
+    /// bounds — a malformed view is a lowering bug, not a runtime condition.
     pub fn new(buf: &'a [u8], ranges: &'a [Range<usize>]) -> Self {
-        for r in ranges {
-            assert!(
-                r.start <= r.end && r.end <= buf.len(),
-                "sg range {r:?} out of bounds for buffer of {} B",
-                buf.len()
-            );
-        }
-        SgView { buf, ranges }
+        SgView::over([&[], &[], buf], ranges)
+    }
+
+    /// A view of `ranges` over `bufs` laid end to end, checked as
+    /// [`new`](Self::new) checks one buffer.
+    fn over(bufs: [&'a [u8]; 3], ranges: &'a [Range<usize>]) -> Self {
+        let view = SgView { bufs, ranges };
+        view.segments().for_each(drop);
+        view
     }
 
     /// A view of one contiguous range.
@@ -62,9 +86,15 @@ impl<'a> SgView<'a> {
         self.ranges.iter().all(|r| r.start == r.end)
     }
 
+    /// The bytes `r` addresses.
+    fn segment(&self, r: &Range<usize>) -> &'a [u8] {
+        let (i, at) = locate(self.bufs.map(<[u8]>::len), r);
+        &self.bufs[i][at]
+    }
+
     /// The segments, in payload order.
     pub fn segments(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
-        self.ranges.iter().map(|r| &self.buf[r.clone()])
+        self.ranges.iter().map(|r| self.segment(r))
     }
 
     /// Number of segments (including empty ones).
@@ -84,46 +114,137 @@ impl<'a> SgView<'a> {
     }
 }
 
-/// Write `data` into `ranges` of `buf` in order, stopping when either runs
-/// out: a short payload fills a prefix, bytes past the last range are dropped.
-///
-/// # Panics
-///
-/// If a range written to is malformed or out of bounds for `buf`.
-pub fn scatter(buf: &mut [u8], ranges: &[Range<usize>], data: &[u8]) {
-    let mut pos = 0;
-    for r in ranges {
-        if pos >= data.len() {
-            break;
+/// The buffers one run reads and writes, laid end to end and addressed as
+/// one (see the module docs): a read-only region, then two writable ones,
+/// the only ones [`Comm::waitall_into`](crate::Comm::waitall_into) writes.
+/// Every access panics as a slice index does when its range does not lie in
+/// one region, and a write when it lies in the read-only one.
+#[derive(Debug)]
+pub struct Regions<'a> {
+    read_only: &'a [u8],
+    writable: [&'a mut [u8]; 2],
+}
+
+impl<'a> Regions<'a> {
+    /// `read_only`, `first` and `second`, in that order.
+    pub fn new(read_only: &'a [u8], first: &'a mut [u8], second: &'a mut [u8]) -> Self {
+        Regions {
+            read_only,
+            writable: [first, second],
         }
-        let take = r.len().min(data.len() - pos);
-        buf[r.start..r.start + take].copy_from_slice(&data[pos..pos + take]);
-        pos += take;
+    }
+
+    /// One writable buffer, addressed as itself.
+    pub fn one(buf: &'a mut [u8]) -> Self {
+        Regions::new(&[], &mut [], buf)
+    }
+
+    /// The same regions, borrowed for a shorter time.
+    pub fn reborrow(&mut self) -> Regions<'_> {
+        let [first, second] = &mut self.writable;
+        Regions::new(self.read_only, first, second)
+    }
+
+    /// A view of `ranges` over these regions.
+    pub fn view<'s>(&'s self, ranges: &'s [Range<usize>]) -> SgView<'s> {
+        let [first, second] = &self.writable;
+        SgView::over([self.read_only, first, second], ranges)
+    }
+
+    /// The bytes `r` addresses.
+    pub fn get(&self, r: &Range<usize>) -> &[u8] {
+        self.view(&[]).segment(r)
+    }
+
+    fn lens(&self) -> [usize; 3] {
+        let [first, second] = &self.writable;
+        [self.read_only.len(), first.len(), second.len()]
+    }
+
+    /// Which writable region `r` lies in, and where in it.
+    fn locate_mut(&self, r: &Range<usize>) -> (usize, Range<usize>) {
+        match locate(self.lens(), r) {
+            (0, _) => panic!("range {r:?} lies in the read-only region"),
+            (i, at) => (i - 1, at),
+        }
+    }
+
+    /// The bytes `r` addresses, to write.
+    pub fn get_mut(&mut self, r: &Range<usize>) -> &mut [u8] {
+        let (i, at) = self.locate_mut(r);
+        &mut self.writable[i][at]
+    }
+
+    /// Whether `r` lies in one writable region, so that
+    /// [`get_mut`](Self::get_mut) takes it.
+    pub fn holds(&self, r: &Range<usize>) -> bool {
+        let (i, at) = locate(self.lens(), r);
+        i > 0 && at.start <= at.end && at.end <= self.writable[i - 1].len()
+    }
+
+    /// `s`'s bytes to read and `d`'s to write, at once; `None` when they
+    /// overlap.
+    pub fn pair_mut(&mut self, s: &Range<usize>, d: &Range<usize>) -> Option<(&[u8], &mut [u8])> {
+        let ((i, s), (j, d)) = (locate(self.lens(), s), self.locate_mut(d));
+        let [first, second] = &mut self.writable;
+        let (from, to): (&[u8], &mut [u8]) = match (i, j) {
+            (0, 0) => (self.read_only, first),
+            (0, _) => (self.read_only, second),
+            (2, 0) => (second, first),
+            (1, 1) => (first, second),
+            (_, 0) => return split_pair(first, s, d),
+            _ => return split_pair(second, s, d),
+        };
+        Some((&from[s], &mut to[d]))
+    }
+
+    /// Write `data` into `ranges` in order, stopping when either runs out: a
+    /// short payload fills a prefix, bytes past the last range are dropped.
+    pub fn scatter(&mut self, ranges: &[Range<usize>], data: &[u8]) {
+        let mut pos = 0;
+        for r in ranges {
+            if pos >= data.len() {
+                break;
+            }
+            let take = r.len().min(data.len() - pos);
+            self.get_mut(&(r.start..r.start + take))
+                .copy_from_slice(&data[pos..pos + take]);
+            pos += take;
+        }
+    }
+
+    /// Zero the bytes of `ranges` past the first `filled`, in range order:
+    /// what a message of `filled` bytes leaves of a longer destination then
+    /// reads 0, whatever the buffer held before. [`scatter`](Self::scatter)
+    /// followed by this is what a receive does to its destination.
+    pub fn zero_tail(&mut self, ranges: &[Range<usize>], mut filled: usize) {
+        for r in ranges {
+            let keep = filled.min(r.len());
+            self.get_mut(&(r.start + keep..r.end)).fill(0);
+            filled -= keep;
+        }
     }
 }
 
-/// Zero the bytes of `ranges` past the first `filled`, in range order: what
-/// a message of `filled` bytes leaves of a longer destination then reads 0,
-/// whatever the buffer held before. [`scatter`] followed by this is what a
-/// receive does to its destination.
-///
-/// # Panics
-///
-/// If a range is malformed or out of bounds for `buf`.
-pub fn zero_tail(buf: &mut [u8], ranges: &[Range<usize>], mut filled: usize) {
-    for r in ranges {
-        let keep = filled.min(r.len());
-        buf[r.start + keep..r.end].fill(0);
-        filled -= keep;
+/// `s`'s bytes and `d`'s of one buffer, at once; `None` when they overlap.
+fn split_pair(buf: &mut [u8], s: Range<usize>, d: Range<usize>) -> Option<(&[u8], &mut [u8])> {
+    if s.end <= d.start {
+        let (lo, hi) = buf.split_at_mut(d.start);
+        Some((&lo[s], &mut hi[..d.len()]))
+    } else if d.end <= s.start {
+        let (lo, hi) = buf.split_at_mut(s.start);
+        Some((&hi[..s.len()], &mut lo[d]))
+    } else {
+        None
     }
 }
 
-/// What one request's payload does to the buffer of a
+/// What one request's payload does to the regions of a
 /// [`Comm::waitall_into`](crate::Comm::waitall_into).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Landing {
     /// Written over the destination; what a shorter payload leaves of it is
-    /// zeroed ([`scatter`] then [`zero_tail`]).
+    /// zeroed ([`Regions::scatter`] then [`Regions::zero_tail`]).
     Copy,
     /// Folded into the destination, one contiguous range of whole
     /// elements: `dst = dst ⊕ payload`, the payload zero-padded to its
@@ -138,7 +259,7 @@ pub enum Landing {
 
 /// The destinations of one [`Comm::waitall_into`](crate::Comm::waitall_into):
 /// request `i`'s payload goes, in order, into the ranges `ranges[spans[i]]` of
-/// the buffer passed beside it, or is folded into them
+/// the [`Regions`] passed beside it, or is folded into them
 /// ([`landing_into`](Self::landing_into)). A send carries an empty span.
 ///
 /// Both slices are borrowed — `ranges` is typically a compiled plan's own
@@ -159,7 +280,7 @@ impl<'a> SgDests<'a> {
     /// # Panics
     ///
     /// If a span does not lie within `ranges`. Whether a range fits the
-    /// buffer is checked when it is written to.
+    /// regions is checked when it is written to.
     pub fn new(ranges: &'a [Range<usize>], spans: &'a [Range<usize>]) -> Self {
         for s in spans {
             assert!(
@@ -224,16 +345,16 @@ impl<'a> SgDests<'a> {
         self.landings.get(i).unwrap_or(&Landing::Copy)
     }
 
-    /// Land request `i`'s whole `payload` in `buf`. Bytes past the
+    /// Land request `i`'s whole `payload` in `bufs`. Bytes past the
     /// destination are dropped.
-    pub fn put(&self, buf: &mut [u8], i: usize, payload: &[u8]) {
+    pub fn put(&self, bufs: &mut Regions<'_>, i: usize, payload: &[u8]) {
         match self.landing(i) {
             Landing::Copy => {
-                scatter(buf, self.of(i), payload);
-                zero_tail(buf, self.of(i), payload.len());
+                bufs.scatter(self.of(i), payload);
+                bufs.zero_tail(self.of(i), payload.len());
             }
             Landing::Reduce { dtype, op } => {
-                let (acc, mut carry) = (&mut buf[self.of(i)[0].clone()], [0; 8]);
+                let (acc, mut carry) = (bufs.get_mut(&self.of(i)[0]), [0; 8]);
                 let payload = &payload[..payload.len().min(acc.len())];
                 fold(*dtype, *op, acc, 0, &mut carry, payload);
                 fold_tail(*dtype, *op, acc, payload.len(), &mut carry);
@@ -318,14 +439,14 @@ mod tests {
     fn scatter_follows_range_order_and_stops_with_the_shorter_side() {
         let mut buf = vec![0u8; 8];
         let ranges = [4..8, 0..4];
-        scatter(&mut buf, &ranges, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        Regions::one(&mut buf).scatter(&ranges, &[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(buf, vec![5, 6, 7, 8, 1, 2, 3, 4]);
         // A short payload fills a prefix and leaves the rest alone; a long
         // one loses its tail.
         let mut buf = vec![9u8; 6];
-        scatter(&mut buf, std::slice::from_ref(&(0..6)), &[1, 2]);
+        Regions::one(&mut buf).scatter(std::slice::from_ref(&(0..6)), &[1, 2]);
         assert_eq!(buf, vec![1, 2, 9, 9, 9, 9]);
-        scatter(&mut buf, std::slice::from_ref(&(4..6)), &[5, 6, 7]);
+        Regions::one(&mut buf).scatter(std::slice::from_ref(&(4..6)), &[5, 6, 7]);
         assert_eq!(buf, vec![1, 2, 9, 9, 5, 6]);
     }
 
@@ -333,13 +454,13 @@ mod tests {
     fn zero_tail_clears_what_a_short_message_leaves_in_range_order() {
         let mut buf = vec![9u8; 8];
         let ranges = [6..8, 0..3, 4..5];
-        zero_tail(&mut buf, &ranges, 3);
+        Regions::one(&mut buf).zero_tail(&ranges, 3);
         assert_eq!(buf, vec![9, 0, 0, 9, 0, 9, 9, 9]);
         // A payload filling the destination leaves it alone; none zeroes it.
         let mut buf = vec![9u8; 8];
-        zero_tail(&mut buf, &ranges, 6);
+        Regions::one(&mut buf).zero_tail(&ranges, 6);
         assert_eq!(buf, vec![9; 8]);
-        zero_tail(&mut buf, &ranges, 0);
+        Regions::one(&mut buf).zero_tail(&ranges, 0);
         assert_eq!(buf, vec![0, 0, 0, 9, 0, 9, 0, 0]);
     }
 
@@ -384,7 +505,7 @@ mod tests {
 
     #[test]
     #[allow(clippy::single_range_in_vec_init)]
-    #[should_panic(expected = "out of bounds")]
+    #[should_panic(expected = "range end index 5 out of range for slice of length 4")]
     fn out_of_bounds_range_panics() {
         let buf = [0u8; 4];
         let ranges = [2..5];

@@ -582,7 +582,7 @@ mod tests {
     #[test]
     #[allow(clippy::single_range_in_vec_init)]
     fn a_sender_lands_in_the_receive_a_parked_rank_waits_on() {
-        use crate::sg::{Landing, SgDests};
+        use crate::sg::{Landing, Regions, SgDests};
         use crate::types::{DType, ReduceOp};
         // Each round the receiver parks first: the sender writes the first
         // message into its destination and folds the second into its own,
@@ -609,7 +609,7 @@ mod tests {
             for round in 0..rounds {
                 let mut reqs = vec![c.irecv(0, 3, 8)?, c.irecv(0, 4, 8)?];
                 let dests = SgDests::new(&[0..8, 8..16], &[0..1, 1..2]).landing_into(&landings);
-                c.waitall_into(&mut reqs, &mut buf, dests)?;
+                c.waitall_into(&mut reqs, Regions::one(&mut buf), dests)?;
                 let acc = f64::from_le_bytes(buf[8..].try_into().unwrap());
                 assert_eq!(
                     (&buf[..8], acc),

@@ -35,8 +35,9 @@
 //! [`Executor::run`] does no overlap scans, keeps its scratch buffer and its
 //! request and receive-destination arenas across runs, and never owns a
 //! payload: sends go out as borrowed [`SgView`]s via [`Comm::send_sg`], and a
-//! flush is one [`Comm::waitall_into`] naming one region and a range arena,
-//! so the backend writes received bytes where the plan wants them.
+//! flush is one [`Comm::waitall_into`] naming the run's [`Regions`] and a
+//! range arena, so the backend writes received bytes where the plan wants
+//! them.
 //!
 //! Reduce on arrival: a receive whose destination dies as the `src` of the
 //! reduce right after its flush is *fused* with it (`Compiler::fusable`,
@@ -46,22 +47,27 @@
 //! The fusions sit beside the step stream, so every other walker sees the
 //! unfused plan.
 //!
-//! Placement: the executor runs a plan in three regions, not one buffer
-//! (`place`, beside the step stream, worked out on a plan's first run).
-//! *Out* holds the output view's bytes in output order; it is the `Vec` the
-//! run returns. *In* is the input-view bytes that no step writes and the
-//! output does not list, read from the caller's input in place. *Scratch*,
-//! the executor's persistent buffer at the plan's own addresses, holds the
-//! rest and is loaded from the input only where it overlaps the input
-//! view. A plan keeps one region —
-//! everything in scratch, loaded, copied out — when it has a fault, a range
-//! past its buffer, an output view that lists a byte twice, or a list or
-//! the receives of one flush that would span two regions. The world walker
-//! always uses the one region.
+//! Placement: the executor runs every plan in three regions, not one buffer
+//! (`place`, beside the step stream, worked out on a plan's first run, is
+//! the one place that decides where a byte lives). *Out* holds the output
+//! view's bytes in output order; it is the `Vec` the run returns. *In* is
+//! the input-view bytes that no step writes and the output does not list,
+//! read from the caller's input in place. *Scratch*, the executor's
+//! persistent buffer at the plan's own addresses, holds the rest and is
+//! loaded from the input only where it overlaps the input view. Every
+//! range of the plan is split where it crosses from one region into the
+//! next and addresses In, Out and scratch laid end to end ([`Regions`]).
+//! The rare layouts are data in the placement, not another path: a faulty
+//! plan runs with Out and scratch zeroed; a range past the plan's buffer stays at its own scratch
+//! address, where it panics as in a buffer of that size; an output byte
+//! listed twice lives at its first position and is copied to the later
+//! ones at the end of the run; and a fused pair whose accumulator would
+//! straddle two regions runs unfused. The world walker uses one region:
+//! every byte in scratch at its own address.
 
 use super::{ComputeKind, Schedule, SgList, Step};
 use exacoll_comm::{
-    reduce_into, scatter, Comm, CommError, CommResult, DType, Landing, Rank, RankTrace, ReduceOp,
+    reduce_into, Comm, CommError, CommResult, DType, Landing, Rank, RankTrace, ReduceOp, Regions,
     Req, SgDests, SgView, Tag, TraceOp,
 };
 use std::cell::RefCell;
@@ -170,12 +176,11 @@ pub struct CompiledSchedule {
     placement: Lazy,
 }
 
-/// A plan's [`Placement`], or `None` for one region, worked out on its
-/// first run: the control plane compiles many plans it never runs. A
-/// function of the rest of the plan, so it takes no part in comparing
-/// plans.
+/// A plan's [`Placement`], worked out on its first run: the control plane
+/// compiles many plans it never runs. A function of the rest of the plan,
+/// so it takes no part in comparing plans.
 #[derive(Debug, Clone, Default)]
-struct Lazy(OnceLock<Option<Placement>>);
+struct Lazy(OnceLock<Placement>);
 
 impl PartialEq for Lazy {
     fn eq(&self, _: &Lazy) -> bool {
@@ -185,163 +190,173 @@ impl PartialEq for Lazy {
 
 impl Eq for Lazy {}
 
-/// Where bytes live while the [`Executor`] runs a plan (see the module
-/// docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Region {
-    Out,
-    In,
-    Scratch,
-}
-
-/// `place`'s answer for a plan.
+/// `place`'s answer for a plan: every byte's address in the [`Regions`] of
+/// a run — In, then Out, then scratch (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Placement {
-    /// The range arena of the plan's steps with each range where it lives,
-    /// so a span indexes both alike.
+    /// The range arena of the plan's steps, each range split where it
+    /// crosses from one region into another and moved to where it lives.
     ranges: Box<[Range<usize>]>,
-    regions: Box<[Region]>,
-    /// Bytes of the output.
+    /// Where arena range `i`'s pieces start in `ranges`, and one more entry
+    /// for where the last one's end.
+    starts: Box<[u32]>,
+    /// Bytes of In (the input view's) and of Out (the output view's).
+    in_len: usize,
     out_len: usize,
-    /// `(region, at, from)`: bytes `at` of Out or scratch start as the
-    /// input's bytes from `from` on; Out's first, in Out order.
-    loads: Box<[(Region, Range<usize>, usize)]>,
+    /// `(at, from)`: the bytes at `at` start as the input's bytes from
+    /// `from` on; by address, so Out's come first, `out_loads` of them.
+    loads: Box<[(Range<usize>, usize)]>,
+    out_loads: usize,
+    /// `(from, at)`: at the end of a run the bytes at `from` are copied to
+    /// Out from `at` on — to each later position of an output byte listed
+    /// twice, and to the positions of an output range past the buffer.
+    finals: Box<[(Range<usize>, usize)]>,
+    /// The fused pairs that run fused: those whose accumulator lies in one
+    /// region, as [`Landing::Reduce`] needs it to.
+    fused: Box<[(u32, u32)]>,
 }
 
-/// `(logical, region, at)`: the bytes `logical` live at `at..` of
-/// `region`. Bytes no piece covers live in scratch at their own address.
-type Piece = (Range<usize>, Region, usize);
+impl Placement {
+    /// The placed ranges of `span`.
+    fn ranges_of(&self, span: Span) -> &[Range<usize>] {
+        &self.ranges[self.indices(span)]
+    }
 
-/// Call `f(logical, region, at)` for each stretch of `r` that lives in one
-/// of `pieces` (sorted and disjoint) or in none.
-fn stretches(pieces: &[Piece], r: &Range<usize>, mut f: impl FnMut(Range<usize>, Region, usize)) {
+    /// The indices of `span`'s placed ranges.
+    fn indices(&self, span: Span) -> Range<usize> {
+        let at = |i: usize| self.starts[i] as usize;
+        at(span.start as usize)..at((span.start + span.count) as usize)
+    }
+}
+
+/// `(logical, at)`: the plan's bytes `logical` live from address `at` on.
+type Piece = (Range<usize>, usize);
+
+/// Call `f(logical, at)` for each stretch of `r` that lives in one of
+/// `pieces` (sorted and disjoint), or in none and so in scratch, which
+/// starts at address `scratch`.
+fn stretches(
+    pieces: &[Piece],
+    scratch: usize,
+    r: &Range<usize>,
+    mut f: impl FnMut(Range<usize>, usize),
+) {
     let mut at = r.start;
     let mut i = pieces.partition_point(|p| p.0.end <= at);
     while at < r.end {
         match pieces.get(i) {
-            Some((logical, region, to)) if logical.start <= at => {
+            Some((logical, to)) if logical.start <= at => {
                 let end = logical.end.min(r.end);
-                f(at..end, *region, to + at - logical.start);
+                f(at..end, to + at - logical.start);
                 (at, i) = (end, i + 1);
             }
             next => {
                 let end = next.map_or(r.end, |p| p.0.start.min(r.end));
-                f(at..end, Region::Scratch, at);
+                f(at..end, scratch + at);
                 at = end;
             }
         }
     }
 }
 
-/// Where all of `r` lives, unless it spans two stretches.
-fn home(pieces: &[Piece], r: &Range<usize>) -> Option<(Range<usize>, Region)> {
-    let (mut found, mut count) = (None, 0);
-    stretches(pieces, r, |_, region, at| {
-        (found, count) = (Some((at..at + r.len(), region)), count + 1);
-    });
-    found.filter(|_| count == 1)
-}
-
 /// Place the bytes of `plan` in the executor's three regions (see the
-/// module docs), or `None` when it keeps one region — also when it has a
-/// fault or a range reaches past its buffer, so that it runs, and panics,
-/// as in one.
-fn place(plan: &CompiledSchedule) -> Option<Placement> {
-    if plan.fault.is_some() || plan.ranges.iter().any(|r| r.end > plan.buf_len) {
-        return None;
-    }
-    let (steps, fused) = (&plan.steps[..], &plan.fused[..]);
+/// module docs).
+fn place(plan: &CompiledSchedule) -> Placement {
+    let (steps, buf_len) = (&plan.steps[..], plan.buf_len);
     let (input, output) = (plan.ranges_of(plan.input), plan.ranges_of(plan.output));
-    // The input and output views are interned after every step's lists.
-    let arena = &plan.ranges[..plan.input.start as usize];
-    let span = |sp: &Span| &arena[sp.indices()];
-    let mut pieces: Vec<Piece> = Vec::new();
-    let mut out_len = 0;
-    for r in output {
-        pieces.push((r.clone(), Region::Out, out_len));
-        out_len += r.len();
-    }
-    // Input bytes that no step writes and the output does not list are In.
-    let mut taken = output.to_vec();
-    for step in steps {
-        if let CStep::Recv { dst, .. } | CStep::Copy { dst, .. } | CStep::Reduce { dst, .. } = step
-        {
-            taken.extend_from_slice(span(dst));
-        }
-    }
-    taken.sort_unstable_by_key(|r| r.start);
-    let mut from = 0;
-    for r in input {
-        let mut at = r.start;
-        let overlapping = taken[taken.partition_point(|t| t.end <= r.start)..].iter();
-        for t in overlapping
-            .take_while(|t| t.start < r.end)
-            .chain([&(r.end..r.end)])
-        {
-            if t.start > at {
-                pieces.push((at..t.start, Region::In, from + at - r.start));
-            }
-            at = at.max(t.end);
-        }
+    let (in_len, out_len) = (plan.input.bytes(), plan.output.bytes());
+    let scratch = in_len + out_len;
+    // A view's range past the buffer gets no piece, so it stays at its own
+    // scratch address, where an access panics as in a buffer of `buf_len`.
+    let fits = |r: &Range<usize>| r.end <= buf_len;
+    // The input view's bytes, each from its last position (what loading it
+    // in order leaves), as the offset of that input byte from its own.
+    let mut from_input = Intervals::default();
+    let mut from = 0usize;
+    for r in input.iter().filter(|r| !r.is_empty()) {
+        from_input.assign(r.clone(), from.wrapping_sub(r.start));
         from += r.len();
     }
-    // An output view that lists a byte twice overlaps itself here (an input
-    // view that does is a fault).
-    pieces.sort_unstable_by_key(|p| p.0.start);
-    if pieces.windows(2).any(|w| w[0].0.end > w[1].0.start) {
-        return None;
-    }
-    let homes: Option<Vec<_>> = arena.iter().map(|r| home(&pieces, r)).collect();
-    let (ranges, regions): (Vec<_>, Vec<_>) = homes?.into_iter().unzip();
-    // One region per list (`None` when it is empty), and per flush for its
-    // receives, a fused one landing in its reduce's destination.
-    let region_of = |sp: &Span| {
-        let first = regions[sp.indices()].first().copied();
-        regions[sp.indices()]
-            .iter()
-            .all(|r| Some(*r) == first)
-            .then_some(first)
-    };
-    let (mut flush, mut fused) = (None, fused.iter().peekable());
-    for (i, step) in steps.iter().enumerate() {
-        match step {
-            CStep::Flush => flush = None,
-            CStep::Mark { .. } => {}
-            CStep::Send { src, .. } => _ = region_of(src)?,
-            CStep::Recv { dst, .. } => {
-                let dst = match fused.next_if(|f| f.0 == i as u32) {
-                    Some(&(_, reduce)) => plan.landing(reduce).0,
-                    None => *dst,
-                };
-                let here = region_of(&dst)?;
-                if here.is_some() && flush.is_some() && here != flush {
-                    return None;
+    // Out: each output byte at its first position.
+    let (mut pieces, mut finals): (Vec<Piece>, _) = (Vec::new(), Vec::new());
+    let mut at = in_len;
+    for r in output {
+        if !fits(r) {
+            finals.push((scratch + r.start..scratch + r.end, at));
+        } else {
+            let mut homed = Vec::new();
+            stretches(&pieces, scratch, r, |logical, home| {
+                let to = at + logical.start - r.start;
+                if home < scratch {
+                    finals.push((home..home + logical.len(), to));
+                } else {
+                    homed.push((logical, to));
                 }
-                flush = flush.or(here);
-            }
-            CStep::Copy { src, dst } | CStep::Reduce { src, dst, .. } => {
-                _ = (region_of(src)?, region_of(dst)?);
-            }
+            });
+            pieces.extend(homed);
+            pieces.sort_unstable_by_key(|p| p.0.start);
+        }
+        at += r.len();
+    }
+    // In: the input bytes no step writes and the output does not list.
+    let mut unwritten = Intervals(
+        from_input
+            .0
+            .iter()
+            .map(|(r, d)| (r.clone(), Some(*d)))
+            .collect(),
+    );
+    let writes = steps.iter().filter_map(|step| match step {
+        CStep::Recv { dst, .. } | CStep::Copy { dst, .. } | CStep::Reduce { dst, .. } => {
+            Some(plan.ranges_of(*dst))
+        }
+        _ => None,
+    });
+    for r in writes.flatten().chain(output).filter(|r| !r.is_empty()) {
+        unwritten.assign(r.clone(), None);
+    }
+    for (r, delta) in unwritten.0.iter().filter(|(r, _)| fits(r)) {
+        if let Some(delta) = delta {
+            pieces.push((r.clone(), r.start.wrapping_add(*delta)));
         }
     }
+    pieces.sort_unstable_by_key(|p| p.0.start);
+    debug_assert!(pieces.windows(2).all(|w| w[0].0.end <= w[1].0.start));
     let mut loads = Vec::new();
-    let mut from = 0;
-    for r in input {
-        stretches(&pieces, r, |logical, region, at| {
-            if region != Region::In {
-                let len = logical.len();
-                loads.push((region, at..at + len, from + logical.start - r.start));
+    for (r, delta) in &from_input.0 {
+        stretches(&pieces, scratch, r, |logical, at| {
+            if at >= in_len {
+                loads.push((at..at + logical.len(), logical.start.wrapping_add(*delta)));
             }
         });
-        from += r.len();
     }
-    loads.sort_unstable_by_key(|(region, at, _)| (*region != Region::Out, at.start));
-    Some(Placement {
+    loads.sort_unstable_by_key(|(at, _)| at.start);
+    // The step lists' ranges, split where they cross from one region into
+    // the next.
+    let arena = &plan.ranges[..plan.input.start as usize];
+    let (mut ranges, mut starts) = (Vec::new(), Vec::with_capacity(arena.len() + 1));
+    for r in arena {
+        starts.push(ranges.len() as u32);
+        stretches(&pieces, scratch, r, |logical, at| {
+            ranges.push(at..at + logical.len());
+        });
+    }
+    starts.push(ranges.len() as u32);
+    let mut placement = Placement {
         ranges: ranges.into_boxed_slice(),
-        regions: regions.into_boxed_slice(),
+        starts: starts.into_boxed_slice(),
+        in_len,
         out_len,
+        out_loads: loads.partition_point(|(at, _)| at.start < scratch),
         loads: loads.into_boxed_slice(),
-    })
+        finals: finals.into_boxed_slice(),
+        fused: Box::default(),
+    };
+    let fused = (plan.fused.iter().copied())
+        .filter(|&(_, reduce)| placement.indices(plan.landing(reduce).0).len() == 1)
+        .collect();
+    placement.fused = fused;
+    placement
 }
 
 /// A plan's first data-flow fault in program order, with the range of the
@@ -373,12 +388,6 @@ impl CompiledSchedule {
     /// earlier run left behind.
     pub fn reads_unwritten(&self) -> bool {
         self.fault.is_some()
-    }
-
-    /// Whether the executor runs the plan in its three regions rather than
-    /// in one scratch buffer (see the module docs).
-    pub fn is_placed(&self) -> bool {
-        self.placement().is_some()
     }
 
     /// The plan's first data-flow fault, if any.
@@ -740,9 +749,9 @@ pub fn compile(schedule: &Schedule) -> CompiledSchedule {
 /// copy/reduce paths need. The [`Executor`] and the world walker's byte
 /// memory ([`super::eval`]) copy and reduce only through this type's
 /// [`Staging`], so what `Copy` and `Reduce` do to a buffer is written once;
-/// a receive is [`scatter`]ed by the walker and by the backend under the
-/// executor ([`Comm::waitall_into`]) alike. The walker's methods below use
-/// one region: every byte in the scratch buffer at its own address.
+/// a receive is scattered ([`Regions::scatter`]) by the walker and by the
+/// backend under the executor ([`Comm::waitall_into`]) alike. The walker's methods below
+/// address the scratch buffer alone, every byte at its own address.
 #[derive(Default)]
 pub(super) struct RankMem {
     buf: Vec<u8>,
@@ -772,7 +781,7 @@ impl RankMem {
     /// ignored.
     pub(super) fn load(&mut self, plan: &CompiledSchedule, input: &[u8]) {
         debug_assert!(input.len() >= plan.input_bytes());
-        scatter(self.scratch(plan), plan.ranges_of(plan.input), input);
+        Regions::one(self.scratch(plan)).scatter(plan.ranges_of(plan.input), input);
     }
 
     /// The bytes `span` denotes, borrowed in payload order.
@@ -783,7 +792,7 @@ impl RankMem {
     /// Write `data` into `dst`'s ranges in order. A short payload fills a
     /// prefix.
     pub(super) fn land(&mut self, plan: &CompiledSchedule, dst: Span, data: &[u8]) {
-        scatter(&mut self.buf[..plan.buf_len], plan.ranges_of(dst), data);
+        Regions::one(&mut self.buf[..plan.buf_len]).scatter(plan.ranges_of(dst), data);
     }
 
     /// The plan's output bytes.
@@ -793,9 +802,8 @@ impl RankMem {
 
     /// `dst = src`.
     pub(super) fn copy(&mut self, plan: &CompiledSchedule, src: Span, dst: Span) {
-        let buf = Operands::Same(&mut self.buf[..plan.buf_len]);
-        self.staging
-            .copy(buf, plan.ranges_of(src), plan.ranges_of(dst));
+        let mut buf = Regions::one(&mut self.buf[..plan.buf_len]);
+        (self.staging).copy(&mut buf, plan.ranges_of(src), plan.ranges_of(dst));
     }
 
     /// `dst = dst ⊕ src` elementwise.
@@ -812,16 +820,15 @@ impl RankMem {
         src: Span,
         dst: Span,
     ) -> CommResult<()> {
-        let buf = Operands::Same(&mut self.buf[..plan.buf_len]);
-        (self.staging).reduce(buf, dtype, op, plan.ranges_of(src), plan.ranges_of(dst))
+        let mut buf = Regions::one(&mut self.buf[..plan.buf_len]);
+        (self.staging).reduce(
+            &mut buf,
+            dtype,
+            op,
+            plan.ranges_of(src),
+            plan.ranges_of(dst),
+        )
     }
-}
-
-/// The buffers a copy or reduce works on: one that holds both operands, or
-/// the source's and the destination's.
-enum Operands<'a> {
-    Same(&'a mut [u8]),
-    Apart(&'a [u8], &'a mut [u8]),
 }
 
 /// The gather scratch of non-contiguous operands.
@@ -832,108 +839,53 @@ struct Staging {
 }
 
 impl Staging {
-    /// Gather `s` into `self.src`, and return the destination's buffer.
-    fn stage<'b>(&mut self, bufs: Operands<'b>, s: &[Range<usize>]) -> &'b mut [u8] {
-        match bufs {
-            Operands::Same(buf) => {
-                gather(&mut self.src, buf, s);
-                buf
-            }
-            Operands::Apart(from, to) => {
-                gather(&mut self.src, from, s);
-                to
+    /// `d = s`. Disjoint contiguous operands copy directly, the source's
+    /// length.
+    fn copy(&mut self, mem: &mut Regions<'_>, s: &[Range<usize>], d: &[Range<usize>]) {
+        if let ([s], [d]) = (s, d) {
+            if let Some((from, to)) = mem.pair_mut(s, &(d.start..d.start + s.len())) {
+                return to.copy_from_slice(from);
             }
         }
+        gather(&mut self.src, mem, s);
+        mem.scatter(d, &self.src);
     }
 
-    /// `d = s`.
-    fn copy(&mut self, bufs: Operands<'_>, s: &[Range<usize>], d: &[Range<usize>]) {
-        match (bufs, s, d) {
-            // Contiguous fast paths; `copy_within` is memmove, so overlap
-            // behaves like the gather-then-scatter below.
-            (Operands::Same(buf), [s], [d]) => buf.copy_within(s.clone(), d.start),
-            (Operands::Apart(from, to), [s], [d]) => {
-                to[d.start..][..s.len()].copy_from_slice(&from[s.clone()]);
-            }
-            (bufs, s, d) => scatter(self.stage(bufs, s), d, &self.src),
-        }
-    }
-
-    /// `d = d ⊕ s` elementwise.
+    /// `d = d ⊕ s` elementwise. Contiguous disjoint operands reduce in
+    /// place — no gather, no scatter.
     fn reduce(
         &mut self,
-        bufs: Operands<'_>,
+        mem: &mut Regions<'_>,
         dtype: DType,
         op: ReduceOp,
         s: &[Range<usize>],
         d: &[Range<usize>],
     ) -> CommResult<()> {
-        match (bufs, s, d) {
-            // Contiguous disjoint operands reduce in place, via a split
-            // borrow of one buffer — no gather, no scatter.
-            (Operands::Same(buf), [s], [d]) if s.end <= d.start => {
-                let (lo, hi) = buf.split_at_mut(d.start);
-                reduce_into(dtype, op, &mut hi[..d.len()], &lo[s.clone()])
-            }
-            (Operands::Same(buf), [s], [d]) if d.end <= s.start => {
-                let (lo, hi) = buf.split_at_mut(s.start);
-                reduce_into(dtype, op, &mut lo[d.clone()], &hi[..s.len()])
-            }
-            (Operands::Apart(from, to), [s], [d]) => {
-                reduce_into(dtype, op, &mut to[d.clone()], &from[s.clone()])
-            }
-            (bufs, s, d) => {
-                let to = self.stage(bufs, s);
-                gather(&mut self.dst, to, d);
-                reduce_into(dtype, op, &mut self.dst, &self.src)?;
-                scatter(to, d, &self.dst);
-                Ok(())
+        if let ([s], [d]) = (s, d) {
+            if let Some((from, to)) = mem.pair_mut(s, d) {
+                return reduce_into(dtype, op, to, from);
             }
         }
+        gather(&mut self.src, mem, s);
+        gather(&mut self.dst, mem, d);
+        reduce_into(dtype, op, &mut self.dst, &self.src)?;
+        mem.scatter(d, &self.dst);
+        Ok(())
     }
 }
 
-/// Replace `out` with the bytes of `buf` that `ranges` denote, in order.
-fn gather(out: &mut Vec<u8>, buf: &[u8], ranges: &[Range<usize>]) {
+/// Replace `out` with the bytes of `mem` that `ranges` denote, in order.
+fn gather(out: &mut Vec<u8>, mem: &Regions<'_>, ranges: &[Range<usize>]) {
     out.clear();
     for r in ranges {
-        out.extend_from_slice(&buf[r.clone()]);
-    }
-}
-
-/// The buffers of a copy or reduce from `src` into `dst`, given the
-/// three regions of a run (see the module docs).
-fn operands<'a>(
-    (out, input, scratch): (&'a mut [u8], &'a [u8], &'a mut [u8]),
-    src: Region,
-    dst: Region,
-) -> Operands<'a> {
-    match (src, dst) {
-        (Region::Out, Region::Out) => Operands::Same(out),
-        (Region::Scratch, Region::Scratch) => Operands::Same(scratch),
-        (Region::Scratch, Region::Out) => Operands::Apart(scratch, out),
-        (Region::Out, Region::Scratch) => Operands::Apart(out, scratch),
-        (Region::In, Region::Out) => Operands::Apart(input, out),
-        (Region::In, Region::Scratch) => Operands::Apart(input, scratch),
-        (_, Region::In) => unreachable!("no step writes the caller's input"),
+        out.extend_from_slice(mem.get(r));
     }
 }
 
 impl CompiledSchedule {
-    /// Where the executor keeps the bytes `span` denotes: their region and
-    /// their ranges there.
-    fn placed(&self, span: Span) -> (Region, &[Range<usize>]) {
-        match self.placement() {
-            Some(pl) if span.count > 0 => {
-                (pl.regions[span.start as usize], &pl.ranges[span.indices()])
-            }
-            _ => (Region::Scratch, self.ranges_of(span)),
-        }
-    }
-
     /// See [`Lazy`].
-    fn placement(&self) -> Option<&Placement> {
-        self.placement.0.get_or_init(|| place(self)).as_ref()
+    fn placement(&self) -> &Placement {
+        self.placement.0.get_or_init(|| place(self))
     }
 }
 
@@ -950,8 +902,8 @@ impl CompiledSchedule {
 pub struct Executor {
     mem: RankMem,
     reqs: Vec<Req>,
-    /// Per outstanding request, where its payload lands: the arena indices
-    /// of a receive's destination ranges, empty for a send, and how.
+    /// Per outstanding request, where its payload lands: the indices of a
+    /// receive's placed destination ranges, empty for a send, and how.
     dsts: Vec<Range<usize>>,
     landings: Vec<Landing>,
 }
@@ -965,11 +917,9 @@ impl Executor {
     /// Run `plan` on backend `c` with this rank's `input` bytes, returning
     /// the rank's output bytes.
     ///
-    /// A placed plan (see the module docs) builds its output `Vec` first —
-    /// zeroes, with the stretches that come from the input copied in —
-    /// and runs in it, in `input` and in the scratch buffer; any other
-    /// plan runs in the scratch buffer, loaded from `input`, and copies its
-    /// output out.
+    /// The run builds its output `Vec` first — zeroes, with the stretches
+    /// that come from the input copied in — and runs in it, in `input` and
+    /// in the scratch buffer (see the module docs).
     ///
     /// # Errors
     ///
@@ -999,57 +949,40 @@ impl Executor {
                 got: input.len(),
             });
         }
-        let mut out = Vec::new();
-        match plan.placement() {
-            Some(pl) => {
-                out.reserve_exact(pl.out_len);
-                let scratch = self.mem.scratch(plan);
-                for (region, at, from) in &pl.loads {
-                    let from = &input[*from..][..at.len()];
-                    if *region == Region::Out {
-                        out.resize(at.start, 0);
-                        out.extend_from_slice(from);
-                    } else {
-                        scratch[at.clone()].copy_from_slice(from);
-                    }
-                }
-                out.resize(pl.out_len, 0);
-            }
-            None => self.mem.load(plan, input),
+        let pl = plan.placement();
+        let (into_out, into_scratch) = pl.loads.split_at(pl.out_loads);
+        let mut out = Vec::with_capacity(pl.out_len);
+        for (at, from) in into_out {
+            out.resize(at.start - pl.in_len, 0);
+            out.extend_from_slice(&input[*from..][..at.len()]);
+        }
+        out.resize(pl.out_len, 0);
+        self.mem.scratch(plan);
+        let scratch = &mut self.mem.buf[..plan.buf_len];
+        let mut mem = Regions::new(&input[..pl.in_len], &mut out, scratch);
+        for (at, from) in into_scratch {
+            mem.get_mut(at).copy_from_slice(&input[*from..][..at.len()]);
         }
         self.reqs.clear();
         self.dsts.clear();
         self.landings.clear();
-        let (scratch, staging) = (&mut self.mem.buf[..plan.buf_len], &mut self.mem.staging);
+        let staging = &mut self.mem.staging;
         // The next fused pair, by the step indices of its receive and reduce.
-        let mut fused = plan.fused.iter().peekable();
-        // The region the receives since the last flush land in.
-        let mut landing_in = Region::Scratch;
+        let mut fused = pl.fused.iter().peekable();
 
         for (i, step) in plan.steps().iter().enumerate() {
             let i = i as u32;
             match step {
                 CStep::Flush => {
-                    let arena = plan.placement().map_or(&plan.ranges, |pl| &pl.ranges);
-                    let dests = SgDests::new(arena, &self.dsts);
+                    let dests = SgDests::new(&pl.ranges, &self.dsts);
                     let dests = dests.landing_into(&self.landings);
-                    let buf = if landing_in == Region::Out {
-                        &mut out[..]
-                    } else {
-                        &mut *scratch
-                    };
-                    c.waitall_into(&mut self.reqs, buf, dests)?;
+                    c.waitall_into(&mut self.reqs, mem.reborrow(), dests)?;
                     self.dsts.clear();
                     self.landings.clear();
                 }
                 CStep::Mark { label, round } => c.mark(label, *round),
                 CStep::Send { to, tag, src } => {
-                    let (buf, ranges): (&[u8], _) = match plan.placed(*src) {
-                        (Region::Out, ranges) => (&out, ranges),
-                        (Region::In, ranges) => (input, ranges),
-                        (Region::Scratch, ranges) => (scratch, ranges),
-                    };
-                    let req = c.send_sg(*to, *tag, SgView::new(buf, ranges))?;
+                    let req = c.send_sg(*to, *tag, mem.view(pl.ranges_of(*src)))?;
                     self.reqs.push(req);
                     self.dsts.push(0..0);
                     self.landings.push(Landing::Copy);
@@ -1060,16 +993,12 @@ impl Executor {
                         Some(&&(recv, reduce)) if recv == i => plan.landing(reduce),
                         _ => (*dst, Landing::Copy),
                     };
-                    if dst.count > 0 {
-                        landing_in = plan.placed(dst).0;
-                    }
                     self.reqs.push(req);
-                    self.dsts.push(dst.indices());
+                    self.dsts.push(pl.indices(dst));
                     self.landings.push(landing);
                 }
                 CStep::Copy { src, dst } => {
-                    let ((sr, s), (dr, d)) = (plan.placed(*src), plan.placed(*dst));
-                    staging.copy(operands((&mut out, input, scratch), sr, dr), s, d);
+                    staging.copy(&mut mem, pl.ranges_of(*src), pl.ranges_of(*dst));
                 }
                 CStep::Reduce {
                     dtype,
@@ -1079,18 +1008,22 @@ impl Executor {
                 } => {
                     // A fused reduce happened as its receive landed.
                     if fused.next_if(|&&(_, reduce)| reduce == i).is_none() {
-                        let ((sr, s), (dr, d)) = (plan.placed(*src), plan.placed(*dst));
-                        let bufs = operands((&mut out, input, scratch), sr, dr);
-                        staging.reduce(bufs, *dtype, *op, s, d)?;
+                        let (s, d) = (pl.ranges_of(*src), pl.ranges_of(*dst));
+                        staging.reduce(&mut mem, *dtype, *op, s, d)?;
                     }
                     c.compute(dst.bytes());
                 }
             }
         }
-        match plan.placement() {
-            Some(_) => Ok(out),
-            None => Ok(self.mem.output(plan)),
+        for (from, at) in &pl.finals {
+            let to = *at..*at + from.len();
+            staging.copy(
+                &mut mem,
+                std::slice::from_ref(from),
+                std::slice::from_ref(&to),
+            );
         }
+        Ok(out)
     }
 }
 
@@ -1351,7 +1284,8 @@ mod tests {
     #[test]
     fn gather_follows_range_order() {
         let mut out = vec![9];
-        gather(&mut out, &[5, 6, 7, 8, 1, 2, 3, 4], &[4..8, 0..4]);
+        let mut buf = [5, 6, 7, 8, 1, 2, 3, 4];
+        gather(&mut out, &Regions::one(&mut buf), &[4..8, 0..4]);
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -1635,6 +1569,25 @@ mod tests {
         }
     }
 
+    /// Whether a flush of `plan` lands receives both in Out and in scratch.
+    fn lands_in_two_regions(plan: &CompiledSchedule) -> bool {
+        let pl = plan.placement();
+        let scratch = pl.in_len + pl.out_len;
+        let mut flush = [false; 2];
+        plan.steps().iter().enumerate().any(|(i, step)| match step {
+            CStep::Flush => std::mem::take(&mut flush) == [true; 2],
+            CStep::Recv { dst, .. } => {
+                let fused = pl.fused.iter().find(|f| f.0 == i as u32);
+                let dst = fused.map_or(*dst, |&(_, reduce)| plan.landing(reduce).0);
+                for r in pl.ranges_of(dst) {
+                    flush[usize::from(r.start >= scratch)] = true;
+                }
+                false
+            }
+            _ => false,
+        })
+    }
+
     #[test]
     fn fused_execution_is_bitwise_the_unfused_walk() {
         use super::super::eval::evaluate;
@@ -1662,22 +1615,18 @@ mod tests {
                 _ => (0..n).map(|_| next() as u8).collect(),
             }
         };
-        // Plans placed, placed with a fused accumulator in Out, kept in one
-        // region.
-        let mut census = [0; 3];
+        // Plans, plans with a flush landing in Out and in scratch, fused
+        // pairs, fused pairs run unfused.
+        let mut census = [0; 4];
         let mut check = |world: &[Schedule], dtype: DType, what: &str| {
             let inputs: Vec<Vec<u8>> = world.iter().map(|s| bytes(dtype, s.input.len())).collect();
             let plans: Vec<CompiledSchedule> = world.iter().map(compile).collect();
             for plan in &plans {
-                match plan.placement() {
-                    Some(_) => {
-                        census[0] += 1;
-                        census[1] += usize::from(plan.fused.iter().any(|&(_, reduce)| {
-                            plan.placed(plan.landing(reduce).0).0 == Region::Out
-                        }));
-                    }
-                    None => census[2] += 1,
-                }
+                let pl = plan.placement();
+                census[0] += 1;
+                census[1] += usize::from(lands_in_two_regions(plan));
+                census[2] += plan.fused.len();
+                census[3] += plan.fused.len() - pl.fused.len();
             }
             let want = evaluate(world, &inputs).expect("a registry plan walks");
             let got = run_ranks(world.len(), |c| {
@@ -1739,8 +1688,9 @@ mod tests {
             }
         }
         assert!(census.iter().all(|&n| n > 0), "{census:?}");
-        // The large cycle of the benchmark, at p = 4: every rank placed but
-        // the k-nomial reduce's root, whose three partials land in one flush.
+        // The large cycle of the benchmark, at p = 4: every fused pair runs
+        // fused, and only the k-nomial reduce's root, whose three partials
+        // land in one flush, lands one flush in two regions.
         let shapes = [
             (Allreduce, Algorithm::Ring, DType::F64, 1 << 20),
             (
@@ -1764,9 +1714,11 @@ mod tests {
                 ..CollArgs::new(op, alg)
             };
             for rank in 0..4 {
-                let placed = compile(&lower(&args, 4, rank, n)).is_placed();
+                let plan = compile(&lower(&args, 4, rank, n));
                 let root_of_reduce = op == Reduce && rank == 0;
-                assert_eq!(placed, !root_of_reduce, "{op:?} {alg} rank {rank}");
+                let what = format!("{op:?} {alg} rank {rank}");
+                assert_eq!(lands_in_two_regions(&plan), root_of_reduce, "{what}");
+                assert_eq!(plan.placement().fused, plan.fused, "{what}");
             }
         }
         let ragged = [64 << 10, 0, 96 << 10, 96 << 10];
@@ -1776,7 +1728,7 @@ mod tests {
                 rank,
                 &ragged,
             ));
-            assert!(plan.is_placed(), "agv ring rank {rank}");
+            assert!(!lands_in_two_regions(&plan), "agv ring rank {rank}");
         }
     }
 

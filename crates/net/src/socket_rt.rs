@@ -556,7 +556,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{Comm, SgDests, SgView};
+    use exacoll_comm::{Comm, Regions, SgDests, SgView};
 
     /// A message far larger than the kernel's socket buffers, so a sender
     /// cannot finish it unless the receiver reads.
@@ -724,7 +724,11 @@ mod tests {
             let mut reqs = vec![go, c.irecv(1, 2, n)?];
             let mut buf = vec![0u8; n];
             let (ranges, spans) = ([n / 2..n, 0..n / 2], [0..0, 0..2]);
-            c.waitall_into(&mut reqs, &mut buf, SgDests::new(&ranges, &spans))?;
+            c.waitall_into(
+                &mut reqs,
+                Regions::one(&mut buf),
+                SgDests::new(&ranges, &spans),
+            )?;
             assert_eq!(c.transport().landed, n);
             assert_eq!(c.queued(), 0);
             assert_eq!(c.recv(1, 3, 16)?, vec![9; 16]);

@@ -15,7 +15,9 @@
 //! be far after `end`; the critical-path walk uses `done`, the Chrome trace
 //! draws `begin..end`.
 
-use exacoll_comm::{Comm, CommResult, Rank, RankTrace, Req, SgDests, SgView, Tag, TraceOp};
+use exacoll_comm::{
+    Comm, CommResult, Rank, RankTrace, Regions, Req, SgDests, SgView, Tag, TraceOp,
+};
 use exacoll_sim::OpTiming;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -273,11 +275,11 @@ impl<C: Comm> Comm for TimedComm<C> {
     fn waitall_into(
         &mut self,
         reqs: &mut Vec<Req>,
-        buf: &mut [u8],
+        bufs: Regions<'_>,
         dests: SgDests<'_>,
     ) -> CommResult<()> {
         let covered = self.covered(reqs);
-        self.timed_wait(covered, |c| c.waitall_into(reqs, buf, dests))
+        self.timed_wait(covered, |c| c.waitall_into(reqs, bufs, dests))
     }
 
     fn compute(&mut self, bytes: usize) {

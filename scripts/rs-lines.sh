@@ -4,8 +4,10 @@
 # base ref and at HEAD, split into non-test and test lines, and print the
 # delta.
 #
-#   scripts/rs-lines.sh [base-ref]    # base-ref defaults to HEAD~1
+#   scripts/rs-lines.sh [base-ref] [pathspec...]   # base-ref defaults to HEAD~1
+#   scripts/rs-lines.sh HEAD~1 crates/core crates/comm   # those two crates only
 #
+# Pathspecs, when given, restrict the count to the `*.rs` files they match.
 # A test line is a line of a file under a `tests/` directory, or a line
 # from a top-level `#[cfg(test)]` that introduces a `mod` to the end of its
 # file. Both counts read committed trees (`git grep`), so uncommitted edits
@@ -13,13 +15,17 @@
 set -euo pipefail
 
 base=${1:-HEAD~1}
+shift || true
+paths=("${@:-*.rs}")
 
 # Prints "total non-test test" for the tree at ref $1.
 rs_lines() {
-    git grep -n '' "$1" -- '*.rs' ':!perf' ':!vendor' | awk -v pre="$1:" '
+    # A pathspec that matches nothing at a ref counts as no lines there.
+    { git grep -n '' "$1" -- "${paths[@]}" ':!perf' ':!vendor' || true; } | awk -v pre="$1:" '
         {
             rest = substr($0, length(pre) + 1)
             i = index(rest, ":"); file = substr(rest, 1, i - 1); rest = substr(rest, i + 1)
+            if (file !~ /\.rs$/) next
             text = substr(rest, index(rest, ":") + 1)
             if (file != cur) { cur = file; in_test = file ~ /(^|\/)tests\//; cfg = 0 }
             total++

@@ -18,7 +18,7 @@ use exacoll::collectives::spec::{CountsSpec, OptSpec};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{
     fnv1a, run_ranks, try_run_ranks, Comm, CommError, CommResult, DType, RecordComm, RecordedEvent,
-    Req, SgDests, SgView,
+    Regions, Req, SgDests, SgView,
 };
 use exacoll::net::run_socket_ranks;
 use exacoll::opt::plan_world;
@@ -140,14 +140,14 @@ fn a_byte_no_step_wrote_reads_zero_after_an_earlier_call() {
 
 /// After an earlier call left 64 bytes of `OLD` in the scratch buffer, run
 /// a flagged plan whose output holds 32 input bytes and 32 that nothing
-/// writes. A flagged plan keeps the one-buffer layout.
+/// writes. A flagged plan runs with its Out and scratch bytes zeroed.
 fn unwritten_output<C: Comm>(c: &mut C) -> CommResult<Vec<u8>> {
     leave_behind(c, 64, OLD);
     let mut b = ScheduleBuilder::new(c.size(), c.rank());
     let x = b.alloc(32);
     let hole = b.alloc(32);
     let plan = compile(&b.finish(x.clone(), SgList::concat([&x, &hole])));
-    assert!(plan.reads_unwritten() && !plan.is_placed());
+    assert!(plan.reads_unwritten());
     execute_compiled(c, &plan, &[7; 32])
 }
 
@@ -187,7 +187,6 @@ fn short_receive_into_the_output<C: Comm>(c: &mut C) -> CommResult<Vec<u8>> {
     let slot = b.alloc(64);
     b.recv(0, 7, slot.clone());
     let plan = compile(&b.finish(SgList::empty(), slot));
-    assert!(plan.is_placed());
     execute_compiled(c, &plan, &[])
 }
 
@@ -205,6 +204,31 @@ fn a_short_message_leaves_a_zeroed_tail_on_both_transports() {
     let sockets = run_socket_ranks(2, |c| short_receive(c, OLD));
     assert_eq!(threads[1], [1, 2, 3, 0]);
     assert_eq!(sockets[1], [1, 2, 3, 0]);
+}
+
+/// Rank 1 receives four bytes into `slot` and returns an output view that
+/// lists `slot`, its two input bytes and then the last two bytes of `slot`
+/// and its input again, after an earlier call left `OLD` behind.
+fn output_listed_twice<C: Comm>(c: &mut C) -> CommResult<Vec<u8>> {
+    leave_behind(c, 64, OLD);
+    if c.rank() == 0 {
+        c.send(1, 7, vec![1, 2, 3, 4])?;
+        return Ok(Vec::new());
+    }
+    let mut b = ScheduleBuilder::new(2, 1);
+    let (slot, x) = (b.alloc(4), b.alloc(2));
+    b.recv(0, 7, slot.clone());
+    let again = SgList::concat([&slot, &x]).slice(2, 4);
+    let plan = compile(&b.finish(x.clone(), SgList::concat([&slot, &x, &again])));
+    assert!(!plan.reads_unwritten());
+    execute_compiled(c, &plan, &[8, 9])
+}
+
+#[test]
+fn an_output_byte_listed_twice_reads_the_same_at_each_position_on_both_transports() {
+    let want = [1, 2, 3, 4, 8, 9, 3, 4, 8, 9];
+    assert_eq!(run_ranks(2, output_listed_twice)[1], want);
+    assert_eq!(run_socket_ranks(2, output_listed_twice)[1], want);
 }
 
 /// Allreduce f64 at p = 4 and 256 KiB, with integer-valued inputs so any
@@ -378,10 +402,10 @@ impl<C: Comm> Comm for Nested<C> {
     fn waitall_into(
         &mut self,
         reqs: &mut Vec<Req>,
-        buf: &mut [u8],
+        bufs: Regions<'_>,
         dests: SgDests<'_>,
     ) -> CommResult<()> {
-        self.inner.waitall_into(reqs, buf, dests)
+        self.inner.waitall_into(reqs, bufs, dests)
     }
     fn compute(&mut self, bytes: usize) {
         self.inner.compute(bytes)

@@ -6,9 +6,9 @@
 //! reach the engine in the order the semantics need.
 
 use exacoll::comm::{
-    expect_all_ranks, fnv1a, reduce_into, scatter, try_run_ranks_with, zero_tail, Comm, CommError,
-    CommResult, DType, FaultComm, FaultPlan, Landing, Rank, RecordComm, RecordedEvent, ReduceOp,
-    Req, SgDests, SgView, ThreadComm, WorldOptions,
+    expect_all_ranks, fnv1a, reduce_into, try_run_ranks_with, Comm, CommError, CommResult, DType,
+    FaultComm, FaultPlan, Landing, Rank, RecordComm, RecordedEvent, ReduceOp, Regions, Req,
+    SgDests, SgView, ThreadComm, WorldOptions,
 };
 use exacoll::net::{try_run_socket_ranks_with, SocketComm};
 use exacoll::obs::{EventKind, TimedComm};
@@ -120,11 +120,11 @@ impl<C: Comm> Comm for Probe<C> {
     fn waitall_into(
         &mut self,
         reqs: &mut Vec<Req>,
-        buf: &mut [u8],
+        bufs: Regions<'_>,
         dests: SgDests<'_>,
     ) -> CommResult<()> {
         self.into_waits += 1;
-        self.inner.waitall_into(reqs, buf, dests)
+        self.inner.waitall_into(reqs, bufs, dests)
     }
     fn compute(&mut self, bytes: usize) {
         self.inner.compute(bytes)
@@ -361,6 +361,90 @@ mod cases {
     /// The bytes of the large message in [`exchange`].
     const BIG: usize = 40 << 10;
 
+    /// What `waitall_into` over one buffer must be: `waitall`, then each
+    /// payload scattered over its destination with the rest zeroed, or
+    /// reduced into it zero-padded.
+    fn waitall_then_put<C: Comm>(
+        c: &mut C,
+        reqs: Vec<Req>,
+        buf: &mut [u8],
+        dests: SgDests<'_>,
+    ) -> CommResult<()> {
+        for (i, payload) in c.waitall(reqs)?.into_iter().enumerate() {
+            let Some(mut payload) = payload else { continue };
+            if let Landing::Reduce { dtype, op } = dests.landing(i) {
+                let acc = dests.of(i)[0].clone();
+                payload.resize(acc.len(), 0);
+                reduce_into(*dtype, *op, &mut buf[acc], &payload)?;
+            } else {
+                let mut buf = Regions::one(buf);
+                buf.scatter(dests.of(i), &payload);
+                buf.zero_tail(dests.of(i), payload.len());
+            }
+        }
+        Ok(())
+    }
+
+    /// Rank 1 completes one batch into two writable regions of 8 and 24
+    /// bytes — a copy a byte short of its destination into the first, one
+    /// into two swapped ranges of the second and, with `fold`, an f64 sum
+    /// into the second's last eight bytes — with `waitall_into` over the two
+    /// regions, or [`waitall_then_put`] over one buffer of their 32 bytes.
+    /// Rank 0 sends once rank 1 has had time to park in its wait. Returns
+    /// rank 1's bytes, the regions end to end, from `0xAA` and an f64 0.25.
+    #[allow(clippy::single_range_in_vec_init)]
+    fn two_regions<C: Comm>(c: &mut C, into: bool, fold: bool) -> CommResult<Vec<u8>> {
+        let sum = Landing::Reduce {
+            dtype: DType::F64,
+            op: ReduceOp::Sum,
+        };
+        let batch = [
+            (1, vec![1, 2, 3, 4, 5], &[2..8][..], Landing::Copy),
+            (
+                2,
+                vec![6, 6, 6, 6, 7, 7, 7, 7],
+                &[20..24, 12..16],
+                Landing::Copy,
+            ),
+            (3, 2.5f64.to_le_bytes().to_vec(), &[24..32], sum),
+        ];
+        let batch = &batch[..2 + usize::from(fold)];
+        if c.rank() == 0 {
+            std::thread::sleep(Duration::from_millis(20));
+            for (tag, msg, ..) in batch {
+                c.send(1, *tag, msg.clone())?;
+            }
+            return Ok(vec![]);
+        }
+        let (mut ranges, mut spans, mut reqs) = (Vec::new(), Vec::new(), Vec::new());
+        for (tag, _, dst, _) in batch {
+            spans.push(ranges.len()..ranges.len() + dst.len());
+            ranges.extend_from_slice(dst);
+            reqs.push(c.irecv(0, *tag, dst.iter().map(|r| r.len()).sum())?);
+        }
+        let landings: Vec<Landing> = batch.iter().map(|b| b.3.clone()).collect();
+        let dests = SgDests::new(&ranges, &spans).landing_into(&landings);
+        let mut buf = vec![0xAA; 32];
+        buf[24..].copy_from_slice(&0.25f64.to_le_bytes());
+        if into {
+            let (first, second) = buf.split_at_mut(8);
+            c.waitall_into(&mut reqs, Regions::new(&[], first, second), dests)?;
+        } else {
+            waitall_then_put(c, reqs, &mut buf, dests)?;
+        }
+        Ok(buf)
+    }
+
+    /// What [`two_regions`] leaves, its f64 holding `acc`.
+    fn two_regions_landed(acc: f64) -> Vec<u8> {
+        let mut want = vec![0xAA; 24];
+        want[2..8].copy_from_slice(&[1, 2, 3, 4, 5, 0]);
+        want[12..16].fill(7);
+        want[20..24].fill(6);
+        want.extend_from_slice(&acc.to_le_bytes());
+        want
+    }
+
     /// Rank 0 completes one batch — two same-key receives from rank 1 (the
     /// second message a byte short of its destination, and sent only once
     /// rank 0 is on its way into the wait), a send, and a receive from rank 2
@@ -380,16 +464,12 @@ mod cases {
                     c.irecv(2, 4, BIG)?,
                 ];
                 let mut buf = vec![0xEE; 16 + BIG];
+                let dests = SgDests::new(&ranges, &spans);
                 if into {
-                    c.waitall_into(&mut reqs, &mut buf, SgDests::new(&ranges, &spans))?;
+                    c.waitall_into(&mut reqs, Regions::one(&mut buf), dests)?;
                     assert!(reqs.is_empty());
                 } else {
-                    for (span, payload) in spans.iter().zip(c.waitall(reqs)?) {
-                        if let Some(payload) = payload {
-                            scatter(&mut buf, &ranges[span.clone()], &payload);
-                            zero_tail(&mut buf, &ranges[span.clone()], payload.len());
-                        }
-                    }
+                    waitall_then_put(c, reqs, &mut buf, dests)?;
                 }
                 Ok(buf)
             }
@@ -426,6 +506,8 @@ mod cases {
         for into in [false, true] {
             let out = W::run(3, |c| exchange(c, into));
             assert!(out[0] == exchanged(), "into={into}");
+            let out = W::run(2, |c| two_regions(c, into, false));
+            assert_eq!(out[1], two_regions_landed(0.25), "into={into}");
         }
         // A message longer than posted is the same error either way.
         for into in [false, true] {
@@ -436,7 +518,8 @@ mod cases {
                 let mut reqs = vec![c.irecv(0, 0, 8)?];
                 if into {
                     let (ranges, spans) = ([0..8], [0..1]);
-                    c.waitall_into(&mut reqs, &mut [0; 8], SgDests::new(&ranges, &spans))
+                    let dests = SgDests::new(&ranges, &spans);
+                    c.waitall_into(&mut reqs, Regions::one(&mut [0; 8]), dests)
                 } else {
                     c.waitall(reqs).map(|_| ())
                 }
@@ -596,21 +679,11 @@ mod cases {
                     reqs.push(c.irecv(*from, *tag, *bytes)?);
                 }
                 let mut buf = vec![0xAA; 56 + 2 * FOLD_BIG];
-                let dests = SgDests::new(&ranges, &spans);
+                let dests = SgDests::new(&ranges, &spans).landing_into(&landings);
                 if into {
-                    c.waitall_into(&mut reqs, &mut buf, dests.landing_into(&landings))?;
+                    c.waitall_into(&mut reqs, Regions::one(&mut buf), dests)?;
                 } else {
-                    for (i, payload) in c.waitall(reqs)?.into_iter().enumerate() {
-                        let Some(mut payload) = payload else { continue };
-                        if let Landing::Reduce { dtype, op } = &landings[i] {
-                            let acc = dests.of(i)[0].clone();
-                            payload.resize(acc.len(), 0);
-                            reduce_into(*dtype, *op, &mut buf[acc], &payload)?;
-                        } else {
-                            scatter(&mut buf, dests.of(i), &payload);
-                            zero_tail(&mut buf, dests.of(i), payload.len());
-                        }
-                    }
+                    waitall_then_put(c, reqs, &mut buf, dests)?;
                 }
                 Ok(buf)
             }
@@ -640,6 +713,10 @@ mod cases {
     pub fn folding_landings_are_waitall_then_reduce<W: World>() {
         let want = W::run(3, |c| fold(c, false));
         assert!(W::run(3, |c| fold(c, true)) == want);
+        for into in [false, true] {
+            let out = W::run(2, |c| two_regions(c, into, true));
+            assert_eq!(out[1], two_regions_landed(2.75), "into={into}");
+        }
         let plan = FaultPlan::none(11);
         assert_eq!(
             W::run(3, |c| fold(&mut FaultComm::new(c, plan), true)),
@@ -690,7 +767,7 @@ mod cases {
             let landings = [sum.clone(), sum];
             let mut buf = f64s(&[0.5, 0.5]);
             let dests = SgDests::new(&ranges, &spans).landing_into(&landings);
-            c.waitall_into(&mut reqs, &mut buf, dests)?;
+            c.waitall_into(&mut reqs, Regions::one(&mut buf), dests)?;
             Ok(buf)
         });
         assert_eq!(out[0], f64s(&[1.5, 4.5]));
@@ -706,7 +783,7 @@ mod cases {
                 op: ReduceOp::Sum,
             }];
             let dests = SgDests::new(&ranges, &spans).landing_into(&landings);
-            c.waitall_into(&mut reqs, &mut [0; 8], dests)
+            c.waitall_into(&mut reqs, Regions::one(&mut [0; 8]), dests)
         });
         assert!(
             matches!(
