@@ -16,12 +16,11 @@
 
 use exacoll_comm::{
     fnv1a, try_run_ranks_with, Comm, CommResult, DType, FaultComm, FaultEvent, FaultPlan,
-    RecordComm, RecordedEvent, ReduceOp, ThreadComm, WorldOptions,
+    RankTimeline, RecordComm, ReduceOp, ThreadComm, WorldOptions,
 };
 use exacoll_core::registry::candidates;
 use exacoll_core::spec::alg_to_spec;
 use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp, Request};
-use exacoll_obs::{RankTimeline, TimedComm};
 use exacoll_replay::{Artifact, RankLog, RankStatus};
 use std::time::{Duration, Instant};
 
@@ -181,20 +180,18 @@ fn case_request(op: CollectiveOp, alg: Algorithm, p: usize, payload: usize) -> R
 }
 
 /// One rank of a chaos run: the collective's result plus everything the
-/// instrumentation around the fault layer saw.
+/// recorder around the fault layer saw.
 #[derive(Debug)]
 pub struct CaseRank {
     /// The rank's collective result (after the closing barrier).
     pub result: CommResult<Vec<u8>>,
-    /// Timed event timeline recorded around the fault layer, so injected
-    /// delays show up as inflated send spans.
+    /// The event list recorded outside the fault injector: timed, so
+    /// injected delays show up as inflated send spans, and digested — send
+    /// events digest what the algorithm intended to transmit, receive
+    /// events what actually arrived.
     pub timeline: RankTimeline,
     /// Faults the injector actually fired on this rank.
     pub faults: Vec<FaultEvent>,
-    /// The canonical event log, recorded outside the fault injector: send
-    /// events digest what the algorithm intended to transmit, receive
-    /// events what actually arrived.
-    pub events: Vec<RecordedEvent>,
 }
 
 /// Run one collective under one fault plan; inputs are the request's,
@@ -202,8 +199,8 @@ pub struct CaseRank {
 ///
 /// The run is deadline-bounded and abort-coupled, so it returns within
 /// ~2× the deadline in the worst case — never hangs. Each rank's [`Comm`]
-/// stack is `RecordComm<TimedComm<FaultComm<ThreadComm>>>` — all three are
-/// transparent when idle — and a closing barrier on the raw communicator,
+/// stack is `RecordComm<FaultComm<ThreadComm>>` — both transparent when
+/// idle — and a closing barrier on the raw communicator,
 /// outside the stack so it appears in no log, makes any rank's failure
 /// visible to every rank.
 pub fn run_case_results(
@@ -220,13 +217,12 @@ pub fn run_case_results(
     let out = try_run_ranks_with(p, opts, |c: &mut ThreadComm| {
         let input = req.input(plan.seed, 0, c.rank());
         let abort = c.abort_handle();
-        let (res, timeline, faults, events) = {
+        let (res, timeline, faults) = {
             let fc = FaultComm::new(&mut *c, plan).with_abort(abort);
-            let mut rc = RecordComm::new(TimedComm::with_epoch(fc, epoch));
+            let mut rc = RecordComm::for_replay(fc).since(epoch);
             let res = execute(&mut rc, req.args(), &input);
-            let (tc, events) = rc.into_parts();
-            let (fc, timeline) = tc.into_parts();
-            (res, timeline, fc.into_events(), events)
+            let (fc, timeline) = rc.into_parts();
+            (res, timeline, fc.into_events())
         };
         // Closing barrier, entered only on success: a failed rank skips it
         // and drops its endpoint, so no successful rank can pass either
@@ -249,7 +245,6 @@ pub fn run_case_results(
             result,
             timeline,
             faults,
-            events,
         })
     });
     out.into_iter()
@@ -264,7 +259,6 @@ pub fn run_case_results(
                     events: Vec::new(),
                 },
                 faults: Vec::new(),
-                events: Vec::new(),
             })
         })
         .collect()
@@ -320,21 +314,24 @@ pub fn run_case(
         .reference(&request.inputs(seed))
         .expect("u8/max reference is always defined");
     let ranks = run_case_results(op, alg, p, fault.plan(seed, p), fault.deadline(), payload);
-    let logs = ranks
-        .iter()
+    let (results, logs): (Vec<_>, _) = ranks
+        .into_iter()
         .enumerate()
-        .map(|(rank, r)| RankLog {
-            rank,
-            status: match &r.result {
-                Ok(_) => RankStatus::Ok,
-                Err(e) => RankStatus::Error(e.to_string()),
-            },
-            input: request.input(seed, 0, rank),
-            output_digest: r.result.as_ref().ok().map(|v| fnv1a(v)),
-            events: r.events.clone(),
+        .map(|(rank, r)| {
+            let log = RankLog {
+                rank,
+                size: p,
+                status: match &r.result {
+                    Ok(_) => RankStatus::Ok,
+                    Err(e) => RankStatus::Error(e.to_string()),
+                },
+                input: request.input(seed, 0, rank),
+                output_digest: r.result.as_ref().ok().map(|v| fnv1a(v)),
+                events: r.timeline.events,
+            };
+            (r.result, log)
         })
-        .collect();
-    let results: Vec<_> = ranks.into_iter().map(|r| r.result).collect();
+        .unzip();
     let outcome = classify(&results, &expected);
     // A single-rank world exchanges no messages, so fault classes that
     // demand a failure (drop, kill-at-op-0) cannot trigger: correct
@@ -496,7 +493,7 @@ mod tests {
         assert!(artifact.ranks[1]
             .events
             .iter()
-            .all(|e| matches!(e, exacoll_comm::RecordedEvent::Mark { .. })));
+            .all(|e| e.kind == exacoll_comm::EventKind::Mark));
         // The victim's own divergence is where its log ends. Who the
         // headline names is a race: a survivor that sees the abort before
         // posting anything stops at the same step and wins the (step, rank)

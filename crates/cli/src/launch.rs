@@ -4,24 +4,22 @@
 //! per rank (re-invoking its own binary with `EXACOLL_RANK`/`EXACOLL_ROOT`
 //! in the environment), and waits for all of them under a hard timeout so a
 //! matching-logic deadlock fails the job instead of hanging it. Each worker
-//! joins the socket world, runs the chosen collective under a [`TimedComm`],
-//! verifies its own output against the sequential reference (inputs are the
-//! deterministic [`Request::inputs`], so every process can reconstruct all
-//! inputs without any data exchange), and exits non-zero on any mismatch.
+//! joins the socket world, runs the chosen collective, verifies its own
+//! output against the sequential reference (inputs are the deterministic
+//! [`Request::inputs`], so every process can reconstruct all inputs without
+//! any data exchange), and exits non-zero on any mismatch.
 //!
 //! `--spawn N` launches only ranks `0..N` locally and prints the
 //! environment for the rest, so the remaining workers can be started by
 //! hand on other hosts (`--bind` must then name an external interface).
 //!
-//! With `--chrome FILE`, workers additionally dump their timelines as JSON
-//! (via `EXACOLL_TIMELINE`); the launcher merges them into one Chrome trace
-//! with one track per rank.
-//!
-//! With `--record DIR`, workers dump their canonical event logs as per-rank
-//! fragments (via `EXACOLL_RECORD`) — written *before* any execute error
-//! propagates, so failed runs still leave evidence — and the launcher merges
-//! them into one self-contained replay artifact under `DIR`, checkable
-//! offline with `exacoll replay`.
+//! With `--chrome FILE` or `--record DIR`, each worker runs under the one
+//! recorder, [`RecordComm`], and writes its [`RankLog`] to the file named by
+//! `EXACOLL_RECORD` — *before* any execute error propagates, so a failed run
+//! still leaves evidence. The launcher builds both outputs from those files:
+//! the Chrome trace, one track per rank, from their timed events, and the
+//! self-contained replay artifact under `DIR`, checkable offline with
+//! `exacoll replay`. Only `--record` digests payloads.
 
 use crate::args::{alg_to_spec, parse_backend, Args, Backend};
 use crate::commands::{parse_request, record_feedback, resolve_auto, table_path};
@@ -31,10 +29,7 @@ use exacoll_core::schedule::execute_compiled;
 use exacoll_core::spec::opt_to_spec;
 use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll_net::{serve_rendezvous, SocketOptions};
-use exacoll_obs::{
-    chrome_trace, makespan_ns, rank_tracks, timeline_from_json, timeline_to_json, BackendRun,
-    ProfileSpec, RankTimeline, TimedComm,
-};
+use exacoll_obs::{chrome_trace, makespan_ns, rank_tracks, BackendRun, ProfileSpec, RankTimeline};
 use exacoll_opt::cached_plan;
 use exacoll_replay::{Artifact, RankLog, RankStatus};
 use std::net::{SocketAddr, TcpListener};
@@ -54,6 +49,9 @@ struct LaunchSpec {
     /// path to feed the measured makespan back into. Launcher-only state —
     /// `worker_argv` hands workers the concrete `--alg`, never `--select`.
     select_table: Option<String>,
+    /// `--record DIR`: where the launcher writes the replay artifact, and
+    /// what tells a worker to digest what it records.
+    record: Option<String>,
 }
 
 impl LaunchSpec {
@@ -76,6 +74,7 @@ impl LaunchSpec {
             request,
             timeout: Duration::from_secs(args.opt_usize("timeout", 120)? as u64),
             select_table,
+            record: args.opt("record").map(String::from),
         })
     }
 
@@ -99,6 +98,9 @@ impl LaunchSpec {
         }
         if req.tenants() > 1 {
             argv.extend(["--tenants".into(), req.tenants().to_string()]);
+        }
+        if let Some(dir) = &self.record {
+            argv.extend(["--record".into(), dir.clone()]);
         }
         if !req.opt().is_none() {
             argv.extend([
@@ -146,9 +148,8 @@ fn barrier<C: exacoll_comm::Comm>(c: &mut C) -> Result<(), String> {
         .map_err(|e| e.to_string())
 }
 
-/// One worker process: join the socket world, run the request under
-/// instrumentation, verify against the sequential reference, optionally
-/// dump the timeline and the replay fragment.
+/// One worker process: join the socket world, run the request, verify
+/// against the sequential reference, and dump the recorded log if asked.
 fn worker(spec: &LaunchSpec) -> Result<(), String> {
     let rank: usize = env_var("EXACOLL_RANK")?
         .parse()
@@ -176,23 +177,27 @@ fn worker(spec: &LaunchSpec) -> Result<(), String> {
     // Align the epoch across processes: everyone leaves the barrier within
     // one wire latency of each other, then starts its clock.
     barrier(&mut c).map_err(|e| fail("entry barrier", e))?;
-    // The event log is only kept for a launch that asked for it: digesting
-    // every payload byte is not something a plain run should pay for.
-    let record_path = env_var("EXACOLL_RECORD").ok();
-    let mut tc = TimedComm::new(&mut c);
-    let (result, events) = if record_path.is_some() {
-        let mut rc = RecordComm::new(&mut tc);
-        let result = execute_compiled(&mut rc, &plan, &inputs[rank]);
-        (result, rc.finish())
-    } else {
-        (execute_compiled(&mut tc, &plan, &inputs[rank]), Vec::new())
+    // Events are only recorded for a launch that asked for them, and only
+    // digested for a replay artifact: digesting every payload byte is not
+    // something a plain or a timed run should pay for.
+    let dump = env_var("EXACOLL_RECORD").ok();
+    let (result, events) = match &dump {
+        None => (execute_compiled(&mut c, &plan, &inputs[rank]), Vec::new()),
+        Some(_) => {
+            let mut rc = match spec.record {
+                Some(_) => RecordComm::for_replay(&mut c),
+                None => RecordComm::new(&mut c),
+            };
+            let result = execute_compiled(&mut rc, &plan, &inputs[rank]);
+            (result, rc.finish().events)
+        }
     };
-    let timeline = tc.finish();
-    // The replay fragment is written before any execute error propagates, so
-    // a failed run still leaves its half of the evidence.
-    if let Some(path) = record_path {
+    // The log is written before any execute error propagates, so a failed
+    // run still leaves its half of the evidence.
+    if let Some(path) = dump {
         let log = RankLog {
             rank,
+            size: req.ranks(),
             status: match &result {
                 Ok(_) => RankStatus::Ok,
                 Err(e) => RankStatus::Error(e.to_string()),
@@ -220,11 +225,6 @@ fn worker(spec: &LaunchSpec) -> Result<(), String> {
         ));
     }
     barrier(&mut c).map_err(|e| fail("exit barrier", e))?;
-
-    if let Ok(path) = env_var("EXACOLL_TIMELINE") {
-        std::fs::write(&path, timeline_to_json(&timeline).pretty())
-            .map_err(|e| fail("timeline", format!("writing {path}: {e}")))?;
-    }
     if rank == 0 {
         println!(
             "rank 0: {} verified on {} process(es), {}",
@@ -246,9 +246,8 @@ fn worker_binary() -> Result<PathBuf, String> {
     std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))
 }
 
-/// A fresh scratch directory for per-rank dump files (timelines, replay
-/// fragments). Uniqueness needs both the pid and a counter: one process may
-/// run several launches.
+/// A fresh scratch directory for the per-rank dump files. Uniqueness needs
+/// both the pid and a counter: one process may run several launches.
 fn scratch_dir() -> Result<PathBuf, String> {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -260,22 +259,17 @@ fn scratch_dir() -> Result<PathBuf, String> {
     Ok(dir)
 }
 
-fn timeline_path(dir: &Path, rank: usize) -> PathBuf {
-    dir.join(format!("rank{rank}.json"))
-}
-
-fn fragment_path(dir: &Path, rank: usize) -> PathBuf {
+fn dump_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("rank{rank}.record.json"))
 }
 
-/// Spawn worker processes for ranks `0..spawn_n`, optionally pointing each
-/// at a timeline dump file and/or a replay-fragment file.
+/// Spawn worker processes for ranks `0..spawn_n`, pointing each at its dump
+/// file under `dump_dir`, if any.
 fn spawn_workers(
     spec: &LaunchSpec,
     root: SocketAddr,
     spawn_n: usize,
-    tl_dir: Option<&Path>,
-    rec_dir: Option<&Path>,
+    dump_dir: Option<&Path>,
 ) -> Result<Vec<Child>, String> {
     let bin = worker_binary()?;
     let argv = spec.worker_argv();
@@ -286,11 +280,8 @@ fn spawn_workers(
             .env("EXACOLL_RANK", rank.to_string())
             .env("EXACOLL_ROOT", root.to_string())
             .stdin(Stdio::null());
-        if let Some(dir) = tl_dir {
-            cmd.env("EXACOLL_TIMELINE", timeline_path(dir, rank));
-        }
-        if let Some(dir) = rec_dir {
-            cmd.env("EXACOLL_RECORD", fragment_path(dir, rank));
+        if let Some(dir) = dump_dir {
+            cmd.env("EXACOLL_RECORD", dump_path(dir, rank));
         }
         children.push(
             cmd.spawn()
@@ -348,43 +339,32 @@ fn wait_workers(children: &mut [Child], timeout: Duration) -> Vec<String> {
     failures
 }
 
-/// Read back the per-rank timeline dumps written by the workers.
-fn collect_timelines(dir: &Path, p: usize) -> Result<Vec<RankTimeline>, String> {
+/// Read back every rank's dump: its log, or why there is none that
+/// belongs to rank `r` of `p`.
+fn read_dumps(dir: &Path, p: usize) -> Vec<Result<RankLog, String>> {
     (0..p)
         .map(|rank| {
-            let path = timeline_path(dir, rank);
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            let value = exacoll_json::parse(&text)
-                .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-            let tl = timeline_from_json(&value)?;
-            if (tl.rank, tl.size) != (rank, p) {
-                return Err(format!(
-                    "{}: timeline of rank {} of {}, expected rank {rank} of {p}",
-                    path.display(),
-                    tl.rank,
-                    tl.size
-                ));
-            }
-            Ok(tl)
+            let path = dump_path(dir, rank);
+            std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| exacoll_json::parse(&text))
+                .and_then(|v| RankLog::from_json(&v, rank, p).map_err(|e| e.to_string()))
+                .map_err(|e| format!("{}: {e}", path.display()))
         })
         .collect()
 }
 
-/// Merge the per-rank replay fragments into one self-contained artifact.
-/// A rank whose fragment is missing or unreadable (worker died before it
-/// could record) gets an error-status log with a reconstructed input and an
-/// empty event list — the replayer then pins its first divergence at step 0.
-fn merge_fragments(spec: &LaunchSpec, dir: &Path) -> Artifact {
-    let ranks = (0..spec.request.ranks())
-        .map(|rank| {
-            let path = fragment_path(dir, rank);
-            let parsed = std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| exacoll_json::parse(&text))
-                .and_then(|v| RankLog::from_json(&v, rank).map_err(|e| e.to_string()));
-            parsed.unwrap_or_else(|e| RankLog {
+/// Merge the per-rank logs into one self-contained artifact. A rank whose
+/// dump is missing or unreadable (worker died before it could record) gets
+/// an error-status log with a reconstructed input and an empty event list —
+/// the replayer then pins its first divergence at step 0.
+fn merge_dumps(spec: &LaunchSpec, dumps: &[Result<RankLog, String>]) -> Artifact {
+    let p = spec.request.ranks();
+    let ranks = (dumps.iter().enumerate())
+        .map(|(rank, dump)| {
+            dump.clone().unwrap_or_else(|e| RankLog {
                 rank,
+                size: p,
                 status: RankStatus::Error(format!("no replay fragment: {e}")),
                 input: spec.request.inputs(DEFAULT_SEED).swap_remove(rank),
                 output_digest: None,
@@ -393,7 +373,7 @@ fn merge_fragments(spec: &LaunchSpec, dir: &Path) -> Artifact {
         })
         .collect();
     Artifact {
-        case: Some(format!("{}/p{}/launch", spec.label(), spec.request.ranks())),
+        case: Some(format!("{}/p{p}/launch", spec.label())),
         backend: "tcp".into(),
         fault_seed: None,
         request: spec.request.clone(),
@@ -407,11 +387,9 @@ struct LocalWorld<'a> {
     bind: &'a str,
     /// Ranks `0..spawn` are started here; the rest by hand, elsewhere.
     spawn: usize,
-    /// Collect every rank's timeline.
+    /// Collect every rank's timeline (the spec's `--record` collects them
+    /// too, for its artifact).
     timelines: bool,
-    /// Merge every rank's replay fragment into an artifact under this
-    /// directory.
-    record: Option<&'a str>,
 }
 
 /// Run one world for `spec`: host the rendezvous, spawn the local workers,
@@ -432,22 +410,18 @@ fn run_local_world(
     let server = std::thread::spawn(move || serve_rendezvous(&listener, p, deadline));
     announce(root);
 
-    let tl_dir = opts.timelines.then(scratch_dir).transpose()?;
-    let rec_dir = opts.record.map(|_| scratch_dir()).transpose()?;
+    let dump_dir = (opts.timelines || spec.record.is_some())
+        .then(scratch_dir)
+        .transpose()?;
     let result = (|| {
-        let mut children = spawn_workers(
-            spec,
-            root,
-            opts.spawn,
-            tl_dir.as_deref(),
-            rec_dir.as_deref(),
-        )?;
+        let mut children = spawn_workers(spec, root, opts.spawn, dump_dir.as_deref())?;
         // Workers get the full timeout; the launcher allows a little extra
         // so worker-side deadlines fire first with a precise error.
         let failures = wait_workers(&mut children, spec.timeout + Duration::from_secs(10));
+        let dumps = dump_dir.as_deref().map(|dir| read_dumps(dir, p));
         // Merge the replay artifact before failure handling: a failed run is
         // exactly when the artifact matters most.
-        if let (Some(dir), Some(out_dir)) = (&rec_dir, opts.record) {
+        if let (Some(dumps), Some(out_dir)) = (&dumps, &spec.record) {
             std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
             let name = crate::commands::sanitize_artifact_name(&format!(
                 "{}-{}-p{p}-launch",
@@ -455,7 +429,7 @@ fn run_local_world(
                 spec.request.variant().spec()
             ));
             let path = format!("{out_dir}/{name}.replay.json");
-            std::fs::write(&path, merge_fragments(spec, dir).to_json())
+            std::fs::write(&path, merge_dumps(spec, dumps).to_json())
                 .map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("replay artifact written to {path} (verify with `exacoll replay {path}`)");
         }
@@ -467,12 +441,20 @@ fn run_local_world(
                 failures.join("\n  ")
             ));
         }
-        tl_dir
-            .as_deref()
-            .map(|dir| collect_timelines(dir, p))
-            .transpose()
+        let timeline = |log: RankLog| RankTimeline {
+            rank: log.rank,
+            size: log.size,
+            events: log.events,
+        };
+        let timelines = |dumps: Vec<Result<RankLog, String>>| {
+            dumps
+                .into_iter()
+                .map(|d| d.map(timeline))
+                .collect::<Result<_, _>>()
+        };
+        dumps.map(timelines).transpose()
     })();
-    for dir in tl_dir.iter().chain(&rec_dir) {
+    if let Some(dir) = &dump_dir {
         let _ = std::fs::remove_dir_all(dir);
     }
     if let Err(e) = server.join().map_err(|_| "rendezvous thread panicked")? {
@@ -494,12 +476,12 @@ pub fn profile_tcp(spec: &ProfileSpec) -> Result<BackendRun, String> {
         request: spec.request.clone(),
         timeout: Duration::from_secs(120),
         select_table: None,
+        record: None,
     };
     let opts = LocalWorld {
         bind: "127.0.0.1:0",
         spawn: launch.request.ranks(),
         timelines: true,
-        record: None,
     };
     let timelines = run_local_world(&launch, &opts, |_| {})?.expect("timelines requested");
     let makespan = makespan_ns(&timelines);
@@ -530,10 +512,9 @@ fn launcher(args: &Args) -> Result<(), String> {
         return Err(format!("--spawn {spawn} exceeds --ranks {p}"));
     }
     let chrome = args.opt("chrome");
-    let record = args.opt("record");
     for (flag, given) in [
         ("--chrome", chrome.is_some()),
-        ("--record", record.is_some()),
+        ("--record", spec.record.is_some()),
         ("--select auto", spec.select_table.is_some()),
     ] {
         if given && spawn != p {
@@ -549,7 +530,6 @@ fn launcher(args: &Args) -> Result<(), String> {
         // Timelines are needed for a Chrome trace *and* for feeding the
         // measured makespan back into the selection table.
         timelines: chrome.is_some() || spec.select_table.is_some(),
-        record,
     };
     let timelines = run_local_world(&spec, &opts, |root| {
         eprintln!(
@@ -698,26 +678,29 @@ mod tests {
     }
 
     #[test]
-    fn a_timeline_for_another_rank_or_world_is_refused() {
+    fn a_dump_for_another_rank_or_world_is_refused() {
         let dir = std::env::temp_dir().join(format!("exacoll-tl-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        // Write `rank{file}.json` holding a timeline that says it is `rank`
-        // of `size`.
+        // Write `rank{file}.record.json` holding a log that says it is
+        // `rank` of `size`.
         let write = |file: usize, rank: usize, size: usize| {
-            let tl = RankTimeline {
+            let log = RankLog {
                 rank,
                 size,
+                status: RankStatus::Ok,
+                input: Vec::new(),
+                output_digest: None,
                 events: Vec::new(),
             };
-            std::fs::write(timeline_path(&dir, file), timeline_to_json(&tl).pretty()).unwrap();
+            std::fs::write(dump_path(&dir, file), log.to_json().pretty()).unwrap();
         };
         write(0, 0, 2);
         write(1, 1, 2);
-        assert_eq!(collect_timelines(&dir, 2).unwrap().len(), 2);
+        assert!(read_dumps(&dir, 2).iter().all(Result::is_ok));
         for (rank, size) in [(5, 2), (0, 2), (1, 3)] {
             write(1, rank, size);
-            let err = collect_timelines(&dir, 2).unwrap_err();
-            assert!(err.contains("expected rank 1 of 2"), "{err}");
+            let err = read_dumps(&dir, 2).swap_remove(1).unwrap_err();
+            assert!(err.contains("rank log 1 of 2"), "{err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

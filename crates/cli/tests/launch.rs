@@ -287,7 +287,7 @@ fn launches_of_every_shape_verify_record_and_replay_clean() {
         let events = artifact.ranks.iter().flat_map(|log| &log.events);
         sends.push(
             events
-                .filter(|e| matches!(e, exacoll_comm::RecordedEvent::Send { .. }))
+                .filter(|e| e.kind == exacoll_comm::EventKind::Send)
                 .count(),
         );
         let _ = std::fs::remove_dir_all(&dir);

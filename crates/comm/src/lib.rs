@@ -43,7 +43,7 @@ pub use comm::{Comm, Req};
 pub use engine::{Engine, Inbox, Payload, Posted, Transport};
 pub use error::{CommError, CommResult};
 pub use fault::{FaultComm, FaultEvent, FaultPlan, KillSpec};
-pub use record::{fnv1a, RecordComm, RecordedEvent};
+pub use record::{canonical, fnv1a, EventKind, RankTimeline, RecordComm, TimedEvent};
 pub use reduce_ops::reduce_into;
 pub use sg::{Landing, Regions, SgDests, SgView};
 pub use thread_rt::{

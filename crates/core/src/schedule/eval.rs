@@ -16,8 +16,9 @@
 //! * bytes ([`RankMem`], the executor's own): [`evaluate`] returns every
 //!   rank's output bytes — replay's expected side, `exacoll verify`'s
 //!   cross-check against the sequential reference, and the test oracle. For
-//!   replay, [`evaluate_recorded`] also emits each rank's [`RecordedEvent`]
-//!   log exactly as a `RecordComm` around a live backend would: sends,
+//!   replay, [`evaluate_recorded`] also emits each rank's event log exactly
+//!   as the canonical view of a replay `RecordComm` around a live backend
+//!   would read: sends,
 //!   receives and marks in posting order, a compute after each reduction,
 //!   and receive lengths/digests back-patched when the covering flush
 //!   completes. Costs O(bytes).
@@ -36,7 +37,7 @@
 use super::compiled::{CStep, CompiledSchedule, RankMem, Span};
 use super::provenance::{Arena, Seg, SymMem};
 use super::{compile, Schedule};
-use exacoll_comm::{fnv1a, DType, Rank, RecordedEvent, ReduceOp, Tag};
+use exacoll_comm::{fnv1a, DType, EventKind, Rank, ReduceOp, Tag, TimedEvent};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -164,12 +165,12 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// A completed world run: per-rank outputs and, when recorded, event logs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluated {
     /// Output bytes per rank.
     pub outputs: Vec<Vec<u8>>,
     /// Event log per rank in posting order; empty logs when not recorded.
-    pub events: Vec<Vec<RecordedEvent>>,
+    pub events: Vec<Vec<TimedEvent>>,
 }
 
 /// What a rank's scratch buffer holds while the walker runs its plan. The
@@ -316,7 +317,7 @@ struct RankState<'p, M> {
     /// Next step to execute; `plan.steps().len()` once finished.
     pc: usize,
     pending: Vec<PendingRecv>,
-    events: Vec<RecordedEvent>,
+    events: Vec<TimedEvent>,
 }
 
 impl<M: Memory> RankState<'_, M> {
@@ -361,12 +362,9 @@ impl<M: Memory> RankState<'_, M> {
                         }
                         self.mem.land(&self.plan, recv.dst, &payload)?;
                         if record {
-                            self.events[recv.event] = RecordedEvent::Recv {
-                                from: recv.from,
-                                tag: recv.tag,
-                                bytes: got,
-                                digest: Some(M::digest(&payload)),
-                            };
+                            let event = &mut self.events[recv.event];
+                            event.bytes = got as u64;
+                            event.digest = Some(M::digest(&payload));
                         }
                         progress = true;
                     }
@@ -376,20 +374,22 @@ impl<M: Memory> RankState<'_, M> {
                 }
                 CStep::Mark { label, round } => {
                     if record {
-                        self.events.push(RecordedEvent::Mark {
-                            label: label.to_string(),
-                            round: *round,
+                        self.events.push(TimedEvent {
+                            label: Some(*label),
+                            round: Some(*round),
+                            ..TimedEvent::of(EventKind::Mark)
                         });
                     }
                 }
                 CStep::Send { to, tag, src } => {
                     let payload = self.mem.gather(&self.plan, *src)?;
                     if record {
-                        self.events.push(RecordedEvent::Send {
-                            to: *to,
-                            tag: *tag,
-                            bytes: M::payload_len(&payload),
-                            digest: M::digest(&payload),
+                        self.events.push(TimedEvent {
+                            peer: Some(*to),
+                            tag: Some(*tag),
+                            bytes: M::payload_len(&payload) as u64,
+                            digest: Some(M::digest(&payload)),
+                            ..TimedEvent::of(EventKind::Send)
                         });
                     }
                     chans.queues[self.chans[self.pc] as usize].push_back(payload);
@@ -403,11 +403,11 @@ impl<M: Memory> RankState<'_, M> {
                         event: self.events.len(),
                     });
                     if record {
-                        self.events.push(RecordedEvent::Recv {
-                            from: *from,
-                            tag: *tag,
-                            bytes: dst.bytes(),
-                            digest: None,
+                        self.events.push(TimedEvent {
+                            peer: Some(*from),
+                            tag: Some(*tag),
+                            bytes: dst.bytes() as u64,
+                            ..TimedEvent::of(EventKind::Recv)
                         });
                     }
                 }
@@ -421,8 +421,10 @@ impl<M: Memory> RankState<'_, M> {
                     self.mem
                         .reduce(shared, &self.plan, *dtype, *op, *src, *dst)?;
                     if record {
-                        self.events
-                            .push(RecordedEvent::Compute { bytes: dst.bytes() });
+                        self.events.push(TimedEvent {
+                            bytes: dst.bytes() as u64,
+                            ..TimedEvent::of(EventKind::Compute)
+                        });
                     }
                 }
             }
@@ -434,7 +436,7 @@ impl<M: Memory> RankState<'_, M> {
 }
 
 /// Every rank's output and event log.
-type Walked<O> = (Vec<O>, Vec<Vec<RecordedEvent>>);
+type Walked<O> = (Vec<O>, Vec<Vec<TimedEvent>>);
 
 /// Walk the world to completion over memories `load` fills from each rank's
 /// plan — compiled by `load`, or one the caller compiled already; the event
@@ -625,17 +627,17 @@ mod tests {
     use super::super::{execute_compiled, ScheduleBuilder, SgList};
     use super::*;
     use crate::registry::{lower, Algorithm, CollArgs, CollectiveOp};
-    use exacoll_comm::{run_ranks, Comm, RecordComm, ThreadComm};
+    use exacoll_comm::{canonical, run_ranks, Comm, RecordComm, ThreadComm};
 
-    /// What `RecordComm` logs around the executor on live threads.
+    /// What `RecordComm::for_replay` logs around the executor on live
+    /// threads, in its canonical view.
     fn live_recorded(plans: &[Schedule], inputs: &[Vec<u8>]) -> Evaluated {
-        let runs: Vec<(Vec<u8>, Vec<RecordedEvent>)> =
-            run_ranks(plans.len(), |c: &mut ThreadComm| {
-                let r = c.rank();
-                let mut rc = RecordComm::new(&mut *c);
-                let out = execute_compiled(&mut rc, &compile(&plans[r]), &inputs[r])?;
-                Ok((out, rc.finish()))
-            });
+        let runs: Vec<(Vec<u8>, Vec<TimedEvent>)> = run_ranks(plans.len(), |c: &mut ThreadComm| {
+            let r = c.rank();
+            let mut rc = RecordComm::for_replay(&mut *c);
+            let out = execute_compiled(&mut rc, &compile(&plans[r]), &inputs[r])?;
+            Ok((out, canonical(&rc.finish().events)))
+        });
         let (outputs, events) = runs.into_iter().unzip();
         Evaluated { outputs, events }
     }
@@ -665,20 +667,15 @@ mod tests {
         // of the send, with its digest patched in at the flush.
         assert_eq!(
             got.events[0],
-            vec![
-                RecordedEvent::Recv {
-                    from: 1,
-                    tag: 4,
+            [(EventKind::Recv, [7, 8, 9]), (EventKind::Send, [1, 2, 3])].map(|(kind, payload)| {
+                TimedEvent {
+                    peer: Some(1),
+                    tag: Some(4),
                     bytes: 3,
-                    digest: Some(fnv1a(&[7, 8, 9])),
-                },
-                RecordedEvent::Send {
-                    to: 1,
-                    tag: 4,
-                    bytes: 3,
-                    digest: fnv1a(&[1, 2, 3]),
-                },
-            ]
+                    digest: Some(fnv1a(&payload)),
+                    ..TimedEvent::of(kind)
+                }
+            })
         );
     }
 

@@ -157,6 +157,7 @@ mod tests {
             label: Some("phase"),
             round: Some(0),
             covers: Vec::new(),
+            digest: None,
         }
     }
 

@@ -203,6 +203,7 @@ mod tests {
             label: None,
             round: None,
             covers: Vec::new(),
+            digest: None,
         }
     }
 

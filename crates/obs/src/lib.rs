@@ -7,11 +7,12 @@
 //!
 //! The subsystem is layered:
 //!
-//! 1. [`TimedComm`] wraps any [`exacoll_comm::Comm`] and records a
-//!    [`RankTimeline`] of wall-clock events; [`timelines_from_sim`] builds
-//!    the same structure from a recorded trace plus the simulator's per-op
-//!    virtual timings. Round boundaries announced by the algorithms via
-//!    `Comm::mark` become phase annotations on every event.
+//! 1. The one recorder, [`exacoll_comm::RecordComm`], wraps any `Comm` and
+//!    records a [`RankTimeline`] of wall-clock events — the same list a
+//!    replay artifact holds; [`timelines_from_sim`] builds that structure
+//!    from a recorded trace plus the simulator's per-op virtual timings.
+//!    Round boundaries announced by the algorithms via `Comm::mark` become
+//!    phase annotations on every event.
 //! 2. [`Metrics`] aggregates runs into counters and log₂-bucketed
 //!    [`Histogram`]s, snapshotable to JSON and restorable from it.
 //! 3. [`chrome_trace`] renders timelines as a Chrome `trace_event` document
@@ -29,7 +30,6 @@ pub mod metrics;
 pub mod profile;
 pub mod residual;
 pub mod timeline;
-pub mod timeline_json;
 
 pub use chrome::{chrome_trace, rank_tracks};
 pub use critical_path::{critical_path, CriticalPath, CriticalStep};
@@ -39,4 +39,3 @@ pub use residual::{analyze_residuals, PhaseResidual, ResidualReport};
 pub use timeline::{
     makespan_ns, timelines_from_sim, EventKind, RankTimeline, TimedComm, TimedEvent,
 };
-pub use timeline_json::{timeline_from_json, timeline_to_json};

@@ -5,13 +5,13 @@
 //!   replays it on the discrete-event simulator, and converts the per-op
 //!   virtual timings into timelines.
 //! * [`profile_thread`] runs the collective for real on the threaded
-//!   runtime, each rank wrapped in a [`TimedComm`] sharing one epoch.
+//!   runtime, each rank wrapped in a [`RecordComm`] sharing one epoch.
 //!
 //! Both produce the same [`RankTimeline`] structure, so the Chrome-trace
 //! exporter, critical-path walker, and residual analyzer apply uniformly.
 
-use crate::timeline::{makespan_ns, timelines_from_sim, RankTimeline, TimedComm};
-use exacoll_comm::{try_run_ranks, Comm, ThreadComm};
+use crate::timeline::{makespan_ns, timelines_from_sim, RankTimeline};
+use exacoll_comm::{try_run_ranks, Comm, RecordComm, ThreadComm};
 use exacoll_core::request::DEFAULT_SEED;
 use exacoll_core::schedule::{execute_compiled, CompiledSchedule};
 use exacoll_core::Request;
@@ -69,7 +69,7 @@ pub fn profile_sim(spec: &ProfileSpec) -> Result<BackendRun, String> {
 }
 
 /// Profile on the threaded runtime: every rank's [`exacoll_comm::Comm`] is
-/// wrapped in a [`TimedComm`] sharing one epoch, so timelines agree on
+/// wrapped in a [`RecordComm`] sharing one epoch, so timelines agree on
 /// `t = 0`, and every rank's output is checked against the request's
 /// sequential reference.
 pub fn profile_thread(spec: &ProfileSpec) -> Result<BackendRun, String> {
@@ -82,7 +82,7 @@ pub fn profile_thread(spec: &ProfileSpec) -> Result<BackendRun, String> {
     let slots: Mutex<Vec<Option<RankTimeline>>> = Mutex::new(vec![None; p]);
     let results = try_run_ranks(p, |c: &mut ThreadComm| {
         let rank = c.rank();
-        let mut tc = TimedComm::with_epoch(&mut *c, epoch);
+        let mut tc = RecordComm::new(&mut *c).since(epoch);
         let res = execute_compiled(&mut tc, &plans[rank], &inputs[rank]);
         let (_, timeline) = tc.into_parts();
         slots.lock().expect("timeline collector")[rank] = Some(timeline);

@@ -1,12 +1,15 @@
-//! The on-disk replay artifact: format `exacoll-replay/v1`.
+//! The on-disk replay artifact: format `exacoll-replay/v2`, and the one
+//! codec of a rank's recorded event list.
 //!
 //! An artifact is **self-contained**: it carries the collective/algorithm
 //! spec, the communicator size, every rank's raw input bytes (hex), and
-//! every rank's recorded event log. Replay therefore needs no payload
+//! every rank's recorded event list. Replay therefore needs no payload
 //! generators, no fault plans, and no access to the code that produced the
 //! run — the recorded inputs plus the schedule IR determine everything.
+//! A [`RankLog`] alone is also what a TCP worker writes for its launcher,
+//! which builds both the artifact and the Chrome trace from it.
 //!
-//! Two encoding choices keep the format robust:
+//! Encoding choices that keep the format robust:
 //!
 //! * 64-bit digests are serialized as 16-hex-char **strings**, because the
 //!   JSON number model (`f64`) cannot hold a `u64` above 2^53 exactly.
@@ -15,9 +18,16 @@
 //!   detected structurally ([`ReplayError::SeqGap`] /
 //!   [`ReplayError::Truncated`]) instead of replaying into a false clean
 //!   verdict.
+//! * a wait may cover only events before it, so a decoded list is safe to
+//!   walk by its `covers`.
+//! * a non-mark event's phase is the latest mark's, so only marks carry a
+//!   label; labels are interned once here, not allocated per event.
+//!
+//! `v2` added each event's times, `wait` events and each rank log's `size`.
+//! A `v1` artifact reads as a `v2` one with no times and no waits.
 
 use crate::ReplayError;
-use exacoll_comm::RecordedEvent;
+use exacoll_comm::{EventKind, TimedEvent};
 use exacoll_core::registry::CollArgs;
 use exacoll_core::spec::{
     alg_to_spec, opt_to_spec, parse_alg, parse_dtype, parse_op, parse_opt_spec, parse_rop,
@@ -27,7 +37,11 @@ use exacoll_core::Request;
 use exacoll_json::Value;
 
 /// The format tag every artifact must declare.
-pub const FORMAT: &str = "exacoll-replay/v1";
+pub const FORMAT: &str = "exacoll-replay/v2";
+
+/// The format before events carried times, which [`Artifact::from_json`]
+/// still reads.
+const FORMAT_V1: &str = "exacoll-replay/v1";
 
 /// How a rank's run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,18 +56,21 @@ pub enum RankStatus {
 }
 
 /// One rank's contribution to an artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankLog {
     /// The rank this log belongs to.
     pub rank: usize,
+    /// The communicator size the rank ran in.
+    pub size: usize,
     /// How the rank's run ended.
     pub status: RankStatus,
     /// The rank's raw input bytes, exactly as passed to the collective.
     pub input: Vec<u8>,
     /// FNV-1a digest of the rank's output bytes, if the run produced any.
     pub output_digest: Option<u64>,
-    /// The recorded event log, in posting order.
-    pub events: Vec<RecordedEvent>,
+    /// The recorded event list, in program order; replay compares its
+    /// [`canonical`](exacoll_comm::canonical) view.
+    pub events: Vec<TimedEvent>,
 }
 
 /// A complete recorded run: header plus one [`RankLog`] per rank.
@@ -103,81 +120,122 @@ fn unhex_digest(s: &str) -> Result<u64, String> {
     u64::from_str_radix(s, 16).map_err(|_| format!("bad digest `{s}`"))
 }
 
-fn event_to_json(seq: usize, ev: &RecordedEvent) -> Value {
-    let mut pairs = vec![("seq", Value::Num(seq as f64))];
-    match ev {
-        RecordedEvent::Send {
-            to,
-            tag,
-            bytes,
-            digest,
-        } => {
-            pairs.push(("kind", Value::Str("send".into())));
-            pairs.push(("to", Value::Num(*to as f64)));
-            pairs.push(("tag", Value::Num(*tag as f64)));
-            pairs.push(("bytes", Value::Num(*bytes as f64)));
-            pairs.push(("digest", Value::Str(hex_digest(*digest))));
+fn num(n: impl TryInto<u64>) -> Value {
+    Value::Num(n.try_into().unwrap_or(u64::MAX) as f64)
+}
+
+fn event_to_json(seq: usize, e: &TimedEvent) -> Value {
+    let mut pairs = vec![
+        ("seq", num(seq)),
+        ("kind", Value::Str(e.kind.name().into())),
+    ];
+    match e.kind {
+        EventKind::Send | EventKind::Recv => {
+            let peer = if e.kind == EventKind::Send {
+                "to"
+            } else {
+                "from"
+            };
+            pairs.push((peer, num(e.peer.unwrap_or_default())));
+            pairs.push(("tag", num(e.tag.unwrap_or_default())));
+            pairs.push(("bytes", num(e.bytes)));
+            let digest = e.digest.map_or(Value::Null, |d| Value::Str(hex_digest(d)));
+            pairs.push(("digest", digest));
         }
-        RecordedEvent::Recv {
-            from,
-            tag,
-            bytes,
-            digest,
-        } => {
-            pairs.push(("kind", Value::Str("recv".into())));
-            pairs.push(("from", Value::Num(*from as f64)));
-            pairs.push(("tag", Value::Num(*tag as f64)));
-            pairs.push(("bytes", Value::Num(*bytes as f64)));
+        EventKind::Compute => pairs.push(("bytes", num(e.bytes))),
+        EventKind::Mark => {
+            pairs.push(("label", Value::Str(e.label.unwrap_or_default().into())));
+            pairs.push(("round", num(e.round.unwrap_or_default())));
+        }
+        EventKind::Wait => {
             pairs.push((
-                "digest",
-                match digest {
-                    Some(d) => Value::Str(hex_digest(*d)),
-                    None => Value::Null,
-                },
+                "covers",
+                Value::Arr(e.covers.iter().map(|&c| num(c)).collect()),
             ));
         }
-        RecordedEvent::Compute { bytes } => {
-            pairs.push(("kind", Value::Str("compute".into())));
-            pairs.push(("bytes", Value::Num(*bytes as f64)));
-        }
-        RecordedEvent::Mark { label, round } => {
-            pairs.push(("kind", Value::Str("mark".into())));
-            pairs.push(("label", Value::Str(label.clone())));
-            pairs.push(("round", Value::Num(*round as f64)));
-        }
     }
+    pairs.push(("begin_ns", Value::Num(e.begin_ns)));
+    pairs.push(("end_ns", Value::Num(e.end_ns)));
+    pairs.push(("done_ns", Value::Num(e.done_ns)));
     Value::obj(pairs)
 }
 
-fn event_from_json(v: &Value) -> Result<RecordedEvent, String> {
-    let kind = v.req("kind")?.as_str()?;
+/// Decode event `i` of a list, in the phase the marks before it set.
+fn event_from_json(
+    v: &Value,
+    i: usize,
+    phase: &mut Option<(&'static str, u32)>,
+) -> Result<TimedEvent, String> {
+    let kind = match v.req("kind")?.as_str()? {
+        "send" => EventKind::Send,
+        "recv" => EventKind::Recv,
+        "wait" => EventKind::Wait,
+        "compute" => EventKind::Compute,
+        "mark" => EventKind::Mark,
+        other => return Err(format!("unknown event kind `{other}`")),
+    };
+    let field = |key: &str| v.req(key).and_then(Value::as_usize);
+    // Times are absent from v1 artifacts.
+    let time = |key: &str| v.get(key).map_or(Ok(0.0), Value::as_f64);
+    let mut event = TimedEvent {
+        begin_ns: time("begin_ns")?,
+        end_ns: time("end_ns")?,
+        done_ns: time("done_ns")?,
+        ..TimedEvent::of(kind)
+    };
+    let peer = if kind == EventKind::Send {
+        "to"
+    } else {
+        "from"
+    };
     match kind {
-        "send" => Ok(RecordedEvent::Send {
-            to: v.req("to")?.as_usize()?,
-            tag: v.req("tag")?.as_usize()? as u32,
-            bytes: v.req("bytes")?.as_usize()?,
-            digest: unhex_digest(v.req("digest")?.as_str()?)?,
-        }),
-        "recv" => {
-            let digest = match v.req("digest")? {
+        EventKind::Send | EventKind::Recv => {
+            event.peer = Some(field(peer)?);
+            event.tag = Some(field("tag")? as u32);
+            event.bytes = field("bytes")? as u64;
+            event.digest = match v.req("digest")? {
                 Value::Null => None,
-                other => Some(unhex_digest(other.as_str()?)?),
+                d => Some(unhex_digest(d.as_str()?)?),
             };
-            Ok(RecordedEvent::Recv {
-                from: v.req("from")?.as_usize()?,
-                tag: v.req("tag")?.as_usize()? as u32,
-                bytes: v.req("bytes")?.as_usize()?,
-                digest,
-            })
         }
-        "compute" => Ok(RecordedEvent::Compute {
-            bytes: v.req("bytes")?.as_usize()?,
-        }),
-        "mark" => Ok(RecordedEvent::Mark {
-            label: v.req("label")?.as_str()?.to_string(),
-            round: v.req("round")?.as_usize()? as u32,
-        }),
-        other => Err(format!("unknown event kind `{other}`")),
+        EventKind::Compute => event.bytes = field("bytes")? as u64,
+        EventKind::Mark => {
+            *phase = Some((intern(v.req("label")?.as_str()?), field("round")? as u32))
+        }
+        EventKind::Wait => {
+            for c in v.req("covers")?.as_arr()? {
+                let c = c.as_usize()?;
+                if c >= i {
+                    return Err(format!(
+                        "event {i} covers event {c}, which is not before it"
+                    ));
+                }
+                event.covers.push(c as u32);
+            }
+        }
+    }
+    (event.label, event.round) = (phase.map(|(l, _)| l), phase.map(|(_, r)| r));
+    Ok(event)
+}
+
+/// A decoded label with a process lifetime. Labels come from a tiny fixed
+/// vocabulary (the phase names algorithms pass to `Comm::mark`), so the
+/// leak is bounded by that vocabulary's size.
+fn intern(s: &str) -> &'static str {
+    use std::collections::HashSet;
+    use std::sync::{Mutex, OnceLock};
+    static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    let mut pool = POOL
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    match pool.get(s) {
+        Some(&interned) => interned,
+        None => {
+            let leaked: &'static str = Box::leak(s.into());
+            pool.insert(leaked);
+            leaked
+        }
     }
 }
 
@@ -193,6 +251,7 @@ impl RankLog {
             .collect();
         Value::obj(vec![
             ("rank", Value::Num(self.rank as f64)),
+            ("size", Value::Num(self.size as f64)),
             (
                 "status",
                 Value::Str(match &self.status {
@@ -220,60 +279,45 @@ impl RankLog {
         ])
     }
 
-    /// Parse one rank log, verifying it belongs to `expect_rank` and that
-    /// its event sequence is gap-free and complete.
-    pub fn from_json(rv: &Value, expect_rank: usize) -> Result<RankLog, ReplayError> {
-        let rank = rv
-            .req("rank")
-            .and_then(Value::as_usize)
-            .map_err(ReplayError::Parse)?;
-        if rank != expect_rank {
+    /// Parse one rank log, verifying it belongs to rank `expect_rank` of
+    /// `expect_size` (a v1 log does not say its size) and that its event
+    /// sequence is gap-free and complete.
+    pub fn from_json(
+        rv: &Value,
+        expect_rank: usize,
+        expect_size: usize,
+    ) -> Result<RankLog, ReplayError> {
+        let field = |key: &str| rv.req(key).and_then(Value::as_usize);
+        let rank = field("rank")?;
+        let size = match rv.get("size") {
+            None => expect_size,
+            Some(_) => field("size")?,
+        };
+        if (rank, size) != (expect_rank, expect_size) {
             return Err(ReplayError::Header(format!(
-                "rank log {expect_rank} is labeled rank {rank} (logs must be 0..p in order)"
+                "rank log {expect_rank} of {expect_size} is labeled rank {rank} of {size} \
+                 (logs must be 0..p in order)"
             )));
         }
-        let status = match rv
-            .req("status")
-            .and_then(Value::as_str)
-            .map_err(ReplayError::Parse)?
-        {
+        let status = match rv.req("status").and_then(Value::as_str)? {
             "ok" => RankStatus::Ok,
-            "error" => RankStatus::Error(
-                rv.req("error")
-                    .and_then(Value::as_str)
-                    .map_err(ReplayError::Parse)?
-                    .to_string(),
-            ),
+            "error" => RankStatus::Error(rv.req("error").and_then(Value::as_str)?.to_string()),
             other => return Err(ReplayError::Parse(format!("unknown rank status `{other}`"))),
         };
         let input = rv
             .req("input")
             .and_then(Value::as_str)
-            .map_err(ReplayError::Parse)
-            .and_then(|s| unhex_bytes(s).map_err(ReplayError::Parse))?;
-        let output_digest = match rv.req("output_digest").map_err(ReplayError::Parse)? {
+            .and_then(unhex_bytes)?;
+        let output_digest = match rv.req("output_digest")? {
             Value::Null => None,
-            other => Some(
-                other
-                    .as_str()
-                    .map_err(ReplayError::Parse)
-                    .and_then(|s| unhex_digest(s).map_err(ReplayError::Parse))?,
-            ),
+            other => Some(other.as_str().and_then(unhex_digest)?),
         };
-        let declared = rv
-            .req("declared_events")
-            .and_then(Value::as_usize)
-            .map_err(ReplayError::Parse)?;
-        let event_vals = rv
-            .req("events")
-            .and_then(Value::as_arr)
-            .map_err(ReplayError::Parse)?;
+        let declared = field("declared_events")?;
+        let event_vals = rv.req("events").and_then(Value::as_arr)?;
         let mut events = Vec::with_capacity(event_vals.len());
+        let mut phase = None;
         for (expected_seq, ev) in event_vals.iter().enumerate() {
-            let seq = ev
-                .req("seq")
-                .and_then(Value::as_usize)
-                .map_err(ReplayError::Parse)?;
+            let seq = ev.req("seq").and_then(Value::as_usize)?;
             if seq != expected_seq {
                 return Err(ReplayError::SeqGap {
                     rank,
@@ -281,7 +325,7 @@ impl RankLog {
                     found: seq,
                 });
             }
-            events.push(event_from_json(ev).map_err(ReplayError::Parse)?);
+            events.push(event_from_json(ev, seq, &mut phase)?);
         }
         if declared != events.len() {
             return Err(ReplayError::Truncated {
@@ -292,6 +336,7 @@ impl RankLog {
         }
         Ok(RankLog {
             rank,
+            size,
             status,
             input,
             output_digest,
@@ -301,11 +346,10 @@ impl RankLog {
 }
 
 impl Artifact {
-    /// Serialize to the pretty-printed `exacoll-replay/v1` JSON document.
+    /// Serialize to the pretty-printed `exacoll-replay/v2` JSON document.
     /// The optimizer fields are emitted only for optimized runs, `counts`
     /// only for irregular ones (`n` is then the vector's total) and
-    /// `tenants` only above one, so artifacts of plain uniform runs stay
-    /// byte-identical to the original format.
+    /// `tenants` only above one, so plain uniform runs need none of them.
     pub fn to_json(&self) -> String {
         let ranks: Vec<Value> = self.ranks.iter().map(RankLog::to_json).collect();
         let (req, args) = (&self.request, self.request.args());
@@ -360,83 +404,46 @@ impl Artifact {
     /// [`ReplayError::SeqGap`] /
     /// [`ReplayError::Truncated`] for logs that lost events.
     pub fn from_json(text: &str) -> Result<Artifact, ReplayError> {
-        let doc = exacoll_json::parse(text).map_err(ReplayError::Parse)?;
+        let doc = exacoll_json::parse(text)?;
         let format = doc
             .req("format")
-            .and_then(|v| v.as_str().map(str::to_string))
-            .map_err(ReplayError::Parse)?;
-        if format != FORMAT {
+            .and_then(|v| v.as_str().map(str::to_string))?;
+        if format != FORMAT && format != FORMAT_V1 {
             return Err(ReplayError::Format { found: format });
         }
-        let case = match doc.req("case").map_err(ReplayError::Parse)? {
+        let case = match doc.req("case")? {
             Value::Null => None,
-            other => Some(other.as_str().map_err(ReplayError::Parse)?.to_string()),
+            other => Some(other.as_str()?.to_string()),
         };
-        let backend = doc
-            .req("backend")
-            .and_then(Value::as_str)
-            .map_err(ReplayError::Parse)?
-            .to_string();
-        let fault_seed = match doc.req("fault_seed").map_err(ReplayError::Parse)? {
+        let backend = doc.req("backend").and_then(Value::as_str)?.to_string();
+        let fault_seed = match doc.req("fault_seed")? {
             Value::Null => None,
-            other => Some(
-                other
-                    .as_str()
-                    .map_err(ReplayError::Parse)
-                    .and_then(|s| unhex_digest(s).map_err(ReplayError::Parse))?,
-            ),
+            other => Some(other.as_str().and_then(unhex_digest)?),
         };
-        let op = parse_op(
-            doc.req("op")
-                .and_then(Value::as_str)
-                .map_err(ReplayError::Parse)?,
-        )
-        .map_err(ReplayError::Header)?;
-        let alg = parse_alg(
-            doc.req("alg")
-                .and_then(Value::as_str)
-                .map_err(ReplayError::Parse)?,
-        )
-        .map_err(ReplayError::Header)?;
-        let root = doc
-            .req("root")
-            .and_then(Value::as_usize)
-            .map_err(ReplayError::Parse)?;
-        let dtype = parse_dtype(
-            doc.req("dtype")
-                .and_then(Value::as_str)
-                .map_err(ReplayError::Parse)?,
-        )
-        .map_err(ReplayError::Header)?;
-        let rop = parse_rop(
-            doc.req("rop")
-                .and_then(Value::as_str)
-                .map_err(ReplayError::Parse)?,
-        )
-        .map_err(ReplayError::Header)?;
+        let op = parse_op(doc.req("op").and_then(Value::as_str)?).map_err(ReplayError::Header)?;
+        let alg =
+            parse_alg(doc.req("alg").and_then(Value::as_str)?).map_err(ReplayError::Header)?;
+        let root = doc.req("root").and_then(Value::as_usize)?;
+        let dtype =
+            parse_dtype(doc.req("dtype").and_then(Value::as_str)?).map_err(ReplayError::Header)?;
+        let rop =
+            parse_rop(doc.req("rop").and_then(Value::as_str)?).map_err(ReplayError::Header)?;
         // Optimizer fields are optional: artifacts recorded before the
         // optimizer existed (or from unoptimized runs) omit them.
         let opt = match doc.get("opt") {
             None => OptSpec::NONE,
-            Some(v) => parse_opt_spec(v.as_str().map_err(ReplayError::Parse)?)
-                .map_err(ReplayError::Header)?,
+            Some(v) => parse_opt_spec(v.as_str()?).map_err(ReplayError::Header)?,
         };
         let opt_usize = |key: &str, default: usize| -> Result<usize, ReplayError> {
             match doc.get(key) {
                 None => Ok(default),
-                Some(v) => v.as_usize().map_err(ReplayError::Parse),
+                Some(v) => Ok(v.as_usize()?),
             }
         };
         let opt_chunk = opt_usize("opt_chunk", OPT_PIPELINE_CHUNK_BYTES)?;
         let opt_fuse = opt_usize("opt_fuse", OPT_AGGREGATE_MAX_FUSE_BYTES)?;
-        let p = doc
-            .req("p")
-            .and_then(Value::as_usize)
-            .map_err(ReplayError::Parse)?;
-        let n = doc
-            .req("n")
-            .and_then(Value::as_usize)
-            .map_err(ReplayError::Parse)?;
+        let p = doc.req("p").and_then(Value::as_usize)?;
+        let n = doc.req("n").and_then(Value::as_usize)?;
         // `counts` and `tenants` are optional too: absent means uniform and
         // one, which is every artifact written before they existed.
         let args = CollArgs {
@@ -452,7 +459,7 @@ impl Artifact {
         let request = match doc.get("counts") {
             None => Request::uniform(args, p, n),
             Some(v) => {
-                let counts = CountsSpec::parse(v.as_str().map_err(ReplayError::Parse)?)
+                let counts = CountsSpec::parse(v.as_str()?)
                     .map_err(ReplayError::Header)?;
                 if (counts.ranks(), counts.total()) != (p, n) {
                     return Err(ReplayError::Header(format!(
@@ -468,10 +475,7 @@ impl Artifact {
         .and_then(|r| r.with_opt(opt, opt_chunk, opt_fuse))
         .map_err(ReplayError::Header)?;
 
-        let rank_vals = doc
-            .req("ranks")
-            .and_then(Value::as_arr)
-            .map_err(ReplayError::Parse)?;
+        let rank_vals = doc.req("ranks").and_then(Value::as_arr)?;
         if rank_vals.len() != p {
             return Err(ReplayError::Header(format!(
                 "artifact declares p={p} but holds {} rank logs",
@@ -480,7 +484,17 @@ impl Artifact {
         }
         let mut ranks = Vec::with_capacity(p);
         for (i, rv) in rank_vals.iter().enumerate() {
-            ranks.push(RankLog::from_json(rv, i)?);
+            let log = RankLog::from_json(rv, i, p)?;
+            let undigested = log
+                .events
+                .iter()
+                .position(|e| e.kind == EventKind::Send && e.digest.is_none());
+            if let Some(seq) = undigested {
+                return Err(ReplayError::Parse(format!(
+                    "rank {i} event {seq}: a send without a digest cannot be replayed"
+                )));
+            }
+            ranks.push(log);
         }
 
         Ok(Artifact {
@@ -498,6 +512,28 @@ mod tests {
     use super::*;
     use exacoll_core::registry::{Algorithm, CollectiveOp};
 
+    /// A `kind` event to or from rank `peer`, timed, in round 0 of `bc`.
+    fn event(kind: EventKind, peer: usize, digest: Option<u64>) -> TimedEvent {
+        let transfer = matches!(kind, EventKind::Send | EventKind::Recv);
+        TimedEvent {
+            kind,
+            peer: transfer.then_some(peer),
+            tag: transfer.then_some(1),
+            bytes: if transfer { 2 } else { 0 },
+            begin_ns: 10.0,
+            end_ns: 15.5,
+            done_ns: 40.0,
+            label: Some("bc"),
+            round: Some(0),
+            covers: if kind == EventKind::Wait {
+                vec![1]
+            } else {
+                Vec::new()
+            },
+            digest,
+        }
+    }
+
     fn tiny() -> Artifact {
         Artifact {
             case: Some("unit".into()),
@@ -512,27 +548,25 @@ mod tests {
             ranks: vec![
                 RankLog {
                     rank: 0,
+                    size: 2,
                     status: RankStatus::Ok,
                     input: vec![0xab, 0xcd],
                     output_digest: Some(7),
-                    events: vec![RecordedEvent::Send {
-                        to: 1,
-                        tag: 1,
-                        bytes: 2,
-                        digest: u64::MAX,
+                    events: vec![TimedEvent {
+                        label: None,
+                        round: None,
+                        ..event(EventKind::Send, 1, Some(u64::MAX))
                     }],
                 },
                 RankLog {
                     rank: 1,
+                    size: 2,
                     status: RankStatus::Error("peer died".into()),
                     input: vec![0, 0],
                     output_digest: None,
-                    events: vec![RecordedEvent::Recv {
-                        from: 0,
-                        tag: 1,
-                        bytes: 2,
-                        digest: None,
-                    }],
+                    events: [EventKind::Mark, EventKind::Recv, EventKind::Wait]
+                        .map(|kind| event(kind, 0, None))
+                        .to_vec(),
                 },
             ],
         }
@@ -624,7 +658,7 @@ mod tests {
     fn rejects_wrong_format() {
         let text = tiny()
             .to_json()
-            .replace("exacoll-replay/v1", "exacoll-replay/v9");
+            .replace("exacoll-replay/v2", "exacoll-replay/v9");
         assert!(matches!(
             Artifact::from_json(&text),
             Err(ReplayError::Format { .. })
@@ -668,6 +702,60 @@ mod tests {
             Artifact::from_json(&a.to_json()),
             Err(ReplayError::Header(_))
         ));
+    }
+
+    #[test]
+    fn hostile_events_are_refused() {
+        let parse = |text: String| match Artifact::from_json(&text) {
+            Err(ReplayError::Parse(why)) => why,
+            other => panic!("expected a Parse error, got {other:?}"),
+        };
+        let text = tiny().to_json();
+        assert!(parse(text.replacen("\"kind\": \"send\"", "\"kind\": \"zap\"", 1)).contains("zap"));
+        assert!(parse(text.replacen("\"ffffffffffffffff\"", "\"fffz\"", 1)).contains("fffz"));
+        // A send the replayer cannot compare.
+        let undigested = text.replacen("\"ffffffffffffffff\"", "null", 1);
+        assert!(parse(undigested).contains("without a digest"));
+        // `critical_path` indexes events by `covers`.
+        for covers in ["2", "0, 3"] {
+            let err = parse(text.replace(
+                "\"covers\": [\n            1\n          ]",
+                &format!("\"covers\": [{covers}]"),
+            ));
+            assert!(err.contains("event 2 covers"), "{covers}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_v1_artifact_reads_with_no_times_and_no_waits() {
+        let mut v1 = tiny();
+        v1.ranks[1].events.pop();
+        for event in v1.ranks.iter_mut().flat_map(|log| &mut log.events) {
+            (event.begin_ns, event.end_ns, event.done_ns) = (0.0, 0.0, 0.0);
+        }
+        fn strip(v: &mut Value) {
+            match v {
+                Value::Obj(pairs) => {
+                    pairs.retain(|(k, _)| !k.ends_with("_ns") && k != "size");
+                    pairs.iter_mut().for_each(|(_, v)| strip(v));
+                }
+                Value::Arr(items) => items.iter_mut().for_each(strip),
+                _ => {}
+            }
+        }
+        let text = v1
+            .to_json()
+            .replace("exacoll-replay/v2", "exacoll-replay/v1");
+        let mut doc = exacoll_json::parse(&text).unwrap();
+        strip(&mut doc);
+        let text = doc.pretty();
+        assert!(!text.contains("_ns") && !text.contains("size"));
+        assert_eq!(Artifact::from_json(&text).unwrap(), v1);
+    }
+
+    #[test]
+    fn interned_labels_dedupe() {
+        assert!(std::ptr::eq(intern("phase-x"), intern("phase-x")));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! rank, re-apply the recorded optimizer passes — and hands them to the core
 //! world evaluator ([`exacoll_core::schedule::eval`]), which walks the same
 //! compiled step streams the live engine ran and emits each rank's
-//! [`RecordedEvent`](exacoll_comm::RecordedEvent) log the way the recorder
-//! does. Nothing about step semantics or flush placement lives here, so the
-//! expected log cannot drift from what a fault-free live run records. The
-//! whole evaluation is a pure function of `(request, inputs)`.
+//! canonical event log the way the recorder does. Nothing about step
+//! semantics or flush placement lives here, so the expected log cannot drift
+//! from what a fault-free live run records. The whole evaluation is a pure
+//! function of `(request, inputs)`.
 
 use crate::ReplayError;
 use exacoll_core::schedule::eval::{evaluate_recorded, EvalError, Evaluated};
@@ -53,7 +53,7 @@ pub fn evaluate(req: &Request, inputs: &[Vec<u8>]) -> Result<Evaluated, ReplayEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{run_ranks, Comm, RecordComm, RecordedEvent, ThreadComm};
+    use exacoll_comm::{canonical, run_ranks, Comm, RecordComm, ThreadComm, TimedEvent};
     use exacoll_core::registry::{Algorithm, CollArgs, CollectiveOp};
     use exacoll_core::schedule::{compile, execute_compiled};
     use exacoll_core::spec::OptSpec;
@@ -101,13 +101,12 @@ mod tests {
                 let expected = evaluate(&req, &ins).unwrap();
                 let plans = plan_world(&req).unwrap();
                 rewrites_that_bit += usize::from(plans != req.lower_world());
-                let live: Vec<(Vec<RecordedEvent>, Vec<u8>)> =
-                    run_ranks(p, |c: &mut ThreadComm| {
-                        let r = c.rank();
-                        let mut rc = RecordComm::new(&mut *c);
-                        let out = execute_compiled(&mut rc, &compile(&plans[r]), &ins[r])?;
-                        Ok((rc.finish(), out))
-                    });
+                let live: Vec<(Vec<TimedEvent>, Vec<u8>)> = run_ranks(p, |c: &mut ThreadComm| {
+                    let r = c.rank();
+                    let mut rc = RecordComm::for_replay(&mut *c);
+                    let out = execute_compiled(&mut rc, &compile(&plans[r]), &ins[r])?;
+                    Ok((canonical(&rc.finish().events), out))
+                });
                 for (r, (events, out)) in live.iter().enumerate() {
                     assert_eq!(
                         &expected.events[r], events,

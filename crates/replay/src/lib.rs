@@ -122,3 +122,10 @@ impl fmt::Display for ReplayError {
 }
 
 impl std::error::Error for ReplayError {}
+
+/// Syntax and field-shape problems are [`ReplayError::Parse`].
+impl From<String> for ReplayError {
+    fn from(msg: String) -> ReplayError {
+        ReplayError::Parse(msg)
+    }
+}

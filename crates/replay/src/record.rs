@@ -1,5 +1,5 @@
 //! Convenience recorder: run a collective on the threaded backend under
-//! [`RecordComm`] and package the result as a self-contained [`Artifact`].
+//! [`RecordComm::for_replay`] and package the result as a self-contained [`Artifact`].
 //!
 //! This is the clean-record path (`exacoll record`, CI's replay smoke, the
 //! property tests). Fault-injected recordings are assembled by
@@ -44,14 +44,15 @@ pub fn record_request(req: &Request, seed: u64) -> Result<Artifact, String> {
     let inputs = req.inputs(seed);
     let ranks = run_ranks(req.ranks(), |c: &mut ThreadComm| {
         let rank = c.rank();
-        let mut rc = RecordComm::new(&mut *c);
+        let mut rc = RecordComm::for_replay(&mut *c);
         let out = execute_compiled(&mut rc, &plans[rank], &inputs[rank])?;
         Ok(RankLog {
             rank,
+            size: req.ranks(),
             status: RankStatus::Ok,
             input: inputs[rank].clone(),
             output_digest: Some(fnv1a(&out)),
-            events: rc.finish(),
+            events: rc.finish().events,
         })
     });
     Ok(Artifact {

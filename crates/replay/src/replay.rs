@@ -11,7 +11,7 @@
 use crate::artifact::{hex_digest, Artifact, RankStatus};
 use crate::evaluate::evaluate;
 use crate::ReplayError;
-use exacoll_comm::{fnv1a, RecordedEvent};
+use exacoll_comm::{canonical, fnv1a, EventKind, TimedEvent};
 
 /// One step where a rank's recorded behavior departs from the schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +99,7 @@ pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
     let mut events_checked = 0usize;
     for (rank, log) in artifact.ranks.iter().enumerate() {
         let exp = &expected.events[rank];
-        let obs = &log.events;
+        let obs = &canonical(&log.events);
         events_checked += obs.len();
         let mut diverged = false;
         for step in 0..exp.len().max(obs.len()) {
@@ -186,65 +186,23 @@ pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
     })
 }
 
-/// Compare one expected/observed event pair; `None` means they match.
-fn compare(rank: usize, step: usize, e: &RecordedEvent, o: &RecordedEvent) -> Option<Divergence> {
-    let explanation = match (e, o) {
-        (
-            RecordedEvent::Send {
-                to: et,
-                tag: etag,
-                bytes: eb,
-                digest: ed,
-            },
-            RecordedEvent::Send {
-                to: ot,
-                tag: otag,
-                bytes: ob,
-                digest: od,
-            },
-        ) if et == ot && etag == otag && eb == ob => {
-            if ed == od {
-                return None;
-            }
+/// Compare one expected/observed step; `None` means they match.
+fn compare(rank: usize, step: usize, e: &TimedEvent, o: &TimedEvent) -> Option<Divergence> {
+    let explanation = match e.kind {
+        _ if (e.kind, e.peer, e.tag) != (o.kind, o.peer, o.tag) => STEP_MISMATCH,
+        EventKind::Recv if o.digest.is_none() => {
+            "receive was posted but never completed (message lost or peer dead)"
+        }
+        EventKind::Recv if e.bytes != o.bytes => "delivered payload has the wrong length",
+        EventKind::Recv if e.digest != o.digest => {
+            "delivered payload differs from the fault-free dataflow (in-flight corruption)"
+        }
+        EventKind::Send | EventKind::Compute if e.bytes != o.bytes => STEP_MISMATCH,
+        EventKind::Send if e.digest != o.digest => {
             "send payload differs from the fault-free dataflow (corrupted local state)"
         }
-        (
-            RecordedEvent::Recv {
-                from: ef,
-                tag: etag,
-                bytes: eb,
-                digest: ed,
-            },
-            RecordedEvent::Recv {
-                from: of,
-                tag: otag,
-                bytes: ob,
-                digest: od,
-            },
-        ) if ef == of && etag == otag => match od {
-            None => "receive was posted but never completed (message lost or peer dead)",
-            Some(od) if eb == ob && ed == &Some(*od) => return None,
-            Some(_) if eb == ob => {
-                "delivered payload differs from the fault-free dataflow (in-flight corruption)"
-            }
-            Some(_) => "delivered payload has the wrong length",
-        },
-        (RecordedEvent::Compute { bytes: eb }, RecordedEvent::Compute { bytes: ob })
-            if eb == ob =>
-        {
-            return None;
-        }
-        (
-            RecordedEvent::Mark {
-                label: el,
-                round: er,
-            },
-            RecordedEvent::Mark {
-                label: ol,
-                round: or,
-            },
-        ) if el == ol && er == or => return None,
-        _ => "event does not match the schedule's step sequence",
+        EventKind::Mark if (e.label, e.round) != (o.label, o.round) => STEP_MISMATCH,
+        _ => return None,
     };
     Some(Divergence {
         rank,
@@ -255,11 +213,22 @@ fn compare(rank: usize, step: usize, e: &RecordedEvent, o: &RecordedEvent) -> Op
     })
 }
 
+const STEP_MISMATCH: &str = "event does not match the schedule's step sequence";
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::record_thread_run;
     use exacoll_core::registry::{Algorithm, CollArgs, CollectiveOp};
+
+    /// Rank `rank`'s recorded event at canonical step `step`.
+    fn step(a: &mut Artifact, rank: usize, step: usize) -> &mut TimedEvent {
+        let steps = a.ranks[rank].events.iter_mut();
+        steps
+            .filter(|e| e.kind != EventKind::Wait)
+            .nth(step)
+            .expect("a step")
+    }
 
     fn clean_artifact() -> Artifact {
         let args = CollArgs::new(
@@ -307,8 +276,8 @@ mod tests {
         let (victim_rank, victim_step) = (2usize, {
             let mut step = None;
             let mut seen = 0;
-            for (i, ev) in a.ranks[2].events.iter().enumerate() {
-                if matches!(ev, RecordedEvent::Recv { .. }) {
+            for (i, ev) in canonical(&a.ranks[2].events).iter().enumerate() {
+                if ev.kind == EventKind::Recv {
                     seen += 1;
                     if seen == 2 {
                         step = Some(i);
@@ -318,9 +287,8 @@ mod tests {
             }
             step.expect("allreduce rank has at least two receives")
         });
-        if let RecordedEvent::Recv { digest, .. } = &mut a.ranks[victim_rank].events[victim_step] {
-            *digest = digest.map(|d| d ^ 0xff);
-        }
+        let digest = &mut step(&mut a, victim_rank, victim_step).digest;
+        *digest = digest.map(|d| d ^ 0xff);
         let report = replay(&a).unwrap();
         let h = report.headline().expect("must diverge");
         assert_eq!((h.rank, h.step), (victim_rank, victim_step));
@@ -331,8 +299,14 @@ mod tests {
     #[test]
     fn truncated_rank_log_reports_abort_point() {
         let mut a = clean_artifact();
-        let cut = a.ranks[1].events.len() - 2;
-        a.ranks[1].events.truncate(cut);
+        let cut = canonical(&a.ranks[1].events).len() - 2;
+        let events = &mut a.ranks[1].events;
+        let mut steps = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.kind != EventKind::Wait);
+        let (at, _) = steps.nth(cut).expect("a step to cut at");
+        events.truncate(at);
         a.ranks[1].status = RankStatus::Error("killed at op 7".into());
         a.ranks[1].output_digest = None;
         let report = replay(&a).unwrap();
@@ -348,19 +322,17 @@ mod tests {
         let report = replay(&a).unwrap();
         let h = report.headline().unwrap();
         assert_eq!(h.rank, 3);
-        assert_eq!(h.step, a.ranks[3].events.len());
+        assert_eq!(h.step, canonical(&a.ranks[3].events).len());
         assert!(h.explanation.contains("final output differs"));
     }
 
     #[test]
     fn replaying_twice_renders_identical_reports() {
         let mut a = clean_artifact();
-        if let RecordedEvent::Recv { digest, .. } = &mut a.ranks[0].events[2] {
-            *digest = digest.map(|d| d.wrapping_add(1));
-        }
-        if let RecordedEvent::Send { digest, .. } = &mut a.ranks[1].events[0] {
-            *digest ^= 0x10;
-        }
+        let digest = &mut step(&mut a, 0, 2).digest;
+        *digest = digest.map(|d| d.wrapping_add(1));
+        let digest = &mut step(&mut a, 1, 0).digest;
+        *digest = digest.map(|d| d ^ 0x10);
         let r1 = replay(&a).unwrap().render();
         let r2 = replay(&a).unwrap().render();
         assert_eq!(r1, r2);

@@ -15,9 +15,10 @@ mod support;
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::request::payload;
 use exacoll::collectives::{execute, registry::candidates, CollArgs, CollectiveOp};
-use exacoll::comm::{run_ranks, Comm, CommError, CommResult, FaultComm, FaultPlan, Req};
+use exacoll::comm::{
+    run_ranks, Comm, CommError, CommResult, FaultComm, FaultPlan, RecordComm, Req,
+};
 use exacoll::net::{run_socket_ranks, try_run_socket_ranks_with};
-use exacoll::obs::TimedComm;
 use std::time::Duration;
 use support::{input_len, lower_all};
 
@@ -469,7 +470,7 @@ fn killed_rank_on_real_sockets_fails_every_survivor() {
 
 #[test]
 fn timed_comm_is_transparent_over_sockets() {
-    // TimedComm must not perturb results, and must record real socket time
+    // RecordComm must not perturb results, and must record real socket time
     // for every rank.
     let p = 4;
     let args = CollArgs::new(
@@ -481,7 +482,7 @@ fn timed_comm_is_transparent_over_sockets() {
         expected_outputs(args.op, args.root, args.dtype, args.rop, &inputs).expect("reference");
     let out = run_socket_ranks(p, |c| {
         let rank = c.rank();
-        let mut tc = TimedComm::new(&mut *c);
+        let mut tc = RecordComm::new(&mut *c);
         let res = execute(&mut tc, &args, &inputs[rank])?;
         let (_, timeline) = tc.into_parts();
         assert!(

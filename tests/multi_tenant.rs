@@ -13,7 +13,7 @@ use exacoll::collectives::spec::CountsSpec;
 use exacoll::collectives::{
     merge_tenants, run_tenants, Algorithm, CollArgs, CollectiveOp, Request, Tenant,
 };
-use exacoll::comm::{run_ranks, Comm, RecordComm, RecordedEvent};
+use exacoll::comm::{canonical, run_ranks, Comm, RecordComm, TimedEvent};
 use exacoll::net::run_socket_ranks;
 use exacoll::opt::plan_world;
 use exacoll::replay::{record_request, replay, Artifact};
@@ -270,12 +270,12 @@ fn tenant_runs_record_and_replay_cleanly() {
         })
         .collect();
 
-    let record = || -> Vec<(Vec<u8>, Vec<RecordedEvent>)> {
+    let record = || -> Vec<(Vec<u8>, Vec<TimedEvent>)> {
         run_ranks(p, |c| {
             let r = c.rank();
-            let mut rc = RecordComm::new(&mut *c);
+            let mut rc = RecordComm::for_replay(&mut *c);
             let out = execute_compiled(&mut rc, &compile(&merged[r]), &cat[r])?;
-            Ok((out, rc.finish()))
+            Ok((out, canonical(&rc.finish().events)))
         })
     };
     let first = record();

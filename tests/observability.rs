@@ -23,7 +23,7 @@ mod support;
 
 use support::{input_len, lower_all, run_traced};
 
-/// The correctness guard: wrapping every rank in `TimedComm` must leave the
+/// The correctness guard: wrapping every rank in `RecordComm` must leave the
 /// result of every collective byte-identical, for every candidate algorithm
 /// — and the wrapper must see every call the executor makes, `send_sg` and
 /// `waitall_into` included.
@@ -39,7 +39,7 @@ fn timed_wrapper_is_transparent_for_every_collective() {
             let what = format!("{op}/{alg}");
             let bare = run_ranks(p, |c| execute(c, &args, &payload(1, c.rank(), len)));
             let timed = run_traced(&lower_all(&args, p, len), &what);
-            assert_eq!(bare, timed, "{what}: TimedComm changed the result");
+            assert_eq!(bare, timed, "{what}: RecordComm changed the result");
         }
     }
 }
@@ -214,7 +214,7 @@ proptest! {
 }
 
 /// A FaultPlan delay injected under `FaultComm` must surface in the outer
-/// `TimedComm` timeline as an inflated send span at the faulted op index.
+/// `RecordComm` timeline as an inflated send span at the faulted op index.
 #[test]
 fn injected_delay_inflates_the_matching_send_span() {
     let plan = FaultPlan::none(7).delays(1.0, Duration::from_micros(800));
@@ -236,7 +236,7 @@ fn injected_delay_inflates_the_matching_send_span() {
             .unwrap_or_else(|e| panic!("delay-only plan must still complete (rank {rank}): {e}"));
         assert_eq!(out.len(), 64);
         // FaultComm's op clock ticks once per isend/irecv, in call order —
-        // the same order TimedComm records Send/Recv events.
+        // the same order RecordComm records Send/Recv events.
         let p2p: Vec<_> = case
             .timeline
             .events

@@ -17,8 +17,8 @@ use exacoll::collectives::schedule::{
 use exacoll::collectives::spec::{CountsSpec, OptSpec};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp, Request};
 use exacoll::comm::{
-    fnv1a, run_ranks, try_run_ranks, Comm, CommError, CommResult, DType, RecordComm, RecordedEvent,
-    Regions, Req, SgDests, SgView,
+    canonical, fnv1a, run_ranks, try_run_ranks, Comm, CommError, CommResult, DType, EventKind,
+    RecordComm, Regions, Req, SgDests, SgView, TimedEvent,
 };
 use exacoll::net::run_socket_ranks;
 use exacoll::opt::plan_world;
@@ -271,21 +271,22 @@ fn a_plan_with_a_fused_receive_returns_exactly_its_output_on_both_transports() {
 fn a_recorded_short_receive_digests_the_same_whatever_the_buffer_held() {
     let [a, b] = [OLD, 0x55].map(|old| {
         let mut events = run_ranks(2, |c| {
-            let mut rc = RecordComm::new(c);
+            let mut rc = RecordComm::for_replay(c);
             short_receive(&mut rc, old)?;
-            Ok(rc.finish())
+            Ok(canonical(&rc.finish().events))
         });
         events.swap_remove(1)
     });
     assert_eq!(a, b);
-    let recv = a.iter().find(|e| matches!(e, RecordedEvent::Recv { .. }));
+    let recv = a.iter().find(|e| e.kind == EventKind::Recv);
     assert_eq!(
         recv,
-        Some(&RecordedEvent::Recv {
-            from: 0,
-            tag: 7,
+        Some(&TimedEvent {
+            peer: Some(0),
+            tag: Some(7),
             bytes: 4,
             digest: Some(fnv1a(&[1, 2, 3, 0])),
+            ..TimedEvent::of(EventKind::Recv)
         })
     );
 }

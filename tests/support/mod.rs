@@ -6,8 +6,9 @@ use exacoll::collectives::registry::{candidates, lower};
 use exacoll::collectives::request::payload;
 use exacoll::collectives::schedule::{compile, execute_compiled, Schedule};
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
-use exacoll::comm::{run_ranks, Comm, RankTrace, ThreadComm, TraceOp};
-use exacoll::obs::{EventKind, RankTimeline, TimedComm};
+use exacoll::comm::{
+    run_ranks, Comm, EventKind, RankTimeline, RankTrace, RecordComm, ThreadComm, TraceOp,
+};
 use proptest::prelude::*;
 use std::fmt::Display;
 
@@ -70,14 +71,14 @@ fn executed_trace(tl: &RankTimeline, size: usize) -> RankTrace {
     }
 }
 
-/// Run `world` on threaded ranks, each under `TimedComm`. Returns every
+/// Run `world` on threaded ranks, each under `RecordComm`. Returns every
 /// rank's output and the op stream it drove the backend with.
 pub fn run_live(world: &[Schedule]) -> Vec<(Vec<u8>, RankTrace)> {
     let p = world.len();
     let plans: Vec<_> = world.iter().map(compile).collect();
     let ran = run_ranks(p, |c: &mut ThreadComm| {
         let plan = &plans[c.rank()];
-        let mut tc = TimedComm::new(&mut *c);
+        let mut tc = RecordComm::new(&mut *c);
         let out = execute_compiled(&mut tc, plan, &payload(1, plan.rank, plan.input_bytes()))?;
         Ok((out, tc.finish()))
     });

@@ -6,12 +6,12 @@
 //! reach the engine in the order the semantics need.
 
 use exacoll::comm::{
-    expect_all_ranks, fnv1a, reduce_into, try_run_ranks_with, Comm, CommError, CommResult, DType,
-    FaultComm, FaultPlan, Landing, Rank, RecordComm, RecordedEvent, ReduceOp, Regions, Req,
+    canonical, expect_all_ranks, fnv1a, reduce_into, try_run_ranks_with, Comm, CommError,
+    CommResult, DType, FaultComm, FaultPlan, Landing, Rank, RecordComm, ReduceOp, Regions, Req,
     SgDests, SgView, ThreadComm, WorldOptions,
 };
+use exacoll::comm::{EventKind, TimedEvent};
 use exacoll::net::{try_run_socket_ranks_with, SocketComm};
-use exacoll::obs::{EventKind, TimedComm};
 use std::time::{Duration, Instant};
 
 /// Only genuine hangs reach it.
@@ -540,8 +540,8 @@ mod cases {
     }
 
     /// The wrappers keep the equivalence: `FaultComm` does not opt in and
-    /// still corrupts what the receiver lands, `RecordComm` and `TimedComm`
-    /// forward and log the same run.
+    /// still corrupts what the receiver lands, `RecordComm` with and without
+    /// digests forwards and logs the same run.
     pub fn wrappers_keep_waitall_into_equivalent<W: World>() {
         let plan = FaultPlan::none(11).corrupts(1.0);
         let [plain, landed] =
@@ -554,9 +554,9 @@ mod cases {
 
         let [plain, landed] = [false, true].map(|into| {
             W::run(3, |c| {
-                let mut rc = RecordComm::new(c);
+                let mut rc = RecordComm::for_replay(c);
                 let buf = exchange(&mut rc, into)?;
-                Ok((buf, rc.finish()))
+                Ok((buf, canonical(&rc.finish().events)))
             })
         });
         for rank in 0..3 {
@@ -568,11 +568,12 @@ mod cases {
                 // `waitall_into` describes the four-byte destination, whose
                 // last byte is the zero the message did not cover.
                 let (short, dest) = ([7, 8, 9], [7, 8, 9, 0]);
-                let event = |bytes: &[u8]| RecordedEvent::Recv {
-                    from: 1,
-                    tag: 4,
-                    bytes: bytes.len(),
+                let event = |bytes: &[u8]| TimedEvent {
+                    peer: Some(1),
+                    tag: Some(4),
+                    bytes: bytes.len() as u64,
                     digest: Some(fnv1a(bytes)),
+                    ..TimedEvent::of(EventKind::Recv)
                 };
                 assert_eq!((a.remove(1), b.remove(1)), (event(&short), event(&dest)));
             }
@@ -581,19 +582,26 @@ mod cases {
 
         let [plain, landed] = [false, true].map(|into| {
             W::run(3, |c| {
-                let mut tc = TimedComm::new(c);
+                let mut tc = RecordComm::new(c);
                 let buf = exchange(&mut tc, into)?;
                 Ok((buf, tc.finish()))
             })
         });
         // Forwarding, not re-deriving: what the executor calls is what the
         // backend under a recorder, a timeline or a borrow is asked for.
-        let calls = W::run(3, |c| {
-            let mut probe = Probe::new(c);
-            exchange(&mut RecordComm::new(TimedComm::new(&mut probe)), true)?;
-            Ok((probe.sg_sends, probe.owned_waits, probe.into_waits))
-        });
-        assert_eq!(calls, [(0, 0, 1), (1, 3, 0), (0, 1, 0)]);
+        for replay in [false, true] {
+            let calls = W::run(3, |c| {
+                let mut probe = Probe::new(c);
+                let mut rc = match replay {
+                    true => RecordComm::for_replay(&mut probe),
+                    false => RecordComm::new(&mut probe),
+                };
+                exchange(&mut rc, true)?;
+                drop(rc);
+                Ok((probe.sg_sends, probe.owned_waits, probe.into_waits))
+            });
+            assert_eq!(calls, [(0, 0, 1), (1, 3, 0), (0, 1, 0)], "replay={replay}");
+        }
         assert!(plain[0].0 == exchanged() && landed[0].0 == exchanged());
         let shape = |t: &exacoll::obs::RankTimeline| -> Vec<_> {
             t.events
@@ -722,19 +730,17 @@ mod cases {
             W::run(3, |c| fold(&mut FaultComm::new(c, plan), true)),
             want
         );
-        let timed = W::run(3, |c| fold(&mut TimedComm::new(c), true));
+        let timed = W::run(3, |c| fold(&mut RecordComm::new(c), true));
         assert_eq!(timed, want);
         let recorded = W::run(3, |c| {
-            let mut rc = RecordComm::new(c);
+            let mut rc = RecordComm::for_replay(c);
             let buf = fold(&mut rc, true)?;
-            Ok((buf, rc.finish()))
+            Ok((buf, canonical(&rc.finish().events)))
         });
         assert!(recorded[0].0 == want[0]);
         let digests: Vec<_> = (recorded[0].1.iter())
-            .filter_map(|e| match e {
-                RecordedEvent::Recv { digest, .. } => *digest,
-                _ => None,
-            })
+            .filter(|e| e.kind == EventKind::Recv)
+            .filter_map(|e| e.digest)
             .collect();
         let mut short = fold_payload(1, 4, 16)[..12].to_vec();
         short.resize(24, 0);
