@@ -11,7 +11,7 @@
 use crate::artifact::{hex_digest, Artifact, RankStatus};
 use crate::evaluate::evaluate;
 use crate::ReplayError;
-use exacoll_comm::{fnv1a, EventKind, TimedEvent};
+use exacoll_comm::{canonical, fnv1a, EventKind, TimedEvent};
 
 /// One step where a rank's recorded behavior departs from the schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,10 +99,7 @@ pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
     let mut events_checked = 0usize;
     for (rank, log) in artifact.ranks.iter().enumerate() {
         let exp = &expected.events[rank];
-        // The canonical view compares no times, so the steps are borrowed.
-        let obs: Vec<&TimedEvent> = (log.events.iter())
-            .filter(|e| e.kind != EventKind::Wait)
-            .collect();
+        let obs = &canonical(&log.events);
         events_checked += obs.len();
         let mut diverged = false;
         for step in 0..exp.len().max(obs.len()) {
@@ -222,7 +219,6 @@ const STEP_MISMATCH: &str = "event does not match the schedule's step sequence";
 mod tests {
     use super::*;
     use crate::record::record_thread_run;
-    use exacoll_comm::canonical;
     use exacoll_core::registry::{Algorithm, CollArgs, CollectiveOp};
 
     /// Rank `rank`'s recorded event at canonical step `step`.
