@@ -678,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn a_dump_for_another_rank_or_world_is_refused() {
+    fn a_timeline_for_another_rank_or_world_is_refused() {
         let dir = std::env::temp_dir().join(format!("exacoll-tl-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         // Write `rank{file}.record.json` holding a log that says it is

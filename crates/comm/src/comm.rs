@@ -115,8 +115,7 @@ pub trait Comm {
 
     /// Account for `bytes` of local reduction computation (γ term in the
     /// cost model). Backends that execute for real treat this as a no-op;
-    /// wrappers that observe the op stream (`exacoll-obs`'s `TimedComm`)
-    /// record it.
+    /// wrappers that observe the op stream (`RecordComm`) record it.
     fn compute(&mut self, bytes: usize);
 
     /// Annotate the schedule with a round/phase boundary: `label` names the

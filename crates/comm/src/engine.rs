@@ -167,8 +167,7 @@ impl Inbox {
 /// into slots`; when the last live request is consumed the slots are dropped
 /// and `base` moves past them, so the table stays as small as the largest
 /// batch in flight while handles are still allocated monotonically and never
-/// reused — which `TimedComm`'s back-patching and `RecordComm`'s pending map
-/// rely on.
+/// reused — which `RecordComm`'s back-patching relies on.
 pub(crate) struct ReqTable<S> {
     base: usize,
     /// `None` once consumed.

@@ -18,10 +18,9 @@
 //!   cross-check against the sequential reference, and the test oracle. For
 //!   replay, [`evaluate_recorded`] also emits each rank's event log exactly
 //!   as the canonical view of a replay `RecordComm` around a live backend
-//!   would read: sends,
-//!   receives and marks in posting order, a compute after each reduction,
-//!   and receive lengths/digests back-patched when the covering flush
-//!   completes. Costs O(bytes).
+//!   reads: sends, receives and marks in posting order, a compute after
+//!   each reduction, and receive lengths/digests back-patched when the
+//!   covering flush completes. Costs O(bytes).
 //! * provenance ([`super::provenance`]): [`provenance`] returns what every
 //!   rank's output *is* as expressions over the ranks' inputs — what the
 //!   optimizer's gate and `exacoll verify` compare. Costs O(steps).

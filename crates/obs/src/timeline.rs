@@ -20,9 +20,9 @@ pub use exacoll_comm::{EventKind, RankTimeline, TimedEvent};
 use exacoll_comm::{RankTrace, RecordComm, TraceOp};
 use exacoll_sim::OpTiming;
 
-/// The recorder without digests, under its former name: the benchmark's
-/// probes still build it as `TimedComm::new(..)` until they move to
-/// [`RecordComm`].
+/// The recorder without digests, under its former name: it stays for the
+/// benchmark's probes, which build `TimedComm::new(..)`, until they move to
+/// [`RecordComm`] (ROADMAP item 1(a)).
 pub type TimedComm<C> = RecordComm<C>;
 
 /// Latest completion across all ranks — the collective's makespan in ns.

@@ -704,21 +704,37 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn hostile_events_are_refused() {
-        let parse = |text: String| match Artifact::from_json(&text) {
+    /// The [`ReplayError::Parse`] message `text` is refused with.
+    fn parse_error(text: &str) -> String {
+        match Artifact::from_json(text) {
             Err(ReplayError::Parse(why)) => why,
             other => panic!("expected a Parse error, got {other:?}"),
-        };
+        }
+    }
+
+    #[test]
+    fn hostile_events_are_refused() {
         let text = tiny().to_json();
-        assert!(parse(text.replacen("\"kind\": \"send\"", "\"kind\": \"zap\"", 1)).contains("zap"));
-        assert!(parse(text.replacen("\"ffffffffffffffff\"", "\"fffz\"", 1)).contains("fffz"));
+        let bad_hex = text.replacen("\"ffffffffffffffff\"", "\"fffz\"", 1);
+        assert!(parse_error(&bad_hex).contains("fffz"));
         // A send the replayer cannot compare.
         let undigested = text.replacen("\"ffffffffffffffff\"", "null", 1);
-        assert!(parse(undigested).contains("without a digest"));
+        assert!(parse_error(&undigested).contains("without a digest"));
+    }
+
+    #[test]
+    fn unknown_kind_is_an_error() {
+        let text = tiny().to_json();
+        let zap = text.replacen("\"kind\": \"send\"", "\"kind\": \"zap\"", 1);
+        assert!(parse_error(&zap).contains("unknown event kind `zap`"));
+    }
+
+    #[test]
+    fn a_cover_not_before_its_wait_is_an_error() {
         // `critical_path` indexes events by `covers`.
+        let text = tiny().to_json();
         for covers in ["2", "0, 3"] {
-            let err = parse(text.replace(
+            let err = parse_error(&text.replace(
                 "\"covers\": [\n            1\n          ]",
                 &format!("\"covers\": [{covers}]"),
             ));

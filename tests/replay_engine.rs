@@ -58,8 +58,8 @@ proptest! {
             Some(v) => v,
             None => continue,
         };
-        let steps = artifact.ranks[vr].events.iter_mut().filter(|e| e.kind != EventKind::Wait);
-        if let Some(d) = &mut steps.collect::<Vec<_>>()[vs].digest {
+        let mut steps = artifact.ranks[vr].events.iter_mut().filter(|e| e.kind != EventKind::Wait);
+        if let Some(d) = &mut steps.nth(vs).expect("the victim step").digest {
             *d ^= 0xff;
         }
         let parsed = Artifact::from_json(&artifact.to_json()).expect("parses");
