@@ -387,8 +387,7 @@ struct LocalWorld<'a> {
     bind: &'a str,
     /// Ranks `0..spawn` are started here; the rest by hand, elsewhere.
     spawn: usize,
-    /// Collect every rank's timeline (the spec's `--record` collects them
-    /// too, for its artifact).
+    /// Collect every rank's timeline.
     timelines: bool,
 }
 
@@ -452,7 +451,7 @@ fn run_local_world(
                 .map(|d| d.map(timeline))
                 .collect::<Result<_, _>>()
         };
-        dumps.map(timelines).transpose()
+        dumps.filter(|_| opts.timelines).map(timelines).transpose()
     })();
     if let Some(dir) = &dump_dir {
         let _ = std::fs::remove_dir_all(dir);
